@@ -1,44 +1,17 @@
-"""Numerical inner-loop kernels with two interchangeable backends.
+"""Numerical inner-loop kernels.
 
 Everything here is called inside the hot loops of the package: the
 cumulative quadrature that powers the Volterra coupling operators, and the
 right-hand sides handed to the ODE integrator (~1e6 evaluations per solve at
-the smallest mesh sizes). Each kernel exists twice:
-
-* a scalar-loop version compiled with ``numba.njit`` (nogil, cached), and
-* a vectorized pure-numpy version with identical semantics.
-
-The active backend is chosen once at import time from the environment
-variable ``CROSSING_KIT_BACKEND`` (``"numba"`` or ``"numpy"``, default
-``"numba"``; falls back to numpy with a log message when numba is not
-importable). ``benchmarks/bench_kernels.py`` times the two implementations
-against each other.
+the smallest mesh sizes). There is one implementation of each: the
+quadrature is vectorized numpy, the right-hand sides are plain Python.
 """
 
 from __future__ import annotations
 
-import logging
-import os
-
 import numpy as np
 
-logger = logging.getLogger("crossing_kit")
-
-_requested = os.environ.get("CROSSING_KIT_BACKEND", "numba").strip().lower()
-if _requested not in ("numba", "numpy"):
-    logger.warning("unknown CROSSING_KIT_BACKEND=%r, using 'numba'", _requested)
-    _requested = "numba"
-
-if _requested == "numba":
-    try:
-        import numba as nb
-    except ImportError:
-        logger.warning("numba not importable, falling back to numpy backend")
-        _requested = "numpy"
-
-BACKEND = _requested
-
-_numba_setting = {"nogil": True, "cache": True}
+BACKEND = "numpy"
 
 # Weights of the order-6 cumulative rule: the integral over one mesh cell of
 # the quintic through six consecutive samples. Row d integrates [t_d, t_{d+1}]
@@ -54,44 +27,6 @@ _W6 = np.array(
         [3 / 160, -173 / 1440, 241 / 720, -133 / 240, 1427 / 1440, 95 / 288],
     ]
 )
-
-
-def _cum_quad6_loop(values, dx, w6):
-    # cumulative integral from the first grid point, one output per node
-    n = values.shape[0]
-    out = np.empty(n, dtype=np.complex128)
-    out[0] = 0.0 + 0.0j
-    acc = 0.0 + 0.0j
-    for k in range(n - 1):
-        s = k - 2
-        if s < 0:
-            s = 0
-        if s > n - 6:
-            s = n - 6
-        d = k - s
-        cell = 0.0 + 0.0j
-        for j in range(6):
-            cell += w6[d, j] * values[s + j]
-        acc += dx * cell
-        out[k + 1] = acc
-    return out
-
-
-def _cum_quad6_numpy(values, dx, w6):
-    n = values.shape[0]
-    out = np.empty(n, dtype=np.complex128)
-    out[0] = 0.0
-    # interior cells k = 2 .. n-4 all use the centered row
-    windows = np.lib.stride_tricks.sliding_window_view(values, 6)
-    cells = np.empty(n - 1, dtype=np.complex128)
-    cells[2 : n - 3] = windows[: n - 5] @ w6[2]
-    cells[0] = values[:6] @ w6[0]
-    cells[1] = values[:6] @ w6[1]
-    cells[n - 3] = values[n - 6 :] @ w6[3]
-    cells[n - 2] = values[n - 6 :] @ w6[4]
-    np.cumsum(cells, out=out[1:])
-    out[1:] *= dx
-    return out
 
 
 def _bump_val(x, center, width, amplitude):
@@ -111,7 +46,7 @@ def _polyval_asc(coeffs, x):
     return acc
 
 
-def _model_rhs(x, y, f_coeffs, r1p, r2p, h):
+def model_rhs(x, y, f_coeffs, r1p, r2p, h):
     """Right-hand side of the 2x2 reduced system, first-order form.
 
     y = (u1, u2) with u1' = -i r1 u2, u2' = (i/h) f u2 - i r2 u1.
@@ -126,7 +61,7 @@ def _model_rhs(x, y, f_coeffs, r1p, r2p, h):
     return out
 
 
-def _schrod_rhs(x, y, v1_coeffs, v2_coeffs, wp, e0, h):
+def schrod_rhs(x, y, v1_coeffs, v2_coeffs, wp, e0, h):
     """Right-hand side of the coupled Schrodinger pair, first-order form.
 
     y = (u1, u1', u2, u2'); u_j'' = ((V_j - E0) u_j + h W u_other) / h^2.
@@ -142,18 +77,6 @@ def _schrod_rhs(x, y, v1_coeffs, v2_coeffs, wp, e0, h):
     return out
 
 
-if BACKEND == "numba":
-    _cum_quad6_impl = nb.njit(**_numba_setting)(_cum_quad6_loop)
-    _bump_val = nb.njit(**_numba_setting)(_bump_val)
-    _polyval_asc = nb.njit(**_numba_setting)(_polyval_asc)
-    model_rhs = nb.njit(**_numba_setting)(_model_rhs)
-    schrod_rhs = nb.njit(**_numba_setting)(_schrod_rhs)
-else:
-    _cum_quad6_impl = _cum_quad6_numpy
-    model_rhs = _model_rhs
-    schrod_rhs = _schrod_rhs
-
-
 def cum_quad6(values: np.ndarray, dx: float) -> np.ndarray:
     """Cumulative integral of uniformly sampled values, sixth order.
 
@@ -162,9 +85,22 @@ def cum_quad6(values: np.ndarray, dx: float) -> np.ndarray:
     cell integrates the quintic through the six nearest samples.
     """
     values = np.ascontiguousarray(values, dtype=np.complex128)
-    if values.shape[0] < 6:
+    n = values.shape[0]
+    if n < 6:
         raise ValueError("cum_quad6 needs at least 6 samples")
-    return _cum_quad6_impl(values, float(dx), _W6)
+    out = np.empty(n, dtype=np.complex128)
+    out[0] = 0.0
+    # interior cells k = 2 .. n-4 all use the centered row
+    windows = np.lib.stride_tricks.sliding_window_view(values, 6)
+    cells = np.empty(n - 1, dtype=np.complex128)
+    cells[2 : n - 3] = windows[: n - 5] @ _W6[2]
+    cells[0] = values[:6] @ _W6[0]
+    cells[1] = values[:6] @ _W6[1]
+    cells[n - 3] = values[n - 6 :] @ _W6[3]
+    cells[n - 2] = values[n - 6 :] @ _W6[4]
+    np.cumsum(cells, out=out[1:])
+    out[1:] *= float(dx)
+    return out
 
 
 def quad6(values: np.ndarray, dx: float) -> complex:

@@ -29,24 +29,22 @@ import numpy as np
 
 from . import sweep as sweep_mod
 from .errors import CrossingKitError, SchemaError, ValidationError
-from .normalform import (
-    NormalFormProblem,
-    model_corpus,
-    predict_transfer,
-    transfer_numeric,
-)
+from .normalform import NormalFormProblem, model_corpus
 from .profiles import Bump, Poly1
-from .schrodinger import (
-    SchrodingerProblem,
-    numeric_transfer_case_i,
-    predict_transfer_case_i,
-    predict_transfer_case_ii,
-    schrodinger_corpus,
-)
+from .schrodinger import SchrodingerProblem, schrodinger_corpus
+from .transfer import Problem
+
+# Not called here: perfbench/tracer.py wraps these two attributes of this
+# module by name, so they must stay importable from it.
+from .normalform import predict_transfer  # noqa: F401
+from .schrodinger import predict_transfer_case_i  # noqa: F401
 
 log = logging.getLogger("crossing_kit.cli")
 
 MODES = ("predict", "solve-model", "solve-schrodinger", "sweep", "verify")
+KINDS = ("model", "schrodinger", "model-corpus", "schrodinger-corpus", "random-model")
+# the single-solve modes that only one problem family can run
+_SOLVE_FAMILY = {"solve-model": "model", "solve-schrodinger": "schrodinger"}
 
 # keys accepted at the top level, per mode
 _COMMON_KEYS = {"mode", "problem", "jobs", "seed", "output"}
@@ -65,6 +63,8 @@ _DEFAULT_GRIDS = {
     "schrodinger": (1e-2, 1e-4, 8),
 }
 _DEFAULT_TOLERANCES = {"exponent": 0.05, "prefactor": 0.10}
+# largest geometric h_grid count: bounds the grid array before it is built
+_MAX_GRID_COUNT = 1000
 
 
 @dataclass(frozen=True)
@@ -72,7 +72,7 @@ class RunConfig:
     """Validated run description, ready to dispatch."""
 
     mode: str
-    problem: object
+    problem: Problem
     h: float | None
     h_values: tuple[float, ...] | None
     method: str
@@ -114,11 +114,15 @@ def _expect_number(node, path: str, positive: bool = False) -> float:
     return value
 
 
-def _expect_int(node, path: str, minimum: int | None = None) -> int:
+def _expect_int(
+    node, path: str, minimum: int | None = None, maximum: int | None = None
+) -> int:
     if isinstance(node, bool) or not isinstance(node, int):
         raise SchemaError(path, f"expected an integer, got {_type_name(node)}")
     if minimum is not None and node < minimum:
         raise SchemaError(path, f"must be at least {minimum}")
+    if maximum is not None and node > maximum:
+        raise SchemaError(path, f"must be at most {maximum}")
     return node
 
 
@@ -184,17 +188,7 @@ def _random_model_problem(m: int, h: float, seed: int) -> NormalFormProblem:
 
 def _build_problem(node, path: str, h: float, seed: int):
     obj = _expect_object(node, path)
-    kind = _expect_string(
-        _require(obj, "kind", path),
-        f"{path}.kind",
-        choices=(
-            "model",
-            "schrodinger",
-            "model-corpus",
-            "schrodinger-corpus",
-            "random-model",
-        ),
-    )
+    kind = _expect_string(_require(obj, "kind", path), f"{path}.kind", choices=KINDS)
     try:
         if kind == "model":
             _reject_unknown(
@@ -275,7 +269,12 @@ def _build_grid(node, path: str) -> tuple[float, ...]:
         _reject_unknown(obj, path, {"start", "stop", "count"})
         start = _expect_number(_require(obj, "start", path), f"{path}.start", positive=True)
         stop = _expect_number(_require(obj, "stop", path), f"{path}.stop", positive=True)
-        count = _expect_int(_require(obj, "count", path), f"{path}.count", minimum=4)
+        count = _expect_int(
+            _require(obj, "count", path),
+            f"{path}.count",
+            minimum=4,
+            maximum=_MAX_GRID_COUNT,
+        )
         values = [float(v) for v in np.geomspace(start, stop, count)]
     if len(values) < 4:
         raise SchemaError(f"{path}.values", "needs at least 4 grid points")
@@ -345,16 +344,18 @@ def parse_config(
     elif "h_grid" in obj:
         h_values = _build_grid(obj["h_grid"], "h_grid")
 
-    problem_node = _require(obj, "problem", "")
-    # defaults for verify depend on the problem family, so peek at the kind
+    problem_node = _expect_object(_require(obj, "problem", ""), "problem")
+    kind = _expect_string(
+        _require(problem_node, "kind", "problem"), "problem.kind", choices=KINDS
+    )
+    family = "schrodinger" if kind.startswith("schrodinger") else "model"
+    needed = _SOLVE_FAMILY.get(mode)
+    if needed is not None and needed != family:
+        raise SchemaError("problem.kind", f"{mode} needs a {needed} problem, got {kind!r}")
+    # defaults for verify depend on the problem family
     if h_values is None and not single_h:
         if mode == "sweep":
             raise SchemaError("h_grid", "required key is missing")
-        kind = _expect_string(
-            _require(_expect_object(problem_node, "problem"), "kind", "problem"),
-            "problem.kind",
-        )
-        family = "schrodinger" if kind.startswith("schrodinger") else "model"
         start, stop, count = _DEFAULT_GRIDS[family]
         h_values = tuple(float(v) for v in np.geomspace(start, stop, count))
 
@@ -362,17 +363,16 @@ def parse_config(
         problem_node, "problem", h if single_h else max(h_values), seed
     )
 
-    if isinstance(problem, SchrodingerProblem) and problem.case == "ii":
-        if mode != "predict":
-            raise SchemaError(
-                "problem.e0",
-                "zero-energy problems have no oscillatory solver; "
-                "only predict supports them",
-            )
+    if family == "schrodinger" and problem.case == "ii" and mode != "predict":
+        raise SchemaError(
+            "problem.e0",
+            "zero-energy problems have no oscillatory solver; "
+            "only predict supports them",
+        )
 
     branch = 1
     if "branch" in obj:
-        if not isinstance(problem, SchrodingerProblem):
+        if family != "schrodinger":
             raise SchemaError("branch", "only meaningful for schrodinger problems")
         branch = _expect_int(obj["branch"], "branch")
         if branch not in (1, -1):
@@ -452,16 +452,8 @@ def _write_summary(config: RunConfig, payload: dict) -> None:
     log.info("wrote summary to %s", config.summary_path)
 
 
-def _predicted_reference(problem, branch: int):
-    if isinstance(problem, SchrodingerProblem):
-        if problem.case == "ii":
-            return predict_transfer_case_ii(problem)
-        return predict_transfer_case_i(problem, branch)
-    return predict_transfer(problem)
-
-
 def _run_predict(config: RunConfig) -> int:
-    t = _predicted_reference(config.problem, config.branch)
+    t = config.problem.predict(config.branch)
     print(f"predict  h={config.h:.6e}")
     _print_matrix("predicted", t)
     _write_summary(
@@ -473,16 +465,15 @@ def _run_predict(config: RunConfig) -> int:
 
 def _run_single_solve(config: RunConfig) -> int:
     prob = config.problem
-    if config.mode == "solve-model":
-        predicted = predict_transfer(prob)
-        extracted = transfer_numeric(
-            prob, config.method, terms=config.terms, eps=config.window_eps
-        )
-    else:
-        predicted = predict_transfer_case_i(prob, config.branch)
-        extracted = numeric_transfer_case_i(
-            prob, config.branch, eps=config.window_eps
-        )
+    # method and terms are solve-model keys; parse_config has checked that
+    # solve-model runs a model problem
+    solver = (
+        {"method": config.method, "terms": config.terms}
+        if config.mode == "solve-model"
+        else {}
+    )
+    predicted = prob.predict(config.branch)
+    extracted = prob.extract(config.branch, config.window_eps, **solver)
     errors = extracted.entrywise_abs_diff(predicted)
     print(f"{config.mode}  h={config.h:.6e}")
     _print_matrix("extracted", extracted)
@@ -563,10 +554,9 @@ def _run_grid(config: RunConfig) -> int:
 
     # verify: leading off-diagonal growth must match the prediction in both
     # the exponent and the h-independent prefactor
-    order = prob.m if isinstance(prob, NormalFormProblem) else prob.n
     href = max(config.h_values)
-    reference = _predicted_reference(prob, config.branch)
-    expected_exponent = 1.0 / (order + 1)
+    reference = prob.predict(config.branch)
+    expected_exponent = 1.0 / (prob.order + 1)
     for q in ("t12", "t21"):
         magnitude = abs(complex(getattr(reference, q)))
         if q not in report.fits or magnitude <= sweep_mod.SIGNAL_FLOOR:

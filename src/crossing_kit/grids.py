@@ -60,9 +60,6 @@ class GridFunction:
             )
         return slice(lo, hi)
 
-    def with_values(self, values: np.ndarray) -> "GridFunction":
-        return GridFunction(values, self.x0, self.dx, self.n)
-
 
 def grid_for(
     x_left: float,
@@ -90,6 +87,14 @@ def grid_for(
     if max_rate > 0:
         dx_osc = 2.0 * np.pi * h / (max_rate * points_per_period)
         dx_target = min(dx_target, dx_osc)
+    # compare in floats before any int(): for h near the underflow limit the
+    # node count is infinite; the estimate never exceeds the exact count
+    estimate = (x_right - x_left) / dx_target if dx_target > 0 else np.inf
+    if not estimate < n_max:
+        raise ValidationError(
+            f"grid would need about {estimate:.3g} nodes (> n_max={n_max}); "
+            "raise h or shrink the interval"
+        )
     n_left = int(np.ceil(-x_left / dx_target))
     dx = -x_left / n_left
     n_right = int(np.ceil(x_right / dx - 1e-12))

@@ -30,6 +30,8 @@ stationary-point contribution predicted by predict_transfer.
 
 from __future__ import annotations
 
+import dataclasses
+import logging
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -47,21 +49,24 @@ from .errors import (
 from .grids import GridFunction, grid_for
 from .oscquad import stationary_prefactor
 from .profiles import Bump, Poly1
+from .symbolcalc import (
+    CrossingData,
+    Poly2,
+    crossing_data_from_symbols,
+    transfer_predicted_general,
+)
 from .transfer import TransferMatrix
 
 ODE_TOL = 1e-11
 EXTRACT_WINDOW = 65
 
+logger = logging.getLogger("crossing_kit")
 
-def _poly_max_abs(f: Poly1, a: float, b: float) -> float:
-    """max |f| over [a, b], via the critical points of the polynomial."""
-    cand = [a, b]
-    dcoef = np.asarray(f.deriv().coeffs)
-    if dcoef.size > 1 or dcoef[0] != 0.0:
-        for r in np.polynomial.polynomial.polyroots(dcoef):
-            if abs(r.imag) < 1e-12 and a <= r.real <= b:
-                cand.append(float(r.real))
-    return float(max(abs(f(c)) for c in cand))
+
+def _max_rate(prob: NormalFormProblem) -> float:
+    """max |f| over the interval: the fastest local phase rate."""
+    lo, hi = prob.f.range_on(prob.x0, prob.x1)
+    return max(abs(lo), abs(hi))
 
 
 def _poly_real_roots(f: Poly1) -> list[float]:
@@ -131,13 +136,51 @@ class NormalFormProblem:
         """f^(m)(0), the first nonvanishing derivative at the crossing."""
         return math.factorial(self.m) * self.f.coeffs[self.m]
 
+    # -- the Problem interface used by the sweep and the CLI
+
+    @property
+    def order(self) -> int:
+        return self.m
+
+    def with_h(self, h: float) -> "NormalFormProblem":
+        return dataclasses.replace(self, h=h)
+
+    def predict(self, branch: int = 1) -> TransferMatrix:
+        _check_single_crossing(branch)
+        return predict_transfer(self)
+
+    def extract(
+        self,
+        branch: int = 1,
+        eps: float | None = None,
+        *,
+        method: str | None = None,
+        terms: int = 8,
+    ) -> TransferMatrix:
+        """Extracted T; ``method`` None means the Neumann series, falling
+        back to the direct ODE solve where the series is not contractive."""
+        _check_single_crossing(branch)
+        if method is not None:
+            return transfer_numeric(self, method, terms=terms, eps=eps)
+        try:
+            return transfer_numeric(self, "neumann", terms=terms, eps=eps)
+        except NotContractive as exc:
+            # the series needs smaller h; the direct integration does not
+            logger.info("h=%.6e: %s; falling back to the ODE solver", self.h, exc)
+            return transfer_numeric(self, "ode", terms=terms, eps=eps)
+
+
+def _check_single_crossing(branch: int) -> None:
+    if branch != 1:
+        raise ValidationError("the reduced model has one crossing; branch must be 1")
+
 
 class ModelWorkspace:
     """Grid plus precomputed oscillatory weights for one (problem, h)."""
 
     def __init__(self, prob: NormalFormProblem, points_per_period: int = 96):
         self.prob = prob
-        rate = _poly_max_abs(prob.f, prob.x0, prob.x1)
+        rate = _max_rate(prob)
         x, dx, n, k0 = grid_for(
             prob.x0, prob.x1, rate, prob.h, points_per_period
         )
@@ -281,7 +324,7 @@ def ode_oracle(
     # spanning thousands of fast periods; the step itself is fine but the
     # dense-output interpolant amplifies stage noise by the stiff factor
     # f/h. Capping the step at one local period keeps it conditioned.
-    rate = _poly_max_abs(prob.f, prob.x0, prob.x1)
+    rate = _max_rate(prob)
     max_step = 2.0 * np.pi * prob.h / rate if rate > 0 else np.inf
     sol = solve_ivp(
         model_rhs,
@@ -348,6 +391,26 @@ def model_omega(prob: NormalFormProblem) -> complex:
     return stationary_prefactor(prob.m, prob.f_order_coeff())
 
 
+def crossing_data(prob: NormalFormProblem) -> CrossingData:
+    """Crossing invariants of the symbols p1 = xi, p2 = xi - f(x) at 0.
+
+    The general amplitudes carry a factor (|grad p_k| / |grad p_j|)^(1/(m+1))
+    that belongs to branch amplitudes normalised by the symbol gradients.
+    The model's components u1, u2 are not normalised that way, so the
+    couplings enter flux-normalised, q_j = r_j(0) sqrt(|grad p_j| /
+    |grad p_k|). The norms differ only for m = 1, where |grad p2| =
+    sqrt(1 + f'(0)^2).
+    """
+    p1 = Poly2.xi()
+    p2 = p1 - Poly2.from_x_poly(prob.f.coeffs)
+    ratio = math.hypot(*p1.gradient_at_origin()) / math.hypot(
+        *p2.gradient_at_origin()
+    )
+    q1 = complex(prob.r1(0.0)) * math.sqrt(ratio)
+    q2 = complex(prob.r2(0.0)) / math.sqrt(ratio)
+    return crossing_data_from_symbols(p1, p2, q1, q2, max_m=prob.m + 1)
+
+
 def predict_transfer(prob: NormalFormProblem) -> TransferMatrix:
     """Leading-order transfer matrix for the model problem.
 
@@ -355,13 +418,7 @@ def predict_transfer(prob: NormalFormProblem) -> TransferMatrix:
     prefactor of the corresponding phase sign; diagonal entries are 1 up to
     a higher-order remainder.
     """
-    lam = prob.h ** (1.0 / (prob.m + 1))
-    fm0 = prob.f_order_coeff()
-    t12 = -1j * lam * prob.r1(0.0) * stationary_prefactor(prob.m, fm0)
-    t21 = -1j * lam * prob.r2(0.0) * stationary_prefactor(prob.m, -fm0)
-    return TransferMatrix(
-        [[1.0, t12], [t21, 1.0]], h=prob.h, kind="predicted"
-    )
+    return transfer_predicted_general(crossing_data(prob), prob.h)
 
 
 def transfer_numeric(

@@ -35,6 +35,17 @@ class Poly1:
     def deriv_at(self, order: int, x: float) -> float:
         return float(self.deriv(order)(x))
 
+    def range_on(self, a: float, b: float) -> tuple[float, float]:
+        """(min, max) of the polynomial over [a, b], via its critical points."""
+        cand = [a, b]
+        dcoef = np.asarray(self.deriv().coeffs)
+        if dcoef.size > 1 or dcoef[0] != 0.0:
+            for r in np.polynomial.polynomial.polyroots(dcoef):
+                if abs(r.imag) < 1e-12 and a <= r.real <= b:
+                    cand.append(float(r.real))
+        vals = [float(self(c)) for c in cand]
+        return min(vals), max(vals)
+
     def antideriv(self) -> "Poly1":
         c = np.polynomial.polynomial.polyint(np.asarray(self.coeffs))
         return Poly1(tuple(c))
@@ -84,7 +95,3 @@ class Bump:
 
 ZERO_BUMP = Bump(width=1.0, amplitude=0.0)
 
-
-def support_of(func) -> tuple[float, float] | None:
-    """Support interval of a profile, None when unknown/unbounded."""
-    return getattr(func, "support", None)

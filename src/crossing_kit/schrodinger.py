@@ -12,16 +12,17 @@ with polynomial potentials satisfying (V2 - V1)^(j)(0) = 0 for j < n and
 * case "i" (E0 > 0, no classical turning point on the interval): the
   characteristic curves xi^2 + V_j = E0 cross at (0, +-xi0), xi0 = sqrt(E0),
   with contact order n. Solutions are tracked in the oscillatory basis
-  sigma_j e^{+-i phi_j / h} and the transfer matrix is both predicted in
-  closed form and extracted from adaptive solves.
+  sigma_j e^{+-i phi_j / h} and the transfer matrix is both predicted from
+  the crossing invariants and extracted from adaptive solves.
 * case "ii" (E0 = 0, V_j(0) = 0, V_j'(0) != 0): the curves meet at the
   phase-space origin with contact order 2n. The origin is a turning point,
-  so only the closed-form prediction and its symbol-level cross-checks are
-  available; propagation requests raise TurningPointInRange.
+  so only the prediction and its symbol-level cross-checks are available;
+  propagation requests raise TurningPointInRange.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 
@@ -38,26 +39,19 @@ from .errors import (
     WindowInsideSupport,
 )
 from .grids import GridFunction, grid_for
-from .oscquad import gamma_real, mu_m
 from .profiles import Bump, Poly1
-from .symbolcalc import CrossingData, Poly2, crossing_data_from_symbols
+from .symbolcalc import (
+    CrossingData,
+    Poly2,
+    crossing_data_from_symbols,
+    transfer_predicted_general,
+)
 from .transfer import TransferMatrix
 
 ODE_TOL = 1e-11
 DECOMPOSE_WINDOW = 33
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(15)
-
-
-def _poly_min_on(p: Poly1, a: float, b: float) -> float:
-    """min of p over [a, b], via the critical points of the polynomial."""
-    cand = [a, b]
-    dcoef = np.asarray(p.deriv().coeffs)
-    if dcoef.size > 1 or dcoef[0] != 0.0:
-        for r in np.polynomial.polynomial.polyroots(dcoef):
-            if abs(r.imag) < 1e-12 and a < r.real < b:
-                cand.append(float(r.real))
-    return float(min(p(c) for c in cand))
 
 
 @dataclass(frozen=True)
@@ -99,7 +93,7 @@ class SchrodingerProblem:
                 )
         if self.e0 > 0.0:
             for name, v in (("V1", self.v1), ("V2", self.v2)):
-                gap = _poly_min_on(Poly1((self.e0,)) - v, self.x_in, self.x_out)
+                gap = (Poly1((self.e0,)) - v).range_on(self.x_in, self.x_out)[0]
                 if gap <= 0.0:
                     raise ValidationError(
                         f"E0 - {name} must stay positive on the interval "
@@ -132,6 +126,25 @@ class SchrodingerProblem:
     def delta_n(self) -> float:
         """(V2 - V1)^(n)(0), the first nonvanishing difference derivative."""
         return math.factorial(self.n) * (self.v2 - self.v1).coeffs[self.n]
+
+    # -- the Problem interface used by the sweep and the CLI
+
+    @property
+    def order(self) -> int:
+        """Contact order: n at the crossings +-xi0, 2n at the origin."""
+        return self.n if self.case == "i" else 2 * self.n
+
+    def with_h(self, h: float) -> "SchrodingerProblem":
+        return dataclasses.replace(self, h=h)
+
+    def predict(self, branch: int = 1) -> TransferMatrix:
+        """T at (0, branch * xi0); the origin crossing ignores ``branch``."""
+        if self.case == "ii":
+            return predict_transfer_case_ii(self)
+        return predict_transfer_case_i(self, branch)
+
+    def extract(self, branch: int = 1, eps: float | None = None) -> TransferMatrix:
+        return numeric_transfer_case_i(self, branch, eps=eps)
 
 
 class WkbBasis:
@@ -294,7 +307,7 @@ def solve_schrodinger_ode(
         )
     basis = WkbBasis(prob)
     rate = math.sqrt(
-        prob.e0 - min(_poly_min_on(v, prob.x_in, prob.x_out) for v in (prob.v1, prob.v2))
+        prob.e0 - min(v.range_on(prob.x_in, prob.x_out)[0] for v in (prob.v1, prob.v2))
     )
     x, dx, n, _ = grid_for(prob.x_in, prob.x_out, rate, prob.h, points_per_period)
     y0 = basis.synthesize(initial, float(x[0]))
@@ -431,43 +444,25 @@ def build_crossing_data(prob: SchrodingerProblem, which: int) -> CrossingData:
     return data
 
 
-def _omega_case_i(prob: SchrodingerProblem) -> complex:
-    delta = prob.delta_n()
-    n = prob.n
-    theta = -math.copysign(math.pi / (2 * (n + 1)), delta)
-    mag = (2.0 * math.factorial(n + 1) / abs(delta)) ** (1.0 / (n + 1))
-    return mu_m(n, theta) * gamma_real((n + 2) / (n + 1)) * mag
-
-
 def predict_transfer_case_i(
     prob: SchrodingerProblem, which_sign: int = 1
 ) -> TransferMatrix:
-    """Closed-form leading transfer matrix at (0, which_sign * xi0).
+    """Leading transfer matrix at (0, which_sign * xi0), from the invariants.
 
-    At +xi0 the off-diagonals are -i h^{1/(n+1)} W(0) (omega, conj(omega));
-    at -xi0 the two amplitudes trade places. Diagonal entries are 1 up to a
-    higher-order remainder.
+    With equal slopes |V1'(0)| = |V2'(0)| the off-diagonals are
+    -i h^{1/(n+1)} W(0) (omega, conj(omega)), and at -xi0 the two amplitudes
+    trade places; unequal slopes add the gradient-norm factor of the general
+    formula. Diagonal entries are 1 up to a higher-order remainder.
     """
-    if prob.case != "i":
-        raise CaseMismatch("the +-xi0 prediction needs case i")
     if which_sign not in (1, -1):
         raise ValidationError("which_sign must be +1 or -1")
-    omega = _omega_case_i(prob)
-    if which_sign == -1:
-        omega = np.conj(omega)
-    lam = prob.h ** (1.0 / (prob.n + 1))
-    w0 = prob.w(0.0)
-    entries = [
-        [1.0, -1j * lam * omega * w0],
-        [-1j * lam * np.conj(omega) * w0, 1.0],
-    ]
-    return TransferMatrix(entries, h=prob.h, kind="predicted")
+    return transfer_predicted_general(build_crossing_data(prob, which_sign), prob.h)
 
 
 def predict_transfer_case_ii(prob: SchrodingerProblem) -> TransferMatrix:
-    """Closed-form leading transfer matrix at the zero-energy crossing.
+    """Leading transfer matrix at the zero-energy crossing, from the invariants.
 
-    Both off-diagonal amplitudes are real and positive:
+    The off-diagonal amplitudes come out real and positive:
 
         omega_j = 2 (|V_k'(0)|/|V_j'(0)|
                      * (2n+1) n! / (|V_j'(0)|^n |delta_n|))^{1/(2n+1)}
@@ -476,37 +471,15 @@ def predict_transfer_case_ii(prob: SchrodingerProblem) -> TransferMatrix:
     with k the other index and delta_n the first nonvanishing derivative
     of V2 - V1 at 0.
     """
-    if prob.case != "ii":
-        raise CaseMismatch("the zero-energy prediction needs case ii")
-    n = prob.n
-    delta = abs(prob.delta_n())
-    g = [abs(v.deriv_at(1, 0.0)) for v in (prob.v1, prob.v2)]
-    root = 1.0 / (2 * n + 1)
-    shared = gamma_real((2 * n + 2) / (2 * n + 1)) * math.cos(
-        math.pi / (2 * (2 * n + 1))
-    )
-    omega = [
-        2.0
-        * (g[1 - j] / g[j] * (2 * n + 1) * math.factorial(n) / (g[j] ** n * delta))
-        ** root
-        * shared
-        for j in (0, 1)
-    ]
-    lam = prob.h ** root
-    w0 = prob.w(0.0)
-    entries = [
-        [1.0, -1j * lam * omega[0] * w0],
-        [-1j * lam * omega[1] * w0, 1.0],
-    ]
-    return TransferMatrix(entries, h=prob.h, kind="predicted")
+    return transfer_predicted_general(build_crossing_data(prob, 0), prob.h)
 
 
 def schrodinger_corpus(h: float) -> list[SchrodingerProblem]:
     """Reference problems: two positive-energy cases and one zero-energy case.
 
     The positive-energy entries use E0 = 1 and equal potential slopes at 0,
-    where the closed-form amplitudes coincide with the general symbol-level
-    route exactly; the coupling width keeps its curvature at the crossing
+    where the invariant route reduces to the textbook closed-form
+    amplitudes; the coupling width keeps its curvature at the crossing
     small so next-order corrections stay out of the asymptotic fits.
     """
     wide = Bump(width=0.8, amplitude=1.0)

@@ -8,20 +8,14 @@ fixed-format CSV that round-trips bit-exactly.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (
-    CrossingKitError,
-    DegenerateFit,
-    NotContractive,
-    ValidationError,
-)
-from .transfer import TransferMatrix
+from .errors import CrossingKitError, DegenerateFit, ValidationError
+from .transfer import Problem, TransferMatrix
 
 TRACKED = ("t11", "t12", "t21", "t22")
 CSV_COLUMNS = (
@@ -144,38 +138,23 @@ def fit_power_law(
     )
 
 
-def _solve_pair(problem, h: float, eps):
+def _solve_pair(problem: Problem, h: float, eps):
     """(extracted, predicted) transfer matrices for one h."""
-    # solver modules imported lazily: only the one matching the problem
-    prob_h = dataclasses.replace(problem, h=h)
-    if type(problem).__name__ == "NormalFormProblem":
-        from . import normalform
-
-        predicted = normalform.predict_transfer(prob_h)
-        try:
-            extracted = normalform.transfer_numeric(prob_h, "neumann", eps=eps)
-        except NotContractive:
-            # the series needs smaller h; the direct integration does not
-            extracted = normalform.transfer_numeric(prob_h, "ode", eps=eps)
-        return extracted, predicted
-    if type(problem).__name__ == "SchrodingerProblem":
-        from . import schrodinger
-
-        predicted = schrodinger.predict_transfer_case_i(prob_h, +1)
-        extracted = schrodinger.numeric_transfer_case_i(prob_h, +1, eps=eps)
-        return extracted, predicted
-    raise ValidationError(f"unsupported problem type {type(problem).__name__}")
+    prob_h = problem.with_h(h)
+    predicted = prob_h.predict(1)
+    extracted = prob_h.extract(1, eps)
+    return extracted, predicted
 
 
-def run_sweep(problem, h_values, jobs: int = 1, eps=None) -> SweepReport:
+def run_sweep(problem: Problem, h_values, jobs: int = 1, eps=None) -> SweepReport:
     """Extract and predict the transfer matrix at each h.
 
     Per-row numerical failures are recorded in the row status rather than
     raised, so one bad h cannot take down a whole sweep. Rows are assembled
     in decreasing-h order regardless of execution order.
     """
-    if type(problem).__name__ not in ("NormalFormProblem", "SchrodingerProblem"):
-        raise ValidationError(f"unsupported problem type {type(problem).__name__}")
+    if not isinstance(problem, Problem):
+        raise ValidationError(f"{problem!r} does not implement the Problem interface")
     hs = [float(h) for h in h_values]
     if len(hs) < 4:
         raise ValidationError("sweep needs at least 4 h values")

@@ -34,7 +34,7 @@ from .errors import (
     ValidationError,
     ZeroGradient,
 )
-from .oscquad import gamma_real, mu_m
+from .oscquad import stationary_prefactor
 from .transfer import TransferMatrix
 
 __all__ = [
@@ -273,8 +273,12 @@ def sign_s(data: CrossingData) -> int:
     (cos theta, sin theta) equals +-|grad p|, so the sign exists whenever
     both gradients are nonzero.
     """
+    return _orientation(((data.grad1, data.theta1), (data.grad2, data.theta2)))
+
+
+def _orientation(pairs) -> int:
     out = 1.0
-    for grad, theta in ((data.grad1, data.theta1), (data.grad2, data.theta2)):
+    for grad, theta in pairs:
         gx, gxi = grad
         ip = gxi * math.cos(theta) - gx * math.sin(theta)
         if ip == 0.0:
@@ -311,12 +315,6 @@ def _bracket_at_origin_checked(p1, p2, m, expected):
     return got, m
 
 
-def _omega_one_side(m: int, s: int, bracket: float, norm_ratio: float) -> complex:
-    theta = -math.copysign(math.pi / (2 * (m + 1)), s * bracket)
-    mag = (norm_ratio * math.factorial(m + 1) / abs(bracket)) ** (1.0 / (m + 1))
-    return 2.0 * mu_m(m, theta) * gamma_real((m + 2) / (m + 1)) * mag
-
-
 def omega_general(data: CrossingData) -> Omega12:
     """Off-diagonal amplitudes from the crossing invariants.
 
@@ -333,8 +331,9 @@ def omega_general(data: CrossingData) -> Omega12:
         rev = -data.bracket_m / c ** (data.m - 1)
     if rev == 0.0:
         raise ValidationError("mirror bracket must be nonzero")
-    omega1 = _omega_one_side(data.m, data.s, data.bracket_m, n2 / n1)
-    omega2 = _omega_one_side(data.m, data.s, rev, n1 / n2)
+    # side j is a stationary point with curvature -s B_j |grad p_j| / |grad p_k|
+    omega1 = stationary_prefactor(data.m, -data.s * data.bracket_m / (n2 / n1))
+    omega2 = stationary_prefactor(data.m, -data.s * rev / (n1 / n2))
     return Omega12(omega1=omega1, omega2=omega2, m=data.m)
 
 
@@ -375,22 +374,7 @@ def crossing_data_from_symbols(
     g2 = p2.gradient_at_origin()
     theta1 = theta_of(p1)
     theta2 = theta_of(p2)
-    n1 = math.hypot(*g1)
-    n2 = math.hypot(*g2)
-    data = CrossingData(
-        m=m,
-        bracket_m=bracket,
-        grad1=g1,
-        grad2=g2,
-        theta1=theta1,
-        theta2=theta2,
-        s=1,  # provisional, replaced below
-        q1_0=q1_0,
-        q2_0=q2_0,
-        c_prime=n1 / n2,
-        bracket_m_rev=bracket_rev,
-    )
-    s = sign_s(data)
+    s = _orientation(((g1, theta1), (g2, theta2)))
     data = CrossingData(
         m=m,
         bracket_m=bracket,
@@ -401,7 +385,7 @@ def crossing_data_from_symbols(
         s=s,
         q1_0=q1_0,
         q2_0=q2_0,
-        c_prime=n1 / n2,
+        c_prime=math.hypot(*g1) / math.hypot(*g2),
         bracket_m_rev=bracket_rev,
     )
     if m >= 2:

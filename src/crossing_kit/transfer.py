@@ -1,8 +1,9 @@
-"""2x2 transfer matrices exchanged between predictors and extractors."""
+"""2x2 transfer matrices, and the problem interface that produces them."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Protocol, runtime_checkable
 
 import numpy as np
 
@@ -53,3 +54,25 @@ class TransferMatrix:
 
     def max_abs_diff(self, other: "TransferMatrix") -> float:
         return float(self.entrywise_abs_diff(other).max())
+
+
+@runtime_checkable
+class Problem(Protocol):
+    """A crossing problem at one h, as the sweep and the CLI use it.
+
+    ``predict`` gives T from the crossing invariants, ``extract`` reads T off
+    a numerical solve; ``branch`` picks the crossing where a problem has more
+    than one. ``order`` is the contact order m, so the off-diagonal entries
+    scale like h^(1/(order+1)).
+    """
+
+    h: float
+
+    @property
+    def order(self) -> int: ...
+
+    def with_h(self, h: float) -> "Problem": ...
+
+    def predict(self, branch: int = 1) -> TransferMatrix: ...
+
+    def extract(self, branch: int = 1, eps: float | None = None) -> TransferMatrix: ...

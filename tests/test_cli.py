@@ -274,3 +274,46 @@ def test_bad_jobs_flag_exits_2(tmp_path, capsys):
     )
     assert main(["solve-model", "--config", path, "--jobs", "0"]) == 2
     assert "jobs" in capsys.readouterr().err
+
+
+def _one_line_error(capsys) -> str:
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert len(err.strip().splitlines()) == 1
+    return err
+
+
+def test_h_near_underflow_is_a_numerical_failure(tmp_path, capsys):
+    # the node count is infinite: refused before any integer conversion
+    path = write_config(tmp_path, {"problem": model_block(), "h": 1e-320})
+    assert main(["solve-model", "--config", path]) == 3
+    assert "n_max" in _one_line_error(capsys)
+
+
+def test_huge_grid_count_rejected_before_allocation(tmp_path, capsys):
+    cfg = {
+        "problem": {"kind": "model-corpus", "index": 0},
+        "h_grid": {"start": 1e-1, "stop": 1e-4, "count": 10**15},
+    }
+    path = write_config(tmp_path, cfg)
+    with pytest.raises(SchemaError) as exc:
+        parse_config(path, mode="verify")
+    assert exc.value.key_path == "h_grid.count"
+    assert main(["verify", "--config", path]) == 2
+    _one_line_error(capsys)
+
+
+@pytest.mark.parametrize(
+    "mode, problem",
+    [
+        ("solve-model", {"kind": "schrodinger-corpus", "index": 0}),
+        ("solve-schrodinger", {"kind": "model-corpus", "index": 0}),
+    ],
+)
+def test_solve_mode_rejects_the_other_problem_family(tmp_path, capsys, mode, problem):
+    path = write_config(tmp_path, {"problem": problem, "h": 1e-2})
+    with pytest.raises(SchemaError) as exc:
+        parse_config(path, mode=mode)
+    assert exc.value.key_path == "problem.kind"
+    assert main([mode, "--config", path]) == 2
+    assert "problem.kind" in _one_line_error(capsys)

@@ -6,6 +6,7 @@ margin and then frozen; loosening them should be treated as a regression.
 """
 
 import dataclasses
+import logging
 import math
 
 import numpy as np
@@ -33,6 +34,9 @@ from crossing_kit.normalform import (
     transfer_numeric,
 )
 from crossing_kit.profiles import Bump, Poly1
+from crossing_kit.transfer import Problem
+
+import closed_form_oracle
 
 SQRT_2PI = 2.506628274631000502415765284811045253007
 
@@ -88,6 +92,11 @@ def test_problem_accessors():
         m=1,
     )
     assert decoupled.coupling_support() is None
+    assert isinstance(prob, Problem)
+    assert prob.order == 2
+    assert prob.with_h(1e-3) == dataclasses.replace(prob, h=1e-3)
+    with pytest.raises(ValidationError):
+        prob.predict(-1)  # the model has a single crossing
 
 
 def test_corpus_shape():
@@ -240,7 +249,7 @@ def test_residual_bound_dominates_truncation():
     assert hi.residual_bound < 1e-8
 
 
-def test_not_contractive_raised_for_strong_coupling():
+def test_not_contractive_raised_for_strong_coupling(caplog):
     prob = NormalFormProblem(
         f=Poly1((0.0, 1.0)),
         r1=Bump(1.5, 3.0),
@@ -255,6 +264,10 @@ def test_not_contractive_raised_for_strong_coupling():
     # the direct integration has no contraction requirement
     T = transfer_numeric(prob, "ode")
     assert np.isfinite(T.entries).all()
+    # extract() switches to it, and says so on the package logger
+    with caplog.at_level(logging.INFO, logger="crossing_kit"):
+        assert prob.extract().max_abs_diff(T) == 0.0
+    assert any("falling back" in r.getMessage() for r in caplog.records)
 
 
 # ----------------------------------------------------------------- extraction
@@ -286,6 +299,32 @@ def test_predicted_entries_m1():
     assert abs(T.t21 - want21) < 1e-12
     assert T.t11 == 1.0 and T.t22 == 1.0
     assert abs(model_omega(prob) - SQRT_2PI * np.exp(1j * math.pi / 4.0)) < 1e-12
+
+
+def test_prediction_matches_closed_form_oracle():
+    # the invariant route with flux-normalised couplings against the
+    # closed form, on the corpus and on random draws of order 1..3
+    rng = np.random.default_rng(11)
+    probs = [p for h in (1e-1, 1e-3, 1e-5) for p in model_corpus(h)]
+    for _ in range(30):
+        m = int(rng.integers(1, 4))
+        lead = float(rng.uniform(-2.0, 2.0))
+        f = Poly1((0.0,) * m + (lead, 0.2 * lead * float(rng.uniform(-1.0, 1.0))))
+        probs.append(
+            NormalFormProblem(
+                f=f,
+                r1=Bump(width=0.8, amplitude=float(rng.uniform(0.3, 1.2))),
+                r2=Bump(width=0.8, amplitude=float(rng.uniform(0.3, 1.2))),
+                x0=-1.0,
+                x1=1.0,
+                h=float(10.0 ** rng.uniform(-5.0, -1.0)),
+                m=m,
+            )
+        )
+    for prob in probs:
+        closed = closed_form_oracle.predict_transfer(prob)
+        general = predict_transfer(prob)
+        assert general.max_abs_diff(closed) <= 1e-14
 
 
 def test_transfer_numeric_routes_agree():

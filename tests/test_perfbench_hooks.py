@@ -1,0 +1,48 @@
+"""The benchmark's tracer wraps package attributes by name.
+
+perfbench/tracer.py patches module attributes of crossing_kit from outside
+the package; a name it hooks that disappears would fail only the traced
+benchmark runs. This test installs the tracer in a fresh interpreter (its
+patches must not leak into other tests) and runs one sweep row under it.
+"""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+_SCRIPT = """
+import crossing_kit
+import tracer
+from crossing_kit import sweep
+from crossing_kit.normalform import model_corpus
+
+t = tracer.Tracer()
+tracer.install(t)
+assert isinstance(crossing_kit.BACKEND, str)
+sweep._solve_pair(model_corpus(1e-1)[0], 1e-1, None)
+names = {s.name for s in t.spans()}
+rows = {s.row for s in t.spans()}
+missing = {"sweep.row", "predict", "normalform.transfer_numeric"} - names
+assert not missing, missing
+assert rows == {1e-1}, rows
+print("ok")
+"""
+
+
+def test_tracer_installs_and_sees_a_row():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "perfbench"), str(ROOT / "src")]
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", _SCRIPT],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "ok"
