@@ -61,6 +61,36 @@ class GridFunction:
         return slice(lo, hi)
 
 
+def grid_spacing(
+    x_left: float,
+    x_right: float,
+    max_rate: float,
+    h: float,
+    points_per_period: int = 96,
+    n_min: int = 2001,
+    n_max: int = 40_000_000,
+) -> float:
+    """Target mesh width for ``grid_for``, checked against ``n_max``.
+
+    Raises ValidationError when the grid would need ``n_max`` nodes or
+    more; callers that integrate adaptively use it as a cost bound before
+    any work starts.
+    """
+    dx_target = (x_right - x_left) / max(n_min - 1, 8)
+    if max_rate > 0:
+        dx_osc = 2.0 * np.pi * h / (max_rate * points_per_period)
+        dx_target = min(dx_target, dx_osc)
+    # compare in floats before any int(): for h near the underflow limit the
+    # node count is infinite; the estimate never exceeds the exact count
+    estimate = (x_right - x_left) / dx_target if dx_target > 0 else np.inf
+    if not estimate < n_max:
+        raise ValidationError(
+            f"grid would need about {estimate:.3g} nodes (> n_max={n_max}); "
+            "raise h or shrink the interval"
+        )
+    return dx_target
+
+
 def grid_for(
     x_left: float,
     x_right: float,
@@ -83,18 +113,9 @@ def grid_for(
     """
     if not (x_left < 0.0 < x_right):
         raise ValidationError("grid must straddle 0")
-    dx_target = (x_right - x_left) / max(n_min - 1, 8)
-    if max_rate > 0:
-        dx_osc = 2.0 * np.pi * h / (max_rate * points_per_period)
-        dx_target = min(dx_target, dx_osc)
-    # compare in floats before any int(): for h near the underflow limit the
-    # node count is infinite; the estimate never exceeds the exact count
-    estimate = (x_right - x_left) / dx_target if dx_target > 0 else np.inf
-    if not estimate < n_max:
-        raise ValidationError(
-            f"grid would need about {estimate:.3g} nodes (> n_max={n_max}); "
-            "raise h or shrink the interval"
-        )
+    dx_target = grid_spacing(
+        x_left, x_right, max_rate, h, points_per_period, n_min, n_max
+    )
     n_left = int(np.ceil(-x_left / dx_target))
     dx = -x_left / n_left
     n_right = int(np.ceil(x_right / dx - 1e-12))

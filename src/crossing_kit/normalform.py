@@ -26,6 +26,10 @@ pair (u1, e^{-iF/h} u2) at the right end is constant once the couplings
 have switched off; reading it off for the two basis inputs yields the
 transfer matrix, whose off-diagonal entries carry the h^{1/(m+1)}
 stationary-point contribution predicted by predict_transfer.
+
+The grid, F and the oscillatory weights of one (problem, h) form a
+ModelWorkspace; the solvers and the read-off take it as their first
+argument, and transfer_numeric builds one per extraction.
 """
 
 from __future__ import annotations
@@ -34,7 +38,6 @@ import dataclasses
 import logging
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 from scipy.integrate import solve_ivp
@@ -59,6 +62,7 @@ from .transfer import TransferMatrix
 
 ODE_TOL = 1e-11
 EXTRACT_WINDOW = 65
+POINTS_PER_PERIOD = 96
 
 logger = logging.getLogger("crossing_kit")
 
@@ -176,13 +180,17 @@ def _check_single_crossing(branch: int) -> None:
 
 
 class ModelWorkspace:
-    """Grid plus precomputed oscillatory weights for one (problem, h)."""
+    """Grid plus precomputed oscillatory weights for one (problem, h).
 
-    def __init__(self, prob: NormalFormProblem, points_per_period: int = 96):
+    One extraction builds one workspace (``build_workspace``) and passes it
+    to both basis solves and the read-off; nothing keeps it afterwards.
+    """
+
+    def __init__(self, prob: NormalFormProblem):
         self.prob = prob
-        rate = _max_rate(prob)
+        self.rate = _max_rate(prob)
         x, dx, n, k0 = grid_for(
-            prob.x0, prob.x1, rate, prob.h, points_per_period
+            prob.x0, prob.x1, self.rate, prob.h, POINTS_PER_PERIOD
         )
         self.x, self.dx, self.n, self.k0 = x, dx, n, k0
         fvals = np.asarray(prob.f(x), dtype=float)
@@ -200,49 +208,22 @@ class ModelWorkspace:
     def cumulative(self, weights: np.ndarray, v: np.ndarray) -> np.ndarray:
         return cum_quad6(weights * v, self.dx)
 
+    def _on_grid(self, v: GridFunction) -> np.ndarray:
+        if v.n != self.n or v.dx != self.dx:
+            raise ValidationError("input is not sampled on the problem grid")
+        return np.asarray(v.values, dtype=complex)
 
-@lru_cache(maxsize=6)
-def _workspace(prob: NormalFormProblem, points_per_period: int) -> ModelWorkspace:
-    return ModelWorkspace(prob, points_per_period)
+    def gamma_plus(self, v: GridFunction) -> GridFunction:
+        return self.grid_fn(self.cumulative(self.w_plus, self._on_grid(v)))
 
-
-def build_workspace(
-    prob: NormalFormProblem, points_per_period: int = 96
-) -> ModelWorkspace:
-    return _workspace(prob, points_per_period)
-
-
-def antiderivative_F(prob: NormalFormProblem) -> GridFunction:
-    """F(x) = integral of f from 0 to x, sampled on the problem grid."""
-    ws = build_workspace(prob)
-    return ws.grid_fn(ws.F.astype(complex))
+    def gamma_minus(self, v: GridFunction) -> GridFunction:
+        return self.grid_fn(self.cumulative(self.w_minus, self._on_grid(v)))
 
 
-def _on_grid(ws: ModelWorkspace, v: GridFunction) -> np.ndarray:
-    if v.n != ws.n or v.dx != ws.dx:
-        raise ValidationError("input is not sampled on the problem grid")
-    return np.asarray(v.values, dtype=complex)
-
-
-def gamma_plus(prob: NormalFormProblem, v: GridFunction) -> GridFunction:
-    ws = build_workspace(prob)
-    return ws.grid_fn(ws.cumulative(ws.w_plus, _on_grid(ws, v)))
-
-
-def gamma_minus(prob: NormalFormProblem, v: GridFunction) -> GridFunction:
-    ws = build_workspace(prob)
-    return ws.grid_fn(ws.cumulative(ws.w_minus, _on_grid(ws, v)))
-
-
-def k_operators(
-    prob: NormalFormProblem, v: GridFunction
-) -> tuple[GridFunction, GridFunction]:
-    """(K1 v, K2 v), the two composed Volterra couplings."""
-    ws = build_workspace(prob)
-    vv = _on_grid(ws, v)
-    k1 = -ws.cumulative(ws.w_plus, ws.cumulative(ws.w_minus, vv))
-    k2 = -ws.cumulative(ws.w_minus, ws.cumulative(ws.w_plus, vv))
-    return ws.grid_fn(k1), ws.grid_fn(k2)
+def build_workspace(prob: NormalFormProblem) -> ModelWorkspace:
+    # a separate name so that perfbench/tracer.py can count workspace
+    # requests apart from ModelWorkspace constructions
+    return ModelWorkspace(prob)
 
 
 @dataclass(frozen=True)
@@ -257,7 +238,7 @@ class ModelSolution:
 
 
 def neumann_solve(
-    prob: NormalFormProblem,
+    ws: ModelWorkspace,
     alpha_in: tuple[complex, complex],
     terms: int = 8,
 ) -> ModelSolution:
@@ -270,7 +251,6 @@ def neumann_solve(
     if terms < 1:
         raise ValidationError("terms must be >= 1")
     a1, a2 = complex(alpha_in[0]), complex(alpha_in[1])
-    ws = build_workspace(prob)
     ones = np.ones(ws.n, dtype=complex)
     gp1 = ws.cumulative(ws.w_plus, ones)
     gm1 = ws.cumulative(ws.w_minus, ones)
@@ -305,13 +285,13 @@ def neumann_solve(
 
 
 def ode_oracle(
-    prob: NormalFormProblem, alpha_in: tuple[complex, complex]
+    ws: ModelWorkspace, alpha_in: tuple[complex, complex]
 ) -> tuple[GridFunction, GridFunction]:
     """Direct adaptive integration of the model system on the grid.
 
     Same incoming convention as neumann_solve: u2(x0) = a2 e^{iF(x0)/h}.
     """
-    ws = build_workspace(prob)
+    prob = ws.prob
     a1, a2 = complex(alpha_in[0]), complex(alpha_in[1])
     y0 = np.array([a1, a2 * np.exp(1j * ws.F[0] / prob.h)], dtype=complex)
     args = (
@@ -324,8 +304,7 @@ def ode_oracle(
     # spanning thousands of fast periods; the step itself is fine but the
     # dense-output interpolant amplifies stage noise by the stiff factor
     # f/h. Capping the step at one local period keeps it conditioned.
-    rate = _max_rate(prob)
-    max_step = 2.0 * np.pi * prob.h / rate if rate > 0 else np.inf
+    max_step = 2.0 * np.pi * prob.h / ws.rate if ws.rate > 0 else np.inf
     sol = solve_ivp(
         model_rhs,
         (float(ws.x[0]), float(ws.x[-1])),
@@ -342,48 +321,39 @@ def ode_oracle(
     return ws.grid_fn(sol.y[0]), ws.grid_fn(sol.y[1])
 
 
-def _solution_pair(pair) -> tuple[GridFunction, GridFunction]:
-    if isinstance(pair, ModelSolution):
-        return pair.u1, pair.u2
-    u1, u2 = pair
-    return u1, u2
-
-
 def extract_transfer(
-    prob: NormalFormProblem,
-    pair_e1,
-    pair_e2,
+    ws: ModelWorkspace,
+    pair_e1: tuple[GridFunction, GridFunction],
+    pair_e2: tuple[GridFunction, GridFunction],
     eps: float | None = None,
     window_points: int = EXTRACT_WINDOW,
 ) -> TransferMatrix:
-    """Read the outgoing coefficients off two basis solves.
+    """Read the outgoing coefficients off two basis solves, each a (u1, u2)
+    pair on the workspace grid.
 
     The outgoing pair (u1, e^{-iF/h} u2) is constant to the right of the
     coupling supports; it is averaged over a window of grid points centered
     at x1 - eps to suppress residual quadrature ripple. Raises
     WindowInsideSupport when that window touches a coupling support.
     """
-    ws = build_workspace(prob)
+    support = ws.prob.coupling_support()
     if eps is None:
-        support = prob.coupling_support()
         margin = ws.x[-1] - (support[1] if support else 0.0)
         eps = 0.5 * margin
     x_read = float(ws.x[-1]) - eps
     sl = ws.grid_fn(np.zeros(ws.n, complex)).window(x_read, window_points)
-    support = prob.coupling_support()
     if support is not None and ws.x[sl.start] <= support[1]:
         raise WindowInsideSupport(
             f"extraction window starting at x={ws.x[sl.start]:g} overlaps "
             f"the coupling support (ending at {support[1]:g})"
         )
     cols = []
-    for pair in (pair_e1, pair_e2):
-        u1, u2 = _solution_pair(pair)
+    for u1, u2 in (pair_e1, pair_e2):
         v1 = np.asarray(u1.values)[sl]
         v2 = np.conj(ws.osc_plus[sl]) * np.asarray(u2.values)[sl]
         cols.append((complex(v1.mean()), complex(v2.mean())))
     entries = [[cols[0][0], cols[1][0]], [cols[0][1], cols[1][1]]]
-    return TransferMatrix(entries, h=prob.h, kind="extracted")
+    return TransferMatrix(entries, h=ws.prob.h, kind="extracted")
 
 
 def model_omega(prob: NormalFormProblem) -> complex:
@@ -427,14 +397,17 @@ def transfer_numeric(
     terms: int = 8,
     eps: float | None = None,
 ) -> TransferMatrix:
-    """Extracted transfer matrix from two basis solves."""
-    if method == "neumann":
-        pairs = [neumann_solve(prob, a, terms) for a in ((1, 0), (0, 1))]
-    elif method == "ode":
-        pairs = [ode_oracle(prob, a) for a in ((1, 0), (0, 1))]
-    else:
+    """Extracted transfer matrix from two basis solves on one workspace."""
+    if method not in ("neumann", "ode"):
         raise ValidationError(f"unknown solve method {method!r}")
-    return extract_transfer(prob, pairs[0], pairs[1], eps)
+    ws = build_workspace(prob)
+    basis = ((1, 0), (0, 1))
+    if method == "neumann":
+        sols = [neumann_solve(ws, a, terms) for a in basis]
+        pairs = [(sol.u1, sol.u2) for sol in sols]
+    else:
+        pairs = [ode_oracle(ws, a) for a in basis]
+    return extract_transfer(ws, pairs[0], pairs[1], eps)
 
 
 def model_corpus(h: float) -> list[NormalFormProblem]:

@@ -39,7 +39,6 @@ __all__ = [
     "AmplitudeSpec",
     "OscResult",
     "mu_m",
-    "gamma_real",
     "osc_leading_term",
     "osc_integral_numeric",
     "gaussian_pairing",
@@ -54,40 +53,6 @@ def mu_m(m: int, theta: float) -> complex:
     if m < 1 or m != int(m):
         raise ValidationError("mu_m needs an integer order m >= 1")
     return 0.5 * (np.exp(1j * theta) + np.exp(1j * ((-1) ** (m + 1)) * theta))
-
-
-# Lanczos g=7, 9-term coefficient set (Numerical Recipes / Godfrey values).
-_LANCZOS_G = 7.0
-_LANCZOS_C = (
-    0.99999999999980993,
-    676.5203681218851,
-    -1259.1392167224028,
-    771.32342877765313,
-    -176.61502916214059,
-    12.507343278686905,
-    -0.13857109526572012,
-    9.9843695780195716e-6,
-    1.5056327351493116e-7,
-)
-
-
-def gamma_real(x: float) -> float:
-    """Gamma function on the real domain (0, 4], relative error <= 1e-12.
-
-    Lanczos rational approximation; arguments below 1/2 are lifted with the
-    recurrence Gamma(x) = Gamma(x+1)/x, which keeps the approximation in its
-    accurate zone.
-    """
-    if not (0.0 < x <= 4.0):
-        raise ValidationError(f"gamma_real domain is (0, 4], got {x!r}")
-    if x < 0.5:
-        return gamma_real(x + 1.0) / x
-    z = x - 1.0
-    acc = _LANCZOS_C[0]
-    for i in range(1, 9):
-        acc += _LANCZOS_C[i] / (z + i)
-    t = z + _LANCZOS_G + 0.5
-    return math.sqrt(2.0 * math.pi) * t ** (z + 0.5) * math.exp(-t) * acc
 
 
 @dataclass(frozen=True)
@@ -175,7 +140,7 @@ def stationary_prefactor(m: int, curvature: float) -> complex:
         raise ValidationError("F^(m+1)(0) must not vanish")
     theta = math.copysign(math.pi / (2 * (m + 1)), curvature)
     amp = (math.factorial(m + 1) / abs(curvature)) ** (1.0 / (m + 1))
-    return 2.0 * mu_m(m, theta) * gamma_real((m + 2) / (m + 1)) * amp
+    return 2.0 * mu_m(m, theta) * math.gamma((m + 2) / (m + 1)) * amp
 
 
 def osc_leading_term(phase: PhaseSpec, a0: complex, h: float) -> complex:

@@ -38,7 +38,7 @@ from .errors import (
     ValidationError,
     WindowInsideSupport,
 )
-from .grids import GridFunction, grid_for
+from .grids import GridFunction, grid_for, grid_spacing
 from .profiles import Bump, Poly1
 from .symbolcalc import (
     CrossingData,
@@ -50,6 +50,7 @@ from .transfer import TransferMatrix
 
 ODE_TOL = 1e-11
 DECOMPOSE_WINDOW = 33
+POINTS_PER_PERIOD = 24
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(15)
 
@@ -288,10 +289,16 @@ def _integrate(
     return sol.y
 
 
+def _max_rate(prob: SchrodingerProblem) -> float:
+    """max phi_j' = sqrt(E0 - V_j) over the interval: the fastest phase rate."""
+    lowest = min(v.range_on(prob.x_in, prob.x_out)[0] for v in (prob.v1, prob.v2))
+    return math.sqrt(prob.e0 - lowest)
+
+
 def solve_schrodinger_ode(
     prob: SchrodingerProblem,
     initial,
-    points_per_period: int = 24,
+    points_per_period: int = POINTS_PER_PERIOD,
     tol: float = ODE_TOL,
 ) -> WaveSolution:
     """Propagate branch data from x_in across the interval, dense output.
@@ -306,10 +313,9 @@ def solve_schrodinger_ode(
             "propagation in the oscillatory basis is not defined there"
         )
     basis = WkbBasis(prob)
-    rate = math.sqrt(
-        prob.e0 - min(v.range_on(prob.x_in, prob.x_out)[0] for v in (prob.v1, prob.v2))
+    x, dx, n, _ = grid_for(
+        prob.x_in, prob.x_out, _max_rate(prob), prob.h, points_per_period
     )
-    x, dx, n, _ = grid_for(prob.x_in, prob.x_out, rate, prob.h, points_per_period)
     y0 = basis.synthesize(initial, float(x[0]))
     y = _integrate(prob, y0, float(x[0]), float(x[-1]), x, tol=tol)
     x0 = float(x[0])
@@ -376,6 +382,10 @@ def numeric_transfer_case_i(
         raise CaseMismatch("numeric transfer extraction needs case i")
     if which_sign not in (1, -1):
         raise ValidationError("which_sign must be +1 or -1")
+    # the adaptive solve takes steps in proportion to the dense grid's node
+    # count: refuse an h whose grid is over budget before integrating (near
+    # underflow the step control would spin on NaNs or scipy would raise)
+    grid_spacing(prob.x_in, prob.x_out, _max_rate(prob), prob.h, POINTS_PER_PERIOD)
     basis = WkbBasis(prob)
     xs = _read_window(prob, which_sign, eps, window_points)
     h = prob.h

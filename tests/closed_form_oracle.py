@@ -14,7 +14,7 @@ import numpy as np
 
 from crossing_kit.errors import CaseMismatch, ValidationError
 from crossing_kit.normalform import NormalFormProblem
-from crossing_kit.oscquad import gamma_real, mu_m, stationary_prefactor
+from crossing_kit.oscquad import mu_m, stationary_prefactor
 from crossing_kit.schrodinger import SchrodingerProblem
 from crossing_kit.transfer import TransferMatrix
 
@@ -40,7 +40,7 @@ def _omega_case_i(prob: SchrodingerProblem) -> complex:
     n = prob.n
     theta = -math.copysign(math.pi / (2 * (n + 1)), delta)
     mag = (2.0 * math.factorial(n + 1) / abs(delta)) ** (1.0 / (n + 1))
-    return mu_m(n, theta) * gamma_real((n + 2) / (n + 1)) * mag
+    return mu_m(n, theta) * math.gamma((n + 2) / (n + 1)) * mag
 
 
 def predict_transfer_case_i(
@@ -86,7 +86,7 @@ def predict_transfer_case_ii(prob: SchrodingerProblem) -> TransferMatrix:
     delta = abs(prob.delta_n())
     g = [abs(v.deriv_at(1, 0.0)) for v in (prob.v1, prob.v2)]
     root = 1.0 / (2 * n + 1)
-    shared = gamma_real((2 * n + 2) / (2 * n + 1)) * math.cos(
+    shared = math.gamma((2 * n + 2) / (2 * n + 1)) * math.cos(
         math.pi / (2 * (2 * n + 1))
     )
     omega = [

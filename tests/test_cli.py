@@ -288,6 +288,13 @@ def test_h_near_underflow_is_a_numerical_failure(tmp_path, capsys):
     path = write_config(tmp_path, {"problem": model_block(), "h": 1e-320})
     assert main(["solve-model", "--config", path]) == 3
     assert "n_max" in _one_line_error(capsys)
+    # the adaptive Schrodinger solve is refused by the same node budget
+    # before integrating, instead of stepping on NaNs or failing in scipy
+    for h in (1e-320, 1e-200):
+        problem = {"kind": "schrodinger-corpus", "index": 0}
+        path = write_config(tmp_path, {"problem": problem, "h": h})
+        assert main(["solve-schrodinger", "--config", path]) == 3
+        assert "n_max" in _one_line_error(capsys)
 
 
 def test_huge_grid_count_rejected_before_allocation(tmp_path, capsys):

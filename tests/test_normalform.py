@@ -6,12 +6,15 @@ margin and then frozen; loosening them should be treated as a regression.
 """
 
 import dataclasses
+import gc
 import logging
 import math
+import weakref
 
 import numpy as np
 import pytest
 
+from crossing_kit import normalform
 from crossing_kit.errors import (
     NotContractive,
     ValidationError,
@@ -20,12 +23,8 @@ from crossing_kit.errors import (
 from crossing_kit.grids import GridFunction
 from crossing_kit.normalform import (
     NormalFormProblem,
-    antiderivative_F,
     build_workspace,
     extract_transfer,
-    gamma_minus,
-    gamma_plus,
-    k_operators,
     model_corpus,
     model_omega,
     neumann_solve,
@@ -41,9 +40,14 @@ import closed_form_oracle
 SQRT_2PI = 2.506628274631000502415765284811045253007
 
 
-def ones_on_grid(prob) -> GridFunction:
-    ws = build_workspace(prob)
+def ones_on_grid(ws) -> GridFunction:
     return ws.grid_fn(np.ones(ws.n, dtype=complex))
+
+
+def basis_pairs(ws):
+    """(u1, u2) of the Neumann solves for the two basis inputs."""
+    sols = [neumann_solve(ws, a) for a in ((1.0, 0.0), (0.0, 1.0))]
+    return [(sol.u1, sol.u2) for sol in sols]
 
 
 # ---------------------------------------------------------------- validation
@@ -109,20 +113,18 @@ def test_corpus_shape():
 
 
 def test_antiderivative_exact_for_linear_rate():
-    prob = model_corpus(1e-2)[0]  # f = x, F = x^2/2
-    F = antiderivative_F(prob)
-    xs = F.x
-    assert np.abs(F.values - xs**2 / 2.0).max() < 1e-13
+    ws = build_workspace(model_corpus(1e-2)[0])  # f = x, F = x^2/2
+    assert np.abs(ws.F - ws.x**2 / 2.0).max() < 1e-13
 
 
 def test_gamma_vanishes_before_the_coupling_switches_on():
     prob = model_corpus(1e-3)[0]
-    v = ones_on_grid(prob)
-    lo = prob.coupling_support()[0]
     ws = build_workspace(prob)
+    v = ones_on_grid(ws)
+    lo = prob.coupling_support()[0]
     idx = np.searchsorted(ws.x, lo) - 2
     assert idx > 100
-    for g in (gamma_plus(prob, v), gamma_minus(prob, v)):
+    for g in (ws.gamma_plus(v), ws.gamma_minus(v)):
         assert np.abs(g.values[:idx]).max() == 0.0
 
 
@@ -130,22 +132,26 @@ def test_gamma_minus_fresnel_value():
     # f = x gives the pure quadratic phase; the full integral of the unit
     # coupling is the stationary value sqrt(2 pi h) e^{-i pi/4} up to O(h)
     prob = model_corpus(1e-4)[0]
-    got = gamma_minus(prob, ones_on_grid(prob)).values[-1]
+    ws = build_workspace(prob)
+    got = ws.gamma_minus(ones_on_grid(ws)).values[-1]
     want = math.sqrt(2.0 * math.pi * prob.h) * np.exp(-1j * math.pi / 4.0)
     assert abs(got - want) / abs(want) < 1e-3
 
 
 def test_k_operators_zero_input_and_composition():
-    prob = model_corpus(1e-2)[0]
-    ws = build_workspace(prob)
-    zero = ws.grid_fn(np.zeros(ws.n, dtype=complex))
-    k1, k2 = k_operators(prob, zero)
-    assert np.abs(k1.values).max() == 0.0
-    assert np.abs(k2.values).max() == 0.0
-    v = ones_on_grid(prob)
-    k1, _ = k_operators(prob, v)
-    composed = gamma_plus(prob, gamma_minus(prob, v))
-    assert np.abs(k1.values + composed.values).max() < 1e-15
+    # one series term on top of the data applies K1 = -gamma_plus o
+    # gamma_minus to u1 and K2 = -gamma_minus o gamma_plus to e^{-iF/h} u2
+    ws = build_workspace(model_corpus(1e-2)[0])
+    zero = neumann_solve(ws, (0.0, 0.0), terms=1)
+    assert np.abs(zero.u1.values).max() == 0.0
+    assert np.abs(zero.u2.values).max() == 0.0
+    ones = ones_on_grid(ws)
+    sol = neumann_solve(ws, (1.0, 0.0), terms=1)
+    want1 = ones.values - ws.gamma_plus(ws.gamma_minus(ones)).values
+    d2 = ws.grid_fn(-1j * ws.gamma_minus(ones).values)
+    want2 = ws.osc_plus * (d2.values - ws.gamma_minus(ws.gamma_plus(d2)).values)
+    assert np.abs(sol.u1.values - want1).max() < 1e-15
+    assert np.abs(sol.u2.values - want2).max() < 1e-15
 
 
 def test_k_norm_envelope_follows_the_squared_coupling_scale():
@@ -154,16 +160,17 @@ def test_k_norm_envelope_follows_the_squared_coupling_scale():
     for k in range(3):
         for h in (1e-2, 1e-3):
             prob = model_corpus(h)[k]
-            sol = neumann_solve(prob, (1.0, 0.0))
+            sol = neumann_solve(build_workspace(prob), (1.0, 0.0))
             scaled = sol.k_norm_est / h ** (2.0 / (prob.m + 1))
             assert 2.0 < scaled < 6.0, (prob.m, h, scaled)
 
 
 def test_grid_mismatch_rejected():
-    prob = model_corpus(1e-2)[0]
+    ws = build_workspace(model_corpus(1e-2)[0])
     other = GridFunction(np.ones(100, dtype=complex), -1.0, 0.01, 100)
-    with pytest.raises(ValidationError):
-        gamma_plus(prob, other)
+    for gamma in (ws.gamma_plus, ws.gamma_minus):
+        with pytest.raises(ValidationError):
+            gamma(other)
 
 
 # ----------------------------------------------------- solver cross-checking
@@ -175,9 +182,10 @@ def test_neumann_matches_ode_oracle():
     for k in range(3):
         for h in (1e-1, 1e-2, 1e-3):
             prob = model_corpus(h)[k]
+            ws = build_workspace(prob)
             for alpha in ((1.0, 0.0), (0.3 - 0.4j, 0.8 + 0.1j)):
-                sol = neumann_solve(prob, alpha)
-                o1, o2 = ode_oracle(prob, alpha)
+                sol = neumann_solve(ws, alpha)
+                o1, o2 = ode_oracle(ws, alpha)
                 diff = max(
                     np.abs(sol.u1.values - o1.values).max(),
                     np.abs(sol.u2.values - o2.values).max(),
@@ -186,9 +194,9 @@ def test_neumann_matches_ode_oracle():
 
 
 def test_neumann_matches_ode_oracle_small_h_spot():
-    prob = model_corpus(1e-4)[0]
-    sol = neumann_solve(prob, (1.0, 0.0))
-    o1, o2 = ode_oracle(prob, (1.0, 0.0))
+    ws = build_workspace(model_corpus(1e-4)[0])
+    sol = neumann_solve(ws, (1.0, 0.0))
+    o1, o2 = ode_oracle(ws, (1.0, 0.0))
     diff = max(
         np.abs(sol.u1.values - o1.values).max(),
         np.abs(sol.u2.values - o2.values).max(),
@@ -197,12 +205,12 @@ def test_neumann_matches_ode_oracle_small_h_spot():
 
 
 def test_neumann_is_linear_in_the_data():
-    prob = model_corpus(1e-2)[0]
+    ws = build_workspace(model_corpus(1e-2)[0])
     a = (0.5 - 0.2j, 0.1 + 0.9j)
     b = (-0.7 + 0.3j, 0.4 + 0.0j)
-    sa = neumann_solve(prob, a)
-    sb = neumann_solve(prob, b)
-    sab = neumann_solve(prob, (a[0] + b[0], a[1] + b[1]))
+    sa = neumann_solve(ws, a)
+    sb = neumann_solve(ws, b)
+    sab = neumann_solve(ws, (a[0] + b[0], a[1] + b[1]))
     assert np.abs(sab.u1.values - sa.u1.values - sb.u1.values).max() < 1e-12
     assert np.abs(sab.u2.values - sa.u2.values - sb.u2.values).max() < 1e-12
 
@@ -210,8 +218,8 @@ def test_neumann_is_linear_in_the_data():
 def test_equal_couplings_conserve_the_two_component_norm():
     # with r1 = r2 real the system is self-adjoint up to the phase factor:
     # |u1|^2 + |u2|^2 is a constant of the motion
-    prob = model_corpus(1e-2)[0]
-    o1, o2 = ode_oracle(prob, (0.6 + 0.2j, -0.3 + 0.7j))
+    ws = build_workspace(model_corpus(1e-2)[0])
+    o1, o2 = ode_oracle(ws, (0.6 + 0.2j, -0.3 + 0.7j))
     norm = np.abs(o1.values) ** 2 + np.abs(o2.values) ** 2
     assert norm.max() - norm.min() < 1e-8
 
@@ -227,20 +235,18 @@ def test_decoupled_problem_is_exact():
         m=1,
     )
     a = (0.3 + 1.0j, -2.0 + 0.0j)
-    sol = neumann_solve(prob, a)
     ws = build_workspace(prob)
+    sol = neumann_solve(ws, a)
     assert np.abs(sol.u1.values - a[0]).max() == 0.0
     assert np.abs(sol.u2.values - a[1] * ws.osc_plus).max() == 0.0
-    T = extract_transfer(
-        prob, neumann_solve(prob, (1.0, 0.0)), neumann_solve(prob, (0.0, 1.0))
-    )
+    T = extract_transfer(ws, *basis_pairs(ws))
     assert np.abs(T.entries - np.eye(2)).max() < 1e-14
 
 
 def test_residual_bound_dominates_truncation():
-    prob = model_corpus(1e-2)[1]
-    lo = neumann_solve(prob, (1.0, 0.0), terms=3)
-    hi = neumann_solve(prob, (1.0, 0.0), terms=12)
+    ws = build_workspace(model_corpus(1e-2)[1])
+    lo = neumann_solve(ws, (1.0, 0.0), terms=3)
+    hi = neumann_solve(ws, (1.0, 0.0), terms=12)
     observed = max(
         np.abs(lo.u1.values - hi.u1.values).max(),
         np.abs(lo.u2.values - hi.u2.values).max(),
@@ -260,7 +266,7 @@ def test_not_contractive_raised_for_strong_coupling(caplog):
         m=1,
     )
     with pytest.raises(NotContractive):
-        neumann_solve(prob, (1.0, 0.0))
+        neumann_solve(build_workspace(prob), (1.0, 0.0))
     # the direct integration has no contraction requirement
     T = transfer_numeric(prob, "ode")
     assert np.isfinite(T.entries).all()
@@ -274,19 +280,18 @@ def test_not_contractive_raised_for_strong_coupling(caplog):
 
 
 def test_extraction_invariant_under_window_choice():
-    prob = model_corpus(1e-3)[0]
-    pairs = [neumann_solve(prob, a) for a in ((1.0, 0.0), (0.0, 1.0))]
-    base = extract_transfer(prob, *pairs)
-    assert base.max_abs_diff(extract_transfer(prob, *pairs, window_points=130)) < 1e-12
-    assert base.max_abs_diff(extract_transfer(prob, *pairs, eps=0.05)) < 1e-12
-    assert base.max_abs_diff(extract_transfer(prob, *pairs, eps=0.15)) < 1e-12
+    ws = build_workspace(model_corpus(1e-3)[0])
+    pairs = basis_pairs(ws)
+    base = extract_transfer(ws, *pairs)
+    assert base.max_abs_diff(extract_transfer(ws, *pairs, window_points=130)) < 1e-12
+    assert base.max_abs_diff(extract_transfer(ws, *pairs, eps=0.05)) < 1e-12
+    assert base.max_abs_diff(extract_transfer(ws, *pairs, eps=0.15)) < 1e-12
 
 
 def test_window_inside_support_rejected():
-    prob = model_corpus(1e-3)[0]  # coupling support ends at 0.8, x1 = 1
-    pairs = [neumann_solve(prob, a) for a in ((1.0, 0.0), (0.0, 1.0))]
+    ws = build_workspace(model_corpus(1e-3)[0])  # support ends at 0.8, x1 = 1
     with pytest.raises(WindowInsideSupport):
-        extract_transfer(prob, *pairs, eps=0.35)
+        extract_transfer(ws, *basis_pairs(ws), eps=0.35)
 
 
 def test_predicted_entries_m1():
@@ -334,3 +339,21 @@ def test_transfer_numeric_routes_agree():
     assert a.max_abs_diff(b) < 1e-8
     with pytest.raises(ValidationError):
         transfer_numeric(prob, "collocation")
+
+
+def test_workspace_does_not_outlive_its_extraction(monkeypatch):
+    # transfer_numeric builds one workspace, and nothing holds it after
+    built = []
+    construct = normalform.ModelWorkspace
+
+    def recording(prob):
+        ws = construct(prob)
+        built.append(weakref.ref(ws))
+        return ws
+
+    monkeypatch.setattr(normalform, "ModelWorkspace", recording)
+    T = transfer_numeric(model_corpus(1e-2)[0])
+    gc.collect()
+    assert np.isfinite(T.entries).all()
+    assert len(built) == 1
+    assert built[0]() is None

@@ -4,6 +4,8 @@ perfbench/tracer.py patches module attributes of crossing_kit from outside
 the package; a name it hooks that disappears would fail only the traced
 benchmark runs. This test installs the tracer in a fresh interpreter (its
 patches must not leak into other tests) and runs one sweep row under it.
+The row must request and build one workspace and run two Neumann solves,
+so the benchmark's workspace and solve counters keep their meaning.
 """
 
 import os
@@ -14,6 +16,8 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 _SCRIPT = """
+import collections
+
 import crossing_kit
 import tracer
 from crossing_kit import sweep
@@ -28,6 +32,14 @@ rows = {s.row for s in t.spans()}
 missing = {"sweep.row", "predict", "normalform.transfer_numeric"} - names
 assert not missing, missing
 assert rows == {1e-1}, rows
+# one extraction: one workspace, requested and built once, and two solves
+per_name = collections.Counter(s.name for s in t.spans())
+for name, want in (
+    ("normalform.workspace.request", 1),
+    ("normalform.workspace.build", 1),
+    ("normalform.neumann_solve", 2),
+):
+    assert per_name[name] == want, (name, per_name[name])
 print("ok")
 """
 
