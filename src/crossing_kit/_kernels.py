@@ -101,8 +101,3 @@ def cum_quad6(values: np.ndarray, dx: float) -> np.ndarray:
     np.cumsum(cells, out=out[1:])
     out[1:] *= float(dx)
     return out
-
-
-def quad6(values: np.ndarray, dx: float) -> complex:
-    """Integral over the full sampled range, sixth order."""
-    return complex(cum_quad6(values, dx)[-1])

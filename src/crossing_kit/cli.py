@@ -50,7 +50,7 @@ _SOLVE_FAMILY = {"solve-model": "model", "solve-schrodinger": "schrodinger"}
 _COMMON_KEYS = {"mode", "problem", "jobs", "seed", "output"}
 _MODE_KEYS = {
     "predict": _COMMON_KEYS | {"h", "branch"},
-    "solve-model": _COMMON_KEYS | {"h", "method", "terms", "window_eps"},
+    "solve-model": _COMMON_KEYS | {"h", "window_eps"},
     "solve-schrodinger": _COMMON_KEYS | {"h", "branch", "window_eps"},
     "sweep": _COMMON_KEYS | {"h_grid", "window_eps"},
     "verify": _COMMON_KEYS | {"h_grid", "window_eps", "tolerances"},
@@ -65,6 +65,9 @@ _DEFAULT_GRIDS = {
 _DEFAULT_TOLERANCES = {"exponent": 0.05, "prefactor": 0.10}
 # largest geometric h_grid count: bounds the grid array before it is built
 _MAX_GRID_COUNT = 1000
+# largest m (model kinds) or n (schrodinger): the contact order, at most 2n,
+# stays far below 170, where m! in the stationary prefactor overflows a float
+MAX_ORDER = 64
 
 
 @dataclass(frozen=True)
@@ -75,8 +78,6 @@ class RunConfig:
     problem: Problem
     h: float | None
     h_values: tuple[float, ...] | None
-    method: str
-    terms: int
     branch: int
     jobs: int
     seed: int
@@ -106,7 +107,10 @@ def _expect_number(node, path: str, positive: bool = False) -> float:
     # bool is an int subclass and must not pass as a number
     if isinstance(node, bool) or not isinstance(node, (int, float)):
         raise SchemaError(path, f"expected a number, got {_type_name(node)}")
-    value = float(node)
+    try:
+        value = float(node)
+    except OverflowError:  # an integer literal beyond the float range
+        value = math.inf
     if not math.isfinite(value):
         raise SchemaError(path, "must be finite")
     if positive and value <= 0.0:
@@ -129,6 +133,8 @@ def _expect_int(
 def _expect_string(node, path: str, choices=None) -> str:
     if not isinstance(node, str):
         raise SchemaError(path, f"expected a string, got {_type_name(node)}")
+    if "\0" in node:  # no file name can hold one
+        raise SchemaError(path, "must not contain a NUL character")
     if choices is not None and node not in choices:
         raise SchemaError(path, f"must be one of {', '.join(choices)}")
     return node
@@ -194,7 +200,9 @@ def _build_problem(node, path: str, h: float, seed: int):
             _reject_unknown(
                 obj, path, {"kind", "m", "f_coeffs", "coupling", "coupling2", "interval"}
             )
-            m = _expect_int(_require(obj, "m", path), f"{path}.m", minimum=1)
+            m = _expect_int(
+                _require(obj, "m", path), f"{path}.m", minimum=1, maximum=MAX_ORDER
+            )
             coeffs = _expect_number_list(
                 _require(obj, "f_coeffs", path), f"{path}.f_coeffs"
             )
@@ -216,7 +224,9 @@ def _build_problem(node, path: str, h: float, seed: int):
                 path,
                 {"kind", "n", "v1_coeffs", "v2_coeffs", "e0", "coupling", "interval"},
             )
-            n = _expect_int(_require(obj, "n", path), f"{path}.n", minimum=1)
+            n = _expect_int(
+                _require(obj, "n", path), f"{path}.n", minimum=1, maximum=MAX_ORDER
+            )
             v1 = _expect_number_list(_require(obj, "v1_coeffs", path), f"{path}.v1_coeffs")
             v2 = _expect_number_list(_require(obj, "v2_coeffs", path), f"{path}.v2_coeffs")
             e0 = _expect_number(_require(obj, "e0", path), f"{path}.e0")
@@ -234,18 +244,10 @@ def _build_problem(node, path: str, h: float, seed: int):
                 x_in=lo,
                 x_out=hi,
             )
-        if kind == "model-corpus":
+        if kind in ("model-corpus", "schrodinger-corpus"):
             _reject_unknown(obj, path, {"kind", "index"})
-            problems = model_corpus(h)
-            index = _expect_int(_require(obj, "index", path), f"{path}.index", minimum=0)
-            if index >= len(problems):
-                raise SchemaError(
-                    f"{path}.index", f"must be below {len(problems)}"
-                )
-            return problems[index]
-        if kind == "schrodinger-corpus":
-            _reject_unknown(obj, path, {"kind", "index"})
-            problems = schrodinger_corpus(h)
+            corpus = model_corpus if kind == "model-corpus" else schrodinger_corpus
+            problems = corpus(h)
             index = _expect_int(_require(obj, "index", path), f"{path}.index", minimum=0)
             if index >= len(problems):
                 raise SchemaError(
@@ -254,7 +256,9 @@ def _build_problem(node, path: str, h: float, seed: int):
             return problems[index]
         # random-model: seeded draw, used for randomized property runs
         _reject_unknown(obj, path, {"kind", "m"})
-        m = _expect_int(_require(obj, "m", path), f"{path}.m", minimum=1)
+        m = _expect_int(
+            _require(obj, "m", path), f"{path}.m", minimum=1, maximum=MAX_ORDER
+        )
         return _random_model_problem(m, h, seed)
     except ValidationError as exc:
         raise SchemaError(path, str(exc)) from exc
@@ -378,11 +382,6 @@ def parse_config(
         if branch not in (1, -1):
             raise SchemaError("branch", "must be 1 or -1")
 
-    method = "neumann"
-    if "method" in obj:
-        method = _expect_string(obj["method"], "method", choices=("neumann", "ode"))
-    terms = _expect_int(obj.get("terms", 8), "terms", minimum=1)
-
     window_eps = None
     if "window_eps" in obj:
         window_eps = _expect_number(obj["window_eps"], "window_eps", positive=True)
@@ -416,8 +415,6 @@ def parse_config(
         problem=problem,
         h=h,
         h_values=h_values,
-        method=method,
-        terms=terms,
         branch=branch,
         jobs=jobs,
         seed=seed,
@@ -465,15 +462,8 @@ def _run_predict(config: RunConfig) -> int:
 
 def _run_single_solve(config: RunConfig) -> int:
     prob = config.problem
-    # method and terms are solve-model keys; parse_config has checked that
-    # solve-model runs a model problem
-    solver = (
-        {"method": config.method, "terms": config.terms}
-        if config.mode == "solve-model"
-        else {}
-    )
     predicted = prob.predict(config.branch)
-    extracted = prob.extract(config.branch, config.window_eps, **solver)
+    extracted = prob.extract(config.branch, config.window_eps)
     errors = extracted.entrywise_abs_diff(predicted)
     print(f"{config.mode}  h={config.h:.6e}")
     _print_matrix("extracted", extracted)
@@ -610,6 +600,10 @@ def run(config: RunConfig) -> int:
     except CrossingKitError as exc:
         print(f"numerical failure: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
+    except OSError as exc:
+        # an output path that cannot be written is a configuration error
+        print(f"config error: {exc}", file=sys.stderr)
+        return 2
 
 
 def _setup_logging() -> None:

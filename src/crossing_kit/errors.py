@@ -56,10 +56,6 @@ class CaseMismatch(NumericalError):
     """Problem data does not match the requested crossing regime."""
 
 
-class TurningPointInRange(NumericalError):
-    """Oscillatory-basis propagation requested through a classical turning point."""
-
-
 class NotContractive(NumericalError):
     """Neumann iteration rejected: coupling operator norm estimate >= 1/2."""
 

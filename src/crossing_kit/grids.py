@@ -61,44 +61,38 @@ class GridFunction:
         return slice(lo, hi)
 
 
-def grid_spacing(
-    x_left: float,
-    x_right: float,
-    max_rate: float,
-    h: float,
-    points_per_period: int = 96,
-    n_min: int = 2001,
-    n_max: int = 40_000_000,
-) -> float:
-    """Target mesh width for ``grid_for``, checked against ``n_max``.
+# every grid has at least N_MIN nodes and fewer than N_MAX (several GB of
+# work arrays per grid at the limit)
+N_MIN = 2001
+N_MAX = 40_000_000
 
-    Raises ValidationError when the grid would need ``n_max`` nodes or
+
+def grid_spacing(
+    x_left: float, x_right: float, max_rate: float, h: float, points_per_period: int
+) -> float:
+    """Target mesh width for ``grid_for``, checked against ``N_MAX``.
+
+    Raises ValidationError when the grid would need ``N_MAX`` nodes or
     more; callers that integrate adaptively use it as a cost bound before
     any work starts.
     """
-    dx_target = (x_right - x_left) / max(n_min - 1, 8)
+    dx_target = (x_right - x_left) / (N_MIN - 1)
     if max_rate > 0:
         dx_osc = 2.0 * np.pi * h / (max_rate * points_per_period)
         dx_target = min(dx_target, dx_osc)
     # compare in floats before any int(): for h near the underflow limit the
     # node count is infinite; the estimate never exceeds the exact count
     estimate = (x_right - x_left) / dx_target if dx_target > 0 else np.inf
-    if not estimate < n_max:
+    if not estimate < N_MAX:
         raise ValidationError(
-            f"grid would need about {estimate:.3g} nodes (> n_max={n_max}); "
+            f"grid would need about {estimate:.3g} nodes (> n_max={N_MAX}); "
             "raise h or shrink the interval"
         )
     return dx_target
 
 
 def grid_for(
-    x_left: float,
-    x_right: float,
-    max_rate: float,
-    h: float,
-    points_per_period: int = 96,
-    n_min: int = 2001,
-    n_max: int = 40_000_000,
+    x_left: float, x_right: float, max_rate: float, h: float, points_per_period: int
 ) -> tuple[np.ndarray, float, int, int]:
     """Uniform grid on [x_left, x_right'] containing 0 as an exact node.
 
@@ -109,21 +103,19 @@ def grid_for(
     x[k0] = 0.
 
     Raises ValidationError when the requested resolution needs more than
-    ``n_max`` nodes.
+    ``N_MAX`` nodes.
     """
     if not (x_left < 0.0 < x_right):
         raise ValidationError("grid must straddle 0")
-    dx_target = grid_spacing(
-        x_left, x_right, max_rate, h, points_per_period, n_min, n_max
-    )
+    dx_target = grid_spacing(x_left, x_right, max_rate, h, points_per_period)
     n_left = int(np.ceil(-x_left / dx_target))
     dx = -x_left / n_left
     n_right = int(np.ceil(x_right / dx - 1e-12))
     n = n_left + n_right + 1
-    if n > n_max:
+    if n > N_MAX:
         raise ValidationError(
-            f"grid would need {n} nodes (> n_max={n_max}); "
-            "lower points_per_period or shrink the interval"
+            f"grid would need {n} nodes (> n_max={N_MAX}); "
+            "raise h or shrink the interval"
         )
     x = (np.arange(n) - n_left) * dx
     return x, dx, n, n_left

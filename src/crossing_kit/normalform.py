@@ -153,25 +153,9 @@ class NormalFormProblem:
         _check_single_crossing(branch)
         return predict_transfer(self)
 
-    def extract(
-        self,
-        branch: int = 1,
-        eps: float | None = None,
-        *,
-        method: str | None = None,
-        terms: int = 8,
-    ) -> TransferMatrix:
-        """Extracted T; ``method`` None means the Neumann series, falling
-        back to the direct ODE solve where the series is not contractive."""
+    def extract(self, branch: int = 1, eps: float | None = None) -> TransferMatrix:
         _check_single_crossing(branch)
-        if method is not None:
-            return transfer_numeric(self, method, terms=terms, eps=eps)
-        try:
-            return transfer_numeric(self, "neumann", terms=terms, eps=eps)
-        except NotContractive as exc:
-            # the series needs smaller h; the direct integration does not
-            logger.info("h=%.6e: %s; falling back to the ODE solver", self.h, exc)
-            return transfer_numeric(self, "ode", terms=terms, eps=eps)
+        return transfer_numeric(self, eps)
 
 
 def _check_single_crossing(branch: int) -> None:
@@ -392,20 +376,21 @@ def predict_transfer(prob: NormalFormProblem) -> TransferMatrix:
 
 
 def transfer_numeric(
-    prob: NormalFormProblem,
-    method: str = "neumann",
-    terms: int = 8,
-    eps: float | None = None,
+    prob: NormalFormProblem, eps: float | None = None
 ) -> TransferMatrix:
-    """Extracted transfer matrix from two basis solves on one workspace."""
-    if method not in ("neumann", "ode"):
-        raise ValidationError(f"unknown solve method {method!r}")
+    """Extracted transfer matrix from two basis solves on one workspace.
+
+    The solves are Neumann series; where the series is not contractive
+    (it needs a smaller h, the direct integration does not) they fall back
+    to the ODE oracle on the same workspace, and say so at INFO.
+    """
     ws = build_workspace(prob)
     basis = ((1, 0), (0, 1))
-    if method == "neumann":
-        sols = [neumann_solve(ws, a, terms) for a in basis]
+    try:
+        sols = [neumann_solve(ws, a) for a in basis]
         pairs = [(sol.u1, sol.u2) for sol in sols]
-    else:
+    except NotContractive as exc:
+        logger.info("h=%.6e: %s; falling back to the ODE solver", prob.h, exc)
         pairs = [ode_oracle(ws, a) for a in basis]
     return extract_transfer(ws, pairs[0], pairs[1], eps)
 

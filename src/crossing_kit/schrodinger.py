@@ -17,7 +17,7 @@ with polynomial potentials satisfying (V2 - V1)^(j)(0) = 0 for j < n and
 * case "ii" (E0 = 0, V_j(0) = 0, V_j'(0) != 0): the curves meet at the
   phase-space origin with contact order 2n. The origin is a turning point,
   so only the prediction and its symbol-level cross-checks are available;
-  propagation requests raise TurningPointInRange.
+  the oscillatory basis and the extraction refuse it with CaseMismatch.
 """
 
 from __future__ import annotations
@@ -34,11 +34,10 @@ from .errors import (
     CaseMismatch,
     IllConditioned,
     StepFailure,
-    TurningPointInRange,
     ValidationError,
     WindowInsideSupport,
 )
-from .grids import GridFunction, grid_for, grid_spacing
+from .grids import grid_spacing
 from .profiles import Bump, Poly1
 from .symbolcalc import (
     CrossingData,
@@ -47,6 +46,10 @@ from .symbolcalc import (
     transfer_predicted_general,
 )
 from .transfer import TransferMatrix
+
+# Not called here: perfbench/tracer.py wraps this attribute of this module
+# by name, so it must stay importable from it.
+from .grids import grid_for  # noqa: F401
 
 ODE_TOL = 1e-11
 DECOMPOSE_WINDOW = 33
@@ -251,16 +254,6 @@ def branch_decompose(basis: WkbBasis, j: int, x, u, hdu):
     return a_plus, a_minus
 
 
-@dataclass(frozen=True)
-class WaveSolution:
-    """Dense solution of the coupled pair on a uniform grid."""
-
-    u1: GridFunction
-    du1: GridFunction
-    u2: GridFunction
-    du2: GridFunction
-
-
 def _rhs_args(prob: SchrodingerProblem):
     return (
         np.asarray(prob.v1.coeffs, dtype=float),
@@ -272,17 +265,23 @@ def _rhs_args(prob: SchrodingerProblem):
 
 
 def _integrate(
-    prob: SchrodingerProblem, y0, x_from: float, x_to: float, t_eval, tol=ODE_TOL
-):
+    basis: WkbBasis, coeffs, x_from: float, x_to: float, t_eval, tol=ODE_TOL
+) -> np.ndarray:
+    """Propagate branch coefficients given at x_from towards x_to.
+
+    ``coeffs`` = (a1_plus, a1_minus, a2_plus, a2_minus) is synthesized into
+    the state (u1, u1', u2, u2') at x_from, which DOP853 carries to x_to.
+    Returns the state sampled at ``t_eval``, ordered from x_from.
+    """
     sol = solve_ivp(
         schrod_rhs,
         (x_from, x_to),
-        np.asarray(y0, dtype=complex),
+        basis.synthesize(coeffs, x_from),
         method="DOP853",
         t_eval=t_eval,
         rtol=tol,
         atol=tol,
-        args=_rhs_args(prob),
+        args=_rhs_args(basis.prob),
     )
     if not sol.success:
         raise StepFailure(f"adaptive integrator failed: {sol.message}")
@@ -295,70 +294,28 @@ def _max_rate(prob: SchrodingerProblem) -> float:
     return math.sqrt(prob.e0 - lowest)
 
 
-def solve_schrodinger_ode(
-    prob: SchrodingerProblem,
-    initial,
-    points_per_period: int = POINTS_PER_PERIOD,
-    tol: float = ODE_TOL,
-) -> WaveSolution:
-    """Propagate branch data from x_in across the interval, dense output.
-
-    ``initial`` holds the four branch coefficients at x_in in the order
-    (a1_plus, a1_minus, a2_plus, a2_minus); the state is synthesized from
-    the oscillatory basis at leading order.
-    """
-    if prob.case == "ii":
-        raise TurningPointInRange(
-            "E0 = 0 puts the turning point at the crossing; "
-            "propagation in the oscillatory basis is not defined there"
-        )
-    basis = WkbBasis(prob)
-    x, dx, n, _ = grid_for(
-        prob.x_in, prob.x_out, _max_rate(prob), prob.h, points_per_period
-    )
-    y0 = basis.synthesize(initial, float(x[0]))
-    y = _integrate(prob, y0, float(x[0]), float(x[-1]), x, tol=tol)
-    x0 = float(x[0])
-    return WaveSolution(
-        u1=GridFunction(y[0], x0, dx, n),
-        du1=GridFunction(y[1], x0, dx, n),
-        u2=GridFunction(y[2], x0, dx, n),
-        du2=GridFunction(y[3], x0, dx, n),
-    )
-
-
 def _read_window(
-    prob: SchrodingerProblem, side: int, eps: float | None, points: int
+    prob: SchrodingerProblem, side: int, eps: float | None
 ) -> np.ndarray:
     """Sample points for coefficient read-off near one end of the interval.
 
-    side=+1 reads near x_out, side=-1 near x_in; the window must stay
-    strictly outside the coupling support (and away from the crossing when
-    the problem is decoupled).
+    side=+1 reads near x_out, side=-1 near x_in. The points come in
+    integration order, toward that end. The window must stay strictly
+    outside the coupling support (and away from the crossing when the
+    problem is decoupled).
     """
-    support = prob.w.support if prob.w.amplitude != 0.0 else None
-    if side == 1:
-        inner = support[1] if support else 0.0
-        margin = prob.x_out - inner
-        if eps is None:
-            eps = 0.5 * margin
-        xs = np.linspace(prob.x_out - eps, prob.x_out, points)
-        if xs[0] <= inner:
-            raise WindowInsideSupport(
-                f"read-off window starting at x={xs[0]:g} overlaps the "
-                f"coupling support (ending at {inner:g})"
-            )
-    else:
-        inner = support[0] if support else 0.0
-        margin = inner - prob.x_in
-        if eps is None:
-            eps = 0.5 * margin
-        xs = np.linspace(prob.x_in, prob.x_in + eps, points)
-        if xs[-1] >= inner:
-            raise WindowInsideSupport(
-                f"read-off window ending at x={xs[-1]:g} overlaps the "
-                f"coupling support (starting at {inner:g})"
-            )
+    end = prob.x_out if side == 1 else prob.x_in
+    support = prob.w.support if prob.w.amplitude != 0.0 else (0.0, 0.0)
+    inner = support[(1 + side) // 2]  # the support edge facing that end
+    if eps is None:
+        eps = 0.5 * side * (end - inner)
+    lo, hi = sorted((end - side * eps, end))
+    xs = np.linspace(lo, hi, DECOMPOSE_WINDOW)[::side]
+    if side * (xs[0] - inner) <= 0.0:
+        raise WindowInsideSupport(
+            f"read-off window reaching x={xs[0]:g} overlaps the coupling "
+            f"support (edge at {inner:g})"
+        )
     return xs
 
 
@@ -366,14 +323,13 @@ def numeric_transfer_case_i(
     prob: SchrodingerProblem,
     which_sign: int = 1,
     eps: float | None = None,
-    window_points: int = DECOMPOSE_WINDOW,
 ) -> TransferMatrix:
     """Transfer matrix at (0, which_sign * xi0) extracted from two solves.
 
-    which_sign=+1: basis inputs on the + branches at x_in, integrated
-    rightward, + coefficients averaged over a window before x_out.
-    which_sign=-1: the - branches move leftward, so their incoming data
-    lives at x_out; basis inputs there are integrated leftward and the -
+    which_sign=+1: the + branches move rightward, so basis inputs on them
+    at x_in are integrated rightward and the + coefficients are averaged
+    over a window before x_out. which_sign=-1: the - branches move
+    leftward, so their inputs at x_out are integrated leftward and the -
     coefficients are read near x_in. Averaging over the window suppresses
     the oscillatory cross-branch contamination of the leading-order
     decomposition.
@@ -387,28 +343,18 @@ def numeric_transfer_case_i(
     # underflow the step control would spin on NaNs or scipy would raise)
     grid_spacing(prob.x_in, prob.x_out, _max_rate(prob), prob.h, POINTS_PER_PERIOD)
     basis = WkbBasis(prob)
-    xs = _read_window(prob, which_sign, eps, window_points)
-    h = prob.h
+    xs = _read_window(prob, which_sign, eps)
+    start, end = (prob.x_in, prob.x_out)[::which_sign]
+    slot = (1 - which_sign) // 2  # coefficient index: 0 a_plus, 1 a_minus
     cols = []
     for data in ((1.0, 0.0), (0.0, 1.0)):
-        if which_sign == 1:
-            coeffs = (data[0], 0.0, data[1], 0.0)
-            y0 = basis.synthesize(coeffs, prob.x_in)
-            y = _integrate(prob, y0, prob.x_in, prob.x_out, xs)
-            got = [
-                branch_decompose(basis, j, xs, y[2 * j - 2], h * y[2 * j - 1])[0]
-                for j in (1, 2)
-            ]
-        else:
-            coeffs = (0.0, data[0], 0.0, data[1])
-            y0 = basis.synthesize(coeffs, prob.x_out)
-            y = _integrate(prob, y0, prob.x_out, prob.x_in, xs[::-1])
-            got = [
-                branch_decompose(
-                    basis, j, xs[::-1], y[2 * j - 2], h * y[2 * j - 1]
-                )[1]
-                for j in (1, 2)
-            ]
+        coeffs = np.zeros(4)
+        coeffs[slot::2] = data
+        y = _integrate(basis, coeffs, start, end, xs)
+        got = [
+            branch_decompose(basis, j, xs, y[2 * j - 2], prob.h * y[2 * j - 1])[slot]
+            for j in (1, 2)
+        ]
         cols.append((complex(np.mean(got[0])), complex(np.mean(got[1]))))
     entries = [[cols[0][0], cols[1][0]], [cols[0][1], cols[1][1]]]
     return TransferMatrix(entries, h=prob.h, kind="extracted")

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Protocol, runtime_checkable
 
 import numpy as np
@@ -45,9 +45,6 @@ class TransferMatrix:
     @property
     def t22(self) -> complex:
         return complex(self.entries[1, 1])
-
-    def apply(self, alpha: np.ndarray) -> np.ndarray:
-        return self.entries @ np.asarray(alpha, dtype=complex)
 
     def entrywise_abs_diff(self, other: "TransferMatrix") -> np.ndarray:
         return np.abs(self.entries - other.entries)

@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from crossing_kit.cli import main, parse_config
+from crossing_kit.cli import MAX_ORDER, main, parse_config
 from crossing_kit.errors import SchemaError
 from crossing_kit.normalform import predict_transfer
 
@@ -35,8 +35,6 @@ def test_minimal_model_config_fills_defaults(tmp_path):
     config = parse_config(path)
     assert config.mode == "solve-model"
     assert config.h == 1e-2
-    assert config.method == "neumann"
-    assert config.terms == 8
     assert config.jobs == 1
     assert config.seed == 0
     assert config.branch == 1
@@ -55,12 +53,14 @@ def test_negative_h_rejected(tmp_path, capsys):
 
 
 def test_unknown_key_named_with_path(tmp_path, capsys):
-    path = write_config(tmp_path, {"problem": model_block(), "hh": 0.5})
-    with pytest.raises(SchemaError) as exc:
-        parse_config(path, mode="solve-model")
-    assert exc.value.key_path == "hh"
-    assert main(["solve-model", "--config", path]) == 2
-    assert "hh" in capsys.readouterr().err
+    # the model has one extraction path: no key selects a solver or its terms
+    for key, value in (("hh", 0.5), ("method", "ode"), ("terms", 8)):
+        path = write_config(tmp_path, {"problem": model_block(), key: value})
+        with pytest.raises(SchemaError) as exc:
+            parse_config(path, mode="solve-model")
+        assert exc.value.key_path == key
+        assert main(["solve-model", "--config", path]) == 2
+        assert key in capsys.readouterr().err
 
 
 def test_unknown_nested_key_reports_full_path(tmp_path):
@@ -324,3 +324,35 @@ def test_solve_mode_rejects_the_other_problem_family(tmp_path, capsys, mode, pro
     assert exc.value.key_path == "problem.kind"
     assert main([mode, "--config", path]) == 2
     assert "problem.kind" in _one_line_error(capsys)
+
+
+def _order_block(kind: str, order: int) -> dict:
+    """A problem of the given kind whose m or n is ``order``."""
+    if kind == "model":
+        return model_block(m=order, f_coeffs=[0.0] * order + [1.0])
+    if kind == "random-model":
+        return {"kind": "random-model", "m": order}
+    return {
+        "kind": "schrodinger",
+        "n": order,
+        "v1_coeffs": [0.0, -0.25],
+        "v2_coeffs": [0.0, -0.25] + [0.0] * (order - 2) + [1.0],
+        "e0": 1.0,
+        "coupling": {"width": 0.3},
+        "interval": [-0.5, 0.5],
+    }
+
+
+@pytest.mark.parametrize(
+    "kind, key", [("model", "m"), ("random-model", "m"), ("schrodinger", "n")]
+)
+def test_contact_order_above_the_bound_rejected(tmp_path, capsys, kind, key):
+    # m! in the stationary prefactor overflows a float from m = 170 on
+    path = write_config(
+        tmp_path, {"problem": _order_block(kind, MAX_ORDER + 1), "h": 1e-2}
+    )
+    with pytest.raises(SchemaError) as exc:
+        parse_config(path, mode="predict")
+    assert exc.value.key_path == f"problem.{key}"
+    assert main(["predict", "--config", path]) == 2
+    assert f"problem.{key}" in _one_line_error(capsys)

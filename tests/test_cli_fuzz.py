@@ -1,0 +1,150 @@
+"""Property test of the config front end: any JSON value at any key of a
+valid `predict` config ends in a documented exit code, never a traceback.
+
+Each example takes a valid config skeleton and replaces the values at one
+to three of its key paths with arbitrary JSON: nested objects and arrays,
+strings, booleans, null, NaN and infinities, integers far beyond the float
+range and floats down to the subnormals. Only `predict` runs, so no
+example solves anything. Examples run inside a fresh temporary directory
+and strings carry no path separator, so a drawn `output.summary` path
+stays inside it.
+"""
+
+import copy
+import json
+import os
+import tempfile
+
+import pytest
+
+hypothesis = pytest.importorskip("hypothesis")
+from hypothesis import HealthCheck, example, given, settings  # noqa: E402
+from hypothesis import strategies as st  # noqa: E402
+
+from crossing_kit.cli import main  # noqa: E402
+
+_SKELETONS = [
+    {
+        "mode": "predict",
+        "problem": {
+            "kind": "model",
+            "m": 1,
+            "f_coeffs": [0.0, 1.0],
+            "coupling": {"width": 0.8, "amplitude": 1.0, "center": 0.0},
+            "coupling2": {"width": 0.4, "amplitude": 0.7},
+            "interval": [-1.0, 1.0],
+        },
+        "h": 1e-2,
+        "jobs": 1,
+        "seed": 0,
+        "output": {"summary": "summary.json"},
+    },
+    {
+        "problem": {
+            "kind": "schrodinger",
+            "n": 1,
+            "v1_coeffs": [0.0, -0.25],
+            "v2_coeffs": [0.0, 0.25],
+            "e0": 1.0,
+            "coupling": {"width": 0.8},
+            "interval": [-1.2, 1.2],
+        },
+        "h": 1e-2,
+        "branch": -1,
+    },
+    {
+        "problem": {
+            "kind": "schrodinger",
+            "n": 1,
+            "v1_coeffs": [0.0, -1.0],
+            "v2_coeffs": [0.0, -2.0],
+            "e0": 0.0,
+            "coupling": {"width": 0.5},
+            "interval": [-0.9, 0.9],
+        },
+        "h": 1e-3,
+    },
+    {"problem": {"kind": "model-corpus", "index": 5}, "h": 1e-3},
+    {"problem": {"kind": "schrodinger-corpus", "index": 1}, "h": 1e-3, "branch": 1},
+    {"problem": {"kind": "random-model", "m": 2}, "h": 1e-2, "seed": 7},
+]
+
+_CORPUS0 = {"kind": "model-corpus", "index": 0}
+
+_EDGE_NUMBERS = st.sampled_from(
+    [0, -1, 1, 2, 63, 64, 65, 170, 3000, 10**8, 2**63, -(2**63), 10**400,
+     0.0, -0.0, 5e-324, 1e-320, 1e-200, 1e-16, 1e200, 1.7976931348623157e308]
+)
+_TEXT = st.text(st.characters(blacklist_characters="/\\"), max_size=6)
+_SCALARS = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.floats()
+    | _TEXT
+    | _EDGE_NUMBERS
+)
+_JSON = st.recursive(
+    _SCALARS,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(_TEXT, inner, max_size=3),
+    max_leaves=6,
+)
+
+
+def _paths(node, prefix=()):
+    """Every key path (dict keys and list indices) below ``node``."""
+    items = (
+        node.items() if isinstance(node, dict)
+        else enumerate(node) if isinstance(node, list)
+        else ()
+    )
+    for key, child in items:
+        yield prefix + (key,)
+        yield from _paths(child, prefix + (key,))
+
+
+def _substitute(config, path, value):
+    node = config
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+
+
+@st.composite
+def configs(draw):
+    config = copy.deepcopy(draw(st.sampled_from(_SKELETONS)))
+    for _ in range(draw(st.integers(1, 3))):
+        # an earlier substitution may have replaced a subtree, so the paths
+        # are enumerated afresh each time
+        paths = list(_paths(config))
+        value = draw(_EDGE_NUMBERS | _SCALARS | _JSON)
+        _substitute(config, draw(st.sampled_from(paths)), value)
+    return config
+
+
+@settings(
+    max_examples=200,
+    derandomize=True,
+    database=None,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(configs())
+# inputs that once ended in a traceback: an integer beyond the float range,
+# an order whose factorial overflows a float, a NUL in a file name and an
+# output directory that does not exist
+@example({"problem": _CORPUS0, "h": 10**400})
+@example({"problem": {"kind": "random-model", "m": 170}, "h": 1e-2})
+@example({"problem": _CORPUS0, "h": 1e-2, "output": {"summary": "s\0.json"}})
+@example({"problem": _CORPUS0, "h": 1e-2, "output": {"summary": "no/s.json"}})
+def test_predict_never_raises_on_any_json_value(config):
+    cwd = os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp:
+        os.chdir(tmp)
+        try:
+            with open("config.json", "w", encoding="utf-8") as fh:
+                json.dump(config, fh)
+            assert main(["predict", "--config", "config.json"]) in (0, 2, 3)
+        finally:
+            os.chdir(cwd)

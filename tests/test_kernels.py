@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from crossing_kit import _kernels
-from crossing_kit._kernels import cum_quad6, quad6
+from crossing_kit._kernels import cum_quad6
 
 
 def _cum_quad6_loop(values, dx, w6):
@@ -45,7 +45,7 @@ def test_cum_quad6_order_six():
     errs = []
     for n in (201, 401):
         x = np.linspace(0.0, 3.0, n)
-        got = quad6(np.exp(1j * 4.0 * x), x[1] - x[0])
+        got = cum_quad6(np.exp(1j * 4.0 * x), x[1] - x[0])[-1]
         exact = (np.exp(1j * 12.0) - 1.0) / (4.0j)
         errs.append(abs(got - exact))
     order = np.log2(errs[0] / errs[1])

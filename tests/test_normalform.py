@@ -50,6 +50,25 @@ def basis_pairs(ws):
     return [(sol.u1, sol.u2) for sol in sols]
 
 
+def ode_reference(prob):
+    """T read off two direct ODE solves on one workspace."""
+    ws = build_workspace(prob)
+    return extract_transfer(ws, ode_oracle(ws, (1, 0)), ode_oracle(ws, (0, 1)))
+
+
+def strong_coupling_problem():
+    """A model problem whose Neumann series is not contractive."""
+    return NormalFormProblem(
+        f=Poly1((0.0, 1.0)),
+        r1=Bump(1.5, 3.0),
+        r2=Bump(1.5, 3.0),
+        x0=-2.0,
+        x1=2.0,
+        h=1e-1,
+        m=1,
+    )
+
+
 # ---------------------------------------------------------------- validation
 
 
@@ -256,19 +275,11 @@ def test_residual_bound_dominates_truncation():
 
 
 def test_not_contractive_raised_for_strong_coupling(caplog):
-    prob = NormalFormProblem(
-        f=Poly1((0.0, 1.0)),
-        r1=Bump(1.5, 3.0),
-        r2=Bump(1.5, 3.0),
-        x0=-2.0,
-        x1=2.0,
-        h=1e-1,
-        m=1,
-    )
+    prob = strong_coupling_problem()
     with pytest.raises(NotContractive):
         neumann_solve(build_workspace(prob), (1.0, 0.0))
     # the direct integration has no contraction requirement
-    T = transfer_numeric(prob, "ode")
+    T = ode_reference(prob)
     assert np.isfinite(T.entries).all()
     # extract() switches to it, and says so on the package logger
     with caplog.at_level(logging.INFO, logger="crossing_kit"):
@@ -334,15 +345,14 @@ def test_prediction_matches_closed_form_oracle():
 
 def test_transfer_numeric_routes_agree():
     prob = model_corpus(1e-2)[4]
-    a = transfer_numeric(prob, "neumann")
-    b = transfer_numeric(prob, "ode")
+    a = transfer_numeric(prob)  # the Neumann series: no fallback here
+    b = ode_reference(prob)
     assert a.max_abs_diff(b) < 1e-8
-    with pytest.raises(ValidationError):
-        transfer_numeric(prob, "collocation")
 
 
 def test_workspace_does_not_outlive_its_extraction(monkeypatch):
-    # transfer_numeric builds one workspace, and nothing holds it after
+    # one extraction builds one workspace, also when it falls back to the
+    # ODE solve, and nothing holds it after
     built = []
     construct = normalform.ModelWorkspace
 
@@ -352,8 +362,10 @@ def test_workspace_does_not_outlive_its_extraction(monkeypatch):
         return ws
 
     monkeypatch.setattr(normalform, "ModelWorkspace", recording)
-    T = transfer_numeric(model_corpus(1e-2)[0])
-    gc.collect()
-    assert np.isfinite(T.entries).all()
-    assert len(built) == 1
-    assert built[0]() is None
+    for prob in (model_corpus(1e-2)[0], strong_coupling_problem()):
+        built.clear()
+        T = prob.extract()
+        gc.collect()
+        assert np.isfinite(T.entries).all()
+        assert len(built) == 1, (prob, len(built))
+        assert built[0]() is None

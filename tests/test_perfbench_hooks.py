@@ -1,11 +1,14 @@
 """The benchmark's tracer wraps package attributes by name.
 
 perfbench/tracer.py patches module attributes of crossing_kit from outside
-the package; a name it hooks that disappears would fail only the traced
+the package; a name it hooks that disappears, or a call that stops going
+through a hooked name, would fail or silently zero only the traced
 benchmark runs. This test installs the tracer in a fresh interpreter (its
-patches must not leak into other tests) and runs one sweep row under it.
-The row must request and build one workspace and run two Neumann solves,
-so the benchmark's workspace and solve counters keep their meaning.
+patches must not leak into other tests) and runs two sweep rows under it.
+The model row must request and build one workspace and run two Neumann
+solves. The Schrodinger row must run one extraction of two adaptive
+solves, four branch decompositions and a counted right-hand side, and no
+dense grid. So the benchmark's counters keep their meaning.
 """
 
 import os
@@ -22,6 +25,7 @@ import crossing_kit
 import tracer
 from crossing_kit import sweep
 from crossing_kit.normalform import model_corpus
+from crossing_kit.schrodinger import schrodinger_corpus
 
 t = tracer.Tracer()
 tracer.install(t)
@@ -40,6 +44,19 @@ for name, want in (
     ("normalform.neumann_solve", 2),
 ):
     assert per_name[name] == want, (name, per_name[name])
+
+assert t.counts()["kernels.schrod_rhs.calls"] == 0
+sweep._solve_pair(schrodinger_corpus(1e-2)[0], 1e-2, None)
+per_name = collections.Counter(s.name for s in t.spans() if s.row == 1e-2)
+for name, want in (
+    ("sweep.row", 1),
+    ("schrodinger.numeric_transfer", 1),
+    ("schrodinger.ode", 2),
+    ("schrodinger.branch_decompose", 4),
+    ("grids.grid_for", 0),
+):
+    assert per_name[name] == want, (name, per_name[name])
+assert t.counts()["kernels.schrod_rhs.calls"] > 0
 print("ok")
 """
 

@@ -16,21 +16,21 @@ import pytest
 from crossing_kit.errors import (
     CaseMismatch,
     IllConditioned,
-    TurningPointInRange,
     ValidationError,
     WindowInsideSupport,
 )
 from crossing_kit.profiles import Bump, Poly1, ZERO_BUMP
 from crossing_kit.schrodinger import (
+    ODE_TOL,
     SchrodingerProblem,
     WkbBasis,
+    _integrate,
     branch_decompose,
     build_crossing_data,
     numeric_transfer_case_i,
     predict_transfer_case_i,
     predict_transfer_case_ii,
     schrodinger_corpus,
-    solve_schrodinger_ode,
 )
 
 import closed_form_oracle
@@ -262,31 +262,32 @@ def test_decompose_ill_conditioned_near_flux_collapse():
 # ------------------------------------------------------------------ the solves
 
 
-def test_solver_rejects_the_turning_point_case():
-    with pytest.raises(TurningPointInRange):
-        solve_schrodinger_ode(schrodinger_corpus(1e-3)[2], (1.0, 0.0, 0.0, 0.0))
+def _propagate(prob, xs, tol=ODE_TOL):
+    """The basis, and (u1, u2) at xs for unit data on the + branch of
+    equation 1 entering at x_in."""
+    basis = WkbBasis(prob)
+    y = _integrate(basis, (1.0, 0.0, 0.0, 0.0), prob.x_in, prob.x_out, xs, tol)
+    return basis, y[0], y[2]
 
 
 def test_decoupled_solution_tracks_its_branch():
     prob = dataclasses.replace(schrodinger_corpus(2.5e-3)[0], w=ZERO_BUMP)
-    sol = solve_schrodinger_ode(prob, (1.0, 0.0, 0.0, 0.0))
-    assert np.abs(sol.u2.values).max() < 1e-9
-    basis = WkbBasis(prob)
-    for x in (-1.2, 0.0, 0.9):
-        k = sol.u1.index_of(x)
-        xg = sol.u1.x0 + k * sol.u1.dx
-        wkb = basis.amplitude(1, xg) * np.exp(1j * basis.phase(1, xg) / prob.h)
-        assert abs(sol.u1.values[k] - wkb) < 0.5 * prob.h
+    probes = (-1.2, 0.0, 0.9)
+    xs = np.union1d(np.linspace(prob.x_in, prob.x_out, 2001), probes)
+    basis, u1, u2 = _propagate(prob, xs)
+    assert np.abs(u2).max() < 1e-9
+    for x in probes:
+        k = int(np.searchsorted(xs, x))
+        wkb = basis.amplitude(1, x) * np.exp(1j * basis.phase(1, x) / prob.h)
+        assert abs(u1[k] - wkb) < 0.5 * prob.h
 
 
 def test_tolerance_refinement_is_converged():
     prob = schrodinger_corpus(2.5e-3)[0]
-    a = solve_schrodinger_ode(prob, (1.0, 0.0, 0.0, 0.0), tol=1e-11)
-    b = solve_schrodinger_ode(prob, (1.0, 0.0, 0.0, 0.0), tol=5e-12)
-    diff = max(
-        np.abs(a.u1.values - b.u1.values).max(),
-        np.abs(a.u2.values - b.u2.values).max(),
-    )
+    xs = np.linspace(prob.x_in, prob.x_out, 2001)
+    _, a1, a2 = _propagate(prob, xs, tol=1e-11)
+    _, b1, b2 = _propagate(prob, xs, tol=5e-12)
+    diff = max(np.abs(a1 - b1).max(), np.abs(a2 - b2).max())
     assert diff < 1e-8
 
 
