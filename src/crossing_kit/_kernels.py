@@ -1,10 +1,11 @@
 """Numerical inner-loop kernels.
 
 Everything here is called inside the hot loops of the package: the
-cumulative quadrature that powers the Volterra coupling operators, and the
-right-hand sides handed to the ODE integrator (~1e6 evaluations per solve at
-the smallest mesh sizes). There is one implementation of each: the
-quadrature is vectorized numpy, the right-hand sides are plain Python.
+cumulative quadrature that powers the Volterra coupling operators and the
+coupled pair's march, and the right-hand sides handed to the ODE
+integrators (~1e6 evaluations per solve at the smallest mesh sizes). There
+is one implementation of each: the quadrature is vectorized numpy, the
+right-hand sides are plain Python.
 """
 
 from __future__ import annotations
@@ -80,24 +81,25 @@ def schrod_rhs(x, y, v1_coeffs, v2_coeffs, wp, e0, h):
 def cum_quad6(values: np.ndarray, dx: float) -> np.ndarray:
     """Cumulative integral of uniformly sampled values, sixth order.
 
-    Returns an array of the same length whose entry k approximates the
-    integral from the first node to node k (entry 0 is exactly 0). Each mesh
-    cell integrates the quintic through the six nearest samples.
+    Integrates along the last axis, so a stack of rows is one call. Returns
+    an array of the same shape whose entry k approximates the integral from
+    the first node to node k (entry 0 is exactly 0). Each mesh cell
+    integrates the quintic through the six nearest samples.
     """
     values = np.ascontiguousarray(values, dtype=np.complex128)
-    n = values.shape[0]
+    n = values.shape[-1]
     if n < 6:
         raise ValueError("cum_quad6 needs at least 6 samples")
-    out = np.empty(n, dtype=np.complex128)
-    out[0] = 0.0
+    out = np.empty(values.shape, dtype=np.complex128)
+    out[..., 0] = 0.0
     # interior cells k = 2 .. n-4 all use the centered row
-    windows = np.lib.stride_tricks.sliding_window_view(values, 6)
-    cells = np.empty(n - 1, dtype=np.complex128)
-    cells[2 : n - 3] = windows[: n - 5] @ _W6[2]
-    cells[0] = values[:6] @ _W6[0]
-    cells[1] = values[:6] @ _W6[1]
-    cells[n - 3] = values[n - 6 :] @ _W6[3]
-    cells[n - 2] = values[n - 6 :] @ _W6[4]
-    np.cumsum(cells, out=out[1:])
-    out[1:] *= float(dx)
+    windows = np.lib.stride_tricks.sliding_window_view(values, 6, axis=-1)
+    cells = np.empty(values.shape[:-1] + (n - 1,), dtype=np.complex128)
+    cells[..., 2 : n - 3] = windows[..., : n - 5, :] @ _W6[2]
+    cells[..., 0] = values[..., :6] @ _W6[0]
+    cells[..., 1] = values[..., :6] @ _W6[1]
+    cells[..., n - 3] = values[..., n - 6 :] @ _W6[3]
+    cells[..., n - 2] = values[..., n - 6 :] @ _W6[4]
+    np.cumsum(cells, axis=-1, out=out[..., 1:])
+    out[..., 1:] *= float(dx)
     return out

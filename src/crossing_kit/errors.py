@@ -61,7 +61,11 @@ class NotContractive(NumericalError):
 
 
 class StepFailure(NumericalError):
-    """The ODE integrator failed to reach the end of the interval."""
+    """An integrator failed to reach the end of the interval.
+
+    Raised by the ODE solvers, and by the coupled pair's march when Picard
+    iteration on a chunk does not converge.
+    """
 
 
 class WindowInsideSupport(NumericalError):

@@ -73,8 +73,8 @@ def grid_spacing(
     """Target mesh width for ``grid_for``, checked against ``N_MAX``.
 
     Raises ValidationError when the grid would need ``N_MAX`` nodes or
-    more; callers that integrate adaptively use it as a cost bound before
-    any work starts.
+    more; callers that walk a grid without building it whole use it as
+    their spacing and node budget before any work starts.
     """
     dx_target = (x_right - x_left) / (N_MIN - 1)
     if max_rate > 0:

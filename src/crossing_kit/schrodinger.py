@@ -13,7 +13,8 @@ with polynomial potentials satisfying (V2 - V1)^(j)(0) = 0 for j < n and
   characteristic curves xi^2 + V_j = E0 cross at (0, +-xi0), xi0 = sqrt(E0),
   with contact order n. Solutions are tracked in the oscillatory basis
   sigma_j e^{+-i phi_j / h} and the transfer matrix is both predicted from
-  the crossing invariants and extracted from adaptive solves.
+  the crossing invariants and extracted by marching the branch
+  coefficients through the first-order system they satisfy exactly.
 * case "ii" (E0 = 0, V_j(0) = 0, V_j'(0) != 0): the curves meet at the
   phase-space origin with contact order 2n. The origin is a turning point,
   so only the prediction and its symbol-level cross-checks are available;
@@ -23,13 +24,14 @@ with polynomial potentials satisfying (V2 - V1)^(j)(0) = 0 for j < n and
 from __future__ import annotations
 
 import dataclasses
+import logging
 import math
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import solve_ivp
 
-from ._kernels import schrod_rhs
+from ._kernels import cum_quad6, schrod_rhs
 from .errors import (
     CaseMismatch,
     IllConditioned,
@@ -51,9 +53,22 @@ from .transfer import TransferMatrix
 # by name, so it must stay importable from it.
 from .grids import grid_for  # noqa: F401
 
-ODE_TOL = 1e-11
-DECOMPOSE_WINDOW = 33
+ODE_TOL = 1e-11  # DOP853 tolerance of the reference solve `_integrate`
 POINTS_PER_PERIOD = 24
+# The march's working memory: a chunk takes about _BYTES_PER_NODE bytes of
+# work arrays per grid node (measured with tracemalloc), so no chunk has
+# more than CHUNK_BYTES // _BYTES_PER_NODE nodes, whatever h is.
+CHUNK_BYTES = 2**21
+_BYTES_PER_NODE = 1024
+# Picard on a chunk contracts like (int |M|)^k / k!: chunks are cut so that
+# int |M| stays near CHUNK_COUPLING. A chunk has at least _MIN_CHUNK_CELLS
+# cells (cum_quad6 needs 6 nodes, and the even split may halve a chunk).
+CHUNK_COUPLING = 0.25
+_MIN_CHUNK_CELLS = 10
+PICARD_TOL = 1e-14
+PICARD_MAX_ITER = 40
+
+logger = logging.getLogger("crossing_kit")
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(15)
 
@@ -159,6 +174,11 @@ class WkbBasis:
     conserved flux sigma_j^2 phi_j' equal to half the phase-space gradient
     norm of the symbol at the crossing, which is the convention under which
     the predicted transfer matrices apply to the branch coefficients.
+
+    Branch coefficients are exact variation-of-parameters coefficients:
+    u_j = a_j+ w_j+ + a_j- w_j- with w_j+- = sigma_j e^{+-i phi_j / h} and
+    the gauge a_j+' w_j+ + a_j-' w_j- = 0, so that
+    u_j' = a_j+ w_j+' + a_j- w_j-'.
     """
 
     def __init__(self, prob: SchrodingerProblem):
@@ -210,12 +230,22 @@ class WkbBasis:
         """sigma_j(x); sigma_j^2 phi_j' is constant on the interval."""
         return self.c[j - 1] * (1.0 - self._potential(j)(x) / self.prob.e0) ** -0.25
 
+    def amplitude_ratios(self, j: int, x):
+        """(sigma_j'/sigma_j, sigma_j''/sigma_j) at x.
+
+        With q = E0 - V_j, sigma_j is proportional to q^(-1/4), so
+        sigma'/sigma = V'/(4q) and sigma''/sigma = V''/(4q) + 5 V'^2/(16 q^2).
+        """
+        v = self._potential(j)
+        q = self.prob.e0 - v(x)
+        slope = v.deriv(1)(x) / q
+        return 0.25 * slope, 0.25 * v.deriv(2)(x) / q + 0.3125 * slope * slope
+
     def synthesize(self, coeffs, x: float) -> np.ndarray:
         """State vector (u1, u1', u2, u2') with branch coefficients ``coeffs``.
 
-        coeffs = (a1_plus, a1_minus, a2_plus, a2_minus). Derivatives keep the
-        phase term only; the dropped amplitude derivative is an O(h) data
-        error, matching the decomposition convention on the other end.
+        coeffs = (a1_plus, a1_minus, a2_plus, a2_minus), in the exact
+        convention: u_j' = a_j+ w_j+' + a_j- w_j-'.
         """
         a = [complex(c) for c in coeffs]
         h = self.prob.h
@@ -224,20 +254,21 @@ class WkbBasis:
             ap, am = a[2 * j - 2], a[2 * j - 1]
             sig = float(self.amplitude(j, x))
             rate = float(self.momentum(j, x))
+            dlog = float(self.amplitude_ratios(j, x)[0])
             osc = np.exp(1j * self.phase(j, x) / h)
             out[2 * j - 2] = sig * (ap * osc + am * np.conj(osc))
-            out[2 * j - 1] = (1j * rate / h) * sig * (ap * osc - am * np.conj(osc))
+            out[2 * j - 1] = dlog * out[2 * j - 2] + (1j * rate / h) * sig * (
+                ap * osc - am * np.conj(osc)
+            )
         return out
 
 
 def branch_decompose(basis: WkbBasis, j: int, x, u, hdu):
     """Branch coefficients (a_plus, a_minus) of equation j at points x.
 
-    Solves [u; h u'] = M(x) [a_plus; a_minus] with M built from the basis
-    at leading order (amplitude derivative dropped, an O(h) truncation).
-    The determinant of M is the x-independent flux 2 sigma_j^2 phi_j', so
-    conditioning is uniform; callers should still stay outside supp W,
-    where the coefficients are constants of the motion.
+    Inverts ``synthesize``: solves [u; h u'] = B(x) [a_plus; a_minus] with
+    the exact basis and its derivative. The determinant of B is the
+    x-independent flux 2 sigma_j^2 phi_j', so conditioning is uniform.
     """
     x = np.asarray(x, dtype=float)
     u = np.asarray(u, dtype=complex)
@@ -248,6 +279,8 @@ def branch_decompose(basis: WkbBasis, j: int, x, u, hdu):
         raise IllConditioned(
             "branch matrix nearly singular (turning point too close)"
         )
+    # h u' less its amplitude part is the phase part i phi' sigma (a+ e - a- e*)
+    hdu = hdu - basis.prob.h * basis.amplitude_ratios(j, x)[0] * u
     osc = np.exp(1j * np.asarray(basis.phase(j, x)) / basis.prob.h)
     a_plus = (u - 1j * hdu / rate) / (2.0 * sig * osc)
     a_minus = (u + 1j * hdu / rate) / (2.0 * sig * np.conj(osc))
@@ -267,7 +300,7 @@ def _rhs_args(prob: SchrodingerProblem):
 def _integrate(
     basis: WkbBasis, coeffs, x_from: float, x_to: float, t_eval, tol=ODE_TOL
 ) -> np.ndarray:
-    """Propagate branch coefficients given at x_from towards x_to.
+    """DOP853 reference solve, kept as the test oracle of the march.
 
     ``coeffs`` = (a1_plus, a1_minus, a2_plus, a2_minus) is synthesized into
     the state (u1, u1', u2, u2') at x_from, which DOP853 carries to x_to.
@@ -294,29 +327,127 @@ def _max_rate(prob: SchrodingerProblem) -> float:
     return math.sqrt(prob.e0 - lowest)
 
 
-def _read_window(
-    prob: SchrodingerProblem, side: int, eps: float | None
-) -> np.ndarray:
-    """Sample points for coefficient read-off near one end of the interval.
+def _check_window(prob: SchrodingerProblem, side: int, eps: float | None) -> None:
+    """Refuse a read-off window near one end that reaches the coupling.
 
-    side=+1 reads near x_out, side=-1 near x_in. The points come in
-    integration order, toward that end. The window must stay strictly
-    outside the coupling support (and away from the crossing when the
-    problem is decoupled).
+    side=+1 is the window [x_out - eps, x_out], side=-1 the window
+    [x_in, x_in + eps]. It must stay strictly outside the coupling support
+    (and away from the crossing when the problem is decoupled).
     """
     end = prob.x_out if side == 1 else prob.x_in
     support = prob.w.support if prob.w.amplitude != 0.0 else (0.0, 0.0)
     inner = support[(1 + side) // 2]  # the support edge facing that end
     if eps is None:
         eps = 0.5 * side * (end - inner)
-    lo, hi = sorted((end - side * eps, end))
-    xs = np.linspace(lo, hi, DECOMPOSE_WINDOW)[::side]
-    if side * (xs[0] - inner) <= 0.0:
+    reach = end - side * eps
+    if side * (reach - inner) <= 0.0:
         raise WindowInsideSupport(
-            f"read-off window reaching x={xs[0]:g} overlaps the coupling "
+            f"read-off window reaching x={reach:g} overlaps the coupling "
             f"support (edge at {inner:g})"
         )
-    return xs
+
+
+def _coefficients(basis: WkbBasis, x: np.ndarray, w):
+    """Rates p_j and the coefficients C_j, D_j of a' = M a at the nodes x.
+
+    Per equation j (k the other one), with S_j = a_j+ e_j + a_j- / e_j and
+    e_j = e^{i phi_j / h}:  a_j+' = r_j / e_j,  a_j-' = -e_j r_j,  where
+    r_j = C_j S_k - D_j S_j,  C_j = W sigma_k / (2i sigma_j p_j)  and
+    D_j = h (sigma_j'' / sigma_j) / (2i p_j). ``w`` is W at the nodes.
+    Arrays have shape (2, len(x)).
+    """
+    rate = np.array([basis.momentum(j, x) for j in (1, 2)])
+    sig = np.array([basis.amplitude(j, x) for j in (1, 2)])
+    curv = np.array([basis.amplitude_ratios(j, x)[1] for j in (1, 2)])
+    cross = w * sig[::-1] / (2j * sig * rate)
+    self_ = basis.prob.h * curv / (2j * rate)
+    return rate, cross, self_
+
+
+def _chunk_cells(basis: WkbBasis, dx: float) -> int:
+    """Cells per chunk: within CHUNK_BYTES, and short enough for Picard.
+
+    Picard iteration on one chunk contracts like (int |M|)^k / k!. The
+    chunk length keeps int |M| (the largest row sum of |M|, with |W| at
+    its peak everywhere) near CHUNK_COUPLING, whatever the coupling
+    strength.
+    """
+    prob = basis.prob
+    x = np.linspace(prob.x_in, prob.x_out, 1025)
+    _, cross, self_ = _coefficients(basis, x, abs(prob.w.amplitude))
+    cells = CHUNK_BYTES // _BYTES_PER_NODE - 1
+    reach = 2.0 * float(np.max(np.abs(cross) + np.abs(self_))) * abs(dx)
+    if reach > 0.0:
+        cells = min(cells, int(CHUNK_COUPLING / reach))
+    return max(_MIN_CHUNK_CELLS, cells)
+
+
+def _picard(basis: WkbBasis, a0: np.ndarray, phi0: np.ndarray, x, dx: float):
+    """Coefficients at the last of the nodes x from their values a0 at x[0].
+
+    a0 has shape (columns, 4); phi0 holds phi_1, phi_2 at x[0]. Iterates
+    a <- a0 + int M a (cum_quad6) on all the nodes until no entry moves by
+    more than PICARD_TOL. Returns (a and the phases at the last node,
+    iterations).
+    """
+    h = basis.prob.h
+    rate, cross, self_ = _coefficients(basis, x, basis.prob.w(x))
+    phase = phi0[:, None] + cum_quad6(rate, dx).real
+    osc = np.exp(1j * phase / h)
+    back = np.conj(osc)
+    a = np.repeat(a0[:, :, None], len(x), axis=2)
+    da = np.empty_like(a)
+    for it in range(1, PICARD_MAX_ITER + 1):
+        s = a[:, 0::2] * osc + a[:, 1::2] * back  # u_j / sigma_j
+        r = cross * s[:, ::-1] - self_ * s
+        da[:, 0::2] = back * r
+        da[:, 1::2] = -osc * r
+        new = cum_quad6(da, dx)
+        new += a0[:, :, None]
+        change = float(np.max(np.abs(new - a)))
+        a = new
+        if change <= PICARD_TOL:
+            return a[:, :, -1], phase[:, -1], it
+    raise StepFailure(
+        f"Picard iteration on [{x[0]:g}, {x[-1]:g}] moved by {change:.3g} "
+        f"after {PICARD_MAX_ITER} iterations (coupling too strong for the "
+        "mesh)"
+    )
+
+
+def _march(basis: WkbBasis, a: np.ndarray, x_from: float, x_to: float):
+    """Carry branch coefficients a (shape (columns, 4)) from x_from to x_to.
+
+    The uniform grid resolves the fastest phase of M, 2 max p_j, with
+    POINTS_PER_PERIOD nodes; it is never built whole. Chunks of it are
+    solved in turn, each from the coefficients and phases at the last node
+    of the one before. Returns the coefficients at x_to.
+    """
+    prob = basis.prob
+    # node budget of the grid this march walks, checked before any work
+    dx = grid_spacing(
+        prob.x_in, prob.x_out, 2.0 * _max_rate(prob), prob.h, POINTS_PER_PERIOD
+    )
+    cells = math.ceil(abs(x_to - x_from) / dx)
+    dx = (x_to - x_from) / cells
+    chunks = math.ceil(cells / _chunk_cells(basis, dx))
+    phi = np.array([basis.phase(j, x_from) for j in (1, 2)])
+    worst = 0
+    for c in range(chunks):
+        # even split: every chunk has at least _MIN_CHUNK_CELLS // 2 cells
+        k = np.arange(c * cells // chunks, (c + 1) * cells // chunks + 1)
+        a, phi, iters = _picard(basis, a, phi, x_from + dx * k, dx)
+        worst = max(worst, iters)
+    logger.debug(
+        "h=%.6e: marched %d nodes from x=%g in %d chunks, at most %d Picard "
+        "iterations",
+        prob.h,
+        cells + 1,
+        x_from,
+        chunks,
+        worst,
+    )
+    return a
 
 
 def numeric_transfer_case_i(
@@ -324,40 +455,25 @@ def numeric_transfer_case_i(
     which_sign: int = 1,
     eps: float | None = None,
 ) -> TransferMatrix:
-    """Transfer matrix at (0, which_sign * xi0) extracted from two solves.
+    """Transfer matrix at (0, which_sign * xi0), extracted by one march.
 
-    which_sign=+1: the + branches move rightward, so basis inputs on them
-    at x_in are integrated rightward and the + coefficients are averaged
-    over a window before x_out. which_sign=-1: the - branches move
-    leftward, so their inputs at x_out are integrated leftward and the -
-    coefficients are read near x_in. Averaging over the window suppresses
-    the oscillatory cross-branch contamination of the leading-order
-    decomposition.
+    which_sign=+1: the + branches move rightward, so unit data on them at
+    x_in is marched to x_out, where the + coefficients are read.
+    which_sign=-1: unit data on the - branches at x_out is marched to x_in,
+    where the - coefficients are read. Both input columns march together.
+    ``eps`` sizes the read-off window, which must lie outside supp W.
     """
     if prob.case != "i":
         raise CaseMismatch("numeric transfer extraction needs case i")
     if which_sign not in (1, -1):
         raise ValidationError("which_sign must be +1 or -1")
-    # the adaptive solve takes steps in proportion to the dense grid's node
-    # count: refuse an h whose grid is over budget before integrating (near
-    # underflow the step control would spin on NaNs or scipy would raise)
-    grid_spacing(prob.x_in, prob.x_out, _max_rate(prob), prob.h, POINTS_PER_PERIOD)
-    basis = WkbBasis(prob)
-    xs = _read_window(prob, which_sign, eps)
+    _check_window(prob, which_sign, eps)
     start, end = (prob.x_in, prob.x_out)[::which_sign]
     slot = (1 - which_sign) // 2  # coefficient index: 0 a_plus, 1 a_minus
-    cols = []
-    for data in ((1.0, 0.0), (0.0, 1.0)):
-        coeffs = np.zeros(4)
-        coeffs[slot::2] = data
-        y = _integrate(basis, coeffs, start, end, xs)
-        got = [
-            branch_decompose(basis, j, xs, y[2 * j - 2], prob.h * y[2 * j - 1])[slot]
-            for j in (1, 2)
-        ]
-        cols.append((complex(np.mean(got[0])), complex(np.mean(got[1]))))
-    entries = [[cols[0][0], cols[1][0]], [cols[0][1], cols[1][1]]]
-    return TransferMatrix(entries, h=prob.h, kind="extracted")
+    a = np.zeros((2, 4), dtype=complex)
+    a[0, slot] = a[1, 2 + slot] = 1.0
+    a = _march(WkbBasis(prob), a, start, end)
+    return TransferMatrix(a[:, slot::2].T, h=prob.h, kind="extracted")
 
 
 def build_crossing_data(prob: SchrodingerProblem, which: int) -> CrossingData:

@@ -128,6 +128,10 @@ class Poly2:
             out = out * self
         return out
 
+    def __abs__(self) -> "Poly2":
+        """Coefficientwise absolute value."""
+        return Poly2({k: abs(v) for k, v in self.coeffs.items()})
+
     def dx(self) -> "Poly2":
         return Poly2({(i - 1, j): i * v for (i, j), v in self.coeffs.items() if i})
 
@@ -184,18 +188,20 @@ def contact_order(p1: Poly2, p2: Poly2, max_m: int = 12) -> tuple[int, float]:
 
     Both symbols must vanish at (0, 0). Returns (m, bracket value); raises
     NoFiniteContact when every bracket up to max_m vanishes. For float
-    inputs a value is treated as zero below 1e-12 of the bracket's largest
-    coefficient.
+    inputs a value is treated as zero below 1e-12 of its own rounding-error
+    scale: the same recursion run on absolute coefficients, which sums the
+    sizes of all the terms that cancel into the value.
     """
     for p, name in ((p1, "p1"), (p2, "p2")):
         if p.at_origin() != 0.0:
             raise ValidationError(f"{name}(0,0) must vanish at the crossing")
-    b = p2
+    size1 = abs(p1)
+    b, size = p2, abs(p2)
     for k in range(1, max_m + 1):
         b = poisson_bracket(p1, b)
+        size = size1.dxi() * size.dx() + size1.dx() * size.dxi()
         v = b.at_origin()
-        scale = max(1.0, b.max_abs_coeff())
-        if abs(v) > 1e-12 * scale:
+        if abs(v) > 1e-12 * size.at_origin():
             return k, v
     raise NoFiniteContact(f"all brackets vanish at the origin up to order {max_m}")
 

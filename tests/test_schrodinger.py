@@ -1,6 +1,6 @@
 """Coupled-pair front end: crossing data from potentials, closed-form
 transfer predictions for both energy regimes, and numeric extraction in the
-oscillatory basis.
+oscillatory basis, checked against a DOP853 reference solve.
 
 Numeric tolerances were measured once with margin and frozen; the tight
 h=1e-3 comparison lives in the acceptance suite, module tests run at a
@@ -9,18 +9,22 @@ cheaper h.
 
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from crossing_kit import schrodinger
 from crossing_kit.errors import (
     CaseMismatch,
     IllConditioned,
+    StepFailure,
     ValidationError,
     WindowInsideSupport,
 )
 from crossing_kit.profiles import Bump, Poly1, ZERO_BUMP
 from crossing_kit.schrodinger import (
+    CHUNK_BYTES,
     ODE_TOL,
     SchrodingerProblem,
     WkbBasis,
@@ -127,6 +131,20 @@ def test_zero_energy_bracket_identity():
         e0=0.0, n=2, h=1e-3, x_in=-0.9, x_out=0.9,
     )
     assert build_crossing_data(p2, 0).bracket_m == 24.0
+
+
+@pytest.mark.parametrize("n", [*range(3, 14), 14, 20])
+def test_high_contact_order_bracket(n):
+    # V1 = -x/4, V2 = V1 + x^n at E0 = 1: the n-fold bracket at (0, 1) is
+    # 2^n n!, while the bracket polynomial's largest coefficient grows far
+    # faster; the zero test must not mistake it for rounding
+    prob = SchrodingerProblem(
+        v1=Poly1((0.0, -0.25)), v2=Poly1((0.0, -0.25) + (0.0,) * (n - 2) + (1.0,)),
+        w=Bump(width=0.5), e0=1.0, n=n, h=1e-3, x_in=-0.9, x_out=0.9,
+    )
+    data = build_crossing_data(prob, 1)
+    assert data.m == n
+    assert data.bracket_m == pytest.approx(2.0**n * math.factorial(n), rel=1e-15)
 
 
 # ------------------------------------------------------------ the predictions
@@ -289,6 +307,80 @@ def test_tolerance_refinement_is_converged():
     _, b1, b2 = _propagate(prob, xs, tol=5e-12)
     diff = max(np.abs(a1 - b1).max(), np.abs(a2 - b2).max())
     assert diff < 1e-8
+
+
+def _reference_transfer(prob, sign):
+    """T at (0, sign * xi0) by DOP853: unit data synthesized in the exact
+    basis at the input end, decomposed in it at the read-off end."""
+    basis = WkbBasis(prob)
+    start, end = (prob.x_in, prob.x_out)[::sign]
+    slot = (1 - sign) // 2
+    cols = []
+    for c in (0, 1):
+        coeffs = np.zeros(4)
+        coeffs[2 * c + slot] = 1.0
+        y = _integrate(basis, coeffs, start, end, [end])[:, -1]
+        cols.append(
+            [
+                branch_decompose(basis, j, end, y[2 * j - 2], prob.h * y[2 * j - 1])[slot]
+                for j in (1, 2)
+            ]
+        )
+    return np.array(cols).T
+
+
+@pytest.mark.parametrize("h", [1e-2, 2.5e-3])
+@pytest.mark.parametrize("index", [0, 1])
+def test_march_matches_the_reference_solve(index, h):
+    prob = schrodinger_corpus(h)[index]
+    for sign in (1, -1):
+        got = numeric_transfer_case_i(prob, sign).entries
+        want = _reference_transfer(prob, sign)
+        assert np.abs(got - want).max() <= 1e-8, sign
+
+
+@pytest.mark.parametrize("h", [1e-2, 2.5e-3])
+def test_march_resolution_is_converged(monkeypatch, h):
+    prob = schrodinger_corpus(h)[1]
+    coarse = numeric_transfer_case_i(prob, 1)
+    monkeypatch.setattr(schrodinger, "POINTS_PER_PERIOD", 48)
+    fine = numeric_transfer_case_i(prob, 1)
+    assert coarse.max_abs_diff(fine) <= 1e-9
+
+
+def test_march_fails_loudly_at_the_picard_cap():
+    # a coupling so strong that even the shortest chunk spans many
+    # e-foldings: Picard cannot converge in PICARD_MAX_ITER sweeps
+    prob = dataclasses.replace(
+        schrodinger_corpus(1e-2)[0], w=Bump(width=0.8, amplitude=1e4)
+    )
+    with pytest.raises(StepFailure, match="Picard"):
+        numeric_transfer_case_i(prob, 1)
+
+
+def test_march_memory_is_bounded():
+    # the march never holds the whole grid: its peak is set by CHUNK_BYTES,
+    # not by the 10x larger node count at the smaller h
+    peaks = {}
+    for h in (1e-3, 1e-4):
+        prob = schrodinger_corpus(h)[0]
+        tracemalloc.start()
+        try:
+            numeric_transfer_case_i(prob, 1)
+            peaks[h] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peaks[1e-4] < 2 * CHUNK_BYTES
+    assert peaks[1e-4] < 1.25 * peaks[1e-3]
+
+
+def test_node_budget_counts_the_marched_grid():
+    # the march resolves 2 max phi_j' = 2.28 on [-1.2, 1.2]: at h = 4e-7 its
+    # grid needs about 52M nodes, over the 40M budget, though a grid for
+    # max phi_j' alone would fit; refused before any work
+    prob = schrodinger_corpus(4e-7)[0]
+    with pytest.raises(ValidationError, match="nodes"):
+        numeric_transfer_case_i(prob, 1)
 
 
 def test_numeric_transfer_both_crossings():

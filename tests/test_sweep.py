@@ -10,6 +10,7 @@ import pytest
 from crossing_kit.errors import DegenerateFit, ValidationError
 from crossing_kit.normalform import model_corpus
 from crossing_kit.profiles import Bump
+from crossing_kit.schrodinger import schrodinger_corpus
 from crossing_kit.sweep import (
     CSV_COLUMNS,
     SweepReport,
@@ -158,3 +159,11 @@ def test_csv_rejects_malformed_input(tmp_path):
     path.write_text(good_header + "\n1.0,2.0\n")
     with pytest.raises(ValidationError):
         read_csv(path)
+
+
+def test_schrodinger_sweep_reaches_small_h():
+    # the coupled pair down to h = 1e-5 (2.1M grid nodes at the last row)
+    report = run_sweep(schrodinger_corpus(1e-3)[0], np.geomspace(1e-3, 1e-5, 5))
+    assert [r.status for r in report.rows] == ["ok"] * 5
+    attach_fits(report)
+    assert abs(report.fits["t12"].exponent - 0.5) <= 0.03
