@@ -18,22 +18,18 @@ from .errors import (
     GridTooCoarse,
     IllConditioned,
     NoFiniteContact,
-    NotContractive,
     NumericalError,
     SchemaError,
     StepFailure,
     TransversalUnsupported,
     ValidationError,
-    WindowInsideSupport,
     ZeroGradient,
 )
 from .grids import GridFunction, grid_for
 from .normalform import (
     NormalFormProblem,
-    build_workspace,
     model_corpus,
     model_omega,
-    neumann_solve,
     ode_oracle,
     predict_transfer,
     transfer_numeric,
@@ -105,7 +101,6 @@ __all__ = [
     "IllConditioned",
     "NoFiniteContact",
     "NormalFormProblem",
-    "NotContractive",
     "NumericalError",
     "Omega12",
     "OscResult",
@@ -123,14 +118,12 @@ __all__ = [
     "TransversalUnsupported",
     "ValidationError",
     "Verdict",
-    "WindowInsideSupport",
     "WkbBasis",
     "ZERO_BUMP",
     "ZeroGradient",
     "attach_fits",
     "branch_decompose",
     "build_crossing_data",
-    "build_workspace",
     "check_exponent",
     "check_prefactor",
     "contact_order",
@@ -142,7 +135,6 @@ __all__ = [
     "model_corpus",
     "model_omega",
     "mu_m",
-    "neumann_solve",
     "normal_form_constants",
     "numeric_transfer_case_i",
     "ode_oracle",

@@ -1,10 +1,10 @@
 """Numerical inner-loop kernels.
 
-Everything here is called inside the hot loops of the package: the
-cumulative quadrature that powers the Volterra coupling operators and the
-coupled pair's march, and the right-hand sides handed to the ODE
-integrators (~1e6 evaluations per solve at the smallest mesh sizes). There
-is one implementation of each: the quadrature is vectorized numpy, the
+Everything here is called inside hot loops: the cumulative quadrature
+that powers the march (phases and Picard sweeps, in ``march``), and the
+right-hand sides handed to the DOP853 oracles of both families (~1e6
+evaluations per solve at the smallest mesh sizes). There is one
+implementation of each: the quadrature is vectorized numpy, the
 right-hand sides are plain Python.
 """
 

@@ -50,14 +50,14 @@ _SOLVE_FAMILY = {"solve-model": "model", "solve-schrodinger": "schrodinger"}
 _COMMON_KEYS = {"mode", "problem", "jobs", "seed", "output"}
 _MODE_KEYS = {
     "predict": _COMMON_KEYS | {"h", "branch"},
-    "solve-model": _COMMON_KEYS | {"h", "window_eps"},
-    "solve-schrodinger": _COMMON_KEYS | {"h", "branch", "window_eps"},
-    "sweep": _COMMON_KEYS | {"h_grid", "window_eps"},
-    "verify": _COMMON_KEYS | {"h_grid", "window_eps", "tolerances"},
+    "solve-model": _COMMON_KEYS | {"h"},
+    "solve-schrodinger": _COMMON_KEYS | {"h", "branch"},
+    "sweep": _COMMON_KEYS | {"h_grid"},
+    "verify": _COMMON_KEYS | {"h_grid", "tolerances"},
 }
 
-# default verify grids: the model series converges over a wide h range,
-# the coupled pair is solved by direct integration so the grid stops sooner
+# default verify grids, one per family (both extracted by the march);
+# changing them changes every default verify CSV
 _DEFAULT_GRIDS = {
     "model": (1e-1, 1e-4, 12),
     "schrodinger": (1e-2, 1e-4, 8),
@@ -81,7 +81,6 @@ class RunConfig:
     branch: int
     jobs: int
     seed: int
-    window_eps: float | None
     tolerances: dict
     csv_path: str | None
     summary_path: str | None
@@ -382,10 +381,6 @@ def parse_config(
         if branch not in (1, -1):
             raise SchemaError("branch", "must be 1 or -1")
 
-    window_eps = None
-    if "window_eps" in obj:
-        window_eps = _expect_number(obj["window_eps"], "window_eps", positive=True)
-
     tolerances = dict(_DEFAULT_TOLERANCES)
     if "tolerances" in obj:
         tolerances = _build_tolerances(obj["tolerances"], "tolerances")
@@ -418,7 +413,6 @@ def parse_config(
         branch=branch,
         jobs=jobs,
         seed=seed,
-        window_eps=window_eps,
         tolerances=tolerances,
         csv_path=csv_path,
         summary_path=summary_path,
@@ -463,7 +457,7 @@ def _run_predict(config: RunConfig) -> int:
 def _run_single_solve(config: RunConfig) -> int:
     prob = config.problem
     predicted = prob.predict(config.branch)
-    extracted = prob.extract(config.branch, config.window_eps)
+    extracted = prob.extract(config.branch)
     errors = extracted.entrywise_abs_diff(predicted)
     print(f"{config.mode}  h={config.h:.6e}")
     _print_matrix("extracted", extracted)
@@ -503,9 +497,7 @@ def _fit_payload(report) -> dict:
 
 def _run_grid(config: RunConfig) -> int:
     prob = config.problem
-    report = sweep_mod.run_sweep(
-        prob, config.h_values, jobs=config.jobs, eps=config.window_eps
-    )
+    report = sweep_mod.run_sweep(prob, config.h_values, jobs=config.jobs)
     sweep_mod.attach_fits(report, with_log_diag=True)
     sweep_mod.write_csv(report, config.csv_path)
     log.info("wrote %d rows to %s", len(report.rows), config.csv_path)

@@ -56,20 +56,12 @@ class CaseMismatch(NumericalError):
     """Problem data does not match the requested crossing regime."""
 
 
-class NotContractive(NumericalError):
-    """Neumann iteration rejected: coupling operator norm estimate >= 1/2."""
-
-
 class StepFailure(NumericalError):
     """An integrator failed to reach the end of the interval.
 
-    Raised by the ODE solvers, and by the coupled pair's march when Picard
-    iteration on a chunk does not converge.
+    Raised by the DOP853 oracles, and by the march when Picard iteration on
+    a chunk does not converge.
     """
-
-
-class WindowInsideSupport(NumericalError):
-    """A read-off window overlaps the coupling support or leaves the grid."""
 
 
 class IllConditioned(NumericalError):

@@ -1,9 +1,9 @@
 """Uniform grids and sampled functions.
 
-A GridFunction is the package's exchange format for solutions and operator
-outputs: complex samples on a uniform grid, dense enough to resolve the
-fastest oscillation present (the builders enforce a points-per-period
-floor).
+A GridFunction holds complex samples on a uniform grid (the Gaussian
+pairing of ``oscquad`` takes one). ``grid_spacing`` sizes the mesh that
+resolves a phase rate with a points-per-period floor and checks its node
+budget; ``grid_for`` builds such a grid whole.
 """
 
 from __future__ import annotations
@@ -45,20 +45,6 @@ class GridFunction:
         """Nearest grid index to x (clipped to the grid)."""
         k = int(round((x - self.x0) / self.dx))
         return min(max(k, 0), self.n - 1)
-
-    def window(self, center: float, npoints: int) -> slice:
-        """Slice of ``npoints`` indices centered at the node nearest center.
-
-        Raises ValidationError when the window does not fit in the grid.
-        """
-        k = self.index_of(center)
-        half = npoints // 2
-        lo, hi = k - half, k - half + npoints
-        if lo < 0 or hi > self.n:
-            raise ValidationError(
-                f"window of {npoints} points at x={center:g} leaves the grid"
-            )
-        return slice(lo, hi)
 
 
 # every grid has at least N_MIN nodes and fewer than N_MAX (several GB of

@@ -1,0 +1,144 @@
+"""The march: the one solve engine behind every extracted transfer matrix.
+
+Both problem families reduce to a linear first-order system
+
+    a'(x) = M(x) a(x)
+
+for slowly varying coefficients a, where M is built from smooth
+coefficients and the fast oscillations e^{+-i phi_p(x)/h} of the family's
+phases phi_p. The reduced model has one phase, F, and a = (u1, e^{-iF/h} u2);
+the coupled pair has the two WKB phases and a its four exact branch
+coefficients. Outside the coupling supports M vanishes and a is constant,
+so the transfer matrix is read off a at the end of the interval.
+
+The march walks a uniform grid that resolves the fastest phase of M with
+POINTS_PER_PERIOD nodes; it is never built whole. Chunks of it are solved
+in turn, each from the coefficients and phases at the last node of the one
+before: per chunk the phases come from cum_quad6 of their rates, and a from
+Picard iteration a <- a(x_0) + int M a.
+"""
+
+from __future__ import annotations
+
+import logging
+import math
+from dataclasses import dataclass
+from typing import Callable
+
+import numpy as np
+
+from ._kernels import cum_quad6
+from .errors import StepFailure
+from .grids import grid_spacing
+
+POINTS_PER_PERIOD = 24
+# The march's working memory: a chunk takes about _BYTES_PER_NODE bytes of
+# work arrays per grid node (measured with tracemalloc), so no chunk has
+# more than CHUNK_BYTES // _BYTES_PER_NODE nodes, whatever h is.
+CHUNK_BYTES = 2**21
+_BYTES_PER_NODE = 1024
+# Picard on a chunk contracts like (int |M|)^k / k!: chunks are cut so that
+# int |M| stays near CHUNK_COUPLING. A chunk has at least _MIN_CHUNK_CELLS
+# cells (cum_quad6 needs 6 nodes, and the even split may halve a chunk).
+CHUNK_COUPLING = 0.25
+_MIN_CHUNK_CELLS = 10
+PICARD_TOL = 1e-14
+PICARD_MAX_ITER = 40
+
+logger = logging.getLogger("crossing_kit")
+
+
+@dataclass(frozen=True)
+class System:
+    """a' = M a on ``interval``, as a problem family supplies it.
+
+    ``local(x)`` gives the phase rates phi_p' at the nodes x, shape
+    (phases, len(x)), and the smooth coefficients of M there, in whatever
+    form ``apply`` takes. ``apply(coeffs, osc, back, a)`` returns M a at
+    the nodes, with a of shape (columns, components, nodes) and
+    osc = e^{i phi_p/h}, back = e^{-i phi_p/h} of shape (phases, nodes).
+
+    ``fastest`` bounds the fastest phase rate of M on the interval; it sets
+    the mesh and the node budget. ``coupling`` bounds the largest row sum
+    of |M|; it sets the chunk length.
+    """
+
+    h: float
+    interval: tuple[float, float]
+    fastest: float
+    coupling: float
+    local: Callable
+    apply: Callable
+
+
+def _chunk_cells(system: System, dx: float) -> int:
+    """Cells per chunk: within CHUNK_BYTES, and short enough for Picard.
+
+    Picard iteration on one chunk contracts like (int |M|)^k / k!. The
+    chunk length keeps int |M| near CHUNK_COUPLING, whatever the coupling
+    strength.
+    """
+    cells = CHUNK_BYTES // _BYTES_PER_NODE - 1
+    reach = system.coupling * abs(dx)
+    if reach > 0.0:
+        cells = min(cells, int(CHUNK_COUPLING / reach))
+    return max(_MIN_CHUNK_CELLS, cells)
+
+
+def _picard(system: System, a0: np.ndarray, phi0: np.ndarray, x, dx: float):
+    """Coefficients at the last of the nodes x from their values a0 at x[0].
+
+    a0 has shape (columns, components); phi0 holds the phases at x[0].
+    Iterates a <- a0 + int M a (cum_quad6) on all the nodes until no entry
+    moves by more than PICARD_TOL. Returns (a and the phases at the last
+    node, iterations).
+    """
+    rate, coeffs = system.local(x)
+    phase = phi0[:, None] + cum_quad6(rate, dx).real
+    osc = np.exp(1j * phase / system.h)
+    back = np.conj(osc)
+    a = np.repeat(a0[:, :, None], len(x), axis=2)
+    for it in range(1, PICARD_MAX_ITER + 1):
+        new = cum_quad6(system.apply(coeffs, osc, back, a), dx)
+        new += a0[:, :, None]
+        change = float(np.max(np.abs(new - a)))
+        a = new
+        if change <= PICARD_TOL:
+            return a[:, :, -1], phase[:, -1], it
+    raise StepFailure(
+        f"Picard iteration on [{x[0]:g}, {x[-1]:g}] moved by {change:.3g} "
+        f"after {PICARD_MAX_ITER} iterations (coupling too strong for the "
+        "mesh)"
+    )
+
+
+def march(
+    system: System, a: np.ndarray, phi: np.ndarray, x_from: float, x_to: float
+) -> np.ndarray:
+    """Carry coefficients a (shape (columns, components)) from x_from to x_to.
+
+    ``phi`` holds the phases at x_from. The node budget of the grid is
+    checked before any work; one DEBUG line on the ``crossing_kit`` logger
+    reports nodes, chunks and the most Picard iterations. Returns the
+    coefficients at x_to.
+    """
+    dx = grid_spacing(*system.interval, system.fastest, system.h, POINTS_PER_PERIOD)
+    cells = math.ceil(abs(x_to - x_from) / dx)
+    dx = (x_to - x_from) / cells
+    chunks = math.ceil(cells / _chunk_cells(system, dx))
+    worst = 0
+    for c in range(chunks):
+        # even split: every chunk has at least _MIN_CHUNK_CELLS // 2 cells
+        k = np.arange(c * cells // chunks, (c + 1) * cells // chunks + 1)
+        a, phi, iters = _picard(system, a, phi, x_from + dx * k, dx)
+        worst = max(worst, iters)
+    logger.debug(
+        "h=%.6e: marched %d nodes from x=%g in %d chunks, at most %d Picard "
+        "iterations",
+        system.h,
+        cells + 1,
+        x_from,
+        chunks,
+        worst,
+    )
+    return a

@@ -1,5 +1,5 @@
-"""Reduced 2x2 model on an interval: coupling operators, Neumann solver,
-a direct ODE oracle, and transfer-matrix extraction.
+"""Reduced 2x2 model on an interval: transfer extraction by the shared
+march, a direct ODE oracle, and the prediction from crossing invariants.
 
 The model system is
 
@@ -7,49 +7,37 @@ The model system is
     u2'(x) = (i/h) f(x) u2(x) - i r2(x) u1(x)
 
 with f vanishing to finite order m at 0 and smooth compactly supported
-couplings r1, r2. Writing F for the antiderivative of f with F(0) = 0 and
-factoring u2 = e^{iF/h} w turns the system into Volterra integral
-equations driven by the cumulative oscillatory integrals
+couplings r1, r2. Writing F for the antiderivative of f with F(0) = 0, the
+frame a = (u1, e^{-iF/h} u2) is the first-order system
+
+    a' = M a,   M = [[0, -i r1 e^{iF/h}], [-i r2 e^{-iF/h}, 0]],
+
+whose integral form is driven by the oscillatory integrals
 
     gamma_plus(v)(x)  = int_{x0}^x e^{+iF(y)/h} r1(y) v(y) dy
-    gamma_minus(v)(x) = int_{x0}^x e^{-iF(y)/h} r2(y) v(y) dy
+    gamma_minus(v)(x) = int_{x0}^x e^{-iF(y)/h} r2(y) v(y) dy.
 
-whose compositions K1 = -gamma_plus o gamma_minus and
-K2 = -gamma_minus o gamma_plus shrink like h^{1/(m+1)} as h -> 0, so both
-components come out of rapidly converging geometric (Neumann) series:
-
-    u1 = (I - K1)^{-1} (a1 - i a2 gamma_plus(1))
-    u2 = e^{iF/h} (I - K2)^{-1} (a2 - i a1 gamma_minus(1))
-
-for incoming data u1(x0) = a1, e^{-iF(x0)/h} u2(x0) = a2. The outgoing
-pair (u1, e^{-iF/h} u2) at the right end is constant once the couplings
-have switched off; reading it off for the two basis inputs yields the
-transfer matrix, whose off-diagonal entries carry the h^{1/(m+1)}
-stationary-point contribution predicted by predict_transfer.
-
-The grid, F and the oscillatory weights of one (problem, h) form a
-ModelWorkspace; the solvers and the read-off take it as their first
-argument, and transfer_numeric builds one per extraction.
+Their compositions shrink like h^{1/(m+1)} as h -> 0. The march
+(``march.march``) solves a' = M a chunk by chunk, each by Picard
+iteration, which is the Neumann series of these operators on the chunk.
+a is constant once the couplings have switched off, so marching the two
+basis inputs from x0 to x1 and reading a at x1 yields the transfer
+matrix, whose off-diagonal entries carry the h^{1/(m+1)} stationary-point
+contribution predicted by predict_transfer.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import logging
 import math
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import solve_ivp
 
-from ._kernels import cum_quad6, model_rhs
-from .errors import (
-    NotContractive,
-    StepFailure,
-    ValidationError,
-    WindowInsideSupport,
-)
-from .grids import GridFunction, grid_for
+from . import march
+from ._kernels import model_rhs
+from .errors import StepFailure, ValidationError
 from .oscquad import stationary_prefactor
 from .profiles import Bump, Poly1
 from .symbolcalc import (
@@ -60,11 +48,16 @@ from .symbolcalc import (
 )
 from .transfer import TransferMatrix
 
-ODE_TOL = 1e-11
-EXTRACT_WINDOW = 65
-POINTS_PER_PERIOD = 96
+# Not called here: perfbench/tracer.py wraps these attributes of this
+# module by name, so they must stay importable from it.
+from ._kernels import cum_quad6  # noqa: F401
+from .grids import grid_for  # noqa: F401
 
-logger = logging.getLogger("crossing_kit")
+# The removed whole-grid solver's names, for the same reason: the tracer
+# accepts None for them, and nothing calls them.
+ModelWorkspace = build_workspace = neumann_solve = extract_transfer = None
+
+ODE_TOL = 1e-11  # DOP853 tolerance of the test oracle `ode_oracle`
 
 
 def _max_rate(prob: NormalFormProblem) -> float:
@@ -153,9 +146,9 @@ class NormalFormProblem:
         _check_single_crossing(branch)
         return predict_transfer(self)
 
-    def extract(self, branch: int = 1, eps: float | None = None) -> TransferMatrix:
+    def extract(self, branch: int = 1) -> TransferMatrix:
         _check_single_crossing(branch)
-        return transfer_numeric(self, eps)
+        return transfer_numeric(self)
 
 
 def _check_single_crossing(branch: int) -> None:
@@ -163,121 +156,48 @@ def _check_single_crossing(branch: int) -> None:
         raise ValidationError("the reduced model has one crossing; branch must be 1")
 
 
-class ModelWorkspace:
-    """Grid plus precomputed oscillatory weights for one (problem, h).
+def _apply(coeffs, osc, back, a):
+    """M a for the frame coefficients a = (u1, e^{-iF/h} u2) per column."""
+    r1, r2 = coeffs
+    da = np.empty_like(a)
+    da[:, 0] = -1j * r1 * osc[0] * a[:, 1]
+    da[:, 1] = -1j * r2 * back[0] * a[:, 0]
+    return da
 
-    One extraction builds one workspace (``build_workspace``) and passes it
-    to both basis solves and the read-off; nothing keeps it afterwards.
+
+def _system(prob: NormalFormProblem) -> march.System:
+    """The model's a' = M a for the march: one phase F, rate f.
+
+    The row sums of |M| are |r1| and |r2|, at most the larger amplitude.
     """
 
-    def __init__(self, prob: NormalFormProblem):
-        self.prob = prob
-        self.rate = _max_rate(prob)
-        x, dx, n, k0 = grid_for(
-            prob.x0, prob.x1, self.rate, prob.h, POINTS_PER_PERIOD
-        )
-        self.x, self.dx, self.n, self.k0 = x, dx, n, k0
-        fvals = np.asarray(prob.f(x), dtype=float)
-        cum = cum_quad6(fvals, dx).real
-        self.F = cum - cum[k0]
-        self.osc_plus = np.exp(1j * self.F / prob.h)
-        # conjugated couplings: multiplication operators commute with the
-        # phase factor, so the weights are just r_j times the oscillation
-        self.w_plus = prob.r1(x) * self.osc_plus
-        self.w_minus = prob.r2(x) * np.conj(self.osc_plus)
+    def local(x):
+        return np.asarray(prob.f(x), dtype=float)[None, :], (prob.r1(x), prob.r2(x))
 
-    def grid_fn(self, values: np.ndarray) -> GridFunction:
-        return GridFunction(values, float(self.x[0]), self.dx, self.n)
-
-    def cumulative(self, weights: np.ndarray, v: np.ndarray) -> np.ndarray:
-        return cum_quad6(weights * v, self.dx)
-
-    def _on_grid(self, v: GridFunction) -> np.ndarray:
-        if v.n != self.n or v.dx != self.dx:
-            raise ValidationError("input is not sampled on the problem grid")
-        return np.asarray(v.values, dtype=complex)
-
-    def gamma_plus(self, v: GridFunction) -> GridFunction:
-        return self.grid_fn(self.cumulative(self.w_plus, self._on_grid(v)))
-
-    def gamma_minus(self, v: GridFunction) -> GridFunction:
-        return self.grid_fn(self.cumulative(self.w_minus, self._on_grid(v)))
-
-
-def build_workspace(prob: NormalFormProblem) -> ModelWorkspace:
-    # a separate name so that perfbench/tracer.py can count workspace
-    # requests apart from ModelWorkspace constructions
-    return ModelWorkspace(prob)
-
-
-@dataclass(frozen=True)
-class ModelSolution:
-    """Neumann-series solution with its truncation diagnostics."""
-
-    u1: GridFunction
-    u2: GridFunction
-    k_norm_est: float
-    residual_bound: float
-    terms: int
-
-
-def neumann_solve(
-    ws: ModelWorkspace,
-    alpha_in: tuple[complex, complex],
-    terms: int = 8,
-) -> ModelSolution:
-    """Truncated geometric series for both components.
-
-    ``terms`` counts the operator powers applied on top of the data term.
-    Raises NotContractive when the measured size of K1 applied to the
-    constant 1 reaches 1/2, where the series can no longer be trusted.
-    """
-    if terms < 1:
-        raise ValidationError("terms must be >= 1")
-    a1, a2 = complex(alpha_in[0]), complex(alpha_in[1])
-    ones = np.ones(ws.n, dtype=complex)
-    gp1 = ws.cumulative(ws.w_plus, ones)
-    gm1 = ws.cumulative(ws.w_minus, ones)
-
-    k_norm = float(np.max(np.abs(ws.cumulative(ws.w_plus, gm1))))
-    if k_norm >= 0.5:
-        raise NotContractive(
-            f"coupling operator size estimate {k_norm:.3g} >= 1/2; "
-            "decrease h or the coupling strength"
-        )
-
-    rhs1 = a1 * ones - 1j * a2 * gp1
-    rhs2 = a2 * ones - 1j * a1 * gm1
-    u1 = rhs1.copy()
-    w2 = rhs2.copy()
-    t1, t2 = rhs1, rhs2
-    for _ in range(terms):
-        t1 = -ws.cumulative(ws.w_plus, ws.cumulative(ws.w_minus, t1))
-        t2 = -ws.cumulative(ws.w_minus, ws.cumulative(ws.w_plus, t2))
-        u1 += t1
-        w2 += t2
-
-    data_norm = max(float(np.max(np.abs(rhs1))), float(np.max(np.abs(rhs2))))
-    residual = k_norm ** (terms + 1) / (1.0 - k_norm) * data_norm
-    return ModelSolution(
-        u1=ws.grid_fn(u1),
-        u2=ws.grid_fn(ws.osc_plus * w2),
-        k_norm_est=k_norm,
-        residual_bound=residual,
-        terms=terms,
+    return march.System(
+        h=prob.h,
+        interval=prob.interval,
+        fastest=_max_rate(prob),
+        coupling=max(abs(prob.r1.amplitude), abs(prob.r2.amplitude)),
+        local=local,
+        apply=_apply,
     )
 
 
 def ode_oracle(
-    ws: ModelWorkspace, alpha_in: tuple[complex, complex]
-) -> tuple[GridFunction, GridFunction]:
-    """Direct adaptive integration of the model system on the grid.
+    prob: NormalFormProblem, alpha_in: tuple[complex, complex], x
+) -> np.ndarray:
+    """Direct adaptive integration of the model system: the march's oracle.
 
-    Same incoming convention as neumann_solve: u2(x0) = a2 e^{iF(x0)/h}.
+    Starts from the frame coefficients a(x0) = alpha_in, that is
+    u1(x0) = a1 and u2(x0) = a2 e^{iF(x0)/h}, and returns the frame
+    coefficients (u1, e^{-iF/h} u2) at the increasing points x, shape
+    (2, len(x)).
     """
-    prob = ws.prob
+    x = np.asarray(x, dtype=float)
     a1, a2 = complex(alpha_in[0]), complex(alpha_in[1])
-    y0 = np.array([a1, a2 * np.exp(1j * ws.F[0] / prob.h)], dtype=complex)
+    F = prob.f.antideriv()
+    y0 = np.array([a1, a2 * np.exp(1j * F(prob.x0) / prob.h)], dtype=complex)
     args = (
         np.asarray(prob.f.coeffs, dtype=float),
         prob.r1.kernel_params(),
@@ -288,13 +208,14 @@ def ode_oracle(
     # spanning thousands of fast periods; the step itself is fine but the
     # dense-output interpolant amplifies stage noise by the stiff factor
     # f/h. Capping the step at one local period keeps it conditioned.
-    max_step = 2.0 * np.pi * prob.h / ws.rate if ws.rate > 0 else np.inf
+    rate = _max_rate(prob)
+    max_step = 2.0 * np.pi * prob.h / rate if rate > 0 else np.inf
     sol = solve_ivp(
         model_rhs,
-        (float(ws.x[0]), float(ws.x[-1])),
+        (prob.x0, float(x[-1])),
         y0,
         method="DOP853",
-        t_eval=ws.x,
+        t_eval=x,
         rtol=ODE_TOL,
         atol=ODE_TOL,
         max_step=max_step,
@@ -302,42 +223,7 @@ def ode_oracle(
     )
     if not sol.success:
         raise StepFailure(f"adaptive integrator failed: {sol.message}")
-    return ws.grid_fn(sol.y[0]), ws.grid_fn(sol.y[1])
-
-
-def extract_transfer(
-    ws: ModelWorkspace,
-    pair_e1: tuple[GridFunction, GridFunction],
-    pair_e2: tuple[GridFunction, GridFunction],
-    eps: float | None = None,
-    window_points: int = EXTRACT_WINDOW,
-) -> TransferMatrix:
-    """Read the outgoing coefficients off two basis solves, each a (u1, u2)
-    pair on the workspace grid.
-
-    The outgoing pair (u1, e^{-iF/h} u2) is constant to the right of the
-    coupling supports; it is averaged over a window of grid points centered
-    at x1 - eps to suppress residual quadrature ripple. Raises
-    WindowInsideSupport when that window touches a coupling support.
-    """
-    support = ws.prob.coupling_support()
-    if eps is None:
-        margin = ws.x[-1] - (support[1] if support else 0.0)
-        eps = 0.5 * margin
-    x_read = float(ws.x[-1]) - eps
-    sl = ws.grid_fn(np.zeros(ws.n, complex)).window(x_read, window_points)
-    if support is not None and ws.x[sl.start] <= support[1]:
-        raise WindowInsideSupport(
-            f"extraction window starting at x={ws.x[sl.start]:g} overlaps "
-            f"the coupling support (ending at {support[1]:g})"
-        )
-    cols = []
-    for u1, u2 in (pair_e1, pair_e2):
-        v1 = np.asarray(u1.values)[sl]
-        v2 = np.conj(ws.osc_plus[sl]) * np.asarray(u2.values)[sl]
-        cols.append((complex(v1.mean()), complex(v2.mean())))
-    entries = [[cols[0][0], cols[1][0]], [cols[0][1], cols[1][1]]]
-    return TransferMatrix(entries, h=ws.prob.h, kind="extracted")
+    return np.array([sol.y[0], np.exp(-1j * F(x) / prob.h) * sol.y[1]])
 
 
 def model_omega(prob: NormalFormProblem) -> complex:
@@ -375,24 +261,15 @@ def predict_transfer(prob: NormalFormProblem) -> TransferMatrix:
     return transfer_predicted_general(crossing_data(prob), prob.h)
 
 
-def transfer_numeric(
-    prob: NormalFormProblem, eps: float | None = None
-) -> TransferMatrix:
-    """Extracted transfer matrix from two basis solves on one workspace.
+def transfer_numeric(prob: NormalFormProblem) -> TransferMatrix:
+    """Extracted transfer matrix: both basis inputs marched from x0 to x1.
 
-    The solves are Neumann series; where the series is not contractive
-    (it needs a smaller h, the direct integration does not) they fall back
-    to the ODE oracle on the same workspace, and say so at INFO.
+    Column j of T is a(x1) for a(x0) = e_j, in the frame
+    a = (u1, e^{-iF/h} u2) with F(0) = 0.
     """
-    ws = build_workspace(prob)
-    basis = ((1, 0), (0, 1))
-    try:
-        sols = [neumann_solve(ws, a) for a in basis]
-        pairs = [(sol.u1, sol.u2) for sol in sols]
-    except NotContractive as exc:
-        logger.info("h=%.6e: %s; falling back to the ODE solver", prob.h, exc)
-        pairs = [ode_oracle(ws, a) for a in basis]
-    return extract_transfer(ws, pairs[0], pairs[1], eps)
+    phi = np.array([prob.f.antideriv()(prob.x0)])
+    a = march.march(_system(prob), np.eye(2, dtype=complex), phi, prob.x0, prob.x1)
+    return TransferMatrix(a.T, h=prob.h, kind="extracted")
 
 
 def model_corpus(h: float) -> list[NormalFormProblem]:

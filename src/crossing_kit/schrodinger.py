@@ -24,22 +24,15 @@ with polynomial potentials satisfying (V2 - V1)^(j)(0) = 0 for j < n and
 from __future__ import annotations
 
 import dataclasses
-import logging
 import math
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import solve_ivp
 
-from ._kernels import cum_quad6, schrod_rhs
-from .errors import (
-    CaseMismatch,
-    IllConditioned,
-    StepFailure,
-    ValidationError,
-    WindowInsideSupport,
-)
-from .grids import grid_spacing
+from . import march
+from ._kernels import schrod_rhs
+from .errors import CaseMismatch, IllConditioned, StepFailure, ValidationError
 from .profiles import Bump, Poly1
 from .symbolcalc import (
     CrossingData,
@@ -54,21 +47,6 @@ from .transfer import TransferMatrix
 from .grids import grid_for  # noqa: F401
 
 ODE_TOL = 1e-11  # DOP853 tolerance of the reference solve `_integrate`
-POINTS_PER_PERIOD = 24
-# The march's working memory: a chunk takes about _BYTES_PER_NODE bytes of
-# work arrays per grid node (measured with tracemalloc), so no chunk has
-# more than CHUNK_BYTES // _BYTES_PER_NODE nodes, whatever h is.
-CHUNK_BYTES = 2**21
-_BYTES_PER_NODE = 1024
-# Picard on a chunk contracts like (int |M|)^k / k!: chunks are cut so that
-# int |M| stays near CHUNK_COUPLING. A chunk has at least _MIN_CHUNK_CELLS
-# cells (cum_quad6 needs 6 nodes, and the even split may halve a chunk).
-CHUNK_COUPLING = 0.25
-_MIN_CHUNK_CELLS = 10
-PICARD_TOL = 1e-14
-PICARD_MAX_ITER = 40
-
-logger = logging.getLogger("crossing_kit")
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(15)
 
@@ -162,8 +140,8 @@ class SchrodingerProblem:
             return predict_transfer_case_ii(self)
         return predict_transfer_case_i(self, branch)
 
-    def extract(self, branch: int = 1, eps: float | None = None) -> TransferMatrix:
-        return numeric_transfer_case_i(self, branch, eps=eps)
+    def extract(self, branch: int = 1) -> TransferMatrix:
+        return numeric_transfer_case_i(self, branch)
 
 
 class WkbBasis:
@@ -327,26 +305,6 @@ def _max_rate(prob: SchrodingerProblem) -> float:
     return math.sqrt(prob.e0 - lowest)
 
 
-def _check_window(prob: SchrodingerProblem, side: int, eps: float | None) -> None:
-    """Refuse a read-off window near one end that reaches the coupling.
-
-    side=+1 is the window [x_out - eps, x_out], side=-1 the window
-    [x_in, x_in + eps]. It must stay strictly outside the coupling support
-    (and away from the crossing when the problem is decoupled).
-    """
-    end = prob.x_out if side == 1 else prob.x_in
-    support = prob.w.support if prob.w.amplitude != 0.0 else (0.0, 0.0)
-    inner = support[(1 + side) // 2]  # the support edge facing that end
-    if eps is None:
-        eps = 0.5 * side * (end - inner)
-    reach = end - side * eps
-    if side * (reach - inner) <= 0.0:
-        raise WindowInsideSupport(
-            f"read-off window reaching x={reach:g} overlaps the coupling "
-            f"support (edge at {inner:g})"
-        )
-
-
 def _coefficients(basis: WkbBasis, x: np.ndarray, w):
     """Rates p_j and the coefficients C_j, D_j of a' = M a at the nodes x.
 
@@ -364,96 +322,44 @@ def _coefficients(basis: WkbBasis, x: np.ndarray, w):
     return rate, cross, self_
 
 
-def _chunk_cells(basis: WkbBasis, dx: float) -> int:
-    """Cells per chunk: within CHUNK_BYTES, and short enough for Picard.
+def _apply(coeffs, osc, back, a):
+    """M a for the branch coefficients a = (a1+, a1-, a2+, a2-) per column."""
+    cross, self_ = coeffs
+    s = a[:, 0::2] * osc + a[:, 1::2] * back  # u_j / sigma_j
+    r = cross * s[:, ::-1] - self_ * s
+    da = np.empty_like(a)
+    da[:, 0::2] = back * r
+    da[:, 1::2] = -osc * r
+    return da
 
-    Picard iteration on one chunk contracts like (int |M|)^k / k!. The
-    chunk length keeps int |M| (the largest row sum of |M|, with |W| at
-    its peak everywhere) near CHUNK_COUPLING, whatever the coupling
-    strength.
+
+def _system(basis: WkbBasis) -> march.System:
+    """The pair's a' = M a for the march.
+
+    M carries e^{+-i (phi_j +- phi_k)/h}, so the mesh resolves 2 max p_j.
+    The row sums of |M| are 2 (|C_j| + |D_j|), bounded with |W| at its
+    peak everywhere.
     """
     prob = basis.prob
     x = np.linspace(prob.x_in, prob.x_out, 1025)
-    _, cross, self_ = _coefficients(basis, x, abs(prob.w.amplitude))
-    cells = CHUNK_BYTES // _BYTES_PER_NODE - 1
-    reach = 2.0 * float(np.max(np.abs(cross) + np.abs(self_))) * abs(dx)
-    if reach > 0.0:
-        cells = min(cells, int(CHUNK_COUPLING / reach))
-    return max(_MIN_CHUNK_CELLS, cells)
+    _, peak_cross, peak_self = _coefficients(basis, x, abs(prob.w.amplitude))
 
+    def local(nodes):
+        rate, cross, self_ = _coefficients(basis, nodes, prob.w(nodes))
+        return rate, (cross, self_)
 
-def _picard(basis: WkbBasis, a0: np.ndarray, phi0: np.ndarray, x, dx: float):
-    """Coefficients at the last of the nodes x from their values a0 at x[0].
-
-    a0 has shape (columns, 4); phi0 holds phi_1, phi_2 at x[0]. Iterates
-    a <- a0 + int M a (cum_quad6) on all the nodes until no entry moves by
-    more than PICARD_TOL. Returns (a and the phases at the last node,
-    iterations).
-    """
-    h = basis.prob.h
-    rate, cross, self_ = _coefficients(basis, x, basis.prob.w(x))
-    phase = phi0[:, None] + cum_quad6(rate, dx).real
-    osc = np.exp(1j * phase / h)
-    back = np.conj(osc)
-    a = np.repeat(a0[:, :, None], len(x), axis=2)
-    da = np.empty_like(a)
-    for it in range(1, PICARD_MAX_ITER + 1):
-        s = a[:, 0::2] * osc + a[:, 1::2] * back  # u_j / sigma_j
-        r = cross * s[:, ::-1] - self_ * s
-        da[:, 0::2] = back * r
-        da[:, 1::2] = -osc * r
-        new = cum_quad6(da, dx)
-        new += a0[:, :, None]
-        change = float(np.max(np.abs(new - a)))
-        a = new
-        if change <= PICARD_TOL:
-            return a[:, :, -1], phase[:, -1], it
-    raise StepFailure(
-        f"Picard iteration on [{x[0]:g}, {x[-1]:g}] moved by {change:.3g} "
-        f"after {PICARD_MAX_ITER} iterations (coupling too strong for the "
-        "mesh)"
+    return march.System(
+        h=prob.h,
+        interval=prob.interval,
+        fastest=2.0 * _max_rate(prob),
+        coupling=2.0 * float(np.max(np.abs(peak_cross) + np.abs(peak_self))),
+        local=local,
+        apply=_apply,
     )
-
-
-def _march(basis: WkbBasis, a: np.ndarray, x_from: float, x_to: float):
-    """Carry branch coefficients a (shape (columns, 4)) from x_from to x_to.
-
-    The uniform grid resolves the fastest phase of M, 2 max p_j, with
-    POINTS_PER_PERIOD nodes; it is never built whole. Chunks of it are
-    solved in turn, each from the coefficients and phases at the last node
-    of the one before. Returns the coefficients at x_to.
-    """
-    prob = basis.prob
-    # node budget of the grid this march walks, checked before any work
-    dx = grid_spacing(
-        prob.x_in, prob.x_out, 2.0 * _max_rate(prob), prob.h, POINTS_PER_PERIOD
-    )
-    cells = math.ceil(abs(x_to - x_from) / dx)
-    dx = (x_to - x_from) / cells
-    chunks = math.ceil(cells / _chunk_cells(basis, dx))
-    phi = np.array([basis.phase(j, x_from) for j in (1, 2)])
-    worst = 0
-    for c in range(chunks):
-        # even split: every chunk has at least _MIN_CHUNK_CELLS // 2 cells
-        k = np.arange(c * cells // chunks, (c + 1) * cells // chunks + 1)
-        a, phi, iters = _picard(basis, a, phi, x_from + dx * k, dx)
-        worst = max(worst, iters)
-    logger.debug(
-        "h=%.6e: marched %d nodes from x=%g in %d chunks, at most %d Picard "
-        "iterations",
-        prob.h,
-        cells + 1,
-        x_from,
-        chunks,
-        worst,
-    )
-    return a
 
 
 def numeric_transfer_case_i(
-    prob: SchrodingerProblem,
-    which_sign: int = 1,
-    eps: float | None = None,
+    prob: SchrodingerProblem, which_sign: int = 1
 ) -> TransferMatrix:
     """Transfer matrix at (0, which_sign * xi0), extracted by one march.
 
@@ -461,18 +367,18 @@ def numeric_transfer_case_i(
     x_in is marched to x_out, where the + coefficients are read.
     which_sign=-1: unit data on the - branches at x_out is marched to x_in,
     where the - coefficients are read. Both input columns march together.
-    ``eps`` sizes the read-off window, which must lie outside supp W.
     """
     if prob.case != "i":
         raise CaseMismatch("numeric transfer extraction needs case i")
     if which_sign not in (1, -1):
         raise ValidationError("which_sign must be +1 or -1")
-    _check_window(prob, which_sign, eps)
     start, end = (prob.x_in, prob.x_out)[::which_sign]
     slot = (1 - which_sign) // 2  # coefficient index: 0 a_plus, 1 a_minus
     a = np.zeros((2, 4), dtype=complex)
     a[0, slot] = a[1, 2 + slot] = 1.0
-    a = _march(WkbBasis(prob), a, start, end)
+    basis = WkbBasis(prob)
+    phi = np.array([basis.phase(j, start) for j in (1, 2)])
+    a = march.march(_system(basis), a, phi, start, end)
     return TransferMatrix(a[:, slot::2].T, h=prob.h, kind="extracted")
 
 

@@ -138,15 +138,15 @@ def fit_power_law(
     )
 
 
-def _solve_pair(problem: Problem, h: float, eps):
+def _solve_pair(problem: Problem, h: float):
     """(extracted, predicted) transfer matrices for one h."""
     prob_h = problem.with_h(h)
     predicted = prob_h.predict(1)
-    extracted = prob_h.extract(1, eps)
+    extracted = prob_h.extract(1)
     return extracted, predicted
 
 
-def run_sweep(problem: Problem, h_values, jobs: int = 1, eps=None) -> SweepReport:
+def run_sweep(problem: Problem, h_values, jobs: int = 1) -> SweepReport:
     """Extract and predict the transfer matrix at each h.
 
     Per-row numerical failures are recorded in the row status rather than
@@ -165,7 +165,7 @@ def run_sweep(problem: Problem, h_values, jobs: int = 1, eps=None) -> SweepRepor
 
     def one(h: float) -> SweepRow:
         try:
-            extracted, predicted = _solve_pair(problem, h, eps)
+            extracted, predicted = _solve_pair(problem, h)
             return SweepRow(h=h, extracted=extracted, predicted=predicted)
         except CrossingKitError as exc:
             return SweepRow(

@@ -72,4 +72,4 @@ class Problem(Protocol):
 
     def predict(self, branch: int = 1) -> TransferMatrix: ...
 
-    def extract(self, branch: int = 1, eps: float | None = None) -> TransferMatrix: ...
+    def extract(self, branch: int = 1) -> TransferMatrix: ...

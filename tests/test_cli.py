@@ -38,7 +38,6 @@ def test_minimal_model_config_fills_defaults(tmp_path):
     assert config.jobs == 1
     assert config.seed == 0
     assert config.branch == 1
-    assert config.window_eps is None
     assert config.tolerances == {"exponent": 0.05, "prefactor": 0.10}
     assert config.csv_path is None and config.summary_path is None
     assert config.problem.m == 1
@@ -53,8 +52,10 @@ def test_negative_h_rejected(tmp_path, capsys):
 
 
 def test_unknown_key_named_with_path(tmp_path, capsys):
-    # the model has one extraction path: no key selects a solver or its terms
-    for key, value in (("hh", 0.5), ("method", "ode"), ("terms", 8)):
+    # the model has one extraction path: no key selects a solver or its
+    # terms, and T is read at the interval end, with no read-off window
+    unknown = (("hh", 0.5), ("method", "ode"), ("terms", 8), ("window_eps", 0.1))
+    for key, value in unknown:
         path = write_config(tmp_path, {"problem": model_block(), key: value})
         with pytest.raises(SchemaError) as exc:
             parse_config(path, mode="solve-model")
@@ -257,11 +258,11 @@ def test_sweep_csv_byte_deterministic(tmp_path, capsys):
 
 
 def test_numerical_failure_exits_3(tmp_path, capsys):
-    # readout window pushed onto the coupling support
+    # a coupling so strong that Picard iteration cannot converge even on
+    # the shortest chunk
     cfg = {
-        "problem": model_block(),
+        "problem": model_block(coupling={"width": 0.8, "amplitude": 1e4}),
         "h": 1e-2,
-        "window_eps": 0.58,
     }
     path = write_config(tmp_path, cfg)
     assert main(["solve-model", "--config", path]) == 3

@@ -5,10 +5,11 @@ the package; a name it hooks that disappears, or a call that stops going
 through a hooked name, would fail or silently zero only the traced
 benchmark runs. This test installs the tracer in a fresh interpreter (its
 patches must not leak into other tests) and runs two sweep rows under it.
-The model row must request and build one workspace and run two Neumann
-solves. The Schrodinger row must run one extraction, a march that calls
-neither the adaptive solver, the branch decomposition, the right-hand side
-nor the dense-grid builder. So the benchmark's counters keep their meaning.
+Each row must run one extraction, a march that calls neither the adaptive
+solver (the model's ODE oracle or the pair's DOP853), the branch
+decomposition, the right-hand side nor the dense-grid builder; the model's
+removed whole-grid solver names stay hooked but are never called. So the
+benchmark's counters keep their meaning.
 """
 
 import os
@@ -30,23 +31,27 @@ from crossing_kit.schrodinger import schrodinger_corpus
 t = tracer.Tracer()
 tracer.install(t)
 assert isinstance(crossing_kit.BACKEND, str)
-sweep._solve_pair(model_corpus(1e-1)[0], 1e-1, None)
+sweep._solve_pair(model_corpus(1e-1)[0], 1e-1)
 names = {s.name for s in t.spans()}
 rows = {s.row for s in t.spans()}
 missing = {"sweep.row", "predict", "normalform.transfer_numeric"} - names
 assert not missing, missing
 assert rows == {1e-1}, rows
-# one extraction: one workspace, requested and built once, and two solves
+# one extraction, one march: no workspace, series or ODE span
 per_name = collections.Counter(s.name for s in t.spans())
 for name, want in (
-    ("normalform.workspace.request", 1),
-    ("normalform.workspace.build", 1),
-    ("normalform.neumann_solve", 2),
+    ("normalform.transfer_numeric", 1),
+    ("normalform.workspace.request", 0),
+    ("normalform.workspace.build", 0),
+    ("normalform.neumann_solve", 0),
+    ("normalform.extract_transfer", 0),
+    ("normalform.ode_oracle", 0),
+    ("grids.grid_for", 0),
 ):
     assert per_name[name] == want, (name, per_name[name])
 
 assert t.counts()["kernels.schrod_rhs.calls"] == 0
-sweep._solve_pair(schrodinger_corpus(1e-2)[0], 1e-2, None)
+sweep._solve_pair(schrodinger_corpus(1e-2)[0], 1e-2)
 per_name = collections.Counter(s.name for s in t.spans() if s.row == 1e-2)
 for name, want in (
     ("sweep.row", 1),

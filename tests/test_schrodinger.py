@@ -1,6 +1,8 @@
 """Coupled-pair front end: crossing data from potentials, closed-form
 transfer predictions for both energy regimes, and numeric extraction in the
-oscillatory basis, checked against a DOP853 reference solve.
+oscillatory basis, checked against a DOP853 reference solve. The checks of
+the march itself (resolution, memory, Picard cap, node budget) run on the
+reduced model too, which it extracts the same way.
 
 Numeric tolerances were measured once with margin and frozen; the tight
 h=1e-3 comparison lives in the acceptance suite, module tests run at a
@@ -14,17 +16,17 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from crossing_kit import schrodinger
+from crossing_kit import march
 from crossing_kit.errors import (
     CaseMismatch,
     IllConditioned,
     StepFailure,
     ValidationError,
-    WindowInsideSupport,
 )
+from crossing_kit.march import CHUNK_BYTES
+from crossing_kit.normalform import model_corpus
 from crossing_kit.profiles import Bump, Poly1, ZERO_BUMP
 from crossing_kit.schrodinger import (
-    CHUNK_BYTES,
     ODE_TOL,
     SchrodingerProblem,
     WkbBasis,
@@ -339,48 +341,64 @@ def test_march_matches_the_reference_solve(index, h):
         assert np.abs(got - want).max() <= 1e-8, sign
 
 
-@pytest.mark.parametrize("h", [1e-2, 2.5e-3])
-def test_march_resolution_is_converged(monkeypatch, h):
-    prob = schrodinger_corpus(h)[1]
-    coarse = numeric_transfer_case_i(prob, 1)
-    monkeypatch.setattr(schrodinger, "POINTS_PER_PERIOD", 48)
-    fine = numeric_transfer_case_i(prob, 1)
+@pytest.mark.parametrize(
+    "prob",
+    [
+        schrodinger_corpus(1e-2)[1],
+        schrodinger_corpus(2.5e-3)[1],
+        model_corpus(1e-3)[0],
+    ],
+    ids=["0.01", "0.0025", "model-0.001"],
+)
+def test_march_resolution_is_converged(monkeypatch, prob):
+    coarse = prob.extract()
+    monkeypatch.setattr(march, "POINTS_PER_PERIOD", 48)
+    fine = prob.extract()
     assert coarse.max_abs_diff(fine) <= 1e-9
 
 
 def test_march_fails_loudly_at_the_picard_cap():
     # a coupling so strong that even the shortest chunk spans many
     # e-foldings: Picard cannot converge in PICARD_MAX_ITER sweeps
-    prob = dataclasses.replace(
-        schrodinger_corpus(1e-2)[0], w=Bump(width=0.8, amplitude=1e4)
-    )
-    with pytest.raises(StepFailure, match="Picard"):
-        numeric_transfer_case_i(prob, 1)
+    strong = Bump(width=0.8, amplitude=1e4)
+    for prob in (
+        dataclasses.replace(schrodinger_corpus(1e-2)[0], w=strong),
+        dataclasses.replace(model_corpus(1e-2)[0], r1=strong, r2=strong),
+    ):
+        with pytest.raises(StepFailure, match="Picard"):
+            prob.extract()
 
 
 def test_march_memory_is_bounded():
     # the march never holds the whole grid: its peak is set by CHUNK_BYTES,
-    # not by the 10x larger node count at the smaller h
-    peaks = {}
-    for h in (1e-3, 1e-4):
-        prob = schrodinger_corpus(h)[0]
-        tracemalloc.start()
-        try:
-            numeric_transfer_case_i(prob, 1)
-            peaks[h] = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-    assert peaks[1e-4] < 2 * CHUNK_BYTES
-    assert peaks[1e-4] < 1.25 * peaks[1e-3]
+    # not by the 10x larger node count at the smaller h. The model's
+    # coupling cuts its chunks short down to h = 1e-4, so it is compared
+    # where its chunks have their CHUNK_BYTES length, a decade lower.
+    for corpus, (h_big, h_small) in (
+        (schrodinger_corpus, (1e-3, 1e-4)),
+        (model_corpus, (1e-4, 1e-5)),
+    ):
+        peaks = {}
+        for h in (h_big, h_small):
+            prob = corpus(h)[0]
+            tracemalloc.start()
+            try:
+                prob.extract()
+                peaks[h] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peaks[h_small] < 2 * CHUNK_BYTES, corpus
+        assert peaks[h_small] < 1.25 * peaks[h_big], corpus
 
 
 def test_node_budget_counts_the_marched_grid():
     # the march resolves 2 max phi_j' = 2.28 on [-1.2, 1.2]: at h = 4e-7 its
     # grid needs about 52M nodes, over the 40M budget, though a grid for
-    # max phi_j' alone would fit; refused before any work
-    prob = schrodinger_corpus(4e-7)[0]
-    with pytest.raises(ValidationError, match="nodes"):
-        numeric_transfer_case_i(prob, 1)
+    # max phi_j' alone would fit; the model's grid for max |f| = 1 on
+    # [-1, 1] needs about 76M at h = 1e-7. Both refused before any work.
+    for prob in (schrodinger_corpus(4e-7)[0], model_corpus(1e-7)[0]):
+        with pytest.raises(ValidationError, match="nodes"):
+            prob.extract()
 
 
 def test_numeric_transfer_both_crossings():
@@ -416,11 +434,9 @@ def test_numeric_transfer_decoupled_is_identity():
 
 
 def test_numeric_transfer_window_and_case_guards():
-    prob = schrodinger_corpus(2.5e-3)[0]  # support ends at 0.8, x_out = 1.2
-    with pytest.raises(WindowInsideSupport):
-        numeric_transfer_case_i(prob, 1, eps=0.5)
-    with pytest.raises(WindowInsideSupport):
-        numeric_transfer_case_i(prob, -1, eps=0.5)
+    # the coefficients are read at the interval end, so no read-off window
+    # is left to guard; the crossing regime and the sign still are
+    prob = schrodinger_corpus(2.5e-3)[0]
     with pytest.raises(CaseMismatch):
         numeric_transfer_case_i(schrodinger_corpus(1e-3)[2], 1)
     with pytest.raises(ValidationError):

@@ -110,10 +110,11 @@ def test_zero_coupling_sweep_skips_fits():
 
 
 def test_failed_rows_recorded_not_raised(tmp_path):
-    # an extraction window overlapping the coupling support fails every row
+    # every row's grid would exceed the node budget N_MAX: each extraction
+    # is refused, and the sweep records it
     prob = model_corpus(1e-2)[0]
-    report = run_sweep(prob, np.geomspace(1e-1, 1e-3, 4), eps=0.35)
-    assert all(r.status == "failed:WindowInsideSupport" for r in report.rows)
+    report = run_sweep(prob, np.geomspace(1e-8, 1e-10, 4))
+    assert all(r.status == "failed:ValidationError" for r in report.rows)
     assert report.ok_rows() == []
     assert all(math.isnan(e) for r in report.rows for e in r.abs_errors())
     path = tmp_path / "failed.csv"
