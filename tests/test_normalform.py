@@ -6,14 +6,16 @@ margin and then frozen; loosening them should be treated as a regression.
 """
 
 import dataclasses
+import gc
 import logging
 import math
+import weakref
 
 import numpy as np
 import pytest
 
-from crossing_kit import march
-from crossing_kit.errors import ValidationError
+from crossing_kit import march, normalform
+from crossing_kit.errors import StepFailure, ValidationError
 from crossing_kit.normalform import (
     NormalFormProblem,
     _system,
@@ -251,6 +253,42 @@ def test_strong_coupling_needs_no_fallback(caplog):
     assert np.abs(T.entries - ode_reference(prob)).max() <= 1e-9
     assert [r.levelno for r in caplog.records] == [logging.DEBUG]
     assert "49 chunks" in caplog.records[0].getMessage()
+
+
+def test_not_contractive_raised_for_strong_coupling(monkeypatch):
+    # at four times the strong coupling, Picard on one chunk spanning the
+    # interval does not contract within PICARD_MAX_ITER sweeps: the march
+    # raises instead of returning a T. Chunks cut by the coupling rule
+    # converge and match the direct integration.
+    strong = strong_coupling_problem()
+    prob = dataclasses.replace(strong, r1=Bump(1.5, 12.0), r2=Bump(1.5, 12.0))
+    T = prob.extract()
+    assert np.abs(T.entries - ode_reference(prob)).max() <= 1e-9
+    monkeypatch.setattr(march, "CHUNK_COUPLING", 1e9)  # one chunk
+    with pytest.raises(StepFailure, match=r"Picard iteration on \[-2, 2\]"):
+        prob.extract()
+
+
+def test_workspace_does_not_outlive_its_extraction(monkeypatch):
+    # the march's workspace is its System and the arrays of one chunk: one
+    # extraction builds one System for both basis inputs, also at strong
+    # coupling, and nothing holds it after
+    built = []
+    construct = normalform._system
+
+    def recording(prob):
+        system = construct(prob)
+        built.append(weakref.ref(system))
+        return system
+
+    monkeypatch.setattr(normalform, "_system", recording)
+    for prob in (model_corpus(1e-2)[0], strong_coupling_problem()):
+        built.clear()
+        T = prob.extract()
+        gc.collect()
+        assert np.isfinite(T.entries).all()
+        assert len(built) == 1, (prob, len(built))
+        assert built[0]() is None
 
 
 def test_one_debug_line_per_march(caplog):
