@@ -14,7 +14,6 @@ from .errors import (
     CaseMismatch,
     CrossingKitError,
     DegenerateFit,
-    DegenerateS,
     GridTooCoarse,
     IllConditioned,
     NoFiniteContact,
@@ -25,11 +24,10 @@ from .errors import (
     ValidationError,
     ZeroGradient,
 )
-from .grids import GridFunction, grid_for
+from .grids import GridFunction
 from .normalform import (
     NormalFormProblem,
     model_corpus,
-    model_omega,
     ode_oracle,
     predict_transfer,
     transfer_numeric,
@@ -70,7 +68,6 @@ from .sweep import (
 )
 from .symbolcalc import (
     CrossingData,
-    Omega12,
     Poly2,
     contact_order,
     crossing_data_from_symbols,
@@ -95,14 +92,12 @@ __all__ = [
     "CrossingData",
     "CrossingKitError",
     "DegenerateFit",
-    "DegenerateS",
     "GridFunction",
     "GridTooCoarse",
     "IllConditioned",
     "NoFiniteContact",
     "NormalFormProblem",
     "NumericalError",
-    "Omega12",
     "OscResult",
     "PhaseSpec",
     "Poly1",
@@ -130,10 +125,8 @@ __all__ = [
     "crossing_data_from_symbols",
     "fit_power_law",
     "gaussian_pairing",
-    "grid_for",
     "iterated_bracket",
     "model_corpus",
-    "model_omega",
     "mu_m",
     "normal_form_constants",
     "numeric_transfer_case_i",

@@ -44,10 +44,6 @@ class ZeroGradient(NumericalError):
     """A symbol has vanishing gradient at the crossing point."""
 
 
-class DegenerateS(NumericalError):
-    """The orientation sign could not be determined."""
-
-
 class TransversalUnsupported(NumericalError):
     """Normal-form constants requested for a transversal (order 1) crossing."""
 

@@ -3,7 +3,7 @@
 A GridFunction holds complex samples on a uniform grid (the Gaussian
 pairing of ``oscquad`` takes one). ``grid_spacing`` sizes the mesh that
 resolves a phase rate with a points-per-period floor and checks its node
-budget; ``grid_for`` builds such a grid whole.
+budget.
 """
 
 from __future__ import annotations
@@ -47,8 +47,8 @@ class GridFunction:
         return min(max(k, 0), self.n - 1)
 
 
-# every grid has at least N_MIN nodes and fewer than N_MAX (several GB of
-# work arrays per grid at the limit)
+# every grid has at least N_MIN nodes and fewer than N_MAX (the march walks
+# a grid in chunks, so the limit bounds its run time, not its memory)
 N_MIN = 2001
 N_MAX = 40_000_000
 
@@ -56,11 +56,12 @@ N_MAX = 40_000_000
 def grid_spacing(
     x_left: float, x_right: float, max_rate: float, h: float, points_per_period: int
 ) -> float:
-    """Target mesh width for ``grid_for``, checked against ``N_MAX``.
+    """Mesh width on [x_left, x_right], checked against ``N_MAX``.
 
-    Raises ValidationError when the grid would need ``N_MAX`` nodes or
-    more; callers that walk a grid without building it whole use it as
-    their spacing and node budget before any work starts.
+    The mesh resolves the local period 2*pi*h/max_rate with at least
+    ``points_per_period`` nodes and has at least ``N_MIN`` nodes. Raises
+    ValidationError when it would need ``N_MAX`` nodes or more, before any
+    work starts.
     """
     dx_target = (x_right - x_left) / (N_MIN - 1)
     if max_rate > 0:
@@ -76,32 +77,3 @@ def grid_spacing(
         )
     return dx_target
 
-
-def grid_for(
-    x_left: float, x_right: float, max_rate: float, h: float, points_per_period: int
-) -> tuple[np.ndarray, float, int, int]:
-    """Uniform grid on [x_left, x_right'] containing 0 as an exact node.
-
-    ``max_rate`` bounds the local phase rate |F'| = |f|; the mesh resolves
-    the local period 2*pi*h/|F'| with at least ``points_per_period`` nodes.
-    The right endpoint is extended by less than one cell so that both
-    endpoints are integer multiples of dx. Returns (x, dx, n, k0) with
-    x[k0] = 0.
-
-    Raises ValidationError when the requested resolution needs more than
-    ``N_MAX`` nodes.
-    """
-    if not (x_left < 0.0 < x_right):
-        raise ValidationError("grid must straddle 0")
-    dx_target = grid_spacing(x_left, x_right, max_rate, h, points_per_period)
-    n_left = int(np.ceil(-x_left / dx_target))
-    dx = -x_left / n_left
-    n_right = int(np.ceil(x_right / dx - 1e-12))
-    n = n_left + n_right + 1
-    if n > N_MAX:
-        raise ValidationError(
-            f"grid would need {n} nodes (> n_max={N_MAX}); "
-            "raise h or shrink the interval"
-        )
-    x = (np.arange(n) - n_left) * dx
-    return x, dx, n, n_left

@@ -118,12 +118,16 @@ def march(
     """Carry coefficients a (shape (columns, components)) from x_from to x_to.
 
     ``phi`` holds the phases at x_from. The node budget of the grid is
-    checked before any work; one DEBUG line on the ``crossing_kit`` logger
+    checked before any work; a span shorter than _MIN_CHUNK_CELLS cells of
+    the grid is marched on _MIN_CHUNK_CELLS finer cells, and an empty span
+    returns a as it is. One DEBUG line on the ``crossing_kit`` logger
     reports nodes, chunks and the most Picard iterations. Returns the
     coefficients at x_to.
     """
+    if x_to == x_from:
+        return a
     dx = grid_spacing(*system.interval, system.fastest, system.h, POINTS_PER_PERIOD)
-    cells = math.ceil(abs(x_to - x_from) / dx)
+    cells = max(_MIN_CHUNK_CELLS, math.ceil(abs(x_to - x_from) / dx))
     dx = (x_to - x_from) / cells
     chunks = math.ceil(cells / _chunk_cells(system, dx))
     worst = 0

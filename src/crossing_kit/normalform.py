@@ -38,7 +38,6 @@ from scipy.integrate import solve_ivp
 from . import march
 from ._kernels import model_rhs
 from .errors import StepFailure, ValidationError
-from .oscquad import stationary_prefactor
 from .profiles import Bump, Poly1
 from .symbolcalc import (
     CrossingData,
@@ -48,14 +47,13 @@ from .symbolcalc import (
 )
 from .transfer import TransferMatrix
 
-# Not called here: perfbench/tracer.py wraps these attributes of this
-# module by name, so they must stay importable from it.
+# Not called here: perfbench/tracer.py wraps this attribute of this module
+# by name, so it must stay importable from it.
 from ._kernels import cum_quad6  # noqa: F401
-from .grids import grid_for  # noqa: F401
 
-# The removed whole-grid solver's names, for the same reason: the tracer
-# accepts None for them, and nothing calls them.
-ModelWorkspace = build_workspace = neumann_solve = extract_transfer = None
+# Names of removed functions, for the same reason: the tracer accepts None
+# for them, and nothing calls them.
+ModelWorkspace = build_workspace = neumann_solve = extract_transfer = grid_for = None
 
 ODE_TOL = 1e-11  # DOP853 tolerance of the test oracle `ode_oracle`
 
@@ -224,11 +222,6 @@ def ode_oracle(
     if not sol.success:
         raise StepFailure(f"adaptive integrator failed: {sol.message}")
     return np.array([sol.y[0], np.exp(-1j * F(x) / prob.h) * sol.y[1]])
-
-
-def model_omega(prob: NormalFormProblem) -> complex:
-    """Stationary-point coefficient of the plus-phase coupling integral."""
-    return stationary_prefactor(prob.m, prob.f_order_coeff())
 
 
 def crossing_data(prob: NormalFormProblem) -> CrossingData:

@@ -109,14 +109,13 @@ class PhaseSpec:
 
 @dataclass(frozen=True)
 class AmplitudeSpec:
-    """Amplitude profile with an optional known support interval."""
+    """Amplitude profile: a vectorised function of x."""
 
     func: Callable[[np.ndarray], np.ndarray]
-    support: tuple[float, float] | None = None
 
     @staticmethod
     def from_bump(bump: Bump) -> "AmplitudeSpec":
-        return AmplitudeSpec(func=bump, support=bump.support)
+        return AmplitudeSpec(func=bump)
 
     @property
     def a0(self) -> complex:
@@ -251,8 +250,6 @@ def osc_integral_numeric(
         hi = np.concatenate([mid[keep], hi[keep]])
         vals = np.concatenate([lv[keep], rv[keep]])
     else:
-        raise BudgetExceeded("oscillatory refinement did not settle in 60 rounds")
-    if lo.size:
         raise BudgetExceeded("oscillatory refinement did not settle in 60 rounds")
     return OscResult(complex(total), float(err_total), evals_box[0])
 

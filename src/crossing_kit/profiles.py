@@ -89,7 +89,7 @@ class Bump:
         return float(out[0]) if scalar else out
 
     def kernel_params(self) -> tuple[float, float, float]:
-        """(center, width, amplitude) triple for the compiled kernels."""
+        """(center, width, amplitude) triple for the DOP853 right-hand sides."""
         return (self.center, self.width, self.amplitude)
 
 

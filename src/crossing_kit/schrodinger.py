@@ -42,9 +42,9 @@ from .symbolcalc import (
 )
 from .transfer import TransferMatrix
 
-# Not called here: perfbench/tracer.py wraps this attribute of this module
-# by name, so it must stay importable from it.
-from .grids import grid_for  # noqa: F401
+# A removed function's name: perfbench/tracer.py wraps this attribute of
+# this module by name and accepts None for it; nothing calls it.
+grid_for = None
 
 ODE_TOL = 1e-11  # DOP853 tolerance of the reference solve `_integrate`
 

@@ -15,8 +15,7 @@ leading-order transfer matrix
 where B_1 is the m-fold bracket of p1 applied to p2 at the crossing and B_2
 its mirror image. Both brackets are computed directly by iteration; the
 algebraic relation B_1 = -c^(m-1) B_2 (c the tangential normal-form
-constant) is kept as a cross-check and as a fallback when only one bracket
-is supplied.
+constant) is kept as a cross-check.
 """
 
 from __future__ import annotations
@@ -28,7 +27,6 @@ from itertools import product
 import numpy as np
 
 from .errors import (
-    DegenerateS,
     NoFiniteContact,
     TransversalUnsupported,
     ValidationError,
@@ -40,7 +38,6 @@ from .transfer import TransferMatrix
 __all__ = [
     "Poly2",
     "CrossingData",
-    "Omega12",
     "poisson_bracket",
     "iterated_bracket",
     "contact_order",
@@ -215,6 +212,10 @@ def theta_of(p: Poly2) -> float:
     gx, gxi = p.gradient_at_origin()
     if gx == 0.0 and gxi == 0.0:
         raise ZeroGradient("symbol has vanishing gradient at the crossing")
+    return _direction_angle(gx, gxi)
+
+
+def _direction_angle(gx: float, gxi: float) -> float:
     if gxi == 0.0:
         return -math.pi / 2
     return -math.atan(gx / gxi)
@@ -224,37 +225,27 @@ def theta_of(p: Poly2) -> float:
 class CrossingData:
     """Invariants of one crossing, sufficient for the transfer prediction.
 
-    bracket_m is the m-fold bracket of p1 applied to p2 at the crossing;
-    bracket_m_rev the mirror (p2 applied to p1), filled directly when the
-    data is built from symbols. grad1/grad2 are (d_x p, d_xi p) at the
-    crossing, c_prime = |grad1| / |grad2|.
+    bracket_m is the m-fold bracket of p1 applied to p2 at the crossing,
+    bracket_m_rev its mirror (p2 applied to p1). grad1/grad2 are
+    (d_x p, d_xi p) at the crossing; the direction angles, the orientation
+    sign s and c_prime = |grad1| / |grad2| follow from them.
     """
 
     m: int
     bracket_m: float
+    bracket_m_rev: float
     grad1: tuple[float, float]
     grad2: tuple[float, float]
-    theta1: float
-    theta2: float
-    s: int
     q1_0: complex
     q2_0: complex
-    c_prime: float
-    bracket_m_rev: float | None = None
 
     def __post_init__(self):
         if self.m < 1:
             raise ValidationError("contact order m must be >= 1")
-        if self.bracket_m == 0.0:
-            raise ValidationError("bracket_m must be nonzero")
-        if self.s not in (-1, 1):
-            raise ValidationError("s must be +-1")
-        n1 = math.hypot(*self.grad1)
-        n2 = math.hypot(*self.grad2)
-        if n1 == 0.0 or n2 == 0.0:
+        if self.bracket_m == 0.0 or self.bracket_m_rev == 0.0:
+            raise ValidationError("bracket_m and bracket_m_rev must be nonzero")
+        if math.hypot(*self.grad1) == 0.0 or math.hypot(*self.grad2) == 0.0:
             raise ZeroGradient("crossing data carries a vanishing gradient")
-        if not math.isclose(self.c_prime, n1 / n2, rel_tol=1e-9):
-            raise ValidationError("c_prime inconsistent with gradient norms")
         if self.m >= 2 and not math.isclose(
             self.theta1, self.theta2, abs_tol=1e-9
         ):
@@ -262,35 +253,34 @@ class CrossingData:
                 "tangential crossing (m >= 2) requires equal direction angles"
             )
 
+    @property
+    def theta1(self) -> float:
+        return _direction_angle(*self.grad1)
 
-@dataclass(frozen=True)
-class Omega12:
-    """Pair of off-diagonal transfer amplitudes (without the q factors)."""
+    @property
+    def theta2(self) -> float:
+        return _direction_angle(*self.grad2)
 
-    omega1: complex
-    omega2: complex
-    m: int
+    @property
+    def s(self) -> int:
+        return sign_s(self)
+
+    @property
+    def c_prime(self) -> float:
+        return math.hypot(*self.grad1) / math.hypot(*self.grad2)
 
 
 def sign_s(data: CrossingData) -> int:
     """Orientation sign: product of the two flow/direction pairings.
 
     For each symbol the pairing of the flow vector (d_xi p, -d_x p) with
-    (cos theta, sin theta) equals +-|grad p|, so the sign exists whenever
-    both gradients are nonzero.
+    (cos theta, sin theta) equals +-|grad p|, with the sign of d_xi p, or of
+    d_x p where d_xi p vanishes (theta = -pi/2).
     """
-    return _orientation(((data.grad1, data.theta1), (data.grad2, data.theta2)))
-
-
-def _orientation(pairs) -> int:
-    out = 1.0
-    for grad, theta in pairs:
-        gx, gxi = grad
-        ip = gxi * math.cos(theta) - gx * math.sin(theta)
-        if ip == 0.0:
-            raise DegenerateS("flow/direction pairing vanished")
-        out *= math.copysign(1.0, ip)
-    return int(out)
+    out = 1
+    for gx, gxi in (data.grad1, data.grad2):
+        out *= int(math.copysign(1.0, gxi if gxi != 0.0 else gx))
+    return out
 
 
 def normal_form_constants(
@@ -307,52 +297,36 @@ def normal_form_constants(
         raise TransversalUnsupported(
             "normal-form constants are defined for tangential crossings (m >= 2)"
         )
-    check, _ = _bracket_at_origin_checked(p1, p2, data.m, data.bracket_m)
+    check = iterated_bracket(p1, p2, data.m).at_origin()
+    if not math.isclose(check, data.bracket_m, rel_tol=1e-9, abs_tol=0.0):
+        raise ValidationError(
+            f"bracket recomputed from symbols ({check:g}) disagrees with data "
+            f"({data.bracket_m:g})"
+        )
     c = data.s * data.c_prime
     return c, -c * check
 
 
-def _bracket_at_origin_checked(p1, p2, m, expected):
-    got = iterated_bracket(p1, p2, m).at_origin()
-    if not math.isclose(got, expected, rel_tol=1e-9, abs_tol=0.0):
-        raise ValidationError(
-            f"bracket recomputed from symbols ({got:g}) disagrees with data ({expected:g})"
-        )
-    return got, m
-
-
-def omega_general(data: CrossingData) -> Omega12:
-    """Off-diagonal amplitudes from the crossing invariants.
-
-    The mirror bracket is taken from the data when present (direct
-    computation); otherwise it is reconstructed from
-    bracket_m_rev = -bracket_m / c^(m-1) with c = s * c_prime.
-    """
+def omega_general(data: CrossingData) -> tuple[complex, complex]:
+    """Off-diagonal amplitudes (omega1, omega2) from the crossing invariants."""
     n1 = math.hypot(*data.grad1)
     n2 = math.hypot(*data.grad2)
-    if data.bracket_m_rev is not None:
-        rev = data.bracket_m_rev
-    else:
-        c = data.s * data.c_prime
-        rev = -data.bracket_m / c ** (data.m - 1)
-    if rev == 0.0:
-        raise ValidationError("mirror bracket must be nonzero")
     # side j is a stationary point with curvature -s B_j |grad p_j| / |grad p_k|
     omega1 = stationary_prefactor(data.m, -data.s * data.bracket_m / (n2 / n1))
-    omega2 = stationary_prefactor(data.m, -data.s * rev / (n1 / n2))
-    return Omega12(omega1=omega1, omega2=omega2, m=data.m)
+    omega2 = stationary_prefactor(data.m, -data.s * data.bracket_m_rev / (n1 / n2))
+    return omega1, omega2
 
 
 def transfer_predicted_general(data: CrossingData, h: float) -> TransferMatrix:
     """Leading-order transfer matrix I - i h^(1/(m+1)) antidiag(w1 q1, w2 q2)."""
     if not (h > 0):
         raise ValidationError("h must be positive")
-    w = omega_general(data)
+    omega1, omega2 = omega_general(data)
     lam = h ** (1.0 / (data.m + 1))
     entries = np.array(
         [
-            [1.0, -1j * lam * w.omega1 * data.q1_0],
-            [-1j * lam * w.omega2 * data.q2_0, 1.0],
+            [1.0, -1j * lam * omega1 * data.q1_0],
+            [-1j * lam * omega2 * data.q2_0, 1.0],
         ],
         dtype=complex,
     )
@@ -376,26 +350,17 @@ def crossing_data_from_symbols(
     m_rev, bracket_rev = contact_order(p2, p1, max_m=max_m)
     if m_rev != m:
         raise ValidationError(f"mirror contact order {m_rev} != {m}")
-    g1 = p1.gradient_at_origin()
-    g2 = p2.gradient_at_origin()
-    theta1 = theta_of(p1)
-    theta2 = theta_of(p2)
-    s = _orientation(((g1, theta1), (g2, theta2)))
     data = CrossingData(
         m=m,
         bracket_m=bracket,
-        grad1=g1,
-        grad2=g2,
-        theta1=theta1,
-        theta2=theta2,
-        s=s,
+        bracket_m_rev=bracket_rev,
+        grad1=p1.gradient_at_origin(),
+        grad2=p2.gradient_at_origin(),
         q1_0=q1_0,
         q2_0=q2_0,
-        c_prime=math.hypot(*g1) / math.hypot(*g2),
-        bracket_m_rev=bracket_rev,
     )
     if m >= 2:
-        c = s * data.c_prime
+        c = data.s * data.c_prime
         predicted_rev = -bracket / c ** (m - 1)
         if not math.isclose(bracket_rev, predicted_rev, rel_tol=1e-9):
             raise ValidationError(

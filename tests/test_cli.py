@@ -36,7 +36,6 @@ def test_minimal_model_config_fills_defaults(tmp_path):
     assert config.mode == "solve-model"
     assert config.h == 1e-2
     assert config.jobs == 1
-    assert config.seed == 0
     assert config.branch == 1
     assert config.tolerances == {"exponent": 0.05, "prefactor": 0.10}
     assert config.csv_path is None and config.summary_path is None
@@ -214,22 +213,24 @@ def test_solve_schrodinger_minus_branch(tmp_path, capsys):
 
 
 def test_verify_model_corpus_passes(tmp_path, capsys):
-    csv = tmp_path / "rows.csv"
-    summary = tmp_path / "verify.json"
-    cfg = {
-        "problem": {"kind": "model-corpus", "index": 0},
-        "jobs": 3,
-        "output": {"csv": str(csv), "summary": str(summary)},
-    }
-    path = write_config(tmp_path, cfg)
-    assert main(["verify", "--config", path]) == 0
-    assert "result: PASS" in capsys.readouterr().out
-    lines = csv.read_text(encoding="utf-8").strip().splitlines()
-    assert len(lines) == 13  # header plus the 12-point default grid
-    payload = json.loads(summary.read_text(encoding="utf-8"))
-    assert payload["passed"] is True
-    assert payload["ok_rows"] == 12
-    assert all(v["passed"] for v in payload["verdicts"].values())
+    # the default grid passes for m = 1 (corpus 0) and m = 2 (corpus 4)
+    for index in (0, 4):
+        csv = tmp_path / f"rows{index}.csv"
+        summary = tmp_path / f"verify{index}.json"
+        cfg = {
+            "problem": {"kind": "model-corpus", "index": index},
+            "jobs": 3,
+            "output": {"csv": str(csv), "summary": str(summary)},
+        }
+        path = write_config(tmp_path, cfg)
+        assert main(["verify", "--config", path]) == 0, index
+        assert "result: PASS" in capsys.readouterr().out
+        lines = csv.read_text(encoding="utf-8").strip().splitlines()
+        assert len(lines) == 13  # header plus the 12-point default grid
+        payload = json.loads(summary.read_text(encoding="utf-8"))
+        assert payload["passed"] is True
+        assert payload["ok_rows"] == 12
+        assert all(v["passed"] for v in payload["verdicts"].values())
 
 
 def test_verify_absurd_tolerance_fails(tmp_path, capsys):

@@ -20,11 +20,11 @@ from crossing_kit.normalform import (
     NormalFormProblem,
     _system,
     model_corpus,
-    model_omega,
     ode_oracle,
     predict_transfer,
     transfer_numeric,
 )
+from crossing_kit.oscquad import stationary_prefactor
 from crossing_kit.profiles import Bump, Poly1, ZERO_BUMP
 from crossing_kit.transfer import Problem
 
@@ -156,11 +156,13 @@ def test_antiderivative_exact_for_linear_rate():
 
 def test_gamma_vanishes_before_the_coupling_switches_on():
     # M, and with it every coupling integral gamma_plus/gamma_minus, is
-    # exactly zero left of the supports: the march returns the data as is
+    # exactly zero left of the supports: the march returns the data as is,
+    # also over an empty span and over a span shorter than one chunk
     prob = model_corpus(1e-3)[0]
     lo = prob.coupling_support()[0]
     for alpha in ((1.0, 0.0), (0.3 - 0.4j, 0.8 + 0.1j)):
-        assert (marched(prob, alpha, lo) == np.array(alpha)).all()
+        for x_to in (prob.x0, prob.x0 + 1e-4, lo):
+            assert (marched(prob, alpha, x_to) == np.array(alpha)).all()
 
 
 def test_gamma_minus_fresnel_value():
@@ -255,7 +257,7 @@ def test_strong_coupling_needs_no_fallback(caplog):
     assert "49 chunks" in caplog.records[0].getMessage()
 
 
-def test_not_contractive_raised_for_strong_coupling(monkeypatch):
+def test_picard_fails_loudly_on_an_uncut_strong_coupling(monkeypatch):
     # at four times the strong coupling, Picard on one chunk spanning the
     # interval does not contract within PICARD_MAX_ITER sweeps: the march
     # raises instead of returning a T. Chunks cut by the coupling rule
@@ -269,7 +271,7 @@ def test_not_contractive_raised_for_strong_coupling(monkeypatch):
         prob.extract()
 
 
-def test_workspace_does_not_outlive_its_extraction(monkeypatch):
+def test_march_system_does_not_outlive_its_extraction(monkeypatch):
     # the march's workspace is its System and the arrays of one chunk: one
     # extraction builds one System for both basis inputs, also at strong
     # coupling, and nothing holds it after
@@ -327,7 +329,9 @@ def test_predicted_entries_m1():
     assert abs(T.t12 - want12) < 1e-12
     assert abs(T.t21 - want21) < 1e-12
     assert T.t11 == 1.0 and T.t22 == 1.0
-    assert abs(model_omega(prob) - SQRT_2PI * np.exp(1j * math.pi / 4.0)) < 1e-12
+    # the stationary coefficient of the plus-phase coupling integral
+    omega = stationary_prefactor(prob.m, prob.f_order_coeff())
+    assert abs(omega - SQRT_2PI * np.exp(1j * math.pi / 4.0)) < 1e-12
 
 
 def test_prediction_matches_closed_form_oracle():

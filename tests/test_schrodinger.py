@@ -433,7 +433,7 @@ def test_numeric_transfer_decoupled_is_identity():
     assert np.abs(ext.entries - np.eye(2)).max() < 1e-4
 
 
-def test_numeric_transfer_window_and_case_guards():
+def test_numeric_transfer_case_and_sign_guards():
     # the coefficients are read at the interval end, so no read-off window
     # is left to guard; the crossing regime and the sign still are
     prob = schrodinger_corpus(2.5e-3)[0]

@@ -126,10 +126,24 @@ def test_theta_of_ranges_and_goldens():
         theta_of(Poly2.from_x_poly([0, 0, 1.0]))
 
 
-def tangential_pair(c_inv: float, m: int, a: float = 1.0, lam: float = 1.0):
-    """p1 = xi + a x^2, p2 = c_inv * p1 + lam x^m: contact order exactly m."""
-    p1 = Poly2.xi() + Poly2({(2, 0): a})
-    p2 = c_inv * p1 + Poly2({(m, 0): lam})
+def pairing_sign(data) -> int:
+    """Product over both symbols of sgn(gxi cos(theta) - gx sin(theta))."""
+    out = 1.0
+    for (gx, gxi), theta in ((data.grad1, data.theta1), (data.grad2, data.theta2)):
+        out *= math.copysign(1.0, gxi * math.cos(theta) - gx * math.sin(theta))
+    return int(out)
+
+
+def tangential_pair(
+    c_inv: float, m: int, a: float = 1.0, lam: float = 1.0, vertical: bool = False
+):
+    """p1 = xi + a x^2, p2 = c_inv * p1 + lam x^m: contact order exactly m.
+
+    ``vertical`` swaps x and xi, so that d_xi p vanishes at the crossing.
+    """
+    u, v = (Poly2.x(), Poly2.xi()) if vertical else (Poly2.xi(), Poly2.x())
+    p1 = u + a * v**2
+    p2 = c_inv * p1 + lam * v**m
     return p1, p2
 
 
@@ -137,16 +151,45 @@ def tangential_pair(c_inv: float, m: int, a: float = 1.0, lam: float = 1.0):
 @pytest.mark.parametrize("m", [2, 3, 4])
 def test_mirror_bracket_symmetry_and_sign(c_inv, m):
     # bracket(p2 -> p1) = -bracket(p1 -> p2) / c^(m-1) with c = s|g1|/|g2|,
-    # and sign_s equals sgn(c); exercised across signs and magnitudes of c
-    p1, p2 = tangential_pair(c_inv, m, a=2.0, lam=3.0)
-    data = crossing_data_from_symbols(p1, p2, 1.0, 1.0, max_m=max(6, m + 1))
-    assert data.m == m
-    c = 1.0 / c_inv
-    assert data.s == int(math.copysign(1.0, c))
-    assert data.s * data.c_prime == pytest.approx(c, rel=1e-12)
-    direct = data.bracket_m_rev
-    derived = -data.bracket_m / c ** (m - 1)
-    assert direct == pytest.approx(derived, rel=1e-10)
+    # and sign_s equals sgn(c) and the flow/direction pairing; exercised
+    # across signs and magnitudes of c (d_xi p2 < 0 for c < 0), and with
+    # vertical directions (d_xi p = 0)
+    for vertical in (False, True):
+        p1, p2 = tangential_pair(c_inv, m, a=2.0, lam=3.0, vertical=vertical)
+        data = crossing_data_from_symbols(p1, p2, 1.0, 1.0, max_m=max(6, m + 1))
+        assert data.m == m
+        assert data.theta1 == data.theta2 == (-math.pi / 2 if vertical else 0.0)
+        c = 1.0 / c_inv
+        assert data.s == int(math.copysign(1.0, c))
+        assert sign_s(data) == data.s == pairing_sign(data)
+        assert data.s * data.c_prime == pytest.approx(c, rel=1e-12)
+        direct = data.bracket_m_rev
+        derived = -data.bracket_m / c ** (m - 1)
+        assert direct == pytest.approx(derived, rel=1e-10)
+
+
+@pytest.mark.parametrize(
+    "g1, g2",
+    [
+        ((1.0, 0.0), (0.0, 1.0)),  # d_xi p1 = 0
+        ((-1.0, 0.0), (0.0, 1.0)),
+        ((0.0, -1.0), (1.0, 1.0)),  # d_xi p1 < 0
+        ((2.0, -3.0), (-1.0, 0.0)),
+        ((-2.0, -1.0), (1.0, -3.0)),
+        ((1e-300, -1.0), (-1.0, 1e-300)),
+    ],
+    ids=["vertical", "vertical-flipped", "reversed", "vertical-2", "both-reversed", "tiny"],
+)
+def test_sign_follows_the_flow_direction_pairing(g1, g2):
+    # transversal pairs of linear symbols, with vertical and reversed
+    # directions: s from the gradients equals the pairing of each flow
+    # vector with its direction (cos theta, sin theta)
+    p1 = Poly2({(1, 0): g1[0], (0, 1): g1[1]})
+    p2 = Poly2({(1, 0): g2[0], (0, 1): g2[1]})
+    data = crossing_data_from_symbols(p1, p2, 1.0, 1.0)
+    assert data.m == 1
+    assert (data.theta1, data.theta2) == (theta_of(p1), theta_of(p2))
+    assert sign_s(data) == data.s == pairing_sign(data)
 
 
 def test_crossing_data_from_symbols_model_case():
@@ -189,19 +232,16 @@ def test_omega_general_model_golden_m1():
     data = CrossingData(
         m=1,
         bracket_m=-1.0,
+        bracket_m_rev=1.0,
         grad1=(0.0, 1.0),
         grad2=(0.0, 1.0),
-        theta1=0.0,
-        theta2=0.0,
-        s=1,
         q1_0=1.0,
         q2_0=1.0,
-        c_prime=1.0,
     )
     w = omega_general(data)
     want = SQRT_2PI * np.exp(1j * np.pi / 4)
-    assert abs(w.omega1 - want) <= 1e-12
-    assert abs(w.omega2 - np.conj(want)) <= 1e-12
+    assert abs(w[0] - want) <= 1e-12
+    assert abs(w[1] - np.conj(want)) <= 1e-12
 
 
 def test_omega_general_model_golden_m2():
@@ -209,20 +249,16 @@ def test_omega_general_model_golden_m2():
     data = CrossingData(
         m=2,
         bracket_m=-2.0,
+        bracket_m_rev=2.0,
         grad1=(0.0, 1.0),
         grad2=(0.0, 1.0),
-        theta1=0.0,
-        theta2=0.0,
-        s=1,
         q1_0=1.0,
         q2_0=1.0,
-        c_prime=1.0,
-        bracket_m_rev=2.0,
     )
     w = omega_general(data)
     want = 2.230707051824495741427486519543450239771
-    assert abs(w.omega1 - want) <= 1e-12
-    assert abs(w.omega2 - want) <= 1e-12
+    assert abs(w[0] - want) <= 1e-12
+    assert abs(w[1] - want) <= 1e-12
 
 
 def test_omega_general_row_scaling_invariance():
@@ -240,14 +276,11 @@ def test_transfer_predicted_general_entries():
     data = CrossingData(
         m=1,
         bracket_m=-1.0,
+        bracket_m_rev=1.0,
         grad1=(0.0, 1.0),
         grad2=(0.0, 1.0),
-        theta1=0.0,
-        theta2=0.0,
-        s=1,
         q1_0=1.0,
         q2_0=1.0,
-        c_prime=1.0,
     )
     h = 1e-4
     t = transfer_predicted_general(data, h)
@@ -259,29 +292,17 @@ def test_transfer_predicted_general_entries():
 
 
 def test_crossing_data_validation():
+    fields = dict(
+        m=1, bracket_m=1.0, bracket_m_rev=-1.0, grad1=(0.0, 1.0), grad2=(0.0, 2.0),
+        q1_0=1.0, q2_0=1.0,
+    )
+    assert CrossingData(**fields).c_prime == 0.5
+    with pytest.raises(ValidationError):  # tangential data with unequal angles
+        CrossingData(**{**fields, "m": 2, "grad2": (0.3, 1.0)})
     with pytest.raises(ValidationError):
-        CrossingData(
-            m=2,
-            bracket_m=1.0,
-            grad1=(0.0, 1.0),
-            grad2=(0.0, 1.0),
-            theta1=0.0,
-            theta2=0.3,  # tangential data with unequal angles
-            s=1,
-            q1_0=1.0,
-            q2_0=1.0,
-            c_prime=1.0,
-        )
-    with pytest.raises(ValidationError):
-        CrossingData(
-            m=1,
-            bracket_m=1.0,
-            grad1=(0.0, 1.0),
-            grad2=(0.0, 2.0),
-            theta1=0.0,
-            theta2=0.0,
-            s=1,
-            q1_0=1.0,
-            q2_0=1.0,
-            c_prime=3.0,  # inconsistent with gradient norms
-        )
+        CrossingData(**{**fields, "m": 0})
+    for key in ("bracket_m", "bracket_m_rev"):
+        with pytest.raises(ValidationError):
+            CrossingData(**{**fields, key: 0.0})
+    with pytest.raises(ZeroGradient):
+        CrossingData(**{**fields, "grad2": (0.0, 0.0)})
