@@ -78,28 +78,37 @@ def schrod_rhs(x, y, v1_coeffs, v2_coeffs, wp, e0, h):
     return out
 
 
-def cum_quad6(values: np.ndarray, dx: float) -> np.ndarray:
+def cum_quad6(
+    values: np.ndarray, dx: float, out: np.ndarray | None = None
+) -> np.ndarray:
     """Cumulative integral of uniformly sampled values, sixth order.
 
     Integrates along the last axis, so a stack of rows is one call. Returns
     an array of the same shape whose entry k approximates the integral from
     the first node to node k (entry 0 is exactly 0). Each mesh cell
-    integrates the quintic through the six nearest samples.
+    integrates the quintic through the six nearest samples. ``out``, a
+    C-contiguous complex array of the same shape, receives the result
+    instead of a new array: the cell integrals are written into it and
+    summed in place, so the call allocates nothing of the input's size.
     """
     values = np.ascontiguousarray(values, dtype=np.complex128)
     n = values.shape[-1]
     if n < 6:
         raise ValueError("cum_quad6 needs at least 6 samples")
-    out = np.empty(values.shape, dtype=np.complex128)
-    out[..., 0] = 0.0
-    # interior cells k = 2 .. n-4 all use the centered row
+    if out is None:
+        out = np.empty(values.shape, dtype=np.complex128)
+    # the integral over cell k goes to out[..., k + 1]; interior cells
+    # k = 2 .. n-4 all use the centered row
     windows = np.lib.stride_tricks.sliding_window_view(values, 6, axis=-1)
-    cells = np.empty(values.shape[:-1] + (n - 1,), dtype=np.complex128)
-    cells[..., 2 : n - 3] = windows[..., : n - 5, :] @ _W6[2]
-    cells[..., 0] = values[..., :6] @ _W6[0]
-    cells[..., 1] = values[..., :6] @ _W6[1]
-    cells[..., n - 3] = values[..., n - 6 :] @ _W6[3]
-    cells[..., n - 2] = values[..., n - 6 :] @ _W6[4]
-    np.cumsum(cells, axis=-1, out=out[..., 1:])
-    out[..., 1:] *= float(dx)
+    np.matmul(windows[..., : n - 5, :], _W6[2], out=out[..., 3 : n - 2])
+    out[..., 1] = values[..., :6] @ _W6[0]
+    out[..., 2] = values[..., :6] @ _W6[1]
+    out[..., n - 2] = values[..., n - 6 :] @ _W6[3]
+    out[..., n - 1] = values[..., n - 6 :] @ _W6[4]
+    out[..., 0] = 0.0
+    np.cumsum(out[..., 1:], axis=-1, out=out[..., 1:])
+    # scaling the whole array, not the strided out[..., 1:], takes no ufunc
+    # buffers; entry 0 is reset after, as 0 * dx is -0 for dx < 0
+    out *= float(dx)
+    out[..., 0] = 0.0
     return out

@@ -16,6 +16,11 @@ POINTS_PER_PERIOD nodes; it is never built whole. Chunks of it are solved
 in turn, each from the coefficients and phases at the last node of the one
 before: per chunk the phases come from cum_quad6 of their rates, and a from
 Picard iteration a <- a(x_0) + int M a.
+
+The Picard sweeps allocate no array of a chunk's size: the iterate, the
+next iterate, M a and |change| live in work arrays allocated once per
+march and sized for its longest chunk, and ``apply`` and ``cum_quad6``
+write into them.
 """
 
 from __future__ import annotations
@@ -54,9 +59,10 @@ class System:
 
     ``local(x)`` gives the phase rates phi_p' at the nodes x, shape
     (phases, len(x)), and the smooth coefficients of M there, in whatever
-    form ``apply`` takes. ``apply(coeffs, osc, back, a)`` returns M a at
-    the nodes, with a of shape (columns, components, nodes) and
-    osc = e^{i phi_p/h}, back = e^{-i phi_p/h} of shape (phases, nodes).
+    form ``apply`` takes. ``apply(coeffs, osc, back, a, out)`` writes M a
+    at the nodes into ``out``, with a and out of shape (columns,
+    components, nodes) and osc = e^{i phi_p/h}, back = e^{-i phi_p/h} of
+    shape (phases, nodes); it may use ``out`` as scratch on the way.
 
     ``fastest`` bounds the fastest phase rate of M on the interval; it sets
     the mesh and the node budget. ``coupling`` bounds the largest row sum
@@ -85,28 +91,46 @@ def _chunk_cells(system: System, dx: float) -> int:
     return max(_MIN_CHUNK_CELLS, cells)
 
 
-def _picard(system: System, a0: np.ndarray, phi0: np.ndarray, x, dx: float):
+def _work(shape: tuple[int, int], nodes: int) -> tuple[np.ndarray, ...]:
+    """_picard's work arrays, flat, for coefficients of ``shape`` on up to
+    ``nodes`` nodes: the iterate, the next one and M a (complex), and
+    |change| (float)."""
+    size = math.prod(shape) * nodes
+    return (*(np.empty(size, dtype=complex) for _ in range(3)), np.empty(size))
+
+
+def _picard(
+    system: System, a0: np.ndarray, phi0: np.ndarray, x, dx: float, work
+):
     """Coefficients at the last of the nodes x from their values a0 at x[0].
 
-    a0 has shape (columns, components); phi0 holds the phases at x[0].
-    Iterates a <- a0 + int M a (cum_quad6) on all the nodes until no entry
-    moves by more than PICARD_TOL. Returns (a and the phases at the last
-    node, iterations).
+    a0 has shape (columns, components); phi0 holds the phases at x[0];
+    ``work`` comes from _work for at least len(x) nodes. Iterates
+    a <- a0 + int M a (cum_quad6) on all the nodes until no entry moves by
+    more than PICARD_TOL. Returns (a and the phases at the last node,
+    iterations); a is a copy, not a view of ``work``.
     """
     rate, coeffs = system.local(x)
     phase = phi0[:, None] + cum_quad6(rate, dx).real
     osc = np.exp(1j * phase / system.h)
     back = np.conj(osc)
-    a = np.repeat(a0[:, :, None], len(x), axis=2)
+    shape = a0.shape + (len(x),)
+    a, new, m_a, change = (buf[: a0.size * len(x)].reshape(shape) for buf in work)
+    a[...] = a0[:, :, None]
     for it in range(1, PICARD_MAX_ITER + 1):
-        new = cum_quad6(system.apply(coeffs, osc, back, a), dx)
-        new += a0[:, :, None]
-        change = float(np.max(np.abs(new - a)))
-        a = new
-        if change <= PICARD_TOL:
-            return a[:, :, -1], phase[:, -1], it
+        system.apply(coeffs, osc, back, a, m_a)
+        cum_quad6(m_a, dx, out=new)
+        # row by row: adding a0[:, :, None] at once would take ufunc buffers
+        # as large as the chunk
+        for row, start in zip(new.reshape(-1, len(x)), a0.flat):
+            row += start
+        np.subtract(new, a, out=a)  # the old iterate is spent: a = new - a
+        moved = float(np.abs(a, out=change).max())
+        a, new = new, a
+        if moved <= PICARD_TOL:
+            return a[:, :, -1].copy(), phase[:, -1], it
     raise StepFailure(
-        f"Picard iteration on [{x[0]:g}, {x[-1]:g}] moved by {change:.3g} "
+        f"Picard iteration on [{x[0]:g}, {x[-1]:g}] moved by {moved:.3g} "
         f"after {PICARD_MAX_ITER} iterations (coupling too strong for the "
         "mesh)"
     )
@@ -130,11 +154,13 @@ def march(
     cells = max(_MIN_CHUNK_CELLS, math.ceil(abs(x_to - x_from) / dx))
     dx = (x_to - x_from) / cells
     chunks = math.ceil(cells / _chunk_cells(system, dx))
+    # even split: every chunk has at least _MIN_CHUNK_CELLS // 2 cells and
+    # at most ceil(cells / chunks)
+    work = _work(a.shape, math.ceil(cells / chunks) + 1)
     worst = 0
     for c in range(chunks):
-        # even split: every chunk has at least _MIN_CHUNK_CELLS // 2 cells
         k = np.arange(c * cells // chunks, (c + 1) * cells // chunks + 1)
-        a, phi, iters = _picard(system, a, phi, x_from + dx * k, dx)
+        a, phi, iters = _picard(system, a, phi, x_from + dx * k, dx, work)
         worst = max(worst, iters)
     logger.debug(
         "h=%.6e: marched %d nodes from x=%g in %d chunks, at most %d Picard "

@@ -33,7 +33,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from . import march
 from ._kernels import model_rhs
@@ -154,13 +153,14 @@ def _check_single_crossing(branch: int) -> None:
         raise ValidationError("the reduced model has one crossing; branch must be 1")
 
 
-def _apply(coeffs, osc, back, a):
-    """M a for the frame coefficients a = (u1, e^{-iF/h} u2) per column."""
-    r1, r2 = coeffs
-    da = np.empty_like(a)
-    da[:, 0] = -1j * r1 * osc[0] * a[:, 1]
-    da[:, 1] = -1j * r2 * back[0] * a[:, 0]
-    return da
+def _apply(coeffs, osc, back, a, out):
+    """M a into ``out`` for the frame coefficients a = (u1, e^{-iF/h} u2)
+    per column; coeffs = (-i r1, -i r2) at the nodes."""
+    m1, m2 = coeffs
+    np.multiply(m1, osc[0], out=out[:, 0])
+    out[:, 0] *= a[:, 1]
+    np.multiply(m2, back[0], out=out[:, 1])
+    out[:, 1] *= a[:, 0]
 
 
 def _system(prob: NormalFormProblem) -> march.System:
@@ -170,7 +170,10 @@ def _system(prob: NormalFormProblem) -> march.System:
     """
 
     def local(x):
-        return np.asarray(prob.f(x), dtype=float)[None, :], (prob.r1(x), prob.r2(x))
+        return np.asarray(prob.f(x), dtype=float)[None, :], (
+            -1j * prob.r1(x),
+            -1j * prob.r2(x),
+        )
 
     return march.System(
         h=prob.h,
@@ -208,6 +211,9 @@ def ode_oracle(
     # f/h. Capping the step at one local period keeps it conditioned.
     rate = _max_rate(prob)
     max_step = 2.0 * np.pi * prob.h / rate if rate > 0 else np.inf
+    # imported here, so that importing this module does not load scipy
+    from scipy.integrate import solve_ivp
+
     sol = solve_ivp(
         model_rhs,
         (prob.x0, float(x[-1])),

@@ -28,7 +28,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from . import march
 from ._kernels import schrod_rhs
@@ -42,9 +41,10 @@ from .symbolcalc import (
 )
 from .transfer import TransferMatrix
 
-# A removed function's name: perfbench/tracer.py wraps this attribute of
-# this module by name and accepts None for it; nothing calls it.
-grid_for = None
+# Names perfbench/tracer.py wraps on this module and accepts None for:
+# grid_for is removed, and solve_ivp is imported where it is called, by
+# _integrate, so that importing this module does not load scipy.integrate.
+grid_for = solve_ivp = None
 
 ODE_TOL = 1e-11  # DOP853 tolerance of the reference solve `_integrate`
 
@@ -284,6 +284,8 @@ def _integrate(
     the state (u1, u1', u2, u2') at x_from, which DOP853 carries to x_to.
     Returns the state sampled at ``t_eval``, ordered from x_from.
     """
+    from scipy.integrate import solve_ivp
+
     sol = solve_ivp(
         schrod_rhs,
         (x_from, x_to),
@@ -322,15 +324,27 @@ def _coefficients(basis: WkbBasis, x: np.ndarray, w):
     return rate, cross, self_
 
 
-def _apply(coeffs, osc, back, a):
-    """M a for the branch coefficients a = (a1+, a1-, a2+, a2-) per column."""
+def _apply(coeffs, osc, back, a, out):
+    """M a into ``out`` for the branch coefficients a = (a1+, a1-, a2+, a2-)
+    per column.
+
+    Per column, the + and - halves of ``out`` hold s_j = u_j / sigma_j and
+    r_j until they are overwritten by a_j+' = r_j / e_j and
+    a_j-' = -e_j r_j. The loop over columns keeps every operand two-
+    dimensional, which numpy runs without buffers.
+    """
     cross, self_ = coeffs
-    s = a[:, 0::2] * osc + a[:, 1::2] * back  # u_j / sigma_j
-    r = cross * s[:, ::-1] - self_ * s
-    da = np.empty_like(a)
-    da[:, 0::2] = back * r
-    da[:, 1::2] = -osc * r
-    return da
+    for col, da in zip(a, out):
+        s, r = da[0::2], da[1::2]
+        np.multiply(col[0::2], osc, out=s)
+        np.multiply(col[1::2], back, out=r)
+        s += r
+        np.multiply(cross, s[::-1], out=r)
+        np.multiply(self_, s, out=s)
+        r -= s
+        np.multiply(back, r, out=s)
+        np.negative(r, out=r)
+        np.multiply(osc, r, out=r)  # osc (-r) is (-osc) r, bit for bit
 
 
 def _system(basis: WkbBasis) -> march.System:

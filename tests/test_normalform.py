@@ -150,7 +150,8 @@ def test_antiderivative_exact_for_linear_rate():
     for end in (-0.3, 0.0, 1.0):
         x = np.linspace(prob.x0, end, 101)
         a0 = np.eye(2, dtype=complex)
-        _, phi, _ = march._picard(system, a0, phi0, x, x[1] - x[0])
+        work = march._work(a0.shape, len(x))
+        _, phi, _ = march._picard(system, a0, phi0, x, x[1] - x[0], work)
         assert abs(phi[0] - end**2 / 2.0) < 1e-13
 
 
@@ -180,7 +181,7 @@ def test_gamma_minus_fresnel_value():
 # ----------------------------------------------------- solver cross-checking
 
 
-def test_neumann_matches_ode_oracle():
+def test_march_matches_ode_oracle():
     # independent routes: Picard iteration on the integral form, chunk by
     # chunk (the Neumann series of each chunk), vs direct adaptive
     # integration of the differential form, inside the supports and at x1
@@ -192,12 +193,12 @@ def test_neumann_matches_ode_oracle():
                 assert diff < 1e-8, (prob.m, h, alpha, diff)
 
 
-def test_neumann_matches_ode_oracle_small_h_spot():
+def test_march_matches_ode_oracle_small_h_spot():
     prob = model_corpus(1e-4)[0]
     assert oracle_gap(prob, (1.0, 0.0)) < 1e-7
 
 
-def test_neumann_is_linear_in_the_data():
+def test_march_is_linear_in_the_data():
     prob = model_corpus(1e-2)[0]
     a = (0.5 - 0.2j, 0.1 + 0.9j)
     b = (-0.7 + 0.3j, 0.4 + 0.0j)
@@ -233,7 +234,7 @@ def test_decoupled_problem_is_exact():
     assert (T.entries == np.eye(2)).all()
 
 
-def test_residual_bound_dominates_truncation(monkeypatch):
+def test_picard_stop_bounds_the_truncation(monkeypatch):
     # a chunk's Picard iteration stops once no entry moves by more than
     # PICARD_TOL; it contracts far faster than by half per sweep, so what
     # the stop leaves out is below PICARD_TOL per chunk, and T stops
@@ -308,7 +309,7 @@ def test_one_debug_line_per_march(caplog):
 # ----------------------------------------------------------------- extraction
 
 
-def test_extraction_invariant_under_window_choice():
+def test_extraction_invariant_under_read_point():
     # a is constant right of the supports, so T read at x1 equals a read
     # anywhere there: no read-off window is needed. Each read point sets
     # its own mesh, so this runs where the mesh error is below the bound
@@ -360,7 +361,7 @@ def test_prediction_matches_closed_form_oracle():
         assert general.max_abs_diff(closed) <= 1e-14
 
 
-def test_transfer_numeric_routes_agree():
+def test_transfer_numeric_matches_ode_reference():
     prob = model_corpus(1e-2)[4]
     a = transfer_numeric(prob)
     assert np.abs(a.entries - ode_reference(prob)).max() < 1e-8
