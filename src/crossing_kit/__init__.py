@@ -59,11 +59,11 @@ from .sweep import (
     SweepRow,
     Verdict,
     attach_fits,
-    check_exponent,
-    check_prefactor,
+    check_grid,
     fit_power_law,
     read_csv,
     run_sweep,
+    verify,
     write_csv,
 )
 from .symbolcalc import (
@@ -119,8 +119,7 @@ __all__ = [
     "attach_fits",
     "branch_decompose",
     "build_crossing_data",
-    "check_exponent",
-    "check_prefactor",
+    "check_grid",
     "contact_order",
     "crossing_data_from_symbols",
     "fit_power_law",
@@ -146,5 +145,6 @@ __all__ = [
     "theta_of",
     "transfer_numeric",
     "transfer_predicted_general",
+    "verify",
     "write_csv",
 ]

@@ -18,6 +18,7 @@ config. Set CROSSING_KIT_LOG=INFO (or DEBUG) for progress logging.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import logging
 import math
@@ -32,7 +33,7 @@ from .errors import CrossingKitError, SchemaError, ValidationError
 from .normalform import NormalFormProblem, model_corpus
 from .profiles import Bump, Poly1
 from .schrodinger import SchrodingerProblem, schrodinger_corpus
-from .transfer import Problem
+from .transfer import Problem, TransferMatrix
 
 # Not called here: perfbench/tracer.py wraps these two attributes of this
 # module by name, so they must stay importable from it.
@@ -64,8 +65,6 @@ _DEFAULT_GRIDS = {
     "schrodinger": (1e-2, 1e-4, 8),
 }
 _DEFAULT_TOLERANCES = {"exponent": 0.05, "prefactor": 0.10}
-# largest geometric h_grid count: bounds the grid array before it is built
-_MAX_GRID_COUNT = 1000
 # largest m (model kinds) or n (schrodinger): the contact order, at most 2n,
 # stays far below 170, where m! in the stationary prefactor overflows a float
 MAX_ORDER = 64
@@ -272,20 +271,18 @@ def _build_grid(node, path: str) -> tuple[float, ...]:
         _reject_unknown(obj, path, {"start", "stop", "count"})
         start = _expect_number(_require(obj, "start", path), f"{path}.start", positive=True)
         stop = _expect_number(_require(obj, "stop", path), f"{path}.stop", positive=True)
+        # bounded before the grid array is built
         count = _expect_int(
             _require(obj, "count", path),
             f"{path}.count",
             minimum=4,
-            maximum=_MAX_GRID_COUNT,
+            maximum=sweep_mod.MAX_GRID_POINTS,
         )
-        values = [float(v) for v in np.geomspace(start, stop, count)]
-    if len(values) < 4:
-        raise SchemaError(f"{path}.values", "needs at least 4 grid points")
-    if min(values) <= 0.0:
-        raise SchemaError(f"{path}.values", "h values must be positive")
-    if math.log10(max(values) / min(values)) < 2.0 - 1e-9:
-        raise SchemaError(path, "grid must span at least 2 decades in h")
-    return tuple(values)
+        values = np.geomspace(start, stop, count)
+    try:
+        return sweep_mod.check_grid(values)
+    except ValidationError as exc:
+        raise SchemaError(path, str(exc)) from exc
 
 
 def _build_tolerances(node, path: str) -> dict:
@@ -418,18 +415,13 @@ def parse_config(
     )
 
 
-def _matrix_payload(t) -> dict:
-    entries = {}
-    for name, (j, k) in zip(sweep_mod.TRACKED, ((0, 0), (0, 1), (1, 0), (1, 1))):
-        z = complex(t.entries[j][k])
-        entries[name] = [z.real, z.imag]
-    return entries
+def _matrix_payload(t: TransferMatrix) -> dict:
+    return {name: [z.real, z.imag] for name, z in t.named().items()}
 
 
-def _print_matrix(label: str, t) -> None:
+def _print_matrix(label: str, t: TransferMatrix) -> None:
     print(f"{label}:")
-    for name, (j, k) in zip(sweep_mod.TRACKED, ((0, 0), (0, 1), (1, 0), (1, 1))):
-        z = complex(t.entries[j][k])
+    for name, z in t.named().items():
         print(f"  {name} = {z.real:+.12e} {z.imag:+.12e}j")
 
 
@@ -469,35 +461,17 @@ def _run_single_solve(config: RunConfig) -> int:
             "h": config.h,
             "extracted": _matrix_payload(extracted),
             "predicted": _matrix_payload(predicted),
-            "abs_errors": {
-                name: float(errors[j][k])
-                for name, (j, k) in zip(
-                    sweep_mod.TRACKED, ((0, 0), (0, 1), (1, 0), (1, 1))
-                )
-            },
+            "abs_errors": dict(zip(TransferMatrix.ENTRIES, map(float, errors.flat))),
             "max_abs_error": float(extracted.max_abs_diff(predicted)),
         },
     )
     return 0
 
 
-def _fit_payload(report) -> dict:
-    return {
-        q: {
-            "exponent": f.exponent,
-            "amplitude": f.amplitude,
-            "residual_rms": f.residual_rms,
-            "with_log": f.with_log,
-            "npoints": f.npoints,
-        }
-        for q, f in report.fits.items()
-    }
-
-
 def _run_grid(config: RunConfig) -> int:
     prob = config.problem
     report = sweep_mod.run_sweep(prob, config.h_values, jobs=config.jobs)
-    sweep_mod.attach_fits(report, with_log_diag=True)
+    sweep_mod.attach_fits(report, prob.order)
     sweep_mod.write_csv(report, config.csv_path)
     log.info("wrote %d rows to %s", len(report.rows), config.csv_path)
 
@@ -521,7 +495,7 @@ def _run_grid(config: RunConfig) -> int:
         "rows": len(report.rows),
         "ok_rows": n_ok,
         "csv": config.csv_path,
-        "fits": _fit_payload(report),
+        "fits": {q: dataclasses.asdict(f) for q, f in report.fits.items()},
     }
 
     if n_ok == 0:
@@ -533,48 +507,22 @@ def _run_grid(config: RunConfig) -> int:
         _write_summary(config, summary)
         return 0
 
-    # verify: leading off-diagonal growth must match the prediction in both
-    # the exponent and the h-independent prefactor
-    href = max(config.h_values)
-    reference = prob.predict(config.branch)
-    expected_exponent = 1.0 / (prob.order + 1)
-    for q in ("t12", "t21"):
-        magnitude = abs(complex(getattr(reference, q)))
-        if q not in report.fits or magnitude <= sweep_mod.SIGNAL_FLOOR:
-            continue
-        sweep_mod.check_exponent(
-            report, q, expected_exponent, config.tolerances["exponent"]
-        )
-        sweep_mod.check_prefactor(
-            report,
-            q,
-            magnitude / href**expected_exponent,
-            config.tolerances["prefactor"],
-        )
-
-    n_pass = 0
+    # verify: the problem was built at the largest h, where the prediction
+    # is the reference
+    passed = sweep_mod.verify(
+        report, prob.predict(config.branch), prob.order, config.tolerances
+    )
     for key in sorted(report.verdicts):
         v = report.verdicts[key]
-        status = "PASS" if v.passed else "FAIL"
-        n_pass += v.passed
         print(
             f"  {v.quantity} {v.kind}: observed={v.observed:.6f}"
-            f" expected={v.expected:.6f} tol={v.tolerance:.3g}  {status}"
+            f" expected={v.expected:.6f} tol={v.tolerance:.3g}"
+            f"  {'PASS' if v.passed else 'FAIL'}"
         )
-    passed = n_pass == len(report.verdicts)
+    n_pass = sum(v.passed for v in report.verdicts.values())
     print(f"result: {'PASS' if passed else 'FAIL'} ({n_pass}/{len(report.verdicts)} checks)")
 
-    summary["verdicts"] = {
-        key: {
-            "quantity": v.quantity,
-            "kind": v.kind,
-            "expected": v.expected,
-            "observed": v.observed,
-            "tolerance": v.tolerance,
-            "passed": v.passed,
-        }
-        for key, v in report.verdicts.items()
-    }
+    summary["verdicts"] = {k: dataclasses.asdict(v) for k, v in report.verdicts.items()}
     summary["passed"] = passed
     _write_summary(config, summary)
     return 0 if passed else 1

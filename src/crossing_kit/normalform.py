@@ -268,7 +268,7 @@ def transfer_numeric(prob: NormalFormProblem) -> TransferMatrix:
     """
     phi = np.array([prob.f.antideriv()(prob.x0)])
     a = march.march(_system(prob), np.eye(2, dtype=complex), phi, prob.x0, prob.x1)
-    return TransferMatrix(a.T, h=prob.h, kind="extracted")
+    return TransferMatrix(a.T, h=prob.h)
 
 
 def model_corpus(h: float) -> list[NormalFormProblem]:

@@ -393,7 +393,7 @@ def numeric_transfer_case_i(
     basis = WkbBasis(prob)
     phi = np.array([basis.phase(j, start) for j in (1, 2)])
     a = march.march(_system(basis), a, phi, start, end)
-    return TransferMatrix(a[:, slot::2].T, h=prob.h, kind="extracted")
+    return TransferMatrix(a[:, slot::2].T, h=prob.h)
 
 
 def build_crossing_data(prob: SchrodingerProblem, which: int) -> CrossingData:

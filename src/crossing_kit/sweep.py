@@ -1,8 +1,8 @@
 """Asymptotic verification harness.
 
-Runs a geometric h-sweep of extracted-vs-predicted transfer matrices,
-fits power laws to the tracked entry magnitudes, and renders verdicts
-against requested exponent/prefactor tolerances. Reports serialize to a
+Runs an h-sweep of extracted-vs-predicted transfer matrices, fits power
+laws to the tracked entry magnitudes, and renders verdicts on the
+off-diagonal exponents and prefactors. Reports serialize to a
 fixed-format CSV that round-trips bit-exactly.
 """
 
@@ -17,16 +17,20 @@ import numpy as np
 from .errors import CrossingKitError, DegenerateFit, ValidationError
 from .transfer import Problem, TransferMatrix
 
-TRACKED = ("t11", "t12", "t21", "t22")
+ENTRIES = TransferMatrix.ENTRIES
 CSV_COLUMNS = (
     ["h"]
-    + [f"ex_{e}_{p}" for e in TRACKED for p in ("re", "im")]
-    + [f"pr_{e}_{p}" for e in TRACKED for p in ("re", "im")]
-    + [f"abserr_{e}" for e in TRACKED]
+    + [f"ex_{e}_{p}" for e in ENTRIES for p in ("re", "im")]
+    + [f"pr_{e}_{p}" for e in ENTRIES for p in ("re", "im")]
+    + [f"abserr_{e}" for e in ENTRIES]
     + ["status"]
 )
+# the fitted quantities: off-diagonal magnitudes and diagonal deficits |T_jj - 1|
+FITTED = ("t12", "t21", "t11_deficit", "t22_deficit")
 # zero-signal floor: entries at or below it carry no fittable asymptotics
 SIGNAL_FLOOR = 1e-13
+# most points of an h grid: bounds a sweep's rows and threads
+MAX_GRID_POINTS = 1000
 
 
 @dataclass(frozen=True)
@@ -36,22 +40,11 @@ class SweepRow:
     predicted: TransferMatrix | None
     status: str = "ok"
 
-    def abs_errors(self) -> tuple[float, float, float, float]:
+    def abs_errors(self) -> tuple[float, ...]:
+        """|extracted - predicted| per entry, in ``ENTRIES`` order."""
         if self.extracted is None or self.predicted is None:
             return (math.nan,) * 4
-        d = self.extracted.entrywise_abs_diff(self.predicted)
-        return (d[0][0], d[0][1], d[1][0], d[1][1])
-
-    def rel_errors(self) -> tuple[float, float, float, float]:
-        if self.extracted is None or self.predicted is None:
-            return (math.nan,) * 4
-        out = []
-        for j in range(2):
-            for k in range(2):
-                p = abs(self.predicted.entries[j][k])
-                d = abs(self.extracted.entries[j][k] - self.predicted.entries[j][k])
-                out.append(d / p if p > 0 else math.inf)
-        return tuple(out)
+        return tuple(self.extracted.entrywise_abs_diff(self.predicted).flat)
 
 
 @dataclass(frozen=True)
@@ -86,26 +79,16 @@ class SweepReport:
         return [r for r in self.rows if r.status == "ok"]
 
     def magnitudes(self, quantity: str) -> list[tuple[float, float]]:
-        """(h, magnitude) pairs for a tracked quantity.
+        """(h, magnitude) pairs of one of ``FITTED`` over the ok rows.
 
-        Quantity is one of t12/t21 (entry magnitude) or t11_deficit /
-        t22_deficit (distance of a diagonal entry from 1).
+        t12/t21 are entry magnitudes; t11_deficit/t22_deficit are the
+        distances of a diagonal entry from 1.
         """
-        out = []
-        for r in self.ok_rows():
-            t = r.extracted
-            if quantity == "t12":
-                v = abs(t.t12)
-            elif quantity == "t21":
-                v = abs(t.t21)
-            elif quantity == "t11_deficit":
-                v = abs(t.t11 - 1.0)
-            elif quantity == "t22_deficit":
-                v = abs(t.t22 - 1.0)
-            else:
-                raise ValidationError(f"unknown sweep quantity {quantity!r}")
-            out.append((r.h, v))
-        return out
+        if quantity not in FITTED:
+            raise ValidationError(f"unknown sweep quantity {quantity!r}")
+        shift = 1.0 if quantity.endswith("_deficit") else 0.0
+        name = quantity.removesuffix("_deficit")
+        return [(r.h, abs(getattr(r.extracted, name) - shift)) for r in self.ok_rows()]
 
 
 def fit_power_law(
@@ -146,8 +129,26 @@ def _solve_pair(problem: Problem, h: float):
     return extracted, predicted
 
 
+def check_grid(h_values) -> tuple[float, ...]:
+    """The h values as floats, if they make a sweep grid.
+
+    A grid has 4 to ``MAX_GRID_POINTS`` values, each in (0, 1) (the
+    log(1/h) envelope needs log(1/h) > 0), spanning at least 2 decades.
+    """
+    hs = tuple(float(h) for h in h_values)
+    if not 4 <= len(hs) <= MAX_GRID_POINTS:
+        raise ValidationError(
+            f"needs 4 to {MAX_GRID_POINTS} grid points, got {len(hs)}"
+        )
+    if not all(0.0 < h < 1.0 for h in hs):
+        raise ValidationError("h values must lie in (0, 1)")
+    if math.log10(max(hs) / min(hs)) < 2.0 - 1e-9:
+        raise ValidationError("grid must span at least 2 decades in h")
+    return hs
+
+
 def run_sweep(problem: Problem, h_values, jobs: int = 1) -> SweepReport:
-    """Extract and predict the transfer matrix at each h.
+    """Extract and predict the transfer matrix at each h of a grid.
 
     Per-row numerical failures are recorded in the row status rather than
     raised, so one bad h cannot take down a whole sweep. Rows are assembled
@@ -155,13 +156,7 @@ def run_sweep(problem: Problem, h_values, jobs: int = 1) -> SweepReport:
     """
     if not isinstance(problem, Problem):
         raise ValidationError(f"{problem!r} does not implement the Problem interface")
-    hs = [float(h) for h in h_values]
-    if len(hs) < 4:
-        raise ValidationError("sweep needs at least 4 h values")
-    if max(hs) <= 0 or min(hs) <= 0:
-        raise ValidationError("h values must be positive")
-    if math.log10(max(hs) / min(hs)) < 2.0 - 1e-9:
-        raise ValidationError("sweep must span at least 2 decades in h")
+    hs = check_grid(h_values)
 
     def one(h: float) -> SweepRow:
         try:
@@ -183,50 +178,54 @@ def run_sweep(problem: Problem, h_values, jobs: int = 1) -> SweepReport:
     return SweepReport(rows=rows)
 
 
-def attach_fits(report: SweepReport, with_log_diag: bool = False) -> None:
+def attach_fits(report: SweepReport, order: int) -> None:
     """Fit every tracked quantity that carries signal.
 
-    Off-diagonal magnitudes are fitted plain; diagonal deficits optionally
-    carry the log(1/h) envelope factor. Zero-signal quantities are skipped.
+    Off-diagonal magnitudes are fitted plain. The diagonal deficits follow
+    the remainder O(h^(2/(m+1)) log(1/h)^[m=1]), so at contact order
+    ``order`` = 1 they carry the log(1/h) envelope. Zero-signal quantities
+    are skipped.
     """
-    for q in ("t12", "t21", "t11_deficit", "t22_deficit"):
+    for q in FITTED:
         pts = report.magnitudes(q)
         if not pts or max(v for _, v in pts) <= SIGNAL_FLOOR:
             continue
-        wl = with_log_diag and q.endswith("_deficit")
+        wl = order == 1 and q.endswith("_deficit")
         report.fits[q] = fit_power_law(pts, with_log=wl)
 
 
-def check_exponent(
-    report: SweepReport, quantity: str, expected: float, tolerance: float
-) -> Verdict:
-    fit = report.fits[quantity]
-    v = Verdict(
-        quantity=quantity,
-        kind="exponent",
-        expected=expected,
-        tolerance=tolerance,
-        observed=fit.exponent,
-        passed=abs(fit.exponent - expected) <= tolerance,
-    )
-    report.verdicts[f"{quantity}:exponent"] = v
-    return v
+def verify(
+    report: SweepReport, reference: TransferMatrix, order: int, tolerances: dict
+) -> bool:
+    """Check the off-diagonal fits against a prediction; True if all pass.
 
-
-def check_prefactor(
-    report: SweepReport, quantity: str, expected: float, rel_tolerance: float
-) -> Verdict:
-    fit = report.fits[quantity]
-    v = Verdict(
-        quantity=quantity,
-        kind="prefactor",
-        expected=expected,
-        tolerance=rel_tolerance,
-        observed=fit.amplitude,
-        passed=abs(fit.amplitude - expected) <= rel_tolerance * abs(expected),
-    )
-    report.verdicts[f"{quantity}:prefactor"] = v
-    return v
+    ``reference`` is the predicted T at its own h, normally the largest h
+    of the sweep. Each off-diagonal entry with signal in both the fit and
+    the reference must grow like h^(1/(order+1)): the fitted exponent
+    within ``tolerances["exponent"]`` (absolute), and the fitted amplitude
+    within ``tolerances["prefactor"]`` (relative) of the h-independent
+    prefactor |T_jk| / h^(1/(order+1)). The verdicts replace
+    ``report.verdicts``.
+    """
+    expected = 1.0 / (order + 1)
+    tol_e, tol_p = tolerances["exponent"], tolerances["prefactor"]
+    verdicts = {}
+    for q in ("t12", "t21"):
+        magnitude = abs(getattr(reference, q))
+        fit = report.fits.get(q)
+        if fit is None or magnitude <= SIGNAL_FLOOR:
+            continue
+        prefactor = magnitude / reference.h**expected
+        verdicts[f"{q}:exponent"] = Verdict(
+            q, "exponent", expected, tol_e, fit.exponent,
+            abs(fit.exponent - expected) <= tol_e,
+        )
+        verdicts[f"{q}:prefactor"] = Verdict(
+            q, "prefactor", prefactor, tol_p, fit.amplitude,
+            abs(fit.amplitude - prefactor) <= tol_p * abs(prefactor),
+        )
+    report.verdicts = verdicts
+    return all(v.passed for v in verdicts.values())
 
 
 def _fmt(x: float) -> str:
@@ -237,14 +236,13 @@ def _fmt(x: float) -> str:
 
 def write_csv(report: SweepReport, path) -> None:
     lines = [",".join(CSV_COLUMNS)]
+    missing = (complex("nan+nanj"),) * len(ENTRIES)
     for r in report.rows:
         cells = [_fmt(r.h)]
         for t in (r.extracted, r.predicted):
-            for j in range(2):
-                for k in range(2):
-                    z = t.entries[j][k] if t is not None else complex("nan+nanj")
-                    cells.append(_fmt(z.real))
-                    cells.append(_fmt(z.imag))
+            for z in t.named().values() if t is not None else missing:
+                cells.append(_fmt(z.real))
+                cells.append(_fmt(z.imag))
         cells.extend(_fmt(e) for e in r.abs_errors())
         cells.append(r.status)
         lines.append(",".join(cells))
@@ -262,28 +260,13 @@ def read_csv(path) -> SweepReport:
         cells = ln.split(",")
         if len(cells) != len(CSV_COLUMNS):
             raise ValidationError("malformed sweep CSV row")
-        h = float(cells[0])
+        # h, then re/im of the extracted and the predicted entries
+        h, *vals = (float(c) for c in cells[:17])
         status = cells[-1]
-        vals = [float(c) for c in cells[1:9]]
-        pred = [float(c) for c in cells[9:17]]
+        ex = pr = None
         if status == "ok":
-            ex = TransferMatrix(
-                [
-                    [complex(vals[0], vals[1]), complex(vals[2], vals[3])],
-                    [complex(vals[4], vals[5]), complex(vals[6], vals[7])],
-                ],
-                h=h,
-                kind="extracted",
-            )
-            pr = TransferMatrix(
-                [
-                    [complex(pred[0], pred[1]), complex(pred[2], pred[3])],
-                    [complex(pred[4], pred[5]), complex(pred[6], pred[7])],
-                ],
-                h=h,
-                kind="predicted",
-            )
-        else:
-            ex = pr = None
+            z = [complex(re, im) for re, im in zip(vals[::2], vals[1::2])]
+            ex = TransferMatrix(np.reshape(z[:4], (2, 2)), h=h)
+            pr = TransferMatrix(np.reshape(z[4:], (2, 2)), h=h)
         rows.append(SweepRow(h=h, extracted=ex, predicted=pr, status=status))
     return SweepReport(rows=rows)

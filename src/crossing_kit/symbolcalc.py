@@ -330,7 +330,7 @@ def transfer_predicted_general(data: CrossingData, h: float) -> TransferMatrix:
         ],
         dtype=complex,
     )
-    return TransferMatrix(entries=entries, h=h, kind="predicted")
+    return TransferMatrix(entries=entries, h=h)
 
 
 def crossing_data_from_symbols(

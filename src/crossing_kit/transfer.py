@@ -14,21 +14,20 @@ from .errors import ValidationError
 class TransferMatrix:
     """Map from incoming to outgoing leading WKB coefficients.
 
-    ``kind`` records the provenance: "predicted" (closed-form asymptotics)
-    or "extracted" (read off a numerical solution).
+    ``ENTRIES`` names the four entries in row-major order; every report
+    (CSV columns, printed and JSON matrices) lists them in that order.
     """
+
+    ENTRIES = ("t11", "t12", "t21", "t22")
 
     entries: np.ndarray
     h: float
-    kind: str
 
     def __post_init__(self):
         e = np.asarray(self.entries, dtype=complex)
         if e.shape != (2, 2):
             raise ValidationError("transfer matrix must be 2x2")
         object.__setattr__(self, "entries", e)
-        if self.kind not in ("predicted", "extracted"):
-            raise ValidationError(f"unknown transfer matrix kind {self.kind!r}")
 
     @property
     def t11(self) -> complex:
@@ -45,6 +44,10 @@ class TransferMatrix:
     @property
     def t22(self) -> complex:
         return complex(self.entries[1, 1])
+
+    def named(self) -> dict[str, complex]:
+        """The entries by name, in ``ENTRIES`` order."""
+        return dict(zip(self.ENTRIES, (complex(z) for z in self.entries.flat)))
 
     def entrywise_abs_diff(self, other: "TransferMatrix") -> np.ndarray:
         return np.abs(self.entries - other.entries)

@@ -30,9 +30,7 @@ def predict_transfer(prob: NormalFormProblem) -> TransferMatrix:
     fm0 = prob.f_order_coeff()
     t12 = -1j * lam * prob.r1(0.0) * stationary_prefactor(prob.m, fm0)
     t21 = -1j * lam * prob.r2(0.0) * stationary_prefactor(prob.m, -fm0)
-    return TransferMatrix(
-        [[1.0, t12], [t21, 1.0]], h=prob.h, kind="predicted"
-    )
+    return TransferMatrix([[1.0, t12], [t21, 1.0]], h=prob.h)
 
 
 def _omega_case_i(prob: SchrodingerProblem) -> complex:
@@ -65,7 +63,7 @@ def predict_transfer_case_i(
         [1.0, -1j * lam * omega * w0],
         [-1j * lam * np.conj(omega) * w0, 1.0],
     ]
-    return TransferMatrix(entries, h=prob.h, kind="predicted")
+    return TransferMatrix(entries, h=prob.h)
 
 
 def predict_transfer_case_ii(prob: SchrodingerProblem) -> TransferMatrix:
@@ -102,4 +100,4 @@ def predict_transfer_case_ii(prob: SchrodingerProblem) -> TransferMatrix:
         [1.0, -1j * lam * omega[0] * w0],
         [-1j * lam * omega[1] * w0, 1.0],
     ]
-    return TransferMatrix(entries, h=prob.h, kind="predicted")
+    return TransferMatrix(entries, h=prob.h)

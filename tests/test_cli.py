@@ -1,13 +1,16 @@
 """Command-line front end: schema validation with key paths, exit codes,
 and byte-deterministic CSV output."""
 
+import dataclasses
 import json
 
+import numpy as np
 import pytest
 
 from crossing_kit.cli import MAX_ORDER, main, parse_config
 from crossing_kit.errors import SchemaError
 from crossing_kit.normalform import predict_transfer
+from crossing_kit.sweep import MAX_GRID_POINTS, PowerLawFit, Verdict
 
 
 def write_config(tmp_path, payload, name="config.json"):
@@ -231,6 +234,47 @@ def test_verify_model_corpus_passes(tmp_path, capsys):
         assert payload["passed"] is True
         assert payload["ok_rows"] == 12
         assert all(v["passed"] for v in payload["verdicts"].values())
+
+
+def test_summary_entries_carry_the_dataclass_fields(tmp_path, capsys):
+    # perfbench/accuracy.py reads quantity, kind, observed and expected of
+    # each verdict; the summary dumps the dataclasses whole
+    summary = tmp_path / "verify.json"
+    cfg = {
+        "problem": {"kind": "model-corpus", "index": 0},
+        "h_grid": {"values": [1e-1, 3e-2, 1e-2, 1e-3]},
+        "output": {"csv": str(tmp_path / "rows.csv"), "summary": str(summary)},
+    }
+    assert main(["verify", "--config", write_config(tmp_path, cfg)]) in (0, 1)
+    capsys.readouterr()
+    payload = json.loads(summary.read_text(encoding="utf-8"))
+    fit_fields = {f.name for f in dataclasses.fields(PowerLawFit)}
+    verdict_fields = {f.name for f in dataclasses.fields(Verdict)}
+    assert verdict_fields >= {"quantity", "kind", "observed", "expected"}
+    assert set(payload["fits"]) == {"t12", "t21", "t11_deficit", "t22_deficit"}
+    assert all(set(f) == fit_fields for f in payload["fits"].values())
+    assert set(payload["verdicts"]) == {
+        f"{q}:{k}" for q in ("t12", "t21") for k in ("exponent", "prefactor")
+    }
+    assert all(set(v) == verdict_fields for v in payload["verdicts"].values())
+
+
+def test_grid_outside_unit_interval_or_too_long_rejected(tmp_path, capsys):
+    # h = 1 has no log(1/h) envelope, and a values list is bounded like a
+    # count; both are refused before any problem is solved
+    too_long = [float(h) for h in np.geomspace(1e-1, 1e-4, MAX_GRID_POINTS + 1)]
+    for values in ([1.0, 1e-1, 1e-2, 1e-3], [2.0, 1e-1, 1e-2, 1e-3], too_long):
+        cfg = {
+            "problem": {"kind": "model-corpus", "index": 0},
+            "h_grid": {"values": values},
+        }
+        path = write_config(tmp_path, cfg)
+        for mode in ("sweep", "verify"):
+            with pytest.raises(SchemaError) as exc:
+                parse_config(path, mode=mode)
+            assert exc.value.key_path == "h_grid"
+            assert main([mode, "--config", path]) == 2
+            assert "h_grid" in _one_line_error(capsys)
 
 
 def test_verify_absurd_tolerance_fails(tmp_path, capsys):

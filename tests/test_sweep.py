@@ -16,13 +16,13 @@ from crossing_kit.sweep import (
     SweepReport,
     SweepRow,
     attach_fits,
-    check_exponent,
-    check_prefactor,
     fit_power_law,
     read_csv,
     run_sweep,
+    verify,
     write_csv,
 )
+from crossing_kit.transfer import TransferMatrix
 
 HS = np.geomspace(1e-1, 1e-3, 5)
 
@@ -94,9 +94,23 @@ def test_sweep_rows_carry_small_errors_and_fits():
     assert all(r.status == "ok" for r in report.rows)
     for r in report.rows:
         assert r.extracted.h == r.predicted.h == r.h
-        assert max(r.rel_errors()) < 0.5
-    attach_fits(report)
+        ex, pr = r.extracted.entries, r.predicted.entries
+        assert np.all(np.abs(ex - pr) < 0.5 * np.abs(pr))
+    attach_fits(report, prob.order)
     assert abs(report.fits["t21"].exponent - 0.5) < 0.05
+
+
+def test_deficit_envelope_follows_contact_order():
+    # the remainder is O(h^(2/(m+1)) log(1/h)^[m=1]): the diagonal deficits
+    # carry the log envelope at m = 1 only
+    for index, m in ((0, 1), (1, 2)):
+        prob = model_corpus(1e-2)[index]
+        assert prob.order == m
+        report = run_sweep(prob, np.geomspace(1e-1, 1e-3, 4))
+        attach_fits(report, prob.order)
+        for q in ("t11_deficit", "t22_deficit"):
+            assert report.fits[q].with_log is (m == 1), (index, q)
+        assert not report.fits["t12"].with_log and not report.fits["t21"].with_log
 
 
 def test_zero_coupling_sweep_skips_fits():
@@ -105,7 +119,7 @@ def test_zero_coupling_sweep_skips_fits():
     )
     report = run_sweep(prob, np.geomspace(1e-1, 1e-3, 4))
     assert all(max(r.abs_errors()) < 1e-8 for r in report.rows)
-    attach_fits(report)
+    attach_fits(report, prob.order)
     assert "t12" not in report.fits and "t21" not in report.fits
 
 
@@ -127,17 +141,29 @@ def test_verdicts_and_monotonicity():
     pts = [(h, 2.0 * h**0.52) for h in HS]
     report = SweepReport(rows=[])
     report.fits["t21"] = fit_power_law(pts)
-    tight = check_exponent(report, "t21", 0.5, 0.01)
-    loose = check_exponent(report, "t21", 0.5, 0.05)
-    assert not tight.passed and loose.passed
+
+    def reference(prefactor):
+        # order 1: expected exponent 0.5, prefactor |t21| / h^0.5; t12 = 0
+        # carries no signal and gets no verdict
+        h = float(HS[0])
+        return TransferMatrix([[1.0, 0.0], [prefactor * h**0.5, 1.0]], h=h)
+
+    def exponent_passes(tol):
+        verify(report, reference(2.0), 1, {"exponent": tol, "prefactor": 0.10})
+        assert set(report.verdicts) == {"t21:exponent", "t21:prefactor"}
+        return report.verdicts["t21:exponent"].passed
+
+    tight, loose = exponent_passes(0.01), exponent_passes(0.05)
+    assert not tight and loose
     # loosening a tolerance can only keep or gain passes
     for tol in (0.02, 0.03, 0.1, 0.5):
-        again = check_exponent(report, "t21", 0.5, tol)
-        assert again.passed >= tight.passed
-    good = check_prefactor(report, "t21", 2.0, 0.10)
-    bad = check_prefactor(report, "t21", 2.5, 0.10)
-    assert good.passed and not bad.passed
-    assert report.verdicts["t21:prefactor"] is bad
+        assert exponent_passes(tol) >= tight
+    tols = {"exponent": 0.05, "prefactor": 0.10}
+    assert verify(report, reference(2.0), 1, tols)
+    assert report.verdicts["t21:prefactor"].expected == pytest.approx(2.0)
+    assert not verify(report, reference(2.5), 1, tols)
+    assert not report.verdicts["t21:prefactor"].passed
+    assert report.verdicts["t21:exponent"].passed
 
 
 def test_csv_round_trip_bit_exact(tmp_path):
@@ -164,7 +190,8 @@ def test_csv_rejects_malformed_input(tmp_path):
 
 def test_schrodinger_sweep_reaches_small_h():
     # the coupled pair down to h = 1e-5 (2.1M grid nodes at the last row)
-    report = run_sweep(schrodinger_corpus(1e-3)[0], np.geomspace(1e-3, 1e-5, 5))
+    prob = schrodinger_corpus(1e-3)[0]
+    report = run_sweep(prob, np.geomspace(1e-3, 1e-5, 5))
     assert [r.status for r in report.rows] == ["ok"] * 5
-    attach_fits(report)
+    attach_fits(report, prob.order)
     assert abs(report.fits["t12"].exponent - 0.5) <= 0.03
