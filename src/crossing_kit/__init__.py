@@ -10,7 +10,6 @@ systems, h sweeps with power-law fits, and a batch CLI.
 
 from ._kernels import BACKEND
 from .errors import (
-    BudgetExceeded,
     CaseMismatch,
     CrossingKitError,
     DegenerateFit,
@@ -24,7 +23,6 @@ from .errors import (
     ValidationError,
     ZeroGradient,
 )
-from .grids import GridFunction
 from .normalform import (
     NormalFormProblem,
     model_corpus,
@@ -34,7 +32,7 @@ from .normalform import (
 )
 from .oscquad import (
     AmplitudeSpec,
-    OscResult,
+    GridFunction,
     PhaseSpec,
     gaussian_pairing,
     mu_m,
@@ -86,7 +84,6 @@ __version__ = "0.1.0"
 __all__ = [
     "AmplitudeSpec",
     "BACKEND",
-    "BudgetExceeded",
     "Bump",
     "CaseMismatch",
     "CrossingData",
@@ -98,7 +95,6 @@ __all__ = [
     "NoFiniteContact",
     "NormalFormProblem",
     "NumericalError",
-    "OscResult",
     "PhaseSpec",
     "Poly1",
     "Poly2",

@@ -66,7 +66,9 @@ _DEFAULT_GRIDS = {
 }
 _DEFAULT_TOLERANCES = {"exponent": 0.05, "prefactor": 0.10}
 # largest m (model kinds) or n (schrodinger): the contact order, at most 2n,
-# stays far below 170, where m! in the stationary prefactor overflows a float
+# stays far below 170, where m! in the stationary prefactor overflows a float.
+# A coefficient list has at most MAX_ORDER + 1 entries: root finding and
+# bracket algebra grow with the degree
 MAX_ORDER = 64
 
 
@@ -138,11 +140,15 @@ def _expect_string(node, path: str, choices=None) -> str:
     return node
 
 
-def _expect_number_list(node, path: str, length: int | None = None) -> list[float]:
+def _expect_number_list(
+    node, path: str, length: int | None = None, most: int | None = None
+) -> list[float]:
     if not isinstance(node, list):
         raise SchemaError(path, f"expected an array, got {_type_name(node)}")
     if length is not None and len(node) != length:
         raise SchemaError(path, f"expected exactly {length} entries")
+    if most is not None and len(node) > most:
+        raise SchemaError(path, f"must have at most {most} entries")
     return [_expect_number(v, f"{path}[{k}]") for k, v in enumerate(node)]
 
 
@@ -202,7 +208,7 @@ def _build_problem(node, path: str, h: float, seed: int):
                 _require(obj, "m", path), f"{path}.m", minimum=1, maximum=MAX_ORDER
             )
             coeffs = _expect_number_list(
-                _require(obj, "f_coeffs", path), f"{path}.f_coeffs"
+                _require(obj, "f_coeffs", path), f"{path}.f_coeffs", most=MAX_ORDER + 1
             )
             r1 = _build_bump(_require(obj, "coupling", path), f"{path}.coupling")
             r2 = (
@@ -225,8 +231,12 @@ def _build_problem(node, path: str, h: float, seed: int):
             n = _expect_int(
                 _require(obj, "n", path), f"{path}.n", minimum=1, maximum=MAX_ORDER
             )
-            v1 = _expect_number_list(_require(obj, "v1_coeffs", path), f"{path}.v1_coeffs")
-            v2 = _expect_number_list(_require(obj, "v2_coeffs", path), f"{path}.v2_coeffs")
+            v1, v2 = (
+                _expect_number_list(
+                    _require(obj, key, path), f"{path}.{key}", most=MAX_ORDER + 1
+                )
+                for key in ("v1_coeffs", "v2_coeffs")
+            )
             e0 = _expect_number(_require(obj, "e0", path), f"{path}.e0")
             w = _build_bump(_require(obj, "coupling", path), f"{path}.coupling")
             lo, hi = _expect_number_list(

@@ -28,10 +28,6 @@ class NumericalError(CrossingKitError):
     """Base class for runtime numerical failures."""
 
 
-class BudgetExceeded(NumericalError):
-    """Adaptive quadrature hit its point budget before reaching tolerance."""
-
-
 class GridTooCoarse(NumericalError):
     """A sampled function does not resolve its own oscillation or envelope."""
 

@@ -9,7 +9,9 @@ coefficients and the fast oscillations e^{+-i phi_p(x)/h} of the family's
 phases phi_p. The reduced model has one phase, F, and a = (u1, e^{-iF/h} u2);
 the coupled pair has the two WKB phases and a its four exact branch
 coefficients. Outside the coupling supports M vanishes and a is constant,
-so the transfer matrix is read off a at the end of the interval.
+so the transfer matrix is read off a at the end of the interval. A third
+system is the oscillatory integral of ``oscquad``: a = (I, 1) with
+I' = amp e^{iF/h}.
 
 The march walks a uniform grid that resolves the fastest phase of M with
 POINTS_PER_PERIOD nodes; it is never built whole. Chunks of it are solved
@@ -33,10 +35,15 @@ from typing import Callable
 import numpy as np
 
 from ._kernels import cum_quad6
-from .errors import StepFailure
-from .grids import grid_spacing
+from .errors import StepFailure, ValidationError
 
+# The mesh rule: the grid resolves the fastest phase with POINTS_PER_PERIOD
+# nodes per period, has at least N_MIN nodes and fewer than N_MAX (the
+# march walks a grid in chunks, so the limit bounds its run time, not its
+# memory).
 POINTS_PER_PERIOD = 24
+N_MIN = 2001
+N_MAX = 40_000_000
 # The march's working memory: a chunk takes about _BYTES_PER_NODE bytes of
 # work arrays per grid node (measured with tracemalloc), so no chunk has
 # more than CHUNK_BYTES // _BYTES_PER_NODE nodes, whatever h is.
@@ -51,6 +58,29 @@ PICARD_TOL = 1e-14
 PICARD_MAX_ITER = 40
 
 logger = logging.getLogger("crossing_kit")
+
+
+def grid_spacing(x_left: float, x_right: float, max_rate: float, h: float) -> float:
+    """Mesh width on [x_left, x_right], checked against ``N_MAX``.
+
+    The mesh resolves the local period 2*pi*h/max_rate with at least
+    POINTS_PER_PERIOD nodes and has at least ``N_MIN`` nodes. Raises
+    ValidationError when it would need ``N_MAX`` nodes or more, before any
+    work starts.
+    """
+    dx_target = (x_right - x_left) / (N_MIN - 1)
+    if max_rate > 0:
+        dx_osc = 2.0 * np.pi * h / (max_rate * POINTS_PER_PERIOD)
+        dx_target = min(dx_target, dx_osc)
+    # compare in floats before any int(): for h near the underflow limit the
+    # node count is infinite; the estimate never exceeds the exact count
+    estimate = (x_right - x_left) / dx_target if dx_target > 0 else np.inf
+    if not estimate < N_MAX:
+        raise ValidationError(
+            f"grid would need about {estimate:.3g} nodes (> n_max={N_MAX}); "
+            "raise h or shrink the interval"
+        )
+    return dx_target
 
 
 @dataclass(frozen=True)
@@ -150,7 +180,7 @@ def march(
     """
     if x_to == x_from:
         return a
-    dx = grid_spacing(*system.interval, system.fastest, system.h, POINTS_PER_PERIOD)
+    dx = grid_spacing(*system.interval, system.fastest, system.h)
     cells = max(_MIN_CHUNK_CELLS, math.ceil(abs(x_to - x_from) / dx))
     dx = (x_to - x_from) / cells
     chunks = math.ceil(cells / _chunk_cells(system, dx))

@@ -6,9 +6,9 @@ Central objects: integrals of the form
 
 where F' vanishes at 0 to exact order m (F^(k)(0) = 0 for 1 <= k <= m,
 F^(m+1)(0) != 0) and nowhere else on the range. The module provides the
-closed-form leading term of I(h) as h -> 0, an adaptive panel integrator
-that evaluates I(h) numerically with an error estimate, and the Gaussian
-pairing used to normalize WKB data.
+closed-form leading term of I(h) as h -> 0, its numerical value marched
+by ``march`` (with no error estimate), and the Gaussian pairing of grid
+samples (a GridFunction) used to normalize WKB data.
 
 The leading term is
 
@@ -25,22 +25,22 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from typing import Callable
 
 import numpy as np
 
+from . import march
 from ._kernels import cum_quad6
-from .errors import BudgetExceeded, GridTooCoarse, ValidationError
-from .grids import GridFunction
+from .errors import GridTooCoarse, ValidationError
 from .profiles import Bump, Poly1
 
 __all__ = [
     "PhaseSpec",
     "AmplitudeSpec",
-    "OscResult",
     "mu_m",
     "osc_leading_term",
     "osc_integral_numeric",
+    "GridFunction",
     "gaussian_pairing",
 ]
 
@@ -59,14 +59,16 @@ def mu_m(m: int, theta: float) -> complex:
 class PhaseSpec:
     """Phase F with a single stationary point of exact order m at 0.
 
-    ``func`` evaluates F (vectorized), ``deriv(k, y)`` its k-th derivative.
+    ``func`` is the polynomial F, ``deriv(k, y)`` its k-th derivative at y.
     ``validate`` enforces F(0) = 0, the vanishing pattern at 0, and F' != 0
     on a sample of the working range away from 0.
     """
 
-    func: Callable[[np.ndarray], np.ndarray]
-    deriv: Callable[[int, float], float]
+    func: Poly1
     m: int
+
+    def deriv(self, k: int, y: float) -> float:
+        return self.func.deriv_at(k, y)
 
     @staticmethod
     def from_poly(poly: Poly1) -> "PhaseSpec":
@@ -77,7 +79,7 @@ class PhaseSpec:
         lead = next((k for k in range(1, len(poly.coeffs)) if poly.coeffs[k] != 0.0), None)
         if lead is None or lead < 2:
             raise ValidationError("phase polynomial must vanish to order >= 2 at 0")
-        return PhaseSpec(func=poly, deriv=poly.deriv_at, m=lead - 1)
+        return PhaseSpec(func=poly, m=lead - 1)
 
     @staticmethod
     def from_rate(rate: Poly1) -> "PhaseSpec":
@@ -122,12 +124,6 @@ class AmplitudeSpec:
         return complex(np.asarray(self.func(np.array(0.0))).item())
 
 
-class OscResult(NamedTuple):
-    value: complex
-    error: float
-    evals: int
-
-
 def stationary_prefactor(m: int, curvature: float) -> complex:
     """h-free coefficient of the degenerate stationary point contribution.
 
@@ -151,107 +147,74 @@ def osc_leading_term(phase: PhaseSpec, a0: complex, h: float) -> complex:
     return stationary_prefactor(m, c) * a0 * h ** (1.0 / (m + 1))
 
 
-_GL15_NODES, _GL15_WEIGHTS = np.polynomial.legendre.leggauss(15)
-
-
-def _panel_values(phase, amp, h, lo, hi, evals_box):
-    """GL15 value of the integral on each [lo_i, hi_i] panel (vectorized)."""
-    half = 0.5 * (hi - lo)
-    mid = 0.5 * (hi + lo)
-    nodes = mid[:, None] + half[:, None] * _GL15_NODES[None, :]
-    flat = nodes.ravel()
-    fa = np.asarray(amp.func(flat), dtype=complex) * np.exp(
-        1j * np.asarray(phase.func(flat), dtype=float) / h
-    )
-    evals_box[0] += flat.size
-    return (fa.reshape(nodes.shape) @ _GL15_WEIGHTS) * half, np.abs(fa).reshape(
-        nodes.shape
-    ).max(axis=1)
-
-
 def osc_integral_numeric(
-    phase: PhaseSpec,
-    amp: AmplitudeSpec,
-    h: float,
-    interval: tuple[float, float],
-    abs_tol: float | None = None,
-    max_evals: int = 20_000_000,
-) -> OscResult:
-    """Adaptive panel evaluation of the oscillatory integral.
+    phase: PhaseSpec, amp: AmplitudeSpec, h: float, interval: tuple[float, float]
+) -> complex:
+    """The oscillatory integral over ``interval``, marched.
 
-    The interval is first split at the stationary point, then bisected until
-    each panel spans at most pi of phase (F is monotone on each side, so the
-    endpoint values bound the span exactly); a 15-node panel thus carries
-    ~30 samples per local period. Panels are then recursively halved until
-    the parent/children discrepancy meets a width-proportional share of the
-    tolerance. Raises BudgetExceeded when the total number of integrand
-    evaluations would pass ``max_evals``.
+    I(x) = integral_x0^x amp e^{iF/h} solves a' = M a for a = (I, 1) and
+    M = [[0, amp e^{iF/h}], [0, 0]], so ``march`` computes it on its mesh
+    (POINTS_PER_PERIOD nodes per period of max |F'|), with its node budget
+    checked before any work and its memory bounded by CHUNK_BYTES. M is
+    nilpotent: Picard settles in two sweeps per chunk.
     """
     x0, x1 = float(interval[0]), float(interval[1])
     phase.validate(x0, x1)
     if not (h > 0):
         raise ValidationError("h must be positive")
-    width_total = x1 - x0
-    if abs_tol is None:
-        probe = np.abs(np.asarray(amp.func(np.linspace(x0, x1, 513)), dtype=complex))
-        abs_tol = max(1e-10, 1e-8 * float(probe.max()) * width_total)
-    evals_box = [0]
+    rate = phase.func.deriv(1)
 
-    # initial partition: split at 0, then bisect to <= pi phase per panel
-    lo = np.array([x0, 0.0])
-    hi = np.array([0.0, x1])
-    flo = np.asarray(phase.func(lo), dtype=float)
-    fhi = np.asarray(phase.func(hi), dtype=float)
-    done_lo, done_hi = [], []
-    while lo.size:
-        span = np.abs(fhi - flo) / h
-        ok = span <= np.pi
-        done_lo.append(lo[ok])
-        done_hi.append(hi[ok])
-        lo, hi, flo, fhi = lo[~ok], hi[~ok], flo[~ok], fhi[~ok]
-        if not lo.size:
-            break
-        mid = 0.5 * (lo + hi)
-        fmid = np.asarray(phase.func(mid), dtype=float)
-        evals_box[0] += mid.size
-        lo = np.concatenate([lo, mid])
-        hi = np.concatenate([mid, hi])
-        flo = np.concatenate([flo, fmid])
-        fhi = np.concatenate([fmid, fhi])
-        if evals_box[0] + 45 * (lo.size + sum(a.size for a in done_lo)) > max_evals:
-            raise BudgetExceeded(
-                f"oscillatory panel partition needs more than {max_evals} evaluations"
-            )
-    lo = np.concatenate(done_lo)
-    hi = np.concatenate(done_hi)
+    def local(x):
+        return rate(x)[None, :], np.asarray(amp.func(x), dtype=complex)
 
-    vals, _ = _panel_values(phase, amp, h, lo, hi, evals_box)
-    total = 0.0 + 0.0j
-    err_total = 0.0
-    for _ in range(60):
-        if not lo.size:
-            break
-        if evals_box[0] + 30 * lo.size > max_evals:
-            raise BudgetExceeded(
-                f"oscillatory refinement needs more than {max_evals} evaluations"
+    def apply(coeffs, osc, back, a, out):
+        np.multiply(coeffs, osc[0], out=out[:, 0])
+        out[:, 0] *= a[:, 1]
+        out[:, 1] = 0.0
+
+    system = march.System(
+        h=h,
+        interval=(x0, x1),
+        fastest=max(map(abs, rate.range_on(x0, x1))),
+        coupling=float(np.abs(amp.func(np.linspace(x0, x1, 513))).max()),
+        local=local,
+        apply=apply,
+    )
+    start = np.array([[0.0, 1.0]], dtype=complex)
+    end = march.march(system, start, np.array([phase.func(x0)]), x0, x1)
+    return complex(end[0, 0])
+
+
+@dataclass
+class GridFunction:
+    """Complex samples ``values[k]`` at ``x0 + k*dx``, k = 0..n-1."""
+
+    values: np.ndarray
+    x0: float
+    dx: float
+    n: int
+
+    def __post_init__(self):
+        self.values = np.asarray(self.values)
+        if self.values.shape != (self.n,):
+            raise ValidationError(
+                f"values shape {self.values.shape} != (n,) = ({self.n},)"
             )
-        mid = 0.5 * (lo + hi)
-        lv, lmax = _panel_values(phase, amp, h, lo, mid, evals_box)
-        rv, rmax = _panel_values(phase, amp, h, mid, hi, evals_box)
-        child_sum = lv + rv
-        err = np.abs(vals - child_sum)
-        ptol = abs_tol * (hi - lo) / width_total
-        floor = 4e-16 * (hi - lo) * np.maximum(lmax, rmax)
-        acc = err <= np.maximum(0.5 * ptol, floor)
-        total += child_sum[acc].sum()
-        err_total += err[acc].sum()
-        keep = ~acc
-        lo = np.concatenate([lo[keep], mid[keep]])
-        hi = np.concatenate([mid[keep], hi[keep]])
-        vals = np.concatenate([lv[keep], rv[keep]])
-    else:
-        raise BudgetExceeded("oscillatory refinement did not settle in 60 rounds")
-    return OscResult(complex(total), float(err_total), evals_box[0])
+        if not (self.dx > 0):
+            raise ValidationError("dx must be positive")
+
+    @property
+    def x(self) -> np.ndarray:
+        return self.x0 + self.dx * np.arange(self.n)
+
+    @property
+    def x1(self) -> float:
+        return self.x0 + self.dx * (self.n - 1)
+
+    def index_of(self, x: float) -> int:
+        """Nearest grid index to x (clipped to the grid)."""
+        k = int(round((x - self.x0) / self.dx))
+        return min(max(k, 0), self.n - 1)
 
 
 def gaussian_pairing(v: GridFunction, h: float) -> complex:

@@ -252,16 +252,19 @@ def write_csv(report: SweepReport, path) -> None:
 
 def read_csv(path) -> SweepReport:
     with open(path, encoding="utf-8") as fh:
-        lines = [ln.rstrip("\n") for ln in fh if ln.strip()]
-    if not lines or lines[0] != ",".join(CSV_COLUMNS):
+        lines = [(k, ln.rstrip("\n")) for k, ln in enumerate(fh, 1) if ln.strip()]
+    if not lines or lines[0][1] != ",".join(CSV_COLUMNS):
         raise ValidationError("unrecognized sweep CSV header")
     rows = []
-    for ln in lines[1:]:
+    for k, ln in lines[1:]:
         cells = ln.split(",")
         if len(cells) != len(CSV_COLUMNS):
-            raise ValidationError("malformed sweep CSV row")
+            raise ValidationError(f"malformed sweep CSV row on line {k}")
         # h, then re/im of the extracted and the predicted entries
-        h, *vals = (float(c) for c in cells[:17])
+        try:
+            h, *vals = (float(c) for c in cells[:17])
+        except ValueError as exc:
+            raise ValidationError(f"sweep CSV line {k}: {exc}") from None
         status = cells[-1]
         ex = pr = None
         if status == "ok":

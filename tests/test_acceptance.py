@@ -15,10 +15,10 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 
 from crossing_kit import march
-from crossing_kit.grids import GridFunction
 from crossing_kit.normalform import _system, model_corpus, ode_oracle
 from crossing_kit.oscquad import (
     AmplitudeSpec,
+    GridFunction,
     PhaseSpec,
     gaussian_pairing,
     osc_integral_numeric,
@@ -63,9 +63,9 @@ def test_01_stationary_constant_and_quadrature_envelope_m1():
     amp = AmplitudeSpec.from_bump(Bump(width=0.5))
     ratios = []
     for h in (1e-2, 1e-3, 1e-4, 1e-5, 1e-6):
-        res = osc_integral_numeric(phase, amp, h, (-0.6, 0.6))
+        value = osc_integral_numeric(phase, amp, h, (-0.6, 0.6))
         lead = osc_leading_term(phase, 1.0, h)
-        rel = abs(res.value - lead) / abs(lead)
+        rel = abs(value - lead) / abs(lead)
         assert rel <= 1.2 * c_frozen * math.sqrt(h)
         ratios.append(rel / math.sqrt(h))
     assert 0.8 * c_frozen <= max(ratios) <= 1.2 * c_frozen
@@ -82,9 +82,9 @@ def test_02_airy_cross_check_m2():
     h = 1e-5
     phase = PhaseSpec.from_poly(Poly1((0.0, 0.0, 0.0, 1.0 / 3.0)))
     amp = AmplitudeSpec.from_bump(Bump(width=0.5))
-    res = osc_integral_numeric(phase, amp, h, (-0.6, 0.6))
+    value = osc_integral_numeric(phase, amp, h, (-0.6, 0.6))
     target = AIRY_2PI_AI0 * h ** (1.0 / 3.0)
-    assert abs(abs(res.value) - target) / target <= 3e-2
+    assert abs(abs(value) - target) / target <= 3e-2
     report(2, "Airy cross-check, order 2")
 
 

@@ -402,3 +402,23 @@ def test_contact_order_above_the_bound_rejected(tmp_path, capsys, kind, key):
     assert exc.value.key_path == f"problem.{key}"
     assert main(["predict", "--config", path]) == 2
     assert f"problem.{key}" in _one_line_error(capsys)
+
+
+@pytest.mark.parametrize(
+    "kind, key",
+    [("model", "f_coeffs"), ("schrodinger", "v1_coeffs"), ("schrodinger", "v2_coeffs")],
+)
+def test_coefficient_list_above_the_bound_rejected(tmp_path, capsys, kind, key):
+    # root finding and bracket algebra grow with the degree: a list is
+    # refused at once, before any problem is built
+    block = _order_block(kind, 1)
+    block[key] = [0.0, 1.0] + [0.0] * (MAX_ORDER - 1)
+    assert len(block[key]) == MAX_ORDER + 1
+    parse_config(write_config(tmp_path, {"problem": block, "h": 1e-2}), mode="predict")
+    block[key].append(0.0)
+    path = write_config(tmp_path, {"problem": block, "h": 1e-2})
+    with pytest.raises(SchemaError) as exc:
+        parse_config(path, mode="predict")
+    assert exc.value.key_path == f"problem.{key}"
+    assert main(["predict", "--config", path]) == 2
+    assert f"problem.{key}" in _one_line_error(capsys)

@@ -7,7 +7,7 @@ strings, booleans, null, NaN and infinities, integers far beyond the float
 range and floats down to the subnormals. `predict` solves nothing and may
 end in 0, 2 or 3. `solve-model`, `solve-schrodinger` and `sweep` run the
 march on what survives validation and may also end in 1; their skeletons
-start at h >= 1e-3, and while they run the node budget (`grids.N_MAX`) is
+start at h >= 1e-3, and while they run the node budget (`march.N_MAX`) is
 lowered to _SOLVE_N_MAX and the grid size (`sweep.MAX_GRID_POINTS`) to
 _SOLVE_GRID_COUNT, so that no drawn value makes a solve slow; values past
 either bound take the refusal path that the full bounds take. Examples run
@@ -27,7 +27,7 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import HealthCheck, example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from crossing_kit import grids, sweep  # noqa: E402
+from crossing_kit import march, sweep  # noqa: E402
 from crossing_kit.cli import main  # noqa: E402
 
 _SKELETONS = [
@@ -203,7 +203,7 @@ def _run(mode, config):
 
 
 def _run_solving(mode, config):
-    with mock.patch.object(grids, "N_MAX", _SOLVE_N_MAX), mock.patch.object(
+    with mock.patch.object(march, "N_MAX", _SOLVE_N_MAX), mock.patch.object(
         sweep, "MAX_GRID_POINTS", _SOLVE_GRID_COUNT
     ):
         return _run(mode, config)

@@ -1,4 +1,4 @@
-"""Stationary-phase constants, the adaptive oscillatory integrator, and the
+"""Stationary-phase constants, the marched oscillatory integral, and the
 Gaussian pairing.
 
 Frozen reference values were generated once with mpmath at 40 digits
@@ -8,14 +8,16 @@ margin.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from crossing_kit.errors import BudgetExceeded, GridTooCoarse, ValidationError
-from crossing_kit.grids import GridFunction
+from crossing_kit import march
+from crossing_kit.errors import GridTooCoarse, ValidationError
 from crossing_kit.oscquad import (
     AmplitudeSpec,
+    GridFunction,
     PhaseSpec,
     gaussian_pairing,
     mu_m,
@@ -121,10 +123,10 @@ def test_numeric_matches_leading_within_envelope(key):
     amp = AmplitudeSpec.from_bump(bump)
     ratios = []
     for h in (1e-2, 1e-3, 1e-4, 1e-5, 1e-6):
-        res = osc_integral_numeric(ph, amp, h, interval)
+        value = osc_integral_numeric(ph, amp, h, interval)
         lead = osc_leading_term(ph, amp.a0, h)
         envelope = h ** (2 / (m + 1)) * (math.log(1 / h) if m == 1 else 1.0)
-        ratios.append(abs(res.value - lead) / envelope)
+        ratios.append(abs(value - lead) / envelope)
     # bound holds with the frozen constant, and the constant is sharp
     assert max(ratios) <= 1.2 * c_frozen
     assert max(ratios) >= 0.8 * c_frozen
@@ -138,28 +140,42 @@ def test_numeric_conjugation_symmetry():
     minus = osc_integral_numeric(
         PhaseSpec.from_poly(Poly1((0, 0, 0, -1 / 3))), amp, 1e-3, (-0.6, 0.8)
     )
-    assert minus.value == pytest.approx(np.conj(plus.value), abs=1e-13)
+    assert minus == pytest.approx(np.conj(plus), abs=1e-13)
 
 
 def test_numeric_error_estimate_quiet_regime():
-    # at h=1 the integrand barely oscillates; value must match a dense
-    # reference well within the reported estimate plus the contract floor
+    # at h=1 the integrand barely oscillates; the marched value must match
+    # a dense reference to the contract floor
     ph = PhaseSpec.from_poly(Poly1((0, 0, 0.5)))
     amp = AmplitudeSpec.from_bump(Bump(width=0.5))
-    res = osc_integral_numeric(ph, amp, 1.0, (-0.6, 0.6))
+    value = osc_integral_numeric(ph, amp, 1.0, (-0.6, 0.6))
     xs = np.linspace(-0.6, 0.6, 20001)
     integrand = amp.func(xs) * np.exp(1j * ph.func(xs))
     from crossing_kit._kernels import cum_quad6
 
     ref = cum_quad6(integrand.astype(complex), xs[1] - xs[0])[-1]
-    assert abs(res.value - ref) <= res.error + 1e-10
+    assert abs(value - ref) <= 1e-10
 
 
 def test_numeric_budget_exceeded():
+    # h = 1e-9 would need about 2.7e9 nodes, far above march.N_MAX
     ph = PhaseSpec.from_poly(Poly1((0, 0, 0.5)))
     amp = AmplitudeSpec.from_bump(Bump(width=0.5))
-    with pytest.raises(BudgetExceeded):
-        osc_integral_numeric(ph, amp, 1e-6, (-0.6, 0.6), max_evals=2000)
+    with pytest.raises(ValidationError, match="n_max"):
+        osc_integral_numeric(ph, amp, 1e-9, (-0.6, 0.6))
+
+
+def test_numeric_memory_is_bounded():
+    # at h = 1e-6 the grid has 2.7M nodes; the march holds one chunk
+    poly, bump, interval, _ = ENVELOPE_CORPUS[(1, +1)]
+    tracemalloc.start()
+    try:
+        ph, amp = PhaseSpec.from_poly(poly), AmplitudeSpec.from_bump(bump)
+        osc_integral_numeric(ph, amp, 1e-6, interval)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * march.CHUNK_BYTES
 
 
 def test_numeric_requires_straddling_interval():

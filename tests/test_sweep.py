@@ -186,6 +186,11 @@ def test_csv_rejects_malformed_input(tmp_path):
     path.write_text(good_header + "\n1.0,2.0\n")
     with pytest.raises(ValidationError):
         read_csv(path)
+    # a non-numeric cell, named by its 1-based line
+    row = ["abc"] + ["0.0"] * (len(CSV_COLUMNS) - 2) + ["ok"]
+    path.write_text(good_header + "\n" + ",".join(row) + "\n")
+    with pytest.raises(ValidationError, match="line 2"):
+        read_csv(path)
 
 
 def test_schrodinger_sweep_reaches_small_h():
