@@ -13,11 +13,17 @@ so the transfer matrix is read off a at the end of the interval. A third
 system is the oscillatory integral of ``oscquad``: a = (I, 1) with
 I' = amp e^{iF/h}.
 
-The march walks a uniform grid that resolves the fastest phase of M with
-POINTS_PER_PERIOD nodes; it is never built whole. Chunks of it are solved
-in turn, each from the coefficients and phases at the last node of the one
-before: per chunk the phases come from cum_quad6 of their rates, and a from
-Picard iteration a <- a(x_0) + int M a.
+The march carries a unchanged across the part of its span where M
+vanishes, and marches only the rest, the span's overlap with the system's
+``support``; the phases at the start of the marched span come from the
+system's exact phases. The marched span is cut into chunks, each a uniform
+grid whose dx resolves the fastest phase rate on and near that chunk's own
+span with POINTS_PER_PERIOD nodes per period, so the mesh is coarse where
+the phases are stationary and fine where they turn fast; a constant rate
+bound gives one uniform grid split evenly. The grid is never built whole.
+Chunks are solved in turn, each from the coefficients and phases at the
+last node of the one before: per chunk the phases come from cum_quad6 of
+their rates, and a from Picard iteration a <- a(x_0) + int M a.
 
 The Picard sweeps allocate no array of a chunk's size: the iterate, the
 next iterate, M a and |change| live in work arrays allocated once per
@@ -37,13 +43,17 @@ import numpy as np
 from ._kernels import cum_quad6
 from .errors import StepFailure, ValidationError
 
-# The mesh rule: the grid resolves the fastest phase with POINTS_PER_PERIOD
-# nodes per period, has at least N_MIN nodes and fewer than N_MAX (the
-# march walks a grid in chunks, so the limit bounds its run time, not its
-# memory).
+# The mesh rule: each chunk resolves the fastest phase rate on and near its
+# own span with POINTS_PER_PERIOD nodes per period, and no dx is wider than
+# the one that puts N_MIN nodes on the system's interval. A march has fewer
+# than N_MAX nodes (it walks its grid in chunks, so the limit bounds its
+# run time, not its memory). The rate bound is read on RATE_PIECES equal
+# pieces of the marched span: a chunk takes the smallest dx of the pieces
+# it overlaps, and the node budget sums over the pieces before any planning.
 POINTS_PER_PERIOD = 24
 N_MIN = 2001
 N_MAX = 40_000_000
+RATE_PIECES = 128
 # The march's working memory: a chunk takes about _BYTES_PER_NODE bytes of
 # work arrays per grid node (measured with tracemalloc), so no chunk has
 # more than CHUNK_BYTES // _BYTES_PER_NODE nodes, whatever h is.
@@ -60,29 +70,6 @@ PICARD_MAX_ITER = 40
 logger = logging.getLogger("crossing_kit")
 
 
-def grid_spacing(x_left: float, x_right: float, max_rate: float, h: float) -> float:
-    """Mesh width on [x_left, x_right], checked against ``N_MAX``.
-
-    The mesh resolves the local period 2*pi*h/max_rate with at least
-    POINTS_PER_PERIOD nodes and has at least ``N_MIN`` nodes. Raises
-    ValidationError when it would need ``N_MAX`` nodes or more, before any
-    work starts.
-    """
-    dx_target = (x_right - x_left) / (N_MIN - 1)
-    if max_rate > 0:
-        dx_osc = 2.0 * np.pi * h / (max_rate * POINTS_PER_PERIOD)
-        dx_target = min(dx_target, dx_osc)
-    # compare in floats before any int(): for h near the underflow limit the
-    # node count is infinite; the estimate never exceeds the exact count
-    estimate = (x_right - x_left) / dx_target if dx_target > 0 else np.inf
-    if not estimate < N_MAX:
-        raise ValidationError(
-            f"grid would need about {estimate:.3g} nodes (> n_max={N_MAX}); "
-            "raise h or shrink the interval"
-        )
-    return dx_target
-
-
 @dataclass(frozen=True)
 class System:
     """a' = M a on ``interval``, as a problem family supplies it.
@@ -94,14 +81,20 @@ class System:
     components, nodes) and osc = e^{i phi_p/h}, back = e^{-i phi_p/h} of
     shape (phases, nodes); it may use ``out`` as scratch on the way.
 
-    ``fastest`` bounds the fastest phase rate of M on the interval; it sets
-    the mesh and the node budget. ``coupling`` bounds the largest row sum
-    of |M|; it sets the chunk length.
+    ``support`` is the hull of the points where M may be nonzero, or None
+    where M vanishes on the whole interval; a is constant outside it.
+    ``phases(x)`` gives the exact phases phi_p at the point x, shape
+    (phases,). ``rate_on(lo, hi)`` bounds max_p |phi_p'| on each
+    [lo[k], hi[k]] of the arrays lo <= hi; it sets the mesh and the node
+    budget. ``coupling`` bounds the largest row sum of |M|; it sets the
+    chunk length.
     """
 
     h: float
     interval: tuple[float, float]
-    fastest: float
+    support: tuple[float, float] | None
+    phases: Callable
+    rate_on: Callable
     coupling: float
     local: Callable
     apply: Callable
@@ -116,9 +109,97 @@ def _chunk_cells(system: System, dx: float) -> int:
     """
     cells = CHUNK_BYTES // _BYTES_PER_NODE - 1
     reach = system.coupling * abs(dx)
-    if reach > 0.0:
-        cells = min(cells, int(CHUNK_COUPLING / reach))
+    # compared before int(): near the underflow limit the ratio is infinite
+    if reach > 0.0 and CHUNK_COUPLING / reach < cells:
+        cells = int(CHUNK_COUPLING / reach)
     return max(_MIN_CHUNK_CELLS, cells)
+
+
+def _piece_spacing(system: System, start: float, end: float) -> list[float]:
+    """Widest |dx| on each of RATE_PIECES equal pieces of [start, end], in
+    march order, after checking the node budget.
+
+    A piece's dx resolves the period 2*pi*h/rate of the fastest rate bound
+    within one chunk's reach of the piece with POINTS_PER_PERIOD nodes, and
+    puts at least N_MIN nodes on the system's interval. Where dx steps from
+    one chunk to the next, both chunks are then finer than their own rates
+    need: a chunk's end cells use one-sided quadrature weights, whose error
+    does not cancel along the oscillation as it does inside the chunk.
+    Raises ValidationError when the pieces need N_MAX nodes or more, before
+    any work starts.
+    """
+    x_left, x_right = system.interval
+    edges = start + (end - start) * np.linspace(0.0, 1.0, RATE_PIECES + 1)
+    rate = system.rate_on(
+        np.minimum(edges[:-1], edges[1:]), np.maximum(edges[:-1], edges[1:])
+    )
+    # a zero rate, or an h near the underflow limit, makes the ratios
+    # infinite: the first leaves the N_MIN cap, the second fails the budget
+    with np.errstate(divide="ignore", over="ignore"):
+        own = np.minimum(
+            (x_right - x_left) / (N_MIN - 1),
+            2.0 * np.pi * system.h / (rate * POINTS_PER_PERIOD),
+        ).tolist()
+    width = abs(end - start) / RATE_PIECES
+    dx = []
+    for k, d in enumerate(own):
+        near = math.ceil(min(RATE_PIECES, _chunk_cells(system, d) * d / width))
+        dx.append(min(own[max(0, k - near) : k + near + 1]))
+    with np.errstate(divide="ignore", over="ignore"):
+        estimate = float(np.sum(width / np.array(dx)))
+    if not estimate < N_MAX:
+        raise ValidationError(
+            f"grid would need about {estimate:.3g} nodes (> n_max={N_MAX}); "
+            "raise h or shrink the interval"
+        )
+    return dx
+
+
+def _plan(system: System, start: float, end: float) -> list[tuple]:
+    """Uniform segments (origin, dx, cells, chunks) that grid [start, end]
+    in march order.
+
+    A segment's nodes are origin + dx*k for k = 0..cells, split evenly into
+    ``chunks`` chunks; each segment starts at the last node of the one
+    before, and the last one ends at ``end``. Chunk by chunk, a chunk has
+    the most cells _chunk_cells allows at its dx, and its dx is the
+    smallest _piece_spacing of the pieces it then overlaps. Chunks of one
+    dx form one segment, so a constant rate bound gives a single segment of
+    max(_MIN_CHUNK_CELLS, ceil(|end - start| / dx)) cells, split evenly.
+    """
+    spacing = _piece_spacing(system, start, end)
+    span = abs(end - start)
+    width = span / RATE_PIECES
+    direction = 1.0 if end > start else -1.0
+    segments = []
+    x, u = start, 0.0  # the next chunk's first node, and its distance
+    while True:
+        first = min(int(u / width), RATE_PIECES - 1)
+        d = spacing[first]
+        while True:  # d only shrinks, through values of ``spacing``: this ends
+            cells = _chunk_cells(system, d)
+            last = min(int((u + cells * d) / width), RATE_PIECES - 1)
+            least = min(spacing[first : last + 1])
+            if least >= d:
+                break
+            d = least
+        if u + cells * d >= span:  # the rest fits in one chunk
+            if segments and segments[-1][1] == direction * d:
+                x = segments.pop()[0]
+            cells = max(_MIN_CHUNK_CELLS, math.ceil(abs(end - x) / d))
+            segments.append([x, (end - x) / cells, cells])
+            break
+        if segments and segments[-1][1] == direction * d:
+            segments[-1][2] += cells
+        else:
+            segments.append([x, direction * d, cells])
+        u += cells * d
+        origin, dx, total = segments[-1]
+        x = origin + dx * total
+    return [
+        (x, dx, cells, math.ceil(cells / _chunk_cells(system, dx)))
+        for x, dx, cells in segments
+    ]
 
 
 def _work(shape: tuple[int, int], nodes: int) -> tuple[np.ndarray, ...]:
@@ -166,39 +247,52 @@ def _picard(
     )
 
 
-def march(
-    system: System, a: np.ndarray, phi: np.ndarray, x_from: float, x_to: float
-) -> np.ndarray:
+def march(system: System, a: np.ndarray, x_from: float, x_to: float) -> np.ndarray:
     """Carry coefficients a (shape (columns, components)) from x_from to x_to.
 
-    ``phi`` holds the phases at x_from. The node budget of the grid is
-    checked before any work; a span shorter than _MIN_CHUNK_CELLS cells of
-    the grid is marched on _MIN_CHUNK_CELLS finer cells, and an empty span
-    returns a as it is. One DEBUG line on the ``crossing_kit`` logger
-    reports nodes, chunks and the most Picard iterations. Returns the
-    coefficients at x_to.
+    Only the span's overlap with ``system.support`` is marched, from the
+    exact phases at its start; a is constant on the rest. The node budget
+    is checked before any work (see _plan for the grid), and a span where M
+    vanishes returns a as it is. One DEBUG line on the ``crossing_kit``
+    logger reports nodes, the marched span, chunks, the smallest and
+    largest dx and the most Picard iterations. Returns the coefficients at
+    x_to.
     """
-    if x_to == x_from:
+    lo, hi = sorted((x_from, x_to))
+    if system.support is not None:
+        lo, hi = max(lo, system.support[0]), min(hi, system.support[1])
+    if system.support is None or not lo < hi:
+        logger.debug(
+            "h=%.6e: M vanishes from x=%g to %g, nothing marched",
+            system.h,
+            x_from,
+            x_to,
+        )
         return a
-    dx = grid_spacing(*system.interval, system.fastest, system.h)
-    cells = max(_MIN_CHUNK_CELLS, math.ceil(abs(x_to - x_from) / dx))
-    dx = (x_to - x_from) / cells
-    chunks = math.ceil(cells / _chunk_cells(system, dx))
-    # even split: every chunk has at least _MIN_CHUNK_CELLS // 2 cells and
-    # at most ceil(cells / chunks)
-    work = _work(a.shape, math.ceil(cells / chunks) + 1)
+    start, end = (lo, hi) if x_to > x_from else (hi, lo)
+    plan = _plan(system, start, end)
+    # even split: no chunk has more than ceil(cells / chunks) cells
+    work = _work(a.shape, max(-(-cells // chunks) for *_, cells, chunks in plan) + 1)
+    phi = system.phases(start)
     worst = 0
-    for c in range(chunks):
-        k = np.arange(c * cells // chunks, (c + 1) * cells // chunks + 1)
-        a, phi, iters = _picard(system, a, phi, x_from + dx * k, dx, work)
-        worst = max(worst, iters)
+    for origin, dx, cells, chunks in plan:
+        for c in range(chunks):
+            k = np.arange(c * cells // chunks, (c + 1) * cells // chunks + 1)
+            a, phi, iters = _picard(system, a, phi, origin + dx * k, dx, work)
+            worst = max(worst, iters)
+    steps = [abs(dx) for _, dx, _, _ in plan]
     logger.debug(
-        "h=%.6e: marched %d nodes from x=%g in %d chunks, at most %d Picard "
-        "iterations",
+        "h=%.6e: marched %d nodes on [%g, %g] (from x=%g to %g) in %d chunks, "
+        "dx %.3g to %.3g, at most %d Picard iterations",
         system.h,
-        cells + 1,
+        sum(cells for *_, cells, _ in plan) + 1,
+        lo,
+        hi,
         x_from,
-        chunks,
+        x_to,
+        sum(chunks for *_, chunks in plan),
+        min(steps),
+        max(steps),
         worst,
     )
     return a

@@ -166,8 +166,10 @@ def _apply(coeffs, osc, back, a, out):
 def _system(prob: NormalFormProblem) -> march.System:
     """The model's a' = M a for the march: one phase F, rate f.
 
-    The row sums of |M| are |r1| and |r2|, at most the larger amplitude.
+    M vanishes outside the hull of the coupling supports. The row sums of
+    |M| are |r1| and |r2|, at most the larger amplitude.
     """
+    F = prob.f.antideriv()
 
     def local(x):
         return np.asarray(prob.f(x), dtype=float)[None, :], (
@@ -178,7 +180,9 @@ def _system(prob: NormalFormProblem) -> march.System:
     return march.System(
         h=prob.h,
         interval=prob.interval,
-        fastest=_max_rate(prob),
+        support=prob.coupling_support(),
+        phases=lambda x: np.array([F(x)]),
+        rate_on=prob.f.abs_max_on,
         coupling=max(abs(prob.r1.amplitude), abs(prob.r2.amplitude)),
         local=local,
         apply=_apply,
@@ -266,8 +270,7 @@ def transfer_numeric(prob: NormalFormProblem) -> TransferMatrix:
     Column j of T is a(x1) for a(x0) = e_j, in the frame
     a = (u1, e^{-iF/h} u2) with F(0) = 0.
     """
-    phi = np.array([prob.f.antideriv()(prob.x0)])
-    a = march.march(_system(prob), np.eye(2, dtype=complex), phi, prob.x0, prob.x1)
+    a = march.march(_system(prob), np.eye(2, dtype=complex), prob.x0, prob.x1)
     return TransferMatrix(a.T, h=prob.h)
 
 

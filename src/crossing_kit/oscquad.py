@@ -111,13 +111,15 @@ class PhaseSpec:
 
 @dataclass(frozen=True)
 class AmplitudeSpec:
-    """Amplitude profile: a vectorised function of x."""
+    """Amplitude profile: a vectorised function of x, and the hull of the
+    points where it may be nonzero (None: anywhere)."""
 
     func: Callable[[np.ndarray], np.ndarray]
+    support: tuple[float, float] | None = None
 
     @staticmethod
     def from_bump(bump: Bump) -> "AmplitudeSpec":
-        return AmplitudeSpec(func=bump)
+        return AmplitudeSpec(func=bump, support=bump.support)
 
     @property
     def a0(self) -> complex:
@@ -153,10 +155,11 @@ def osc_integral_numeric(
     """The oscillatory integral over ``interval``, marched.
 
     I(x) = integral_x0^x amp e^{iF/h} solves a' = M a for a = (I, 1) and
-    M = [[0, amp e^{iF/h}], [0, 0]], so ``march`` computes it on its mesh
-    (POINTS_PER_PERIOD nodes per period of max |F'|), with its node budget
-    checked before any work and its memory bounded by CHUNK_BYTES. M is
-    nilpotent: Picard settles in two sweeps per chunk.
+    M = [[0, amp e^{iF/h}], [0, 0]], so ``march`` computes it on its graded
+    mesh (POINTS_PER_PERIOD nodes per local period of F') over the
+    amplitude's support, with its node budget checked before any work and
+    its memory bounded by CHUNK_BYTES. M is nilpotent: Picard settles in
+    two sweeps per chunk.
     """
     x0, x1 = float(interval[0]), float(interval[1])
     phase.validate(x0, x1)
@@ -175,13 +178,14 @@ def osc_integral_numeric(
     system = march.System(
         h=h,
         interval=(x0, x1),
-        fastest=max(map(abs, rate.range_on(x0, x1))),
+        support=amp.support or (x0, x1),
+        phases=lambda x: np.array([phase.func(x)]),
+        rate_on=rate.abs_max_on,
         coupling=float(np.abs(amp.func(np.linspace(x0, x1, 513))).max()),
         local=local,
         apply=apply,
     )
-    start = np.array([[0.0, 1.0]], dtype=complex)
-    end = march.march(system, start, np.array([phase.func(x0)]), x0, x1)
+    end = march.march(system, np.array([[0.0, 1.0]], dtype=complex), x0, x1)
     return complex(end[0, 0])
 
 

@@ -9,6 +9,7 @@ on.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -35,16 +36,26 @@ class Poly1:
     def deriv_at(self, order: int, x: float) -> float:
         return float(self.deriv(order)(x))
 
+    @cached_property
+    def critical_points(self) -> tuple[float, ...]:
+        """The real zeros of the derivative, found once per polynomial."""
+        roots = np.polynomial.polynomial.polyroots(np.asarray(self.deriv().coeffs))
+        return tuple(float(r.real) for r in roots if abs(r.imag) < 1e-12)
+
     def range_on(self, a: float, b: float) -> tuple[float, float]:
         """(min, max) of the polynomial over [a, b], via its critical points."""
-        cand = [a, b]
-        dcoef = np.asarray(self.deriv().coeffs)
-        if dcoef.size > 1 or dcoef[0] != 0.0:
-            for r in np.polynomial.polynomial.polyroots(dcoef):
-                if abs(r.imag) < 1e-12 and a <= r.real <= b:
-                    cand.append(float(r.real))
+        cand = [a, b, *(c for c in self.critical_points if a <= c <= b)]
         vals = [float(self(c)) for c in cand]
         return min(vals), max(vals)
+
+    def abs_max_on(self, lo, hi) -> np.ndarray:
+        """max |p| over each [lo_k, hi_k], for arrays lo <= hi."""
+        lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
+        bound = np.maximum(np.abs(self(lo)), np.abs(self(hi)))
+        for c in self.critical_points:
+            inside = (lo <= c) & (c <= hi)
+            bound[inside] = np.maximum(bound[inside], abs(float(self(c))))
+        return bound
 
     def antideriv(self) -> "Poly1":
         c = np.polynomial.polynomial.polyint(np.asarray(self.coeffs))

@@ -350,9 +350,10 @@ def _apply(coeffs, osc, back, a, out):
 def _system(basis: WkbBasis) -> march.System:
     """The pair's a' = M a for the march.
 
-    M carries e^{+-i (phi_j +- phi_k)/h}, so the mesh resolves 2 max p_j.
-    The row sums of |M| are 2 (|C_j| + |D_j|), bounded with |W| at its
-    peak everywhere.
+    M carries e^{+-i (phi_j +- phi_k)/h}, so the mesh resolves 2 max p_j,
+    one bound for the whole interval. The self term D_j does not vanish
+    outside supp W, so M is marched on the whole interval. The row sums of
+    |M| are 2 (|C_j| + |D_j|), bounded with |W| at its peak everywhere.
     """
     prob = basis.prob
     x = np.linspace(prob.x_in, prob.x_out, 1025)
@@ -362,10 +363,13 @@ def _system(basis: WkbBasis) -> march.System:
         rate, cross, self_ = _coefficients(basis, nodes, prob.w(nodes))
         return rate, (cross, self_)
 
+    fastest = 2.0 * _max_rate(prob)
     return march.System(
         h=prob.h,
         interval=prob.interval,
-        fastest=2.0 * _max_rate(prob),
+        support=prob.interval,
+        phases=lambda x: np.array([basis.phase(j, x) for j in (1, 2)]),
+        rate_on=lambda lo, hi: np.full(np.shape(lo), fastest),
         coupling=2.0 * float(np.max(np.abs(peak_cross) + np.abs(peak_self))),
         local=local,
         apply=_apply,
@@ -390,9 +394,7 @@ def numeric_transfer_case_i(
     slot = (1 - which_sign) // 2  # coefficient index: 0 a_plus, 1 a_minus
     a = np.zeros((2, 4), dtype=complex)
     a[0, slot] = a[1, 2 + slot] = 1.0
-    basis = WkbBasis(prob)
-    phi = np.array([basis.phase(j, start) for j in (1, 2)])
-    a = march.march(_system(basis), a, phi, start, end)
+    a = march.march(_system(WkbBasis(prob)), a, start, end)
     return TransferMatrix(a[:, slot::2].T, h=prob.h)
 
 

@@ -9,6 +9,7 @@ import dataclasses
 import gc
 import logging
 import math
+import re
 import weakref
 
 import numpy as np
@@ -36,9 +37,8 @@ SQRT_2PI = 2.506628274631000502415765284811045253007
 def marched(prob, alpha, x_to):
     """Frame coefficients (u1, e^{-iF/h} u2) at x_to, marched from
     a(x0) = alpha."""
-    phi = np.array([prob.f.antideriv()(prob.x0)])
     a = np.array([alpha], dtype=complex)
-    return march.march(_system(prob), a, phi, prob.x0, x_to)[0]
+    return march.march(_system(prob), a, prob.x0, x_to)[0]
 
 
 def probe_points(prob):
@@ -166,6 +166,37 @@ def test_gamma_vanishes_before_the_coupling_switches_on():
             assert (marched(prob, alpha, x_to) == np.array(alpha)).all()
 
 
+def test_skipping_where_m_vanishes_is_exact():
+    # a is constant outside the coupling support and the phases at its edges
+    # are exact: marching x0 -> x1 equals marching the support alone, bit
+    # for bit, both ways, and a march that walks the whole interval agrees
+    # to the mesh error
+    prob = model_corpus(1e-3)[1]
+    lo, hi = prob.coupling_support()
+    system = _system(prob)
+    whole = dataclasses.replace(system, support=prob.interval)
+    a = np.eye(2, dtype=complex)
+    for (x_from, x_to), (s_from, s_to) in (
+        ((prob.x0, prob.x1), (lo, hi)),
+        ((prob.x1, prob.x0), (hi, lo)),
+    ):
+        skipped = march.march(system, a, x_from, x_to)
+        assert (skipped == march.march(system, a, s_from, s_to)).all()
+        walked = march.march(whole, a, x_from, x_to)
+        assert np.abs(walked - skipped).max() <= 1e-9
+
+
+def test_graded_mesh_marches_a_third_of_the_uniform_grid(caplog):
+    # model-corpus 1 (f = x^2) at h = 1e-5: the uniform grid at 24 points
+    # per period of max |f| on [-1, 1] had 763945 nodes
+    prob = model_corpus(1e-5)[1]
+    with caplog.at_level(logging.DEBUG, logger="crossing_kit"):
+        transfer_numeric(prob)
+    msg = caplog.records[0].getMessage()
+    nodes = int(re.search(r"marched (\d+) nodes", msg).group(1))
+    assert nodes <= 763945 // 3, msg
+
+
 def test_gamma_minus_fresnel_value():
     # with r1 switched off, a1 stays 1 and t21 = -i gamma_minus(1)(x1); for
     # f = x the full integral of the unit coupling is the stationary value
@@ -238,37 +269,38 @@ def test_picard_stop_bounds_the_truncation(monkeypatch):
     # a chunk's Picard iteration stops once no entry moves by more than
     # PICARD_TOL; it contracts far faster than by half per sweep, so what
     # the stop leaves out is below PICARD_TOL per chunk, and T stops
-    # within chunks * PICARD_TOL (8 chunks here) of the converged value
+    # within chunks * PICARD_TOL (7 chunks here) of the converged value
     prob = model_corpus(1e-2)[1]
     converged = transfer_numeric(prob)
     monkeypatch.setattr(march, "PICARD_TOL", 1e-8)
     stopped = transfer_numeric(prob)
     observed = stopped.max_abs_diff(converged)
-    assert 0.0 < observed <= 8 * 1e-8
+    assert 0.0 < observed <= 7 * 1e-8
 
 
 def test_strong_coupling_needs_no_fallback(caplog):
     # chunks short enough for Picard at any coupling strength: the march
-    # matches the direct integration, in its one DEBUG line and no other
+    # matches the direct integration, in its one DEBUG line and no other;
+    # it marches the couplings' support [-1.5, 1.5], not [-2, 2]
     prob = strong_coupling_problem()
     with caplog.at_level(logging.DEBUG, logger="crossing_kit"):
         T = prob.extract()
     assert np.abs(T.entries - ode_reference(prob)).max() <= 1e-9
     assert [r.levelno for r in caplog.records] == [logging.DEBUG]
-    assert "49 chunks" in caplog.records[0].getMessage()
+    assert "37 chunks" in caplog.records[0].getMessage()
 
 
 def test_picard_fails_loudly_on_an_uncut_strong_coupling(monkeypatch):
     # at four times the strong coupling, Picard on one chunk spanning the
-    # interval does not contract within PICARD_MAX_ITER sweeps: the march
-    # raises instead of returning a T. Chunks cut by the coupling rule
-    # converge and match the direct integration.
+    # couplings' support does not contract within PICARD_MAX_ITER sweeps:
+    # the march raises instead of returning a T. Chunks cut by the coupling
+    # rule converge and match the direct integration.
     strong = strong_coupling_problem()
     prob = dataclasses.replace(strong, r1=Bump(1.5, 12.0), r2=Bump(1.5, 12.0))
     T = prob.extract()
     assert np.abs(T.entries - ode_reference(prob)).max() <= 1e-9
     monkeypatch.setattr(march, "CHUNK_COUPLING", 1e9)  # one chunk
-    with pytest.raises(StepFailure, match=r"Picard iteration on \[-2, 2\]"):
+    with pytest.raises(StepFailure, match=r"Picard iteration on \[-1.5, 1.5\]"):
         prob.extract()
 
 
@@ -295,6 +327,7 @@ def test_march_system_does_not_outlive_its_extraction(monkeypatch):
 
 
 def test_one_debug_line_per_march(caplog):
+    # at h = 1e-2 the N_MIN cap (2 / 2000) sets dx on the whole support
     prob = model_corpus(1e-2)[0]
     with caplog.at_level(logging.DEBUG, logger="crossing_kit"):
         transfer_numeric(prob)
@@ -302,7 +335,13 @@ def test_one_debug_line_per_march(caplog):
     record = caplog.records[0]
     assert record.name == "crossing_kit" and record.levelno == logging.DEBUG
     msg = record.getMessage()
-    for word in ("h=1.000000e-02", "2001 nodes", "8 chunks", "11 Picard"):
+    for word in (
+        "h=1.000000e-02",
+        "1601 nodes on [-0.8, 0.8] (from x=-1 to 1)",
+        "7 chunks",
+        "dx 0.001 to 0.001",
+        "11 Picard",
+    ):
         assert word in msg, msg
 
 

@@ -7,7 +7,9 @@ once on this deterministic corpus and are asserted with a +-20% stability
 margin.
 """
 
+import logging
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -176,6 +178,19 @@ def test_numeric_memory_is_bounded():
     finally:
         tracemalloc.stop()
     assert peak <= 2 * march.CHUNK_BYTES
+
+
+def test_numeric_marches_a_tenth_of_the_uniform_grid(caplog):
+    # (4, +1) at h = 1e-6: the uniform grid at 24 points per period of
+    # max |F'| on the whole interval had 2190381 nodes; the graded mesh
+    # marches only the bump's support, and coarsely near the stationary point
+    poly, bump, interval, _ = ENVELOPE_CORPUS[(4, +1)]
+    ph, amp = PhaseSpec.from_poly(poly), AmplitudeSpec.from_bump(bump)
+    with caplog.at_level(logging.DEBUG, logger="crossing_kit"):
+        osc_integral_numeric(ph, amp, 1e-6, interval)
+    msg = caplog.records[0].getMessage()
+    nodes = int(re.search(r"marched (\d+) nodes on \[-0.4, 0.6\]", msg).group(1))
+    assert nodes <= 2190381 // 10, msg
 
 
 def test_numeric_requires_straddling_interval():

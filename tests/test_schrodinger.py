@@ -347,8 +347,9 @@ def test_march_matches_the_reference_solve(index, h):
         schrodinger_corpus(1e-2)[1],
         schrodinger_corpus(2.5e-3)[1],
         model_corpus(1e-3)[0],
+        model_corpus(1e-4)[2],
     ],
-    ids=["0.01", "0.0025", "model-0.001"],
+    ids=["0.01", "0.0025", "model-0.001", "model-m3-0.0001"],
 )
 def test_march_resolution_is_converged(monkeypatch, prob):
     coarse = prob.extract()
@@ -394,9 +395,10 @@ def test_march_memory_is_bounded():
 def test_node_budget_counts_the_marched_grid():
     # the march resolves 2 max phi_j' = 2.28 on [-1.2, 1.2]: at h = 4e-7 its
     # grid needs about 52M nodes, over the 40M budget, though a grid for
-    # max phi_j' alone would fit; the model's grid for max |f| = 1 on
-    # [-1, 1] needs about 76M at h = 1e-7. Both refused before any work.
-    for prob in (schrodinger_corpus(4e-7)[0], model_corpus(1e-7)[0]):
+    # max phi_j' alone would fit. The model's graded grid follows |f| = |x|
+    # on the coupling support [-0.8, 0.8]: about 25M nodes at h = 1e-7,
+    # which fits, and about 50M at h = 5e-8. Both refused before any work.
+    for prob in (schrodinger_corpus(4e-7)[0], model_corpus(5e-8)[0]):
         with pytest.raises(ValidationError, match="nodes"):
             prob.extract()
 
