@@ -16,11 +16,12 @@ I' = amp e^{iF/h}.
 The march carries a unchanged across the part of its span where M
 vanishes, and marches only the rest, the span's overlap with the system's
 ``support``; the phases at the start of the marched span come from the
-system's exact phases. The marched span is cut into chunks, each a uniform
-grid whose dx resolves the fastest phase rate on and near that chunk's own
-span with POINTS_PER_PERIOD nodes per period, so the mesh is coarse where
-the phases are stationary and fine where they turn fast; a constant rate
-bound gives one uniform grid split evenly. The grid is never built whole.
+system's exact phases. The marched span is cut into chunks in one pass,
+each a uniform grid that takes the widest dx resolving the fastest phase
+rate on its own span and one chunk's length on each side with
+POINTS_PER_PERIOD nodes per period, so the mesh is coarse where the phases
+are stationary and fine where they turn fast; the last chunk is
+shortened to end at the span's end. The grid is never built whole.
 Chunks are solved in turn, each from the coefficients and phases at the
 last node of the one before: per chunk the phases come from cum_quad6 of
 their rates, and a from Picard iteration a <- a(x_0) + int M a.
@@ -33,6 +34,7 @@ write into them.
 
 from __future__ import annotations
 
+import bisect
 import logging
 import math
 from dataclasses import dataclass
@@ -48,8 +50,8 @@ from .errors import StepFailure, ValidationError
 # the one that puts N_MIN nodes on the system's interval. A march has fewer
 # than N_MAX nodes (it walks its grid in chunks, so the limit bounds its
 # run time, not its memory). The rate bound is read on RATE_PIECES equal
-# pieces of the marched span: a chunk takes the smallest dx of the pieces
-# it overlaps, and the node budget sums over the pieces before any planning.
+# pieces of the marched span: a chunk's dx is at most the dx of every piece
+# it resolves, and the pieces' node count is checked before any planning.
 POINTS_PER_PERIOD = 24
 N_MIN = 2001
 N_MAX = 40_000_000
@@ -61,7 +63,7 @@ CHUNK_BYTES = 2**21
 _BYTES_PER_NODE = 1024
 # Picard on a chunk contracts like (int |M|)^k / k!: chunks are cut so that
 # int |M| stays near CHUNK_COUPLING. A chunk has at least _MIN_CHUNK_CELLS
-# cells (cum_quad6 needs 6 nodes, and the even split may halve a chunk).
+# cells (cum_quad6 needs 6 nodes).
 CHUNK_COUPLING = 0.25
 _MIN_CHUNK_CELLS = 10
 PICARD_TOL = 1e-14
@@ -116,17 +118,11 @@ def _chunk_cells(system: System, dx: float) -> int:
 
 
 def _piece_spacing(system: System, start: float, end: float) -> list[float]:
-    """Widest |dx| on each of RATE_PIECES equal pieces of [start, end], in
-    march order, after checking the node budget.
-
-    A piece's dx resolves the period 2*pi*h/rate of the fastest rate bound
-    within one chunk's reach of the piece with POINTS_PER_PERIOD nodes, and
-    puts at least N_MIN nodes on the system's interval. Where dx steps from
-    one chunk to the next, both chunks are then finer than their own rates
-    need: a chunk's end cells use one-sided quadrature weights, whose error
-    does not cancel along the oscillation as it does inside the chunk.
-    Raises ValidationError when the pieces need N_MAX nodes or more, before
-    any work starts.
+    """Own |dx| of each of RATE_PIECES equal pieces of [start, end], in
+    march order: POINTS_PER_PERIOD nodes per period 2*pi*h/rate of the
+    piece's rate bound, and at least N_MIN nodes on the system's interval.
+    Their node count, a lower bound on the plan's, is checked against N_MAX
+    before any loop, so an h near the underflow limit is refused at once.
     """
     x_left, x_right = system.interval
     edges = start + (end - start) * np.linspace(0.0, 1.0, RATE_PIECES + 1)
@@ -139,67 +135,59 @@ def _piece_spacing(system: System, start: float, end: float) -> list[float]:
         own = np.minimum(
             (x_right - x_left) / (N_MIN - 1),
             2.0 * np.pi * system.h / (rate * POINTS_PER_PERIOD),
-        ).tolist()
-    width = abs(end - start) / RATE_PIECES
-    dx = []
-    for k, d in enumerate(own):
-        near = math.ceil(min(RATE_PIECES, _chunk_cells(system, d) * d / width))
-        dx.append(min(own[max(0, k - near) : k + near + 1]))
-    with np.errstate(divide="ignore", over="ignore"):
-        estimate = float(np.sum(width / np.array(dx)))
-    if not estimate < N_MAX:
+        )
+        _check_budget(float(np.sum(abs(end - start) / RATE_PIECES / own)))
+    return own.tolist()
+
+
+def _check_budget(nodes: float) -> None:
+    if not nodes < N_MAX:
         raise ValidationError(
-            f"grid would need about {estimate:.3g} nodes (> n_max={N_MAX}); "
+            f"grid would need about {nodes:.3g} nodes (> n_max={N_MAX}); "
             "raise h or shrink the interval"
         )
-    return dx
 
 
-def _plan(system: System, start: float, end: float) -> list[tuple]:
-    """Uniform segments (origin, dx, cells, chunks) that grid [start, end]
-    in march order.
+def _plan(system: System, start: float, end: float) -> list[tuple[float, int]]:
+    """Chunks (|dx|, cells) that grid [start, end] in march order.
 
-    A segment's nodes are origin + dx*k for k = 0..cells, split evenly into
-    ``chunks`` chunks; each segment starts at the last node of the one
-    before, and the last one ends at ``end``. Chunk by chunk, a chunk has
-    the most cells _chunk_cells allows at its dx, and its dx is the
-    smallest _piece_spacing of the pieces it then overlaps. Chunks of one
-    dx form one segment, so a constant rate bound gives a single segment of
-    max(_MIN_CHUNK_CELLS, ceil(|end - start| / dx)) cells, split evenly.
+    A chunk at distance u from start takes the widest piece dx that is at
+    most the dx of every piece on [u - L, u + 2L], L = _chunk_cells(dx) * dx
+    being its length. Where dx steps between chunks, both are then finer
+    than their own rates need: a chunk's end cells use one-sided quadrature
+    weights, whose error does not cancel along the oscillation as it does
+    inside the chunk. A wider dx reaches further, so bisection finds the
+    widest. The last chunk ends at ``end``. Raises ValidationError once the
+    plan reaches N_MAX nodes, before any work.
     """
-    spacing = _piece_spacing(system, start, end)
+    own = _piece_spacing(system, start, end)
+    widths = sorted(set(own))
     span = abs(end - start)
-    width = span / RATE_PIECES
-    direction = 1.0 if end > start else -1.0
-    segments = []
-    x, u = start, 0.0  # the next chunk's first node, and its distance
+    piece = span / RATE_PIECES
+    chunks, u, total = [], 0.0, 0
+
+    def too_wide(d: float) -> bool:
+        reach = _chunk_cells(system, d) * d
+        first = max(0, int((u - reach) / piece))
+        return d > min(own[first : int((u + 2.0 * reach) / piece) + 1])
+
     while True:
-        first = min(int(u / width), RATE_PIECES - 1)
-        d = spacing[first]
-        while True:  # d only shrinks, through values of ``spacing``: this ends
-            cells = _chunk_cells(system, d)
-            last = min(int((u + cells * d) / width), RATE_PIECES - 1)
-            least = min(spacing[first : last + 1])
-            if least >= d:
-                break
-            d = least
-        if u + cells * d >= span:  # the rest fits in one chunk
-            if segments and segments[-1][1] == direction * d:
-                x = segments.pop()[0]
-            cells = max(_MIN_CHUNK_CELLS, math.ceil(abs(end - x) / d))
-            segments.append([x, (end - x) / cells, cells])
-            break
-        if segments and segments[-1][1] == direction * d:
-            segments[-1][2] += cells
-        else:
-            segments.append([x, direction * d, cells])
+        # widths[0] is never too wide: it is the narrowest piece's own dx
+        d = widths[bisect.bisect(widths, False, key=too_wide) - 1]
+        cells = _chunk_cells(system, d)
+        # the running u drifts by rounding: it must not add a cell
+        rest = math.ceil((span - u) / d * (1.0 - 1e-9))
+        if rest <= cells:
+            cells = max(_MIN_CHUNK_CELLS, rest)
+            _check_budget(total + cells + 1)
+            return chunks + [((span - u) / cells, cells)]
+        # leave the last chunk its _MIN_CHUNK_CELLS: then a constant rate
+        # marches max(_MIN_CHUNK_CELLS, ceil(span / dx)) cells in all
+        cells = min(cells, max(_MIN_CHUNK_CELLS, rest - _MIN_CHUNK_CELLS))
+        chunks.append((d, cells))
         u += cells * d
-        origin, dx, total = segments[-1]
-        x = origin + dx * total
-    return [
-        (x, dx, cells, math.ceil(cells / _chunk_cells(system, dx)))
-        for x, dx, cells in segments
-    ]
+        total += cells
+        _check_budget(total + 1)
 
 
 def _work(shape: tuple[int, int], nodes: int) -> tuple[np.ndarray, ...]:
@@ -210,9 +198,7 @@ def _work(shape: tuple[int, int], nodes: int) -> tuple[np.ndarray, ...]:
     return (*(np.empty(size, dtype=complex) for _ in range(3)), np.empty(size))
 
 
-def _picard(
-    system: System, a0: np.ndarray, phi0: np.ndarray, x, dx: float, work
-):
+def _picard(system: System, a0: np.ndarray, phi0: np.ndarray, x, dx: float, work):
     """Coefficients at the last of the nodes x from their values a0 at x[0].
 
     a0 has shape (columns, components); phi0 holds the phases at x[0];
@@ -271,28 +257,26 @@ def march(system: System, a: np.ndarray, x_from: float, x_to: float) -> np.ndarr
         return a
     start, end = (lo, hi) if x_to > x_from else (hi, lo)
     plan = _plan(system, start, end)
-    # even split: no chunk has more than ceil(cells / chunks) cells
-    work = _work(a.shape, max(-(-cells // chunks) for *_, cells, chunks in plan) + 1)
-    phi = system.phases(start)
-    worst = 0
-    for origin, dx, cells, chunks in plan:
-        for c in range(chunks):
-            k = np.arange(c * cells // chunks, (c + 1) * cells // chunks + 1)
-            a, phi, iters = _picard(system, a, phi, origin + dx * k, dx, work)
-            worst = max(worst, iters)
-    steps = [abs(dx) for _, dx, _, _ in plan]
+    work = _work(a.shape, max(cells for _, cells in plan) + 1)
+    direction = 1.0 if end > start else -1.0
+    x, phi, worst = start, system.phases(start), 0
+    for dx, cells in plan:
+        nodes = x + direction * dx * np.arange(cells + 1)
+        a, phi, iters = _picard(system, a, phi, nodes, direction * dx, work)
+        worst = max(worst, iters)
+        x = nodes[-1]
     logger.debug(
         "h=%.6e: marched %d nodes on [%g, %g] (from x=%g to %g) in %d chunks, "
         "dx %.3g to %.3g, at most %d Picard iterations",
         system.h,
-        sum(cells for *_, cells, _ in plan) + 1,
+        sum(cells for _, cells in plan) + 1,
         lo,
         hi,
         x_from,
         x_to,
-        sum(chunks for *_, chunks in plan),
-        min(steps),
-        max(steps),
+        len(plan),
+        min(dx for dx, _ in plan),
+        max(dx for dx, _ in plan),
         worst,
     )
     return a

@@ -57,12 +57,6 @@ ModelWorkspace = build_workspace = neumann_solve = extract_transfer = grid_for =
 ODE_TOL = 1e-11  # DOP853 tolerance of the test oracle `ode_oracle`
 
 
-def _max_rate(prob: NormalFormProblem) -> float:
-    """max |f| over the interval: the fastest local phase rate."""
-    lo, hi = prob.f.range_on(prob.x0, prob.x1)
-    return max(abs(lo), abs(hi))
-
-
 def _poly_real_roots(f: Poly1) -> list[float]:
     coeffs = np.asarray(f.coeffs)
     if not coeffs.any():
@@ -213,7 +207,7 @@ def ode_oracle(
     # spanning thousands of fast periods; the step itself is fine but the
     # dense-output interpolant amplifies stage noise by the stiff factor
     # f/h. Capping the step at one local period keeps it conditioned.
-    rate = _max_rate(prob)
+    rate = float(prob.f.abs_max_on([prob.x0], [prob.x1])[0])
     max_step = 2.0 * np.pi * prob.h / rate if rate > 0 else np.inf
     # imported here, so that importing this module does not load scipy
     from scipy.integrate import solve_ivp

@@ -86,7 +86,7 @@ class PhaseSpec:
         """Phase F(x) = integral_0^x rate, for a polynomial rate."""
         return PhaseSpec.from_poly(rate.antideriv())
 
-    def validate(self, x0: float, x1: float, samples: int = 257) -> None:
+    def validate(self, x0: float, x1: float) -> None:
         if not (x0 < 0.0 < x1):
             raise ValidationError("phase range must straddle the stationary point 0")
         c = self.deriv(self.m + 1, 0.0)
@@ -98,7 +98,7 @@ class PhaseSpec:
                 raise ValidationError(f"F^({k})(0) must vanish for order m={self.m}")
         if abs(c) <= 1e-10 * scale:
             raise ValidationError(f"F^({self.m + 1})(0) must not vanish")
-        ys = np.linspace(x0, x1, samples)
+        ys = np.linspace(x0, x1, 257)
         ys = ys[np.abs(ys) > 1e-3 * max(-x0, x1)]
         dF = np.array([self.deriv(1, float(y)) for y in ys])
         if np.any(dF == 0.0):

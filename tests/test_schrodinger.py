@@ -16,7 +16,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from crossing_kit import march
+from crossing_kit import march, normalform
+from crossing_kit.cli import _random_model_problem
 from crossing_kit.errors import (
     CaseMismatch,
     IllConditioned,
@@ -25,6 +26,7 @@ from crossing_kit.errors import (
 )
 from crossing_kit.march import CHUNK_BYTES
 from crossing_kit.normalform import model_corpus
+from crossing_kit.oscquad import AmplitudeSpec, PhaseSpec, osc_integral_numeric
 from crossing_kit.profiles import Bump, Poly1, ZERO_BUMP
 from crossing_kit.schrodinger import (
     ODE_TOL,
@@ -348,8 +350,17 @@ def test_march_matches_the_reference_solve(index, h):
         schrodinger_corpus(2.5e-3)[1],
         model_corpus(1e-3)[0],
         model_corpus(1e-4)[2],
+        model_corpus(1e-5)[1],
+        *(_random_model_problem(m, 1e-4, s) for m in (1, 2, 3) for s in (0, 1, 2)),
     ],
-    ids=["0.01", "0.0025", "model-0.001", "model-m3-0.0001"],
+    ids=[
+        "0.01",
+        "0.0025",
+        "model-0.001",
+        "model-m3-0.0001",
+        "model-m2-1e-05",
+        *(f"random-m{m}-seed{s}-0.0001" for m in (1, 2, 3) for s in (0, 1, 2)),
+    ],
 )
 def test_march_resolution_is_converged(monkeypatch, prob):
     coarse = prob.extract()
@@ -396,11 +407,104 @@ def test_node_budget_counts_the_marched_grid():
     # the march resolves 2 max phi_j' = 2.28 on [-1.2, 1.2]: at h = 4e-7 its
     # grid needs about 52M nodes, over the 40M budget, though a grid for
     # max phi_j' alone would fit. The model's graded grid follows |f| = |x|
-    # on the coupling support [-0.8, 0.8]: about 25M nodes at h = 1e-7,
-    # which fits, and about 50M at h = 5e-8. Both refused before any work.
+    # on the coupling support [-0.8, 0.8]: its plan has about 24.9M nodes
+    # at h = 1e-7, which fits, and the pieces' estimate alone reads about
+    # 41.4M at h = 6e-8 and 50M at h = 5e-8. Both refused before any work.
     for prob in (schrodinger_corpus(4e-7)[0], model_corpus(5e-8)[0]):
         with pytest.raises(ValidationError, match="nodes"):
             prob.extract()
+
+
+def test_plan_refuses_what_only_the_estimate_admits(monkeypatch):
+    # the pieces' node count is a lower bound on the plan's (8.5k against
+    # 19.3k here): with N_MAX between the two the estimate passes, and the
+    # plan refuses the march before any work array is allocated
+    prob = model_corpus(1e-4)[2]
+    system = normalform._system(prob)
+    lo, hi = prob.coupling_support()
+    width = (hi - lo) / march.RATE_PIECES
+    estimate = sum(width / dx for dx in march._piece_spacing(system, lo, hi))
+    planned = sum(cells for _, cells in march._plan(system, lo, hi)) + 1
+    assert estimate < planned
+    monkeypatch.setattr(march, "N_MAX", int(estimate + planned) // 2)
+    march._piece_spacing(system, lo, hi)  # the estimate passes
+
+    def allocating(*args):
+        raise AssertionError("work arrays allocated over the budget")
+
+    monkeypatch.setattr(march, "_work", allocating)
+    with pytest.raises(ValidationError, match="n_max"):
+        prob.extract()
+
+
+def _window_rate(system, start, end, near, far):
+    """rate_on over the pieces of the plan of [start, end] that the
+    distances [near, far] from start touch, clipped to [start, end]: the
+    window as the plan reads it."""
+    width = abs(end - start) / march.RATE_PIECES
+    first = max(0, int(near / width))
+    last = min(march.RATE_PIECES, int(far / width) + 1)
+    a = start + math.copysign(first * width, end - start)
+    b = start + math.copysign(last * width, end - start)
+    return float(system.rate_on(np.array([min(a, b)]), np.array([max(a, b)]))[0])
+
+
+def _envelope_integral():
+    # ENVELOPE_CORPUS (4, +1) of test_oscquad at h = 1e-6
+    phase = PhaseSpec.from_poly(Poly1((0, 0, 0, 0, 0, 0.2)))
+    amp = AmplitudeSpec.from_bump(Bump(width=0.5, center=0.1))
+    return osc_integral_numeric(phase, amp, 1e-6, (-0.6, 0.8))
+
+
+@pytest.mark.parametrize(
+    "run",
+    [
+        *(model_corpus(h)[k].extract for h in (1e-4, 1e-5) for k in (0, 1, 2)),
+        schrodinger_corpus(1e-3)[0].extract,
+        _envelope_integral,
+    ],
+    ids=[
+        *(f"model-{k}-{h:g}" for h in (1e-4, 1e-5) for k in (0, 1, 2)),
+        "pair-0.001",
+        "envelope-4-1e-06",
+    ],
+)
+def test_each_chunk_takes_the_widest_dx_that_resolves_its_reach(monkeypatch, run):
+    # a chunk of length L at distance u from the start resolves the rates
+    # on [u - L, u + 2L] with POINTS_PER_PERIOD nodes per period, within the
+    # N_MIN cap, and the next wider piece dx would not; the chunks tile the
+    # marched span
+    plans = []
+    plan = march._plan
+
+    def recording(system, start, end):
+        chunks = plan(system, start, end)
+        plans.append((system, start, end, chunks))
+        return chunks
+
+    monkeypatch.setattr(march, "_plan", recording)
+    run()
+    assert plans
+    for system, start, end, chunks in plans:
+        cap = (system.interval[1] - system.interval[0]) / (march.N_MIN - 1)
+        widths = sorted(set(march._piece_spacing(system, start, end)))
+
+        def bound(near, far):
+            rate = _window_rate(system, start, end, near, far)
+            period = 2.0 * math.pi * system.h / rate
+            return min(cap, period / march.POINTS_PER_PERIOD)
+
+        u = 0.0
+        for k, (dx, cells) in enumerate(chunks):
+            assert cells >= march._MIN_CHUNK_CELLS
+            reach = march._chunk_cells(system, dx) * dx
+            assert dx <= bound(u - reach, u + cells * dx + reach) * (1 + 1e-9)
+            wider = [d for d in widths if d > dx * (1 + 1e-9)]
+            if k < len(chunks) - 1 and wider:
+                reach = march._chunk_cells(system, wider[0]) * wider[0]
+                assert wider[0] > bound(u - reach, u + 2 * reach) * (1 - 1e-9)
+            u += cells * dx
+        assert u == pytest.approx(abs(end - start), rel=1e-12)
 
 
 def test_numeric_transfer_both_crossings():
