@@ -10,6 +10,12 @@ DEBUG line. Writes BENCH_graded_march.json in the repo root (or ``--out``)
 with the rows, the log-log slope of seconds against 1/h per problem, and
 the environment. Run it with two source trees on the same machine to
 compare them: ``--label`` names the tree in the file.
+
+Compare ``nodes`` across trees, not ``seconds``. Each tree is timed in
+its own process, one after the other, with no alternation between them,
+so machine drift between the two processes reaches the seconds: they
+cannot resolve a change under about 20%. The node counts are exact. A
+speed claim needs runs of the two trees that alternate.
 """
 
 from __future__ import annotations
@@ -104,7 +110,9 @@ def main() -> int:
     record = {
         "label": args.label,
         "what": "one extraction (both input columns, one march) per row; "
-        f"median of {REPEATS} in-process runs",
+        f"median of {REPEATS} in-process runs. Compare nodes across trees: "
+        "each tree is timed in its own process without alternation, so the "
+        "seconds cannot resolve a change under about 20%",
         "problems": problems,
         "env": {
             "python": sys.version.split()[0],

@@ -14,7 +14,6 @@ from .errors import (
     CrossingKitError,
     DegenerateFit,
     GridTooCoarse,
-    IllConditioned,
     NoFiniteContact,
     NumericalError,
     SchemaError,
@@ -26,7 +25,6 @@ from .errors import (
 from .normalform import (
     NormalFormProblem,
     model_corpus,
-    ode_oracle,
     predict_transfer,
     transfer_numeric,
 )
@@ -44,7 +42,6 @@ from .profiles import ZERO_BUMP, Bump, Poly1
 from .schrodinger import (
     SchrodingerProblem,
     WkbBasis,
-    branch_decompose,
     build_crossing_data,
     numeric_transfer_case_i,
     predict_transfer_case_i,
@@ -91,7 +88,6 @@ __all__ = [
     "DegenerateFit",
     "GridFunction",
     "GridTooCoarse",
-    "IllConditioned",
     "NoFiniteContact",
     "NormalFormProblem",
     "NumericalError",
@@ -113,7 +109,6 @@ __all__ = [
     "ZERO_BUMP",
     "ZeroGradient",
     "attach_fits",
-    "branch_decompose",
     "build_crossing_data",
     "check_grid",
     "contact_order",
@@ -125,7 +120,6 @@ __all__ = [
     "mu_m",
     "normal_form_constants",
     "numeric_transfer_case_i",
-    "ode_oracle",
     "omega_general",
     "osc_integral_numeric",
     "osc_leading_term",

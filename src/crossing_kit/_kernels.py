@@ -1,11 +1,8 @@
-"""Numerical inner-loop kernels.
+"""Numerical inner-loop kernel: the march's quadrature.
 
-Everything here is called inside hot loops: the cumulative quadrature
-that powers the march (phases and Picard sweeps, in ``march``), and the
-right-hand sides handed to the DOP853 oracles of both families (~1e6
-evaluations per solve at the smallest mesh sizes). There is one
-implementation of each: the quadrature is vectorized numpy, the
-right-hand sides are plain Python.
+The cumulative quadrature powers the march (phases and Picard sweeps, in
+``march``) and is called inside its hot loops. There is one
+implementation, vectorized numpy.
 """
 
 from __future__ import annotations
@@ -28,54 +25,6 @@ _W6 = np.array(
         [3 / 160, -173 / 1440, 241 / 720, -133 / 240, 1427 / 1440, 95 / 288],
     ]
 )
-
-
-def _bump_val(x, center, width, amplitude):
-    # smooth compactly supported profile, value `amplitude` at its center
-    t = (x - center) / width
-    t2 = t * t
-    if t2 >= 1.0:
-        return 0.0
-    return amplitude * np.exp(1.0 - 1.0 / (1.0 - t2))
-
-
-def _polyval_asc(coeffs, x):
-    # Horner evaluation, coefficients in ascending order
-    acc = 0.0
-    for k in range(coeffs.shape[0] - 1, -1, -1):
-        acc = acc * x + coeffs[k]
-    return acc
-
-
-def model_rhs(x, y, f_coeffs, r1p, r2p, h):
-    """Right-hand side of the 2x2 reduced system, first-order form.
-
-    y = (u1, u2) with u1' = -i r1 u2, u2' = (i/h) f u2 - i r2 u1.
-    r1p/r2p pack (center, width, amplitude) of the coupling bumps.
-    """
-    f = _polyval_asc(f_coeffs, x)
-    r1 = _bump_val(x, r1p[0], r1p[1], r1p[2])
-    r2 = _bump_val(x, r2p[0], r2p[1], r2p[2])
-    out = np.empty(2, dtype=np.complex128)
-    out[0] = -1j * r1 * y[1]
-    out[1] = (1j / h) * f * y[1] - 1j * r2 * y[0]
-    return out
-
-
-def schrod_rhs(x, y, v1_coeffs, v2_coeffs, wp, e0, h):
-    """Right-hand side of the coupled Schrodinger pair, first-order form.
-
-    y = (u1, u1', u2, u2'); u_j'' = ((V_j - E0) u_j + h W u_other) / h^2.
-    """
-    v1 = _polyval_asc(v1_coeffs, x)
-    v2 = _polyval_asc(v2_coeffs, x)
-    w = _bump_val(x, wp[0], wp[1], wp[2])
-    out = np.empty(4, dtype=np.complex128)
-    out[0] = y[1]
-    out[1] = ((v1 - e0) * y[0] + h * w * y[2]) / (h * h)
-    out[2] = y[3]
-    out[3] = ((v2 - e0) * y[2] + h * w * y[0]) / (h * h)
-    return out
 
 
 def cum_quad6(

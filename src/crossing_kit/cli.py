@@ -48,7 +48,7 @@ KINDS = ("model", "schrodinger", "model-corpus", "schrodinger-corpus", "random-m
 _SOLVE_FAMILY = {"solve-model": "model", "solve-schrodinger": "schrodinger"}
 
 # keys accepted at the top level, per mode
-_COMMON_KEYS = {"mode", "problem", "jobs", "seed", "output"}
+_COMMON_KEYS = {"mode", "problem", "seed", "output"}
 _MODE_KEYS = {
     "predict": _COMMON_KEYS | {"h", "branch"},
     "solve-model": _COMMON_KEYS | {"h"},
@@ -81,7 +81,6 @@ class RunConfig:
     h: float | None
     h_values: tuple[float, ...] | None
     branch: int
-    jobs: int
     tolerances: dict
     csv_path: str | None
     summary_path: str | None
@@ -307,21 +306,22 @@ def _build_tolerances(node, path: str) -> dict:
 def parse_config(
     path,
     mode: str | None = None,
-    jobs: int | None = None,
     seed: int | None = None,
     out: str | None = None,
 ) -> RunConfig:
     """Load and validate a JSON run config.
 
     The optional arguments carry command-line overrides: the subcommand
-    fixes the mode, and --jobs/--seed/--out take precedence over the file.
-    Raises SchemaError naming the offending key path; lets OSError from
-    the file read propagate to the caller.
+    fixes the mode, and --seed/--out take precedence over the file.
+    Raises SchemaError naming the offending key path, also for a file that
+    is not UTF-8 or nests too deeply to parse; lets OSError from the file
+    read propagate to the caller.
     """
     with open(path, encoding="utf-8") as fh:
         try:
             raw = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:
+            # JSONDecodeError and UnicodeDecodeError are both ValueErrors
             raise SchemaError("", f"invalid JSON: {exc}") from exc
     obj = _expect_object(raw, "")
 
@@ -339,11 +339,8 @@ def parse_config(
 
     _reject_unknown(obj, "", _MODE_KEYS[mode])
 
-    if jobs is None:
-        jobs = obj.get("jobs", 1)
     if seed is None:
         seed = obj.get("seed", 0)
-    jobs = _expect_int(jobs, "jobs", minimum=1)
     seed = _expect_int(seed, "seed", minimum=0)
 
     single_h = mode in ("predict", "solve-model", "solve-schrodinger")
@@ -418,7 +415,6 @@ def parse_config(
         h=h,
         h_values=h_values,
         branch=branch,
-        jobs=jobs,
         tolerances=tolerances,
         csv_path=csv_path,
         summary_path=summary_path,
@@ -480,7 +476,7 @@ def _run_single_solve(config: RunConfig) -> int:
 
 def _run_grid(config: RunConfig) -> int:
     prob = config.problem
-    report = sweep_mod.run_sweep(prob, config.h_values, jobs=config.jobs)
+    report = sweep_mod.run_sweep(prob, config.h_values)
     sweep_mod.attach_fits(report, prob.order)
     sweep_mod.write_csv(report, config.csv_path)
     log.info("wrote %d rows to %s", len(report.rows), config.csv_path)
@@ -492,7 +488,7 @@ def _run_grid(config: RunConfig) -> int:
     )
     for row in report.rows:
         if row.status != "ok":
-            print(f"  h={row.h:.6e}  {row.status}")
+            print(f"  h={row.h:.6e}  {row.status}  {row.detail}")
     for q, f in report.fits.items():
         tag = " (log envelope)" if f.with_log else ""
         print(
@@ -506,6 +502,11 @@ def _run_grid(config: RunConfig) -> int:
         "ok_rows": n_ok,
         "csv": config.csv_path,
         "fits": {q: dataclasses.asdict(f) for q, f in report.fits.items()},
+        "failed_rows": [
+            {"h": r.h, "status": r.status, "detail": r.detail}
+            for r in report.rows
+            if r.status != "ok"
+        ],
     }
 
     if n_ok == 0:
@@ -583,14 +584,15 @@ def main(argv=None) -> int:
         p = sub.add_parser(name, help=helps[name])
         p.add_argument("--config", required=True, help="path to a JSON run config")
         p.add_argument("--out", help="primary output path (CSV for grid modes)")
-        p.add_argument("--jobs", type=int, help="parallel rows for grid modes")
+        # kept so that existing command lines still parse; rows run serially
+        p.add_argument("--jobs", type=int, help="accepted and ignored")
         p.add_argument("--seed", type=int, help="seed for randomized problem draws")
     args = parser.parse_args(argv)
 
     _setup_logging()
     try:
         config = parse_config(
-            args.config, mode=args.mode, jobs=args.jobs, seed=args.seed, out=args.out
+            args.config, mode=args.mode, seed=args.seed, out=args.out
         )
     except (SchemaError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)

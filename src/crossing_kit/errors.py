@@ -49,15 +49,8 @@ class CaseMismatch(NumericalError):
 
 
 class StepFailure(NumericalError):
-    """An integrator failed to reach the end of the interval.
-
-    Raised by the DOP853 oracles, and by the march when Picard iteration on
-    a chunk does not converge.
-    """
-
-
-class IllConditioned(NumericalError):
-    """A local linear solve (branch decomposition) is too close to singular."""
+    """The march failed to reach the end of the interval: Picard iteration
+    on a chunk did not converge."""
 
 
 class DegenerateFit(NumericalError):

@@ -1,5 +1,5 @@
 """Reduced 2x2 model on an interval: transfer extraction by the shared
-march, a direct ODE oracle, and the prediction from crossing invariants.
+march, and the prediction from crossing invariants.
 
 The model system is
 
@@ -35,8 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import march
-from ._kernels import model_rhs
-from .errors import StepFailure, ValidationError
+from .errors import ValidationError
 from .profiles import Bump, Poly1
 from .symbolcalc import (
     CrossingData,
@@ -51,10 +50,8 @@ from .transfer import TransferMatrix
 from ._kernels import cum_quad6  # noqa: F401
 
 # Names of removed functions, for the same reason: the tracer accepts None
-# for them, and nothing calls them.
-ModelWorkspace = build_workspace = neumann_solve = extract_transfer = grid_for = None
-
-ODE_TOL = 1e-11  # DOP853 tolerance of the test oracle `ode_oracle`
+# for them, and nothing calls them. ode_oracle lives in tests/ode_oracles.py.
+ModelWorkspace = build_workspace = neumann_solve = extract_transfer = grid_for = ode_oracle = None
 
 
 def _poly_real_roots(f: Poly1) -> list[float]:
@@ -181,51 +178,6 @@ def _system(prob: NormalFormProblem) -> march.System:
         local=local,
         apply=_apply,
     )
-
-
-def ode_oracle(
-    prob: NormalFormProblem, alpha_in: tuple[complex, complex], x
-) -> np.ndarray:
-    """Direct adaptive integration of the model system: the march's oracle.
-
-    Starts from the frame coefficients a(x0) = alpha_in, that is
-    u1(x0) = a1 and u2(x0) = a2 e^{iF(x0)/h}, and returns the frame
-    coefficients (u1, e^{-iF/h} u2) at the increasing points x, shape
-    (2, len(x)).
-    """
-    x = np.asarray(x, dtype=float)
-    a1, a2 = complex(alpha_in[0]), complex(alpha_in[1])
-    F = prob.f.antideriv()
-    y0 = np.array([a1, a2 * np.exp(1j * F(prob.x0) / prob.h)], dtype=complex)
-    args = (
-        np.asarray(prob.f.coeffs, dtype=float),
-        prob.r1.kernel_params(),
-        prob.r2.kernel_params(),
-        prob.h,
-    )
-    # Where a component is identically zero the controller would take steps
-    # spanning thousands of fast periods; the step itself is fine but the
-    # dense-output interpolant amplifies stage noise by the stiff factor
-    # f/h. Capping the step at one local period keeps it conditioned.
-    rate = float(prob.f.abs_max_on([prob.x0], [prob.x1])[0])
-    max_step = 2.0 * np.pi * prob.h / rate if rate > 0 else np.inf
-    # imported here, so that importing this module does not load scipy
-    from scipy.integrate import solve_ivp
-
-    sol = solve_ivp(
-        model_rhs,
-        (prob.x0, float(x[-1])),
-        y0,
-        method="DOP853",
-        t_eval=x,
-        rtol=ODE_TOL,
-        atol=ODE_TOL,
-        max_step=max_step,
-        args=args,
-    )
-    if not sol.success:
-        raise StepFailure(f"adaptive integrator failed: {sol.message}")
-    return np.array([sol.y[0], np.exp(-1j * F(x) / prob.h) * sol.y[1]])
 
 
 def crossing_data(prob: NormalFormProblem) -> CrossingData:

@@ -99,10 +99,6 @@ class Bump:
         out[inside] = self.amplitude * np.exp(1.0 - 1.0 / (1.0 - t2[inside]))
         return float(out[0]) if scalar else out
 
-    def kernel_params(self) -> tuple[float, float, float]:
-        """(center, width, amplitude) triple for the DOP853 right-hand sides."""
-        return (self.center, self.width, self.amplitude)
-
 
 ZERO_BUMP = Bump(width=1.0, amplitude=0.0)
 

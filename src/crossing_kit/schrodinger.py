@@ -30,8 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import march
-from ._kernels import schrod_rhs
-from .errors import CaseMismatch, IllConditioned, StepFailure, ValidationError
+from .errors import CaseMismatch, ValidationError
 from .profiles import Bump, Poly1
 from .symbolcalc import (
     CrossingData,
@@ -42,11 +41,9 @@ from .symbolcalc import (
 from .transfer import TransferMatrix
 
 # Names perfbench/tracer.py wraps on this module and accepts None for:
-# grid_for is removed, and solve_ivp is imported where it is called, by
-# _integrate, so that importing this module does not load scipy.integrate.
-grid_for = solve_ivp = None
-
-ODE_TOL = 1e-11  # DOP853 tolerance of the reference solve `_integrate`
+# grid_for is removed, and the DOP853 reference solve with its right-hand
+# side and branch decomposition lives in tests/ode_oracles.py.
+grid_for = solve_ivp = branch_decompose = schrod_rhs = None
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(15)
 
@@ -218,87 +215,6 @@ class WkbBasis:
         q = self.prob.e0 - v(x)
         slope = v.deriv(1)(x) / q
         return 0.25 * slope, 0.25 * v.deriv(2)(x) / q + 0.3125 * slope * slope
-
-    def synthesize(self, coeffs, x: float) -> np.ndarray:
-        """State vector (u1, u1', u2, u2') with branch coefficients ``coeffs``.
-
-        coeffs = (a1_plus, a1_minus, a2_plus, a2_minus), in the exact
-        convention: u_j' = a_j+ w_j+' + a_j- w_j-'.
-        """
-        a = [complex(c) for c in coeffs]
-        h = self.prob.h
-        out = np.empty(4, dtype=complex)
-        for j in (1, 2):
-            ap, am = a[2 * j - 2], a[2 * j - 1]
-            sig = float(self.amplitude(j, x))
-            rate = float(self.momentum(j, x))
-            dlog = float(self.amplitude_ratios(j, x)[0])
-            osc = np.exp(1j * self.phase(j, x) / h)
-            out[2 * j - 2] = sig * (ap * osc + am * np.conj(osc))
-            out[2 * j - 1] = dlog * out[2 * j - 2] + (1j * rate / h) * sig * (
-                ap * osc - am * np.conj(osc)
-            )
-        return out
-
-
-def branch_decompose(basis: WkbBasis, j: int, x, u, hdu):
-    """Branch coefficients (a_plus, a_minus) of equation j at points x.
-
-    Inverts ``synthesize``: solves [u; h u'] = B(x) [a_plus; a_minus] with
-    the exact basis and its derivative. The determinant of B is the
-    x-independent flux 2 sigma_j^2 phi_j', so conditioning is uniform.
-    """
-    x = np.asarray(x, dtype=float)
-    u = np.asarray(u, dtype=complex)
-    hdu = np.asarray(hdu, dtype=complex)
-    rate = np.asarray(basis.momentum(j, x), dtype=float)
-    sig = np.asarray(basis.amplitude(j, x), dtype=float)
-    if np.min(2.0 * sig**2 * rate) < 1e-8:
-        raise IllConditioned(
-            "branch matrix nearly singular (turning point too close)"
-        )
-    # h u' less its amplitude part is the phase part i phi' sigma (a+ e - a- e*)
-    hdu = hdu - basis.prob.h * basis.amplitude_ratios(j, x)[0] * u
-    osc = np.exp(1j * np.asarray(basis.phase(j, x)) / basis.prob.h)
-    a_plus = (u - 1j * hdu / rate) / (2.0 * sig * osc)
-    a_minus = (u + 1j * hdu / rate) / (2.0 * sig * np.conj(osc))
-    return a_plus, a_minus
-
-
-def _rhs_args(prob: SchrodingerProblem):
-    return (
-        np.asarray(prob.v1.coeffs, dtype=float),
-        np.asarray(prob.v2.coeffs, dtype=float),
-        prob.w.kernel_params(),
-        prob.e0,
-        prob.h,
-    )
-
-
-def _integrate(
-    basis: WkbBasis, coeffs, x_from: float, x_to: float, t_eval, tol=ODE_TOL
-) -> np.ndarray:
-    """DOP853 reference solve, kept as the test oracle of the march.
-
-    ``coeffs`` = (a1_plus, a1_minus, a2_plus, a2_minus) is synthesized into
-    the state (u1, u1', u2, u2') at x_from, which DOP853 carries to x_to.
-    Returns the state sampled at ``t_eval``, ordered from x_from.
-    """
-    from scipy.integrate import solve_ivp
-
-    sol = solve_ivp(
-        schrod_rhs,
-        (x_from, x_to),
-        basis.synthesize(coeffs, x_from),
-        method="DOP853",
-        t_eval=t_eval,
-        rtol=tol,
-        atol=tol,
-        args=_rhs_args(basis.prob),
-    )
-    if not sol.success:
-        raise StepFailure(f"adaptive integrator failed: {sol.message}")
-    return sol.y
 
 
 def _max_rate(prob: SchrodingerProblem) -> float:

@@ -9,7 +9,6 @@ fixed-format CSV that round-trips bit-exactly.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -29,7 +28,7 @@ CSV_COLUMNS = (
 FITTED = ("t12", "t21", "t11_deficit", "t22_deficit")
 # zero-signal floor: entries at or below it carry no fittable asymptotics
 SIGNAL_FLOOR = 1e-13
-# most points of an h grid: bounds a sweep's rows and threads
+# most points of an h grid: bounds a sweep's rows
 MAX_GRID_POINTS = 1000
 
 
@@ -39,6 +38,8 @@ class SweepRow:
     extracted: TransferMatrix | None
     predicted: TransferMatrix | None
     status: str = "ok"
+    # why a failed row failed, the exception's message; not in the CSV
+    detail: str = ""
 
     def abs_errors(self) -> tuple[float, ...]:
         """|extracted - predicted| per entry, in ``ENTRIES`` order."""
@@ -147,16 +148,15 @@ def check_grid(h_values) -> tuple[float, ...]:
     return hs
 
 
-def run_sweep(problem: Problem, h_values, jobs: int = 1) -> SweepReport:
+def run_sweep(problem: Problem, h_values) -> SweepReport:
     """Extract and predict the transfer matrix at each h of a grid.
 
-    Per-row numerical failures are recorded in the row status rather than
-    raised, so one bad h cannot take down a whole sweep. Rows are assembled
-    in decreasing-h order regardless of execution order.
+    Per-row numerical failures are recorded in the row status and detail
+    rather than raised, so one bad h cannot take down a whole sweep. Rows
+    are assembled in decreasing-h order regardless of the grid's order.
     """
     if not isinstance(problem, Problem):
         raise ValidationError(f"{problem!r} does not implement the Problem interface")
-    hs = check_grid(h_values)
 
     def one(h: float) -> SweepRow:
         try:
@@ -168,13 +168,10 @@ def run_sweep(problem: Problem, h_values, jobs: int = 1) -> SweepReport:
                 extracted=None,
                 predicted=None,
                 status=f"failed:{type(exc).__name__}",
+                detail=str(exc),
             )
 
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            rows = list(pool.map(one, hs))
-    else:
-        rows = [one(h) for h in hs]
+    rows = [one(h) for h in check_grid(h_values)]
     return SweepReport(rows=rows)
 
 

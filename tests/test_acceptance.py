@@ -15,7 +15,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 
 from crossing_kit import march
-from crossing_kit.normalform import _system, model_corpus, ode_oracle
+from crossing_kit.normalform import _system, model_corpus
 from crossing_kit.oscquad import (
     AmplitudeSpec,
     GridFunction,
@@ -41,6 +41,7 @@ from crossing_kit.symbolcalc import (
 )
 
 import closed_form_oracle
+from ode_oracles import ode_oracle
 
 SQRT_2PI = 2.506628274631000502415765284811045253007
 AIRY_2PI_AI0 = 2.230707051824495741427486519543450239771  # 2*pi*Ai(0)
@@ -90,7 +91,7 @@ def test_02_airy_cross_check_m2():
 
 def test_03_model_transfer_m1_sweep():
     # frozen: exponent 0.4927, amplitude ratio 0.9453, arg -2.3553
-    rep = run_sweep(model_corpus(1e-1)[0], np.geomspace(1e-1, 1e-4, 12), jobs=4)
+    rep = run_sweep(model_corpus(1e-1)[0], np.geomspace(1e-1, 1e-4, 12))
     assert len(rep.ok_rows()) == 12
     fit = fit_power_law(rep.magnitudes("t21"))
     assert abs(fit.exponent - 0.5) <= 0.02
@@ -103,7 +104,7 @@ def test_03_model_transfer_m1_sweep():
 
 def test_04_model_transfer_m2_sweep():
     # frozen: exponent 0.3303, amplitude ratio 0.9675
-    rep = run_sweep(model_corpus(1e-3)[1], np.geomspace(1e-3, 1e-5, 12), jobs=4)
+    rep = run_sweep(model_corpus(1e-3)[1], np.geomspace(1e-3, 1e-5, 12))
     assert len(rep.ok_rows()) == 12
     fit = fit_power_law(rep.magnitudes("t21"))
     assert abs(fit.exponent - 1.0 / 3.0) <= 0.02
@@ -137,7 +138,7 @@ def test_05_series_vs_direct_integration():
 def test_06_diagonal_deficit_envelope():
     # frozen exponents: 1.1101 (order 1, log envelope), 0.6441 (order 2)
     for idx, m in ((0, 1), (1, 2)):
-        rep = run_sweep(model_corpus(1e-3)[idx], np.geomspace(1e-3, 1e-5, 8), jobs=4)
+        rep = run_sweep(model_corpus(1e-3)[idx], np.geomspace(1e-3, 1e-5, 8))
         assert len(rep.ok_rows()) == 8
         fit = fit_power_law(rep.magnitudes("t11_deficit"), with_log=(m == 1))
         lo = 2.0 / (m + 1) - 0.1

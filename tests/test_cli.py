@@ -38,7 +38,6 @@ def test_minimal_model_config_fills_defaults(tmp_path):
     config = parse_config(path)
     assert config.mode == "solve-model"
     assert config.h == 1e-2
-    assert config.jobs == 1
     assert config.branch == 1
     assert config.tolerances == {"exponent": 0.05, "prefactor": 0.10}
     assert config.csv_path is None and config.summary_path is None
@@ -55,8 +54,15 @@ def test_negative_h_rejected(tmp_path, capsys):
 
 def test_unknown_key_named_with_path(tmp_path, capsys):
     # the model has one extraction path: no key selects a solver or its
-    # terms, and T is read at the interval end, with no read-off window
-    unknown = (("hh", 0.5), ("method", "ode"), ("terms", 8), ("window_eps", 0.1))
+    # terms, T is read at the interval end, with no read-off window, and
+    # sweep rows run serially
+    unknown = (
+        ("hh", 0.5),
+        ("method", "ode"),
+        ("terms", 8),
+        ("window_eps", 0.1),
+        ("jobs", 2),
+    )
     for key, value in unknown:
         path = write_config(tmp_path, {"problem": model_block(), key: value})
         with pytest.raises(SchemaError) as exc:
@@ -97,10 +103,18 @@ def test_missing_config_file_exits_2(capsys):
 
 
 def test_invalid_json_exits_2(tmp_path, capsys):
+    # not JSON; not UTF-8; nested past the parser's recursion limit; an
+    # integer literal past the int-to-str digit limit
     p = tmp_path / "broken.json"
-    p.write_text("{not json", encoding="utf-8")
-    assert main(["predict", "--config", str(p)]) == 2
-    assert "invalid JSON" in capsys.readouterr().err
+    for raw in (
+        b"{not json",
+        b'\xff\xfe{"mode": "predict"}',
+        b"[" * 100000,
+        b'{"seed": ' + b"1" * 5000 + b"}",
+    ):
+        p.write_bytes(raw)
+        assert main(["predict", "--config", str(p)]) == 2
+        assert "invalid JSON" in _one_line_error(capsys)
 
 
 def test_grid_spec_forms(tmp_path):
@@ -222,7 +236,6 @@ def test_verify_model_corpus_passes(tmp_path, capsys):
         summary = tmp_path / f"verify{index}.json"
         cfg = {
             "problem": {"kind": "model-corpus", "index": index},
-            "jobs": 3,
             "output": {"csv": str(csv), "summary": str(summary)},
         }
         path = write_config(tmp_path, cfg)
@@ -280,7 +293,6 @@ def test_grid_outside_unit_interval_or_too_long_rejected(tmp_path, capsys):
 def test_verify_absurd_tolerance_fails(tmp_path, capsys):
     cfg = {
         "problem": {"kind": "model-corpus", "index": 0},
-        "jobs": 3,
         "tolerances": {"exponent": 1e-15},
         "output": {"csv": str(tmp_path / "rows.csv")},
     }
@@ -314,14 +326,6 @@ def test_numerical_failure_exits_3(tmp_path, capsys):
     assert "numerical failure" in capsys.readouterr().err
 
 
-def test_bad_jobs_flag_exits_2(tmp_path, capsys):
-    path = write_config(
-        tmp_path, {"problem": model_block(), "h": 1e-2}
-    )
-    assert main(["solve-model", "--config", path, "--jobs", "0"]) == 2
-    assert "jobs" in capsys.readouterr().err
-
-
 def _one_line_error(capsys) -> str:
     err = capsys.readouterr().err
     assert "Traceback" not in err
@@ -334,13 +338,27 @@ def test_h_near_underflow_is_a_numerical_failure(tmp_path, capsys):
     path = write_config(tmp_path, {"problem": model_block(), "h": 1e-320})
     assert main(["solve-model", "--config", path]) == 3
     assert "n_max" in _one_line_error(capsys)
-    # the adaptive Schrodinger solve is refused by the same node budget
-    # before integrating, instead of stepping on NaNs or failing in scipy
+    # the Schrodinger march is refused by the same node budget before
+    # marching, instead of stepping on NaNs
     for h in (1e-320, 1e-200):
         problem = {"kind": "schrodinger-corpus", "index": 0}
         path = write_config(tmp_path, {"problem": problem, "h": h})
         assert main(["solve-schrodinger", "--config", path]) == 3
         assert "n_max" in _one_line_error(capsys)
+    # in a sweep each refused row says why, on stdout and in the summary
+    summary = tmp_path / "summary.json"
+    cfg = {
+        "problem": model_block(),
+        "h_grid": {"values": [1e-8, 1e-9, 1e-10, 1e-11]},
+        "output": {"csv": str(tmp_path / "rows.csv"), "summary": str(summary)},
+    }
+    assert main(["sweep", "--config", write_config(tmp_path, cfg)]) == 3
+    failed = [ln for ln in capsys.readouterr().out.splitlines() if "failed:" in ln]
+    assert len(failed) == 4 and all("n_max" in ln for ln in failed)
+    rows = json.loads(summary.read_text(encoding="utf-8"))["failed_rows"]
+    assert [r["h"] for r in rows] == [1e-8, 1e-9, 1e-10, 1e-11]
+    assert all(r["status"] == "failed:ValidationError" for r in rows)
+    assert all("n_max" in r["detail"] for r in rows)
 
 
 def test_huge_grid_count_rejected_before_allocation(tmp_path, capsys):

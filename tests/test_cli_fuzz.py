@@ -42,7 +42,6 @@ _SKELETONS = [
             "interval": [-1.0, 1.0],
         },
         "h": 1e-2,
-        "jobs": 1,
         "seed": 0,
         "output": {"summary": "summary.json"},
     },
@@ -94,7 +93,7 @@ _PAIR = {
     "interval": [-1.2, 1.2],
 }
 _SOLVE_MODEL_SKELETONS = [
-    {"mode": "solve-model", "problem": _MODEL, "h": 1e-1, "jobs": 1, "seed": 0,
+    {"mode": "solve-model", "problem": _MODEL, "h": 1e-1, "seed": 0,
      "output": {"summary": "summary.json"}},
     {"problem": {"kind": "model-corpus", "index": 4}, "h": 1e-2},
     {"problem": {"kind": "random-model", "m": 2}, "h": 1e-2, "seed": 7},
@@ -106,7 +105,7 @@ _SOLVE_SCHRODINGER_SKELETONS = [
 ]
 _SWEEP_SKELETONS = [
     {"mode": "sweep", "problem": {"kind": "model-corpus", "index": 0},
-     "h_grid": {"values": [1e-1, 5e-2, 1e-2, 1e-3]}, "jobs": 2,
+     "h_grid": {"values": [1e-1, 5e-2, 1e-2, 1e-3]},
      "output": {"csv": "sweep.csv", "summary": "summary.json"}},
     {"problem": _PAIR, "h_grid": {"start": 1e-1, "stop": 1e-3, "count": 4}},
     {"problem": {"kind": "random-model", "m": 1}, "seed": 3,

@@ -21,7 +21,6 @@ from crossing_kit.normalform import (
     NormalFormProblem,
     _system,
     model_corpus,
-    ode_oracle,
     predict_transfer,
     transfer_numeric,
 )
@@ -30,6 +29,7 @@ from crossing_kit.profiles import Bump, Poly1, ZERO_BUMP
 from crossing_kit.transfer import Problem
 
 import closed_form_oracle
+from ode_oracles import ode_oracle
 
 SQRT_2PI = 2.506628274631000502415765284811045253007
 

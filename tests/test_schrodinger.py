@@ -18,22 +18,14 @@ import pytest
 
 from crossing_kit import march, normalform
 from crossing_kit.cli import _random_model_problem
-from crossing_kit.errors import (
-    CaseMismatch,
-    IllConditioned,
-    StepFailure,
-    ValidationError,
-)
+from crossing_kit.errors import CaseMismatch, StepFailure, ValidationError
 from crossing_kit.march import CHUNK_BYTES
 from crossing_kit.normalform import model_corpus
 from crossing_kit.oscquad import AmplitudeSpec, PhaseSpec, osc_integral_numeric
 from crossing_kit.profiles import Bump, Poly1, ZERO_BUMP
 from crossing_kit.schrodinger import (
-    ODE_TOL,
     SchrodingerProblem,
     WkbBasis,
-    _integrate,
-    branch_decompose,
     build_crossing_data,
     numeric_transfer_case_i,
     predict_transfer_case_i,
@@ -42,6 +34,13 @@ from crossing_kit.schrodinger import (
 )
 
 import closed_form_oracle
+from ode_oracles import (
+    ODE_TOL,
+    IllConditioned,
+    branch_decompose,
+    integrate,
+    synthesize,
+)
 
 SQRT_2PI = 2.506628274631000502415765284811045253007
 
@@ -256,7 +255,7 @@ def test_decompose_round_trip_and_conjugation():
     rng = np.random.default_rng(11)
     coeffs = rng.standard_normal(4) + 1j * rng.standard_normal(4)
     x = 0.95
-    y = basis.synthesize(coeffs, x)
+    y = synthesize(basis, coeffs, x)
     got = []
     for j in (1, 2):
         ap, am = branch_decompose(
@@ -266,7 +265,7 @@ def test_decompose_round_trip_and_conjugation():
     assert np.abs(np.array(got) - coeffs).max() < 1e-12
     # conjugating the state swaps the branches with conjugated coefficients
     swapped = np.conj(coeffs[[1, 0, 3, 2]])
-    assert np.abs(np.conj(y) - basis.synthesize(swapped, x)).max() < 1e-12
+    assert np.abs(np.conj(y) - synthesize(basis, swapped, x)).max() < 1e-12
 
 
 def test_decompose_ill_conditioned_near_flux_collapse():
@@ -288,7 +287,7 @@ def _propagate(prob, xs, tol=ODE_TOL):
     """The basis, and (u1, u2) at xs for unit data on the + branch of
     equation 1 entering at x_in."""
     basis = WkbBasis(prob)
-    y = _integrate(basis, (1.0, 0.0, 0.0, 0.0), prob.x_in, prob.x_out, xs, tol)
+    y = integrate(basis, (1.0, 0.0, 0.0, 0.0), prob.x_in, prob.x_out, xs, tol)
     return basis, y[0], y[2]
 
 
@@ -323,7 +322,7 @@ def _reference_transfer(prob, sign):
     for c in (0, 1):
         coeffs = np.zeros(4)
         coeffs[2 * c + slot] = 1.0
-        y = _integrate(basis, coeffs, start, end, [end])[:, -1]
+        y = integrate(basis, coeffs, start, end, [end])[:, -1]
         cols.append(
             [
                 branch_decompose(basis, j, end, y[2 * j - 2], prob.h * y[2 * j - 1])[slot]

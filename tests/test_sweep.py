@@ -77,20 +77,21 @@ def test_run_sweep_preconditions():
 
 
 def test_report_rows_sorted_and_parallel_deterministic(tmp_path):
+    # rows run serially; two runs of one grid write the same CSV bytes
     prob = model_corpus(1e-2)[0]
     hs = np.geomspace(1e-3, 1e-1, 4)  # deliberately increasing
-    serial = run_sweep(prob, hs, jobs=1)
-    parallel = run_sweep(prob, hs, jobs=4)
-    assert [r.h for r in serial.rows] == sorted((float(h) for h in hs), reverse=True)
-    p1, p2 = tmp_path / "serial.csv", tmp_path / "parallel.csv"
-    write_csv(serial, p1)
-    write_csv(parallel, p2)
+    first = run_sweep(prob, hs)
+    second = run_sweep(prob, hs)
+    assert [r.h for r in first.rows] == sorted((float(h) for h in hs), reverse=True)
+    p1, p2 = tmp_path / "first.csv", tmp_path / "second.csv"
+    write_csv(first, p1)
+    write_csv(second, p2)
     assert p1.read_bytes() == p2.read_bytes()
 
 
 def test_sweep_rows_carry_small_errors_and_fits():
     prob = model_corpus(1e-2)[0]
-    report = run_sweep(prob, np.geomspace(1e-1, 1e-3, 5), jobs=4)
+    report = run_sweep(prob, np.geomspace(1e-1, 1e-3, 5))
     assert all(r.status == "ok" for r in report.rows)
     for r in report.rows:
         assert r.extracted.h == r.predicted.h == r.h
@@ -129,12 +130,14 @@ def test_failed_rows_recorded_not_raised(tmp_path):
     prob = model_corpus(1e-2)[0]
     report = run_sweep(prob, np.geomspace(1e-8, 1e-10, 4))
     assert all(r.status == "failed:ValidationError" for r in report.rows)
+    assert all("n_max" in r.detail for r in report.rows)
     assert report.ok_rows() == []
     assert all(math.isnan(e) for r in report.rows for e in r.abs_errors())
     path = tmp_path / "failed.csv"
     write_csv(report, path)
     back = read_csv(path)
     assert [r.status for r in back.rows] == [r.status for r in report.rows]
+    assert all(r.detail == "" for r in back.rows)
 
 
 def test_verdicts_and_monotonicity():
