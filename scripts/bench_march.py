@@ -1,21 +1,29 @@
-"""Cost of one extraction as h shrinks: seconds and marched nodes per row.
+"""Cost of one extraction as h shrinks: seconds, nodes and us per node per row.
 
     PYTHONPATH=src python3 scripts/bench_march.py [--label TEXT] [--out PATH]
+    PYTHONPATH=src python3 scripts/bench_march.py --against DIR
+        --against-out PATH [--against-label TEXT] [--label TEXT] [--out PATH]
 
 Extracts the transfer matrix of model-corpus 0, 1 and 2 at h = 1e-2 ..
-1e-6 and of schrodinger-corpus 0 at h = 1e-2 .. 1e-5, in this process,
-with the ``crossing_kit`` package found on PYTHONPATH. Each row is timed
-REPEATS times (the median is kept); its node count comes from the march's
-DEBUG line. Writes BENCH_graded_march.json in the repo root (or ``--out``)
-with the rows, the log-log slope of seconds against 1/h per problem, and
-the environment. Run it with two source trees on the same machine to
-compare them: ``--label`` names the tree in the file.
+1e-6 and of schrodinger-corpus 0 at h = 1e-2 .. 1e-5, with the
+``crossing_kit`` package found on PYTHONPATH. Each row is timed REPEATS
+times in one process (the median is kept); its node count comes from the
+march's DEBUG line, and ``us_per_node`` is the median seconds per marched
+node in microseconds. Writes BENCH_graded_march.json in the repo root (or
+``--out``) with the rows, the log-log slope of seconds against 1/h per
+problem, and the environment.
 
-Compare ``nodes`` across trees, not ``seconds``. Each tree is timed in
-its own process, one after the other, with no alternation between them,
-so machine drift between the two processes reaches the seconds: they
-cannot resolve a change under about 20%. The node counts are exact. A
-speed claim needs runs of the two trees that alternate.
+Without ``--against`` the rows are timed in this process; compare
+``nodes`` across two such files, not ``seconds``: the two trees then run
+one after the other, so machine drift between them reaches the seconds,
+which cannot resolve a change under about 20%.
+
+With ``--against DIR`` the rows are timed in ROUNDS pairs of child
+processes, one with PYTHONPATH as given and one with PYTHONPATH=DIR/src,
+alternating which goes first. Each row keeps the median over rounds of
+its per-process medians, and ``rounds_faster`` counts the rounds in which
+the row ran faster than in the other tree's process of the same pair.
+Writes both trees' files: ``--out`` and ``--against-out``.
 """
 
 from __future__ import annotations
@@ -27,6 +35,7 @@ import os
 import platform
 import re
 import statistics
+import subprocess
 import sys
 import time
 from pathlib import Path
@@ -35,6 +44,7 @@ import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
 REPEATS = 3
+ROUNDS = 5
 H_MODEL = (1e-2, 1e-3, 1e-4, 1e-5, 1e-6)
 H_PAIR = (1e-2, 1e-3, 1e-4, 1e-5)
 
@@ -70,12 +80,12 @@ def _slope(rows: list[dict]) -> float:
     return float(np.polyfit(x, y, 1)[0])
 
 
-def main() -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--label", default="", help="names the measured tree")
-    parser.add_argument("--out", default=str(ROOT / "BENCH_graded_march.json"))
-    args = parser.parse_args()
+def _row(h: float, nodes: int, seconds: float) -> dict:
+    return {"h": h, "nodes": nodes, "seconds": seconds, "us_per_node": 1e6 * seconds / nodes}
 
+
+def measure(echo) -> dict:
+    """Rows per problem, timed in this process, and the environment."""
     import crossing_kit
     from crossing_kit.normalform import model_corpus
     from crossing_kit.schrodinger import schrodinger_corpus
@@ -91,7 +101,7 @@ def main() -> int:
     cases.append(
         ("schrodinger-corpus 0", lambda h: schrodinger_corpus(h)[0], H_PAIR)
     )
-    problems = []
+    problems = {}
     for name, build, h_values in cases:
         rows = []
         for h in h_values:
@@ -101,30 +111,108 @@ def main() -> int:
                 t0 = time.perf_counter()
                 prob.extract()
                 seconds.append(time.perf_counter() - t0)
-            rows.append(
-                {"h": h, "nodes": handler.nodes, "seconds": statistics.median(seconds)}
-            )
-            print(f"{name} h={h:g}: {rows[-1]['nodes']} nodes, "
-                  f"{rows[-1]['seconds']:.3f} s", flush=True)
-        problems.append({"problem": name, "rows": rows, "slope": _slope(rows)})
-    record = {
-        "label": args.label,
-        "what": "one extraction (both input columns, one march) per row; "
-        f"median of {REPEATS} in-process runs. Compare nodes across trees: "
-        "each tree is timed in its own process without alternation, so the "
-        "seconds cannot resolve a change under about 20%",
-        "problems": problems,
-        "env": {
-            "python": sys.version.split()[0],
-            "numpy": np.__version__,
-            "backend": crossing_kit.BACKEND,
-            "nproc": os.cpu_count(),
-            "cpu": _cpu(),
-        },
+            rows.append(_row(h, handler.nodes, statistics.median(seconds)))
+            echo(f"{name} h={h:g}: {rows[-1]['nodes']} nodes, "
+                 f"{rows[-1]['seconds']:.3f} s, {rows[-1]['us_per_node']:.3f} us/node")
+        problems[name] = rows
+    env = {
+        "python": sys.version.split()[0],
+        "numpy": np.__version__,
+        "backend": crossing_kit.BACKEND,
+        "nproc": os.cpu_count(),
+        "cpu": _cpu(),
     }
-    with open(args.out, "w", encoding="utf-8") as fh:
+    return {"problems": problems, "env": env}
+
+
+def _child(pythonpath: str) -> dict:
+    """One measure() in a fresh interpreter with the given PYTHONPATH."""
+    env = dict(os.environ, PYTHONPATH=pythonpath)
+    done = subprocess.run(
+        [sys.executable, __file__, "--child"],
+        env=env,
+        check=True,
+        stdout=subprocess.PIPE,
+        text=True,
+    )
+    return json.loads(done.stdout.splitlines()[-1])
+
+
+def alternate(other: Path, rounds: int) -> tuple[dict, dict]:
+    """measure() of this tree and of ``other`` in ``rounds`` pairs of child
+    processes, alternating which of the pair runs first. Returns both
+    trees' records: per row the median over rounds and ``rounds_faster``."""
+    trees = [os.environ.get("PYTHONPATH", ""), str(other / "src")]
+    runs = [[], []]
+    for r in range(rounds):
+        for t in (0, 1) if r % 2 == 0 else (1, 0):
+            print(f"round {r + 1}/{rounds}: {trees[t]}", flush=True)
+            runs[t].append(_child(trees[t]))
+    records = []
+    for t in (0, 1):
+        problems = {}
+        for name, first in runs[t][0]["problems"].items():
+            rows = []
+            for i, row in enumerate(first):
+                mine = [run["problems"][name][i]["seconds"] for run in runs[t]]
+                theirs = [run["problems"][name][i]["seconds"] for run in runs[1 - t]]
+                rows.append(_row(row["h"], row["nodes"], statistics.median(mine)))
+                rows[-1]["rounds_faster"] = sum(a < b for a, b in zip(mine, theirs))
+            problems[name] = rows
+        records.append({"problems": problems, "env": runs[t][0]["env"]})
+    return records[0], records[1]
+
+
+def _write(path: str, label: str, what: str, measured: dict) -> None:
+    record = {
+        "label": label,
+        "what": what,
+        "problems": [
+            {"problem": name, "rows": rows, "slope": _slope(rows)}
+            for name, rows in measured["problems"].items()
+        ],
+        "env": measured["env"],
+    }
+    with open(path, "w", encoding="utf-8") as fh:
         json.dump(record, fh, indent=1)
         fh.write("\n")
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--label", default="", help="names the measured tree")
+    parser.add_argument("--out", default=str(ROOT / "BENCH_graded_march.json"))
+    parser.add_argument("--against", type=Path, help="a second source tree")
+    parser.add_argument("--against-label", default="", help="names the second tree")
+    parser.add_argument("--against-out", help="the second tree's file")
+    parser.add_argument("--child", action="store_true", help=argparse.SUPPRESS)
+    args = parser.parse_args()
+
+    if args.child:
+        echo = lambda line: print(line, file=sys.stderr, flush=True)  # noqa: E731
+        print(json.dumps(measure(echo)))
+        return 0
+    if args.against is None:
+        what = (
+            "one extraction (both input columns, one march) per row; median "
+            f"of {REPEATS} in-process runs. Compare nodes across trees: each "
+            "tree is timed in its own process without alternation, so the "
+            "seconds cannot resolve a change under about 20%"
+        )
+        _write(args.out, args.label, what, measure(lambda line: print(line, flush=True)))
+        return 0
+    if args.against_out is None:
+        parser.error("--against needs --against-out")
+    what = (
+        "one extraction (both input columns, one march) per row; per "
+        f"process the median of {REPEATS} runs, then the median over "
+        f"{ROUNDS} rounds, each a pair of processes of this tree and "
+        "the other that alternate which runs first; rounds_faster counts "
+        "the rounds in which this tree's row was the faster of the pair"
+    )
+    mine, theirs = alternate(args.against, ROUNDS)
+    _write(args.out, args.label, what, mine)
+    _write(args.against_out, args.against_label, what, theirs)
     return 0
 
 

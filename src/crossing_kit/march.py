@@ -24,7 +24,8 @@ are stationary and fine where they turn fast; the last chunk is
 shortened to end at the span's end. The grid is never built whole.
 Chunks are solved in turn, each from the coefficients and phases at the
 last node of the one before: per chunk the phases come from cum_quad6 of
-their rates, and a from Picard iteration a <- a(x_0) + int M a.
+their rates, and a from Picard iteration a <- a(x_0) + int M a, both
+integrals started at the chunk's first node by cum_quad6's ``initial``.
 
 The Picard sweeps allocate no array of a chunk's size: the iterate, the
 next iterate, M a and |change| live in work arrays allocated once per
@@ -208,7 +209,7 @@ def _picard(system: System, a0: np.ndarray, phi0: np.ndarray, x, dx: float, work
     iterations); a is a copy, not a view of ``work``.
     """
     rate, coeffs = system.local(x)
-    phase = phi0[:, None] + cum_quad6(rate, dx).real
+    phase = cum_quad6(rate, dx, initial=phi0)
     osc = np.exp(1j * phase / system.h)
     back = np.conj(osc)
     shape = a0.shape + (len(x),)
@@ -216,11 +217,7 @@ def _picard(system: System, a0: np.ndarray, phi0: np.ndarray, x, dx: float, work
     a[...] = a0[:, :, None]
     for it in range(1, PICARD_MAX_ITER + 1):
         system.apply(coeffs, osc, back, a, m_a)
-        cum_quad6(m_a, dx, out=new)
-        # row by row: adding a0[:, :, None] at once would take ufunc buffers
-        # as large as the chunk
-        for row, start in zip(new.reshape(-1, len(x)), a0.flat):
-            row += start
+        cum_quad6(m_a, dx, out=new, initial=a0)
         np.subtract(new, a, out=a)  # the old iterate is spent: a = new - a
         moved = float(np.abs(a, out=change).max())
         a, new = new, a

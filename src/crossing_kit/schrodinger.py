@@ -166,6 +166,9 @@ class WkbBasis:
             (1.0 + v.deriv_at(1, 0.0) ** 2 / (4.0 * prob.e0)) ** 0.25
             for v in (prob.v1, prob.v2)
         )
+        # V_j' and V_j'', built once: the march evaluates them per chunk
+        self.slopes = (prob.v1.deriv(1), prob.v2.deriv(1))
+        self.curvatures = (prob.v1.deriv(2), prob.v2.deriv(2))
 
     def _potential(self, j: int) -> Poly1:
         if j not in (1, 2):
@@ -211,10 +214,14 @@ class WkbBasis:
         With q = E0 - V_j, sigma_j is proportional to q^(-1/4), so
         sigma'/sigma = V'/(4q) and sigma''/sigma = V''/(4q) + 5 V'^2/(16 q^2).
         """
-        v = self._potential(j)
-        q = self.prob.e0 - v(x)
-        slope = v.deriv(1)(x) / q
-        return 0.25 * slope, 0.25 * v.deriv(2)(x) / q + 0.3125 * slope * slope
+        q = self.prob.e0 - self._potential(j)(x)
+        return _sigma_ratios(q, self.slopes[j - 1](x), self.curvatures[j - 1](x))
+
+
+def _sigma_ratios(q, slope, curvature):
+    """(sigma'/sigma, sigma''/sigma) from q = E0 - V and V', V'' at x."""
+    slope = slope / q
+    return 0.25 * slope, 0.25 * curvature / q + 0.3125 * slope * slope
 
 
 def _max_rate(prob: SchrodingerProblem) -> float:
@@ -232,11 +239,18 @@ def _coefficients(basis: WkbBasis, x: np.ndarray, w):
     D_j = h (sigma_j'' / sigma_j) / (2i p_j). ``w`` is W at the nodes.
     Arrays have shape (2, len(x)).
     """
-    rate = np.array([basis.momentum(j, x) for j in (1, 2)])
-    sig = np.array([basis.amplitude(j, x) for j in (1, 2)])
-    curv = np.array([basis.amplitude_ratios(j, x)[1] for j in (1, 2)])
+    prob = basis.prob
+    pot = np.array([prob.v1(x), prob.v2(x)])
+    q = prob.e0 - pot
+    rate = np.sqrt(q)
+    sig = np.array(basis.c)[:, None] * (1.0 - pot / prob.e0) ** -0.25
+    _, curv = _sigma_ratios(
+        q,
+        np.array([p(x) for p in basis.slopes]),
+        np.array([p(x) for p in basis.curvatures]),
+    )
     cross = w * sig[::-1] / (2j * sig * rate)
-    self_ = basis.prob.h * curv / (2j * rate)
+    self_ = prob.h * curv / (2j * rate)
     return rate, cross, self_
 
 

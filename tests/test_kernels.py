@@ -72,6 +72,73 @@ def test_backends_agree():
     b = cum_quad6(vals, dx)
     scale = np.max(np.abs(a)) + 1.0
     assert np.max(np.abs(a - b)) <= 1e-13 * scale
+    # stacked rows share one flat stencil: each row must still match its
+    # own scalar loop, in either direction
+    for shape in ((3, 40), (2, 4, 6), (2, 4, 7), (2, 4, 1001)):
+        vals = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        for dx in (2e-3, -7e-4):
+            got = cum_quad6(vals, dx)
+            for row, out in zip(vals.reshape(-1, shape[-1]), got.reshape(-1, shape[-1])):
+                want = _cum_quad6_loop(row, dx, _kernels._W6)
+                scale = np.max(np.abs(want)) + 1.0
+                assert np.max(np.abs(out - want)) <= 1e-13 * scale
+
+
+def test_cum_quad6_rows_stay_isolated():
+    # a row of zeros between rows of scale 1e150: nothing of its neighbours
+    # may leak into it through the flat stencil
+    rng = np.random.default_rng(2)
+    for n in (6, 7, 50):
+        vals = 1e150 * (rng.normal(size=(3, n)) + 1j * rng.normal(size=(3, n)))
+        vals[1] = 0.0
+        got = cum_quad6(vals, 0.01)
+        assert (got[1] == 0.0).all()
+        assert np.isfinite(got).all()
+
+
+def test_cum_quad6_real_input_stays_real():
+    rng = np.random.default_rng(4)
+    vals = rng.normal(size=(2, 301))
+    got = cum_quad6(vals, 3e-3)
+    assert got.dtype == np.float64
+    want = cum_quad6(vals.astype(complex), 3e-3)
+    assert want.dtype == np.complex128
+    np.testing.assert_allclose(got, want.real, rtol=0.0, atol=1e-15)
+    assert (want.imag == 0.0).all()
+
+
+def test_cum_quad6_initial_offsets_each_row():
+    rng = np.random.default_rng(6)
+    vals = _random_complex(rng, (2, 3, 200))
+    start = _random_complex(rng, (2, 3))
+    for initial in (2.5, start):
+        got = cum_quad6(vals, -4e-3, initial=initial)
+        want = np.asarray(initial)[..., None] + cum_quad6(vals, -4e-3)
+        assert (got[..., 0] == initial).all()
+        np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-14)
+
+
+def test_cum_quad6_refuses_an_aliased_out():
+    # writing the stencil into the input would integrate overwritten samples
+    w = np.exp(1j * np.linspace(0.0, 3.0, 101))
+    with pytest.raises(ValueError, match="share memory"):
+        cum_quad6(w, 0.03, out=w)
+    buf = np.zeros(202, dtype=complex)
+    buf[:101] = w
+    with pytest.raises(ValueError, match="share memory"):
+        cum_quad6(buf[:101], 0.03, out=buf[50:151])
+    assert (buf[:101] == w).all()
+
+
+def test_cum_quad6_refuses_an_out_it_cannot_fill():
+    vals = np.ones((2, 50), dtype=complex)
+    for out in (
+        np.empty((2, 50)),  # real, for complex values
+        np.empty((2, 49), dtype=complex),
+        np.empty((50, 2), dtype=complex).T,  # not C-contiguous
+    ):
+        with pytest.raises(ValueError, match="C-contiguous"):
+            cum_quad6(vals, 0.1, out=out)
 
 
 # -- the in-place kernels of the march, against the allocating formulas they
@@ -148,13 +215,14 @@ def test_cum_quad6_into_out_equals_a_fresh_result():
     for shape in ((6,), (7,), (1001,), (3, 40), (2, 4, 333)):
         values = _random_complex(rng, shape)
         for dx in (1e-3, -2.5e-4):
-            buf = _random_complex(rng, shape, scale=1e300)  # garbage
-            buf.flat[0] = np.nan
-            got = cum_quad6(values, dx, out=buf)
-            want = cum_quad6(values, dx)
-            assert got is buf
-            assert (buf == want).all()
-            assert not np.signbit(buf[..., 0].real).any()
+            for initial in (0.0, _random_complex(rng, shape[:-1])):
+                buf = _random_complex(rng, shape, scale=1e300)  # garbage
+                buf.flat[0] = np.nan
+                got = cum_quad6(values, dx, out=buf, initial=initial)
+                want = cum_quad6(values, dx, initial=initial)
+                assert got is buf
+                assert (buf == want).all()
+            assert not np.signbit(cum_quad6(values, dx, out=buf)[..., 0].real).any()
 
 
 def test_march_kernels_allocate_nothing_of_the_chunk_size():

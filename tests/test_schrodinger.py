@@ -16,7 +16,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from crossing_kit import march, normalform
+from crossing_kit import march, normalform, schrodinger
 from crossing_kit.cli import _random_model_problem
 from crossing_kit.errors import CaseMismatch, StepFailure, ValidationError
 from crossing_kit.march import CHUNK_BYTES
@@ -232,6 +232,22 @@ def test_basis_normalization_and_flux():
         xs = np.linspace(prob.x_in, prob.x_out, 17)
         flux = basis.amplitude(j, xs) ** 2 * basis.momentum(j, xs)
         assert np.abs(flux - flux[0]).max() < 1e-13
+
+
+def test_march_coefficients_match_the_basis_methods():
+    # the march evaluates each potential once per chunk; its rates and
+    # coefficients must equal those built from the basis methods, bit for bit
+    prob = schrodinger_corpus(1e-3)[1]
+    basis = WkbBasis(prob)
+    xs = np.linspace(prob.x_in, prob.x_out, 301)
+    w = prob.w(xs)
+    rate, cross, self_ = schrodinger._coefficients(basis, xs, w)
+    p = np.array([basis.momentum(j, xs) for j in (1, 2)])
+    sig = np.array([basis.amplitude(j, xs) for j in (1, 2)])
+    curv = np.array([basis.amplitude_ratios(j, xs)[1] for j in (1, 2)])
+    assert (rate == p).all()
+    assert (cross == w * sig[::-1] / (2j * sig * p)).all()
+    assert (self_ == prob.h * curv / (2j * p)).all()
 
 
 def test_phase_closed_form_for_constant_potential():
