@@ -29,14 +29,11 @@ from .normalform import (
     transfer_numeric,
 )
 from .oscquad import (
-    AmplitudeSpec,
     GridFunction,
     PhaseSpec,
     gaussian_pairing,
-    mu_m,
     osc_integral_numeric,
     osc_leading_term,
-    stationary_prefactor,
 )
 from .profiles import ZERO_BUMP, Bump, Poly1
 from .schrodinger import (
@@ -67,10 +64,12 @@ from .symbolcalc import (
     contact_order,
     crossing_data_from_symbols,
     iterated_bracket,
+    mu_m,
     normal_form_constants,
     omega_general,
     poisson_bracket,
     sign_s,
+    stationary_prefactor,
     theta_of,
     transfer_predicted_general,
 )
@@ -79,7 +78,6 @@ from .transfer import Problem, TransferMatrix
 __version__ = "0.1.0"
 
 __all__ = [
-    "AmplitudeSpec",
     "BACKEND",
     "Bump",
     "CaseMismatch",

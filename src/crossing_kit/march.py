@@ -9,9 +9,9 @@ coefficients and the fast oscillations e^{+-i phi_p(x)/h} of the family's
 phases phi_p. The reduced model has one phase, F, and a = (u1, e^{-iF/h} u2);
 the coupled pair has the two WKB phases and a its four exact branch
 coefficients. Outside the coupling supports M vanishes and a is constant,
-so the transfer matrix is read off a at the end of the interval. A third
-system is the oscillatory integral of ``oscquad``: a = (I, 1) with
-I' = amp e^{iF/h}.
+so the transfer matrix is read off a at the end of the interval. The
+oscillatory integral of ``oscquad`` is the reduced model with r2 = 0,
+marched on the model's system for the one column (0, 1).
 
 The march carries a unchanged across the part of its span where M
 vanishes, and marches only the rest, the span's overlap with the system's

@@ -6,9 +6,9 @@ Central objects: integrals of the form
 
 where F' vanishes at 0 to exact order m (F^(k)(0) = 0 for 1 <= k <= m,
 F^(m+1)(0) != 0) and nowhere else on the range. The module provides the
-closed-form leading term of I(h) as h -> 0, its numerical value marched
-by ``march`` (with no error estimate), and the Gaussian pairing of grid
-samples (a GridFunction) used to normalize WKB data.
+closed-form leading term of I(h) as h -> 0, its numerical value (with no
+error estimate), and the Gaussian pairing of grid samples (a GridFunction)
+with e^{-x^2/(2h)}.
 
 The leading term is
 
@@ -19,40 +19,34 @@ with mu_m the average of e^{i theta} and e^{i (-1)^{m+1} theta}: for odd m
 the stationary point contributes a one-sided phase e^{i theta}, for even m
 the two tails interfere to cos(theta). Checks: m=1, F = y^2/2 gives
 sqrt(2 pi h) e^{i pi/4} (Fresnel); m=2, F = y^3/3 gives 2 pi Ai(0) h^{1/3}.
+
+The numerical value is the reduced model of ``normalform`` with f = F',
+r1 = a and r2 = 0. In the model's frame (u1, e^{-iF/h} u2) the column
+that starts at (0, 1) keeps its second entry 1 and ends with first entry
+-i I(h), so I(h) is that column marched on the model's system.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
 from . import march
 from ._kernels import cum_quad6
 from .errors import GridTooCoarse, ValidationError
-from .profiles import Bump, Poly1
+from .normalform import NormalFormProblem, _system
+from .profiles import ZERO_BUMP, Bump, Poly1
+from .symbolcalc import stationary_prefactor
 
 __all__ = [
     "PhaseSpec",
-    "AmplitudeSpec",
-    "mu_m",
     "osc_leading_term",
     "osc_integral_numeric",
     "GridFunction",
     "gaussian_pairing",
 ]
-
-
-def mu_m(m: int, theta: float) -> complex:
-    """Average of e^{i theta} and e^{i (-1)^{m+1} theta}.
-
-    Equals e^{i theta} for odd m and cos(theta) for even m.
-    """
-    if m < 1 or m != int(m):
-        raise ValidationError("mu_m needs an integer order m >= 1")
-    return 0.5 * (np.exp(1j * theta) + np.exp(1j * ((-1) ** (m + 1)) * theta))
 
 
 @dataclass(frozen=True)
@@ -81,11 +75,6 @@ class PhaseSpec:
             raise ValidationError("phase polynomial must vanish to order >= 2 at 0")
         return PhaseSpec(func=poly, m=lead - 1)
 
-    @staticmethod
-    def from_rate(rate: Poly1) -> "PhaseSpec":
-        """Phase F(x) = integral_0^x rate, for a polynomial rate."""
-        return PhaseSpec.from_poly(rate.antideriv())
-
     def validate(self, x0: float, x1: float) -> None:
         if not (x0 < 0.0 < x1):
             raise ValidationError("phase range must straddle the stationary point 0")
@@ -109,37 +98,6 @@ class PhaseSpec:
                 raise ValidationError("F' changes sign away from 0 on the working range")
 
 
-@dataclass(frozen=True)
-class AmplitudeSpec:
-    """Amplitude profile: a vectorised function of x, and the hull of the
-    points where it may be nonzero (None: anywhere)."""
-
-    func: Callable[[np.ndarray], np.ndarray]
-    support: tuple[float, float] | None = None
-
-    @staticmethod
-    def from_bump(bump: Bump) -> "AmplitudeSpec":
-        return AmplitudeSpec(func=bump, support=bump.support)
-
-    @property
-    def a0(self) -> complex:
-        return complex(np.asarray(self.func(np.array(0.0))).item())
-
-
-def stationary_prefactor(m: int, curvature: float) -> complex:
-    """h-free coefficient of the degenerate stationary point contribution.
-
-    ``curvature`` is F^(m+1)(0), the first nonvanishing derivative of the
-    phase at the stationary point. The full leading term is this value
-    times a(0) * h^(1/(m+1)).
-    """
-    if curvature == 0.0:
-        raise ValidationError("F^(m+1)(0) must not vanish")
-    theta = math.copysign(math.pi / (2 * (m + 1)), curvature)
-    amp = (math.factorial(m + 1) / abs(curvature)) ** (1.0 / (m + 1))
-    return 2.0 * mu_m(m, theta) * math.gamma((m + 2) / (m + 1)) * amp
-
-
 def osc_leading_term(phase: PhaseSpec, a0: complex, h: float) -> complex:
     """Closed-form leading term of the oscillatory integral as h -> 0."""
     if not (h > 0):
@@ -150,43 +108,23 @@ def osc_leading_term(phase: PhaseSpec, a0: complex, h: float) -> complex:
 
 
 def osc_integral_numeric(
-    phase: PhaseSpec, amp: AmplitudeSpec, h: float, interval: tuple[float, float]
+    phase: PhaseSpec, amp: Bump, h: float, interval: tuple[float, float]
 ) -> complex:
-    """The oscillatory integral over ``interval``, marched.
+    """The integral of amp e^{iF/h} over ``interval``, marched.
 
-    I(x) = integral_x0^x amp e^{iF/h} solves a' = M a for a = (I, 1) and
-    M = [[0, amp e^{iF/h}], [0, 0]], so ``march`` computes it on its graded
-    mesh (POINTS_PER_PERIOD nodes per local period of F') over the
-    amplitude's support, with its node budget checked before any work and
-    its memory bounded by CHUNK_BYTES. M is nilpotent: Picard settles in
-    two sweeps per chunk.
+    The reduced model with f = F', r1 = amp and r2 = 0 carries the column
+    (0, 1) to (-i I, 1), so its march gives I: the graded mesh over the
+    amplitude's support, the node budget checked before any work and the
+    memory bounded by CHUNK_BYTES. As r1 of the model, ``amp`` must be
+    supported strictly inside ``interval`` (ValidationError otherwise).
     """
     x0, x1 = float(interval[0]), float(interval[1])
     phase.validate(x0, x1)
-    if not (h > 0):
-        raise ValidationError("h must be positive")
-    rate = phase.func.deriv(1)
-
-    def local(x):
-        return rate(x)[None, :], np.asarray(amp.func(x), dtype=complex)
-
-    def apply(coeffs, osc, back, a, out):
-        np.multiply(coeffs, osc[0], out=out[:, 0])
-        out[:, 0] *= a[:, 1]
-        out[:, 1] = 0.0
-
-    system = march.System(
-        h=h,
-        interval=(x0, x1),
-        support=amp.support or (x0, x1),
-        phases=lambda x: np.array([phase.func(x)]),
-        rate_on=rate.abs_max_on,
-        coupling=float(np.abs(amp.func(np.linspace(x0, x1, 513))).max()),
-        local=local,
-        apply=apply,
+    prob = NormalFormProblem(
+        f=phase.func.deriv(1), r1=amp, r2=ZERO_BUMP, x0=x0, x1=x1, h=h, m=phase.m
     )
-    end = march.march(system, np.array([[0.0, 1.0]], dtype=complex), x0, x1)
-    return complex(end[0, 0])
+    a = march.march(_system(prob), np.array([[0.0, 1.0]], dtype=complex), x0, x1)
+    return complex(1j * a[0, 0])
 
 
 @dataclass

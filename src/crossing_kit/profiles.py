@@ -22,10 +22,6 @@ class Poly1:
 
     coeffs: tuple[float, ...]
 
-    @staticmethod
-    def monomial(degree: int, coeff: float = 1.0) -> "Poly1":
-        return Poly1((0.0,) * degree + (float(coeff),))
-
     def __call__(self, x):
         return np.polynomial.polynomial.polyval(x, np.asarray(self.coeffs))
 

@@ -194,7 +194,8 @@ def attach_fits(report: SweepReport, order: int) -> None:
 def verify(
     report: SweepReport, reference: TransferMatrix, order: int, tolerances: dict
 ) -> bool:
-    """Check the off-diagonal fits against a prediction; True if all pass.
+    """Check the off-diagonal fits against a prediction; True if there is
+    at least one check and all pass.
 
     ``reference`` is the predicted T at its own h, normally the largest h
     of the sweep. Each off-diagonal entry with signal in both the fit and
@@ -202,7 +203,8 @@ def verify(
     within ``tolerances["exponent"]`` (absolute), and the fitted amplitude
     within ``tolerances["prefactor"]`` (relative) of the h-independent
     prefactor |T_jk| / h^(1/(order+1)). The verdicts replace
-    ``report.verdicts``.
+    ``report.verdicts``. With no verdict nothing was checked, which is
+    not a pass.
     """
     expected = 1.0 / (order + 1)
     tol_e, tol_p = tolerances["exponent"], tolerances["prefactor"]
@@ -222,7 +224,7 @@ def verify(
             abs(fit.amplitude - prefactor) <= tol_p * abs(prefactor),
         )
     report.verdicts = verdicts
-    return all(v.passed for v in verdicts.values())
+    return bool(verdicts) and all(v.passed for v in verdicts.values())
 
 
 def _fmt(x: float) -> str:

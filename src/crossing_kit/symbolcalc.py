@@ -12,10 +12,13 @@ leading-order transfer matrix
     omega_j = 2 mu_m(-sgn(s B_j) pi/(2(m+1))) Gamma((m+2)/(m+1))
               (|grad p_other| / |grad p_j| * (m+1)! / |B_j|)^(1/(m+1)),
 
-where B_1 is the m-fold bracket of p1 applied to p2 at the crossing and B_2
-its mirror image. Both brackets are computed directly by iteration; the
-algebraic relation B_1 = -c^(m-1) B_2 (c the tangential normal-form
-constant) is kept as a cross-check.
+where B_1 is the m-fold bracket of p1 applied to p2 at the crossing, B_2
+its mirror image, and mu_m the average of e^{i theta} and
+e^{i (-1)^{m+1} theta}. Each omega_j is the constant of a degenerate
+stationary point (``stationary_prefactor``), which also gives the leading
+term of the oscillatory integrals in ``oscquad``. Both brackets are
+computed directly by iteration; the algebraic relation B_1 = -c^(m-1) B_2
+(c the tangential normal-form constant) is kept as a cross-check.
 """
 
 from __future__ import annotations
@@ -32,12 +35,13 @@ from .errors import (
     ValidationError,
     ZeroGradient,
 )
-from .oscquad import stationary_prefactor
 from .transfer import TransferMatrix
 
 __all__ = [
     "Poly2",
     "CrossingData",
+    "mu_m",
+    "stationary_prefactor",
     "poisson_bracket",
     "iterated_bracket",
     "contact_order",
@@ -305,6 +309,30 @@ def normal_form_constants(
         )
     c = data.s * data.c_prime
     return c, -c * check
+
+
+def mu_m(m: int, theta: float) -> complex:
+    """Average of e^{i theta} and e^{i (-1)^{m+1} theta}.
+
+    Equals e^{i theta} for odd m and cos(theta) for even m.
+    """
+    if m < 1 or m != int(m):
+        raise ValidationError("mu_m needs an integer order m >= 1")
+    return 0.5 * (np.exp(1j * theta) + np.exp(1j * ((-1) ** (m + 1)) * theta))
+
+
+def stationary_prefactor(m: int, curvature: float) -> complex:
+    """h-free coefficient of the degenerate stationary point contribution.
+
+    ``curvature`` is F^(m+1)(0), the first nonvanishing derivative of the
+    phase at the stationary point. The full leading term is this value
+    times a(0) * h^(1/(m+1)).
+    """
+    if curvature == 0.0:
+        raise ValidationError("F^(m+1)(0) must not vanish")
+    theta = math.copysign(math.pi / (2 * (m + 1)), curvature)
+    amp = (math.factorial(m + 1) / abs(curvature)) ** (1.0 / (m + 1))
+    return 2.0 * mu_m(m, theta) * math.gamma((m + 2) / (m + 1)) * amp
 
 
 def omega_general(data: CrossingData) -> tuple[complex, complex]:

@@ -14,8 +14,8 @@ import numpy as np
 
 from crossing_kit.errors import CaseMismatch, ValidationError
 from crossing_kit.normalform import NormalFormProblem
-from crossing_kit.oscquad import mu_m, stationary_prefactor
 from crossing_kit.schrodinger import SchrodingerProblem
+from crossing_kit.symbolcalc import mu_m, stationary_prefactor
 from crossing_kit.transfer import TransferMatrix
 
 

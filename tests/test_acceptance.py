@@ -17,7 +17,6 @@ import numpy as np
 from crossing_kit import march
 from crossing_kit.normalform import _system, model_corpus
 from crossing_kit.oscquad import (
-    AmplitudeSpec,
     GridFunction,
     PhaseSpec,
     gaussian_pairing,
@@ -61,7 +60,7 @@ def test_01_stationary_constant_and_quadrature_envelope_m1():
     # numeric agreement: rel error <= C sqrt(h); C frozen 0.4944, attained
     # at the largest h (the error itself decays one full order faster)
     c_frozen = 0.4944
-    amp = AmplitudeSpec.from_bump(Bump(width=0.5))
+    amp = Bump(width=0.5)
     ratios = []
     for h in (1e-2, 1e-3, 1e-4, 1e-5, 1e-6):
         value = osc_integral_numeric(phase, amp, h, (-0.6, 0.6))
@@ -82,7 +81,7 @@ def test_02_airy_cross_check_m2():
 
     h = 1e-5
     phase = PhaseSpec.from_poly(Poly1((0.0, 0.0, 0.0, 1.0 / 3.0)))
-    amp = AmplitudeSpec.from_bump(Bump(width=0.5))
+    amp = Bump(width=0.5)
     value = osc_integral_numeric(phase, amp, h, (-0.6, 0.6))
     target = AIRY_2PI_AI0 * h ** (1.0 / 3.0)
     assert abs(abs(value) - target) / target <= 3e-2

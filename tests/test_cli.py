@@ -37,7 +37,7 @@ def test_minimal_model_config_fills_defaults(tmp_path):
     )
     config = parse_config(path)
     assert config.mode == "solve-model"
-    assert config.h == 1e-2
+    assert config.problem.h == 1e-2
     assert config.branch == 1
     assert config.tolerances == {"exponent": 0.05, "prefactor": 0.10}
     assert config.csv_path is None and config.summary_path is None
@@ -299,6 +299,25 @@ def test_verify_absurd_tolerance_fails(tmp_path, capsys):
     path = write_config(tmp_path, cfg)
     assert main(["verify", "--config", path]) == 1
     assert "result: FAIL" in capsys.readouterr().out
+
+
+def test_verify_with_no_check_fails(tmp_path, capsys):
+    # a coupling that misses the crossing predicts no off-diagonal signal,
+    # so no verdict is made, and a verify that checked nothing fails
+    summary = tmp_path / "verify.json"
+    cfg = {
+        "problem": model_block(coupling={"width": 0.3, "center": 0.5}),
+        "h_grid": {"values": [1e-2, 1e-3, 1e-4, 1e-5]},
+        "output": {"csv": str(tmp_path / "rows.csv"), "summary": str(summary)},
+    }
+    assert main(["verify", "--config", write_config(tmp_path, cfg)]) == 1
+    out = capsys.readouterr().out
+    assert out.splitlines()[-1] == (
+        "result: FAIL (0/0 checks: no off-diagonal entry has signal to check)"
+    )
+    payload = json.loads(summary.read_text(encoding="utf-8"))
+    assert payload["passed"] is False
+    assert payload["verdicts"] == {}
 
 
 def test_sweep_csv_byte_deterministic(tmp_path, capsys):

@@ -24,8 +24,8 @@ from crossing_kit.normalform import (
     predict_transfer,
     transfer_numeric,
 )
-from crossing_kit.oscquad import stationary_prefactor
 from crossing_kit.profiles import Bump, Poly1, ZERO_BUMP
+from crossing_kit.symbolcalc import stationary_prefactor
 from crossing_kit.transfer import Problem
 
 import closed_form_oracle

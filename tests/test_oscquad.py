@@ -17,16 +17,16 @@ import pytest
 
 from crossing_kit import march
 from crossing_kit.errors import GridTooCoarse, ValidationError
+from crossing_kit.normalform import NormalFormProblem, transfer_numeric
 from crossing_kit.oscquad import (
-    AmplitudeSpec,
     GridFunction,
     PhaseSpec,
     gaussian_pairing,
-    mu_m,
     osc_integral_numeric,
     osc_leading_term,
 )
-from crossing_kit.profiles import Bump, Poly1
+from crossing_kit.profiles import ZERO_BUMP, Bump, Poly1
+from crossing_kit.symbolcalc import mu_m
 
 SQRT_2PI = 2.506628274631000502415765284811045253007
 AIRY_2PI_AI0 = 2.230707051824495741427486519543450239771  # 2*pi*Ai(0)
@@ -44,7 +44,7 @@ def test_mu_m_odd_even():
 def test_phase_spec_order_detection():
     assert PhaseSpec.from_poly(Poly1((0, 0, 0.5))).m == 1
     assert PhaseSpec.from_poly(Poly1((0, 0, 0, -1 / 3))).m == 2
-    assert PhaseSpec.from_rate(Poly1.monomial(3)).m == 3
+    assert PhaseSpec.from_poly(Poly1((0, 0, 0, 0, 0.25))).m == 3
     with pytest.raises(ValidationError):
         PhaseSpec.from_poly(Poly1((1.0, 0, 0.5)))  # F(0) != 0
     with pytest.raises(ValidationError):
@@ -122,11 +122,10 @@ def test_numeric_matches_leading_within_envelope(key):
     poly, bump, interval, c_frozen = ENVELOPE_CORPUS[key]
     ph = PhaseSpec.from_poly(poly)
     assert ph.m == m
-    amp = AmplitudeSpec.from_bump(bump)
     ratios = []
     for h in (1e-2, 1e-3, 1e-4, 1e-5, 1e-6):
-        value = osc_integral_numeric(ph, amp, h, interval)
-        lead = osc_leading_term(ph, amp.a0, h)
+        value = osc_integral_numeric(ph, bump, h, interval)
+        lead = osc_leading_term(ph, bump(0.0), h)
         envelope = h ** (2 / (m + 1)) * (math.log(1 / h) if m == 1 else 1.0)
         ratios.append(abs(value - lead) / envelope)
     # bound holds with the frozen constant, and the constant is sharp
@@ -135,7 +134,7 @@ def test_numeric_matches_leading_within_envelope(key):
 
 
 def test_numeric_conjugation_symmetry():
-    amp = AmplitudeSpec.from_bump(Bump(width=0.5, center=0.1))
+    amp = Bump(width=0.5, center=0.1)
     plus = osc_integral_numeric(
         PhaseSpec.from_poly(Poly1((0, 0, 0, 1 / 3))), amp, 1e-3, (-0.6, 0.8)
     )
@@ -149,10 +148,10 @@ def test_numeric_error_estimate_quiet_regime():
     # at h=1 the integrand barely oscillates; the marched value must match
     # a dense reference to the contract floor
     ph = PhaseSpec.from_poly(Poly1((0, 0, 0.5)))
-    amp = AmplitudeSpec.from_bump(Bump(width=0.5))
+    amp = Bump(width=0.5)
     value = osc_integral_numeric(ph, amp, 1.0, (-0.6, 0.6))
     xs = np.linspace(-0.6, 0.6, 20001)
-    integrand = amp.func(xs) * np.exp(1j * ph.func(xs))
+    integrand = amp(xs) * np.exp(1j * ph.func(xs))
     from crossing_kit._kernels import cum_quad6
 
     ref = cum_quad6(integrand.astype(complex), xs[1] - xs[0])[-1]
@@ -162,7 +161,7 @@ def test_numeric_error_estimate_quiet_regime():
 def test_numeric_budget_exceeded():
     # h = 1e-9 would need about 2.7e9 nodes, far above march.N_MAX
     ph = PhaseSpec.from_poly(Poly1((0, 0, 0.5)))
-    amp = AmplitudeSpec.from_bump(Bump(width=0.5))
+    amp = Bump(width=0.5)
     with pytest.raises(ValidationError, match="n_max"):
         osc_integral_numeric(ph, amp, 1e-9, (-0.6, 0.6))
 
@@ -172,8 +171,8 @@ def test_numeric_memory_is_bounded():
     poly, bump, interval, _ = ENVELOPE_CORPUS[(1, +1)]
     tracemalloc.start()
     try:
-        ph, amp = PhaseSpec.from_poly(poly), AmplitudeSpec.from_bump(bump)
-        osc_integral_numeric(ph, amp, 1e-6, interval)
+        ph = PhaseSpec.from_poly(poly)
+        osc_integral_numeric(ph, bump, 1e-6, interval)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -185,17 +184,37 @@ def test_numeric_marches_a_tenth_of_the_uniform_grid(caplog):
     # max |F'| on the whole interval had 2190381 nodes; the graded mesh
     # marches only the bump's support, and coarsely near the stationary point
     poly, bump, interval, _ = ENVELOPE_CORPUS[(4, +1)]
-    ph, amp = PhaseSpec.from_poly(poly), AmplitudeSpec.from_bump(bump)
+    ph = PhaseSpec.from_poly(poly)
     with caplog.at_level(logging.DEBUG, logger="crossing_kit"):
-        osc_integral_numeric(ph, amp, 1e-6, interval)
+        osc_integral_numeric(ph, bump, 1e-6, interval)
     msg = caplog.records[0].getMessage()
     nodes = int(re.search(r"marched (\d+) nodes on \[-0.4, 0.6\]", msg).group(1))
     assert nodes <= 2190381 // 10, msg
 
 
+@pytest.mark.parametrize("key", sorted(ENVELOPE_CORPUS, key=str))
+def test_numeric_is_the_model_with_r2_zero(key):
+    # the integral is the model's column started at (0, 1), read as i t12
+    poly, bump, interval, _ = ENVELOPE_CORPUS[key]
+    ph = PhaseSpec.from_poly(poly)
+    prob = NormalFormProblem(
+        f=poly.deriv(1), r1=bump, r2=ZERO_BUMP, x0=interval[0], x1=interval[1],
+        h=1e-3, m=ph.m,
+    )
+    value = osc_integral_numeric(ph, bump, 1e-3, interval)
+    assert value == 1j * transfer_numeric(prob).t12
+
+
+def test_numeric_rejects_amplitude_past_interval():
+    # as r1 of the model, the amplitude must vanish near the interval's ends
+    ph = PhaseSpec.from_poly(Poly1((0, 0, 0.5)))
+    with pytest.raises(ValidationError, match="strictly inside"):
+        osc_integral_numeric(ph, Bump(width=0.5), 1e-3, (-0.6, 0.45))
+
+
 def test_numeric_requires_straddling_interval():
     ph = PhaseSpec.from_poly(Poly1((0, 0, 0.5)))
-    amp = AmplitudeSpec.from_bump(Bump(width=0.5))
+    amp = Bump(width=0.5)
     with pytest.raises(ValidationError):
         osc_integral_numeric(ph, amp, 1e-3, (0.1, 0.6))
 

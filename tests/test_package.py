@@ -1,6 +1,6 @@
 """The package's public surface: ``crossing_kit.__all__`` against what
-``__init__`` imports, and that the package imports and runs without
-scipy."""
+``__init__`` imports, the layering of its modules' imports, and that the
+package imports and runs without scipy."""
 
 import ast
 import json
@@ -33,6 +33,43 @@ def test_all_is_sorted_unique_and_complete():
         for alias in node.names
     }
     assert {n for n in imported if not n.startswith("_")} <= set(names)
+
+
+def _package_imports() -> dict[str, set[str]]:
+    """Module -> the package modules it imports, read from the source."""
+    package = Path(crossing_kit.__file__).parent
+    graph = {}
+    for path in package.glob("*.py"):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        deps = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level:
+                if node.module:
+                    deps.add(node.module.split(".")[0])
+                else:
+                    deps.update(alias.name for alias in node.names)
+        graph[path.stem] = deps
+    return graph
+
+
+def test_module_imports_are_layered():
+    # the import graph is acyclic, and the prediction route depends on no
+    # solver: symbolcalc reaches only the error types and the transfer matrix
+    graph = _package_imports()
+    done, reach = set(), {}
+
+    def visit(name, stack):
+        assert name not in stack, " -> ".join((*stack, name))
+        if name not in done:
+            reach[name] = set()
+            for dep in graph[name]:
+                visit(dep, (*stack, name))
+                reach[name] |= {dep} | reach[dep]
+            done.add(name)
+
+    for name in graph:
+        visit(name, ())
+    assert reach["symbolcalc"] <= {"errors", "transfer"}
 
 
 # In a fresh interpreter with scipy blocked: import every module of the

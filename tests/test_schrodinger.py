@@ -21,7 +21,7 @@ from crossing_kit.cli import _random_model_problem
 from crossing_kit.errors import CaseMismatch, StepFailure, ValidationError
 from crossing_kit.march import CHUNK_BYTES
 from crossing_kit.normalform import model_corpus
-from crossing_kit.oscquad import AmplitudeSpec, PhaseSpec, osc_integral_numeric
+from crossing_kit.oscquad import PhaseSpec, osc_integral_numeric
 from crossing_kit.profiles import Bump, Poly1, ZERO_BUMP
 from crossing_kit.schrodinger import (
     SchrodingerProblem,
@@ -467,7 +467,7 @@ def _window_rate(system, start, end, near, far):
 def _envelope_integral():
     # ENVELOPE_CORPUS (4, +1) of test_oscquad at h = 1e-6
     phase = PhaseSpec.from_poly(Poly1((0, 0, 0, 0, 0, 0.2)))
-    amp = AmplitudeSpec.from_bump(Bump(width=0.5, center=0.1))
+    amp = Bump(width=0.5, center=0.1)
     return osc_integral_numeric(phase, amp, 1e-6, (-0.6, 0.8))
 
 
