@@ -7,9 +7,12 @@
 Extracts the transfer matrix of model-corpus 0, 1 and 2 at h = 1e-2 ..
 1e-6 and of schrodinger-corpus 0 at h = 1e-2 .. 1e-5, with the
 ``crossing_kit`` package found on PYTHONPATH. Each row is timed REPEATS
-times in one process (the median is kept); its node count comes from the
-march's DEBUG line, and ``us_per_node`` is the median seconds per marched
-node in microseconds. Writes BENCH_graded_march.json in the repo root (or
+times in one process (the median is kept); its node count, Picard chunk
+count and total Picard sweeps come from the march's DEBUG line, and
+``us_per_node`` is the median seconds per marched node in microseconds.
+A tree whose DEBUG line predates Picard chunks of several mesh segments
+reports its chunks as ``N chunks`` and no sweep total: ``sweeps`` is then
+null. Writes BENCH_graded_march.json in the repo root (or
 ``--out``) with the rows, the log-log slope of seconds against 1/h per
 problem, and the environment.
 
@@ -49,17 +52,26 @@ H_MODEL = (1e-2, 1e-3, 1e-4, 1e-5, 1e-6)
 H_PAIR = (1e-2, 1e-3, 1e-4, 1e-5)
 
 
-class _Nodes(logging.Handler):
-    """Keeps the node count of the last march's DEBUG line."""
+class _March(logging.Handler):
+    """Keeps the node count, Picard chunks and sweeps of the last march's
+    DEBUG line."""
 
     def __init__(self):
         super().__init__(logging.DEBUG)
-        self.nodes = None
+        self.nodes = self.chunks = self.sweeps = None
 
     def emit(self, record):
-        found = re.search(r"marched (\d+) nodes", record.getMessage())
-        if found:
-            self.nodes = int(found.group(1))
+        msg = record.getMessage()
+        found = re.search(r"marched (\d+) nodes", msg)
+        if not found:
+            return
+        self.nodes = int(found.group(1))
+        solve = re.search(r"(\d+) Picard chunks of (\d+) sweeps", msg)
+        if solve:
+            self.chunks, self.sweeps = int(solve.group(1)), int(solve.group(2))
+        else:
+            self.chunks = int(re.search(r"in (\d+) chunks", msg).group(1))
+            self.sweeps = None
 
 
 def _cpu() -> str:
@@ -80,8 +92,15 @@ def _slope(rows: list[dict]) -> float:
     return float(np.polyfit(x, y, 1)[0])
 
 
-def _row(h: float, nodes: int, seconds: float) -> dict:
-    return {"h": h, "nodes": nodes, "seconds": seconds, "us_per_node": 1e6 * seconds / nodes}
+def _row(h: float, nodes: int, chunks: int, sweeps, seconds: float) -> dict:
+    return {
+        "h": h,
+        "nodes": nodes,
+        "picard_chunks": chunks,
+        "sweeps": sweeps,
+        "seconds": seconds,
+        "us_per_node": 1e6 * seconds / nodes,
+    }
 
 
 def measure(echo) -> dict:
@@ -90,7 +109,7 @@ def measure(echo) -> dict:
     from crossing_kit.normalform import model_corpus
     from crossing_kit.schrodinger import schrodinger_corpus
 
-    handler = _Nodes()
+    handler = _March()
     logger = logging.getLogger("crossing_kit")
     logger.addHandler(handler)
     logger.setLevel(logging.DEBUG)
@@ -111,8 +130,17 @@ def measure(echo) -> dict:
                 t0 = time.perf_counter()
                 prob.extract()
                 seconds.append(time.perf_counter() - t0)
-            rows.append(_row(h, handler.nodes, statistics.median(seconds)))
+            rows.append(
+                _row(
+                    h,
+                    handler.nodes,
+                    handler.chunks,
+                    handler.sweeps,
+                    statistics.median(seconds),
+                )
+            )
             echo(f"{name} h={h:g}: {rows[-1]['nodes']} nodes, "
+                 f"{handler.chunks} chunks, {handler.sweeps} sweeps, "
                  f"{rows[-1]['seconds']:.3f} s, {rows[-1]['us_per_node']:.3f} us/node")
         problems[name] = rows
     env = {
@@ -156,7 +184,15 @@ def alternate(other: Path, rounds: int) -> tuple[dict, dict]:
             for i, row in enumerate(first):
                 mine = [run["problems"][name][i]["seconds"] for run in runs[t]]
                 theirs = [run["problems"][name][i]["seconds"] for run in runs[1 - t]]
-                rows.append(_row(row["h"], row["nodes"], statistics.median(mine)))
+                rows.append(
+                    _row(
+                        row["h"],
+                        row["nodes"],
+                        row["picard_chunks"],
+                        row["sweeps"],
+                        statistics.median(mine),
+                    )
+                )
                 rows[-1]["rounds_faster"] = sum(a < b for a, b in zip(mine, theirs))
             problems[name] = rows
         records.append({"problems": problems, "env": runs[t][0]["env"]})

@@ -16,21 +16,26 @@ marched on the model's system for the one column (0, 1).
 The march carries a unchanged across the part of its span where M
 vanishes, and marches only the rest, the span's overlap with the system's
 ``support``; the phases at the start of the marched span come from the
-system's exact phases. The marched span is cut into chunks in one pass,
-each a uniform grid that takes the widest dx resolving the fastest phase
-rate on its own span and one chunk's length on each side with
+system's exact phases. The mesh is planned in one pass as segments, each
+a uniform grid that takes the widest dx resolving the fastest phase rate
+on its own span and one segment's length on each side with
 POINTS_PER_PERIOD nodes per period, so the mesh is coarse where the phases
-are stationary and fine where they turn fast; the last chunk is
+are stationary and fine where they turn fast; the last segment is
 shortened to end at the span's end. The grid is never built whole.
-Chunks are solved in turn, each from the coefficients and phases at the
-last node of the one before: per chunk the phases come from cum_quad6 of
-their rates, and a from Picard iteration a <- a(x_0) + int M a, both
-integrals started at the chunk's first node by cum_quad6's ``initial``.
 
-The Picard sweeps allocate no array of a chunk's size: the iterate, the
-next iterate, M a and |change| live in work arrays allocated once per
-march and sized for its longest chunk, and ``apply`` and ``cum_quad6``
-write into them.
+The solve is cut apart from the mesh: each run of consecutive segments of
+one dx is solved as one Picard chunk, cut only where it would outgrow
+CHUNK_BYTES or PICARD_REACH. Chunks are solved in turn, each from the
+coefficients and phases at the last node of the one before: per chunk
+the phases come from cum_quad6 of their rates, and a from the Neumann
+series a = D_0 + D_1 + ..., D_0 = a(x_0) and D_{k+1} = int M D_k, the
+increments of Picard iteration a <- a(x_0) + int M a; all integrals start
+at the chunk's first node.
+
+The sweeps allocate no array of a chunk's size: the two latest increments
+and M D live in work arrays allocated once per march and sized for its
+longest chunk, ``apply`` and ``cum_quad6`` write into them, and a is kept
+only at the chunk's last node.
 """
 
 from __future__ import annotations
@@ -58,17 +63,24 @@ N_MIN = 2001
 N_MAX = 40_000_000
 RATE_PIECES = 128
 # The march's working memory: a chunk takes about _BYTES_PER_NODE bytes of
-# work arrays per grid node (measured with tracemalloc), so no chunk has
-# more than CHUNK_BYTES // _BYTES_PER_NODE nodes, whatever h is.
+# work arrays per grid node (measured with tracemalloc), so no segment or
+# chunk has more than CHUNK_BYTES // _BYTES_PER_NODE nodes, whatever h is.
 CHUNK_BYTES = 2**21
 _BYTES_PER_NODE = 1024
-# Picard on a chunk contracts like (int |M|)^k / k!: chunks are cut so that
-# int |M| stays near CHUNK_COUPLING. A chunk has at least _MIN_CHUNK_CELLS
-# cells (cum_quad6 needs 6 nodes).
+# The plan's segment length keeps int |M| near CHUNK_COUPLING, which sets
+# the reach a segment's dx must resolve (see _plan). A segment has at least
+# _MIN_CHUNK_CELLS cells (cum_quad6 needs 6 nodes).
 CHUNK_COUPLING = 0.25
 _MIN_CHUNK_CELLS = 10
 PICARD_TOL = 1e-14
 PICARD_MAX_ITER = 40
+# Picard on a chunk contracts at worst like (int |M|)^k / k!. A chunk of
+# several segments keeps int |M| within PICARD_REACH, the c at which that
+# worst case meets PICARD_TOL within half the sweep cap: c^20 / 20! = 1e-14
+# gives c = 1.657. On an oscillating M it contracts far faster.
+PICARD_REACH = (PICARD_TOL * math.factorial(PICARD_MAX_ITER // 2)) ** (
+    1.0 / (PICARD_MAX_ITER // 2)
+)
 
 logger = logging.getLogger("crossing_kit")
 
@@ -80,9 +92,10 @@ class System:
     ``local(x)`` gives the phase rates phi_p' at the nodes x, shape
     (phases, len(x)), and the smooth coefficients of M there, in whatever
     form ``apply`` takes. ``apply(coeffs, osc, back, a, out)`` writes M a
-    at the nodes into ``out``, with a and out of shape (columns,
-    components, nodes) and osc = e^{i phi_p/h}, back = e^{-i phi_p/h} of
-    shape (phases, nodes); it may use ``out`` as scratch on the way.
+    at the nodes into ``out``, with out of shape (columns, components,
+    nodes), a of that shape or with one node (a constant, broadcast), and
+    osc = e^{i phi_p/h}, back = e^{-i phi_p/h} of shape (phases, nodes); it
+    may use ``out`` as scratch on the way.
 
     ``support`` is the hull of the points where M may be nonzero, or None
     where M vanishes on the whole interval; a is constant outside it.
@@ -90,7 +103,7 @@ class System:
     (phases,). ``rate_on(lo, hi)`` bounds max_p |phi_p'| on each
     [lo[k], hi[k]] of the arrays lo <= hi; it sets the mesh and the node
     budget. ``coupling`` bounds the largest row sum of |M|; it sets the
-    chunk length.
+    segment and chunk lengths.
     """
 
     h: float
@@ -104,12 +117,8 @@ class System:
 
 
 def _chunk_cells(system: System, dx: float) -> int:
-    """Cells per chunk: within CHUNK_BYTES, and short enough for Picard.
-
-    Picard iteration on one chunk contracts like (int |M|)^k / k!. The
-    chunk length keeps int |M| near CHUNK_COUPLING, whatever the coupling
-    strength.
-    """
+    """Cells per segment of the plan: within CHUNK_BYTES, and with int |M|
+    near CHUNK_COUPLING, whatever the coupling strength."""
     cells = CHUNK_BYTES // _BYTES_PER_NODE - 1
     reach = system.coupling * abs(dx)
     # compared before int(): near the underflow limit the ratio is infinite
@@ -150,22 +159,22 @@ def _check_budget(nodes: float) -> None:
 
 
 def _plan(system: System, start: float, end: float) -> list[tuple[float, int]]:
-    """Chunks (|dx|, cells) that grid [start, end] in march order.
+    """Segments (|dx|, cells) that grid [start, end] in march order.
 
-    A chunk at distance u from start takes the widest piece dx that is at
+    A segment at distance u from start takes the widest piece dx that is at
     most the dx of every piece on [u - L, u + 2L], L = _chunk_cells(dx) * dx
-    being its length. Where dx steps between chunks, both are then finer
+    being its length. Where dx steps between segments, both are then finer
     than their own rates need: a chunk's end cells use one-sided quadrature
     weights, whose error does not cancel along the oscillation as it does
     inside the chunk. A wider dx reaches further, so bisection finds the
-    widest. The last chunk ends at ``end``. Raises ValidationError once the
-    plan reaches N_MAX nodes, before any work.
+    widest. The last segment ends at ``end``. Raises ValidationError once
+    the plan reaches N_MAX nodes, before any work.
     """
     own = _piece_spacing(system, start, end)
     widths = sorted(set(own))
     span = abs(end - start)
     piece = span / RATE_PIECES
-    chunks, u, total = [], 0.0, 0
+    segments, u, total = [], 0.0, 0
 
     def too_wide(d: float) -> bool:
         reach = _chunk_cells(system, d) * d
@@ -181,48 +190,67 @@ def _plan(system: System, start: float, end: float) -> list[tuple[float, int]]:
         if rest <= cells:
             cells = max(_MIN_CHUNK_CELLS, rest)
             _check_budget(total + cells + 1)
-            return chunks + [((span - u) / cells, cells)]
-        # leave the last chunk its _MIN_CHUNK_CELLS: then a constant rate
+            return segments + [((span - u) / cells, cells)]
+        # leave the last segment its _MIN_CHUNK_CELLS: then a constant rate
         # marches max(_MIN_CHUNK_CELLS, ceil(span / dx)) cells in all
         cells = min(cells, max(_MIN_CHUNK_CELLS, rest - _MIN_CHUNK_CELLS))
-        chunks.append((d, cells))
+        segments.append((d, cells))
         u += cells * d
         total += cells
         _check_budget(total + 1)
 
 
+def _chunks(system: System, plan: list[tuple[float, int]]) -> list[tuple[float, int]]:
+    """Picard chunks (|dx|, cells) in march order: each a run of consecutive
+    segments of the plan with one dx, cut before a segment that would take
+    it past CHUNK_BYTES or past int |M| = PICARD_REACH. A segment that is
+    past PICARD_REACH on its own is a chunk of its own."""
+    most = CHUNK_BYTES // _BYTES_PER_NODE - 1
+    chunks = []
+    for dx, cells in plan:
+        if chunks and chunks[-1][0] == dx:
+            merged = chunks[-1][1] + cells
+            if merged <= most and system.coupling * merged * dx <= PICARD_REACH:
+                chunks[-1] = (dx, merged)
+                continue
+        chunks.append((dx, cells))
+    return chunks
+
+
 def _work(shape: tuple[int, int], nodes: int) -> tuple[np.ndarray, ...]:
-    """_picard's work arrays, flat, for coefficients of ``shape`` on up to
-    ``nodes`` nodes: the iterate, the next one and M a (complex), and
-    |change| (float)."""
+    """_picard's work arrays, flat and complex, for coefficients of
+    ``shape`` on up to ``nodes`` nodes: two increments and M D."""
     size = math.prod(shape) * nodes
-    return (*(np.empty(size, dtype=complex) for _ in range(3)), np.empty(size))
+    return tuple(np.empty(size, dtype=complex) for _ in range(3))
 
 
 def _picard(system: System, a0: np.ndarray, phi0: np.ndarray, x, dx: float, work):
     """Coefficients at the last of the nodes x from their values a0 at x[0].
 
     a0 has shape (columns, components); phi0 holds the phases at x[0];
-    ``work`` comes from _work for at least len(x) nodes. Iterates
-    a <- a0 + int M a (cum_quad6) on all the nodes until no entry moves by
-    more than PICARD_TOL. Returns (a and the phases at the last node,
-    iterations); a is a copy, not a view of ``work``.
+    ``work`` comes from _work for at least len(x) nodes. Sums the Neumann
+    series D_0 = a0, D_{k+1} = int M D_k (cum_quad6 from x[0]) at the last
+    node until no entry of D_k exceeds PICARD_TOL: D_k is the change of the
+    k-th Picard iterate a <- a0 + int M a. The real and imaginary parts are
+    held to PICARD_TOL / sqrt(2), so each modulus is within PICARD_TOL.
+    Returns (a and the phases at the last node, sweeps).
     """
     rate, coeffs = system.local(x)
     phase = cum_quad6(rate, dx, initial=phi0)
     osc = np.exp(1j * phase / system.h)
     back = np.conj(osc)
     shape = a0.shape + (len(x),)
-    a, new, m_a, change = (buf[: a0.size * len(x)].reshape(shape) for buf in work)
-    a[...] = a0[:, :, None]
+    *terms, m_d = (buf[: a0.size * len(x)].reshape(shape) for buf in work)
+    term, a = a0[:, :, None], a0.astype(complex)
     for it in range(1, PICARD_MAX_ITER + 1):
-        system.apply(coeffs, osc, back, a, m_a)
-        cum_quad6(m_a, dx, out=new, initial=a0)
-        np.subtract(new, a, out=a)  # the old iterate is spent: a = new - a
-        moved = float(np.abs(a, out=change).max())
-        a, new = new, a
-        if moved <= PICARD_TOL:
-            return a[:, :, -1].copy(), phase[:, -1], it
+        system.apply(coeffs, osc, back, term, m_d)
+        term = terms[it % 2]
+        cum_quad6(m_d, dx, out=term)
+        a += term[:, :, -1]
+        parts = term.view(np.float64)
+        moved = max(float(parts.max()), -float(parts.min()))
+        if moved <= PICARD_TOL / math.sqrt(2.0):
+            return a, phase[:, -1], it
     raise StepFailure(
         f"Picard iteration on [{x[0]:g}, {x[-1]:g}] moved by {moved:.3g} "
         f"after {PICARD_MAX_ITER} iterations (coupling too strong for the "
@@ -235,11 +263,13 @@ def march(system: System, a: np.ndarray, x_from: float, x_to: float) -> np.ndarr
 
     Only the span's overlap with ``system.support`` is marched, from the
     exact phases at its start; a is constant on the rest. The node budget
-    is checked before any work (see _plan for the grid), and a span where M
-    vanishes returns a as it is. One DEBUG line on the ``crossing_kit``
-    logger reports nodes, the marched span, chunks, the smallest and
-    largest dx and the most Picard iterations. Returns the coefficients at
-    x_to.
+    is checked before any work, and a span where M vanishes returns a as it
+    is. The mesh is _plan's segments; each run of segments of one dx is
+    solved as one Picard chunk, within CHUNK_BYTES and int |M| <=
+    PICARD_REACH (_chunks). One DEBUG line on the ``crossing_kit`` logger
+    reports nodes, the marched span, segments, the smallest and largest
+    dx, Picard chunks, the sweeps of all chunks and the most any chunk
+    needed. Returns the coefficients at x_to.
     """
     lo, hi = sorted((x_from, x_to))
     if system.support is not None:
@@ -254,17 +284,19 @@ def march(system: System, a: np.ndarray, x_from: float, x_to: float) -> np.ndarr
         return a
     start, end = (lo, hi) if x_to > x_from else (hi, lo)
     plan = _plan(system, start, end)
-    work = _work(a.shape, max(cells for _, cells in plan) + 1)
+    chunks = _chunks(system, plan)
+    work = _work(a.shape, max(cells for _, cells in chunks) + 1)
     direction = 1.0 if end > start else -1.0
-    x, phi, worst = start, system.phases(start), 0
-    for dx, cells in plan:
+    x, phi, sweeps, worst = start, system.phases(start), 0, 0
+    for dx, cells in chunks:
         nodes = x + direction * dx * np.arange(cells + 1)
         a, phi, iters = _picard(system, a, phi, nodes, direction * dx, work)
-        worst = max(worst, iters)
+        sweeps, worst = sweeps + iters, max(worst, iters)
         x = nodes[-1]
     logger.debug(
-        "h=%.6e: marched %d nodes on [%g, %g] (from x=%g to %g) in %d chunks, "
-        "dx %.3g to %.3g, at most %d Picard iterations",
+        "h=%.6e: marched %d nodes on [%g, %g] (from x=%g to %g) in %d "
+        "segments, dx %.3g to %.3g, as %d Picard chunks of %d sweeps, at "
+        "most %d in a chunk",
         system.h,
         sum(cells for _, cells in plan) + 1,
         lo,
@@ -274,6 +306,8 @@ def march(system: System, a: np.ndarray, x_from: float, x_to: float) -> np.ndarr
         len(plan),
         min(dx for dx, _ in plan),
         max(dx for dx, _ in plan),
+        len(chunks),
+        sweeps,
         worst,
     )
     return a

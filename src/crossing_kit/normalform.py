@@ -163,10 +163,9 @@ def _system(prob: NormalFormProblem) -> march.System:
     F = prob.f.antideriv()
 
     def local(x):
-        return np.asarray(prob.f(x), dtype=float)[None, :], (
-            -1j * prob.r1(x),
-            -1j * prob.r2(x),
-        )
+        m1 = -1j * prob.r1(x)
+        m2 = m1 if prob.r2 == prob.r1 else -1j * prob.r2(x)
+        return np.asarray(prob.f(x), dtype=float)[None, :], (m1, m2)
 
     return march.System(
         h=prob.h,

@@ -90,9 +90,11 @@ class Bump:
         x = np.asarray(x, dtype=float)
         scalar = x.ndim == 0
         t2 = np.atleast_1d(((x - self.center) / self.width) ** 2)
-        out = np.zeros_like(t2)
-        inside = t2 < 1.0
-        out[inside] = self.amplitude * np.exp(1.0 - 1.0 / (1.0 - t2[inside]))
+        # outside the support (and at NaN) the gap is 0, so the exponent is
+        # -inf and the value 0; inside it is 1 - t2 as it stands
+        gap = np.fmax(1.0 - t2, 0.0)
+        with np.errstate(divide="ignore"):
+            out = self.amplitude * np.exp(1.0 - 1.0 / gap)
         return float(out[0]) if scalar else out
 
 

@@ -273,7 +273,8 @@ def test_picard_stop_bounds_the_truncation(monkeypatch):
     # a chunk's Picard iteration stops once no entry moves by more than
     # PICARD_TOL; it contracts far faster than by half per sweep, so what
     # the stop leaves out is below PICARD_TOL per chunk, and T stops
-    # within chunks * PICARD_TOL (7 chunks here) of the converged value
+    # within chunks * PICARD_TOL of the converged value (2 Picard chunks
+    # here; the bound allows one per segment of the plan, 7)
     prob = model_corpus(1e-2)[1]
     converged = transfer_numeric(prob)
     monkeypatch.setattr(march, "PICARD_TOL", 1e-8)
@@ -285,26 +286,30 @@ def test_picard_stop_bounds_the_truncation(monkeypatch):
 def test_strong_coupling_needs_no_fallback(caplog):
     # chunks short enough for Picard at any coupling strength: the march
     # matches the direct integration, in its one DEBUG line and no other;
-    # it marches the couplings' support [-1.5, 1.5], not [-2, 2]
+    # it marches the couplings' support [-1.5, 1.5], not [-2, 2], in 37
+    # segments of one dx, solved 6 at a time within PICARD_REACH
     prob = strong_coupling_problem()
     with caplog.at_level(logging.DEBUG, logger="crossing_kit"):
         T = prob.extract()
     assert np.abs(T.entries - ode_reference(prob)).max() <= 1e-9
     assert [r.levelno for r in caplog.records] == [logging.DEBUG]
-    assert "37 chunks" in caplog.records[0].getMessage()
+    msg = caplog.records[0].getMessage()
+    assert "37 segments" in msg and "7 Picard chunks" in msg, msg
 
 
 def test_picard_fails_loudly_on_an_uncut_strong_coupling(monkeypatch):
     # at four times the strong coupling, Picard on one chunk spanning the
     # couplings' support does not contract within PICARD_MAX_ITER sweeps:
     # the march raises instead of returning a T. Chunks cut by the coupling
-    # rule converge and match the direct integration.
+    # rule converge and match the direct integration. Without the
+    # PICARD_REACH cut the first chunk takes every segment but the last,
+    # whose dx rounds apart.
     strong = strong_coupling_problem()
     prob = dataclasses.replace(strong, r1=Bump(1.5, 12.0), r2=Bump(1.5, 12.0))
     T = prob.extract()
     assert np.abs(T.entries - ode_reference(prob)).max() <= 1e-9
-    monkeypatch.setattr(march, "CHUNK_COUPLING", 1e9)  # one chunk
-    with pytest.raises(StepFailure, match=r"Picard iteration on \[-1.5, 1.5\]"):
+    monkeypatch.setattr(march, "PICARD_REACH", 1e9)  # one chunk
+    with pytest.raises(StepFailure, match=r"Picard iteration on \[-1.5, 1.48\]"):
         prob.extract()
 
 
@@ -331,7 +336,8 @@ def test_march_system_does_not_outlive_its_extraction(monkeypatch):
 
 
 def test_one_debug_line_per_march(caplog):
-    # at h = 1e-2 the N_MIN cap (2 / 2000) sets dx on the whole support
+    # at h = 1e-2 the N_MIN cap (2 / 2000) sets dx on the whole support; the
+    # last of the 7 segments rounds to another dx, so it is a chunk apart
     prob = model_corpus(1e-2)[0]
     with caplog.at_level(logging.DEBUG, logger="crossing_kit"):
         transfer_numeric(prob)
@@ -342,9 +348,9 @@ def test_one_debug_line_per_march(caplog):
     for word in (
         "h=1.000000e-02",
         "1601 nodes on [-0.8, 0.8] (from x=-1 to 1)",
-        "7 chunks",
+        "7 segments",
         "dx 0.001 to 0.001",
-        "11 Picard",
+        "2 Picard chunks of 18 sweeps, at most 14 in a chunk",
     ):
         assert word in msg, msg
 

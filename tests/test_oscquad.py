@@ -49,6 +49,9 @@ def test_phase_spec_order_detection():
         PhaseSpec.from_poly(Poly1((1.0, 0, 0.5)))  # F(0) != 0
     with pytest.raises(ValidationError):
         PhaseSpec.from_poly(Poly1((0, 1.0, 0.5)))  # F'(0) != 0
+    # validate holds the order-m zeros exact, as from_poly does
+    with pytest.raises(ValidationError, match=r"F\^\(1\)\(0\)"):
+        PhaseSpec(Poly1((0, 1e-12, 0.5)), 1).validate(-0.5, 0.8)
 
 
 def test_phase_spec_rejects_far_stationary_point():

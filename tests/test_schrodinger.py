@@ -471,19 +471,18 @@ def _envelope_integral():
     return osc_integral_numeric(phase, amp, 1e-6, (-0.6, 0.8))
 
 
-@pytest.mark.parametrize(
-    "run",
-    [
-        *(model_corpus(h)[k].extract for h in (1e-4, 1e-5) for k in (0, 1, 2)),
-        schrodinger_corpus(1e-3)[0].extract,
-        _envelope_integral,
-    ],
-    ids=[
-        *(f"model-{k}-{h:g}" for h in (1e-4, 1e-5) for k in (0, 1, 2)),
-        "pair-0.001",
-        "envelope-4-1e-06",
-    ],
-)
+_MARCHES = {
+    **{
+        f"model-{k}-{h:g}": model_corpus(h)[k].extract
+        for h in (1e-4, 1e-5)
+        for k in (0, 1, 2)
+    },
+    "pair-0.001": schrodinger_corpus(1e-3)[0].extract,
+    "envelope-4-1e-06": _envelope_integral,
+}
+
+
+@pytest.mark.parametrize("run", _MARCHES.values(), ids=_MARCHES.keys())
 def test_each_chunk_takes_the_widest_dx_that_resolves_its_reach(monkeypatch, run):
     # a chunk of length L at distance u from the start resolves the rates
     # on [u - L, u + 2L] with POINTS_PER_PERIOD nodes per period, within the
@@ -520,6 +519,67 @@ def test_each_chunk_takes_the_widest_dx_that_resolves_its_reach(monkeypatch, run
                 assert wider[0] > bound(u - reach, u + 2 * reach) * (1 - 1e-9)
             u += cells * dx
         assert u == pytest.approx(abs(end - start), rel=1e-12)
+
+
+# where the couplings cut segments short, runs of one dx merge: at h = 1e-2
+# and 1e-3 on the model, and, cut by PICARD_REACH, at three times its
+# coupling
+_SHORT_SEGMENTS = {
+    "model-0-0.01": model_corpus(1e-2)[0].extract,
+    "model-0-0.001": model_corpus(1e-3)[0].extract,
+    "model-0-0.01-strong": dataclasses.replace(
+        model_corpus(1e-2)[0], r1=Bump(0.8, 3.0), r2=Bump(0.8, 3.0)
+    ).extract,
+}
+
+
+@pytest.mark.parametrize(
+    "run",
+    [*_MARCHES.values(), *_SHORT_SEGMENTS.values()],
+    ids=[*_MARCHES, *_SHORT_SEGMENTS],
+)
+def test_each_picard_chunk_is_a_run_of_equal_dx_segments(monkeypatch, run):
+    # the solve is cut apart from the mesh: each Picard chunk is a run of
+    # consecutive plan segments of one dx, within CHUNK_BYTES and, unless
+    # it is one segment, within int |M| <= PICARD_REACH; a run is cut only
+    # where its next segment would pass one of the two, and the chunks
+    # march the plan's nodes
+    marches = []
+    plan, picard = march._plan, march._picard
+
+    def planning(system, start, end):
+        segments = plan(system, start, end)
+        marches.append((system, segments, []))
+        return segments
+
+    def solving(system, a0, phi0, x, dx, work):
+        marches[-1][2].append((abs(dx), len(x) - 1))
+        return picard(system, a0, phi0, x, dx, work)
+
+    monkeypatch.setattr(march, "_plan", planning)
+    monkeypatch.setattr(march, "_picard", solving)
+    run()
+    assert marches
+    most = march.CHUNK_BYTES // march._BYTES_PER_NODE
+
+    def fits(system, dx, cells):
+        reach = system.coupling * cells * dx
+        return cells + 1 <= most and reach <= march.PICARD_REACH
+
+    for system, segments, chunks in marches:
+        assert sum(c for _, c in chunks) == sum(c for _, c in segments)
+        k = 0
+        for dx, cells in chunks:
+            first, run_cells = k, 0
+            while run_cells < cells:
+                assert segments[k][0] == dx
+                run_cells, k = run_cells + segments[k][1], k + 1
+            assert run_cells == cells
+            assert cells + 1 <= most
+            assert k - first == 1 or fits(system, dx, cells)
+            if k < len(segments) and segments[k][0] == dx:
+                assert not fits(system, dx, cells + segments[k][1])
+        assert k == len(segments)
 
 
 def test_numeric_transfer_both_crossings():
