@@ -8,13 +8,15 @@ Extracts the transfer matrix of model-corpus 0, 1 and 2 at h = 1e-2 ..
 1e-6 and of schrodinger-corpus 0 at h = 1e-2 .. 1e-5, with the
 ``crossing_kit`` package found on PYTHONPATH. Each row is timed REPEATS
 times in one process (the median is kept); its node count, Picard chunk
-count and total Picard sweeps come from the march's DEBUG line, and
-``us_per_node`` is the median seconds per marched node in microseconds.
-A tree whose DEBUG line predates Picard chunks of several mesh segments
-reports its chunks as ``N chunks`` and no sweep total: ``sweeps`` is then
-null. Writes BENCH_graded_march.json in the repo root (or
-``--out``) with the rows, the log-log slope of seconds against 1/h per
-problem, and the environment.
+count, total Picard sweeps and the Neumann rows each sweep integrates
+come from the march's DEBUG line, and ``us_per_node`` is the median
+seconds per marched node in microseconds. A tree whose DEBUG line
+predates Picard chunks of several mesh segments reports its chunks as
+``N chunks`` and no sweep total: ``sweeps`` is then null; one that
+predates the rows count has ``rows_per_sweep`` null. Writes
+BENCH_graded_march.json in the repo root (or ``--out``) with the rows,
+the log-log slope of seconds against 1/h per problem, and the
+environment.
 
 Without ``--against`` the rows are timed in this process; compare
 ``nodes`` across two such files, not ``seconds``: the two trees then run
@@ -53,12 +55,12 @@ H_PAIR = (1e-2, 1e-3, 1e-4, 1e-5)
 
 
 class _March(logging.Handler):
-    """Keeps the node count, Picard chunks and sweeps of the last march's
-    DEBUG line."""
+    """Keeps the node count, Picard chunks, sweeps and Neumann rows per
+    sweep of the last march's DEBUG line."""
 
     def __init__(self):
         super().__init__(logging.DEBUG)
-        self.nodes = self.chunks = self.sweeps = None
+        self.nodes = self.chunks = self.sweeps = self.rows = None
 
     def emit(self, record):
         msg = record.getMessage()
@@ -72,6 +74,8 @@ class _March(logging.Handler):
         else:
             self.chunks = int(re.search(r"in (\d+) chunks", msg).group(1))
             self.sweeps = None
+        rows = re.search(r"(\d+) Neumann rows per sweep", msg)
+        self.rows = int(rows.group(1)) if rows else None
 
 
 def _cpu() -> str:
@@ -92,12 +96,13 @@ def _slope(rows: list[dict]) -> float:
     return float(np.polyfit(x, y, 1)[0])
 
 
-def _row(h: float, nodes: int, chunks: int, sweeps, seconds: float) -> dict:
+def _row(h: float, nodes: int, chunks: int, sweeps, rows, seconds: float) -> dict:
     return {
         "h": h,
         "nodes": nodes,
         "picard_chunks": chunks,
         "sweeps": sweeps,
+        "rows_per_sweep": rows,
         "seconds": seconds,
         "us_per_node": 1e6 * seconds / nodes,
     }
@@ -136,6 +141,7 @@ def measure(echo) -> dict:
                     handler.nodes,
                     handler.chunks,
                     handler.sweeps,
+                    handler.rows,
                     statistics.median(seconds),
                 )
             )
@@ -190,6 +196,7 @@ def alternate(other: Path, rounds: int) -> tuple[dict, dict]:
                         row["nodes"],
                         row["picard_chunks"],
                         row["sweeps"],
+                        row["rows_per_sweep"],
                         statistics.median(mine),
                     )
                 )

@@ -32,15 +32,25 @@ series a = D_0 + D_1 + ..., D_0 = a(x_0) and D_{k+1} = int M D_k, the
 increments of Picard iteration a <- a(x_0) + int M a; all integrals start
 at the chunk's first node.
 
-The sweeps allocate no array of a chunk's size: the two latest increments
-and M D live in work arrays allocated once per march and sized for its
-longest chunk, ``apply`` and ``cum_quad6`` write into them, and a is kept
-only at the chunk's last node.
+Where M is off-diagonal, M = [[0, mu1], [mu2, 0]] (the reduced model),
+the terms of the chunk's propagator U, a(end) = U a(x_0), are diagonal at
+even order and anti-diagonal at odd order, and their nonzero entries form
+one column: v_0 = (1, 1), v_{k+1} = int M v_k. The march sums the even
+and odd v_k at the chunk's last node apart, U = [[1 + E_0, O_0], [O_1,
+1 + E_1]], and sets a <- U a: each sweep integrates two rows, whatever
+the columns of a. A general M (the coupled pair) sweeps the columns of a
+themselves, columns x components rows.
+
+The sweeps allocate no array of a chunk's size: the latest increment,
+M D and the off-diagonal entries live in work arrays allocated once per
+march and sized for its longest chunk, ``apply`` and ``cum_quad6`` write
+into them, and a is kept only at the chunk's last node.
 """
 
 from __future__ import annotations
 
 import bisect
+import functools
 import logging
 import math
 from dataclasses import dataclass
@@ -104,6 +114,12 @@ class System:
     [lo[k], hi[k]] of the arrays lo <= hi; it sets the mesh and the node
     budget. ``coupling`` bounds the largest row sum of |M|; it sets the
     segment and chunk lengths.
+
+    ``off_diagonal`` states that M = [[0, mu1], [mu2, 0]] everywhere, with
+    two components: a fact about the equations, set by the family that
+    builds them. The march then sums the Neumann terms of each chunk's
+    propagator as one column (see _picard) and calls ``apply`` once per
+    chunk, on the constant column (1, 1), for (mu1, mu2).
     """
 
     h: float
@@ -114,6 +130,7 @@ class System:
     coupling: float
     local: Callable
     apply: Callable
+    off_diagonal: bool = False
 
 
 def _chunk_cells(system: System, dx: float) -> int:
@@ -217,45 +234,90 @@ def _chunks(system: System, plan: list[tuple[float, int]]) -> list[tuple[float, 
     return chunks
 
 
-def _work(shape: tuple[int, int], nodes: int) -> tuple[np.ndarray, ...]:
-    """_picard's work arrays, flat and complex, for coefficients of
-    ``shape`` on up to ``nodes`` nodes: two increments and M D."""
-    size = math.prod(shape) * nodes
-    return tuple(np.empty(size, dtype=complex) for _ in range(3))
+def _rows(system: System, a: np.ndarray) -> tuple[int, ...]:
+    """Shape of the Neumann rows one sweep integrates: the one column
+    (mu1, mu2) acts on where M is off-diagonal, else the columns of a."""
+    return (1, 2) if system.off_diagonal else a.shape
+
+
+def _work(system: System, a: np.ndarray, nodes: int) -> tuple[np.ndarray, ...]:
+    """_picard's work arrays, flat and complex, for the march of a on up to
+    ``nodes`` nodes: the latest increment and M D of _rows(system, a), and
+    (mu1, mu2) where M is off-diagonal."""
+    size = math.prod(_rows(system, a)) * nodes
+    count = 3 if system.off_diagonal else 2
+    return tuple(np.empty(size, dtype=complex) for _ in range(count))
+
+
+def _apply_off_diagonal(mu: np.ndarray, v: np.ndarray, out: np.ndarray) -> None:
+    """M v into ``out`` for M = [[0, mu1], [mu2, 0]]: (mu1 v_1, mu2 v_0).
+    mu, v and out have shape (1, 2, nodes). Two products: one on the
+    reversed v would copy it."""
+    np.multiply(mu[:, 0], v[:, 1], out=out[:, 0])
+    np.multiply(mu[:, 1], v[:, 0], out=out[:, 1])
 
 
 def _picard(system: System, a0: np.ndarray, phi0: np.ndarray, x, dx: float, work):
     """Coefficients at the last of the nodes x from their values a0 at x[0].
 
     a0 has shape (columns, components); phi0 holds the phases at x[0];
-    ``work`` comes from _work for at least len(x) nodes. Sums the Neumann
-    series D_0 = a0, D_{k+1} = int M D_k (cum_quad6 from x[0]) at the last
-    node until no entry of D_k exceeds PICARD_TOL: D_k is the change of the
-    k-th Picard iterate a <- a0 + int M a. The real and imaginary parts are
-    held to PICARD_TOL / sqrt(2), so each modulus is within PICARD_TOL.
-    Returns (a and the phases at the last node, sweeps).
+    ``work`` comes from _work for a0 on at least len(x) nodes. Sums a
+    Neumann series at the last node (cum_quad6 from x[0]) until its term
+    is negligible. Returns (a and the phases at the last node, sweeps).
+
+    A general M sweeps D_0 = a0, D_{k+1} = int M D_k, the changes of the
+    Picard iterates a <- a0 + int M a, until no real or imaginary part of
+    D_k exceeds PICARD_TOL / sqrt(2), so each modulus is within
+    PICARD_TOL. An off-diagonal M sweeps the one column v_0 = (1, 1),
+    v_{k+1} = int M v_k: its even terms are the diagonals of the
+    propagator's terms (for the model (gamma+ gamma-)^k and
+    (gamma- gamma+)^k), its odd terms their anti-diagonals. It stops once
+    the largest part of v_k times max(|Re a0| + |Im a0|) is within
+    PICARD_TOL / sqrt(2), which bounds the parts of D_k(a0) as above, and
+    returns U a0 per column; a zero a0 is returned at once.
     """
     rate, coeffs = system.local(x)
     phase = cum_quad6(rate, dx, initial=phi0)
+    off = system.off_diagonal
+    scale = float(np.max(np.abs(a0.real) + np.abs(a0.imag))) if off else 1.0
+    if scale == 0.0:
+        return a0, phase[:, -1], 0
     osc = np.exp(1j * phase / system.h)
     back = np.conj(osc)
-    shape = a0.shape + (len(x),)
-    *terms, m_d = (buf[: a0.size * len(x)].reshape(shape) for buf in work)
-    term, a = a0[:, :, None], a0.astype(complex)
+    shape = _rows(system, a0) + (len(x),)
+    views = [buf[: math.prod(shape)].reshape(shape) for buf in work]
+    term, m_d = views[:2]
+    if off:
+        # the first integrand is M v_0 = (mu1, mu2); even and odd terms are
+        # summed apart
+        mu = views[2]
+        system.apply(coeffs, osc, back, np.ones((1, 2, 1), dtype=complex), mu)
+        integrand, sums = mu, np.zeros((2, 1, 2), dtype=complex)
+        sweep = functools.partial(_apply_off_diagonal, mu)
+    else:
+        system.apply(coeffs, osc, back, a0[:, :, None], m_d)
+        integrand, sums = m_d, a0.astype(complex)[None]
+        sweep = functools.partial(system.apply, coeffs, osc, back)
     for it in range(1, PICARD_MAX_ITER + 1):
-        system.apply(coeffs, osc, back, term, m_d)
-        term = terms[it % 2]
-        cum_quad6(m_d, dx, out=term)
-        a += term[:, :, -1]
+        cum_quad6(integrand, dx, out=term)
+        sums[it % len(sums)] += term[:, :, -1]
         parts = term.view(np.float64)
         moved = max(float(parts.max()), -float(parts.min()))
-        if moved <= PICARD_TOL / math.sqrt(2.0):
-            return a, phase[:, -1], it
-    raise StepFailure(
-        f"Picard iteration on [{x[0]:g}, {x[-1]:g}] moved by {moved:.3g} "
-        f"after {PICARD_MAX_ITER} iterations (coupling too strong for the "
-        "mesh)"
-    )
+        if moved * scale <= PICARD_TOL / math.sqrt(2.0):
+            break
+        sweep(term, m_d)
+        integrand = m_d
+    else:
+        raise StepFailure(
+            f"Picard iteration on [{x[0]:g}, {x[-1]:g}] moved by {moved:.3g} "
+            f"after {PICARD_MAX_ITER} iterations (coupling too strong for the "
+            "mesh)"
+        )
+    if not off:
+        return sums[0], phase[:, -1], it
+    (even,), (odd,) = sums
+    u = np.array([[1.0 + even[0], odd[0]], [odd[1], 1.0 + even[1]]])
+    return a0 @ u.T, phase[:, -1], it
 
 
 def march(system: System, a: np.ndarray, x_from: float, x_to: float) -> np.ndarray:
@@ -268,8 +330,9 @@ def march(system: System, a: np.ndarray, x_from: float, x_to: float) -> np.ndarr
     solved as one Picard chunk, within CHUNK_BYTES and int |M| <=
     PICARD_REACH (_chunks). One DEBUG line on the ``crossing_kit`` logger
     reports nodes, the marched span, segments, the smallest and largest
-    dx, Picard chunks, the sweeps of all chunks and the most any chunk
-    needed. Returns the coefficients at x_to.
+    dx, Picard chunks, the sweeps of all chunks, the most any chunk
+    needed and the Neumann rows each sweep integrates (_rows). Returns
+    the coefficients at x_to.
     """
     lo, hi = sorted((x_from, x_to))
     if system.support is not None:
@@ -285,7 +348,7 @@ def march(system: System, a: np.ndarray, x_from: float, x_to: float) -> np.ndarr
     start, end = (lo, hi) if x_to > x_from else (hi, lo)
     plan = _plan(system, start, end)
     chunks = _chunks(system, plan)
-    work = _work(a.shape, max(cells for _, cells in chunks) + 1)
+    work = _work(system, a, max(cells for _, cells in chunks) + 1)
     direction = 1.0 if end > start else -1.0
     x, phi, sweeps, worst = start, system.phases(start), 0, 0
     for dx, cells in chunks:
@@ -296,7 +359,7 @@ def march(system: System, a: np.ndarray, x_from: float, x_to: float) -> np.ndarr
     logger.debug(
         "h=%.6e: marched %d nodes on [%g, %g] (from x=%g to %g) in %d "
         "segments, dx %.3g to %.3g, as %d Picard chunks of %d sweeps, at "
-        "most %d in a chunk",
+        "most %d in a chunk, %d Neumann rows per sweep",
         system.h,
         sum(cells for _, cells in plan) + 1,
         lo,
@@ -309,5 +372,6 @@ def march(system: System, a: np.ndarray, x_from: float, x_to: float) -> np.ndarr
         len(chunks),
         sweeps,
         worst,
+        math.prod(_rows(system, a)),
     )
     return a

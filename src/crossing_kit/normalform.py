@@ -20,10 +20,14 @@ whose integral form is driven by the oscillatory integrals
 Their compositions shrink like h^{1/(m+1)} as h -> 0. The march
 (``march.march``) solves a' = M a chunk by chunk, each by Picard
 iteration, which is the Neumann series of these operators on the chunk.
-a is constant once the couplings have switched off, so marching the two
-basis inputs from x0 to x1 and reading a at x1 yields the transfer
-matrix, whose off-diagonal entries carry the h^{1/(m+1)} stationary-point
-contribution predicted by predict_transfer.
+As M is off-diagonal, the series alternates them: its odd terms are
+anti-diagonal, gamma+ (gamma- gamma+)^k and gamma- (gamma+ gamma-)^k, its
+even terms diagonal, (gamma+ gamma-)^k and (gamma- gamma+)^k, so the march
+sums one column of them per chunk, two rows per sweep, and applies the
+chunk's propagator to the data. a is constant once the couplings have
+switched off, so marching the two basis inputs from x0 to x1 and reading
+a at x1 yields the transfer matrix, whose off-diagonal entries carry the
+h^{1/(m+1)} stationary-point contribution predicted by predict_transfer.
 """
 
 from __future__ import annotations
@@ -146,7 +150,9 @@ def _check_single_crossing(branch: int) -> None:
 
 def _apply(coeffs, osc, back, a, out):
     """M a into ``out`` for the frame coefficients a = (u1, e^{-iF/h} u2)
-    per column; coeffs = (-i r1, -i r2) at the nodes."""
+    per column; coeffs = (-i r1, -i r2) at the nodes. The march calls it
+    once per chunk, on a = (1, 1), for mu1 = -i r1 e^{iF/h} and
+    mu2 = -i r2 e^{-iF/h}."""
     m1, m2 = coeffs
     np.multiply(m1, osc[0], out=out[:, 0])
     out[:, 0] *= a[:, 1]
@@ -157,8 +163,9 @@ def _apply(coeffs, osc, back, a, out):
 def _system(prob: NormalFormProblem) -> march.System:
     """The model's a' = M a for the march: one phase F, rate f.
 
-    M vanishes outside the hull of the coupling supports. The row sums of
-    |M| are |r1| and |r2|, at most the larger amplitude.
+    M is off-diagonal. It vanishes outside the hull of the coupling
+    supports. The row sums of |M| are |r1| and |r2|, at most the larger
+    amplitude.
     """
     F = prob.f.antideriv()
 
@@ -176,6 +183,7 @@ def _system(prob: NormalFormProblem) -> march.System:
         coupling=max(abs(prob.r1.amplitude), abs(prob.r2.amplitude)),
         local=local,
         apply=_apply,
+        off_diagonal=True,
     )
 
 

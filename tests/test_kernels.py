@@ -146,7 +146,8 @@ def test_cum_quad6_refuses_an_out_it_cannot_fill():
 
 
 def _model_apply_allocating(coeffs, osc, back, a):
-    """M a for the frame coefficients a = (u1, e^{-iF/h} u2) per column."""
+    """M a for the frame coefficients a = (u1, e^{-iF/h} u2) per column,
+    or for the column v of the propagator's terms."""
     r1, r2 = coeffs
     da = np.empty_like(a)
     da[:, 0] = -1j * r1 * osc[0] * a[:, 1]
@@ -163,6 +164,14 @@ def _pair_apply_allocating(coeffs, osc, back, a):
     da[:, 0::2] = back * r
     da[:, 1::2] = -osc * r
     return da
+
+
+def _model_sweep(coeffs, osc, back, v, out):
+    """The model's step: mu = M (1, 1) into a work array once per chunk,
+    then each sweep M v = (mu1 v_1, mu2 v_0)."""
+    mu = np.empty((1,) + out.shape[1:], dtype=complex)
+    normalform._apply(coeffs, osc, back, np.ones((1, 2, 1), dtype=complex), mu)
+    march._apply_off_diagonal(mu, v, out)
 
 
 def _random_complex(rng, shape, scale=1.0):
@@ -192,7 +201,7 @@ def _pair_case(rng, n):
 @pytest.mark.parametrize(
     "case, allocating, inplace",
     [
-        (_model_case, _model_apply_allocating, normalform._apply),
+        (_model_case, _model_apply_allocating, _model_sweep),
         (_pair_case, _pair_apply_allocating, schrodinger._apply),
     ],
     ids=["model", "pair"],
@@ -228,16 +237,24 @@ def test_cum_quad6_into_out_equals_a_fresh_result():
 def test_march_kernels_allocate_nothing_of_the_chunk_size():
     # the Picard sweep's kernels write into their ``out``: numpy takes no
     # temporaries or ufunc buffers as large as the chunk (tracemalloc sees
-    # numpy's data allocations)
+    # numpy's data allocations). The model forms mu = M (1, 1) once per
+    # chunk and sweeps M v on its one column; the pair sweeps M a on its
+    # two columns
     rng = np.random.default_rng(3)
     n = march.CHUNK_BYTES // march._BYTES_PER_NODE  # the longest chunk
     calls = []
-    for case, inplace in ((_model_case, normalform._apply), (_pair_case, schrodinger._apply)):
-        _, coeffs, (osc, back), components = case(rng, n)
-        a = _random_complex(rng, (2, components, n))
-        out = np.empty_like(a)
-        calls.append((a.nbytes, inplace, (coeffs, osc, back, a, out), {}))
-        calls.append((a.nbytes, cum_quad6, (a, 1e-3), {"out": out}))
+    _, coeffs, (osc, back), _ = _model_case(rng, n)
+    v = _random_complex(rng, (1, 2, n))
+    mu, out = np.empty_like(v), np.empty_like(v)
+    ones = np.ones((1, 2, 1), dtype=complex)
+    calls.append((v.nbytes, normalform._apply, (coeffs, osc, back, ones, mu), {}))
+    calls.append((v.nbytes, march._apply_off_diagonal, (mu, v, out), {}))
+    calls.append((v.nbytes, cum_quad6, (v, 1e-3), {"out": out}))
+    _, coeffs, (osc, back), components = _pair_case(rng, n)
+    a = _random_complex(rng, (2, components, n))
+    out = np.empty_like(a)
+    calls.append((a.nbytes, schrodinger._apply, (coeffs, osc, back, a, out), {}))
+    calls.append((a.nbytes, cum_quad6, (a, 1e-3), {"out": out}))
     for nbytes, call, args, kwargs in calls:
         call(*args, **kwargs)  # first-call caches
         tracemalloc.start()

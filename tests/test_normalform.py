@@ -25,6 +25,7 @@ from crossing_kit.normalform import (
     transfer_numeric,
 )
 from crossing_kit.profiles import Bump, Poly1, ZERO_BUMP
+from crossing_kit.schrodinger import schrodinger_corpus
 from crossing_kit.symbolcalc import stationary_prefactor
 from crossing_kit.transfer import Problem
 
@@ -150,7 +151,7 @@ def test_antiderivative_exact_for_linear_rate():
     for end in (-0.3, 0.0, 1.0):
         x = np.linspace(prob.x0, end, 101)
         a0 = np.eye(2, dtype=complex)
-        work = march._work(a0.shape, len(x))
+        work = march._work(system, a0, len(x))
         _, phi, _ = march._picard(system, a0, phi0, x, x[1] - x[0], work)
         assert abs(phi[0] - end**2 / 2.0) < 1e-13
 
@@ -281,6 +282,68 @@ def test_picard_stop_bounds_the_truncation(monkeypatch):
     stopped = transfer_numeric(prob)
     observed = stopped.max_abs_diff(converged)
     assert 0.0 < observed <= 7 * 1e-8
+
+
+def test_picard_stop_scales_with_the_data(monkeypatch):
+    # the model's march sums its propagator's terms and stops on them times
+    # the data's size, so data of modulus about 10 keeps the bounds of unit
+    # data scaled by 10: T applied to the data within roundoff, the direct
+    # integration within 1e-9 * 10, and the truncation at a looser
+    # PICARD_TOL within the bound of the test above, in absolute terms
+    prob = model_corpus(1e-2)[1]
+    rng = np.random.default_rng(17)
+    a0 = 10.0 * rng.uniform(0.8, 1.2, (2, 2)) * np.exp(2j * np.pi * rng.uniform(size=(2, 2)))
+    T = transfer_numeric(prob).entries
+    converged = march.march(_system(prob), a0, prob.x0, prob.x1)
+    assert np.abs(converged - a0 @ T.T).max() <= 1e-13 * 10
+    for got, alpha in zip(converged, a0):
+        want = ode_oracle(prob, alpha, [prob.x1])[:, -1]
+        assert np.abs(got - want).max() <= 1e-9 * 10
+    monkeypatch.setattr(march, "PICARD_TOL", 1e-8)
+    stopped = march.march(_system(prob), a0, prob.x0, prob.x1)
+    observed = float(np.abs(stopped - converged).max())
+    assert 0.0 < observed <= 7 * 1e-8
+
+
+def test_a_zero_column_is_carried_without_sweeps(caplog):
+    # nothing to sum: the model's march returns zero data at once, with no
+    # sweep and no division by the data's size
+    prob = model_corpus(1e-2)[0]
+    with caplog.at_level(logging.DEBUG, logger="crossing_kit"):
+        a = march.march(_system(prob), np.zeros((1, 2), dtype=complex), prob.x0, prob.x1)
+    assert (a == 0.0).all()
+    assert "of 0 sweeps" in caplog.records[0].getMessage()
+
+
+@pytest.mark.parametrize(
+    "build, rows",
+    [
+        (lambda: model_corpus(1e-2)[0], 2),
+        (strong_coupling_problem, 2),
+        (lambda: schrodinger_corpus(1e-2)[0], 8),
+    ],
+    ids=["model", "strong-model", "pair"],
+)
+def test_each_sweep_integrates_only_the_rows_it_needs(monkeypatch, caplog, build, rows):
+    # the model's M is off-diagonal, so its propagator's terms are one
+    # column: each sweep integrates 2 rows, whatever the data's columns. The
+    # pair's M is not, so it sweeps both columns of 4 components, 8 rows.
+    # Phases are real and integrated apart.
+    samples = []
+    integrate = march.cum_quad6
+
+    def counting(values, dx, out=None, initial=0.0):
+        if np.iscomplexobj(values):
+            samples.append((values.size, values.shape[-1]))
+        return integrate(values, dx, out=out, initial=initial)
+
+    monkeypatch.setattr(march, "cum_quad6", counting)
+    with caplog.at_level(logging.DEBUG, logger="crossing_kit"):
+        build().extract()
+    assert samples and all(size == rows * nodes for size, nodes in samples), samples
+    msg = caplog.records[-1].getMessage()
+    assert len(samples) == int(re.search(r"of (\d+) sweeps", msg).group(1))
+    assert f"{rows} Neumann rows per sweep" in msg, msg
 
 
 def test_strong_coupling_needs_no_fallback(caplog):
