@@ -4,8 +4,9 @@
     PYTHONPATH=src python3 scripts/bench_march.py --against DIR
         --against-out PATH [--against-label TEXT] [--label TEXT] [--out PATH]
 
-Extracts the transfer matrix of model-corpus 0, 1 and 2 at h = 1e-2 ..
-1e-6 and of schrodinger-corpus 0 at h = 1e-2 .. 1e-5, with the
+Extracts the transfer matrix of model-corpus 0, 1, 2 (self-adjoint, one
+Neumann chain) and 3 (r1 != r2, two chains) at h = 1e-2 .. 1e-6 and of
+schrodinger-corpus 0 at h = 1e-2 .. 1e-5, with the
 ``crossing_kit`` package found on PYTHONPATH. Each row is timed REPEATS
 times in one process (the median is kept); its node count, Picard chunk
 count, total Picard sweeps and the Neumann rows each sweep integrates
@@ -120,7 +121,7 @@ def measure(echo) -> dict:
     logger.setLevel(logging.DEBUG)
     cases = [
         (f"model-corpus {k}", lambda h, k=k: model_corpus(h)[k], H_MODEL)
-        for k in (0, 1, 2)
+        for k in (0, 1, 2, 3)
     ]
     cases.append(
         ("schrodinger-corpus 0", lambda h: schrodinger_corpus(h)[0], H_PAIR)

@@ -35,14 +35,20 @@ at the chunk's first node.
 Where M is off-diagonal, M = [[0, mu1], [mu2, 0]] (the reduced model),
 the terms of the chunk's propagator U, a(end) = U a(x_0), are diagonal at
 even order and anti-diagonal at odd order, and their nonzero entries form
-one column: v_0 = (1, 1), v_{k+1} = int M v_k. The march sums the even
-and odd v_k at the chunk's last node apart, U = [[1 + E_0, O_0], [O_1,
-1 + E_1]], and sets a <- U a: each sweep integrates two rows, whatever
-the columns of a. A general M (the coupled pair) sweeps the columns of a
-themselves, columns x components rows.
+two Neumann chains, whatever the columns of a: chain 0 is w_0 = 1,
+w_{k+1} = int mu1 w_k at even k and int mu2 w_k at odd k, chain 1 the
+same with mu1 and mu2 swapped. Chain 0's odd terms are those of U's
+(0, 1) entry and its even terms those of the (1, 1) entry; chain 1 gives
+the (1, 0) and (0, 0) entries. The march sums the even and odd terms at
+the chunk's last node apart, U = [[1 + E_0, O_0], [O_1, 1 + E_1]], and
+sets a <- U a. Where M is also skew-Hermitian, mu2 = -conj(mu1) (a
+self-adjoint coupling), chain 1 is (-1)^k times the conjugate of chain 0
+and U is in SU(2), [[1 + conj(E_1), O_0], [-conj(O_0), 1 + E_1]]: each
+sweep integrates one row, else two. A general M (the coupled pair)
+sweeps the columns of a themselves, columns x components rows.
 
 The sweeps allocate no array of a chunk's size: the latest increment,
-M D and the off-diagonal entries live in work arrays allocated once per
+M D and the chains' multipliers live in work arrays allocated once per
 march and sized for its longest chunk, ``apply`` and ``cum_quad6`` write
 into them, and a is kept only at the chunk's last node.
 """
@@ -50,7 +56,6 @@ into them, and a is kept only at the chunk's last node.
 from __future__ import annotations
 
 import bisect
-import functools
 import logging
 import math
 from dataclasses import dataclass
@@ -116,10 +121,12 @@ class System:
     segment and chunk lengths.
 
     ``off_diagonal`` states that M = [[0, mu1], [mu2, 0]] everywhere, with
-    two components: a fact about the equations, set by the family that
-    builds them. The march then sums the Neumann terms of each chunk's
-    propagator as one column (see _picard) and calls ``apply`` once per
-    chunk, on the constant column (1, 1), for (mu1, mu2).
+    two components, and ``skew_hermitian`` that M is off-diagonal with
+    mu2 = -conj(mu1), so M^H = -M: facts about the equations, set by the
+    family that builds them. The march then sums the Neumann terms of
+    each chunk's propagator as two chains, or as one chain where M is
+    skew-Hermitian (see _picard), and calls ``apply`` once per chunk, on
+    the constant column (1, 1), for (mu1, mu2).
     """
 
     h: float
@@ -131,6 +138,11 @@ class System:
     local: Callable
     apply: Callable
     off_diagonal: bool = False
+    skew_hermitian: bool = False
+
+    def __post_init__(self):
+        if self.skew_hermitian and not self.off_diagonal:
+            raise ValueError("a skew-Hermitian System must be off-diagonal")
 
 
 def _chunk_cells(system: System, dx: float) -> int:
@@ -235,26 +247,24 @@ def _chunks(system: System, plan: list[tuple[float, int]]) -> list[tuple[float, 
 
 
 def _rows(system: System, a: np.ndarray) -> tuple[int, ...]:
-    """Shape of the Neumann rows one sweep integrates: the one column
-    (mu1, mu2) acts on where M is off-diagonal, else the columns of a."""
-    return (1, 2) if system.off_diagonal else a.shape
+    """Shape of the Neumann rows one sweep integrates: the chains of the
+    propagator's terms where M is off-diagonal, one where it is also
+    skew-Hermitian, else the columns of a."""
+    if system.off_diagonal:
+        return (1, 1 if system.skew_hermitian else 2)
+    return a.shape
 
 
 def _work(system: System, a: np.ndarray, nodes: int) -> tuple[np.ndarray, ...]:
     """_picard's work arrays, flat and complex, for the march of a on up to
     ``nodes`` nodes: the latest increment and M D of _rows(system, a), and
-    (mu1, mu2) where M is off-diagonal."""
-    size = math.prod(_rows(system, a)) * nodes
-    count = 3 if system.off_diagonal else 2
-    return tuple(np.empty(size, dtype=complex) for _ in range(count))
-
-
-def _apply_off_diagonal(mu: np.ndarray, v: np.ndarray, out: np.ndarray) -> None:
-    """M v into ``out`` for M = [[0, mu1], [mu2, 0]]: (mu1 v_1, mu2 v_0).
-    mu, v and out have shape (1, 2, nodes). Two products: one on the
-    reversed v would copy it."""
-    np.multiply(mu[:, 0], v[:, 1], out=out[:, 0])
-    np.multiply(mu[:, 1], v[:, 0], out=out[:, 1])
+    where M is off-diagonal the chains' multipliers, (mu1, mu2) and for a
+    second chain mu1 again."""
+    rows = _rows(system, a)
+    work = [np.empty(math.prod(rows) * nodes, dtype=complex) for _ in range(2)]
+    if system.off_diagonal:
+        work.append(np.empty((rows[1] + 1) * nodes, dtype=complex))
+    return tuple(work)
 
 
 def _picard(system: System, a0: np.ndarray, phi0: np.ndarray, x, dx: float, work):
@@ -268,13 +278,18 @@ def _picard(system: System, a0: np.ndarray, phi0: np.ndarray, x, dx: float, work
     A general M sweeps D_0 = a0, D_{k+1} = int M D_k, the changes of the
     Picard iterates a <- a0 + int M a, until no real or imaginary part of
     D_k exceeds PICARD_TOL / sqrt(2), so each modulus is within
-    PICARD_TOL. An off-diagonal M sweeps the one column v_0 = (1, 1),
-    v_{k+1} = int M v_k: its even terms are the diagonals of the
-    propagator's terms (for the model (gamma+ gamma-)^k and
-    (gamma- gamma+)^k), its odd terms their anti-diagonals. It stops once
-    the largest part of v_k times max(|Re a0| + |Im a0|) is within
-    PICARD_TOL / sqrt(2), which bounds the parts of D_k(a0) as above, and
-    returns U a0 per column; a zero a0 is returned at once.
+    PICARD_TOL. An off-diagonal M sweeps the chains of its propagator's
+    terms, each a fixed row whose multiplier alternates by parity: w_0 =
+    1, w_{k+1} = int mu_{(k)} w_k, with mu_{(k)} = mu1, mu2, mu1, ... on
+    chain 0 and mu2, mu1, ... on chain 1. For the model chain 0's odd
+    terms are gamma+ (gamma- gamma+)^k and its even terms (gamma-
+    gamma+)^k. A skew-Hermitian M sweeps chain 0 alone: chain 1 is (-1)^k
+    times its conjugate. The sweeps stop once the largest part of the
+    chains' term times max(|Re a0| + |Im a0|) is within PICARD_TOL /
+    sqrt(2), which bounds the parts of D_k(a0) as above (both chains'
+    parts are equal up to sign where one is swept), and return U a0 per
+    column; a zero a0 is returned at once. A sweep whose change is not
+    finite (an overflow) raises StepFailure at once.
     """
     rate, coeffs = system.local(x)
     phase = cum_quad6(rate, dx, initial=phi0)
@@ -285,27 +300,41 @@ def _picard(system: System, a0: np.ndarray, phi0: np.ndarray, x, dx: float, work
     osc = np.exp(1j * phase / system.h)
     back = np.conj(osc)
     shape = _rows(system, a0) + (len(x),)
-    views = [buf[: math.prod(shape)].reshape(shape) for buf in work]
-    term, m_d = views[:2]
+    term, m_d = (buf[: math.prod(shape)].reshape(shape) for buf in work[:2])
     if off:
-        # the first integrand is M v_0 = (mu1, mu2); even and odd terms are
-        # summed apart
-        mu = views[2]
-        system.apply(coeffs, osc, back, np.ones((1, 2, 1), dtype=complex), mu)
-        integrand, sums = mu, np.zeros((2, 1, 2), dtype=complex)
-        sweep = functools.partial(_apply_off_diagonal, mu)
+        # mu holds M (1, 1) = (mu1, mu2), and mu1 again for a second chain:
+        # chain c's multiplier at term k is row c + k % 2, so mult[k % 2]
+        # holds the chains' multipliers as one contiguous block (numpy would
+        # copy a reversed view). The first integrand is mult[0] itself; even
+        # and odd terms are summed apart.
+        chains = shape[1]
+        mu = work[2][: (chains + 1) * len(x)].reshape(1, chains + 1, len(x))
+        ones = np.ones((1, 2, 1), dtype=complex)
+        system.apply(coeffs, osc, back, ones, mu[:, :2])
+        if chains == 2:
+            mu[:, 2] = mu[:, 0]
+        mult = (mu[:, :chains], mu[:, 1:])
+        integrand, sums = mult[0], np.zeros((2, 1, chains), dtype=complex)
     else:
         system.apply(coeffs, osc, back, a0[:, :, None], m_d)
         integrand, sums = m_d, a0.astype(complex)[None]
-        sweep = functools.partial(system.apply, coeffs, osc, back)
     for it in range(1, PICARD_MAX_ITER + 1):
         cum_quad6(integrand, dx, out=term)
         sums[it % len(sums)] += term[:, :, -1]
         parts = term.view(np.float64)
         moved = max(float(parts.max()), -float(parts.min()))
-        if moved * scale <= PICARD_TOL / math.sqrt(2.0):
+        change = moved * scale
+        if not math.isfinite(change):
+            raise StepFailure(
+                f"Picard iteration on [{x[0]:g}, {x[-1]:g}] overflowed: sweep "
+                f"{it} moved by {change:.3g} (coupling too strong for the mesh)"
+            )
+        if change <= PICARD_TOL / math.sqrt(2.0):
             break
-        sweep(term, m_d)
+        if off:
+            np.multiply(mult[it % 2], term, out=m_d)
+        else:
+            system.apply(coeffs, osc, back, term, m_d)
         integrand = m_d
     else:
         raise StepFailure(
@@ -315,8 +344,14 @@ def _picard(system: System, a0: np.ndarray, phi0: np.ndarray, x, dx: float, work
         )
     if not off:
         return sums[0], phase[:, -1], it
+    # chain 0 sums O_0 at odd k and E_1 at even k, chain 1 O_1 and E_0
     (even,), (odd,) = sums
-    u = np.array([[1.0 + even[0], odd[0]], [odd[1], 1.0 + even[1]]])
+    e1, o0 = even[0], odd[0]
+    if system.skew_hermitian:
+        e0, o1 = np.conj(e1), -np.conj(o0)
+    else:
+        e0, o1 = even[1], odd[1]
+    u = np.array([[1.0 + e0, o0], [o1, 1.0 + e1]])
     return a0 @ u.T, phase[:, -1], it
 
 
@@ -331,8 +366,9 @@ def march(system: System, a: np.ndarray, x_from: float, x_to: float) -> np.ndarr
     PICARD_REACH (_chunks). One DEBUG line on the ``crossing_kit`` logger
     reports nodes, the marched span, segments, the smallest and largest
     dx, Picard chunks, the sweeps of all chunks, the most any chunk
-    needed and the Neumann rows each sweep integrates (_rows). Returns
-    the coefficients at x_to.
+    needed and the Neumann rows each sweep integrates (_rows). An
+    overflow in a sweep raises StepFailure, without a numpy warning.
+    Returns the coefficients at x_to.
     """
     lo, hi = sorted((x_from, x_to))
     if system.support is not None:
@@ -351,11 +387,13 @@ def march(system: System, a: np.ndarray, x_from: float, x_to: float) -> np.ndarr
     work = _work(system, a, max(cells for _, cells in chunks) + 1)
     direction = 1.0 if end > start else -1.0
     x, phi, sweeps, worst = start, system.phases(start), 0, 0
-    for dx, cells in chunks:
-        nodes = x + direction * dx * np.arange(cells + 1)
-        a, phi, iters = _picard(system, a, phi, nodes, direction * dx, work)
-        sweeps, worst = sweeps + iters, max(worst, iters)
-        x = nodes[-1]
+    # an overflow shows as a non-finite Picard change, which _picard raises
+    with np.errstate(over="ignore", invalid="ignore"):
+        for dx, cells in chunks:
+            nodes = x + direction * dx * np.arange(cells + 1)
+            a, phi, iters = _picard(system, a, phi, nodes, direction * dx, work)
+            sweeps, worst = sweeps + iters, max(worst, iters)
+            x = nodes[-1]
     logger.debug(
         "h=%.6e: marched %d nodes on [%g, %g] (from x=%g to %g) in %d "
         "segments, dx %.3g to %.3g, as %d Picard chunks of %d sweeps, at "

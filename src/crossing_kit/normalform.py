@@ -22,11 +22,15 @@ Their compositions shrink like h^{1/(m+1)} as h -> 0. The march
 iteration, which is the Neumann series of these operators on the chunk.
 As M is off-diagonal, the series alternates them: its odd terms are
 anti-diagonal, gamma+ (gamma- gamma+)^k and gamma- (gamma+ gamma-)^k, its
-even terms diagonal, (gamma+ gamma-)^k and (gamma- gamma+)^k, so the march
-sums one column of them per chunk, two rows per sweep, and applies the
-chunk's propagator to the data. a is constant once the couplings have
-switched off, so marching the two basis inputs from x0 to x1 and reading
-a at x1 yields the transfer matrix, whose off-diagonal entries carry the
+even terms diagonal, (gamma+ gamma-)^k and (gamma- gamma+)^k, so the
+march sums them as two chains per chunk, one starting with each
+operator, and applies the chunk's propagator to the data. When r2 =
+conj(r1) (for the real bumps here, r1 == r2) the model is self-adjoint:
+the terms that start with gamma- are the conjugates of those that start
+with gamma+, the propagator is in SU(2), and the march sweeps one chain,
+one row per sweep. a is constant once the couplings have switched off,
+so marching the two basis inputs from x0 to x1 and reading a at x1
+yields the transfer matrix, whose off-diagonal entries carry the
 h^{1/(m+1)} stationary-point contribution predicted by predict_transfer.
 """
 
@@ -163,8 +167,9 @@ def _apply(coeffs, osc, back, a, out):
 def _system(prob: NormalFormProblem) -> march.System:
     """The model's a' = M a for the march: one phase F, rate f.
 
-    M is off-diagonal. It vanishes outside the hull of the coupling
-    supports. The row sums of |M| are |r1| and |r2|, at most the larger
+    M is off-diagonal, and skew-Hermitian when the coupling is self-adjoint,
+    r1 == r2 (mu2 = -conj(mu1)). It vanishes outside the hull of the
+    coupling supports. The row sums of |M| are |r1| and |r2|, at most the larger
     amplitude.
     """
     F = prob.f.antideriv()
@@ -184,6 +189,8 @@ def _system(prob: NormalFormProblem) -> march.System:
         local=local,
         apply=_apply,
         off_diagonal=True,
+        # real bumps: r2 = conj(r1) exactly when r1 == r2
+        skew_hermitian=prob.r1 == prob.r2,
     )
 
 

@@ -3,6 +3,7 @@ and byte-deterministic CSV output."""
 
 import dataclasses
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -343,6 +344,21 @@ def test_numerical_failure_exits_3(tmp_path, capsys):
     path = write_config(tmp_path, cfg)
     assert main(["solve-model", "--config", path]) == 3
     assert "numerical failure" in capsys.readouterr().err
+
+
+def test_overflow_is_a_numerical_failure_without_warnings(tmp_path, capsys):
+    # the march stops at the first non-finite Picard change and names the
+    # overflow, instead of warning and sweeping on NaN to the cap
+    cfg = {
+        "problem": model_block(coupling={"width": 0.5, "amplitude": 1e300}),
+        "h": 1e-2,
+    }
+    path = write_config(tmp_path, cfg)
+    with warnings.catch_warnings(record=True) as seen:
+        warnings.simplefilter("always")
+        assert main(["solve-model", "--config", path]) == 3
+    assert seen == []
+    assert "overflowed" in _one_line_error(capsys)
 
 
 def _one_line_error(capsys) -> str:

@@ -168,10 +168,12 @@ def _pair_apply_allocating(coeffs, osc, back, a):
 
 def _model_sweep(coeffs, osc, back, v, out):
     """The model's step: mu = M (1, 1) into a work array once per chunk,
-    then each sweep M v = (mu1 v_1, mu2 v_0)."""
+    then each sweep multiplies each chain's row by its multiplier, into
+    ``out``. M v = (mu1 v_1, mu2 v_0) is that step at an even term on the
+    chains (v_1, v_0)."""
     mu = np.empty((1,) + out.shape[1:], dtype=complex)
     normalform._apply(coeffs, osc, back, np.ones((1, 2, 1), dtype=complex), mu)
-    march._apply_off_diagonal(mu, v, out)
+    np.multiply(mu, v[:, ::-1], out=out)
 
 
 def _random_complex(rng, shape, scale=1.0):
@@ -238,17 +240,18 @@ def test_march_kernels_allocate_nothing_of_the_chunk_size():
     # the Picard sweep's kernels write into their ``out``: numpy takes no
     # temporaries or ufunc buffers as large as the chunk (tracemalloc sees
     # numpy's data allocations). The model forms mu = M (1, 1) once per
-    # chunk and sweeps M v on its one column; the pair sweeps M a on its
-    # two columns
+    # chunk, copies mu1 after it and multiplies its two chains by (mu2,
+    # mu1) at an odd term; the pair sweeps M a on its two columns
     rng = np.random.default_rng(3)
     n = march.CHUNK_BYTES // march._BYTES_PER_NODE  # the longest chunk
     calls = []
     _, coeffs, (osc, back), _ = _model_case(rng, n)
     v = _random_complex(rng, (1, 2, n))
-    mu, out = np.empty_like(v), np.empty_like(v)
+    mu, out = np.empty((1, 3, n), dtype=complex), np.empty_like(v)
     ones = np.ones((1, 2, 1), dtype=complex)
-    calls.append((v.nbytes, normalform._apply, (coeffs, osc, back, ones, mu), {}))
-    calls.append((v.nbytes, march._apply_off_diagonal, (mu, v, out), {}))
+    calls.append((v.nbytes, normalform._apply, (coeffs, osc, back, ones, mu[:, :2]), {}))
+    calls.append((v.nbytes, np.copyto, (mu[:, 2], mu[:, 0]), {}))
+    calls.append((v.nbytes, np.multiply, (mu[:, 1:], v), {"out": out}))
     calls.append((v.nbytes, cum_quad6, (v, 1e-3), {"out": out}))
     _, coeffs, (osc, back), components = _pair_case(rng, n)
     a = _random_complex(rng, (2, components, n))

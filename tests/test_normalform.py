@@ -15,7 +15,7 @@ import weakref
 import numpy as np
 import pytest
 
-from crossing_kit import march, normalform
+from crossing_kit import march, normalform, schrodinger
 from crossing_kit.errors import StepFailure, ValidationError
 from crossing_kit.normalform import (
     NormalFormProblem,
@@ -318,17 +318,20 @@ def test_a_zero_column_is_carried_without_sweeps(caplog):
 @pytest.mark.parametrize(
     "build, rows",
     [
-        (lambda: model_corpus(1e-2)[0], 2),
-        (strong_coupling_problem, 2),
+        (lambda: model_corpus(1e-2)[0], 1),
+        (strong_coupling_problem, 1),
+        (lambda: model_corpus(1e-2)[3], 2),
         (lambda: schrodinger_corpus(1e-2)[0], 8),
     ],
-    ids=["model", "strong-model", "pair"],
+    ids=["model", "strong-model", "model-corpus-3", "pair"],
 )
 def test_each_sweep_integrates_only_the_rows_it_needs(monkeypatch, caplog, build, rows):
-    # the model's M is off-diagonal, so its propagator's terms are one
-    # column: each sweep integrates 2 rows, whatever the data's columns. The
-    # pair's M is not, so it sweeps both columns of 4 components, 8 rows.
-    # Phases are real and integrated apart.
+    # the model's M is off-diagonal, so its propagator's terms are two
+    # chains: each sweep integrates 2 rows, whatever the data's columns,
+    # and 1 where r1 == r2 makes M skew-Hermitian (one chain is the other's
+    # conjugate up to sign). The pair's M is not off-diagonal, so it sweeps
+    # both columns of 4 components, 8 rows. Phases are real and integrated
+    # apart.
     samples = []
     integrate = march.cum_quad6
 
@@ -344,6 +347,81 @@ def test_each_sweep_integrates_only_the_rows_it_needs(monkeypatch, caplog, build
     msg = caplog.records[-1].getMessage()
     assert len(samples) == int(re.search(r"of (\d+) sweeps", msg).group(1))
     assert f"{rows} Neumann rows per sweep" in msg, msg
+
+
+def _sweeps_and_transfer(system, prob, caplog):
+    caplog.clear()
+    with caplog.at_level(logging.DEBUG, logger="crossing_kit"):
+        a = march.march(system, np.eye(2, dtype=complex), prob.x0, prob.x1)
+    msg = caplog.records[-1].getMessage()
+    return int(re.search(r"of (\d+) sweeps", msg).group(1)), a.T
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        *(
+            lambda h=h, k=k: model_corpus(h)[k]
+            for h in (1e-2, 1e-4)
+            for k in (0, 1, 2, 5)
+        ),
+        strong_coupling_problem,
+    ],
+    ids=[f"corpus-{k}-h{h:g}" for h in (1e-2, 1e-4) for k in (0, 1, 2, 5)]
+    + ["strong-model"],
+)
+def test_one_chain_equals_two_chains(caplog, build):
+    # r1 == r2: M is skew-Hermitian, and the march sweeps one chain of the
+    # propagator's terms and takes the other as its conjugate up to sign.
+    # Sweeping both chains gives the same T to rounding, in as many sweeps
+    prob = build()
+    system = _system(prob)
+    assert system.skew_hermitian
+    one = _sweeps_and_transfer(system, prob, caplog)
+    two = _sweeps_and_transfer(
+        dataclasses.replace(system, skew_hermitian=False), prob, caplog
+    )
+    assert one[0] == two[0]
+    assert np.abs(one[1] - two[1]).max() <= 1e-15
+
+
+# T at h = 1e-3 of the march that swept the one column v_0 = (1, 1),
+# v_{k+1} = int M v_k, before the chains: the two chains hold the same
+# numbers in swapped rows, so r1 != r2 keeps every bit
+_COLUMN_SWEEP_T = {
+    3: [
+        [(0.997803124727032+1.0280179731504427e-05j), (-0.05573004081907545-0.056248503637278305j)],
+        [(0.03882797571426787-0.03955731393273527j), (0.9978031247292478+1.0280175789019705e-05j)],
+    ],
+    4: [
+        [(0.9759290515502189+0.02766518455761646j), (-6.012165484869082e-13-0.17711882183305222j)],
+        [(4.325224223700687e-12-0.26421316164087966j), (0.9759290515512892-0.02766518455827067j)],
+    ],
+}
+
+
+@pytest.mark.parametrize("index", sorted(_COLUMN_SWEEP_T))
+def test_two_chains_keep_the_column_sweep_bits(index):
+    prob = model_corpus(1e-3)[index]
+    assert prob.r1 != prob.r2 and not _system(prob).skew_hermitian
+    assert (transfer_numeric(prob).entries == np.array(_COLUMN_SWEEP_T[index])).all()
+
+
+def test_skew_hermitian_requires_off_diagonal():
+    system = schrodinger._system(schrodinger.WkbBasis(schrodinger_corpus(1e-2)[0]))
+    with pytest.raises(ValueError, match="off-diagonal"):
+        dataclasses.replace(system, skew_hermitian=True)
+
+
+def test_overflow_stops_picard_at_once():
+    # a coupling near the float limit overflows the second sweep's product:
+    # the march raises StepFailure on that sweep's non-finite change, with
+    # no numpy RuntimeWarning (an error under this suite's filter)
+    prob = dataclasses.replace(
+        model_corpus(1e-2)[0], r1=Bump(0.5, 1e300), r2=Bump(0.5, 1e300)
+    )
+    with pytest.raises(StepFailure, match=r"overflowed: sweep 2 moved by nan"):
+        prob.extract()
 
 
 def test_strong_coupling_needs_no_fallback(caplog):
