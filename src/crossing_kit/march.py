@@ -21,13 +21,14 @@ a uniform grid that takes the widest dx resolving the fastest phase rate
 on its own span and one segment's length on each side with
 POINTS_PER_PERIOD nodes per period, so the mesh is coarse where the phases
 are stationary and fine where they turn fast; the last segment is
-shortened to end at the span's end. The grid is never built whole.
+shortened to end at the span's end, and takes the dx of the one before
+where the two differ by rounding alone. The grid is never built whole.
 
 The solve is cut apart from the mesh: each run of consecutive segments of
 one dx is solved as one Picard chunk, cut only where it would outgrow
 CHUNK_BYTES or PICARD_REACH. Chunks are solved in turn, each from the
 coefficients and phases at the last node of the one before: per chunk
-the phases come from cum_quad6 of their rates, and a from the Neumann
+the phases come from cum_quad10, a tenth-order rule, of their rates, and a from the Neumann
 series a = D_0 + D_1 + ..., D_0 = a(x_0) and D_{k+1} = int M D_k, the
 increments of Picard iteration a <- a(x_0) + int M a; all integrals start
 at the chunk's first node.
@@ -49,7 +50,7 @@ sweeps the columns of a themselves, columns x components rows.
 
 The sweeps allocate no array of a chunk's size: the latest increment,
 M D and the chains' multipliers live in work arrays allocated once per
-march and sized for its longest chunk, ``apply`` and ``cum_quad6`` write
+march and sized for its longest chunk, ``apply`` and ``cum_quad10`` write
 into them, and a is kept only at the chunk's last node.
 """
 
@@ -63,28 +64,33 @@ from typing import Callable
 
 import numpy as np
 
-from ._kernels import cum_quad6
+from ._kernels import cum_quad10
 from .errors import StepFailure, ValidationError
 
 # The mesh rule: each chunk resolves the fastest phase rate on and near its
 # own span with POINTS_PER_PERIOD nodes per period, and no dx is wider than
-# the one that puts N_MIN nodes on the system's interval. A march has fewer
-# than N_MAX nodes (it walks its grid in chunks, so the limit bounds its
-# run time, not its memory). The rate bound is read on RATE_PIECES equal
-# pieces of the marched span: a chunk's dx is at most the dx of every piece
-# it resolves, and the pieces' node count is checked before any planning.
-POINTS_PER_PERIOD = 24
+# the one that puts N_MIN nodes on the system's interval. With cum_quad10's
+# tenth-order rule, 14 points per period keep T within 2.5e-11 of the same
+# march at 96 on both corpora. A march has fewer than N_MAX nodes (it walks
+# its grid in chunks, so the limit bounds its run time, not its memory).
+# The rate bound is read on RATE_PIECES equal pieces of the marched span: a
+# chunk's dx is at most the dx of every piece it resolves, and the pieces'
+# node count is checked before any planning.
+POINTS_PER_PERIOD = 14
 N_MIN = 2001
 N_MAX = 40_000_000
 RATE_PIECES = 128
-# The march's working memory: a chunk takes about _BYTES_PER_NODE bytes of
-# work arrays per grid node (measured with tracemalloc), so no segment or
-# chunk has more than CHUNK_BYTES // _BYTES_PER_NODE nodes, whatever h is.
+# The march's working memory: no segment or chunk has more than
+# CHUNK_BYTES // _BYTES_PER_NODE nodes, whatever h is. _BYTES_PER_NODE bounds
+# the traced peak of a march per node of its longest chunk from above:
+# tracemalloc reads about 530 bytes for the pair's columns, 210 for the
+# model's two chains and 150 for its one. It sets the chunk length, and so
+# the peak memory, so it is kept above what the work arrays take.
 CHUNK_BYTES = 2**21
 _BYTES_PER_NODE = 1024
 # The plan's segment length keeps int |M| near CHUNK_COUPLING, which sets
 # the reach a segment's dx must resolve (see _plan). A segment has at least
-# _MIN_CHUNK_CELLS cells (cum_quad6 needs 6 nodes).
+# _MIN_CHUNK_CELLS cells (cum_quad10 needs 10 nodes).
 CHUNK_COUPLING = 0.25
 _MIN_CHUNK_CELLS = 10
 PICARD_TOL = 1e-14
@@ -196,8 +202,11 @@ def _plan(system: System, start: float, end: float) -> list[tuple[float, int]]:
     than their own rates need: a chunk's end cells use one-sided quadrature
     weights, whose error does not cancel along the oscillation as it does
     inside the chunk. A wider dx reaches further, so bisection finds the
-    widest. The last segment ends at ``end``. Raises ValidationError once
-    the plan reaches N_MAX nodes, before any work.
+    widest. The last segment ends at ``end``; where its dx differs from the
+    one before by rounding alone (1e-12 relative), it takes that dx, so a
+    run of equal dx is one Picard chunk and the plan still tiles the span
+    to 1e-12. Raises ValidationError once the plan reaches N_MAX nodes,
+    before any work.
     """
     own = _piece_spacing(system, start, end)
     widths = sorted(set(own))
@@ -219,7 +228,10 @@ def _plan(system: System, start: float, end: float) -> list[tuple[float, int]]:
         if rest <= cells:
             cells = max(_MIN_CHUNK_CELLS, rest)
             _check_budget(total + cells + 1)
-            return segments + [((span - u) / cells, cells)]
+            last = (span - u) / cells
+            if segments and abs(last - segments[-1][0]) <= 1e-12 * last:
+                last = segments[-1][0]
+            return segments + [(last, cells)]
         # leave the last segment its _MIN_CHUNK_CELLS: then a constant rate
         # marches max(_MIN_CHUNK_CELLS, ceil(span / dx)) cells in all
         cells = min(cells, max(_MIN_CHUNK_CELLS, rest - _MIN_CHUNK_CELLS))
@@ -272,7 +284,7 @@ def _picard(system: System, a0: np.ndarray, phi0: np.ndarray, x, dx: float, work
 
     a0 has shape (columns, components); phi0 holds the phases at x[0];
     ``work`` comes from _work for a0 on at least len(x) nodes. Sums a
-    Neumann series at the last node (cum_quad6 from x[0]) until its term
+    Neumann series at the last node (cum_quad10 from x[0]) until its term
     is negligible. Returns (a and the phases at the last node, sweeps).
 
     A general M sweeps D_0 = a0, D_{k+1} = int M D_k, the changes of the
@@ -292,7 +304,7 @@ def _picard(system: System, a0: np.ndarray, phi0: np.ndarray, x, dx: float, work
     finite (an overflow) raises StepFailure at once.
     """
     rate, coeffs = system.local(x)
-    phase = cum_quad6(rate, dx, initial=phi0)
+    phase = cum_quad10(rate, dx, initial=phi0)
     off = system.off_diagonal
     scale = float(np.max(np.abs(a0.real) + np.abs(a0.imag))) if off else 1.0
     if scale == 0.0:
@@ -319,7 +331,7 @@ def _picard(system: System, a0: np.ndarray, phi0: np.ndarray, x, dx: float, work
         system.apply(coeffs, osc, back, a0[:, :, None], m_d)
         integrand, sums = m_d, a0.astype(complex)[None]
     for it in range(1, PICARD_MAX_ITER + 1):
-        cum_quad6(integrand, dx, out=term)
+        cum_quad10(integrand, dx, out=term)
         sums[it % len(sums)] += term[:, :, -1]
         parts = term.view(np.float64)
         moved = max(float(parts.max()), -float(parts.min()))

@@ -1,65 +1,103 @@
 """Exactness, convergence and a scalar-loop reference for the inner-loop
 kernels, and the march's in-place kernels against the allocating formulas
-they replaced."""
+they replaced.
+
+The kernel was named cum_quad6 before its tenth-order rule; the tests of
+its call contract, which it kept, still carry that name."""
 
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from crossing_kit import _kernels, march, normalform, schrodinger
-from crossing_kit._kernels import cum_quad6
+from crossing_kit._kernels import cum_quad10
 from crossing_kit.normalform import model_corpus
 from crossing_kit.schrodinger import schrodinger_corpus
 
 
-def _cum_quad6_loop(values, dx, w6):
+def _cum_quad10_loop(values, dx, w10):
     # cumulative integral from the first grid point, one output per node
     n = values.shape[0]
     out = np.empty(n, dtype=np.complex128)
     out[0] = 0.0 + 0.0j
     acc = 0.0 + 0.0j
     for k in range(n - 1):
-        s = k - 2
+        s = k - 4
         if s < 0:
             s = 0
-        if s > n - 6:
-            s = n - 6
+        if s > n - 10:
+            s = n - 10
         d = k - s
         cell = 0.0 + 0.0j
-        for j in range(6):
-            cell += w6[d, j] * values[s + j]
+        for j in range(10):
+            cell += w10[d, j] * values[s + j]
         acc += dx * cell
         out[k + 1] = acc
     return out
 
 
-def test_cum_quad6_polynomial_exactness():
-    # the rule integrates quintics exactly (up to roundoff)
-    x = np.linspace(-1.0, 2.0, 301)
-    vals = (x**5 - 2 * x**3 + x - 4).astype(complex)
-    exact = (x**6 / 6 - x**4 / 2 + x**2 / 2 - 4 * x) - (
-        (-1.0) ** 6 / 6 - (-1.0) ** 4 / 2 + (-1.0) ** 2 / 2 - 4 * (-1.0)
-    )
-    got = cum_quad6(vals, x[1] - x[0])
-    assert np.max(np.abs(got - exact)) <= 1e-12
+def _moment_weights(points):
+    # row d: the weights w_j with sum_j w_j j^p = int_d^{d+1} t^p dt for
+    # p < points, by Gauss-Jordan elimination in exact rationals
+    rows = []
+    for d in range(points - 1):
+        system = [
+            [Fraction(j) ** p for j in range(points)]
+            + [Fraction((d + 1) ** (p + 1) - d ** (p + 1), p + 1)]
+            for p in range(points)
+        ]
+        for c in range(points):
+            pivot = next(r for r in range(c, points) if system[r][c] != 0)
+            system[c], system[pivot] = system[pivot], system[c]
+            for r in range(points):
+                if r != c and system[r][c] != 0:
+                    f = system[r][c] / system[c][c]
+                    system[r] = [a - f * b for a, b in zip(system[r], system[c])]
+        rows.append([system[j][points] / system[j][j] for j in range(points)])
+    return rows
 
 
-def test_cum_quad6_order_six():
-    # halving dx must shrink the error by ~2^6
+def test_cum_quad10_weights_are_the_moment_solution():
+    # the literal table is the exact rational solution, rounded once
+    exact = _moment_weights(10)
+    assert _kernels._W10.shape == (9, 10)
+    for row, want in zip(_kernels._W10, exact):
+        assert row.tolist() == [float(w) for w in want]
+        assert sum(want) == 1
+
+
+def test_cum_quad10_polynomial_exactness():
+    # the rule integrates degree-9 polynomials exactly (up to roundoff), on
+    # rows as short as the stencil
+    for n in (10, 11, 301):
+        x = np.linspace(-1.0, 2.0, n)
+        vals = (x**9 - 2 * x**3 + x - 4).astype(complex)
+        exact = (x**10 / 10 - x**4 / 2 + x**2 / 2 - 4 * x) - (
+            (-1.0) ** 10 / 10 - (-1.0) ** 4 / 2 + (-1.0) ** 2 / 2 - 4 * (-1.0)
+        )
+        got = cum_quad10(vals, x[1] - x[0])
+        assert np.max(np.abs(got - exact)) <= 1e-13 * (1.0 + np.max(np.abs(exact)))
+
+
+def test_cum_quad10_order_ten():
+    # halving dx must shrink the error by ~2^10; e^{4x} on [0, 2] keeps the
+    # error thousands of times above rounding at both resolutions
+    exact = (np.exp(8.0) - 1.0) / 4.0
     errs = []
-    for n in (201, 401):
-        x = np.linspace(0.0, 3.0, n)
-        got = cum_quad6(np.exp(1j * 4.0 * x), x[1] - x[0])[-1]
-        exact = (np.exp(1j * 12.0) - 1.0) / (4.0j)
-        errs.append(abs(got - exact))
+    for n in (31, 61):
+        x = np.linspace(0.0, 2.0, n)
+        errs.append(abs(cum_quad10(np.exp(4.0 * x), x[1] - x[0])[-1] - exact))
+    assert errs[1] > 1e3 * np.finfo(float).eps * exact
     order = np.log2(errs[0] / errs[1])
-    assert order > 5.5
+    assert 9.5 < order < 10.5, order
 
 
 def test_cum_quad6_short_input_rejected():
-    with pytest.raises(ValueError):
-        cum_quad6(np.ones(5, dtype=complex), 0.1)
+    for shape in ((9,), (3, 9), (1,)):
+        with pytest.raises(ValueError, match="at least 10"):
+            cum_quad10(np.ones(shape, dtype=complex), 0.1)
 
 
 def test_backends_agree():
@@ -68,18 +106,18 @@ def test_backends_agree():
     vals = rng.normal(size=x.size) + 1j * rng.normal(size=x.size)
     dx = x[1] - x[0]
     # the vectorized kernel against the scalar-loop reference above
-    a = _cum_quad6_loop(vals.astype(complex), dx, _kernels._W6)
-    b = cum_quad6(vals, dx)
+    a = _cum_quad10_loop(vals.astype(complex), dx, _kernels._W10)
+    b = cum_quad10(vals, dx)
     scale = np.max(np.abs(a)) + 1.0
     assert np.max(np.abs(a - b)) <= 1e-13 * scale
     # stacked rows share one flat stencil: each row must still match its
     # own scalar loop, in either direction
-    for shape in ((3, 40), (2, 4, 6), (2, 4, 7), (2, 4, 1001)):
+    for shape in ((3, 40), (2, 4, 10), (2, 4, 11), (2, 4, 19), (2, 4, 1001)):
         vals = rng.normal(size=shape) + 1j * rng.normal(size=shape)
         for dx in (2e-3, -7e-4):
-            got = cum_quad6(vals, dx)
+            got = cum_quad10(vals, dx)
             for row, out in zip(vals.reshape(-1, shape[-1]), got.reshape(-1, shape[-1])):
-                want = _cum_quad6_loop(row, dx, _kernels._W6)
+                want = _cum_quad10_loop(row, dx, _kernels._W10)
                 scale = np.max(np.abs(want)) + 1.0
                 assert np.max(np.abs(out - want)) <= 1e-13 * scale
 
@@ -88,10 +126,10 @@ def test_cum_quad6_rows_stay_isolated():
     # a row of zeros between rows of scale 1e150: nothing of its neighbours
     # may leak into it through the flat stencil
     rng = np.random.default_rng(2)
-    for n in (6, 7, 50):
+    for n in (10, 11, 19, 50):
         vals = 1e150 * (rng.normal(size=(3, n)) + 1j * rng.normal(size=(3, n)))
         vals[1] = 0.0
-        got = cum_quad6(vals, 0.01)
+        got = cum_quad10(vals, 0.01)
         assert (got[1] == 0.0).all()
         assert np.isfinite(got).all()
 
@@ -99,9 +137,9 @@ def test_cum_quad6_rows_stay_isolated():
 def test_cum_quad6_real_input_stays_real():
     rng = np.random.default_rng(4)
     vals = rng.normal(size=(2, 301))
-    got = cum_quad6(vals, 3e-3)
+    got = cum_quad10(vals, 3e-3)
     assert got.dtype == np.float64
-    want = cum_quad6(vals.astype(complex), 3e-3)
+    want = cum_quad10(vals.astype(complex), 3e-3)
     assert want.dtype == np.complex128
     np.testing.assert_allclose(got, want.real, rtol=0.0, atol=1e-15)
     assert (want.imag == 0.0).all()
@@ -112,8 +150,8 @@ def test_cum_quad6_initial_offsets_each_row():
     vals = _random_complex(rng, (2, 3, 200))
     start = _random_complex(rng, (2, 3))
     for initial in (2.5, start):
-        got = cum_quad6(vals, -4e-3, initial=initial)
-        want = np.asarray(initial)[..., None] + cum_quad6(vals, -4e-3)
+        got = cum_quad10(vals, -4e-3, initial=initial)
+        want = np.asarray(initial)[..., None] + cum_quad10(vals, -4e-3)
         assert (got[..., 0] == initial).all()
         np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-14)
 
@@ -122,11 +160,11 @@ def test_cum_quad6_refuses_an_aliased_out():
     # writing the stencil into the input would integrate overwritten samples
     w = np.exp(1j * np.linspace(0.0, 3.0, 101))
     with pytest.raises(ValueError, match="share memory"):
-        cum_quad6(w, 0.03, out=w)
+        cum_quad10(w, 0.03, out=w)
     buf = np.zeros(202, dtype=complex)
     buf[:101] = w
     with pytest.raises(ValueError, match="share memory"):
-        cum_quad6(buf[:101], 0.03, out=buf[50:151])
+        cum_quad10(buf[:101], 0.03, out=buf[50:151])
     assert (buf[:101] == w).all()
 
 
@@ -138,7 +176,7 @@ def test_cum_quad6_refuses_an_out_it_cannot_fill():
         np.empty((50, 2), dtype=complex).T,  # not C-contiguous
     ):
         with pytest.raises(ValueError, match="C-contiguous"):
-            cum_quad6(vals, 0.1, out=out)
+            cum_quad10(vals, 0.1, out=out)
 
 
 # -- the in-place kernels of the march, against the allocating formulas they
@@ -223,17 +261,17 @@ def test_apply_into_out_equals_the_allocating_formula(case, allocating, inplace)
 
 def test_cum_quad6_into_out_equals_a_fresh_result():
     rng = np.random.default_rng(5)
-    for shape in ((6,), (7,), (1001,), (3, 40), (2, 4, 333)):
+    for shape in ((10,), (11,), (1001,), (3, 40), (2, 4, 333)):
         values = _random_complex(rng, shape)
         for dx in (1e-3, -2.5e-4):
             for initial in (0.0, _random_complex(rng, shape[:-1])):
                 buf = _random_complex(rng, shape, scale=1e300)  # garbage
                 buf.flat[0] = np.nan
-                got = cum_quad6(values, dx, out=buf, initial=initial)
-                want = cum_quad6(values, dx, initial=initial)
+                got = cum_quad10(values, dx, out=buf, initial=initial)
+                want = cum_quad10(values, dx, initial=initial)
                 assert got is buf
                 assert (buf == want).all()
-            assert not np.signbit(cum_quad6(values, dx, out=buf)[..., 0].real).any()
+            assert not np.signbit(cum_quad10(values, dx, out=buf)[..., 0].real).any()
 
 
 def test_march_kernels_allocate_nothing_of_the_chunk_size():
@@ -252,12 +290,12 @@ def test_march_kernels_allocate_nothing_of_the_chunk_size():
     calls.append((v.nbytes, normalform._apply, (coeffs, osc, back, ones, mu[:, :2]), {}))
     calls.append((v.nbytes, np.copyto, (mu[:, 2], mu[:, 0]), {}))
     calls.append((v.nbytes, np.multiply, (mu[:, 1:], v), {"out": out}))
-    calls.append((v.nbytes, cum_quad6, (v, 1e-3), {"out": out}))
+    calls.append((v.nbytes, cum_quad10, (v, 1e-3), {"out": out}))
     _, coeffs, (osc, back), components = _pair_case(rng, n)
     a = _random_complex(rng, (2, components, n))
     out = np.empty_like(a)
     calls.append((a.nbytes, schrodinger._apply, (coeffs, osc, back, a, out), {}))
-    calls.append((a.nbytes, cum_quad6, (a, 1e-3), {"out": out}))
+    calls.append((a.nbytes, cum_quad10, (a, 1e-3), {"out": out}))
     for nbytes, call, args, kwargs in calls:
         call(*args, **kwargs)  # first-call caches
         tracemalloc.start()

@@ -142,7 +142,7 @@ def test_corpus_shape():
 
 
 def test_antiderivative_exact_for_linear_rate():
-    # f = x: the march carries F from F(x0) by cum_quad6 of the rate, which
+    # f = x: the march carries F from F(x0) by cum_quad10 of the rate, which
     # is exact for a linear rate, so F = x^2/2 at every chunk end
     prob = dataclasses.replace(model_corpus(1e-2)[0], r1=ZERO_BUMP, r2=ZERO_BUMP)
     system = _system(prob)
@@ -333,14 +333,14 @@ def test_each_sweep_integrates_only_the_rows_it_needs(monkeypatch, caplog, build
     # both columns of 4 components, 8 rows. Phases are real and integrated
     # apart.
     samples = []
-    integrate = march.cum_quad6
+    integrate = march.cum_quad10
 
     def counting(values, dx, out=None, initial=0.0):
         if np.iscomplexobj(values):
             samples.append((values.size, values.shape[-1]))
         return integrate(values, dx, out=out, initial=initial)
 
-    monkeypatch.setattr(march, "cum_quad6", counting)
+    monkeypatch.setattr(march, "cum_quad10", counting)
     with caplog.at_level(logging.DEBUG, logger="crossing_kit"):
         build().extract()
     assert samples and all(size == rows * nodes for size, nodes in samples), samples
@@ -386,16 +386,17 @@ def test_one_chain_equals_two_chains(caplog, build):
 
 
 # T at h = 1e-3 of the march that swept the one column v_0 = (1, 1),
-# v_{k+1} = int M v_k, before the chains: the two chains hold the same
-# numbers in swapped rows, so r1 != r2 keeps every bit
+# v_{k+1} = int M v_k, before the chains, run with the tenth-order rule at
+# POINTS_PER_PERIOD = 14: the two chains hold the same numbers in swapped
+# rows, so r1 != r2 keeps every bit
 _COLUMN_SWEEP_T = {
     3: [
-        [(0.997803124727032+1.0280179731504427e-05j), (-0.05573004081907545-0.056248503637278305j)],
-        [(0.03882797571426787-0.03955731393273527j), (0.9978031247292478+1.0280175789019705e-05j)],
+        [(0.9978031247273405+1.0280174443002112e-05j), (-0.05573004071168027-0.05624850376008401j)],
+        [(0.0388279757019725-0.039557313962824685j), (0.9978031247275791+1.0280174404021284e-05j)],
     ],
     4: [
-        [(0.9759290515502189+0.02766518455761646j), (-6.012165484869082e-13-0.17711882183305222j)],
-        [(4.325224223700687e-12-0.26421316164087966j), (0.9759290515512892-0.02766518455827067j)],
+        [(0.9759290515502345+0.02766518455758154j), (-3.988783003807481e-15-0.17711882183302546j)],
+        [(5.919251249862073e-15-0.26421316164677144j), (0.9759290515502343-0.027665184557581563j)],
     ],
 }
 
@@ -428,14 +429,15 @@ def test_strong_coupling_needs_no_fallback(caplog):
     # chunks short enough for Picard at any coupling strength: the march
     # matches the direct integration, in its one DEBUG line and no other;
     # it marches the couplings' support [-1.5, 1.5], not [-2, 2], in 37
-    # segments of one dx, solved 6 at a time within PICARD_REACH
+    # segments of one dx, solved 6 at a time within PICARD_REACH; the last
+    # chunk also takes the short end segment
     prob = strong_coupling_problem()
     with caplog.at_level(logging.DEBUG, logger="crossing_kit"):
         T = prob.extract()
     assert np.abs(T.entries - ode_reference(prob)).max() <= 1e-9
     assert [r.levelno for r in caplog.records] == [logging.DEBUG]
     msg = caplog.records[0].getMessage()
-    assert "37 segments" in msg and "7 Picard chunks" in msg, msg
+    assert "37 segments" in msg and "6 Picard chunks" in msg, msg
 
 
 def test_picard_fails_loudly_on_an_uncut_strong_coupling(monkeypatch):
@@ -443,14 +445,14 @@ def test_picard_fails_loudly_on_an_uncut_strong_coupling(monkeypatch):
     # couplings' support does not contract within PICARD_MAX_ITER sweeps:
     # the march raises instead of returning a T. Chunks cut by the coupling
     # rule converge and match the direct integration. Without the
-    # PICARD_REACH cut the first chunk takes every segment but the last,
-    # whose dx rounds apart.
+    # PICARD_REACH cut one chunk takes every segment: the last one's dx,
+    # which differs by rounding alone, is the others'.
     strong = strong_coupling_problem()
     prob = dataclasses.replace(strong, r1=Bump(1.5, 12.0), r2=Bump(1.5, 12.0))
     T = prob.extract()
     assert np.abs(T.entries - ode_reference(prob)).max() <= 1e-9
     monkeypatch.setattr(march, "PICARD_REACH", 1e9)  # one chunk
-    with pytest.raises(StepFailure, match=r"Picard iteration on \[-1.5, 1.48\]"):
+    with pytest.raises(StepFailure, match=r"Picard iteration on \[-1.5, 1.5\]"):
         prob.extract()
 
 
@@ -478,7 +480,8 @@ def test_march_system_does_not_outlive_its_extraction(monkeypatch):
 
 def test_one_debug_line_per_march(caplog):
     # at h = 1e-2 the N_MIN cap (2 / 2000) sets dx on the whole support; the
-    # last of the 7 segments rounds to another dx, so it is a chunk apart
+    # last of the 7 segments would round to another dx, so it takes the
+    # others' and the run is one chunk
     prob = model_corpus(1e-2)[0]
     with caplog.at_level(logging.DEBUG, logger="crossing_kit"):
         transfer_numeric(prob)
@@ -491,7 +494,7 @@ def test_one_debug_line_per_march(caplog):
         "1601 nodes on [-0.8, 0.8] (from x=-1 to 1)",
         "7 segments",
         "dx 0.001 to 0.001",
-        "2 Picard chunks of 18 sweeps, at most 14 in a chunk",
+        "1 Picard chunks of 14 sweeps, at most 14 in a chunk",
     ):
         assert word in msg, msg
 

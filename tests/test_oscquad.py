@@ -155,9 +155,9 @@ def test_numeric_error_estimate_quiet_regime():
     value = osc_integral_numeric(ph, amp, 1.0, (-0.6, 0.6))
     xs = np.linspace(-0.6, 0.6, 20001)
     integrand = amp(xs) * np.exp(1j * ph.func(xs))
-    from crossing_kit._kernels import cum_quad6
+    from crossing_kit._kernels import cum_quad10
 
-    ref = cum_quad6(integrand.astype(complex), xs[1] - xs[0])[-1]
+    ref = cum_quad10(integrand.astype(complex), xs[1] - xs[0])[-1]
     assert abs(value - ref) <= 1e-10
 
 

@@ -384,6 +384,23 @@ def test_march_resolution_is_converged(monkeypatch, prob):
     assert coarse.max_abs_diff(fine) <= 1e-9
 
 
+_DENSE = {
+    **{f"model-{h:g}": (model_corpus, range(6), h) for h in (1e-2, 3e-3, 1e-3)},
+    **{f"pair-{h:g}": (schrodinger_corpus, range(2), h) for h in (1e-2, 2.5e-3)},
+}
+
+
+@pytest.mark.parametrize("corpus, indices, h", _DENSE.values(), ids=_DENSE.keys())
+def test_march_is_within_2e_11_of_a_dense_march(monkeypatch, corpus, indices, h):
+    # the march at its default density against the same march at 96 points
+    # per period, on every problem of both corpora that runs case i
+    coarse = [corpus(h)[k].extract() for k in indices]
+    monkeypatch.setattr(march, "POINTS_PER_PERIOD", 96)
+    for k, got in zip(indices, coarse):
+        err = got.max_abs_diff(corpus(h)[k].extract())
+        assert err <= 2e-11, (k, err)
+
+
 def test_march_fails_loudly_at_the_picard_cap():
     # a coupling so strong that even the shortest chunk spans many
     # e-foldings: Picard cannot converge in PICARD_MAX_ITER sweeps
@@ -398,11 +415,12 @@ def test_march_fails_loudly_at_the_picard_cap():
 
 def test_march_memory_is_bounded():
     # the march never holds the whole grid: its peak is set by CHUNK_BYTES,
-    # not by the 10x larger node count at the smaller h. The model's
-    # coupling cuts its chunks short down to h = 1e-4, so it is compared
-    # where its chunks have their CHUNK_BYTES length, a decade lower.
+    # not by the 10x larger node count at the smaller h. Each family's
+    # coupling cuts its chunks short at larger h (the pair's at h = 1e-3,
+    # the model's down to 1e-4), so each is compared from where its chunks
+    # have their CHUNK_BYTES length.
     for corpus, (h_big, h_small) in (
-        (schrodinger_corpus, (1e-3, 1e-4)),
+        (schrodinger_corpus, (5e-4, 5e-5)),
         (model_corpus, (1e-4, 1e-5)),
     ):
         peaks = {}
@@ -418,14 +436,49 @@ def test_march_memory_is_bounded():
         assert peaks[h_small] < 1.25 * peaks[h_big], corpus
 
 
+_PEAKS = {
+    "pair-0-0.01": schrodinger_corpus(1e-2)[0],
+    "pair-1-0.001": schrodinger_corpus(1e-3)[1],
+    "pair-0-0.0001": schrodinger_corpus(1e-4)[0],
+    "model-0-0.01": model_corpus(1e-2)[0],
+    "model-3-0.0001": model_corpus(1e-4)[3],
+    "model-1-1e-05": model_corpus(1e-5)[1],
+}
+
+
+@pytest.mark.parametrize("prob", _PEAKS.values(), ids=_PEAKS.keys())
+def test_march_peak_is_within_bytes_per_node(monkeypatch, prob):
+    # _BYTES_PER_NODE sets the longest chunk: the traced peak of an
+    # extraction stays within it per node of that chunk, for one chain, two
+    # chains and the pair's columns (about 150, 210 and 530 bytes a node)
+    longest = []
+    chunks = march._chunks
+
+    def recording(system, plan):
+        found = chunks(system, plan)
+        longest.append(max(cells for _, cells in found))
+        return found
+
+    monkeypatch.setattr(march, "_chunks", recording)
+    prob.extract()  # first-call caches
+    tracemalloc.start()
+    try:
+        prob.extract()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= (max(longest) + 1) * march._BYTES_PER_NODE, (peak, longest)
+
+
 def test_node_budget_counts_the_marched_grid():
-    # the march resolves 2 max phi_j' = 2.28 on [-1.2, 1.2]: at h = 4e-7 its
-    # grid needs about 52M nodes, over the 40M budget, though a grid for
+    # the march resolves 2 max phi_j' = 2.28 on [-1.2, 1.2]: at h = 2.5e-7
+    # its grid needs about 49M nodes, over the 40M budget, though a grid for
     # max phi_j' alone would fit. The model's graded grid follows |f| = |x|
-    # on the coupling support [-0.8, 0.8]: its plan has about 24.9M nodes
+    # on the coupling support [-0.8, 0.8]: its plan has about 14.5M nodes
     # at h = 1e-7, which fits, and the pieces' estimate alone reads about
-    # 41.4M at h = 6e-8 and 50M at h = 5e-8. Both refused before any work.
-    for prob in (schrodinger_corpus(4e-7)[0], model_corpus(5e-8)[0]):
+    # 41.4M at h = 3.5e-8 and 48.3M at h = 3e-8. Both refused before any
+    # work.
+    for prob in (schrodinger_corpus(2.5e-7)[0], model_corpus(3e-8)[0]):
         with pytest.raises(ValidationError, match="nodes"):
             prob.extract()
 
