@@ -11,10 +11,9 @@ schrodinger-corpus 0 at h = 1e-2 .. 1e-5, with the
 times in one process (the median is kept); its node count, Picard chunk
 count, total Picard sweeps and the Neumann rows each sweep integrates
 come from the march's DEBUG line, and ``us_per_node`` is the median
-seconds per marched node in microseconds. A tree whose DEBUG line
-predates Picard chunks of several mesh segments reports its chunks as
-``N chunks`` and no sweep total: ``sweeps`` is then null; one that
-predates the rows count has ``rows_per_sweep`` null. Writes
+seconds per marched node in microseconds. Each measured tree prints the
+DEBUG line's ``marched N nodes``, ``N Picard chunks of S sweeps`` and
+``N Neumann rows per sweep`` (every tree from 2b05510 on does). Writes
 BENCH_graded_march.json in the repo root (or ``--out``) with the rows,
 the log-log slope of seconds against 1/h per problem, and the
 environment.
@@ -70,13 +69,8 @@ class _March(logging.Handler):
             return
         self.nodes = int(found.group(1))
         solve = re.search(r"(\d+) Picard chunks of (\d+) sweeps", msg)
-        if solve:
-            self.chunks, self.sweeps = int(solve.group(1)), int(solve.group(2))
-        else:
-            self.chunks = int(re.search(r"in (\d+) chunks", msg).group(1))
-            self.sweeps = None
-        rows = re.search(r"(\d+) Neumann rows per sweep", msg)
-        self.rows = int(rows.group(1)) if rows else None
+        self.chunks, self.sweeps = int(solve.group(1)), int(solve.group(2))
+        self.rows = int(re.search(r"(\d+) Neumann rows per sweep", msg).group(1))
 
 
 def _cpu() -> str:

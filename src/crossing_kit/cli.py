@@ -474,7 +474,6 @@ def _run_single_solve(config: RunConfig) -> int:
 def _run_grid(config: RunConfig) -> int:
     prob = config.problem
     report = sweep_mod.run_sweep(prob, config.h_values)
-    sweep_mod.attach_fits(report, prob.order)
     sweep_mod.write_csv(report, config.csv_path)
     log.info("wrote %d rows to %s", len(report.rows), config.csv_path)
 
@@ -486,6 +485,14 @@ def _run_grid(config: RunConfig) -> int:
     for row in report.rows:
         if row.status != "ok":
             print(f"  h={row.h:.6e}  {row.status}  {row.detail}")
+    # too few usable rows to fit is a numerical failure of the sweep: its
+    # rows, failed ones with their detail, are written all the same
+    try:
+        sweep_mod.attach_fits(report, prob.order)
+        failure = "" if n_ok else "no usable rows"
+    except CrossingKitError as exc:
+        report.fits.clear()
+        failure = f"{n_ok} usable rows: {exc}"
     for q, f in report.fits.items():
         tag = " (log envelope)" if f.with_log else ""
         print(
@@ -506,9 +513,9 @@ def _run_grid(config: RunConfig) -> int:
         ],
     }
 
-    if n_ok == 0:
+    if failure:
         _write_summary(config, summary)
-        print("result: NUMERICAL FAILURE (no usable rows)")
+        print(f"result: NUMERICAL FAILURE ({failure})")
         return 3
 
     if config.mode == "sweep":

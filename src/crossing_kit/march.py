@@ -16,22 +16,20 @@ marched on the model's system for the one column (0, 1).
 The march carries a unchanged across the part of its span where M
 vanishes, and marches only the rest, the span's overlap with the system's
 ``support``; the phases at the start of the marched span come from the
-system's exact phases. The mesh is planned in one pass as segments, each
-a uniform grid that takes the widest dx resolving the fastest phase rate
-on its own span and one segment's length on each side with
-POINTS_PER_PERIOD nodes per period, so the mesh is coarse where the phases
-are stationary and fine where they turn fast; the last segment is
-shortened to end at the span's end, and takes the dx of the one before
-where the two differ by rounding alone. The grid is never built whole.
+system's exact phases. The mesh is planned in one pass as Picard chunks,
+each a uniform grid within CHUNK_BYTES and int |M| <= PICARD_REACH that
+takes the widest dx resolving the fastest phase rate on its own span and
+one chunk's length on each side with POINTS_PER_PERIOD nodes per period,
+so the mesh is coarse where the phases are stationary and fine where they
+turn fast; the last chunk is shortened to end at the span's end. The grid
+is never built whole.
 
-The solve is cut apart from the mesh: each run of consecutive segments of
-one dx is solved as one Picard chunk, cut only where it would outgrow
-CHUNK_BYTES or PICARD_REACH. Chunks are solved in turn, each from the
-coefficients and phases at the last node of the one before: per chunk
-the phases come from cum_quad10, a tenth-order rule, of their rates, and a from the Neumann
-series a = D_0 + D_1 + ..., D_0 = a(x_0) and D_{k+1} = int M D_k, the
-increments of Picard iteration a <- a(x_0) + int M a; all integrals start
-at the chunk's first node.
+Chunks are solved in turn, each from the coefficients and phases at the
+last node of the one before: per chunk the phases come from cum_quad10, a
+tenth-order rule, of their rates, and a from the Neumann series
+a = D_0 + D_1 + ..., D_0 = a(x_0) and D_{k+1} = int M D_k, the increments
+of Picard iteration a <- a(x_0) + int M a; all integrals start at the
+chunk's first node.
 
 Where M is off-diagonal, M = [[0, mu1], [mu2, 0]] (the reduced model),
 the terms of the chunk's propagator U, a(end) = U a(x_0), are diagonal at
@@ -80,7 +78,7 @@ POINTS_PER_PERIOD = 14
 N_MIN = 2001
 N_MAX = 40_000_000
 RATE_PIECES = 128
-# The march's working memory: no segment or chunk has more than
+# The march's working memory: no chunk has more than
 # CHUNK_BYTES // _BYTES_PER_NODE nodes, whatever h is. _BYTES_PER_NODE bounds
 # the traced peak of a march per node of its longest chunk from above:
 # tracemalloc reads about 530 bytes for the pair's columns, 210 for the
@@ -88,17 +86,15 @@ RATE_PIECES = 128
 # the peak memory, so it is kept above what the work arrays take.
 CHUNK_BYTES = 2**21
 _BYTES_PER_NODE = 1024
-# The plan's segment length keeps int |M| near CHUNK_COUPLING, which sets
-# the reach a segment's dx must resolve (see _plan). A segment has at least
-# _MIN_CHUNK_CELLS cells (cum_quad10 needs 10 nodes).
-CHUNK_COUPLING = 0.25
+# A chunk has at least _MIN_CHUNK_CELLS cells (cum_quad10 needs 10 nodes).
 _MIN_CHUNK_CELLS = 10
 PICARD_TOL = 1e-14
 PICARD_MAX_ITER = 40
-# Picard on a chunk contracts at worst like (int |M|)^k / k!. A chunk of
-# several segments keeps int |M| within PICARD_REACH, the c at which that
-# worst case meets PICARD_TOL within half the sweep cap: c^20 / 20! = 1e-14
-# gives c = 1.657. On an oscillating M it contracts far faster.
+# Picard on a chunk contracts at worst like (int |M|)^k / k!. A chunk keeps
+# int |M| within PICARD_REACH, the c at which that worst case meets
+# PICARD_TOL within half the sweep cap: c^20 / 20! = 1e-14 gives c = 1.657;
+# its length is also the reach its dx must resolve (see _plan). On an
+# oscillating M it contracts far faster.
 PICARD_REACH = (PICARD_TOL * math.factorial(PICARD_MAX_ITER // 2)) ** (
     1.0 / (PICARD_MAX_ITER // 2)
 )
@@ -124,7 +120,7 @@ class System:
     (phases,). ``rate_on(lo, hi)`` bounds max_p |phi_p'| on each
     [lo[k], hi[k]] of the arrays lo <= hi; it sets the mesh and the node
     budget. ``coupling`` bounds the largest row sum of |M|; it sets the
-    segment and chunk lengths.
+    chunk lengths.
 
     ``off_diagonal`` states that M = [[0, mu1], [mu2, 0]] everywhere, with
     two components, and ``skew_hermitian`` that M is off-diagonal with
@@ -152,13 +148,14 @@ class System:
 
 
 def _chunk_cells(system: System, dx: float) -> int:
-    """Cells per segment of the plan: within CHUNK_BYTES, and with int |M|
-    near CHUNK_COUPLING, whatever the coupling strength."""
+    """Cells per Picard chunk of the plan: within CHUNK_BYTES, and with
+    int |M| within PICARD_REACH unless that leaves under _MIN_CHUNK_CELLS,
+    whatever the coupling strength."""
     cells = CHUNK_BYTES // _BYTES_PER_NODE - 1
     reach = system.coupling * abs(dx)
     # compared before int(): near the underflow limit the ratio is infinite
-    if reach > 0.0 and CHUNK_COUPLING / reach < cells:
-        cells = int(CHUNK_COUPLING / reach)
+    if reach > 0.0 and PICARD_REACH / reach < cells:
+        cells = int(PICARD_REACH / reach)
     return max(_MIN_CHUNK_CELLS, cells)
 
 
@@ -194,25 +191,22 @@ def _check_budget(nodes: float) -> None:
 
 
 def _plan(system: System, start: float, end: float) -> list[tuple[float, int]]:
-    """Segments (|dx|, cells) that grid [start, end] in march order.
+    """Picard chunks (|dx|, cells) that grid [start, end] in march order.
 
-    A segment at distance u from start takes the widest piece dx that is at
+    A chunk at distance u from start takes the widest piece dx that is at
     most the dx of every piece on [u - L, u + 2L], L = _chunk_cells(dx) * dx
-    being its length. Where dx steps between segments, both are then finer
+    being its length. Where dx steps between chunks, both are then finer
     than their own rates need: a chunk's end cells use one-sided quadrature
     weights, whose error does not cancel along the oscillation as it does
     inside the chunk. A wider dx reaches further, so bisection finds the
-    widest. The last segment ends at ``end``; where its dx differs from the
-    one before by rounding alone (1e-12 relative), it takes that dx, so a
-    run of equal dx is one Picard chunk and the plan still tiles the span
-    to 1e-12. Raises ValidationError once the plan reaches N_MAX nodes,
-    before any work.
+    widest. The last chunk ends at ``end``. Raises ValidationError once the
+    plan reaches N_MAX nodes, before any work.
     """
     own = _piece_spacing(system, start, end)
     widths = sorted(set(own))
     span = abs(end - start)
     piece = span / RATE_PIECES
-    segments, u, total = [], 0.0, 0
+    chunks, u, total = [], 0.0, 0
 
     def too_wide(d: float) -> bool:
         reach = _chunk_cells(system, d) * d
@@ -228,34 +222,14 @@ def _plan(system: System, start: float, end: float) -> list[tuple[float, int]]:
         if rest <= cells:
             cells = max(_MIN_CHUNK_CELLS, rest)
             _check_budget(total + cells + 1)
-            last = (span - u) / cells
-            if segments and abs(last - segments[-1][0]) <= 1e-12 * last:
-                last = segments[-1][0]
-            return segments + [(last, cells)]
-        # leave the last segment its _MIN_CHUNK_CELLS: then a constant rate
+            return chunks + [((span - u) / cells, cells)]
+        # leave the last chunk its _MIN_CHUNK_CELLS: then a constant rate
         # marches max(_MIN_CHUNK_CELLS, ceil(span / dx)) cells in all
         cells = min(cells, max(_MIN_CHUNK_CELLS, rest - _MIN_CHUNK_CELLS))
-        segments.append((d, cells))
+        chunks.append((d, cells))
         u += cells * d
         total += cells
         _check_budget(total + 1)
-
-
-def _chunks(system: System, plan: list[tuple[float, int]]) -> list[tuple[float, int]]:
-    """Picard chunks (|dx|, cells) in march order: each a run of consecutive
-    segments of the plan with one dx, cut before a segment that would take
-    it past CHUNK_BYTES or past int |M| = PICARD_REACH. A segment that is
-    past PICARD_REACH on its own is a chunk of its own."""
-    most = CHUNK_BYTES // _BYTES_PER_NODE - 1
-    chunks = []
-    for dx, cells in plan:
-        if chunks and chunks[-1][0] == dx:
-            merged = chunks[-1][1] + cells
-            if merged <= most and system.coupling * merged * dx <= PICARD_REACH:
-                chunks[-1] = (dx, merged)
-                continue
-        chunks.append((dx, cells))
-    return chunks
 
 
 def _rows(system: System, a: np.ndarray) -> tuple[int, ...]:
@@ -373,12 +347,11 @@ def march(system: System, a: np.ndarray, x_from: float, x_to: float) -> np.ndarr
     Only the span's overlap with ``system.support`` is marched, from the
     exact phases at its start; a is constant on the rest. The node budget
     is checked before any work, and a span where M vanishes returns a as it
-    is. The mesh is _plan's segments; each run of segments of one dx is
-    solved as one Picard chunk, within CHUNK_BYTES and int |M| <=
-    PICARD_REACH (_chunks). One DEBUG line on the ``crossing_kit`` logger
-    reports nodes, the marched span, segments, the smallest and largest
-    dx, Picard chunks, the sweeps of all chunks, the most any chunk
-    needed and the Neumann rows each sweep integrates (_rows). An
+    is. The march solves _plan's Picard chunks in turn. One DEBUG line on
+    the ``crossing_kit`` logger reports nodes, the marched span, the
+    smallest and largest dx, Picard chunks, the sweeps of all chunks, the
+    most any chunk needed and the Neumann rows each sweep integrates
+    (_rows). An
     overflow in a sweep raises StepFailure, without a numpy warning.
     Returns the coefficients at x_to.
     """
@@ -394,8 +367,7 @@ def march(system: System, a: np.ndarray, x_from: float, x_to: float) -> np.ndarr
         )
         return a
     start, end = (lo, hi) if x_to > x_from else (hi, lo)
-    plan = _plan(system, start, end)
-    chunks = _chunks(system, plan)
+    chunks = _plan(system, start, end)
     work = _work(system, a, max(cells for _, cells in chunks) + 1)
     direction = 1.0 if end > start else -1.0
     x, phi, sweeps, worst = start, system.phases(start), 0, 0
@@ -407,18 +379,17 @@ def march(system: System, a: np.ndarray, x_from: float, x_to: float) -> np.ndarr
             sweeps, worst = sweeps + iters, max(worst, iters)
             x = nodes[-1]
     logger.debug(
-        "h=%.6e: marched %d nodes on [%g, %g] (from x=%g to %g) in %d "
-        "segments, dx %.3g to %.3g, as %d Picard chunks of %d sweeps, at "
-        "most %d in a chunk, %d Neumann rows per sweep",
+        "h=%.6e: marched %d nodes on [%g, %g] (from x=%g to %g), dx %.3g "
+        "to %.3g, as %d Picard chunks of %d sweeps, at most %d in a chunk, "
+        "%d Neumann rows per sweep",
         system.h,
-        sum(cells for _, cells in plan) + 1,
+        sum(cells for _, cells in chunks) + 1,
         lo,
         hi,
         x_from,
         x_to,
-        len(plan),
-        min(dx for dx, _ in plan),
-        max(dx for dx, _ in plan),
+        min(dx for dx, _ in chunks),
+        max(dx for dx, _ in chunks),
         len(chunks),
         sweeps,
         worst,

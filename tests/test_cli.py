@@ -396,6 +396,32 @@ def test_h_near_underflow_is_a_numerical_failure(tmp_path, capsys):
     assert all("n_max" in r["detail"] for r in rows)
 
 
+@pytest.mark.parametrize("mode", ["sweep", "verify"])
+def test_too_few_rows_to_fit_keep_their_outputs(tmp_path, capsys, mode):
+    # a coupling that Picard cannot resolve at the three largest h: the two
+    # rows left cannot be fitted, which is a numerical failure, but the CSV
+    # and the summary are written and each failed row says why
+    csv, summary = tmp_path / "rows.csv", tmp_path / "summary.json"
+    cfg = {
+        "problem": model_block(coupling={"width": 0.8, "amplitude": 380.0}),
+        "h_grid": {"values": [0.1, 0.03, 0.01, 0.003, 0.001]},
+        "output": {"csv": str(csv), "summary": str(summary)},
+    }
+    assert main([mode, "--config", write_config(tmp_path, cfg)]) == 3
+    out = capsys.readouterr().out.splitlines()
+    assert sum("failed:StepFailure  Picard iteration" in ln for ln in out) == 3
+    assert out[-1] == (
+        "result: NUMERICAL FAILURE (2 usable rows: power-law fit needs at "
+        "least 3 points)"
+    )
+    assert len(csv.read_text(encoding="utf-8").strip().splitlines()) == 6
+    payload = json.loads(summary.read_text(encoding="utf-8"))
+    assert payload["ok_rows"] == 2 and payload["fits"] == {}
+    rows = payload["failed_rows"]
+    assert [r["h"] for r in rows] == [0.1, 0.03, 0.01]
+    assert all("Picard iteration" in r["detail"] for r in rows)
+
+
 def test_huge_grid_count_rejected_before_allocation(tmp_path, capsys):
     cfg = {
         "problem": {"kind": "model-corpus", "index": 0},

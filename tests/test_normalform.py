@@ -274,8 +274,8 @@ def test_picard_stop_bounds_the_truncation(monkeypatch):
     # a chunk's Picard iteration stops once no entry moves by more than
     # PICARD_TOL; it contracts far faster than by half per sweep, so what
     # the stop leaves out is below PICARD_TOL per chunk, and T stops
-    # within chunks * PICARD_TOL of the converged value (2 Picard chunks
-    # here; the bound allows one per segment of the plan, 7)
+    # within chunks * PICARD_TOL of the converged value (1 Picard chunk
+    # here; the bound allows 7)
     prob = model_corpus(1e-2)[1]
     converged = transfer_numeric(prob)
     monkeypatch.setattr(march, "PICARD_TOL", 1e-8)
@@ -387,12 +387,12 @@ def test_one_chain_equals_two_chains(caplog, build):
 
 # T at h = 1e-3 of the march that swept the one column v_0 = (1, 1),
 # v_{k+1} = int M v_k, before the chains, run with the tenth-order rule at
-# POINTS_PER_PERIOD = 14: the two chains hold the same numbers in swapped
-# rows, so r1 != r2 keeps every bit
+# POINTS_PER_PERIOD = 14 on the plan of Picard chunks: the two chains hold
+# the same numbers in swapped rows, so r1 != r2 keeps every bit
 _COLUMN_SWEEP_T = {
     3: [
-        [(0.9978031247273405+1.0280174443002112e-05j), (-0.05573004071168027-0.05624850376008401j)],
-        [(0.0388279757019725-0.039557313962824685j), (0.9978031247275791+1.0280174404021284e-05j)],
+        [(0.9978031247275067+1.0280174314837534e-05j), (-0.055730040706441615-0.056248503761520435j)],
+        [(0.0388279757019009-0.039557313963581885j), (0.9978031247275205+1.0280174313978794e-05j)],
     ],
     4: [
         [(0.9759290515502345+0.02766518455758154j), (-3.988783003807481e-15-0.17711882183302546j)],
@@ -428,16 +428,15 @@ def test_overflow_stops_picard_at_once():
 def test_strong_coupling_needs_no_fallback(caplog):
     # chunks short enough for Picard at any coupling strength: the march
     # matches the direct integration, in its one DEBUG line and no other;
-    # it marches the couplings' support [-1.5, 1.5], not [-2, 2], in 37
-    # segments of one dx, solved 6 at a time within PICARD_REACH; the last
-    # chunk also takes the short end segment
+    # it marches the couplings' support [-1.5, 1.5], not [-2, 2], in 6
+    # Picard chunks of one dx, each within PICARD_REACH
     prob = strong_coupling_problem()
     with caplog.at_level(logging.DEBUG, logger="crossing_kit"):
         T = prob.extract()
     assert np.abs(T.entries - ode_reference(prob)).max() <= 1e-9
     assert [r.levelno for r in caplog.records] == [logging.DEBUG]
     msg = caplog.records[0].getMessage()
-    assert "37 segments" in msg and "6 Picard chunks" in msg, msg
+    assert "6 Picard chunks" in msg, msg
 
 
 def test_picard_fails_loudly_on_an_uncut_strong_coupling(monkeypatch):
@@ -445,8 +444,7 @@ def test_picard_fails_loudly_on_an_uncut_strong_coupling(monkeypatch):
     # couplings' support does not contract within PICARD_MAX_ITER sweeps:
     # the march raises instead of returning a T. Chunks cut by the coupling
     # rule converge and match the direct integration. Without the
-    # PICARD_REACH cut one chunk takes every segment: the last one's dx,
-    # which differs by rounding alone, is the others'.
+    # PICARD_REACH cut one chunk, within CHUNK_BYTES, spans the support.
     strong = strong_coupling_problem()
     prob = dataclasses.replace(strong, r1=Bump(1.5, 12.0), r2=Bump(1.5, 12.0))
     T = prob.extract()
@@ -479,9 +477,8 @@ def test_march_system_does_not_outlive_its_extraction(monkeypatch):
 
 
 def test_one_debug_line_per_march(caplog):
-    # at h = 1e-2 the N_MIN cap (2 / 2000) sets dx on the whole support; the
-    # last of the 7 segments would round to another dx, so it takes the
-    # others' and the run is one chunk
+    # at h = 1e-2 the N_MIN cap (2 / 2000) sets dx on the whole support,
+    # which is one Picard chunk
     prob = model_corpus(1e-2)[0]
     with caplog.at_level(logging.DEBUG, logger="crossing_kit"):
         transfer_numeric(prob)
@@ -492,7 +489,6 @@ def test_one_debug_line_per_march(caplog):
     for word in (
         "h=1.000000e-02",
         "1601 nodes on [-0.8, 0.8] (from x=-1 to 1)",
-        "7 segments",
         "dx 0.001 to 0.001",
         "1 Picard chunks of 14 sweeps, at most 14 in a chunk",
     ):

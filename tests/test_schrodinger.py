@@ -452,14 +452,14 @@ def test_march_peak_is_within_bytes_per_node(monkeypatch, prob):
     # extraction stays within it per node of that chunk, for one chain, two
     # chains and the pair's columns (about 150, 210 and 530 bytes a node)
     longest = []
-    chunks = march._chunks
+    plan = march._plan
 
-    def recording(system, plan):
-        found = chunks(system, plan)
-        longest.append(max(cells for _, cells in found))
-        return found
+    def recording(system, start, end):
+        chunks = plan(system, start, end)
+        longest.append(max(cells for _, cells in chunks))
+        return chunks
 
-    monkeypatch.setattr(march, "_chunks", recording)
+    monkeypatch.setattr(march, "_plan", recording)
     prob.extract()  # first-call caches
     tracemalloc.start()
     try:
@@ -574,10 +574,9 @@ def test_each_chunk_takes_the_widest_dx_that_resolves_its_reach(monkeypatch, run
         assert u == pytest.approx(abs(end - start), rel=1e-12)
 
 
-# where the couplings cut segments short, runs of one dx merge: at h = 1e-2
-# and 1e-3 on the model, and, cut by PICARD_REACH, at three times its
-# coupling
-_SHORT_SEGMENTS = {
+# where the coupling, not CHUNK_BYTES, sets the chunk length: at h = 1e-2
+# and 1e-3 on the model, and at three times its coupling
+_SHORT_CHUNKS = {
     "model-0-0.01": model_corpus(1e-2)[0].extract,
     "model-0-0.001": model_corpus(1e-3)[0].extract,
     "model-0-0.01-strong": dataclasses.replace(
@@ -588,25 +587,24 @@ _SHORT_SEGMENTS = {
 
 @pytest.mark.parametrize(
     "run",
-    [*_MARCHES.values(), *_SHORT_SEGMENTS.values()],
-    ids=[*_MARCHES, *_SHORT_SEGMENTS],
+    [*_MARCHES.values(), *_SHORT_CHUNKS.values()],
+    ids=[*_MARCHES, *_SHORT_CHUNKS],
 )
 def test_each_picard_chunk_is_a_run_of_equal_dx_segments(monkeypatch, run):
-    # the solve is cut apart from the mesh: each Picard chunk is a run of
-    # consecutive plan segments of one dx, within CHUNK_BYTES and, unless
-    # it is one segment, within int |M| <= PICARD_REACH; a run is cut only
-    # where its next segment would pass one of the two, and the chunks
-    # march the plan's nodes
+    # every entry of the plan is one Picard chunk, a run of cells of one dx,
+    # within CHUNK_BYTES and, unless it has the fewest cells, within
+    # int |M| <= PICARD_REACH; the chunks tile the marched span, and the
+    # march solves each as planned
     marches = []
     plan, picard = march._plan, march._picard
 
     def planning(system, start, end):
-        segments = plan(system, start, end)
-        marches.append((system, segments, []))
-        return segments
+        chunks = plan(system, start, end)
+        marches.append((system, abs(end - start), chunks, []))
+        return chunks
 
     def solving(system, a0, phi0, x, dx, work):
-        marches[-1][2].append((abs(dx), len(x) - 1))
+        marches[-1][3].append((abs(dx), len(x) - 1))
         return picard(system, a0, phi0, x, dx, work)
 
     monkeypatch.setattr(march, "_plan", planning)
@@ -614,25 +612,15 @@ def test_each_picard_chunk_is_a_run_of_equal_dx_segments(monkeypatch, run):
     run()
     assert marches
     most = march.CHUNK_BYTES // march._BYTES_PER_NODE
-
-    def fits(system, dx, cells):
-        reach = system.coupling * cells * dx
-        return cells + 1 <= most and reach <= march.PICARD_REACH
-
-    for system, segments, chunks in marches:
-        assert sum(c for _, c in chunks) == sum(c for _, c in segments)
-        k = 0
+    for system, span, chunks, solved in marches:
+        assert solved == chunks
         for dx, cells in chunks:
-            first, run_cells = k, 0
-            while run_cells < cells:
-                assert segments[k][0] == dx
-                run_cells, k = run_cells + segments[k][1], k + 1
-            assert run_cells == cells
             assert cells + 1 <= most
-            assert k - first == 1 or fits(system, dx, cells)
-            if k < len(segments) and segments[k][0] == dx:
-                assert not fits(system, dx, cells + segments[k][1])
-        assert k == len(segments)
+            assert (
+                cells == march._MIN_CHUNK_CELLS
+                or system.coupling * cells * dx <= march.PICARD_REACH
+            )
+        assert sum(c * dx for dx, c in chunks) == pytest.approx(span, rel=1e-12)
 
 
 def test_numeric_transfer_both_crossings():
