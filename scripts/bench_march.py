@@ -6,7 +6,7 @@
 
 Extracts the transfer matrix of model-corpus 0, 1, 2 (self-adjoint, one
 Neumann chain) and 3 (r1 != r2, two chains) at h = 1e-2 .. 1e-6 and of
-schrodinger-corpus 0 at h = 1e-2 .. 1e-5, with the
+schrodinger-corpus 0 and 1 at h = 1e-2 .. 1e-5, with the
 ``crossing_kit`` package found on PYTHONPATH. Each row is timed REPEATS
 times in one process (the median is kept); its node count, Picard chunk
 count, total Picard sweeps and the Neumann rows each sweep integrates
@@ -117,9 +117,10 @@ def measure(echo) -> dict:
         (f"model-corpus {k}", lambda h, k=k: model_corpus(h)[k], H_MODEL)
         for k in (0, 1, 2, 3)
     ]
-    cases.append(
-        ("schrodinger-corpus 0", lambda h: schrodinger_corpus(h)[0], H_PAIR)
-    )
+    cases += [
+        (f"schrodinger-corpus {k}", lambda h, k=k: schrodinger_corpus(h)[k], H_PAIR)
+        for k in (0, 1)
+    ]
     problems = {}
     for name, build, h_values in cases:
         rows = []

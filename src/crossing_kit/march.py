@@ -1,54 +1,53 @@
 """The march: the one solve engine behind every extracted transfer matrix.
 
-Both problem families reduce to a linear first-order system
+Both problem families are marched in the paper's normal form, the
+first-order system
 
-    a'(x) = M(x) a(x)
+    a'(x) = M(x) a(x),   M = [[0, m1 e^{iF/h}], [m2 e^{-iF/h}, 0]],
 
-for slowly varying coefficients a, where M is built from smooth
-coefficients and the fast oscillations e^{+-i phi_p(x)/h} of the family's
-phases phi_p. The reduced model has one phase, F, and a = (u1, e^{-iF/h} u2);
-the coupled pair has the two WKB phases and a its four exact branch
-coefficients. Outside the coupling supports M vanishes and a is constant,
-so the transfer matrix is read off a at the end of the interval. The
-oscillatory integral of ``oscquad`` is the reduced model with r2 = 0,
-marched on the model's system for the one column (0, 1).
+for two slowly varying coefficients a, with smooth m1, m2 and one real
+phase F. The reduced model is this system with F the antiderivative of f
+and (m1, m2) = (-i r1, -i r2). The coupled pair reaches it by keeping its
+two co-propagating branches and averaging out the other two (see
+``schrodinger``); there F is the difference of the corrected WKB phases.
+Outside the coupling supports M vanishes and a is constant, so the
+transfer matrix is read off a at the end of the interval. The oscillatory
+integral of ``oscquad`` is the reduced model with r2 = 0, marched on the
+model's system for the one column (0, 1).
 
 The march carries a unchanged across the part of its span where M
 vanishes, and marches only the rest, the span's overlap with the system's
-``support``; the phases at the start of the marched span come from the
-system's exact phases. The mesh is planned in one pass as Picard chunks,
+``support``; the phase at the start of the marched span comes from the
+system's exact phase. The mesh is planned in one pass as Picard chunks,
 each a uniform grid within CHUNK_BYTES and int |M| <= PICARD_REACH that
 takes the widest dx resolving the fastest phase rate on its own span and
 one chunk's length on each side with POINTS_PER_PERIOD nodes per period,
-so the mesh is coarse where the phases are stationary and fine where they
-turn fast; the last chunk is shortened to end at the span's end. The grid
+so the mesh is coarse where the phase is stationary and fine where it
+turns fast; the last chunk is shortened to end at the span's end. The grid
 is never built whole.
 
-Chunks are solved in turn, each from the coefficients and phases at the
-last node of the one before: per chunk the phases come from cum_quad10, a
-tenth-order rule, of their rates, and a from the Neumann series
-a = D_0 + D_1 + ..., D_0 = a(x_0) and D_{k+1} = int M D_k, the increments
-of Picard iteration a <- a(x_0) + int M a; all integrals start at the
-chunk's first node.
+Chunks are solved in turn, each from the coefficients and phase at the
+last node of the one before: per chunk the phase comes from cum_quad10, a
+tenth-order rule, of its rate, mu1 = m1 e^{iF/h} and mu2 = m2 e^{-iF/h}
+are formed once, and the chunk's propagator U, a(end) = U a(x_0), is the
+Neumann series U = I + U_1 + U_2 + ..., U_{k+1} = int M U_k, the
+increments of Picard iteration; all integrals start at the chunk's first
+node. As M is off-diagonal, the terms U_k are diagonal at even k and
+anti-diagonal at odd k, and their nonzero entries form two Neumann chains:
+chain 0 is w_0 = 1, w_{k+1} = int mu1 w_k at even k and int mu2 w_k at
+odd k, chain 1 the same with mu1 and mu2 swapped. Chain 0's odd terms are
+those of U's (0, 1) entry and its even terms those of the (1, 1) entry;
+chain 1 gives the (1, 0) and (0, 0) entries. The march sums the even and
+odd terms at the chunk's last node apart, U = [[1 + E_0, O_0], [O_1,
+1 + E_1]], and sets a <- U a. Where M is skew-Hermitian, mu2 =
+-conj(mu1) (a self-adjoint coupling: the pair always, the model when
+r1 == r2), chain 1 is (-1)^k times the conjugate of chain 0 and U is in
+SU(2), [[1 + conj(E_1), O_0], [-conj(O_0), 1 + E_1]]: each sweep
+integrates one row, else two.
 
-Where M is off-diagonal, M = [[0, mu1], [mu2, 0]] (the reduced model),
-the terms of the chunk's propagator U, a(end) = U a(x_0), are diagonal at
-even order and anti-diagonal at odd order, and their nonzero entries form
-two Neumann chains, whatever the columns of a: chain 0 is w_0 = 1,
-w_{k+1} = int mu1 w_k at even k and int mu2 w_k at odd k, chain 1 the
-same with mu1 and mu2 swapped. Chain 0's odd terms are those of U's
-(0, 1) entry and its even terms those of the (1, 1) entry; chain 1 gives
-the (1, 0) and (0, 0) entries. The march sums the even and odd terms at
-the chunk's last node apart, U = [[1 + E_0, O_0], [O_1, 1 + E_1]], and
-sets a <- U a. Where M is also skew-Hermitian, mu2 = -conj(mu1) (a
-self-adjoint coupling), chain 1 is (-1)^k times the conjugate of chain 0
-and U is in SU(2), [[1 + conj(E_1), O_0], [-conj(O_0), 1 + E_1]]: each
-sweep integrates one row, else two. A general M (the coupled pair)
-sweeps the columns of a themselves, columns x components rows.
-
-The sweeps allocate no array of a chunk's size: the latest increment,
-M D and the chains' multipliers live in work arrays allocated once per
-march and sized for its longest chunk, ``apply`` and ``cum_quad10`` write
+The sweeps allocate no array of a chunk's size: the latest term, M times
+it and the chains' multipliers live in work arrays allocated once per
+march and sized for its longest chunk, numpy and ``cum_quad10`` write
 into them, and a is kept only at the chunk's last node.
 """
 
@@ -81,9 +80,9 @@ RATE_PIECES = 128
 # The march's working memory: no chunk has more than
 # CHUNK_BYTES // _BYTES_PER_NODE nodes, whatever h is. _BYTES_PER_NODE bounds
 # the traced peak of a march per node of its longest chunk from above:
-# tracemalloc reads about 530 bytes for the pair's columns, 210 for the
-# model's two chains and 150 for its one. It sets the chunk length, and so
-# the peak memory, so it is kept above what the work arrays take.
+# tracemalloc reads about 210 bytes for two chains and 150 for one. It sets
+# the chunk length, and so the peak memory, so it is kept above what the
+# work arrays take.
 CHUNK_BYTES = 2**21
 _BYTES_PER_NODE = 1024
 # A chunk has at least _MIN_CHUNK_CELLS cells (cum_quad10 needs 10 nodes).
@@ -104,47 +103,33 @@ logger = logging.getLogger("crossing_kit")
 
 @dataclass(frozen=True)
 class System:
-    """a' = M a on ``interval``, as a problem family supplies it.
+    """a' = M a on ``interval``, M = [[0, m1 e^{iF/h}], [m2 e^{-iF/h}, 0]],
+    as a problem family supplies it.
 
-    ``local(x)`` gives the phase rates phi_p' at the nodes x, shape
-    (phases, len(x)), and the smooth coefficients of M there, in whatever
-    form ``apply`` takes. ``apply(coeffs, osc, back, a, out)`` writes M a
-    at the nodes into ``out``, with out of shape (columns, components,
-    nodes), a of that shape or with one node (a constant, broadcast), and
-    osc = e^{i phi_p/h}, back = e^{-i phi_p/h} of shape (phases, nodes); it
-    may use ``out`` as scratch on the way.
+    ``local(x)`` gives the phase rate F' at the nodes x and the smooth
+    coefficients (m1, m2) there, each of shape (len(x),).
 
     ``support`` is the hull of the points where M may be nonzero, or None
     where M vanishes on the whole interval; a is constant outside it.
-    ``phases(x)`` gives the exact phases phi_p at the point x, shape
-    (phases,). ``rate_on(lo, hi)`` bounds max_p |phi_p'| on each
-    [lo[k], hi[k]] of the arrays lo <= hi; it sets the mesh and the node
-    budget. ``coupling`` bounds the largest row sum of |M|; it sets the
-    chunk lengths.
+    ``phase(x)`` gives the exact phase F at the point x. ``rate_on(lo,
+    hi)`` bounds |F'| on each [lo[k], hi[k]] of the arrays lo <= hi; it
+    sets the mesh and the node budget. ``coupling`` bounds max(|m1|, |m2|);
+    it sets the chunk lengths.
 
-    ``off_diagonal`` states that M = [[0, mu1], [mu2, 0]] everywhere, with
-    two components, and ``skew_hermitian`` that M is off-diagonal with
-    mu2 = -conj(mu1), so M^H = -M: facts about the equations, set by the
-    family that builds them. The march then sums the Neumann terms of
-    each chunk's propagator as two chains, or as one chain where M is
-    skew-Hermitian (see _picard), and calls ``apply`` once per chunk, on
-    the constant column (1, 1), for (mu1, mu2).
+    ``skew_hermitian`` states that mu2 = -conj(mu1), so M^H = -M: a fact
+    about the equations, set by the family that builds them. The march then
+    sums the Neumann terms of each chunk's propagator as one chain instead
+    of two (see _picard).
     """
 
     h: float
     interval: tuple[float, float]
     support: tuple[float, float] | None
-    phases: Callable
+    phase: Callable
     rate_on: Callable
     coupling: float
     local: Callable
-    apply: Callable
-    off_diagonal: bool = False
     skew_hermitian: bool = False
-
-    def __post_init__(self):
-        if self.skew_hermitian and not self.off_diagonal:
-            raise ValueError("a skew-Hermitian System must be off-diagonal")
 
 
 def _chunk_cells(system: System, dx: float) -> int:
@@ -232,81 +217,70 @@ def _plan(system: System, start: float, end: float) -> list[tuple[float, int]]:
         _check_budget(total + 1)
 
 
-def _rows(system: System, a: np.ndarray) -> tuple[int, ...]:
-    """Shape of the Neumann rows one sweep integrates: the chains of the
-    propagator's terms where M is off-diagonal, one where it is also
-    skew-Hermitian, else the columns of a."""
-    if system.off_diagonal:
-        return (1, 1 if system.skew_hermitian else 2)
-    return a.shape
+def _chains(system: System) -> int:
+    """Neumann chains, the rows one sweep integrates: one where M is
+    skew-Hermitian, else two."""
+    return 1 if system.skew_hermitian else 2
 
 
-def _work(system: System, a: np.ndarray, nodes: int) -> tuple[np.ndarray, ...]:
-    """_picard's work arrays, flat and complex, for the march of a on up to
-    ``nodes`` nodes: the latest increment and M D of _rows(system, a), and
-    where M is off-diagonal the chains' multipliers, (mu1, mu2) and for a
-    second chain mu1 again."""
-    rows = _rows(system, a)
-    work = [np.empty(math.prod(rows) * nodes, dtype=complex) for _ in range(2)]
-    if system.off_diagonal:
-        work.append(np.empty((rows[1] + 1) * nodes, dtype=complex))
-    return tuple(work)
+def _work(system: System, nodes: int) -> tuple[np.ndarray, ...]:
+    """_picard's work arrays, flat and complex, for a march on up to
+    ``nodes`` nodes: the latest term and M times it, one row per chain,
+    and the chains' multipliers, (mu1, mu2) and for a second chain mu1
+    again."""
+    chains = _chains(system)
+    return tuple(
+        np.empty(rows * nodes, dtype=complex) for rows in (chains, chains, chains + 1)
+    )
 
 
-def _picard(system: System, a0: np.ndarray, phi0: np.ndarray, x, dx: float, work):
+def _picard(system: System, a0: np.ndarray, phi0: float, x, dx: float, work):
     """Coefficients at the last of the nodes x from their values a0 at x[0].
 
-    a0 has shape (columns, components); phi0 holds the phases at x[0];
-    ``work`` comes from _work for a0 on at least len(x) nodes. Sums a
-    Neumann series at the last node (cum_quad10 from x[0]) until its term
-    is negligible. Returns (a and the phases at the last node, sweeps).
+    a0 has shape (columns, 2); phi0 is the phase at x[0]; ``work`` comes
+    from _work for at least len(x) nodes. Sums the Neumann series of the
+    chunk's propagator at the last node (cum_quad10 from x[0]) until its
+    term is negligible. Returns (a and the phase at the last node, sweeps).
 
-    A general M sweeps D_0 = a0, D_{k+1} = int M D_k, the changes of the
-    Picard iterates a <- a0 + int M a, until no real or imaginary part of
-    D_k exceeds PICARD_TOL / sqrt(2), so each modulus is within
-    PICARD_TOL. An off-diagonal M sweeps the chains of its propagator's
-    terms, each a fixed row whose multiplier alternates by parity: w_0 =
+    Each chain is a fixed row whose multiplier alternates by parity: w_0 =
     1, w_{k+1} = int mu_{(k)} w_k, with mu_{(k)} = mu1, mu2, mu1, ... on
-    chain 0 and mu2, mu1, ... on chain 1. For the model chain 0's odd
-    terms are gamma+ (gamma- gamma+)^k and its even terms (gamma-
-    gamma+)^k. A skew-Hermitian M sweeps chain 0 alone: chain 1 is (-1)^k
-    times its conjugate. The sweeps stop once the largest part of the
-    chains' term times max(|Re a0| + |Im a0|) is within PICARD_TOL /
-    sqrt(2), which bounds the parts of D_k(a0) as above (both chains'
-    parts are equal up to sign where one is swept), and return U a0 per
-    column; a zero a0 is returned at once. A sweep whose change is not
-    finite (an overflow) raises StepFailure at once.
+    chain 0 and mu2, mu1, ... on chain 1. For the model chain 0's odd terms
+    are gamma+ (gamma- gamma+)^k and its even terms (gamma- gamma+)^k. A
+    skew-Hermitian M sweeps chain 0 alone: chain 1 is (-1)^k times its
+    conjugate. The sweeps stop once no real or imaginary part of the
+    chains' term times max(|Re a0| + |Im a0|) exceeds PICARD_TOL / sqrt(2):
+    that bounds every part of the data's own term, the change of the
+    Picard iterate a <- a0 + int M a, the same way, so each modulus is
+    within PICARD_TOL (both chains' parts are equal up to sign where one
+    is swept). Returns U a0 per column; a zero a0 is returned at once. A
+    sweep whose change is not finite (an overflow) raises StepFailure at
+    once.
     """
-    rate, coeffs = system.local(x)
+    rate, (m1, m2) = system.local(x)
     phase = cum_quad10(rate, dx, initial=phi0)
-    off = system.off_diagonal
-    scale = float(np.max(np.abs(a0.real) + np.abs(a0.imag))) if off else 1.0
+    scale = float(np.max(np.abs(a0.real) + np.abs(a0.imag)))
     if scale == 0.0:
-        return a0, phase[:, -1], 0
+        return a0, phase[-1], 0
     osc = np.exp(1j * phase / system.h)
-    back = np.conj(osc)
-    shape = _rows(system, a0) + (len(x),)
-    term, m_d = (buf[: math.prod(shape)].reshape(shape) for buf in work[:2])
-    if off:
-        # mu holds M (1, 1) = (mu1, mu2), and mu1 again for a second chain:
-        # chain c's multiplier at term k is row c + k % 2, so mult[k % 2]
-        # holds the chains' multipliers as one contiguous block (numpy would
-        # copy a reversed view). The first integrand is mult[0] itself; even
-        # and odd terms are summed apart.
-        chains = shape[1]
-        mu = work[2][: (chains + 1) * len(x)].reshape(1, chains + 1, len(x))
-        ones = np.ones((1, 2, 1), dtype=complex)
-        system.apply(coeffs, osc, back, ones, mu[:, :2])
-        if chains == 2:
-            mu[:, 2] = mu[:, 0]
-        mult = (mu[:, :chains], mu[:, 1:])
-        integrand, sums = mult[0], np.zeros((2, 1, chains), dtype=complex)
-    else:
-        system.apply(coeffs, osc, back, a0[:, :, None], m_d)
-        integrand, sums = m_d, a0.astype(complex)[None]
+    chains, nodes = _chains(system), len(x)
+    term, m_term, mu = (
+        buf[: rows * nodes].reshape(rows, nodes)
+        for buf, rows in zip(work, (chains, chains, chains + 1))
+    )
+    # mu holds (mu1, mu2), and mu1 again for a second chain: chain c's
+    # multiplier at term k is row c + k % 2, so mult[k % 2] holds the
+    # chains' multipliers as one contiguous block (numpy would copy a
+    # reversed view). The first integrand is mult[0] itself; even and odd
+    # terms are summed apart.
+    np.multiply(m1, osc, out=mu[0])
+    np.multiply(m2, np.conj(osc), out=mu[1])
+    if chains == 2:
+        mu[2] = mu[0]
+    mult = (mu[:chains], mu[1:])
+    integrand, sums = mult[0], np.zeros((2, chains), dtype=complex)
     for it in range(1, PICARD_MAX_ITER + 1):
         cum_quad10(integrand, dx, out=term)
-        sums[it % len(sums)] += term[:, :, -1]
+        sums[it % 2] += term[:, -1]
         parts = term.view(np.float64)
         moved = max(float(parts.max()), -float(parts.min()))
         change = moved * scale
@@ -317,42 +291,37 @@ def _picard(system: System, a0: np.ndarray, phi0: np.ndarray, x, dx: float, work
             )
         if change <= PICARD_TOL / math.sqrt(2.0):
             break
-        if off:
-            np.multiply(mult[it % 2], term, out=m_d)
-        else:
-            system.apply(coeffs, osc, back, term, m_d)
-        integrand = m_d
+        np.multiply(mult[it % 2], term, out=m_term)
+        integrand = m_term
     else:
         raise StepFailure(
             f"Picard iteration on [{x[0]:g}, {x[-1]:g}] moved by {moved:.3g} "
             f"after {PICARD_MAX_ITER} iterations (coupling too strong for the "
             "mesh)"
         )
-    if not off:
-        return sums[0], phase[:, -1], it
     # chain 0 sums O_0 at odd k and E_1 at even k, chain 1 O_1 and E_0
-    (even,), (odd,) = sums
+    even, odd = sums
     e1, o0 = even[0], odd[0]
     if system.skew_hermitian:
         e0, o1 = np.conj(e1), -np.conj(o0)
     else:
         e0, o1 = even[1], odd[1]
     u = np.array([[1.0 + e0, o0], [o1, 1.0 + e1]])
-    return a0 @ u.T, phase[:, -1], it
+    return a0 @ u.T, phase[-1], it
 
 
 def march(system: System, a: np.ndarray, x_from: float, x_to: float) -> np.ndarray:
-    """Carry coefficients a (shape (columns, components)) from x_from to x_to.
+    """Carry coefficients a (shape (columns, 2)) from x_from to x_to.
 
     Only the span's overlap with ``system.support`` is marched, from the
-    exact phases at its start; a is constant on the rest. The node budget
+    exact phase at its start; a is constant on the rest. The node budget
     is checked before any work, and a span where M vanishes returns a as it
     is. The march solves _plan's Picard chunks in turn. One DEBUG line on
     the ``crossing_kit`` logger reports nodes, the marched span, the
     smallest and largest dx, Picard chunks, the sweeps of all chunks, the
     most any chunk needed and the Neumann rows each sweep integrates
-    (_rows). An
-    overflow in a sweep raises StepFailure, without a numpy warning.
+    (_chains). An overflow in a sweep raises StepFailure, without a numpy
+    warning.
     Returns the coefficients at x_to.
     """
     lo, hi = sorted((x_from, x_to))
@@ -368,9 +337,9 @@ def march(system: System, a: np.ndarray, x_from: float, x_to: float) -> np.ndarr
         return a
     start, end = (lo, hi) if x_to > x_from else (hi, lo)
     chunks = _plan(system, start, end)
-    work = _work(system, a, max(cells for _, cells in chunks) + 1)
+    work = _work(system, max(cells for _, cells in chunks) + 1)
     direction = 1.0 if end > start else -1.0
-    x, phi, sweeps, worst = start, system.phases(start), 0, 0
+    x, phi, sweeps, worst = start, system.phase(start), 0, 0
     # an overflow shows as a non-finite Picard change, which _picard raises
     with np.errstate(over="ignore", invalid="ignore"):
         for dx, cells in chunks:
@@ -393,6 +362,6 @@ def march(system: System, a: np.ndarray, x_from: float, x_to: float) -> np.ndarr
         len(chunks),
         sweeps,
         worst,
-        math.prod(_rows(system, a)),
+        _chains(system),
     )
     return a

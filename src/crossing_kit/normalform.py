@@ -153,43 +153,29 @@ def _check_single_crossing(branch: int) -> None:
         raise ValidationError("the reduced model has one crossing; branch must be 1")
 
 
-def _apply(coeffs, osc, back, a, out):
-    """M a into ``out`` for the frame coefficients a = (u1, e^{-iF/h} u2)
-    per column; coeffs = (-i r1, -i r2) at the nodes. The march calls it
-    once per chunk, on a = (1, 1), for mu1 = -i r1 e^{iF/h} and
-    mu2 = -i r2 e^{-iF/h}."""
-    m1, m2 = coeffs
-    np.multiply(m1, osc[0], out=out[:, 0])
-    out[:, 0] *= a[:, 1]
-    np.multiply(m2, back[0], out=out[:, 1])
-    out[:, 1] *= a[:, 0]
-
-
 def _system(prob: NormalFormProblem) -> march.System:
-    """The model's a' = M a for the march: one phase F, rate f.
+    """The model's a' = M a for the march: phase F, rate f, and
+    (m1, m2) = (-i r1, -i r2).
 
-    M is off-diagonal, and skew-Hermitian when the coupling is self-adjoint,
-    r1 == r2 (mu2 = -conj(mu1)). It vanishes outside the hull of the
-    coupling supports. The row sums of |M| are |r1| and |r2|, at most the larger
-    amplitude.
+    M is skew-Hermitian when the coupling is self-adjoint, r1 == r2
+    (mu2 = -conj(mu1)). It vanishes outside the hull of the coupling
+    supports. |m1| and |m2| are at most the larger amplitude.
     """
     F = prob.f.antideriv()
 
     def local(x):
         m1 = -1j * prob.r1(x)
         m2 = m1 if prob.r2 == prob.r1 else -1j * prob.r2(x)
-        return np.asarray(prob.f(x), dtype=float)[None, :], (m1, m2)
+        return np.asarray(prob.f(x), dtype=float), (m1, m2)
 
     return march.System(
         h=prob.h,
         interval=prob.interval,
         support=prob.coupling_support(),
-        phases=lambda x: np.array([F(x)]),
+        phase=F,
         rate_on=prob.f.abs_max_on,
         coupling=max(abs(prob.r1.amplitude), abs(prob.r2.amplitude)),
         local=local,
-        apply=_apply,
-        off_diagonal=True,
         # real bumps: r2 = conj(r1) exactly when r1 == r2
         skew_hermitian=prob.r1 == prob.r2,
     )

@@ -13,12 +13,44 @@ with polynomial potentials satisfying (V2 - V1)^(j)(0) = 0 for j < n and
   characteristic curves xi^2 + V_j = E0 cross at (0, +-xi0), xi0 = sqrt(E0),
   with contact order n. Solutions are tracked in the oscillatory basis
   sigma_j e^{+-i phi_j / h} and the transfer matrix is both predicted from
-  the crossing invariants and extracted by marching the branch
-  coefficients through the first-order system they satisfy exactly.
+  the crossing invariants and extracted by marching the normal form of the
+  branch coefficients (below).
 * case "ii" (E0 = 0, V_j(0) = 0, V_j'(0) != 0): the curves meet at the
   phase-space origin with contact order 2n. The origin is a turning point,
   so only the prediction and its symbol-level cross-checks are available;
   the oscillatory basis and the extraction refuse it with CaseMismatch.
+
+The normal form. With p_j = phi_j', kappa_j = sigma_j''/sigma_j and
+e_j = e^{i phi_j/h}, the four branch coefficients satisfy exactly
+
+    a_j+' = r_j / e_j,   a_j-' = -e_j r_j,   r_j = C_j S_k - D_j S_j,
+
+with S_j = a_j+ e_j + a_j- / e_j, C_j = W sigma_k / (2i sigma_j p_j) and
+D_j = h kappa_j / (2i p_j) (k the other index). At the crossing (0, +xi0)
+only the two + branches meet; the - branches oscillate against them at
+the sum phase phi_j + phi_k. Averaging those out to first order (the
+Bloch-Siegert step) leaves a_j+' = -D_j' a_j+ + C_j e^{i(phi_k - phi_j)/h}
+a_k+ with D_j' = D_j + h C_j C_k / (i (p_j + p_k)), imaginary since
+C_1 C_2 = -W^2 / (4 p_1 p_2). Writing a_j+ = c_j e^{i Theta_j/h} absorbs
+the diagonal into the phase
+
+    Theta_j = h^2 int_0^x (kappa_j / (2 p_j) - W^2 / (4 p_1 p_2 (p_1 + p_2))),
+
+the second-order WKB phase Phi_j - phi_j plus the averaged coupling G,
+common to both branches. With the constant flux scale s_j = sigma_j
+sqrt(p_j), b_j = s_j c_j then solves the model's form
+
+    b' = [[0, -i r e^{iF/h}], [-i r e^{-iF/h}, 0]] b,
+
+with r = W / (2 sqrt(p_1 p_2)) and F = Phi_2 - Phi_1, so G never enters F.
+The - branches at (0, -xi0) are the complex conjugates: F and r change
+sign. This M is skew-Hermitian and vanishes outside supp W, and its mesh
+resolves |F'| = |p_2 - p_1| + O(h^2) instead of the sum phase. The
+extraction undoes s_j and Theta_j at the ends, so T stays in the
+first-order WKB frame of the branch coefficients, the frame of the
+prediction. The averaging costs O(h^{5/2}): T is within 6 h^{5/2} of the
+exact four-coefficient march on both case-i corpus problems, both
+branches, at h = 1e-2 .. 1e-3 (tests/pair_oracle.py holds that march).
 """
 
 from __future__ import annotations
@@ -185,19 +217,9 @@ class WkbBasis:
         The integrand is analytic on the interval (no turning point), so a
         handful of panels per unit length reaches machine accuracy.
         """
-        v = self._potential(j)
-        e0 = self.prob.e0
 
         def one(xx: float) -> float:
-            if xx == 0.0:
-                return 0.0
-            npan = max(4, math.ceil(abs(xx) * 8))
-            edges = np.linspace(0.0, xx, npan + 1)
-            mid = 0.5 * (edges[:-1] + edges[1:])
-            half = 0.5 * (edges[1:] - edges[:-1])
-            pts = mid[:, None] + half[:, None] * _GL_NODES[None, :]
-            vals = np.sqrt(e0 - v(pts))
-            return float((vals @ _GL_WEIGHTS) @ half)
+            return float(_from_zero(lambda y: self.momentum(j, y), xx))
 
         arr = np.asarray(x, dtype=float)
         if arr.ndim == 0:
@@ -224,85 +246,93 @@ def _sigma_ratios(q, slope, curvature):
     return 0.25 * slope, 0.25 * curvature / q + 0.3125 * slope * slope
 
 
-def _max_rate(prob: SchrodingerProblem) -> float:
-    """max phi_j' = sqrt(E0 - V_j) over the interval: the fastest phase rate."""
-    lowest = min(v.range_on(prob.x_in, prob.x_out)[0] for v in (prob.v1, prob.v2))
-    return math.sqrt(prob.e0 - lowest)
+def _from_zero(integrand, x: float):
+    """int_0^x of ``integrand`` by composite 15-node Gauss-Legendre panels,
+    at least four and eight per unit length. ``integrand`` maps an array
+    of points to values whose last axes have its shape."""
+    npan = max(4, math.ceil(abs(x) * 8))
+    edges = np.linspace(0.0, x, npan + 1)
+    mid = 0.5 * (edges[:-1] + edges[1:])
+    half = 0.5 * (edges[1:] - edges[:-1])
+    pts = mid[:, None] + half[:, None] * _GL_NODES[None, :]
+    return (integrand(pts) @ _GL_WEIGHTS) @ half
 
 
-def _coefficients(basis: WkbBasis, x: np.ndarray, w):
-    """Rates p_j and the coefficients C_j, D_j of a' = M a at the nodes x.
-
-    Per equation j (k the other one), with S_j = a_j+ e_j + a_j- / e_j and
-    e_j = e^{i phi_j / h}:  a_j+' = r_j / e_j,  a_j-' = -e_j r_j,  where
-    r_j = C_j S_k - D_j S_j,  C_j = W sigma_k / (2i sigma_j p_j)  and
-    D_j = h (sigma_j'' / sigma_j) / (2i p_j). ``w`` is W at the nodes.
-    Arrays have shape (2, len(x)).
-    """
+def _rates(basis: WkbBasis, x):
+    """q_j = E0 - V_j, p_j = phi_j' = sqrt(q_j) and kappa_j =
+    sigma_j''/sigma_j at the points x, each of shape (2, *x.shape)."""
     prob = basis.prob
-    pot = np.array([prob.v1(x), prob.v2(x)])
-    q = prob.e0 - pot
-    rate = np.sqrt(q)
-    sig = np.array(basis.c)[:, None] * (1.0 - pot / prob.e0) ** -0.25
-    _, curv = _sigma_ratios(
+    q = prob.e0 - np.array([prob.v1(x), prob.v2(x)])
+    _, kappa = _sigma_ratios(
         q,
         np.array([p(x) for p in basis.slopes]),
         np.array([p(x) for p in basis.curvatures]),
     )
-    cross = w * sig[::-1] / (2j * sig * rate)
-    self_ = prob.h * curv / (2j * rate)
-    return rate, cross, self_
+    return q, np.sqrt(q), kappa
 
 
-def _apply(coeffs, osc, back, a, out):
-    """M a into ``out`` for the branch coefficients a = (a1+, a1-, a2+, a2-)
-    per column.
+def _theta(basis: WkbBasis, x: float) -> np.ndarray:
+    """(Theta_1, Theta_2) at x: the phases the normal form takes out of the
+    branches beside phi_j (see the module docstring)."""
+    prob = basis.prob
 
-    Per column, the + and - halves of ``out`` hold s_j = u_j / sigma_j and
-    r_j until they are overwritten by a_j+' = r_j / e_j and
-    a_j-' = -e_j r_j. The loop over columns keeps every operand two-
-    dimensional, which numpy runs without buffers.
-    """
-    cross, self_ = coeffs
-    for col, da in zip(a, out):
-        s, r = da[0::2], da[1::2]
-        np.multiply(col[0::2], osc, out=s)
-        np.multiply(col[1::2], back, out=r)
-        s += r
-        np.multiply(cross, s[::-1], out=r)
-        np.multiply(self_, s, out=s)
-        r -= s
-        np.multiply(back, r, out=s)
-        np.negative(r, out=r)
-        np.multiply(osc, r, out=r)  # osc (-r) is (-osc) r, bit for bit
+    def integrand(y):
+        _, p, kappa = _rates(basis, y)
+        return 0.5 * kappa / p - prob.w(y) ** 2 / (4.0 * p[0] * p[1] * (p[0] + p[1]))
+
+    return prob.h**2 * _from_zero(integrand, x)
 
 
-def _system(basis: WkbBasis) -> march.System:
-    """The pair's a' = M a for the march.
+def _system(basis: WkbBasis, sign: int) -> march.System:
+    """The normal form of the branches of sign ``sign`` for the march:
+    rate sign F', m1 = m2 = -i sign r, skew-Hermitian, supported on supp W.
 
-    M carries e^{+-i (phi_j +- phi_k)/h}, so the mesh resolves 2 max p_j,
-    one bound for the whole interval. The self term D_j does not vanish
-    outside supp W, so M is marched on the whole interval. The row sums of
-    |M| are 2 (|C_j| + |D_j|), bounded with |W| at its peak everywhere.
+    The rate bound on a piece is |V_1 - V_2| / (p_1 + p_2) with each p_j at
+    its least on the piece, plus h^2 times a bound of |kappa_j| / (2 p_j)
+    summed over j on the interval; the coupling bound is max |W| over
+    2 sqrt(p_1 p_2) at the least p_j on the interval.
     """
     prob = basis.prob
-    x = np.linspace(prob.x_in, prob.x_out, 1025)
-    _, peak_cross, peak_self = _coefficients(basis, x, abs(prob.w.amplitude))
+    h, ends = prob.h, ([prob.x_in], [prob.x_out])
+    low = [v.range_on(prob.x_in, prob.x_out) for v in (prob.v1, prob.v2)]
+    # V_j - min V_j is nonnegative, so its largest modulus is its maximum
+    rise = [v - Poly1((vmin,)) for v, (vmin, _) in zip((prob.v1, prob.v2), low)]
+    q_low = [prob.e0 - vmax for _, vmax in low]
+    drift = sum(
+        _sigma_ratios(q, dv.abs_max_on(*ends)[0], ddv.abs_max_on(*ends)[0])[1]
+        / (2.0 * math.sqrt(q))
+        for dv, ddv, q in zip(basis.slopes, basis.curvatures, q_low)
+    )
+    gap = prob.v1 - prob.v2
 
-    def local(nodes):
-        rate, cross, self_ = _coefficients(basis, nodes, prob.w(nodes))
-        return rate, (cross, self_)
+    def rate_on(lo, hi):
+        p_low = [
+            np.sqrt(prob.e0 - vmin - d.abs_max_on(lo, hi))
+            for (vmin, _), d in zip(low, rise)
+        ]
+        return gap.abs_max_on(lo, hi) / (p_low[0] + p_low[1]) + h * h * drift
 
-    fastest = 2.0 * _max_rate(prob)
+    def local(x):
+        q, p, kappa = _rates(basis, x)
+        rate = (q[1] - q[0]) / (p[0] + p[1]) + h * h * 0.5 * (
+            kappa[1] / p[1] - kappa[0] / p[0]
+        )
+        m = (-1j * sign) * prob.w(x) / (2.0 * np.sqrt(p[0] * p[1]))
+        return sign * rate, (m, m)
+
+    def phase(x):
+        phi = np.array([basis.phase(j, x) for j in (1, 2)]) + _theta(basis, x)
+        return sign * float(phi[1] - phi[0])
+
     return march.System(
-        h=prob.h,
+        h=h,
         interval=prob.interval,
-        support=prob.interval,
-        phases=lambda x: np.array([basis.phase(j, x) for j in (1, 2)]),
-        rate_on=lambda lo, hi: np.full(np.shape(lo), fastest),
-        coupling=2.0 * float(np.max(np.abs(peak_cross) + np.abs(peak_self))),
+        support=prob.w.support if prob.w.amplitude != 0.0 else None,
+        phase=phase,
+        rate_on=rate_on,
+        coupling=abs(prob.w.amplitude) / (2.0 * (q_low[0] * q_low[1]) ** 0.25),
         local=local,
-        apply=_apply,
+        skew_hermitian=True,
     )
 
 
@@ -312,20 +342,26 @@ def numeric_transfer_case_i(
     """Transfer matrix at (0, which_sign * xi0), extracted by one march.
 
     which_sign=+1: the + branches move rightward, so unit data on them at
-    x_in is marched to x_out, where the + coefficients are read.
-    which_sign=-1: unit data on the - branches at x_out is marched to x_in,
-    where the - coefficients are read. Both input columns march together.
+    x_in is carried to x_out, where the + coefficients are read.
+    which_sign=-1: unit data on the - branches at x_out is carried to x_in,
+    where the - coefficients are read. Both input columns march together in
+    the normal form (module docstring) over supp W; with U its propagator,
+
+        T_jk = e^{i sign Theta_j(end)/h} (s_k / s_j) U_jk e^{-i sign Theta_k(start)/h}.
     """
     if prob.case != "i":
         raise CaseMismatch("numeric transfer extraction needs case i")
     if which_sign not in (1, -1):
         raise ValidationError("which_sign must be +1 or -1")
+    basis = WkbBasis(prob)
     start, end = (prob.x_in, prob.x_out)[::which_sign]
-    slot = (1 - which_sign) // 2  # coefficient index: 0 a_plus, 1 a_minus
-    a = np.zeros((2, 4), dtype=complex)
-    a[0, slot] = a[1, 2 + slot] = 1.0
-    a = march.march(_system(WkbBasis(prob)), a, start, end)
-    return TransferMatrix(a[:, slot::2].T, h=prob.h)
+    u = march.march(_system(basis, which_sign), np.eye(2, dtype=complex), start, end).T
+    turn = 1j * which_sign / prob.h
+    # s_j = sigma_j sqrt(p_j) = c_j E0^{1/4}: the ratios are those of c_j
+    scale = np.array(basis.c)
+    out = np.exp(turn * _theta(basis, end)) / scale
+    into = np.exp(-turn * _theta(basis, start)) * scale
+    return TransferMatrix(out[:, None] * u * into[None, :], h=prob.h)
 
 
 def build_crossing_data(prob: SchrodingerProblem, which: int) -> CrossingData:

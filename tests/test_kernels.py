@@ -11,10 +11,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from crossing_kit import _kernels, march, normalform, schrodinger
+from crossing_kit import _kernels, march, normalform
 from crossing_kit._kernels import cum_quad10
 from crossing_kit.normalform import model_corpus
-from crossing_kit.schrodinger import schrodinger_corpus
 
 
 def _cum_quad10_loop(values, dx, w10):
@@ -193,24 +192,15 @@ def _model_apply_allocating(coeffs, osc, back, a):
     return da
 
 
-def _pair_apply_allocating(coeffs, osc, back, a):
-    """M a for the branch coefficients a = (a1+, a1-, a2+, a2-) per column."""
-    cross, self_ = coeffs
-    s = a[:, 0::2] * osc + a[:, 1::2] * back  # u_j / sigma_j
-    r = cross * s[:, ::-1] - self_ * s
-    da = np.empty_like(a)
-    da[:, 0::2] = back * r
-    da[:, 1::2] = -osc * r
-    return da
-
-
 def _model_sweep(coeffs, osc, back, v, out):
-    """The model's step: mu = M (1, 1) into a work array once per chunk,
-    then each sweep multiplies each chain's row by its multiplier, into
-    ``out``. M v = (mu1 v_1, mu2 v_0) is that step at an even term on the
-    chains (v_1, v_0)."""
+    """The march's step: mu = (m1 e^{iF/h}, m2 e^{-iF/h}) into a work
+    array once per chunk, then each sweep multiplies each chain's row by
+    its multiplier, into ``out``. M v = (mu1 v_1, mu2 v_0) is that step at
+    an even term on the chains (v_1, v_0)."""
+    m1, m2 = coeffs
     mu = np.empty((1,) + out.shape[1:], dtype=complex)
-    normalform._apply(coeffs, osc, back, np.ones((1, 2, 1), dtype=complex), mu)
+    np.multiply(m1, osc[0], out=mu[0, 0])
+    np.multiply(m2, back[0], out=mu[0, 1])
     np.multiply(mu, v[:, ::-1], out=out)
 
 
@@ -231,20 +221,10 @@ def _model_case(rng, n):
     return (prob.r1(x), prob.r2(x)), coeffs, _oscillations(rng, 1, n, prob.h), 2
 
 
-def _pair_case(rng, n):
-    prob = schrodinger_corpus(1e-3)[1]  # unequal potentials, n = 2
-    x = np.sort(rng.uniform(-0.7, 0.7, n))
-    _, coeffs = schrodinger._system(schrodinger.WkbBasis(prob)).local(x)
-    return coeffs, coeffs, _oscillations(rng, 2, n, prob.h), 4
-
-
 @pytest.mark.parametrize(
     "case, allocating, inplace",
-    [
-        (_model_case, _model_apply_allocating, _model_sweep),
-        (_pair_case, _pair_apply_allocating, schrodinger._apply),
-    ],
-    ids=["model", "pair"],
+    [(_model_case, _model_apply_allocating, _model_sweep)],
+    ids=["model"],
 )
 def test_apply_into_out_equals_the_allocating_formula(case, allocating, inplace):
     rng = np.random.default_rng(11)
@@ -277,25 +257,20 @@ def test_cum_quad6_into_out_equals_a_fresh_result():
 def test_march_kernels_allocate_nothing_of_the_chunk_size():
     # the Picard sweep's kernels write into their ``out``: numpy takes no
     # temporaries or ufunc buffers as large as the chunk (tracemalloc sees
-    # numpy's data allocations). The model forms mu = M (1, 1) once per
-    # chunk, copies mu1 after it and multiplies its two chains by (mu2,
-    # mu1) at an odd term; the pair sweeps M a on its two columns
+    # numpy's data allocations). The march forms mu = (m1 e^{iF/h},
+    # m2 e^{-iF/h}) once per chunk, copies mu1 after it and multiplies its
+    # two chains by (mu2, mu1) at an odd term
     rng = np.random.default_rng(3)
     n = march.CHUNK_BYTES // march._BYTES_PER_NODE  # the longest chunk
     calls = []
-    _, coeffs, (osc, back), _ = _model_case(rng, n)
+    _, (m1, m2), (osc, back), _ = _model_case(rng, n)
     v = _random_complex(rng, (1, 2, n))
     mu, out = np.empty((1, 3, n), dtype=complex), np.empty_like(v)
-    ones = np.ones((1, 2, 1), dtype=complex)
-    calls.append((v.nbytes, normalform._apply, (coeffs, osc, back, ones, mu[:, :2]), {}))
+    calls.append((v.nbytes, np.multiply, (m1, osc[0]), {"out": mu[0, 0]}))
+    calls.append((v.nbytes, np.multiply, (m2, back[0]), {"out": mu[0, 1]}))
     calls.append((v.nbytes, np.copyto, (mu[:, 2], mu[:, 0]), {}))
     calls.append((v.nbytes, np.multiply, (mu[:, 1:], v), {"out": out}))
     calls.append((v.nbytes, cum_quad10, (v, 1e-3), {"out": out}))
-    _, coeffs, (osc, back), components = _pair_case(rng, n)
-    a = _random_complex(rng, (2, components, n))
-    out = np.empty_like(a)
-    calls.append((a.nbytes, schrodinger._apply, (coeffs, osc, back, a, out), {}))
-    calls.append((a.nbytes, cum_quad10, (a, 1e-3), {"out": out}))
     for nbytes, call, args, kwargs in calls:
         call(*args, **kwargs)  # first-call caches
         tracemalloc.start()

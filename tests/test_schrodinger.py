@@ -34,6 +34,7 @@ from crossing_kit.schrodinger import (
 )
 
 import closed_form_oracle
+import pair_oracle
 from ode_oracles import (
     ODE_TOL,
     IllConditioned,
@@ -235,19 +236,15 @@ def test_basis_normalization_and_flux():
 
 
 def test_march_coefficients_match_the_basis_methods():
-    # the march evaluates each potential once per chunk; its rates and
-    # coefficients must equal those built from the basis methods, bit for bit
+    # the march evaluates each potential once per chunk; its momenta and
+    # sigma''/sigma must equal the basis methods' bit for bit
     prob = schrodinger_corpus(1e-3)[1]
     basis = WkbBasis(prob)
     xs = np.linspace(prob.x_in, prob.x_out, 301)
-    w = prob.w(xs)
-    rate, cross, self_ = schrodinger._coefficients(basis, xs, w)
-    p = np.array([basis.momentum(j, xs) for j in (1, 2)])
-    sig = np.array([basis.amplitude(j, xs) for j in (1, 2)])
-    curv = np.array([basis.amplitude_ratios(j, xs)[1] for j in (1, 2)])
-    assert (rate == p).all()
-    assert (cross == w * sig[::-1] / (2j * sig * p)).all()
-    assert (self_ == prob.h * curv / (2j * p)).all()
+    _, p, kappa = schrodinger._rates(basis, xs)
+    assert (p == np.array([basis.momentum(j, xs) for j in (1, 2)])).all()
+    for j in (1, 2):
+        assert (kappa[j - 1] == basis.amplitude_ratios(j, xs)[1]).all()
 
 
 def test_phase_closed_form_for_constant_potential():
@@ -351,11 +348,60 @@ def _reference_transfer(prob, sign):
 @pytest.mark.parametrize("h", [1e-2, 2.5e-3])
 @pytest.mark.parametrize("index", [0, 1])
 def test_march_matches_the_reference_solve(index, h):
+    # the exact four-coefficient system, marched, against DOP853
+    prob = schrodinger_corpus(h)[index]
+    for sign in (1, -1):
+        got = pair_oracle.transfer(prob, sign)
+        want = _reference_transfer(prob, sign)
+        assert np.abs(got - want).max() <= 1e-8, sign
+
+
+@pytest.mark.parametrize("h", [1e-2, 5e-3, 2.5e-3, 1e-3])
+@pytest.mark.parametrize("index", [0, 1])
+def test_normal_form_is_within_6_h_5_2_of_the_exact_system(index, h):
+    # averaging out the counter-propagating branches costs O(h^{5/2}): the
+    # largest measured ratio is 5.24, on corpus 1 at h = 1e-2
     prob = schrodinger_corpus(h)[index]
     for sign in (1, -1):
         got = numeric_transfer_case_i(prob, sign).entries
-        want = _reference_transfer(prob, sign)
-        assert np.abs(got - want).max() <= 1e-8, sign
+        want = pair_oracle.transfer(prob, sign)
+        assert np.abs(got - want).max() <= 6 * h**2.5, sign
+
+
+def _unequal_slopes(h):
+    return SchrodingerProblem(
+        v1=Poly1((0.0, -0.5)), v2=Poly1((0.0, 0.25)), w=Bump(width=0.8),
+        e0=1.0, n=1, h=h, x_in=-1.2, x_out=1.2,
+    )
+
+
+_FLUX = {
+    **{
+        f"{k}-{h:g}": (schrodinger_corpus(h)[k], 1.0)
+        for k in (0, 1)
+        for h in (1e-2, 1e-3, 1e-4)
+    },
+    **{
+        f"unequal-slopes-{h:g}": (_unequal_slopes(h), 1.0113)
+        for h in (1e-2, 1e-3, 1e-4)
+    },
+}
+
+
+@pytest.mark.parametrize("prob, ratio", _FLUX.values(), ids=_FLUX.keys())
+def test_flux_scaled_transfer_is_unitary(prob, ratio):
+    # the flux sigma_j^2 p_j is conserved, so diag(s) T diag(s)^{-1} with
+    # s_j = sigma_j sqrt(p_j) is unitary. A wrong flux scale fails it where
+    # the slopes differ (s_1 / s_2 = 1.0113); the four-coefficient march
+    # missed it by up to 2.6e-5 (corpus 1, h = 1e-2)
+    basis = WkbBasis(prob)
+    s = np.array([basis.amplitude(j, 0.3) for j in (1, 2)])
+    s *= np.sqrt([basis.momentum(j, 0.3) for j in (1, 2)])
+    assert s[0] / s[1] == pytest.approx(ratio, abs=1e-4)
+    for sign in (1, -1):
+        T = numeric_transfer_case_i(prob, sign).entries
+        scaled = s[:, None] * T / s[None, :]
+        assert np.abs(scaled.conj().T @ scaled - np.eye(2)).max() <= 1e-12, sign
 
 
 @pytest.mark.parametrize(
@@ -386,7 +432,10 @@ def test_march_resolution_is_converged(monkeypatch, prob):
 
 _DENSE = {
     **{f"model-{h:g}": (model_corpus, range(6), h) for h in (1e-2, 3e-3, 1e-3)},
-    **{f"pair-{h:g}": (schrodinger_corpus, range(2), h) for h in (1e-2, 2.5e-3)},
+    **{
+        f"pair-{h:g}": (schrodinger_corpus, range(2), h)
+        for h in (1e-2, 2.5e-3, 1e-4, 1e-5)
+    },
 }
 
 
@@ -415,12 +464,13 @@ def test_march_fails_loudly_at_the_picard_cap():
 
 def test_march_memory_is_bounded():
     # the march never holds the whole grid: its peak is set by CHUNK_BYTES,
-    # not by the 10x larger node count at the smaller h. Each family's
-    # coupling cuts its chunks short at larger h (the pair's at h = 1e-3,
-    # the model's down to 1e-4), so each is compared from where its chunks
-    # have their CHUNK_BYTES length.
+    # not by the 10x larger node count at the smaller h. At larger h the
+    # chunks are shorter than CHUNK_BYTES allows (the model's cut by its
+    # coupling, the pair's whole span one chunk down to h = 5e-4), so both
+    # families are compared from h = 1e-4, where the chunks have their
+    # CHUNK_BYTES length.
     for corpus, (h_big, h_small) in (
-        (schrodinger_corpus, (5e-4, 5e-5)),
+        (schrodinger_corpus, (1e-4, 1e-5)),
         (model_corpus, (1e-4, 1e-5)),
     ):
         peaks = {}
@@ -449,8 +499,8 @@ _PEAKS = {
 @pytest.mark.parametrize("prob", _PEAKS.values(), ids=_PEAKS.keys())
 def test_march_peak_is_within_bytes_per_node(monkeypatch, prob):
     # _BYTES_PER_NODE sets the longest chunk: the traced peak of an
-    # extraction stays within it per node of that chunk, for one chain, two
-    # chains and the pair's columns (about 150, 210 and 530 bytes a node)
+    # extraction stays within it per node of that chunk, for one chain and
+    # two (about 150 and 210 bytes a node)
     longest = []
     plan = march._plan
 
@@ -471,14 +521,14 @@ def test_march_peak_is_within_bytes_per_node(monkeypatch, prob):
 
 
 def test_node_budget_counts_the_marched_grid():
-    # the march resolves 2 max phi_j' = 2.28 on [-1.2, 1.2]: at h = 2.5e-7
-    # its grid needs about 49M nodes, over the 40M budget, though a grid for
-    # max phi_j' alone would fit. The model's graded grid follows |f| = |x|
-    # on the coupling support [-0.8, 0.8]: its plan has about 14.5M nodes
-    # at h = 1e-7, which fits, and the pieces' estimate alone reads about
-    # 41.4M at h = 3.5e-8 and 48.3M at h = 3e-8. Both refused before any
-    # work.
-    for prob in (schrodinger_corpus(2.5e-7)[0], model_corpus(3e-8)[0]):
+    # the pair's graded grid follows |phi_2' - phi_1'| <= 0.2 on supp W =
+    # [-0.8, 0.8]: its plan has about 3.66M nodes at h = 1e-7, which fits,
+    # and the pieces' estimate alone reads about 45.4M at h = 8e-9. The
+    # model's follows |f| = |x| on the coupling support [-0.8, 0.8]: its
+    # plan has about 14.5M nodes at h = 1e-7, which fits, and the pieces'
+    # estimate alone reads about 41.4M at h = 3.5e-8 and 48.3M at h = 3e-8.
+    # Both refused before any work.
+    for prob in (schrodinger_corpus(8e-9)[0], model_corpus(3e-8)[0]):
         with pytest.raises(ValidationError, match="nodes"):
             prob.extract()
 
