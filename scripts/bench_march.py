@@ -1,8 +1,8 @@
 """Cost of one extraction as h shrinks: seconds, nodes and us per node per row.
 
-    PYTHONPATH=src python3 scripts/bench_march.py [--label TEXT] [--out PATH]
-    PYTHONPATH=src python3 scripts/bench_march.py --against DIR
-        --against-out PATH [--against-label TEXT] [--label TEXT] [--out PATH]
+    PYTHONPATH=src python3 scripts/bench_march.py --out PATH [--label TEXT]
+    PYTHONPATH=src python3 scripts/bench_march.py --out PATH --against DIR
+        --against-out PATH [--against-label TEXT] [--label TEXT]
 
 Extracts the transfer matrix of model-corpus 0, 1, 2 (self-adjoint, one
 Neumann chain) and 3 (r1 != r2, two chains) at h = 1e-2 .. 1e-6 and of
@@ -14,9 +14,9 @@ come from the march's DEBUG line, and ``us_per_node`` is the median
 seconds per marched node in microseconds. Each measured tree prints the
 DEBUG line's ``marched N nodes``, ``N Picard chunks of S sweeps`` and
 ``N Neumann rows per sweep`` (every tree from 2b05510 on does). Writes
-BENCH_graded_march.json in the repo root (or ``--out``) with the rows,
-the log-log slope of seconds against 1/h per problem, and the
-environment.
+``--out``, which has no default so that no run overwrites a committed
+BENCH_*.json by accident, with the rows, the log-log slope of seconds
+against 1/h per problem, and the environment.
 
 Without ``--against`` the rows are timed in this process; compare
 ``nodes`` across two such files, not ``seconds``: the two trees then run
@@ -47,7 +47,6 @@ from pathlib import Path
 
 import numpy as np
 
-ROOT = Path(__file__).resolve().parent.parent
 REPEATS = 3
 ROUNDS = 5
 H_MODEL = (1e-2, 1e-3, 1e-4, 1e-5, 1e-6)
@@ -220,7 +219,7 @@ def _write(path: str, label: str, what: str, measured: dict) -> None:
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--label", default="", help="names the measured tree")
-    parser.add_argument("--out", default=str(ROOT / "BENCH_graded_march.json"))
+    parser.add_argument("--out", help="the measured tree's file (required)")
     parser.add_argument("--against", type=Path, help="a second source tree")
     parser.add_argument("--against-label", default="", help="names the second tree")
     parser.add_argument("--against-out", help="the second tree's file")
@@ -231,6 +230,8 @@ def main() -> int:
         echo = lambda line: print(line, file=sys.stderr, flush=True)  # noqa: E731
         print(json.dumps(measure(echo)))
         return 0
+    if args.out is None:
+        parser.error("the following arguments are required: --out")
     if args.against is None:
         what = (
             "one extraction (both input columns, one march) per row; median "

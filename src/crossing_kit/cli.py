@@ -439,12 +439,10 @@ def _write_summary(config: RunConfig, payload: dict) -> None:
 
 def _run_predict(config: RunConfig) -> int:
     t = config.problem.predict(config.branch)
-    print(f"predict  h={config.problem.h:.6e}")
+    print(f"predict  h={config.problem.h:.6e}  branch={config.branch}")
     _print_matrix("predicted", t)
-    _write_summary(
-        config,
-        {"mode": "predict", "h": config.problem.h, "entries": _matrix_payload(t)},
-    )
+    summary = {"mode": "predict", "h": config.problem.h, "branch": config.branch}
+    _write_summary(config, {**summary, "entries": _matrix_payload(t)})
     return 0
 
 
@@ -453,7 +451,7 @@ def _run_single_solve(config: RunConfig) -> int:
     predicted = prob.predict(config.branch)
     extracted = prob.extract(config.branch)
     errors = extracted.entrywise_abs_diff(predicted)
-    print(f"{config.mode}  h={prob.h:.6e}")
+    print(f"{config.mode}  h={prob.h:.6e}  branch={config.branch}")
     _print_matrix("extracted", extracted)
     _print_matrix("predicted", predicted)
     print(f"max abs error: {extracted.max_abs_diff(predicted):.6e}")
@@ -462,6 +460,7 @@ def _run_single_solve(config: RunConfig) -> int:
         {
             "mode": config.mode,
             "h": prob.h,
+            "branch": config.branch,
             "extracted": _matrix_payload(extracted),
             "predicted": _matrix_payload(predicted),
             "abs_errors": dict(zip(TransferMatrix.ENTRIES, map(float, errors.flat))),

@@ -9,22 +9,23 @@ for two slowly varying coefficients a, with smooth m1, m2 and one real
 phase F. The reduced model is this system with F the antiderivative of f
 and (m1, m2) = (-i r1, -i r2). The coupled pair reaches it by keeping its
 two co-propagating branches and averaging out the other two (see
-``schrodinger``); there F is the difference of the corrected WKB phases.
+``schrodinger``); there F is the difference of the corrected WKB phases,
+and the crossing at -xi0 is the transpose of the march for +xi0.
 Outside the coupling supports M vanishes and a is constant, so the
 transfer matrix is read off a at the end of the interval. The oscillatory
-integral of ``oscquad`` is the reduced model with r2 = 0, marched on the
-model's system for the one column (0, 1).
+integral of ``oscquad`` is an entry of the reduced model's transfer
+matrix with r2 = 0.
 
-The march carries a unchanged across the part of its span where M
-vanishes, and marches only the rest, the span's overlap with the system's
-``support``; the phase at the start of the marched span comes from the
-system's exact phase. The mesh is planned in one pass as Picard chunks,
-each a uniform grid within CHUNK_BYTES and int |M| <= PICARD_REACH that
-takes the widest dx resolving the fastest phase rate on its own span and
-one chunk's length on each side with POINTS_PER_PERIOD nodes per period,
-so the mesh is coarse where the phase is stationary and fine where it
-turns fast; the last chunk is shortened to end at the span's end. The grid
-is never built whole.
+The march runs left to right only. It carries a unchanged across the
+part of its span where M vanishes, and marches only the rest, the span's
+overlap with the system's ``support``; the phase at the start of the
+marched span comes from the system's exact phase. The mesh is planned in
+one pass as Picard chunks, each a uniform grid within CHUNK_BYTES and
+int |M| <= PICARD_REACH that takes the widest dx resolving the fastest
+phase rate on its own span and one chunk's length on each side with
+POINTS_PER_PERIOD nodes per period, so the mesh is coarse where the phase
+is stationary and fine where it turns fast; the last chunk is shortened
+to end at the span's end. The grid is never built whole.
 
 Chunks are solved in turn, each from the coefficients and phase at the
 last node of the one before: per chunk the phase comes from cum_quad10, a
@@ -104,7 +105,7 @@ logger = logging.getLogger("crossing_kit")
 @dataclass(frozen=True)
 class System:
     """a' = M a on ``interval``, M = [[0, m1 e^{iF/h}], [m2 e^{-iF/h}, 0]],
-    as a problem family supplies it.
+    as a problem family supplies it, marched from left to right.
 
     ``local(x)`` gives the phase rate F' at the nodes x and the smooth
     coefficients (m1, m2) there, each of shape (len(x),).
@@ -145,17 +146,15 @@ def _chunk_cells(system: System, dx: float) -> int:
 
 
 def _piece_spacing(system: System, start: float, end: float) -> list[float]:
-    """Own |dx| of each of RATE_PIECES equal pieces of [start, end], in
-    march order: POINTS_PER_PERIOD nodes per period 2*pi*h/rate of the
-    piece's rate bound, and at least N_MIN nodes on the system's interval.
-    Their node count, a lower bound on the plan's, is checked against N_MAX
+    """Own dx of each of RATE_PIECES equal pieces of [start, end], left to
+    right: POINTS_PER_PERIOD nodes per period 2*pi*h/rate of the piece's
+    rate bound, and at least N_MIN nodes on the system's interval. Their
+    node count, a lower bound on the plan's, is checked against N_MAX
     before any loop, so an h near the underflow limit is refused at once.
     """
     x_left, x_right = system.interval
     edges = start + (end - start) * np.linspace(0.0, 1.0, RATE_PIECES + 1)
-    rate = system.rate_on(
-        np.minimum(edges[:-1], edges[1:]), np.maximum(edges[:-1], edges[1:])
-    )
+    rate = system.rate_on(edges[:-1], edges[1:])
     # a zero rate, or an h near the underflow limit, makes the ratios
     # infinite: the first leaves the N_MIN cap, the second fails the budget
     with np.errstate(divide="ignore", over="ignore"):
@@ -163,7 +162,7 @@ def _piece_spacing(system: System, start: float, end: float) -> list[float]:
             (x_right - x_left) / (N_MIN - 1),
             2.0 * np.pi * system.h / (rate * POINTS_PER_PERIOD),
         )
-        _check_budget(float(np.sum(abs(end - start) / RATE_PIECES / own)))
+        _check_budget(float(np.sum((end - start) / RATE_PIECES / own)))
     return own.tolist()
 
 
@@ -176,7 +175,7 @@ def _check_budget(nodes: float) -> None:
 
 
 def _plan(system: System, start: float, end: float) -> list[tuple[float, int]]:
-    """Picard chunks (|dx|, cells) that grid [start, end] in march order.
+    """Picard chunks (dx, cells) that grid [start, end] from left to right.
 
     A chunk at distance u from start takes the widest piece dx that is at
     most the dx of every piece on [u - L, u + 2L], L = _chunk_cells(dx) * dx
@@ -189,7 +188,7 @@ def _plan(system: System, start: float, end: float) -> list[tuple[float, int]]:
     """
     own = _piece_spacing(system, start, end)
     widths = sorted(set(own))
-    span = abs(end - start)
+    span = end - start
     piece = span / RATE_PIECES
     chunks, u, total = [], 0.0, 0
 
@@ -311,7 +310,8 @@ def _picard(system: System, a0: np.ndarray, phi0: float, x, dx: float, work):
 
 
 def march(system: System, a: np.ndarray, x_from: float, x_to: float) -> np.ndarray:
-    """Carry coefficients a (shape (columns, 2)) from x_from to x_to.
+    """Carry coefficients a (shape (columns, 2)) from x_from to x_to; the
+    march runs left to right only, x_to < x_from raises ValidationError.
 
     Only the span's overlap with ``system.support`` is marched, from the
     exact phase at its start; a is constant on the rest. The node budget
@@ -324,7 +324,9 @@ def march(system: System, a: np.ndarray, x_from: float, x_to: float) -> np.ndarr
     warning.
     Returns the coefficients at x_to.
     """
-    lo, hi = sorted((x_from, x_to))
+    if x_to < x_from:
+        raise ValidationError(f"marches left to right only, not {x_from:g} -> {x_to:g}")
+    lo, hi = x_from, x_to
     if system.support is not None:
         lo, hi = max(lo, system.support[0]), min(hi, system.support[1])
     if system.support is None or not lo < hi:
@@ -335,16 +337,14 @@ def march(system: System, a: np.ndarray, x_from: float, x_to: float) -> np.ndarr
             x_to,
         )
         return a
-    start, end = (lo, hi) if x_to > x_from else (hi, lo)
-    chunks = _plan(system, start, end)
+    chunks = _plan(system, lo, hi)
     work = _work(system, max(cells for _, cells in chunks) + 1)
-    direction = 1.0 if end > start else -1.0
-    x, phi, sweeps, worst = start, system.phase(start), 0, 0
+    x, phi, sweeps, worst = lo, system.phase(lo), 0, 0
     # an overflow shows as a non-finite Picard change, which _picard raises
     with np.errstate(over="ignore", invalid="ignore"):
         for dx, cells in chunks:
-            nodes = x + direction * dx * np.arange(cells + 1)
-            a, phi, iters = _picard(system, a, phi, nodes, direction * dx, work)
+            nodes = x + dx * np.arange(cells + 1)
+            a, phi, iters = _picard(system, a, phi, nodes, dx, work)
             sweeps, worst = sweeps + iters, max(worst, iters)
             x = nodes[-1]
     logger.debug(

@@ -23,7 +23,7 @@ sqrt(2 pi h) e^{i pi/4} (Fresnel); m=2, F = y^3/3 gives 2 pi Ai(0) h^{1/3}.
 The numerical value is the reduced model of ``normalform`` with f = F',
 r1 = a and r2 = 0. In the model's frame (u1, e^{-iF/h} u2) the column
 that starts at (0, 1) keeps its second entry 1 and ends with first entry
--i I(h), so I(h) is that column marched on the model's system.
+-i I(h), so I(h) = i t12 of the model's extracted transfer matrix.
 """
 
 from __future__ import annotations
@@ -33,10 +33,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import march
 from ._kernels import cum_quad10
 from .errors import GridTooCoarse, ValidationError
-from .normalform import NormalFormProblem, _system
+from .normalform import NormalFormProblem, transfer_numeric
 from .profiles import ZERO_BUMP, Bump, Poly1
 from .symbolcalc import stationary_prefactor
 
@@ -117,18 +116,18 @@ def osc_integral_numeric(
     """The integral of amp e^{iF/h} over ``interval``, marched.
 
     The reduced model with f = F', r1 = amp and r2 = 0 carries the column
-    (0, 1) to (-i I, 1), so its march gives I: the graded mesh over the
-    amplitude's support, the node budget checked before any work and the
-    memory bounded by CHUNK_BYTES. As r1 of the model, ``amp`` must be
-    supported strictly inside ``interval`` (ValidationError otherwise).
+    (0, 1) to (-i I, 1), so I = i t12 of its ``transfer_numeric``: the
+    graded mesh over the amplitude's support, the node budget checked
+    before any work and the memory bounded by CHUNK_BYTES. As r1 of the
+    model, ``amp`` must be supported strictly inside ``interval``
+    (ValidationError otherwise).
     """
     x0, x1 = float(interval[0]), float(interval[1])
     phase.validate(x0, x1)
     prob = NormalFormProblem(
         f=phase.func.deriv(1), r1=amp, r2=ZERO_BUMP, x0=x0, x1=x1, h=h, m=phase.m
     )
-    a = march.march(_system(prob), np.array([[0.0, 1.0]], dtype=complex), x0, x1)
-    return complex(1j * a[0, 0])
+    return complex(1j * transfer_numeric(prob).t12)
 
 
 @dataclass

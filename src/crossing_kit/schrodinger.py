@@ -43,14 +43,15 @@ sqrt(p_j), b_j = s_j c_j then solves the model's form
     b' = [[0, -i r e^{iF/h}], [-i r e^{-iF/h}, 0]] b,
 
 with r = W / (2 sqrt(p_1 p_2)) and F = Phi_2 - Phi_1, so G never enters F.
-The - branches at (0, -xi0) are the complex conjugates: F and r change
-sign. This M is skew-Hermitian and vanishes outside supp W, and its mesh
-resolves |F'| = |p_2 - p_1| + O(h^2) instead of the sum phase. The
+This M is skew-Hermitian, traceless and vanishes outside supp W, and
+its mesh resolves |F'| = |p_2 - p_1| + O(h^2) instead of the sum phase.
+So its propagator U is in SU(2), and the - branches at (0, -xi0), the
+conjugate system from x_out to x_in, need no march: theirs is U^T. The
 extraction undoes s_j and Theta_j at the ends, so T stays in the
 first-order WKB frame of the branch coefficients, the frame of the
-prediction. The averaging costs O(h^{5/2}): T is within 6 h^{5/2} of the
-exact four-coefficient march on both case-i corpus problems, both
-branches, at h = 1e-2 .. 1e-3 (tests/pair_oracle.py holds that march).
+prediction. The averaging costs O(h^{5/2}): T is within 6 h^{5/2} of the exact
+four-coefficient march on both case-i corpus problems, both branches, at
+h = 1e-2 .. 1e-3 (tests/pair_oracle.py holds that march).
 """
 
 from __future__ import annotations
@@ -283,9 +284,9 @@ def _theta(basis: WkbBasis, x: float) -> np.ndarray:
     return prob.h**2 * _from_zero(integrand, x)
 
 
-def _system(basis: WkbBasis, sign: int) -> march.System:
-    """The normal form of the branches of sign ``sign`` for the march:
-    rate sign F', m1 = m2 = -i sign r, skew-Hermitian, supported on supp W.
+def _system(basis: WkbBasis) -> march.System:
+    """The normal form of the + branches for the march: rate F',
+    m1 = m2 = -i r, skew-Hermitian, supported on supp W.
 
     The rate bound on a piece is |V_1 - V_2| / (p_1 + p_2) with each p_j at
     its least on the piece, plus h^2 times a bound of |kappa_j| / (2 p_j)
@@ -317,12 +318,12 @@ def _system(basis: WkbBasis, sign: int) -> march.System:
         rate = (q[1] - q[0]) / (p[0] + p[1]) + h * h * 0.5 * (
             kappa[1] / p[1] - kappa[0] / p[0]
         )
-        m = (-1j * sign) * prob.w(x) / (2.0 * np.sqrt(p[0] * p[1]))
-        return sign * rate, (m, m)
+        m = -1j * prob.w(x) / (2.0 * np.sqrt(p[0] * p[1]))
+        return rate, (m, m)
 
     def phase(x):
         phi = np.array([basis.phase(j, x) for j in (1, 2)]) + _theta(basis, x)
-        return sign * float(phi[1] - phi[0])
+        return float(phi[1] - phi[0])
 
     return march.System(
         h=h,
@@ -341,27 +342,27 @@ def numeric_transfer_case_i(
 ) -> TransferMatrix:
     """Transfer matrix at (0, which_sign * xi0), extracted by one march.
 
-    which_sign=+1: the + branches move rightward, so unit data on them at
-    x_in is carried to x_out, where the + coefficients are read.
-    which_sign=-1: unit data on the - branches at x_out is carried to x_in,
-    where the - coefficients are read. Both input columns march together in
-    the normal form (module docstring) over supp W; with U its propagator,
+    Unit data on the + branches marches from x_in to x_out in the normal
+    form (module docstring) over supp W; with U its propagator,
 
-        T_jk = e^{i sign Theta_j(end)/h} (s_k / s_j) U_jk e^{-i sign Theta_k(start)/h}.
+        T_jk = e^{i Theta_j(x_out)/h} (s_k / s_j) U_jk e^{-i Theta_k(x_in)/h}.
+
+    The - branches' propagator is U^T: (T_-)_jk = (T_+)_kj c_k^2 / c_j^2.
     """
     if prob.case != "i":
         raise CaseMismatch("numeric transfer extraction needs case i")
     if which_sign not in (1, -1):
         raise ValidationError("which_sign must be +1 or -1")
     basis = WkbBasis(prob)
-    start, end = (prob.x_in, prob.x_out)[::which_sign]
-    u = march.march(_system(basis, which_sign), np.eye(2, dtype=complex), start, end).T
-    turn = 1j * which_sign / prob.h
+    u = march.march(_system(basis), np.eye(2, dtype=complex), prob.x_in, prob.x_out).T
     # s_j = sigma_j sqrt(p_j) = c_j E0^{1/4}: the ratios are those of c_j
     scale = np.array(basis.c)
-    out = np.exp(turn * _theta(basis, end)) / scale
-    into = np.exp(-turn * _theta(basis, start)) * scale
-    return TransferMatrix(out[:, None] * u * into[None, :], h=prob.h)
+    out = np.exp(1j / prob.h * _theta(basis, prob.x_out)) / scale
+    into = np.exp(-1j / prob.h * _theta(basis, prob.x_in)) * scale
+    t = out[:, None] * u * into[None, :]
+    if which_sign == -1:
+        t = t.T * scale**2 / scale[:, None] ** 2
+    return TransferMatrix(t, h=prob.h)
 
 
 def build_crossing_data(prob: SchrodingerProblem, which: int) -> CrossingData:

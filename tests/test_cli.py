@@ -10,8 +10,10 @@ import pytest
 
 from crossing_kit.cli import MAX_ORDER, main, parse_config
 from crossing_kit.errors import SchemaError
-from crossing_kit.normalform import predict_transfer
+from crossing_kit.normalform import NormalFormProblem, predict_transfer
+from crossing_kit.schrodinger import SchrodingerProblem
 from crossing_kit.sweep import MAX_GRID_POINTS, PowerLawFit, Verdict
+from crossing_kit.transfer import TransferMatrix
 
 
 def write_config(tmp_path, payload, name="config.json"):
@@ -216,18 +218,25 @@ def test_solve_model_writes_summary_and_small_error(tmp_path, capsys):
     assert "max abs error" in capsys.readouterr().out
     payload = json.loads(out.read_text(encoding="utf-8"))
     assert set(payload) >= {"extracted", "predicted", "abs_errors", "max_abs_error"}
+    assert payload["branch"] == 1
     assert payload["max_abs_error"] < 0.05
 
 
 def test_solve_schrodinger_minus_branch(tmp_path, capsys):
+    # the header line and the summary name the crossing that was solved
+    out = tmp_path / "summary.json"
     cfg = {
         "problem": {"kind": "schrodinger-corpus", "index": 0},
         "h": 2.5e-3,
         "branch": -1,
+        "output": {"summary": str(out)},
     }
     path = write_config(tmp_path, cfg)
     assert main(["solve-schrodinger", "--config", path]) == 0
-    assert "extracted" in capsys.readouterr().out
+    stdout = capsys.readouterr().out
+    assert stdout.splitlines()[0] == "solve-schrodinger  h=2.500000e-03  branch=-1"
+    assert "extracted" in stdout
+    assert json.loads(out.read_text(encoding="utf-8"))["branch"] == -1
 
 
 def test_verify_model_corpus_passes(tmp_path, capsys):
@@ -248,6 +257,40 @@ def test_verify_model_corpus_passes(tmp_path, capsys):
         assert payload["passed"] is True
         assert payload["ok_rows"] == 12
         assert all(v["passed"] for v in payload["verdicts"].values())
+
+
+@pytest.mark.parametrize(
+    "kind, family",
+    [("model-corpus", NormalFormProblem), ("schrodinger-corpus", SchrodingerProblem)],
+)
+def test_prefactor_gate_fails_a_prediction_off_by_15_percent(
+    tmp_path, capsys, monkeypatch, kind, family
+):
+    # verify on the default grid of corpus 0, with the prediction's
+    # off-diagonals scaled by 1.15 and 1/1.15: the prefactors miss by
+    # -13.3% and +14.7% on the model and by -15.0% and +12.5% on the pair,
+    # against -0.3% and -2.2% unscaled, so they fail the 0.10 tolerance;
+    # the exponents do not read the prediction's size and still pass
+    predict = family.predict
+    summary = tmp_path / "verify.json"
+    cfg = {
+        "problem": {"kind": kind, "index": 0},
+        "output": {"csv": str(tmp_path / "rows.csv"), "summary": str(summary)},
+    }
+    path = write_config(tmp_path, cfg)
+    for scale, code in ((1.0, 0), (1.15, 1), (1 / 1.15, 1)):
+
+        def scaled(self, branch=1, scale=scale):
+            t = predict(self, branch).entries * np.array([[1.0, scale], [scale, 1.0]])
+            return TransferMatrix(t, h=self.h)
+
+        monkeypatch.setattr(family, "predict", scaled)
+        assert main(["verify", "--config", path]) == code, scale
+        capsys.readouterr()
+        verdicts = json.loads(summary.read_text(encoding="utf-8"))["verdicts"]
+        assert len(verdicts) == 4
+        for key, v in verdicts.items():
+            assert v["passed"] is (scale == 1.0 or v["kind"] == "exponent"), (scale, key)
 
 
 def test_summary_entries_carry_the_dataclass_fields(tmp_path, capsys):

@@ -170,21 +170,30 @@ def test_gamma_vanishes_before_the_coupling_switches_on():
 def test_skipping_where_m_vanishes_is_exact():
     # a is constant outside the coupling support and the phases at its edges
     # are exact: marching x0 -> x1 equals marching the support alone, bit
-    # for bit, both ways, and a march that walks the whole interval agrees
-    # to the mesh error
+    # for bit, and a march that walks the whole interval agrees to the mesh
+    # error
     prob = model_corpus(1e-3)[1]
     lo, hi = prob.coupling_support()
     system = _system(prob)
     whole = dataclasses.replace(system, support=prob.interval)
     a = np.eye(2, dtype=complex)
-    for (x_from, x_to), (s_from, s_to) in (
-        ((prob.x0, prob.x1), (lo, hi)),
-        ((prob.x1, prob.x0), (hi, lo)),
-    ):
-        skipped = march.march(system, a, x_from, x_to)
-        assert (skipped == march.march(system, a, s_from, s_to)).all()
-        walked = march.march(whole, a, x_from, x_to)
-        assert np.abs(walked - skipped).max() <= 1e-9
+    skipped = march.march(system, a, prob.x0, prob.x1)
+    assert (skipped == march.march(system, a, lo, hi)).all()
+    walked = march.march(whole, a, prob.x0, prob.x1)
+    assert np.abs(walked - skipped).max() <= 1e-9
+
+
+def test_march_runs_left_to_right_only():
+    # a leftward span is refused before any work, also where M vanishes on
+    # it; an empty span returns the data as is
+    prob = model_corpus(1e-3)[1]
+    lo, _ = prob.coupling_support()
+    system = _system(prob)
+    a = np.eye(2, dtype=complex)
+    for x_from, x_to in ((prob.x1, prob.x0), (lo, prob.x0), (0.0, -1e-12)):
+        with pytest.raises(ValidationError, match="left to right"):
+            march.march(system, a, x_from, x_to)
+    assert march.march(system, a, 0.0, 0.0) is a
 
 
 def test_graded_mesh_marches_a_third_of_the_uniform_grid(caplog):

@@ -10,6 +10,7 @@ cheaper h.
 """
 
 import dataclasses
+import logging
 import math
 import tracemalloc
 
@@ -375,6 +376,41 @@ def _unequal_slopes(h):
     )
 
 
+_TRANSPOSED = {
+    **{f"{k}-{h:g}": schrodinger_corpus(h)[k] for k in (0, 1) for h in (1e-2, 1e-4)},
+    **{f"unequal-slopes-{h:g}": _unequal_slopes(h) for h in (1e-2, 1e-4)},
+}
+
+
+@pytest.mark.parametrize("prob", _TRANSPOSED.values(), ids=_TRANSPOSED.keys())
+def test_minus_prediction_is_the_flux_scaled_transpose(prob):
+    # the extraction reads T at -xi0 as C^{-2} T^T C^2 of T at +xi0, C =
+    # diag(c_j); the invariant route obeys the same identity (measured
+    # 7.9e-17), so both use one flux convention at -xi0. The plain
+    # transpose misses by 4.6e-3 at h = 1e-2 where the slopes differ
+    c2 = np.array(WkbBasis(prob).c) ** 2
+    plus = predict_transfer_case_i(prob, 1).entries
+    minus = predict_transfer_case_i(prob, -1).entries
+    assert np.abs(minus - plus.T * c2[None, :] / c2[:, None]).max() <= 1e-15
+
+
+def test_minus_crossing_is_read_off_the_plus_march(caplog):
+    # the - branches' propagator from x_out to x_in is the transpose of the
+    # + one from x_in to x_out: the - extraction marches once, the + march
+    prob = _unequal_slopes(1e-3)
+    with caplog.at_level(logging.DEBUG, logger="crossing_kit"):
+        for sign in (1, -1):
+            numeric_transfer_case_i(prob, sign)
+    plus, minus = [r.getMessage() for r in caplog.records]
+    assert minus == plus and " marched " in plus
+
+
+def test_pair_oracle_refuses_h_below_its_converged_range():
+    prob = schrodinger_corpus(pair_oracle.H_MIN / 2)[1]
+    with pytest.raises(ValueError, match="not converged"):
+        pair_oracle.transfer(prob)
+
+
 _FLUX = {
     **{
         f"{k}-{h:g}": (schrodinger_corpus(h)[k], 1.0)
@@ -559,12 +595,11 @@ def _window_rate(system, start, end, near, far):
     """rate_on over the pieces of the plan of [start, end] that the
     distances [near, far] from start touch, clipped to [start, end]: the
     window as the plan reads it."""
-    width = abs(end - start) / march.RATE_PIECES
+    width = (end - start) / march.RATE_PIECES
     first = max(0, int(near / width))
     last = min(march.RATE_PIECES, int(far / width) + 1)
-    a = start + math.copysign(first * width, end - start)
-    b = start + math.copysign(last * width, end - start)
-    return float(system.rate_on(np.array([min(a, b)]), np.array([max(a, b)]))[0])
+    a, b = start + first * width, start + last * width
+    return float(system.rate_on(np.array([a]), np.array([b]))[0])
 
 
 def _envelope_integral():
@@ -621,7 +656,7 @@ def test_each_chunk_takes_the_widest_dx_that_resolves_its_reach(monkeypatch, run
                 reach = march._chunk_cells(system, wider[0]) * wider[0]
                 assert wider[0] > bound(u - reach, u + 2 * reach) * (1 - 1e-9)
             u += cells * dx
-        assert u == pytest.approx(abs(end - start), rel=1e-12)
+        assert u == pytest.approx(end - start, rel=1e-12)
 
 
 # where the coupling, not CHUNK_BYTES, sets the chunk length: at h = 1e-2
@@ -650,11 +685,11 @@ def test_each_picard_chunk_is_a_run_of_equal_dx_segments(monkeypatch, run):
 
     def planning(system, start, end):
         chunks = plan(system, start, end)
-        marches.append((system, abs(end - start), chunks, []))
+        marches.append((system, end - start, chunks, []))
         return chunks
 
     def solving(system, a0, phi0, x, dx, work):
-        marches[-1][3].append((abs(dx), len(x) - 1))
+        marches[-1][3].append((dx, len(x) - 1))
         return picard(system, a0, phi0, x, dx, work)
 
     monkeypatch.setattr(march, "_plan", planning)
