@@ -379,6 +379,8 @@ def parse_config(
     if "branch" in obj:
         if family != "schrodinger":
             raise SchemaError("branch", "only meaningful for schrodinger problems")
+        if problem.case != "i":
+            raise SchemaError("branch", "the zero-energy origin crossing has no branch")
         branch = _expect_int(obj["branch"], "branch")
         if branch not in (1, -1):
             raise SchemaError("branch", "must be 1 or -1")

@@ -42,7 +42,8 @@ sqrt(p_j), b_j = s_j c_j then solves the model's form
 
     b' = [[0, -i r e^{iF/h}], [-i r e^{-iF/h}, 0]] b,
 
-with r = W / (2 sqrt(p_1 p_2)) and F = Phi_2 - Phi_1, so G never enters F.
+with r = W / (2 sqrt(p_1 p_2)) and F = Phi_2 - Phi_1, so G never enters F:
+F' = p_2 - p_1 + h^2 (kappa_2/p_2 - kappa_1/p_1) / 2, and F is its integral.
 This M is skew-Hermitian, traceless and vanishes outside supp W, and
 its mesh resolves |F'| = |p_2 - p_1| + O(h^2) instead of the sum phase.
 So its propagator U is in SU(2), and the - branches at (0, -xi0), the
@@ -175,7 +176,9 @@ class SchrodingerProblem:
 
 
 class WkbBasis:
-    """Oscillatory basis sigma_j e^{+-i phi_j / h} of the decoupled equations.
+    """Oscillatory basis sigma_j e^{+-i phi_j / h} of the decoupled equations,
+    evaluated for both branches at once: each method returns arrays of shape
+    (2, *x.shape), row j - 1 for branch j.
 
     phi_j(x) = int_0^x sqrt(E0 - V_j), sigma_j = c_j (1 - V_j/E0)^(-1/4).
     The normalization c_j = (1 + V_j'(0)^2 / (4 E0))^(1/4) makes the
@@ -203,46 +206,33 @@ class WkbBasis:
         self.slopes = (prob.v1.deriv(1), prob.v2.deriv(1))
         self.curvatures = (prob.v1.deriv(2), prob.v2.deriv(2))
 
-    def _potential(self, j: int) -> Poly1:
-        if j not in (1, 2):
-            raise ValidationError("equation index j must be 1 or 2")
-        return self.prob.v1 if j == 1 else self.prob.v2
+    def rates(self, x):
+        """(q, p, sigma'/sigma, sigma''/sigma) at the points x: q_j = E0 - V_j
+        and p_j = phi_j' = sqrt(q_j)."""
+        prob = self.prob
+        q = prob.e0 - np.array([prob.v1(x), prob.v2(x)])
+        dlog, kappa = _sigma_ratios(
+            q,
+            np.array([p(x) for p in self.slopes]),
+            np.array([p(x) for p in self.curvatures]),
+        )
+        return q, np.sqrt(q), dlog, kappa
 
-    def momentum(self, j: int, x):
-        """phi_j'(x) = sqrt(E0 - V_j(x))."""
-        return np.sqrt(self.prob.e0 - self._potential(j)(x))
+    def amplitude(self, x):
+        """(sigma_1, sigma_2) at x; sigma_j^2 phi_j' is constant on the interval."""
+        ratio = np.array([self.prob.v1(x), self.prob.v2(x)]) / self.prob.e0
+        return np.reshape(self.c, (2,) + (1,) * np.ndim(x)) * (1.0 - ratio) ** -0.25
 
-    def phase(self, j: int, x):
-        """phi_j(x), by composite 15-node Gauss-Legendre panels from 0.
-
-        The integrand is analytic on the interval (no turning point), so a
-        handful of panels per unit length reaches machine accuracy.
-        """
-
-        def one(xx: float) -> float:
-            return float(_from_zero(lambda y: self.momentum(j, y), xx))
-
-        arr = np.asarray(x, dtype=float)
-        if arr.ndim == 0:
-            return one(float(arr))
-        return np.array([one(float(xx)) for xx in arr])
-
-    def amplitude(self, j: int, x):
-        """sigma_j(x); sigma_j^2 phi_j' is constant on the interval."""
-        return self.c[j - 1] * (1.0 - self._potential(j)(x) / self.prob.e0) ** -0.25
-
-    def amplitude_ratios(self, j: int, x):
-        """(sigma_j'/sigma_j, sigma_j''/sigma_j) at x.
-
-        With q = E0 - V_j, sigma_j is proportional to q^(-1/4), so
-        sigma'/sigma = V'/(4q) and sigma''/sigma = V''/(4q) + 5 V'^2/(16 q^2).
-        """
-        q = self.prob.e0 - self._potential(j)(x)
-        return _sigma_ratios(q, self.slopes[j - 1](x), self.curvatures[j - 1](x))
+    def phase(self, x: float) -> np.ndarray:
+        """(phi_1, phi_2) at the point x, by _from_zero. The integrand is
+        analytic on the interval (no turning point), so a handful of panels
+        per unit length reaches machine accuracy."""
+        return _from_zero(lambda y: self.rates(y)[1], x)
 
 
 def _sigma_ratios(q, slope, curvature):
-    """(sigma'/sigma, sigma''/sigma) from q = E0 - V and V', V'' at x."""
+    """(sigma'/sigma, sigma''/sigma) from q = E0 - V and V', V'' at x: as
+    sigma ~ q^(-1/4), they are V'/(4q) and V''/(4q) + 5 V'^2/(16 q^2)."""
     slope = slope / q
     return 0.25 * slope, 0.25 * curvature / q + 0.3125 * slope * slope
 
@@ -259,26 +249,13 @@ def _from_zero(integrand, x: float):
     return (integrand(pts) @ _GL_WEIGHTS) @ half
 
 
-def _rates(basis: WkbBasis, x):
-    """q_j = E0 - V_j, p_j = phi_j' = sqrt(q_j) and kappa_j =
-    sigma_j''/sigma_j at the points x, each of shape (2, *x.shape)."""
-    prob = basis.prob
-    q = prob.e0 - np.array([prob.v1(x), prob.v2(x)])
-    _, kappa = _sigma_ratios(
-        q,
-        np.array([p(x) for p in basis.slopes]),
-        np.array([p(x) for p in basis.curvatures]),
-    )
-    return q, np.sqrt(q), kappa
-
-
 def _theta(basis: WkbBasis, x: float) -> np.ndarray:
     """(Theta_1, Theta_2) at x: the phases the normal form takes out of the
     branches beside phi_j (see the module docstring)."""
     prob = basis.prob
 
     def integrand(y):
-        _, p, kappa = _rates(basis, y)
+        _, p, _, kappa = basis.rates(y)
         return 0.5 * kappa / p - prob.w(y) ** 2 / (4.0 * p[0] * p[1] * (p[0] + p[1]))
 
     return prob.h**2 * _from_zero(integrand, x)
@@ -286,7 +263,8 @@ def _theta(basis: WkbBasis, x: float) -> np.ndarray:
 
 def _system(basis: WkbBasis) -> march.System:
     """The normal form of the + branches for the march: rate F',
-    m1 = m2 = -i r, skew-Hermitian, supported on supp W.
+    m1 = m2 = -i r, skew-Hermitian, supported on supp W. Its phase F is
+    the integral of that same F' from 0.
 
     The rate bound on a piece is |V_1 - V_2| / (p_1 + p_2) with each p_j at
     its least on the piece, plus h^2 times a bound of |kappa_j| / (2 p_j)
@@ -314,22 +292,18 @@ def _system(basis: WkbBasis) -> march.System:
         return gap.abs_max_on(lo, hi) / (p_low[0] + p_low[1]) + h * h * drift
 
     def local(x):
-        q, p, kappa = _rates(basis, x)
+        q, p, _, kappa = basis.rates(x)
         rate = (q[1] - q[0]) / (p[0] + p[1]) + h * h * 0.5 * (
             kappa[1] / p[1] - kappa[0] / p[0]
         )
         m = -1j * prob.w(x) / (2.0 * np.sqrt(p[0] * p[1]))
         return rate, (m, m)
 
-    def phase(x):
-        phi = np.array([basis.phase(j, x) for j in (1, 2)]) + _theta(basis, x)
-        return float(phi[1] - phi[0])
-
     return march.System(
         h=h,
         interval=prob.interval,
         support=prob.w.support if prob.w.amplitude != 0.0 else None,
-        phase=phase,
+        phase=lambda x: float(_from_zero(lambda y: local(y)[0], x)),
         rate_on=rate_on,
         coupling=abs(prob.w.amplitude) / (2.0 * (q_low[0] * q_low[1]) ** 0.25),
         local=local,
@@ -349,11 +323,9 @@ def numeric_transfer_case_i(
 
     The - branches' propagator is U^T: (T_-)_jk = (T_+)_kj c_k^2 / c_j^2.
     """
-    if prob.case != "i":
-        raise CaseMismatch("numeric transfer extraction needs case i")
+    basis = WkbBasis(prob)
     if which_sign not in (1, -1):
         raise ValidationError("which_sign must be +1 or -1")
-    basis = WkbBasis(prob)
     u = march.march(_system(basis), np.eye(2, dtype=complex), prob.x_in, prob.x_out).T
     # s_j = sigma_j sqrt(p_j) = c_j E0^{1/4}: the ratios are those of c_j
     scale = np.array(basis.c)

@@ -125,41 +125,37 @@ def synthesize(basis: WkbBasis, coeffs, x: float) -> np.ndarray:
     coeffs = (a1_plus, a1_minus, a2_plus, a2_minus), in the exact
     convention: u_j' = a_j+ w_j+' + a_j- w_j-'.
     """
-    a = [complex(c) for c in coeffs]
+    a = np.asarray(coeffs, dtype=complex)
     h = basis.prob.h
+    _, rate, dlog, _ = basis.rates(x)
+    sig = basis.amplitude(x)
+    osc = np.exp(1j * basis.phase(x) / h)
+    plus, minus = a[0::2] * osc, a[1::2] * np.conj(osc)
     out = np.empty(4, dtype=complex)
-    for j in (1, 2):
-        ap, am = a[2 * j - 2], a[2 * j - 1]
-        sig = float(basis.amplitude(j, x))
-        rate = float(basis.momentum(j, x))
-        dlog = float(basis.amplitude_ratios(j, x)[0])
-        osc = np.exp(1j * basis.phase(j, x) / h)
-        out[2 * j - 2] = sig * (ap * osc + am * np.conj(osc))
-        out[2 * j - 1] = dlog * out[2 * j - 2] + (1j * rate / h) * sig * (
-            ap * osc - am * np.conj(osc)
-        )
+    out[0::2] = sig * (plus + minus)
+    out[1::2] = dlog * out[0::2] + (1j * rate / h) * sig * (plus - minus)
     return out
 
 
-def branch_decompose(basis: WkbBasis, j: int, x, u, hdu):
-    """Branch coefficients (a_plus, a_minus) of equation j at points x.
+def branch_decompose(basis: WkbBasis, x: float, u, hdu):
+    """Branch coefficients (a_plus, a_minus) of both equations at the point
+    x, each of shape (2,), from u = (u1, u2) and hdu = (h u1', h u2').
 
-    Inverts ``synthesize``: solves [u; h u'] = B(x) [a_plus; a_minus] with
-    the exact basis and its derivative. The determinant of B is the
+    Inverts ``synthesize``: solves [u_j; h u_j'] = B_j(x) [a_j+; a_j-] with
+    the exact basis and its derivative. The determinant of B_j is the
     x-independent flux 2 sigma_j^2 phi_j', so conditioning is uniform.
     """
-    x = np.asarray(x, dtype=float)
     u = np.asarray(u, dtype=complex)
     hdu = np.asarray(hdu, dtype=complex)
-    rate = np.asarray(basis.momentum(j, x), dtype=float)
-    sig = np.asarray(basis.amplitude(j, x), dtype=float)
+    _, rate, dlog, _ = basis.rates(x)
+    sig = basis.amplitude(x)
     if np.min(2.0 * sig**2 * rate) < 1e-8:
         raise IllConditioned(
             "branch matrix nearly singular (turning point too close)"
         )
     # h u' less its amplitude part is the phase part i phi' sigma (a+ e - a- e*)
-    hdu = hdu - basis.prob.h * basis.amplitude_ratios(j, x)[0] * u
-    osc = np.exp(1j * np.asarray(basis.phase(j, x)) / basis.prob.h)
+    hdu = hdu - basis.prob.h * dlog * u
+    osc = np.exp(1j * basis.phase(x) / basis.prob.h)
     a_plus = (u - 1j * hdu / rate) / (2.0 * sig * osc)
     a_minus = (u + 1j * hdu / rate) / (2.0 * sig * np.conj(osc))
     return a_plus, a_minus

@@ -156,6 +156,36 @@ def test_branch_key_requires_schrodinger(tmp_path):
     assert exc.value.key_path == "branch"
 
 
+@pytest.mark.parametrize(
+    "problem",
+    [
+        {"kind": "schrodinger-corpus", "index": 2},
+        {
+            "kind": "schrodinger",
+            "n": 1,
+            "v1_coeffs": [0.0, -1.0],
+            "v2_coeffs": [0.0, -2.0],
+            "e0": 0.0,
+            "coupling": {"width": 0.5},
+            "interval": [-0.9, 0.9],
+        },
+    ],
+    ids=["corpus", "schrodinger"],
+)
+def test_branch_key_requires_positive_energy(tmp_path, capsys, problem):
+    # the zero-energy pair has one crossing, at the origin: a branch key
+    # would be ignored by the prediction and recorded all the same
+    for branch in (1, -1):
+        path = write_config(tmp_path, {"problem": problem, "h": 1e-3, "branch": branch})
+        assert main(["predict", "--config", path]) == 2
+        assert "branch: the zero-energy origin crossing has no branch" in (
+            _one_line_error(capsys)
+        )
+    path = write_config(tmp_path, {"problem": problem, "h": 1e-3})
+    assert main(["predict", "--config", path]) == 0
+    capsys.readouterr()
+
+
 def test_csv_output_rejected_for_single_solve(tmp_path):
     path = write_config(
         tmp_path,

@@ -228,24 +228,29 @@ def test_case_mismatch_between_predictors():
 def test_basis_normalization_and_flux():
     prob = schrodinger_corpus(1e-3)[0]
     basis = WkbBasis(prob)
-    for j, v in ((1, prob.v1), (2, prob.v2)):
-        c = (1.0 + v.deriv_at(1, 0.0) ** 2 / 4.0) ** 0.25
-        assert basis.amplitude(j, 0.0) == pytest.approx(c, rel=1e-14)
-        xs = np.linspace(prob.x_in, prob.x_out, 17)
-        flux = basis.amplitude(j, xs) ** 2 * basis.momentum(j, xs)
-        assert np.abs(flux - flux[0]).max() < 1e-13
+    c = [(1.0 + v.deriv_at(1, 0.0) ** 2 / 4.0) ** 0.25 for v in (prob.v1, prob.v2)]
+    assert basis.amplitude(0.0) == pytest.approx(c, rel=1e-14)
+    xs = np.linspace(prob.x_in, prob.x_out, 17)
+    flux = basis.amplitude(xs) ** 2 * basis.rates(xs)[1]
+    assert flux.shape == (2, 17)
+    assert np.abs(flux - flux[:, :1]).max() < 1e-13
 
 
-def test_march_coefficients_match_the_basis_methods():
-    # the march evaluates each potential once per chunk; its momenta and
-    # sigma''/sigma must equal the basis methods' bit for bit
+def test_rates_are_the_derivatives_of_the_basis():
+    # p_j = phi_j', sigma_j'/sigma_j and sigma_j''/sigma_j against central
+    # differences of phase and amplitude, both branches at once
     prob = schrodinger_corpus(1e-3)[1]
     basis = WkbBasis(prob)
-    xs = np.linspace(prob.x_in, prob.x_out, 301)
-    _, p, kappa = schrodinger._rates(basis, xs)
-    assert (p == np.array([basis.momentum(j, xs) for j in (1, 2)])).all()
-    for j in (1, 2):
-        assert (kappa[j - 1] == basis.amplitude_ratios(j, xs)[1]).all()
+    xs, d = np.linspace(-1.0, 1.0, 9), 1e-4
+    q, p, dlog, kappa = basis.rates(xs)
+    assert q.shape == p.shape == dlog.shape == kappa.shape == (2, 9)
+    assert (p == np.sqrt(q)).all()
+    lo, hi = (np.array([basis.phase(x) for x in xs + s]).T for s in (-d, d))
+    assert np.abs((hi - lo) / (2 * d) - p).max() < 1e-8
+    sig = np.moveaxis(basis.amplitude(np.array([xs - d, xs, xs + d])), 1, 0)
+    assert np.abs((sig[2] - sig[0]) / (2 * d * sig[1]) - dlog).max() < 1e-7
+    second = (sig[2] - 2 * sig[1] + sig[0]) / (d * d * sig[1])
+    assert np.abs(second - kappa).max() < 1e-6
 
 
 def test_phase_closed_form_for_constant_potential():
@@ -255,7 +260,8 @@ def test_phase_closed_form_for_constant_potential():
     )
     basis = WkbBasis(prob)
     for x in (-0.7, 0.3, 0.8):
-        assert basis.phase(1, x) == pytest.approx(0.8 * x, rel=1e-13, abs=1e-15)
+        want = (0.8 * x, 4.0 / 3.0 * (0.512 - (0.64 - 0.5 * x) ** 1.5))
+        assert basis.phase(x) == pytest.approx(want, rel=1e-13, abs=1e-15)
 
 
 def test_basis_requires_positive_energy():
@@ -270,13 +276,9 @@ def test_decompose_round_trip_and_conjugation():
     coeffs = rng.standard_normal(4) + 1j * rng.standard_normal(4)
     x = 0.95
     y = synthesize(basis, coeffs, x)
-    got = []
-    for j in (1, 2):
-        ap, am = branch_decompose(
-            basis, j, x, y[2 * j - 2], prob.h * y[2 * j - 1]
-        )
-        got.extend([complex(ap), complex(am)])
-    assert np.abs(np.array(got) - coeffs).max() < 1e-12
+    ap, am = branch_decompose(basis, x, y[0::2], prob.h * y[1::2])
+    got = np.array([ap, am]).T.ravel()  # (a1+, a1-, a2+, a2-)
+    assert np.abs(got - coeffs).max() < 1e-12
     # conjugating the state swaps the branches with conjugated coefficients
     swapped = np.conj(coeffs[[1, 0, 3, 2]])
     assert np.abs(np.conj(y) - synthesize(basis, swapped, x)).max() < 1e-12
@@ -289,9 +291,7 @@ def test_decompose_ill_conditioned_near_flux_collapse():
     )
     basis = WkbBasis(tiny)
     with pytest.raises(IllConditioned):
-        branch_decompose(
-            basis, 1, np.array([0.4]), np.array([1.0 + 0j]), np.array([0.0j])
-        )
+        branch_decompose(basis, 0.4, np.array([1.0 + 0j, 0j]), np.zeros(2, complex))
 
 
 # ------------------------------------------------------------------ the solves
@@ -313,7 +313,7 @@ def test_decoupled_solution_tracks_its_branch():
     assert np.abs(u2).max() < 1e-9
     for x in probes:
         k = int(np.searchsorted(xs, x))
-        wkb = basis.amplitude(1, x) * np.exp(1j * basis.phase(1, x) / prob.h)
+        wkb = basis.amplitude(x)[0] * np.exp(1j * basis.phase(x)[0] / prob.h)
         assert abs(u1[k] - wkb) < 0.5 * prob.h
 
 
@@ -337,12 +337,7 @@ def _reference_transfer(prob, sign):
         coeffs = np.zeros(4)
         coeffs[2 * c + slot] = 1.0
         y = integrate(basis, coeffs, start, end, [end])[:, -1]
-        cols.append(
-            [
-                branch_decompose(basis, j, end, y[2 * j - 2], prob.h * y[2 * j - 1])[slot]
-                for j in (1, 2)
-            ]
-        )
+        cols.append(branch_decompose(basis, end, y[0::2], prob.h * y[1::2])[slot])
     return np.array(cols).T
 
 
@@ -431,8 +426,7 @@ def test_flux_scaled_transfer_is_unitary(prob, ratio):
     # the slopes differ (s_1 / s_2 = 1.0113); the four-coefficient march
     # missed it by up to 2.6e-5 (corpus 1, h = 1e-2)
     basis = WkbBasis(prob)
-    s = np.array([basis.amplitude(j, 0.3) for j in (1, 2)])
-    s *= np.sqrt([basis.momentum(j, 0.3) for j in (1, 2)])
+    s = basis.amplitude(0.3) * np.sqrt(basis.rates(0.3)[1])
     assert s[0] / s[1] == pytest.approx(ratio, abs=1e-4)
     for sign in (1, -1):
         T = numeric_transfer_case_i(prob, sign).entries
@@ -706,6 +700,28 @@ def test_each_picard_chunk_is_a_run_of_equal_dx_segments(monkeypatch, run):
                 or system.coupling * cells * dx <= march.PICARD_REACH
             )
         assert sum(c * dx for dx, c in chunks) == pytest.approx(span, rel=1e-12)
+
+
+@pytest.mark.parametrize("h", [1e-2, 2.5e-3, 1e-4, 1e-5])
+@pytest.mark.parametrize("index", [0, 1])
+def test_marched_phase_is_the_phase_at_every_chunk_end(monkeypatch, index, h):
+    # F' is written once, in the pair's local(): the march integrates it
+    # chunk by chunk with cum_quad10, and the system's phase integrates it
+    # from 0 by Gauss-Legendre. The two agree at every Picard chunk end
+    # (measured at most 3.1e-16, corpus 0 at h = 1e-5)
+    prob = schrodinger_corpus(h)[index]
+    system = schrodinger._system(WkbBasis(prob))
+    ends, picard = [], march._picard
+
+    def solving(system, a0, phi0, x, dx, work):
+        a, phi, iters = picard(system, a0, phi0, x, dx, work)
+        ends.append((x[-1], phi))
+        return a, phi, iters
+
+    monkeypatch.setattr(march, "_picard", solving)
+    march.march(system, np.eye(2, dtype=complex), prob.x_in, prob.x_out)
+    assert ends
+    assert max(abs(phi - system.phase(x)) for x, phi in ends) <= 1e-14
 
 
 def test_numeric_transfer_both_crossings():
