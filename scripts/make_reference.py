@@ -11,10 +11,13 @@ Runs ``verify`` in this process on each case in CASES, with the
   name;
 - ``<name>.txt``: stdout, the CSV path on its first line cut to ``csv=``.
 
-The cases are the three perfbench grids and the default grid of
-``schrodinger-corpus`` 1. ``tests/test_reference.py`` reruns them and
-compares. Regenerate only from a tree whose outputs are known good: the
-files are the record that a refactor left the numbers alone.
+The cases are the three perfbench grids and the default grids of
+``model-corpus`` 0-5 and ``schrodinger-corpus`` 0 and 1 (``model-corpus``
+2 is recorded with its exit code 1: its prefactor checks fail).
+``tests/test_reference.py`` reruns them and compares. Regenerate only
+from a tree whose outputs are known good: the files are the record that
+a refactor left the numbers alone; rerunning the script on such a tree
+leaves ``git diff tests/reference`` empty.
 """
 
 from __future__ import annotations
@@ -42,8 +45,13 @@ CASES = {
         "problem": {"kind": "schrodinger-corpus", "index": 0},
         "h_grid": {"values": [1e-2, 5e-3, 2.5e-3, 1e-4]},
     },
-    "schrodinger-corpus-1": {
-        "problem": {"kind": "schrodinger-corpus", "index": 1},
+    **{
+        f"model-corpus-{i}": {"problem": {"kind": "model-corpus", "index": i}}
+        for i in range(6)
+    },
+    **{
+        f"schrodinger-corpus-{i}": {"problem": {"kind": "schrodinger-corpus", "index": i}}
+        for i in (0, 1)
     },
 }
 
