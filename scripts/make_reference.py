@@ -50,7 +50,9 @@ CASES = {
         for i in range(6)
     },
     **{
-        f"schrodinger-corpus-{i}": {"problem": {"kind": "schrodinger-corpus", "index": i}}
+        f"schrodinger-corpus-{i}": {
+            "problem": {"kind": "schrodinger-corpus", "index": i}
+        }
         for i in (0, 1)
     },
 }

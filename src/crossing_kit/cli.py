@@ -79,7 +79,8 @@ class RunConfig:
     mode: str
     problem: Problem
     h_values: tuple[float, ...] | None
-    branch: int
+    # None for the zero-energy pair, whose one crossing has no branch
+    branch: int | None
     tolerances: dict
     csv_path: str | None
     summary_path: str | None
@@ -375,7 +376,7 @@ def parse_config(
             "only predict supports them",
         )
 
-    branch = 1
+    branch = None if family == "schrodinger" and problem.case == "ii" else 1
     if "branch" in obj:
         if family != "schrodinger":
             raise SchemaError("branch", "only meaningful for schrodinger problems")
@@ -440,10 +441,12 @@ def _write_summary(config: RunConfig, payload: dict) -> None:
 
 
 def _run_predict(config: RunConfig) -> int:
-    t = config.problem.predict(config.branch)
-    print(f"predict  h={config.problem.h:.6e}  branch={config.branch}")
+    h, branch = config.problem.h, config.branch
+    t = config.problem.predict(branch or 1)
+    print(f"predict  h={h:.6e}" + ("" if branch is None else f"  branch={branch}"))
     _print_matrix("predicted", t)
-    summary = {"mode": "predict", "h": config.problem.h, "branch": config.branch}
+    summary = {"mode": "predict", "h": h, "branch": branch}
+    summary = {k: v for k, v in summary.items() if v is not None}
     _write_summary(config, {**summary, "entries": _matrix_payload(t)})
     return 0
 

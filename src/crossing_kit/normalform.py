@@ -36,7 +36,6 @@ h^{1/(m+1)} stationary-point contribution predicted by predict_transfer.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from dataclasses import dataclass
 
@@ -51,7 +50,7 @@ from .symbolcalc import (
     crossing_data_from_symbols,
     transfer_predicted_general,
 )
-from .transfer import TransferMatrix
+from .transfer import Problem, TransferMatrix
 
 # Not called here: perfbench/tracer.py wraps this attribute of this module
 # by name, so it must stay importable from it. cum_quad6 is the kernel's
@@ -72,7 +71,7 @@ def _poly_real_roots(f: Poly1) -> list[float]:
 
 
 @dataclass(frozen=True)
-class NormalFormProblem:
+class NormalFormProblem(Problem):
     """Problem data for the reduced model on [x0, x1].
 
     f must vanish at 0 to the exact order m, and must not vanish anywhere
@@ -135,9 +134,6 @@ class NormalFormProblem:
     @property
     def order(self) -> int:
         return self.m
-
-    def with_h(self, h: float) -> "NormalFormProblem":
-        return dataclasses.replace(self, h=h)
 
     def predict(self, branch: int = 1) -> TransferMatrix:
         _check_single_crossing(branch)
@@ -208,7 +204,7 @@ def predict_transfer(prob: NormalFormProblem) -> TransferMatrix:
     prefactor of the corresponding phase sign; diagonal entries are 1 up to
     a higher-order remainder.
     """
-    return transfer_predicted_general(crossing_data(prob), prob.h)
+    return transfer_predicted_general(prob.shared(crossing_data), prob.h)
 
 
 def transfer_numeric(prob: NormalFormProblem) -> TransferMatrix:

@@ -57,7 +57,6 @@ h = 1e-2 .. 1e-3 (tests/pair_oracle.py holds that march).
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from dataclasses import dataclass
 
@@ -72,7 +71,7 @@ from .symbolcalc import (
     crossing_data_from_symbols,
     transfer_predicted_general,
 )
-from .transfer import TransferMatrix
+from .transfer import Problem, TransferMatrix
 
 # Names perfbench/tracer.py wraps on this module and accepts None for:
 # grid_for is removed, and the DOP853 reference solve with its right-hand
@@ -83,7 +82,7 @@ _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(15)
 
 
 @dataclass(frozen=True)
-class SchrodingerProblem:
+class SchrodingerProblem(Problem):
     """Problem data for the coupled pair on [x_in, x_out].
 
     n is the exact vanishing order of V2 - V1 at 0. The coupling W must be
@@ -162,9 +161,6 @@ class SchrodingerProblem:
         """Contact order: n at the crossings +-xi0, 2n at the origin."""
         return self.n if self.case == "i" else 2 * self.n
 
-    def with_h(self, h: float) -> "SchrodingerProblem":
-        return dataclasses.replace(self, h=h)
-
     def predict(self, branch: int = 1) -> TransferMatrix:
         """T at (0, branch * xi0); the origin crossing ignores ``branch``."""
         if self.case == "ii":
@@ -178,7 +174,7 @@ class SchrodingerProblem:
 class WkbBasis:
     """Oscillatory basis sigma_j e^{+-i phi_j / h} of the decoupled equations,
     evaluated for both branches at once: each method returns arrays of shape
-    (2, *x.shape), row j - 1 for branch j.
+    (2, *x.shape), row j - 1 for branch j. It holds V_1, V_2 and E0, not h.
 
     phi_j(x) = int_0^x sqrt(E0 - V_j), sigma_j = c_j (1 - V_j/E0)^(-1/4).
     The normalization c_j = (1 + V_j'(0)^2 / (4 E0))^(1/4) makes the
@@ -197,7 +193,7 @@ class WkbBasis:
             raise CaseMismatch(
                 "the oscillatory basis needs E0 > 0 with no turning point"
             )
-        self.prob = prob
+        self.v1, self.v2, self.e0 = prob.v1, prob.v2, prob.e0
         self.c = tuple(
             (1.0 + v.deriv_at(1, 0.0) ** 2 / (4.0 * prob.e0)) ** 0.25
             for v in (prob.v1, prob.v2)
@@ -209,8 +205,7 @@ class WkbBasis:
     def rates(self, x):
         """(q, p, sigma'/sigma, sigma''/sigma) at the points x: q_j = E0 - V_j
         and p_j = phi_j' = sqrt(q_j)."""
-        prob = self.prob
-        q = prob.e0 - np.array([prob.v1(x), prob.v2(x)])
+        q = self.e0 - np.array([self.v1(x), self.v2(x)])
         dlog, kappa = _sigma_ratios(
             q,
             np.array([p(x) for p in self.slopes]),
@@ -220,7 +215,7 @@ class WkbBasis:
 
     def amplitude(self, x):
         """(sigma_1, sigma_2) at x; sigma_j^2 phi_j' is constant on the interval."""
-        ratio = np.array([self.prob.v1(x), self.prob.v2(x)]) / self.prob.e0
+        ratio = np.array([self.v1(x), self.v2(x)]) / self.e0
         return np.reshape(self.c, (2,) + (1,) * np.ndim(x)) * (1.0 - ratio) ** -0.25
 
     def phase(self, x: float) -> np.ndarray:
@@ -249,19 +244,35 @@ def _from_zero(integrand, x: float):
     return (integrand(pts) @ _GL_WEIGHTS) @ half
 
 
-def _theta(basis: WkbBasis, x: float) -> np.ndarray:
-    """(Theta_1, Theta_2) at x: the phases the normal form takes out of the
-    branches beside phi_j (see the module docstring)."""
-    prob = basis.prob
+class _NormalForm:
+    """The h-free part of the pair's normal form (case i): the basis, the
+    bounds of ``_system`` and ``theta``, the integrals at x_in and x_out
+    whose h^2 multiples are the phases Theta_j (module docstring)."""
 
-    def integrand(y):
-        _, p, _, kappa = basis.rates(y)
-        return 0.5 * kappa / p - prob.w(y) ** 2 / (4.0 * p[0] * p[1] * (p[0] + p[1]))
+    def __init__(self, prob: SchrodingerProblem):
+        self.basis = basis = WkbBasis(prob)
 
-    return prob.h**2 * _from_zero(integrand, x)
+        def integrand(y):
+            _, p, _, kappa = basis.rates(y)
+            w2 = prob.w(y) ** 2
+            return 0.5 * kappa / p - w2 / (4.0 * p[0] * p[1] * (p[0] + p[1]))
+
+        self.theta = [_from_zero(integrand, x) for x in prob.interval]
+        ends, v = ([prob.x_in], [prob.x_out]), (prob.v1, prob.v2)
+        self.low = [vj.range_on(prob.x_in, prob.x_out) for vj in v]
+        # V_j - min V_j is nonnegative, so its largest modulus is its maximum
+        self.rise = [vj - Poly1((vmin,)) for vj, (vmin, _) in zip(v, self.low)]
+        q_low = [prob.e0 - vmax for _, vmax in self.low]
+        self.drift = sum(
+            _sigma_ratios(q, dv.abs_max_on(*ends)[0], ddv.abs_max_on(*ends)[0])[1]
+            / (2.0 * math.sqrt(q))
+            for dv, ddv, q in zip(basis.slopes, basis.curvatures, q_low)
+        )
+        self.gap = prob.v1 - prob.v2
+        self.coupling = abs(prob.w.amplitude) / (2.0 * (q_low[0] * q_low[1]) ** 0.25)
 
 
-def _system(basis: WkbBasis) -> march.System:
+def _system(prob: SchrodingerProblem) -> march.System:
     """The normal form of the + branches for the march: rate F',
     m1 = m2 = -i r, skew-Hermitian, supported on supp W. Its phase F is
     the integral of that same F' from 0.
@@ -271,25 +282,15 @@ def _system(basis: WkbBasis) -> march.System:
     summed over j on the interval; the coupling bound is max |W| over
     2 sqrt(p_1 p_2) at the least p_j on the interval.
     """
-    prob = basis.prob
-    h, ends = prob.h, ([prob.x_in], [prob.x_out])
-    low = [v.range_on(prob.x_in, prob.x_out) for v in (prob.v1, prob.v2)]
-    # V_j - min V_j is nonnegative, so its largest modulus is its maximum
-    rise = [v - Poly1((vmin,)) for v, (vmin, _) in zip((prob.v1, prob.v2), low)]
-    q_low = [prob.e0 - vmax for _, vmax in low]
-    drift = sum(
-        _sigma_ratios(q, dv.abs_max_on(*ends)[0], ddv.abs_max_on(*ends)[0])[1]
-        / (2.0 * math.sqrt(q))
-        for dv, ddv, q in zip(basis.slopes, basis.curvatures, q_low)
-    )
-    gap = prob.v1 - prob.v2
+    form = prob.shared(_NormalForm)
+    basis, h = form.basis, prob.h
 
     def rate_on(lo, hi):
         p_low = [
             np.sqrt(prob.e0 - vmin - d.abs_max_on(lo, hi))
-            for (vmin, _), d in zip(low, rise)
+            for (vmin, _), d in zip(form.low, form.rise)
         ]
-        return gap.abs_max_on(lo, hi) / (p_low[0] + p_low[1]) + h * h * drift
+        return form.gap.abs_max_on(lo, hi) / (p_low[0] + p_low[1]) + h * h * form.drift
 
     def local(x):
         q, p, _, kappa = basis.rates(x)
@@ -305,7 +306,7 @@ def _system(basis: WkbBasis) -> march.System:
         support=prob.w.support if prob.w.amplitude != 0.0 else None,
         phase=lambda x: float(_from_zero(lambda y: local(y)[0], x)),
         rate_on=rate_on,
-        coupling=abs(prob.w.amplitude) / (2.0 * (q_low[0] * q_low[1]) ** 0.25),
+        coupling=form.coupling,
         local=local,
         skew_hermitian=True,
     )
@@ -323,14 +324,14 @@ def numeric_transfer_case_i(
 
     The - branches' propagator is U^T: (T_-)_jk = (T_+)_kj c_k^2 / c_j^2.
     """
-    basis = WkbBasis(prob)
+    form = prob.shared(_NormalForm)
     if which_sign not in (1, -1):
         raise ValidationError("which_sign must be +1 or -1")
-    u = march.march(_system(basis), np.eye(2, dtype=complex), prob.x_in, prob.x_out).T
+    u = march.march(_system(prob), np.eye(2, dtype=complex), prob.x_in, prob.x_out).T
     # s_j = sigma_j sqrt(p_j) = c_j E0^{1/4}: the ratios are those of c_j
-    scale = np.array(basis.c)
-    out = np.exp(1j / prob.h * _theta(basis, prob.x_out)) / scale
-    into = np.exp(-1j / prob.h * _theta(basis, prob.x_in)) * scale
+    scale = np.array(form.basis.c)
+    out = np.exp(1j / prob.h * (prob.h**2 * form.theta[1])) / scale
+    into = np.exp(-1j / prob.h * (prob.h**2 * form.theta[0])) * scale
     t = out[:, None] * u * into[None, :]
     if which_sign == -1:
         t = t.T * scale**2 / scale[:, None] ** 2
@@ -389,7 +390,8 @@ def predict_transfer_case_i(
     """
     if which_sign not in (1, -1):
         raise ValidationError("which_sign must be +1 or -1")
-    return transfer_predicted_general(build_crossing_data(prob, which_sign), prob.h)
+    data = prob.shared(build_crossing_data, which_sign)
+    return transfer_predicted_general(data, prob.h)
 
 
 def predict_transfer_case_ii(prob: SchrodingerProblem) -> TransferMatrix:
@@ -404,7 +406,7 @@ def predict_transfer_case_ii(prob: SchrodingerProblem) -> TransferMatrix:
     with k the other index and delta_n the first nonvanishing derivative
     of V2 - V1 at 0.
     """
-    return transfer_predicted_general(build_crossing_data(prob, 0), prob.h)
+    return transfer_predicted_general(prob.shared(build_crossing_data, 0), prob.h)
 
 
 def schrodinger_corpus(h: float) -> list[SchrodingerProblem]:

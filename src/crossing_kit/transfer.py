@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import copy
+import functools
 from dataclasses import dataclass
 from typing import Protocol, runtime_checkable
 
@@ -64,14 +66,35 @@ class Problem(Protocol):
     a numerical solve; ``branch`` picks the crossing where a problem has more
     than one. ``order`` is the contact order m, so the off-diagonal entries
     scale like h^(1/(order+1)).
+
+    The frozen problem dataclasses subclass it for ``with_h`` and for
+    ``setup``, the record of their h-free values that ``shared`` fills.
     """
 
     h: float
 
+    setup = functools.cached_property(lambda self: {})
+
     @property
     def order(self) -> int: ...
 
-    def with_h(self, h: float) -> "Problem": ...
+    def with_h(self, h: float) -> "Problem":
+        """The same validated problem at another h: it checks only h > 0 and
+        holds the same ``setup``, so a sweep sets its problem up once. A
+        ``dataclasses.replace`` of any other field makes a fresh record."""
+        if not (h > 0):
+            raise ValidationError("h must be positive")
+        self.setup  # cached on self first, so that the copy holds it
+        twin = copy.copy(self)
+        object.__setattr__(twin, "h", h)
+        return twin
+
+    def shared(self, build, *args):
+        """``build(self, *args)``, built once per problem; it must not read h."""
+        key = (build, *args)
+        if key not in self.setup:
+            self.setup[key] = build(self, *args)
+        return self.setup[key]
 
     def predict(self, branch: int = 1) -> TransferMatrix: ...
 

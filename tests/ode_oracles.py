@@ -119,14 +119,14 @@ def ode_oracle(
     return np.array([sol.y[0], np.exp(-1j * F(x) / prob.h) * sol.y[1]])
 
 
-def synthesize(basis: WkbBasis, coeffs, x: float) -> np.ndarray:
+def synthesize(prob: SchrodingerProblem, coeffs, x: float) -> np.ndarray:
     """State vector (u1, u1', u2, u2') with branch coefficients ``coeffs``.
 
     coeffs = (a1_plus, a1_minus, a2_plus, a2_minus), in the exact
     convention: u_j' = a_j+ w_j+' + a_j- w_j-'.
     """
     a = np.asarray(coeffs, dtype=complex)
-    h = basis.prob.h
+    basis, h = WkbBasis(prob), prob.h
     _, rate, dlog, _ = basis.rates(x)
     sig = basis.amplitude(x)
     osc = np.exp(1j * basis.phase(x) / h)
@@ -137,7 +137,7 @@ def synthesize(basis: WkbBasis, coeffs, x: float) -> np.ndarray:
     return out
 
 
-def branch_decompose(basis: WkbBasis, x: float, u, hdu):
+def branch_decompose(prob: SchrodingerProblem, x: float, u, hdu):
     """Branch coefficients (a_plus, a_minus) of both equations at the point
     x, each of shape (2,), from u = (u1, u2) and hdu = (h u1', h u2').
 
@@ -147,6 +147,7 @@ def branch_decompose(basis: WkbBasis, x: float, u, hdu):
     """
     u = np.asarray(u, dtype=complex)
     hdu = np.asarray(hdu, dtype=complex)
+    basis = WkbBasis(prob)
     _, rate, dlog, _ = basis.rates(x)
     sig = basis.amplitude(x)
     if np.min(2.0 * sig**2 * rate) < 1e-8:
@@ -154,8 +155,8 @@ def branch_decompose(basis: WkbBasis, x: float, u, hdu):
             "branch matrix nearly singular (turning point too close)"
         )
     # h u' less its amplitude part is the phase part i phi' sigma (a+ e - a- e*)
-    hdu = hdu - basis.prob.h * dlog * u
-    osc = np.exp(1j * basis.phase(x) / basis.prob.h)
+    hdu = hdu - prob.h * dlog * u
+    osc = np.exp(1j * basis.phase(x) / prob.h)
     a_plus = (u - 1j * hdu / rate) / (2.0 * sig * osc)
     a_minus = (u + 1j * hdu / rate) / (2.0 * sig * np.conj(osc))
     return a_plus, a_minus
@@ -172,7 +173,7 @@ def _rhs_args(prob: SchrodingerProblem):
 
 
 def integrate(
-    basis: WkbBasis, coeffs, x_from: float, x_to: float, t_eval, tol=ODE_TOL
+    prob: SchrodingerProblem, coeffs, x_from: float, x_to: float, t_eval, tol=ODE_TOL
 ) -> np.ndarray:
     """DOP853 reference solve of the coupled pair.
 
@@ -183,12 +184,12 @@ def integrate(
     sol = solve_ivp(
         schrod_rhs,
         (x_from, x_to),
-        synthesize(basis, coeffs, x_from),
+        synthesize(prob, coeffs, x_from),
         method="DOP853",
         t_eval=t_eval,
         rtol=tol,
         atol=tol,
-        args=_rhs_args(basis.prob),
+        args=_rhs_args(prob),
     )
     if not sol.success:
         raise StepFailure(f"adaptive integrator failed: {sol.message}")

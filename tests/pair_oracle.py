@@ -40,12 +40,12 @@ from crossing_kit.schrodinger import SchrodingerProblem, WkbBasis
 H_MIN = 1e-3
 
 
-def coefficients(basis: WkbBasis, x: np.ndarray, w):
+def coefficients(basis: WkbBasis, h: float, x: np.ndarray, w):
     """Rates p_j and the coefficients C_j, D_j at the nodes x, shape
     (2, len(x)); ``w`` is W at the nodes."""
     _, p, _, kappa = basis.rates(x)
     sig = basis.amplitude(x)
-    return p, w * sig[::-1] / (2j * sig * p), basis.prob.h * kappa / (2j * p)
+    return p, w * sig[::-1] / (2j * sig * p), h * kappa / (2j * p)
 
 
 def apply(cross, self_, osc, back, a):
@@ -59,13 +59,12 @@ def apply(cross, self_, osc, back, a):
     return da
 
 
-def _plan(basis: WkbBasis):
+def _plan(prob: SchrodingerProblem, basis: WkbBasis):
     """The package's Picard chunks over [x_in, x_out] for the
     four-coefficient system: rate bound 2 max p_j everywhere, coupling the
     largest row sum of |M|."""
-    prob = basis.prob
     x = np.linspace(prob.x_in, prob.x_out, 1025)
-    _, peak_cross, peak_self = coefficients(basis, x, abs(prob.w.amplitude))
+    _, peak_cross, peak_self = coefficients(basis, prob.h, x, abs(prob.w.amplitude))
     lowest = min(v.range_on(prob.x_in, prob.x_out)[0] for v in (prob.v1, prob.v2))
     fastest = 2.0 * math.sqrt(prob.e0 - lowest)
     system = march.System(
@@ -97,9 +96,9 @@ def transfer(prob: SchrodingerProblem, sign: int = 1) -> np.ndarray:
     a[0, slot] = a[1, 2 + slot] = 1.0
     step = float(sign)
     x, phi = start, basis.phase(start)
-    for dx, cells in _plan(basis)[::sign]:
+    for dx, cells in _plan(prob, basis)[::sign]:
         nodes = x + step * dx * np.arange(cells + 1)
-        rate, cross, self_ = coefficients(basis, nodes, prob.w(nodes))
+        rate, cross, self_ = coefficients(basis, prob.h, nodes, prob.w(nodes))
         phase = cum_quad10(rate, step * dx, initial=phi)
         osc = np.exp(1j * phase / prob.h)
         back = np.conj(osc)

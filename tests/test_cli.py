@@ -181,9 +181,34 @@ def test_branch_key_requires_positive_energy(tmp_path, capsys, problem):
         assert "branch: the zero-energy origin crossing has no branch" in (
             _one_line_error(capsys)
         )
-    path = write_config(tmp_path, {"problem": problem, "h": 1e-3})
+    # nor does the accepted run print or record one
+    summary = tmp_path / "summary.json"
+    path = write_config(
+        tmp_path, {"problem": problem, "h": 1e-3, "output": {"summary": str(summary)}}
+    )
     assert main(["predict", "--config", path]) == 0
-    capsys.readouterr()
+    assert capsys.readouterr().out.splitlines()[0] == "predict  h=1.000000e-03"
+    assert "branch" not in json.loads(summary.read_text(encoding="utf-8"))
+
+
+@pytest.mark.parametrize(
+    "config, branch",
+    [
+        ({"problem": model_block()}, 1),
+        ({"problem": {"kind": "schrodinger-corpus", "index": 0}}, 1),
+        ({"problem": {"kind": "schrodinger-corpus", "index": 0}, "branch": -1}, -1),
+    ],
+    ids=["model", "schrodinger-plus", "schrodinger-minus"],
+)
+def test_predict_reports_the_branch_of_a_branched_crossing(
+    tmp_path, capsys, config, branch
+):
+    summary = tmp_path / "summary.json"
+    config = {**config, "h": 1e-3, "output": {"summary": str(summary)}}
+    assert main(["predict", "--config", write_config(tmp_path, config)]) == 0
+    header = capsys.readouterr().out.splitlines()[0]
+    assert header == f"predict  h=1.000000e-03  branch={branch}"
+    assert json.loads(summary.read_text(encoding="utf-8"))["branch"] == branch
 
 
 def test_csv_output_rejected_for_single_solve(tmp_path):

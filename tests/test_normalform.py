@@ -132,6 +132,23 @@ def test_problem_accessors():
         prob.predict(-1)  # the model has a single crossing
 
 
+def test_with_h_shares_the_setup_and_reproduces_a_fresh_problem():
+    # every with_h of a problem holds its one h-free setup record; each h
+    # still reads as a problem built afresh at that h, bit for bit, so a
+    # record that kept the h of the first row it served would show here
+    for i, prob in enumerate(model_corpus(1e-1)):
+        rows = [prob.with_h(h) for h in (1e-2, 2.5e-3, 1e-4)]
+        assert all(row.setup is prob.setup for row in rows)
+        for row in rows:
+            fresh = model_corpus(row.h)[i]
+            assert np.array_equal(row.extract().entries, fresh.extract().entries)
+            assert np.array_equal(row.predict().entries, fresh.predict().entries)
+        assert dataclasses.replace(prob, m=prob.m).setup is not prob.setup
+    for h in (0.0, -1e-3, float("nan")):
+        with pytest.raises(ValidationError, match="h must be positive"):
+            prob.with_h(h)
+
+
 def test_corpus_shape():
     corpus = model_corpus(1e-2)
     assert [p.m for p in corpus] == [1, 2, 3, 1, 2, 1]

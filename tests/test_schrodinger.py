@@ -78,6 +78,35 @@ def test_problem_validation():
                            e0=0.0, n=2, h=1e-3, x_in=-0.9, x_out=0.9)
 
 
+@pytest.mark.parametrize("index", [0, 1, 2])
+def test_with_h_shares_the_setup_and_reproduces_a_fresh_problem(index):
+    # every with_h of a problem holds its one h-free setup record (crossing
+    # data, WKB basis, normal-form bounds, Theta integrals); each h still
+    # reads as a problem built afresh at that h, bit for bit on both
+    # branches, so a cached part that kept the h of the first row it served
+    # (a WkbBasis holding its problem, say) would show here
+    prob = schrodinger_corpus(1e-1)[index]
+    rows = [prob.with_h(h) for h in (1e-2, 2.5e-3, 1e-4)]
+    assert all(row.setup is prob.setup for row in rows)
+    for row in rows:
+        fresh = schrodinger_corpus(row.h)[index]
+        if prob.case == "ii":
+            got, want = row.predict(), fresh.predict()
+            assert np.array_equal(got.entries, want.entries), row.h
+            with pytest.raises(CaseMismatch):
+                row.extract()
+            continue
+        for branch in (1, -1):
+            got, want = row.extract(branch), fresh.extract(branch)
+            assert np.array_equal(got.entries, want.entries), (row.h, branch)
+            got, want = row.predict(branch), fresh.predict(branch)
+            assert np.array_equal(got.entries, want.entries), (row.h, branch)
+    assert dataclasses.replace(prob, n=prob.n).setup is not prob.setup
+    for h in (0.0, -1e-3, float("nan")):
+        with pytest.raises(ValidationError, match="h must be positive"):
+            prob.with_h(h)
+
+
 def test_corpus_shape_and_cases():
     corpus = schrodinger_corpus(1e-3)
     assert [p.case for p in corpus] == ["i", "i", "ii"]
@@ -271,17 +300,16 @@ def test_basis_requires_positive_energy():
 
 def test_decompose_round_trip_and_conjugation():
     prob = schrodinger_corpus(1e-3)[0]
-    basis = WkbBasis(prob)
     rng = np.random.default_rng(11)
     coeffs = rng.standard_normal(4) + 1j * rng.standard_normal(4)
     x = 0.95
-    y = synthesize(basis, coeffs, x)
-    ap, am = branch_decompose(basis, x, y[0::2], prob.h * y[1::2])
+    y = synthesize(prob, coeffs, x)
+    ap, am = branch_decompose(prob, x, y[0::2], prob.h * y[1::2])
     got = np.array([ap, am]).T.ravel()  # (a1+, a1-, a2+, a2-)
     assert np.abs(got - coeffs).max() < 1e-12
     # conjugating the state swaps the branches with conjugated coefficients
     swapped = np.conj(coeffs[[1, 0, 3, 2]])
-    assert np.abs(np.conj(y) - synthesize(basis, swapped, x)).max() < 1e-12
+    assert np.abs(np.conj(y) - synthesize(prob, swapped, x)).max() < 1e-12
 
 
 def test_decompose_ill_conditioned_near_flux_collapse():
@@ -289,9 +317,8 @@ def test_decompose_ill_conditioned_near_flux_collapse():
         v1=Poly1((0.0,)), v2=Poly1((0.0, 1e-20)), w=Bump(width=0.2),
         e0=1e-18, n=1, h=1e-3, x_in=-0.5, x_out=0.5,
     )
-    basis = WkbBasis(tiny)
     with pytest.raises(IllConditioned):
-        branch_decompose(basis, 0.4, np.array([1.0 + 0j, 0j]), np.zeros(2, complex))
+        branch_decompose(tiny, 0.4, np.array([1.0 + 0j, 0j]), np.zeros(2, complex))
 
 
 # ------------------------------------------------------------------ the solves
@@ -300,9 +327,8 @@ def test_decompose_ill_conditioned_near_flux_collapse():
 def _propagate(prob, xs, tol=ODE_TOL):
     """The basis, and (u1, u2) at xs for unit data on the + branch of
     equation 1 entering at x_in."""
-    basis = WkbBasis(prob)
-    y = integrate(basis, (1.0, 0.0, 0.0, 0.0), prob.x_in, prob.x_out, xs, tol)
-    return basis, y[0], y[2]
+    y = integrate(prob, (1.0, 0.0, 0.0, 0.0), prob.x_in, prob.x_out, xs, tol)
+    return WkbBasis(prob), y[0], y[2]
 
 
 def test_decoupled_solution_tracks_its_branch():
@@ -329,15 +355,14 @@ def test_tolerance_refinement_is_converged():
 def _reference_transfer(prob, sign):
     """T at (0, sign * xi0) by DOP853: unit data synthesized in the exact
     basis at the input end, decomposed in it at the read-off end."""
-    basis = WkbBasis(prob)
     start, end = (prob.x_in, prob.x_out)[::sign]
     slot = (1 - sign) // 2
     cols = []
     for c in (0, 1):
         coeffs = np.zeros(4)
         coeffs[2 * c + slot] = 1.0
-        y = integrate(basis, coeffs, start, end, [end])[:, -1]
-        cols.append(branch_decompose(basis, end, y[0::2], prob.h * y[1::2])[slot])
+        y = integrate(prob, coeffs, start, end, [end])[:, -1]
+        cols.append(branch_decompose(prob, end, y[0::2], prob.h * y[1::2])[slot])
     return np.array(cols).T
 
 
@@ -710,7 +735,7 @@ def test_marched_phase_is_the_phase_at_every_chunk_end(monkeypatch, index, h):
     # from 0 by Gauss-Legendre. The two agree at every Picard chunk end
     # (measured at most 3.1e-16, corpus 0 at h = 1e-5)
     prob = schrodinger_corpus(h)[index]
-    system = schrodinger._system(WkbBasis(prob))
+    system = schrodinger._system(prob)
     ends, picard = [], march._picard
 
     def solving(system, a0, phi0, x, dx, work):

@@ -1,16 +1,18 @@
 """Sweep harness: power-law fitting, report assembly, verdicts, and the CSV
 contract (byte-deterministic, lossless round trip)."""
 
+import collections
 import dataclasses
 import math
 
 import numpy as np
 import pytest
 
+from crossing_kit import normalform, schrodinger
 from crossing_kit.errors import DegenerateFit, ValidationError
-from crossing_kit.normalform import model_corpus
+from crossing_kit.normalform import NormalFormProblem, model_corpus
 from crossing_kit.profiles import Bump
-from crossing_kit.schrodinger import schrodinger_corpus
+from crossing_kit.schrodinger import SchrodingerProblem, WkbBasis, schrodinger_corpus
 from crossing_kit.sweep import (
     CSV_COLUMNS,
     SweepReport,
@@ -74,6 +76,41 @@ def test_run_sweep_preconditions():
         run_sweep(prob, [1e-1, 1e-2, 1e-3, -1e-4])
     with pytest.raises(ValidationError):
         run_sweep(object(), [1e-1, 1e-2, 1e-3, 1e-4])
+
+
+@pytest.mark.parametrize(
+    "corpus, expected",
+    [
+        (model_corpus, {"__post_init__": 1, "crossing_data": 1}),
+        (
+            schrodinger_corpus,
+            {"__post_init__": 1, "build_crossing_data": 1, "__init__": 1},
+        ),
+    ],
+    ids=["model", "schrodinger"],
+)
+def test_a_sweep_sets_its_problem_up_once(monkeypatch, corpus, expected):
+    # the rows are with_h copies of the problem: it is validated once, and
+    # its crossing data and the pair's WKB basis are built once, not per row
+    base = corpus(1e-2)[0]
+    calls = collections.Counter()
+    for owner, name in (
+        (NormalFormProblem, "__post_init__"),
+        (SchrodingerProblem, "__post_init__"),
+        (WkbBasis, "__init__"),
+        (normalform, "crossing_data"),
+        (schrodinger, "build_crossing_data"),
+    ):
+
+        def counted(*args, _run=getattr(owner, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _run(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counted)
+    prob = dataclasses.replace(base)
+    report = run_sweep(prob, [1e-2, 5e-3, 2.5e-3, 1e-4])
+    assert [r.status for r in report.rows] == ["ok"] * 4
+    assert calls == expected
 
 
 def test_report_rows_sorted_and_parallel_deterministic(tmp_path):
