@@ -30,9 +30,9 @@ import numpy as np
 
 from . import sweep as sweep_mod
 from .errors import CrossingKitError, SchemaError, ValidationError
-from .normalform import NormalFormProblem, model_corpus
+from .normalform import MODEL_CORPUS, NormalFormProblem
 from .profiles import Bump, Poly1
-from .schrodinger import SchrodingerProblem, schrodinger_corpus
+from .schrodinger import SCHRODINGER_CORPUS, SchrodingerProblem
 from .transfer import Problem, TransferMatrix
 
 # Not called here: perfbench/tracer.py wraps these two attributes of this
@@ -44,6 +44,11 @@ log = logging.getLogger("crossing_kit.cli")
 
 MODES = ("predict", "solve-model", "solve-schrodinger", "sweep", "verify")
 KINDS = ("model", "schrodinger", "model-corpus", "schrodinger-corpus", "random-model")
+# the corpus kinds: the problem class and its table of h-free fields
+_CORPORA = {
+    "model-corpus": (NormalFormProblem, MODEL_CORPUS),
+    "schrodinger-corpus": (SchrodingerProblem, SCHRODINGER_CORPUS),
+}
 # the single-solve modes that only one problem family can run
 _SOLVE_FAMILY = {"solve-model": "model", "solve-schrodinger": "schrodinger"}
 
@@ -195,78 +200,52 @@ def _random_model_problem(m: int, h: float, seed: int) -> NormalFormProblem:
     )
 
 
-def _build_problem(node, path: str, h: float, seed: int):
-    obj = _expect_object(node, path)
-    kind = _expect_string(_require(obj, "kind", path), f"{path}.kind", choices=KINDS)
+def _build_problem(obj: dict, kind: str, h: float, seed: int):
+    """The one problem the config's ``problem`` object names, at h."""
+    path = "problem"
+
+    def field(key, expect=_expect_number, **limits):
+        # obj[key], required, checked by ``expect`` at its key path
+        return expect(_require(obj, key, path), f"{path}.{key}", **limits)
+
+    def order(key):
+        return field(key, _expect_int, minimum=1, maximum=MAX_ORDER)
+
+    def poly(key):
+        return Poly1(tuple(field(key, _expect_number_list, most=MAX_ORDER + 1)))
+
     try:
         if kind == "model":
             _reject_unknown(
                 obj, path, {"kind", "m", "f_coeffs", "coupling", "coupling2", "interval"}
             )
-            m = _expect_int(
-                _require(obj, "m", path), f"{path}.m", minimum=1, maximum=MAX_ORDER
-            )
-            coeffs = _expect_number_list(
-                _require(obj, "f_coeffs", path), f"{path}.f_coeffs", most=MAX_ORDER + 1
-            )
-            r1 = _build_bump(_require(obj, "coupling", path), f"{path}.coupling")
-            r2 = (
-                _build_bump(obj["coupling2"], f"{path}.coupling2")
-                if "coupling2" in obj
-                else r1
-            )
-            lo, hi = _expect_number_list(
-                _require(obj, "interval", path), f"{path}.interval", length=2
-            )
-            return NormalFormProblem(
-                f=Poly1(tuple(coeffs)), r1=r1, r2=r2, x0=lo, x1=hi, h=h, m=m
-            )
+            m, f = order("m"), poly("f_coeffs")
+            r1 = field("coupling", _build_bump)
+            r2 = field("coupling2", _build_bump) if "coupling2" in obj else r1
+            lo, hi = field("interval", _expect_number_list, length=2)
+            return NormalFormProblem(f=f, r1=r1, r2=r2, x0=lo, x1=hi, h=h, m=m)
         if kind == "schrodinger":
             _reject_unknown(
                 obj,
                 path,
                 {"kind", "n", "v1_coeffs", "v2_coeffs", "e0", "coupling", "interval"},
             )
-            n = _expect_int(
-                _require(obj, "n", path), f"{path}.n", minimum=1, maximum=MAX_ORDER
-            )
-            v1, v2 = (
-                _expect_number_list(
-                    _require(obj, key, path), f"{path}.{key}", most=MAX_ORDER + 1
-                )
-                for key in ("v1_coeffs", "v2_coeffs")
-            )
-            e0 = _expect_number(_require(obj, "e0", path), f"{path}.e0")
-            w = _build_bump(_require(obj, "coupling", path), f"{path}.coupling")
-            lo, hi = _expect_number_list(
-                _require(obj, "interval", path), f"{path}.interval", length=2
-            )
+            n, v1, v2 = order("n"), poly("v1_coeffs"), poly("v2_coeffs")
+            e0, w = field("e0"), field("coupling", _build_bump)
+            lo, hi = field("interval", _expect_number_list, length=2)
             return SchrodingerProblem(
-                v1=Poly1(tuple(v1)),
-                v2=Poly1(tuple(v2)),
-                w=w,
-                e0=e0,
-                n=n,
-                h=h,
-                x_in=lo,
-                x_out=hi,
+                v1=v1, v2=v2, w=w, e0=e0, n=n, h=h, x_in=lo, x_out=hi
             )
-        if kind in ("model-corpus", "schrodinger-corpus"):
+        if kind in _CORPORA:
             _reject_unknown(obj, path, {"kind", "index"})
-            corpus = model_corpus if kind == "model-corpus" else schrodinger_corpus
-            problems = corpus(h)
-            index = _expect_int(_require(obj, "index", path), f"{path}.index", minimum=0)
-            if index >= len(problems):
-                raise SchemaError(
-                    f"{path}.index", f"must be below {len(problems)}"
-                )
-            return problems[index]
+            cls, table = _CORPORA[kind]
+            index = field("index", _expect_int, minimum=0)
+            if index >= len(table):
+                raise SchemaError(f"{path}.index", f"must be below {len(table)}")
+            return cls(**table[index], h=h)
         # random-model: seeded draw, used for randomized property runs
         _reject_unknown(obj, path, {"kind", "m"})
-        m = _expect_int(
-            _require(obj, "m", path), f"{path}.m", minimum=1, maximum=MAX_ORDER
-        )
-        return _random_model_problem(m, h, seed)
+        return _random_model_problem(order("m"), h, seed)
     except ValidationError as exc:
         raise SchemaError(path, str(exc)) from exc
 
@@ -365,9 +344,7 @@ def parse_config(
         start, stop, count = _DEFAULT_GRIDS[family]
         h_values = tuple(float(v) for v in np.geomspace(start, stop, count))
 
-    problem = _build_problem(
-        problem_node, "problem", h if single_h else max(h_values), seed
-    )
+    problem = _build_problem(problem_node, kind, h if single_h else max(h_values), seed)
 
     if family == "schrodinger" and problem.case == "ii" and mode != "predict":
         raise SchemaError(

@@ -62,21 +62,15 @@ from ._kernels import cum_quad10 as cum_quad6  # noqa: F401
 ModelWorkspace = build_workspace = neumann_solve = extract_transfer = grid_for = ode_oracle = None
 
 
-def _poly_real_roots(f: Poly1) -> list[float]:
-    coeffs = np.asarray(f.coeffs)
-    if not coeffs.any():
-        return []
-    roots = np.polynomial.polynomial.polyroots(coeffs)
-    return [float(r.real) for r in roots if abs(r.imag) < 1e-9]
-
-
 @dataclass(frozen=True)
 class NormalFormProblem(Problem):
     """Problem data for the reduced model on [x0, x1].
 
-    f must vanish at 0 to the exact order m, and must not vanish anywhere
-    else inside the coupling supports; both couplings must be supported
-    strictly inside the interval.
+    f must vanish at 0 to the exact order m (``Poly1.zero_order``), and
+    nowhere else on the support of an active coupling, its ends included
+    (``Poly1.vanishes_off_zero``): a second zero there, even a double one,
+    would be a second crossing. Both couplings must be supported strictly
+    inside the interval.
     """
 
     f: Poly1
@@ -94,9 +88,7 @@ class NormalFormProblem(Problem):
             raise ValidationError("h must be positive")
         if self.m < 1:
             raise ValidationError("m must be a positive integer")
-        coeffs = self.f.coeffs
-        low = next((k for k, c in enumerate(coeffs) if c != 0.0), None)
-        if low != self.m:
+        if self.f.zero_order != self.m:
             raise ValidationError(
                 f"f must vanish at 0 to order exactly m={self.m}"
             )
@@ -108,11 +100,10 @@ class NormalFormProblem(Problem):
                 raise ValidationError(
                     f"support of {name} must lie strictly inside the interval"
                 )
-            for root in _poly_real_roots(self.f):
-                if abs(root) > 1e-12 and lo < root < hi:
-                    raise ValidationError(
-                        f"f vanishes at x={root:g} inside the support of {name}"
-                    )
+            if self.f.vanishes_off_zero(lo, hi):
+                raise ValidationError(
+                    f"f vanishes away from 0 on the support of {name}"
+                )
 
     @property
     def interval(self) -> tuple[float, float]:
@@ -217,61 +208,25 @@ def transfer_numeric(prob: NormalFormProblem) -> TransferMatrix:
     return TransferMatrix(a.T, h=prob.h)
 
 
-def model_corpus(h: float) -> list[NormalFormProblem]:
-    """The six reference problems used by the verification suite.
+_WIDE = Bump(width=0.8, amplitude=1.0)
 
-    The first three share a wide unit-amplitude coupling: the width keeps
-    the amplitude's curvature at the crossing small, which keeps the
-    next-order corrections out of the asymptotic fits.
-    """
-    wide = Bump(width=0.8, amplitude=1.0)
-    return [
-        NormalFormProblem(
-            f=Poly1((0.0, 1.0)), r1=wide, r2=wide, x0=-1.0, x1=1.0, h=h, m=1
-        ),
-        NormalFormProblem(
-            f=Poly1((0.0, 0.0, 1.0)),
-            r1=wide,
-            r2=wide,
-            x0=-1.0,
-            x1=1.0,
-            h=h,
-            m=2,
-        ),
-        NormalFormProblem(
-            f=Poly1((0.0, 0.0, 0.0, 1.0)),
-            r1=wide,
-            r2=wide,
-            x0=-1.0,
-            x1=1.0,
-            h=h,
-            m=3,
-        ),
-        NormalFormProblem(
-            f=Poly1((0.0, -1.0)),
-            r1=wide,
-            r2=Bump(width=0.4, amplitude=0.7),
-            x0=-1.0,
-            x1=1.0,
-            h=h,
-            m=1,
-        ),
-        NormalFormProblem(
-            f=Poly1((0.0, 0.0, -1.0)),
-            r1=Bump(width=0.35, amplitude=0.8),
-            r2=Bump(width=0.5, amplitude=1.2),
-            x0=-1.0,
-            x1=1.0,
-            h=h,
-            m=2,
-        ),
-        NormalFormProblem(
-            f=Poly1((0.0, 1.0, 0.5)),
-            r1=Bump(width=0.45, amplitude=1.0),
-            r2=Bump(width=0.45, amplitude=1.0),
-            x0=-1.0,
-            x1=1.0,
-            h=h,
-            m=1,
-        ),
-    ]
+# The six reference problems of the verification suite, without h, all on
+# [-1, 1]. The first three share a wide unit-amplitude coupling: the width
+# keeps the amplitude's curvature at the crossing small, which keeps the
+# next-order corrections out of the asymptotic fits.
+MODEL_CORPUS = tuple(
+    dict(f=Poly1(f), r1=r1, r2=r2, x0=-1.0, x1=1.0, m=m)
+    for f, r1, r2, m in (
+        ((0.0, 1.0), _WIDE, _WIDE, 1),
+        ((0.0, 0.0, 1.0), _WIDE, _WIDE, 2),
+        ((0.0, 0.0, 0.0, 1.0), _WIDE, _WIDE, 3),
+        ((0.0, -1.0), _WIDE, Bump(0.4, 0.7), 1),
+        ((0.0, 0.0, -1.0), Bump(0.35, 0.8), Bump(0.5, 1.2), 2),
+        ((0.0, 1.0, 0.5), Bump(0.45, 1.0), Bump(0.45, 1.0), 1),
+    )
+)
+
+
+def model_corpus(h: float) -> list[NormalFormProblem]:
+    """The problems of ``MODEL_CORPUS`` at h."""
+    return [NormalFormProblem(**fields, h=h) for fields in MODEL_CORPUS]

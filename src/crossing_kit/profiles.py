@@ -18,7 +18,13 @@ from .errors import ValidationError
 
 @dataclass(frozen=True)
 class Poly1:
-    """Real polynomial in one variable, ascending coefficients."""
+    """Real polynomial in one variable, ascending coefficients.
+
+    ``zero_order`` and ``vanishes_off_zero`` state the crossing hypothesis
+    every problem family checks: its rate vanishes at 0 to an exact order
+    and nowhere else on a given range. This class holds the package's only
+    root finder.
+    """
 
     coeffs: tuple[float, ...]
 
@@ -43,6 +49,28 @@ class Poly1:
         cand = [a, b, *(c for c in self.critical_points if a <= c <= b)]
         vals = [float(self(c)) for c in cand]
         return min(vals), max(vals)
+
+    @property
+    def zero_order(self) -> int | None:
+        """Order of the zero at 0, the index of the first nonzero
+        coefficient; None for the zero polynomial."""
+        return next((k for k, c in enumerate(self.coeffs) if c != 0.0), None)
+
+    def vanishes_off_zero(self, a: float, b: float) -> bool:
+        """Whether q = p / x^zero_order has a zero on [a, b], that is,
+        whether p vanishes there other than at 0 (the zero polynomial does).
+
+        Read off ``range_on``. A value of q within 1e-12 of its coefficient
+        scale on [a, b], sum |q_k| max(|a|, |b|)^k, counts as a zero: the
+        rounding of a double zero's coefficients can lift it off the axis.
+        """
+        k = self.zero_order
+        if k is None:
+            return True
+        q = self.coeffs[k:]
+        lo, hi = Poly1(q).range_on(a, b)
+        tol = 1e-12 * np.polynomial.polynomial.polyval(max(abs(a), abs(b)), np.abs(q))
+        return lo <= tol and -tol <= hi
 
     def abs_max_on(self, lo, hi) -> np.ndarray:
         """max |p| over each [lo_k, hi_k], for arrays lo <= hi."""

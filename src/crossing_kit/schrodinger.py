@@ -85,9 +85,12 @@ _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(15)
 class SchrodingerProblem(Problem):
     """Problem data for the coupled pair on [x_in, x_out].
 
-    n is the exact vanishing order of V2 - V1 at 0. The coupling W must be
-    supported strictly inside the interval so that branch coefficients can
-    be read off in coupling-free zones near both ends.
+    n is the exact vanishing order of V2 - V1 at 0 (``Poly1.zero_order``),
+    and V2 - V1 must not vanish anywhere else on supp W, its ends included
+    (``Poly1.vanishes_off_zero``): there the characteristic curves would
+    meet a second time under the coupling, in either case. The coupling W
+    must be supported strictly inside the interval so that branch
+    coefficients can be read off in coupling-free zones near both ends.
     """
 
     v1: Poly1
@@ -107,8 +110,7 @@ class SchrodingerProblem(Problem):
         if self.n < 1:
             raise ValidationError("n must be a positive integer")
         diff = self.v2 - self.v1
-        low = next((k for k, c in enumerate(diff.coeffs) if c != 0.0), None)
-        if low != self.n:
+        if diff.zero_order != self.n:
             raise ValidationError(
                 f"V2 - V1 must vanish at 0 to order exactly n={self.n}"
             )
@@ -117,6 +119,10 @@ class SchrodingerProblem(Problem):
             if not (self.x_in < lo and hi < self.x_out):
                 raise ValidationError(
                     "support of W must lie strictly inside the interval"
+                )
+            if diff.vanishes_off_zero(lo, hi):
+                raise ValidationError(
+                    "V2 - V1 vanishes away from 0 on the support of W"
                 )
         if self.e0 > 0.0:
             for name, v in (("V1", self.v1), ("V2", self.v2)):
@@ -409,44 +415,22 @@ def predict_transfer_case_ii(prob: SchrodingerProblem) -> TransferMatrix:
     return transfer_predicted_general(prob.shared(build_crossing_data, 0), prob.h)
 
 
-def schrodinger_corpus(h: float) -> list[SchrodingerProblem]:
-    """Reference problems: two positive-energy cases and one zero-energy case.
+# Reference problems without h: two positive-energy cases on [-1.2, 1.2]
+# and one zero-energy case on [-0.9, 0.9]. The positive-energy entries use
+# E0 = 1 and equal potential slopes at 0, where the invariant route reduces
+# to the textbook closed-form amplitudes; the coupling width keeps its
+# curvature at the crossing small so next-order corrections stay out of
+# the asymptotic fits.
+SCHRODINGER_CORPUS = tuple(
+    dict(v1=Poly1(v1), v2=Poly1(v2), w=w, e0=e0, n=n, x_in=-x, x_out=x)
+    for v1, v2, w, e0, n, x in (
+        ((0.0, -0.25), (0.0, 0.25), Bump(0.8, 1.0), 1.0, 1, 1.2),
+        ((0.0, 0.25), (0.0, 0.25, 0.4), Bump(0.8, 1.0), 1.0, 2, 1.2),
+        ((0.0, -1.0), (0.0, -2.0), Bump(0.5, 1.0), 0.0, 1, 0.9),
+    )
+)
 
-    The positive-energy entries use E0 = 1 and equal potential slopes at 0,
-    where the invariant route reduces to the textbook closed-form
-    amplitudes; the coupling width keeps its curvature at the crossing
-    small so next-order corrections stay out of the asymptotic fits.
-    """
-    wide = Bump(width=0.8, amplitude=1.0)
-    return [
-        SchrodingerProblem(
-            v1=Poly1((0.0, -0.25)),
-            v2=Poly1((0.0, 0.25)),
-            w=wide,
-            e0=1.0,
-            n=1,
-            h=h,
-            x_in=-1.2,
-            x_out=1.2,
-        ),
-        SchrodingerProblem(
-            v1=Poly1((0.0, 0.25)),
-            v2=Poly1((0.0, 0.25, 0.4)),
-            w=wide,
-            e0=1.0,
-            n=2,
-            h=h,
-            x_in=-1.2,
-            x_out=1.2,
-        ),
-        SchrodingerProblem(
-            v1=Poly1((0.0, -1.0)),
-            v2=Poly1((0.0, -2.0)),
-            w=Bump(width=0.5, amplitude=1.0),
-            e0=0.0,
-            n=1,
-            h=h,
-            x_in=-0.9,
-            x_out=0.9,
-        ),
-    ]
+
+def schrodinger_corpus(h: float) -> list[SchrodingerProblem]:
+    """The problems of ``SCHRODINGER_CORPUS`` at h."""
+    return [SchrodingerProblem(**fields, h=h) for fields in SCHRODINGER_CORPUS]

@@ -92,6 +92,67 @@ def test_problem_level_validation_becomes_schema_error(tmp_path):
         parse_config(path, mode="solve-model")
 
 
+@pytest.mark.parametrize(
+    "mode, config",
+    [
+        # f = x (x - 0.45)^2: a double zero under the coupling
+        (
+            "solve-model",
+            {"problem": model_block(f_coeffs=[0.0, 0.2025, -0.9, 1.0]), "h": 1e-3},
+        ),
+        # V2 - V1 = 0.2 x - x^2 vanishes again at 0.2, inside supp W; on its
+        # default grid verify used to fail its 4 checks with exit 1
+        (
+            "verify",
+            {
+                "problem": {
+                    "kind": "schrodinger",
+                    "n": 1,
+                    "v1_coeffs": [0.0, 0.25],
+                    "v2_coeffs": [0.0, 0.45, -1.0],
+                    "e0": 1.0,
+                    "coupling": {"width": 0.8},
+                    "interval": [-1.2, 1.2],
+                }
+            },
+        ),
+    ],
+    ids=["model", "schrodinger"],
+)
+def test_a_second_crossing_is_a_config_error(tmp_path, capsys, mode, config):
+    path = write_config(tmp_path, config)
+    with pytest.raises(SchemaError, match="vanishes away from 0") as exc:
+        parse_config(path, mode=mode)
+    assert exc.value.key_path == "problem"
+    assert main([mode, "--config", path]) == 2
+    assert "vanishes away from 0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "kind, size", [("model-corpus", 6), ("schrodinger-corpus", 3)]
+)
+def test_a_corpus_config_builds_only_its_problem(
+    tmp_path, monkeypatch, kind, size
+):
+    built = []
+    for cls in (NormalFormProblem, SchrodingerProblem):
+
+        def counted(self, _run=cls.__post_init__):
+            built.append(self)
+            return _run(self)
+
+        monkeypatch.setattr(cls, "__post_init__", counted)
+    path = write_config(tmp_path, {"problem": {"kind": kind, "index": 1}, "h": 1e-2})
+    config = parse_config(path, mode="predict")
+    assert built == [config.problem]
+    # the index is checked against the table before anything is built
+    path = write_config(tmp_path, {"problem": {"kind": kind, "index": size}, "h": 1e-2})
+    with pytest.raises(SchemaError, match=f"must be below {size}") as exc:
+        parse_config(path, mode="predict")
+    assert exc.value.key_path == "problem.index"
+    assert len(built) == 1
+
+
 def test_mode_mismatch_rejected(tmp_path, capsys):
     path = write_config(
         tmp_path, {"mode": "sweep", "problem": model_block(), "h": 1e-2}

@@ -110,6 +110,19 @@ def test_problem_validation():
         )
 
 
+def test_a_double_zero_under_the_coupling_is_refused():
+    # f = x (x - 0.45)^2: the double zero at 0.45 is a second crossing
+    # (there |t12| extracts as 0.091 against a predicted 0.056 at h =
+    # 1e-4), though polyroots puts it off the axis, at 0.45 +- 5.0e-9 i
+    f = Poly1(tuple(np.polynomial.polynomial.polyfromroots([0.0, 0.45, 0.45])))
+    with pytest.raises(ValidationError, match="vanishes away from 0"):
+        NormalFormProblem(
+            f=f, r1=Bump(0.8), r2=Bump(0.8), x0=-1.0, x1=1.0, h=1e-4, m=1
+        )
+    # outside the supports the second zero is harmless
+    NormalFormProblem(f=f, r1=Bump(0.4), r2=Bump(0.4), x0=-1.0, x1=1.0, h=1e-4, m=1)
+
+
 def test_problem_accessors():
     prob = model_corpus(1e-2)[1]
     assert prob.interval == (-1.0, 1.0)

@@ -62,6 +62,18 @@ def test_phase_spec_rejects_far_stationary_point():
         ph.validate(-0.5, 1.2)
 
 
+def test_phase_spec_rejects_a_second_zero_of_f_prime_anywhere():
+    # F' = y^2 - 1e-4 y vanishes at y = 1e-4, next to the stationary point
+    with pytest.raises(ValidationError, match="F' vanishes"):
+        PhaseSpec(Poly1((0.0, 0.0, -0.5e-4, 1 / 3)), 1).validate(-0.6, 0.8)
+    # F' = y (y - 0.45)^2, a double zero under the amplitude; F is built by
+    # integration, so F' is that f up to rounding
+    f = Poly1(tuple(np.polynomial.polynomial.polyfromroots([0.0, 0.45, 0.45])))
+    ph = PhaseSpec.from_poly(f.antideriv())
+    with pytest.raises(ValidationError, match="F' vanishes"):
+        osc_integral_numeric(ph, Bump(0.5), 1e-3, (-0.6, 0.8))
+
+
 def test_leading_term_fresnel_golden():
     # m=1, F''(0)=1, a0=1: sqrt(2 pi h) e^{i pi/4}
     ph = PhaseSpec.from_poly(Poly1((0, 0, 0.5)))

@@ -72,6 +72,20 @@ def test_module_imports_are_layered():
     assert reach["symbolcalc"] <= {"errors", "transfer"}
 
 
+def test_profiles_holds_the_only_root_finder():
+    # every family checks its crossing hypothesis with Poly1: a second root
+    # finder, with its own idea of which roots are real, fails here
+    package = Path(crossing_kit.__file__).parent
+    users = set()
+    for path in package.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            name = getattr(node, "attr", None) or getattr(node, "id", None)
+            aliases = getattr(node, "names", ())
+            if name == "polyroots" or any(a.name == "polyroots" for a in aliases):
+                users.add(path.stem)
+    assert users == {"profiles"}
+
+
 # In a fresh interpreter with scipy blocked: import every module of the
 # package, and run `verify` on a short grid of each family. Then unblock
 # scipy, call the model's DOP853 test oracle once and report its values.

@@ -78,6 +78,25 @@ def test_problem_validation():
                            e0=0.0, n=2, h=1e-3, x_in=-0.9, x_out=0.9)
 
 
+@pytest.mark.parametrize(
+    "v1, v2, e0",
+    [
+        ((0.0, 0.25), (0.0, 0.45, -1.0), 1.0),  # V2 - V1 also vanishes at 0.2
+        ((0.0, -1.0), (0.0, -0.8, -1.0), 0.0),  # and at -0.2, at zero energy
+    ],
+    ids=["case-i", "case-ii"],
+)
+def test_a_second_crossing_under_the_coupling_is_refused(v1, v2, e0):
+    # case i was accepted, and its |t12| extracted as 0.194 against a
+    # predicted 0.126 at h = 1e-3
+    with pytest.raises(ValidationError, match="V2 - V1 vanishes away from 0"):
+        SchrodingerProblem(v1=Poly1(v1), v2=Poly1(v2), w=Bump(0.8), e0=e0, n=1,
+                           h=1e-3, x_in=-1.2, x_out=1.2)
+    # outside supp W the second zero is no crossing of the coupled pair
+    SchrodingerProblem(v1=Poly1(v1), v2=Poly1(v2), w=Bump(0.15), e0=e0, n=1,
+                       h=1e-3, x_in=-1.2, x_out=1.2)
+
+
 @pytest.mark.parametrize("index", [0, 1, 2])
 def test_with_h_shares_the_setup_and_reproduces_a_fresh_problem(index):
     # every with_h of a problem holds its one h-free setup record (crossing
