@@ -386,6 +386,10 @@ def parse_config(
             summary_path = out
         else:
             csv_path = out
+    # the summary, written last, would replace the CSV
+    if summary_path is not None and csv_path is not None:
+        if os.path.abspath(summary_path) == os.path.abspath(csv_path):
+            raise SchemaError("output.summary", "must differ from the CSV path")
 
     return RunConfig(
         mode=mode,
@@ -453,8 +457,7 @@ def _run_single_solve(config: RunConfig) -> int:
 
 
 def _run_grid(config: RunConfig) -> int:
-    prob = config.problem
-    report = sweep_mod.run_sweep(prob, config.h_values)
+    report = sweep_mod.run_sweep(config.problem, config.h_values)
     sweep_mod.write_csv(report, config.csv_path)
     log.info("wrote %d rows to %s", len(report.rows), config.csv_path)
 
@@ -469,16 +472,15 @@ def _run_grid(config: RunConfig) -> int:
     # too few usable rows to fit is a numerical failure of the sweep: its
     # rows, failed ones with their detail, are written all the same
     try:
-        sweep_mod.attach_fits(report, prob.order)
+        sweep_mod.attach_fits(report)
         failure = "" if n_ok else "no usable rows"
     except CrossingKitError as exc:
         report.fits.clear()
         failure = f"{n_ok} usable rows: {exc}"
     for q, f in report.fits.items():
-        tag = " (log envelope)" if f.with_log else ""
         print(
             f"  fit {q}: exponent={f.exponent:.4f} amplitude={f.amplitude:.6e}"
-            f" rms={f.residual_rms:.2e}{tag}"
+            f" rms={f.residual_rms:.2e}"
         )
 
     summary = {
@@ -503,11 +505,7 @@ def _run_grid(config: RunConfig) -> int:
         _write_summary(config, summary)
         return 0
 
-    # verify: the problem was built at the largest h, where the prediction
-    # is the reference
-    passed = sweep_mod.verify(
-        report, prob.predict(config.branch), prob.order, config.tolerances
-    )
+    passed = sweep_mod.verify(report, config.problem.order, config.tolerances)
     for key in sorted(report.verdicts):
         v = report.verdicts[key]
         print(

@@ -98,12 +98,14 @@ def fit_power_law(
     """Least-squares fit of magnitude = amplitude * h^exponent.
 
     With ``with_log`` the model carries an extra fixed log(1/h) factor,
-    matching remainder envelopes of the form h^e * log(1/h).
+    matching envelopes h^e * log(1/h); every h must then lie in (0, 1).
     """
     if len(points) < 3:
         raise ValidationError("power-law fit needs at least 3 points")
     h = np.array([p[0] for p in points], dtype=float)
     y = np.array([p[1] for p in points], dtype=float)
+    if with_log and not np.all((h > 0.0) & (h < 1.0)):
+        raise ValidationError("the log(1/h) envelope needs every h in (0, 1)")
     if np.any(y <= 0.0) or not np.all(np.isfinite(y)):
         raise DegenerateFit("magnitudes must be positive and finite")
     lh = np.log(h)
@@ -134,7 +136,7 @@ def check_grid(h_values) -> tuple[float, ...]:
     """The h values as floats, if they make a sweep grid.
 
     A grid has 4 to ``MAX_GRID_POINTS`` values, each in (0, 1) (the
-    log(1/h) envelope needs log(1/h) > 0), spanning at least 2 decades.
+    semiclassical regime, h small), spanning at least 2 decades.
     """
     hs = tuple(float(h) for h in h_values)
     if not 4 <= len(hs) <= MAX_GRID_POINTS:
@@ -175,43 +177,39 @@ def run_sweep(problem: Problem, h_values) -> SweepReport:
     return SweepReport(rows=rows)
 
 
-def attach_fits(report: SweepReport, order: int) -> None:
-    """Fit every tracked quantity that carries signal.
+def attach_fits(report: SweepReport) -> None:
+    """Fit the plain power law to each tracked quantity with signal.
 
-    Off-diagonal magnitudes are fitted plain. The diagonal deficits follow
-    the remainder O(h^(2/(m+1)) log(1/h)^[m=1]), so at contact order
-    ``order`` = 1 they carry the log(1/h) envelope. Zero-signal quantities
-    are skipped.
+    At contact order 1 the log(1/h) of the remainder sits in the Stokes
+    phase of t12, not in |T_jj - 1|: no fit carries an envelope.
     """
     for q in FITTED:
         pts = report.magnitudes(q)
-        if not pts or max(v for _, v in pts) <= SIGNAL_FLOOR:
-            continue
-        wl = order == 1 and q.endswith("_deficit")
-        report.fits[q] = fit_power_law(pts, with_log=wl)
+        if pts and max(v for _, v in pts) > SIGNAL_FLOOR:
+            report.fits[q] = fit_power_law(pts)
 
 
-def verify(
-    report: SweepReport, reference: TransferMatrix, order: int, tolerances: dict
-) -> bool:
-    """Check the off-diagonal fits against a prediction; True if there is
-    at least one check and all pass.
+def verify(report: SweepReport, order: int, tolerances: dict) -> bool:
+    """Check the off-diagonal fits against the sweep's own prediction;
+    True if there is at least one check and all pass.
 
-    ``reference`` is the predicted T at its own h, normally the largest h
-    of the sweep. Each off-diagonal entry with signal in both the fit and
-    the reference must grow like h^(1/(order+1)): the fitted exponent
-    within ``tolerances["exponent"]`` (absolute), and the fitted amplitude
-    within ``tolerances["prefactor"]`` (relative) of the h-independent
-    prefactor |T_jk| / h^(1/(order+1)). The verdicts replace
-    ``report.verdicts``. With no verdict nothing was checked, which is
-    not a pass.
+    The reference is the prediction of the largest-h ok row. Each
+    off-diagonal entry with signal in both the fit and the reference must
+    grow like h^(1/(order+1)): the fitted exponent within
+    ``tolerances["exponent"]`` (absolute), and the fitted amplitude within
+    ``tolerances["prefactor"]`` (relative) of the h-independent prefactor
+    |T_jk| / h^(1/(order+1)). The verdicts replace ``report.verdicts``.
+    With no verdict (no ok row, or no signal) nothing was checked, which
+    is not a pass.
     """
     expected = 1.0 / (order + 1)
     tol_e, tol_p = tolerances["exponent"], tolerances["prefactor"]
+    # rows run in decreasing h: the first ok row's prediction is the reference
+    reference = next((r.predicted for r in report.ok_rows()), None)
     verdicts = {}
     for q in ("t12", "t21"):
-        magnitude = abs(getattr(reference, q))
         fit = report.fits.get(q)
+        magnitude = abs(getattr(reference, q, 0.0))  # 0 with no ok row
         if fit is None or magnitude <= SIGNAL_FLOOR:
             continue
         prefactor = magnitude / reference.h**expected

@@ -282,6 +282,32 @@ def test_csv_output_rejected_for_single_solve(tmp_path):
     assert exc.value.key_path == "output.csv"
 
 
+@pytest.mark.parametrize("mode", ["sweep", "verify"])
+def test_summary_may_not_overwrite_the_csv(tmp_path, capsys, mode):
+    # the summary is written after the CSV, so one path for both would
+    # leave only the summary: refused at output.summary, also where --out
+    # names the CSV or the two paths differ only in spelling
+    target = tmp_path / "out.x"
+    for output, out in (
+        ({"csv": str(target), "summary": str(target)}, None),
+        ({"summary": str(target)}, str(target)),
+        ({"csv": str(target), "summary": str(tmp_path / "." / "out.x")}, None),
+    ):
+        cfg = {
+            "problem": {"kind": "model-corpus", "index": 0},
+            "h_grid": {"values": [1e-1, 1e-2, 1e-3, 1e-4]},
+            "output": output,
+        }
+        path = write_config(tmp_path, cfg)
+        with pytest.raises(SchemaError) as exc:
+            parse_config(path, mode=mode, out=out)
+        assert exc.value.key_path == "output.summary"
+        argv = [mode, "--config", path] + (["--out", out] if out else [])
+        assert main(argv) == 2
+        assert "output.summary" in _one_line_error(capsys)
+        assert not target.exists()
+
+
 def test_zero_energy_problem_only_predicts(tmp_path, capsys):
     cfg = {"problem": {"kind": "schrodinger-corpus", "index": 2}, "h": 1e-3}
     path = write_config(tmp_path, cfg)
@@ -433,8 +459,8 @@ def test_summary_entries_carry_the_dataclass_fields(tmp_path, capsys):
 
 
 def test_grid_outside_unit_interval_or_too_long_rejected(tmp_path, capsys):
-    # h = 1 has no log(1/h) envelope, and a values list is bounded like a
-    # count; both are refused before any problem is solved
+    # h = 1 is outside the semiclassical regime, and a values list is
+    # bounded like a count; both are refused before any problem is solved
     too_long = [float(h) for h in np.geomspace(1e-1, 1e-4, MAX_GRID_POINTS + 1)]
     for values in ([1.0, 1e-1, 1e-2, 1e-3], [2.0, 1e-1, 1e-2, 1e-3], too_long):
         cfg = {

@@ -86,6 +86,23 @@ def test_profiles_holds_the_only_root_finder():
     assert users == {"profiles"}
 
 
+def test_sweep_fits_use_the_plain_power_law():
+    # one fit rule: no call of fit_power_law in the package passes the
+    # log(1/h) envelope, by keyword or as its second argument
+    package = Path(crossing_kit.__file__).parent
+    calls = []
+    for path in package.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "attr", None) or getattr(node.func, "id", None)
+                if name == "fit_power_law":
+                    calls.append((path.stem, node))
+    assert calls  # attach_fits fits every tracked quantity
+    for stem, call in calls:
+        with_log = any(k.arg in ("with_log", None) for k in call.keywords)
+        assert len(call.args) == 1 and not with_log, (stem, call.lineno)
+
+
 # In a fresh interpreter with scipy blocked: import every module of the
 # package, and run `verify` on a short grid of each family. Then unblock
 # scipy, call the model's DOP853 test oracle once and report its values.

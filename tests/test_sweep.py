@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from crossing_kit import normalform, schrodinger
+from crossing_kit.cli import _DEFAULT_GRIDS
 from crossing_kit.errors import DegenerateFit, ValidationError
 from crossing_kit.normalform import NormalFormProblem, model_corpus
 from crossing_kit.profiles import Bump
@@ -44,6 +45,15 @@ def test_fit_recovers_logarithmic_envelope():
     assert abs(fit.amplitude - 1.0) < 1e-6
     # without the log factor the same data reads as a shallower slope
     assert fit_power_law(pts).exponent < 2.0 / 3.0 - 0.05
+
+
+def test_log_envelope_needs_every_h_in_the_unit_interval():
+    # log(1/h) is negative beyond h = 1 and zero at it: the fit refuses
+    # such points rather than return NaN
+    for h_max in (2.0, 1.0):
+        with pytest.raises(ValidationError, match="log"):
+            fit_power_law([(h_max, 1.0), (0.5, 0.7), (0.1, 0.3)], with_log=True)
+    assert math.isfinite(fit_power_law([(2.0, 1.0), (0.5, 0.7), (0.1, 0.3)]).exponent)
 
 
 def test_fit_recovers_planted_exponents():
@@ -134,21 +144,26 @@ def test_sweep_rows_carry_small_errors_and_fits():
         assert r.extracted.h == r.predicted.h == r.h
         ex, pr = r.extracted.entries, r.predicted.entries
         assert np.all(np.abs(ex - pr) < 0.5 * np.abs(pr))
-    attach_fits(report, prob.order)
+    attach_fits(report)
     assert abs(report.fits["t21"].exponent - 0.5) < 0.05
 
 
-def test_deficit_envelope_follows_contact_order():
-    # the remainder is O(h^(2/(m+1)) log(1/h)^[m=1]): the diagonal deficits
-    # carry the log envelope at m = 1 only
-    for index, m in ((0, 1), (1, 2)):
-        prob = model_corpus(1e-2)[index]
-        assert prob.order == m
-        report = run_sweep(prob, np.geomspace(1e-1, 1e-3, 4))
-        attach_fits(report, prob.order)
-        for q in ("t11_deficit", "t22_deficit"):
-            assert report.fits[q].with_log is (m == 1), (index, q)
-        assert not report.fits["t12"].with_log and not report.fits["t21"].with_log
+@pytest.mark.parametrize(
+    "corpus, family",
+    [(model_corpus, "model"), (schrodinger_corpus, "schrodinger")],
+    ids=["model", "schrodinger"],
+)
+def test_deficit_fits_read_the_remainder_order(corpus, family):
+    # on the default verify grid of corpus 0 (m = 1), the plain fit of
+    # |T_jj - 1| reads the remainder's order 2/(m+1) = 1; no sweep fit
+    # carries the log(1/h) envelope, which would read 1.11 and 1.15
+    start, stop, count = _DEFAULT_GRIDS[family]
+    report = run_sweep(corpus(start)[0], np.geomspace(start, stop, count))
+    attach_fits(report)
+    assert set(report.fits) == {"t12", "t21", "t11_deficit", "t22_deficit"}
+    assert not any(fit.with_log for fit in report.fits.values())
+    for q in ("t11_deficit", "t22_deficit"):
+        assert abs(report.fits[q].exponent - 1.0) <= 0.01, q
 
 
 def test_zero_coupling_sweep_skips_fits():
@@ -157,7 +172,7 @@ def test_zero_coupling_sweep_skips_fits():
     )
     report = run_sweep(prob, np.geomspace(1e-1, 1e-3, 4))
     assert all(max(r.abs_errors()) < 1e-8 for r in report.rows)
-    attach_fits(report, prob.order)
+    attach_fits(report)
     assert "t12" not in report.fits and "t21" not in report.fits
 
 
@@ -177,19 +192,26 @@ def test_failed_rows_recorded_not_raised(tmp_path):
     assert all(r.detail == "" for r in back.rows)
 
 
-def test_verdicts_and_monotonicity():
-    pts = [(h, 2.0 * h**0.52) for h in HS]
-    report = SweepReport(rows=[])
-    report.fits["t21"] = fit_power_law(pts)
+def _reference_row(h, prefactor, status="ok"):
+    # order 1: expected exponent 0.5, prefactor |t21| / h^0.5; t12 = 0
+    # carries no signal and gets no verdict. A failed row carries the
+    # matrix too, so that only its status keeps it from being the reference
+    t = TransferMatrix([[1.0, 0.0], [prefactor * h**0.5, 1.0]], h=h)
+    return SweepRow(h=h, extracted=t, predicted=t, status=status)
 
-    def reference(prefactor):
-        # order 1: expected exponent 0.5, prefactor |t21| / h^0.5; t12 = 0
-        # carries no signal and gets no verdict
-        h = float(HS[0])
-        return TransferMatrix([[1.0, 0.0], [prefactor * h**0.5, 1.0]], h=h)
+
+def _fitted_report(rows):
+    report = SweepReport(rows=rows)
+    report.fits["t21"] = fit_power_law([(h, 2.0 * h**0.52) for h in HS])
+    return report
+
+
+def test_verdicts_and_monotonicity():
+    # one row, whose prediction is the reference
+    report = _fitted_report([_reference_row(float(HS[0]), 2.0)])
 
     def exponent_passes(tol):
-        verify(report, reference(2.0), 1, {"exponent": tol, "prefactor": 0.10})
+        verify(report, 1, {"exponent": tol, "prefactor": 0.10})
         assert set(report.verdicts) == {"t21:exponent", "t21:prefactor"}
         return report.verdicts["t21:exponent"].passed
 
@@ -199,11 +221,30 @@ def test_verdicts_and_monotonicity():
     for tol in (0.02, 0.03, 0.1, 0.5):
         assert exponent_passes(tol) >= tight
     tols = {"exponent": 0.05, "prefactor": 0.10}
-    assert verify(report, reference(2.0), 1, tols)
+    assert verify(report, 1, tols)
     assert report.verdicts["t21:prefactor"].expected == pytest.approx(2.0)
-    assert not verify(report, reference(2.5), 1, tols)
+    report = _fitted_report([_reference_row(float(HS[0]), 2.5)])
+    assert not verify(report, 1, tols)
     assert not report.verdicts["t21:prefactor"].passed
     assert report.verdicts["t21:exponent"].passed
+
+
+def test_verify_reads_the_largest_h_ok_row():
+    tols = {"exponent": 0.05, "prefactor": 0.10}
+    # the largest-h row failed: the next ok row's prediction is the
+    # reference, whatever the smaller-h rows predict
+    rows = [
+        _reference_row(0.2, 9.0, status="failed:StepFailure"),
+        _reference_row(0.1, 2.0),
+        _reference_row(0.01, 9.0),
+    ]
+    report = _fitted_report(rows)
+    assert verify(report, 1, tols)
+    assert report.verdicts["t21:prefactor"].expected == pytest.approx(2.0)
+    # with no ok row there is no reference, so no verdict and no pass
+    report = _fitted_report([_reference_row(h, 2.0, "failed:StepFailure") for h in HS])
+    assert not verify(report, 1, tols)
+    assert report.verdicts == {}
 
 
 def test_csv_round_trip_bit_exact(tmp_path):
@@ -238,5 +279,5 @@ def test_schrodinger_sweep_reaches_small_h():
     prob = schrodinger_corpus(1e-3)[0]
     report = run_sweep(prob, np.geomspace(1e-3, 1e-5, 5))
     assert [r.status for r in report.rows] == ["ok"] * 5
-    attach_fits(report, prob.order)
+    attach_fits(report)
     assert abs(report.fits["t12"].exponent - 0.5) <= 0.03
