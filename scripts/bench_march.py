@@ -5,18 +5,25 @@
         --against-out PATH [--against-label TEXT] [--label TEXT]
 
 Extracts the transfer matrix of model-corpus 0, 1, 2 (self-adjoint, one
-Neumann chain) and 3 (r1 != r2, two chains) at h = 1e-2 .. 1e-6 and of
-schrodinger-corpus 0 and 1 at h = 1e-2 .. 1e-5, with the
+Neumann chain) and 3 (r1 != r2, two chains) at h = 1e-2 .. 1e-6 and 1e-8
+and of schrodinger-corpus 0 and 1 at h = 1e-2 .. 1e-6, with the
 ``crossing_kit`` package found on PYTHONPATH. Each row is timed REPEATS
 times in one process (the median is kept); its node count, Picard chunk
 count, total Picard sweeps and the Neumann rows each sweep integrates
 come from the march's DEBUG line, and ``us_per_node`` is the median
-seconds per marched node in microseconds. Each measured tree prints the
-DEBUG line's ``marched N nodes``, ``N Picard chunks of S sweeps`` and
-``N Neumann rows per sweep`` (every tree from 2b05510 on does). Writes
-``--out``, which has no default so that no run overwrites a committed
-BENCH_*.json by accident, with the rows, the log-log slope of seconds
-against 1/h per problem, and the environment.
+seconds per node, uniformly marched or on a panel, in microseconds. Each
+measured tree prints the DEBUG line's ``marched N nodes``, ``N Picard
+chunks of S sweeps`` and ``N Neumann rows per sweep`` (every tree from
+2b05510 on does); a tree that solves the outer pieces on Levin panels
+also prints ``N Levin panels of Q nodes`` and ``N panel chunks of S
+sweeps``, which the rows record as ``panels``, ``panel_nodes``,
+``panel_chunks`` and ``panel_sweeps`` (0 for a tree without panels). A
+row the tree refuses (its node budget, at the smallest h for a tree
+without panels) is kept with its message under ``refused`` and no
+timing. Writes ``--out``, which has no default so that no run overwrites
+a committed BENCH_*.json by accident, with the rows, the log-log slope
+of seconds against 1/h over h = 1e-3 .. 1e-6 per problem, and the
+environment.
 
 Without ``--against`` the rows are timed in this process; compare
 ``nodes`` across two such files, not ``seconds``: the two trees then run
@@ -49,17 +56,21 @@ import numpy as np
 
 REPEATS = 3
 ROUNDS = 5
-H_MODEL = (1e-2, 1e-3, 1e-4, 1e-5, 1e-6)
-H_PAIR = (1e-2, 1e-3, 1e-4, 1e-5)
+H_MODEL = (1e-2, 1e-3, 1e-4, 1e-5, 1e-6, 1e-8)
+H_PAIR = (1e-2, 1e-3, 1e-4, 1e-5, 1e-6)
+# the h range of each problem's slope
+SLOPE_H = (1e-6, 1e-3)
 
 
 class _March(logging.Handler):
-    """Keeps the node count, Picard chunks, sweeps and Neumann rows per
-    sweep of the last march's DEBUG line."""
+    """Keeps the node count, Picard chunks, sweeps, Neumann rows per sweep
+    and Levin panels, panel chunks and panel sweeps of the last march's
+    DEBUG line."""
 
     def __init__(self):
         super().__init__(logging.DEBUG)
         self.nodes = self.chunks = self.sweeps = self.rows = None
+        self.panels = self.panel_nodes = self.panel_chunks = self.panel_sweeps = 0
 
     def emit(self, record):
         msg = record.getMessage()
@@ -70,6 +81,14 @@ class _March(logging.Handler):
         solve = re.search(r"(\d+) Picard chunks of (\d+) sweeps", msg)
         self.chunks, self.sweeps = int(solve.group(1)), int(solve.group(2))
         self.rows = int(re.search(r"(\d+) Neumann rows per sweep", msg).group(1))
+        panels = re.search(r"(\d+) Levin panels of (\d+) nodes", msg)
+        levin = re.search(r"(\d+) panel chunks of (\d+) sweeps", msg)
+        self.panels, self.panel_nodes = (
+            (int(panels.group(1)), int(panels.group(2))) if panels else (0, 0)
+        )
+        self.panel_chunks, self.panel_sweeps = (
+            (int(levin.group(1)), int(levin.group(2))) if levin else (0, 0)
+        )
 
 
 def _cpu() -> str:
@@ -83,28 +102,30 @@ def _cpu() -> str:
     return platform.processor() or "unknown"
 
 
-def _slope(rows: list[dict]) -> float:
-    """Least-squares slope of log(seconds) against log(1/h)."""
-    x = np.log([1.0 / r["h"] for r in rows])
-    y = np.log([r["seconds"] for r in rows])
+def _slope(rows: list[dict]) -> float | None:
+    """Least-squares slope of log(seconds) against log(1/h) over the timed
+    rows with h in SLOPE_H; None with fewer than two."""
+    timed = [r for r in rows if SLOPE_H[0] <= r["h"] <= SLOPE_H[1] and r["seconds"]]
+    if len(timed) < 2:
+        return None
+    x = np.log([1.0 / r["h"] for r in timed])
+    y = np.log([r["seconds"] for r in timed])
     return float(np.polyfit(x, y, 1)[0])
 
 
-def _row(h: float, nodes: int, chunks: int, sweeps, rows, seconds: float) -> dict:
-    return {
-        "h": h,
-        "nodes": nodes,
-        "picard_chunks": chunks,
-        "sweeps": sweeps,
-        "rows_per_sweep": rows,
-        "seconds": seconds,
-        "us_per_node": 1e6 * seconds / nodes,
-    }
+def _row(h: float, march: dict, seconds: float | None) -> dict:
+    """One row: h, the march's counts (or the refusal) and the timing."""
+    row = {"h": h, **march, "seconds": seconds}
+    if seconds is not None:
+        nodes = march["nodes"] + march.get("panel_nodes", 0)
+        row["us_per_node"] = 1e6 * seconds / nodes
+    return row
 
 
 def measure(echo) -> dict:
     """Rows per problem, timed in this process, and the environment."""
     import crossing_kit
+    from crossing_kit.errors import ValidationError
     from crossing_kit.normalform import model_corpus
     from crossing_kit.schrodinger import schrodinger_corpus
 
@@ -126,23 +147,30 @@ def measure(echo) -> dict:
         for h in h_values:
             prob = build(h)
             seconds = []
-            for _ in range(REPEATS):
-                t0 = time.perf_counter()
-                prob.extract()
-                seconds.append(time.perf_counter() - t0)
-            rows.append(
-                _row(
-                    h,
-                    handler.nodes,
-                    handler.chunks,
-                    handler.sweeps,
-                    handler.rows,
-                    statistics.median(seconds),
-                )
-            )
-            echo(f"{name} h={h:g}: {rows[-1]['nodes']} nodes, "
+            try:
+                for _ in range(REPEATS):
+                    t0 = time.perf_counter()
+                    prob.extract()
+                    seconds.append(time.perf_counter() - t0)
+            except ValidationError as exc:
+                rows.append(_row(h, {"refused": str(exc)}, None))
+                echo(f"{name} h={h:g}: refused ({exc})")
+                continue
+            march = {
+                "nodes": handler.nodes,
+                "picard_chunks": handler.chunks,
+                "sweeps": handler.sweeps,
+                "rows_per_sweep": handler.rows,
+                "panels": handler.panels,
+                "panel_nodes": handler.panel_nodes,
+                "panel_chunks": handler.panel_chunks,
+                "panel_sweeps": handler.panel_sweeps,
+            }
+            rows.append(_row(h, march, statistics.median(seconds)))
+            echo(f"{name} h={h:g}: {handler.nodes} nodes, "
                  f"{handler.chunks} chunks, {handler.sweeps} sweeps, "
-                 f"{rows[-1]['seconds']:.3f} s, {rows[-1]['us_per_node']:.3f} us/node")
+                 f"{handler.panels} panels, {rows[-1]['seconds']:.3f} s, "
+                 f"{rows[-1]['us_per_node']:.3f} us/node")
         problems[name] = rows
     env = {
         "python": sys.version.split()[0],
@@ -183,19 +211,20 @@ def alternate(other: Path, rounds: int) -> tuple[dict, dict]:
         for name, first in runs[t][0]["problems"].items():
             rows = []
             for i, row in enumerate(first):
+                march = {
+                    k: v for k, v in row.items()
+                    if k not in ("h", "seconds", "us_per_node")
+                }
+                if row["seconds"] is None:
+                    rows.append(_row(row["h"], march, None))
+                    continue
                 mine = [run["problems"][name][i]["seconds"] for run in runs[t]]
                 theirs = [run["problems"][name][i]["seconds"] for run in runs[1 - t]]
-                rows.append(
-                    _row(
-                        row["h"],
-                        row["nodes"],
-                        row["picard_chunks"],
-                        row["sweeps"],
-                        row["rows_per_sweep"],
-                        statistics.median(mine),
-                    )
+                rows.append(_row(row["h"], march, statistics.median(mine)))
+                # a row the other tree refuses counts as faster
+                rows[-1]["rounds_faster"] = sum(
+                    b is None or a < b for a, b in zip(mine, theirs)
                 )
-                rows[-1]["rounds_faster"] = sum(a < b for a, b in zip(mine, theirs))
             problems[name] = rows
         records.append({"problems": problems, "env": runs[t][0]["env"]})
     return records[0], records[1]

@@ -97,14 +97,17 @@ def fit_power_law(
 ) -> PowerLawFit:
     """Least-squares fit of magnitude = amplitude * h^exponent.
 
-    With ``with_log`` the model carries an extra fixed log(1/h) factor,
-    matching envelopes h^e * log(1/h); every h must then lie in (0, 1).
+    Every h must be finite and positive. With ``with_log`` the model
+    carries an extra fixed log(1/h) factor, matching envelopes
+    h^e * log(1/h); every h must then lie in (0, 1).
     """
     if len(points) < 3:
         raise ValidationError("power-law fit needs at least 3 points")
     h = np.array([p[0] for p in points], dtype=float)
     y = np.array([p[1] for p in points], dtype=float)
-    if with_log and not np.all((h > 0.0) & (h < 1.0)):
+    if not np.all(np.isfinite(h) & (h > 0.0)):
+        raise ValidationError("a power-law fit needs every h finite and positive")
+    if with_log and not np.all(h < 1.0):
         raise ValidationError("the log(1/h) envelope needs every h in (0, 1)")
     if np.any(y <= 0.0) or not np.all(np.isfinite(y)):
         raise DegenerateFit("magnitudes must be positive and finite")

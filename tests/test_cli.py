@@ -567,16 +567,17 @@ def test_h_near_underflow_is_a_numerical_failure(tmp_path, capsys):
         assert "n_max" in _one_line_error(capsys)
     # in a sweep each refused row says why, on stdout and in the summary
     summary = tmp_path / "summary.json"
+    grid = [1e-200, 1e-250, 1e-300, 1e-320]
     cfg = {
         "problem": model_block(),
-        "h_grid": {"values": [1e-8, 1e-9, 1e-10, 1e-11]},
+        "h_grid": {"values": grid},
         "output": {"csv": str(tmp_path / "rows.csv"), "summary": str(summary)},
     }
     assert main(["sweep", "--config", write_config(tmp_path, cfg)]) == 3
     failed = [ln for ln in capsys.readouterr().out.splitlines() if "failed:" in ln]
     assert len(failed) == 4 and all("n_max" in ln for ln in failed)
     rows = json.loads(summary.read_text(encoding="utf-8"))["failed_rows"]
-    assert [r["h"] for r in rows] == [1e-8, 1e-9, 1e-10, 1e-11]
+    assert [r["h"] for r in rows] == grid
     assert all(r["status"] == "failed:ValidationError" for r in rows)
     assert all("n_max" in r["detail"] for r in rows)
 

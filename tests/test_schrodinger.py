@@ -9,9 +9,13 @@ h=1e-3 comparison lives in the acceptance suite, module tests run at a
 cheaper h.
 """
 
+import concurrent.futures
 import dataclasses
 import logging
 import math
+import re
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -524,6 +528,173 @@ def test_march_is_within_2e_11_of_a_dense_march(monkeypatch, corpus, indices, h)
         assert err <= 2e-11, (k, err)
 
 
+def _march_line(caplog, run):
+    """run() and the uniformly marched nodes and Levin panels of the last
+    march's DEBUG line."""
+    caplog.clear()
+    with caplog.at_level(logging.DEBUG, logger="crossing_kit"):
+        out = run()
+    msg = caplog.records[-1].getMessage()
+    nodes = int(re.search(r"marched (\d+) nodes", msg).group(1))
+    panels = int(re.search(r"(\d+) Levin panels", msg).group(1))
+    return out, nodes, panels, msg
+
+
+def _panels_against_uniform(monkeypatch, caplog, prob, pieces=16):
+    """|U - U_uniform| for the propagator U of prob's coupling support, and
+    the DEBUG line of the march that gave U. U_uniform, the oracle of the
+    panel path, is the uniform march at 40 points per period, cut into
+    ``pieces`` equal parts that each start from the exact phase: marched
+    whole, it chains its phase over the span, whose rounding reaches
+    1.8e-11 on a random model at h = 1e-5 and 1.3e-10 on model-corpus 2
+    at h = 1e-6."""
+    if isinstance(prob, normalform.NormalFormProblem):
+        system = normalform._system(prob)
+    else:
+        system = schrodinger._system(prob)
+    lo, hi = system.support
+    eye = np.eye(2, dtype=complex)
+    got, _, panels, msg = _march_line(caplog, lambda: march.march(system, eye, lo, hi))
+    with monkeypatch.context() as patch:
+        patch.setattr(march, "_CROSSOVER", math.inf)
+        patch.setattr(march, "POINTS_PER_PERIOD", 40)
+        want, cuts = eye, np.linspace(lo, hi, pieces + 1)
+        for start, end in zip(cuts[:-1], cuts[1:]):
+            want = march.march(system, want, start, end)
+    return float(np.abs(got - want).max()), panels, msg
+
+
+_CORPORA = {
+    f"{name}-{k}-{h:g}": (corpus, k, h)
+    for h in (1e-4, 1e-5, 1e-6)
+    for name, corpus, count in (
+        ("model", model_corpus, 6),
+        ("pair", schrodinger_corpus, 2),
+    )
+    for k in range(count)
+}
+
+
+@pytest.mark.parametrize("corpus, index, h", _CORPORA.values(), ids=_CORPORA.keys())
+def test_levin_panels_match_the_uniform_march(monkeypatch, caplog, corpus, index, h):
+    # the outer pieces on Levin panels and the zone at ZONE_POINTS_PER_PERIOD
+    # against the uniform march at 40 points per period, on every case-i
+    # corpus problem: within 2e-11 at h = 1e-4 and 1e-5 and 1e-10 at 1e-6
+    # (measured at most 7.8e-13). At h <= 1e-5 every problem takes panels;
+    # at 1e-4 those whose span's uniform estimate is below _CROSSOVER keep
+    # the uniform march
+    err, panels, msg = _panels_against_uniform(monkeypatch, caplog, corpus(h)[index])
+    assert panels > 0 or h == 1e-4, msg
+    assert err <= (1e-10 if h == 1e-6 else 2e-11), err
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_levin_panels_match_the_uniform_march_on_random_models(monkeypatch, caplog, m):
+    # seeded draws of the random-model family at h = 1e-5, r1 != r2 (two
+    # chains): the panel path against the uniform march at 40 points per
+    # period (measured at most 1.2e-13)
+    for seed in (0, 1, 2):
+        prob = _random_model_problem(m, 1e-5, seed)
+        err, panels, msg = _panels_against_uniform(monkeypatch, caplog, prob)
+        assert panels > 0, msg
+        assert err <= 2e-11, (seed, err)
+
+
+_SELF_ADJOINT = {
+    **{f"model-{k}": (model_corpus, normalform._system, k) for k in (0, 1, 2, 5)},
+    **{f"pair-{k}": (schrodinger_corpus, schrodinger._system, k) for k in (0, 1)},
+}
+
+
+@pytest.mark.parametrize(
+    "corpus, system, index", _SELF_ADJOINT.values(), ids=_SELF_ADJOINT.keys()
+)
+def test_levin_propagator_is_unitary_at_1e_8(corpus, system, index):
+    # where M is skew-Hermitian the propagator U of the whole support is
+    # unitary; at h = 1e-8 the march solves it on panels and a zone of a
+    # few hundred nodes, and U stays unitary to 1e-12 (measured 3e-15)
+    prob = corpus(1e-8)[index]
+    sys_ = system(prob)
+    assert sys_.skew_hermitian
+    u = march.march(sys_, np.eye(2, dtype=complex), *sys_.interval)
+    assert np.abs(u.conj().T @ u - np.eye(2)).max() <= 1e-12
+
+
+@pytest.mark.parametrize(
+    "corpus, index",
+    [(model_corpus, k) for k in range(6)] + [(schrodinger_corpus, k) for k in range(2)],
+    ids=[f"model-{k}" for k in range(6)] + [f"pair-{k}" for k in range(2)],
+)
+def test_levin_work_barely_grows_below_1e_6(caplog, corpus, index):
+    # the cost of an extraction stops growing with 1/h: from h = 1e-6 to
+    # 1e-8 the nodes the march evaluates, uniform and on panels, and the
+    # panels stay within 2x (counts, not timings; 1.1k to 1.6k nodes and
+    # 20 to 26 panels on model-corpus 0), where the uniform march's nodes
+    # grew 100x
+    counts = []
+    for h in (1e-6, 1e-8):
+        _, nodes, panels, msg = _march_line(caplog, corpus(h)[index].extract)
+        counts.append((nodes + panels * march.PANEL_POINTS, panels))
+    (work_6, panels_6), (work_8, panels_8) = counts
+    assert 0.5 <= work_8 / work_6 <= 2.0, counts
+    assert 0.5 <= panels_8 / panels_6 <= 2.0, counts
+
+
+def test_panel_matrices_are_built_once_under_threads(monkeypatch):
+    # sweep rows run in threads (--jobs): threads that build the Chebyshev
+    # matrices at once must all get one complete set, never a mix
+    monkeypatch.setattr(march, "_CHEB", {})
+    start = threading.Barrier(6)
+
+    def build():
+        start.wait(timeout=60)
+        return march._cheb()
+
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with concurrent.futures.ThreadPoolExecutor(max_workers=6) as pool:
+            futures = [pool.submit(build) for _ in range(6)]
+            got = [f.result(timeout=60) for f in futures]
+    finally:
+        sys.setswitchinterval(switch)
+    assert all(g is got[0] for g in got)
+    assert len(got[0]) == 4 and [m.shape for m in got[0]] == [
+        (march.PANEL_POINTS,),
+        (march.PANEL_POINTS, march.PANEL_POINTS),
+        (march.PANEL_POINTS, march.PANEL_POINTS),
+        (march.PANEL_POINTS, march._TAIL),
+    ]
+
+
+def test_refused_panel_chunk_is_marched_uniformly(monkeypatch, caplog):
+    # a panel chunk whose first Levin solution is not resolved to _TAIL_TOL
+    # (here: m1 perturbed by 1e-6 on the solve, after the planning saw it
+    # smooth) is marched by the zone's uniform plan instead; the march
+    # reports it and still matches the uniform march at 40 points per period
+    prob = model_corpus(1e-5)[1]
+    panel_data, levin, solving = march._panel_data, march._levin, []
+
+    def noisy(system, lo, hi):
+        half, x, (rate, m1, m2) = panel_data(system, lo, hi)
+        if solving:
+            m1 = m1 + 1e-6 * np.random.default_rng(5).standard_normal(m1.shape)
+        return half, x, (rate, m1, m2)
+
+    def flagged(*args):
+        solving.append(True)
+        try:
+            return levin(*args)
+        finally:
+            solving.pop()
+
+    monkeypatch.setattr(march, "_panel_data", noisy)
+    monkeypatch.setattr(march, "_levin", flagged)
+    err, panels, msg = _panels_against_uniform(monkeypatch, caplog, prob)
+    assert panels == 0 and "2 panel chunks refused" in msg, msg
+    assert err <= 2e-11, err
+
+
 def test_march_fails_loudly_at_the_picard_cap():
     # a coupling so strong that even the shortest chunk spans many
     # e-foldings: Picard cannot converge in PICARD_MAX_ITER sweeps
@@ -572,18 +743,26 @@ _PEAKS = {
 
 @pytest.mark.parametrize("prob", _PEAKS.values(), ids=_PEAKS.keys())
 def test_march_peak_is_within_bytes_per_node(monkeypatch, prob):
-    # _BYTES_PER_NODE sets the longest chunk: the traced peak of an
-    # extraction stays within it per node of that chunk, for one chain and
-    # two (about 150 and 210 bytes a node)
-    longest = []
-    plan = march._plan
+    # _BYTES_PER_NODE sets the longest chunk and _BYTES_PER_PANEL the
+    # largest panel chunk: the traced peak of an extraction stays within
+    # them, per node of that chunk (about 150 and 210 bytes a node for one
+    # chain and two) plus per panel of that panel chunk (about 50 kB), as
+    # the uniform chunks' work arrays live through the panel chunks
+    longest, panels = [0], [0]
+    plan, panel_chunks = march._plan, march._panel_chunks
 
     def recording(system, start, end):
         chunks = plan(system, start, end)
         longest.append(max(cells for _, cells in chunks))
         return chunks
 
+    def recording_panels(system, edges):
+        chunks = panel_chunks(system, edges)
+        panels.append(max(len(chunk) - 1 for chunk in chunks))
+        return chunks
+
     monkeypatch.setattr(march, "_plan", recording)
+    monkeypatch.setattr(march, "_panel_chunks", recording_panels)
     prob.extract()  # first-call caches
     tracemalloc.start()
     try:
@@ -591,18 +770,37 @@ def test_march_peak_is_within_bytes_per_node(monkeypatch, prob):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= (max(longest) + 1) * march._BYTES_PER_NODE, (peak, longest)
+    bound = (max(longest) + 1) * march._BYTES_PER_NODE
+    assert peak <= bound + max(panels) * march._BYTES_PER_PANEL, (peak, longest, panels)
 
 
-def test_node_budget_counts_the_marched_grid():
-    # the pair's graded grid follows |phi_2' - phi_1'| <= 0.2 on supp W =
-    # [-0.8, 0.8]: its plan has about 3.66M nodes at h = 1e-7, which fits,
-    # and the pieces' estimate alone reads about 45.4M at h = 8e-9. The
-    # model's follows |f| = |x| on the coupling support [-0.8, 0.8]: its
-    # plan has about 14.5M nodes at h = 1e-7, which fits, and the pieces'
-    # estimate alone reads about 41.4M at h = 3.5e-8 and 48.3M at h = 3e-8.
-    # Both refused before any work.
-    for prob in (schrodinger_corpus(8e-9)[0], model_corpus(3e-8)[0]):
+def test_node_budget_counts_the_marched_grid(monkeypatch, caplog):
+    # N_MAX bounds the nodes the march steps uniformly, those of the zone
+    # that the DEBUG line reports as marched, not the Levin panels': with
+    # N_MAX one above that count the march runs, with N_MAX at it the march
+    # is refused before any work. Near the underflow limit even the zone,
+    # at least 2^-12 of the support wide, is far above N_MAX. Both
+    # families, at h = 1e-6 where the outer pieces are panels.
+    for prob in (schrodinger_corpus(1e-6)[0], model_corpus(1e-6)[0]):
+        caplog.clear()
+        with caplog.at_level(logging.DEBUG, logger="crossing_kit"):
+            prob.extract()
+        msg = caplog.records[-1].getMessage()
+        nodes = int(re.search(r"marched (\d+) nodes", msg).group(1))
+        assert int(re.search(r"(\d+) Levin panels", msg).group(1)) > 0, msg
+        monkeypatch.setattr(march, "N_MAX", nodes + 1)
+        prob.extract()
+        monkeypatch.setattr(march, "N_MAX", nodes)
+
+        def allocating(*args):
+            raise AssertionError("work arrays allocated over the budget")
+
+        with monkeypatch.context() as inner:
+            inner.setattr(march, "_work", allocating)
+            with pytest.raises(ValidationError, match="n_max"):
+                prob.extract()
+        monkeypatch.undo()
+    for prob in (schrodinger_corpus(1e-200)[0], model_corpus(1e-200)[0]):
         with pytest.raises(ValidationError, match="nodes"):
             prob.extract()
 

@@ -56,6 +56,18 @@ def test_log_envelope_needs_every_h_in_the_unit_interval():
     assert math.isfinite(fit_power_law([(2.0, 1.0), (0.5, 0.7), (0.1, 0.3)]).exponent)
 
 
+def test_fit_refuses_h_that_is_not_finite_and_positive(capfd):
+    # log(h) of such an h is -inf or NaN, which numpy's least squares met
+    # with "SVD did not converge" and LAPACK lines on stderr: the fit
+    # refuses the h before the logarithm, quietly, with or without the
+    # log(1/h) envelope
+    for bad in (0.0, -0.5, float("nan"), float("inf")):
+        for with_log in (False, True):
+            with pytest.raises(ValidationError, match="finite and positive"):
+                fit_power_law([(bad, 1.0), (0.5, 0.7), (0.1, 0.3)], with_log=with_log)
+    assert capfd.readouterr() == ("", "")
+
+
 def test_fit_recovers_planted_exponents():
     rng = np.random.default_rng(3)
     for _ in range(20):
@@ -177,10 +189,10 @@ def test_zero_coupling_sweep_skips_fits():
 
 
 def test_failed_rows_recorded_not_raised(tmp_path):
-    # every row's grid would exceed the node budget N_MAX: each extraction
-    # is refused, and the sweep records it
+    # every row's grid would exceed the node budget N_MAX (h near the
+    # underflow limit): each extraction is refused, and the sweep records it
     prob = model_corpus(1e-2)[0]
-    report = run_sweep(prob, np.geomspace(1e-8, 1e-10, 4))
+    report = run_sweep(prob, np.geomspace(1e-200, 1e-300, 4))
     assert all(r.status == "failed:ValidationError" for r in report.rows)
     assert all("n_max" in r.detail for r in report.rows)
     assert report.ok_rows() == []
