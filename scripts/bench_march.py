@@ -17,13 +17,18 @@ chunks of S sweeps`` and ``N Neumann rows per sweep`` (every tree from
 2b05510 on does); a tree that solves the outer pieces on Levin panels
 also prints ``N Levin panels of Q nodes`` and ``N panel chunks of S
 sweeps``, which the rows record as ``panels``, ``panel_nodes``,
-``panel_chunks`` and ``panel_sweeps`` (0 for a tree without panels). A
-row the tree refuses (its node budget, at the smallest h for a tree
-without panels) is kept with its message under ``refused`` and no
-timing. Writes ``--out``, which has no default so that no run overwrites
-a committed BENCH_*.json by accident, with the rows, the log-log slope
-of seconds against 1/h over h = 1e-3 .. 1e-6 per problem, and the
-environment.
+``panel_chunks`` and ``panel_sweeps`` (0 for a tree without panels), and
+a tree with direct panels ``N direct panels of Q nodes as C panel chunks
+of S sweeps``, recorded as ``direct_panels``, ``direct_nodes``,
+``direct_chunks`` and ``direct_sweeps`` (0 for a tree without them; a
+panel chunk that holds both kinds counts for both). A row the tree
+refuses (its node budget, at the smallest h for a tree without panels)
+is kept with its message under ``refused`` and no timing. Writes
+``--out``, which has no default so that no run overwrites a committed
+BENCH_*.json by accident, with the rows, the log-log slope of seconds
+against 1/h over h = 1e-3 .. 1e-6 and the ratios of the row's seconds at
+h = 1e-2 and 1e-3 to those at 1e-5 (``ms_ratio_to_1e-5``) per problem,
+and the environment.
 
 Without ``--against`` the rows are timed in this process; compare
 ``nodes`` across two such files, not ``seconds``: the two trees then run
@@ -60,17 +65,20 @@ H_MODEL = (1e-2, 1e-3, 1e-4, 1e-5, 1e-6, 1e-8)
 H_PAIR = (1e-2, 1e-3, 1e-4, 1e-5, 1e-6)
 # the h range of each problem's slope
 SLOPE_H = (1e-6, 1e-3)
+# the rows' record of the direct panels
+DIRECT = ("direct_panels", "direct_nodes", "direct_chunks", "direct_sweeps")
 
 
 class _March(logging.Handler):
-    """Keeps the node count, Picard chunks, sweeps, Neumann rows per sweep
-    and Levin panels, panel chunks and panel sweeps of the last march's
-    DEBUG line."""
+    """Keeps the node count, Picard chunks, sweeps, Neumann rows per sweep,
+    Levin panels, panel chunks and panel sweeps, and direct panels, their
+    nodes, chunks and sweeps, of the last march's DEBUG line."""
 
     def __init__(self):
         super().__init__(logging.DEBUG)
         self.nodes = self.chunks = self.sweeps = self.rows = None
         self.panels = self.panel_nodes = self.panel_chunks = self.panel_sweeps = 0
+        self.direct = (0, 0, 0, 0)
 
     def emit(self, record):
         msg = record.getMessage()
@@ -89,6 +97,11 @@ class _March(logging.Handler):
         self.panel_chunks, self.panel_sweeps = (
             (int(levin.group(1)), int(levin.group(2))) if levin else (0, 0)
         )
+        direct = re.search(
+            r"(\d+) direct panels of (\d+) nodes as (\d+) panel chunks of (\d+) sweeps",
+            msg,
+        )
+        self.direct = tuple(int(g) for g in direct.groups()) if direct else (0, 0, 0, 0)
 
 
 def _cpu() -> str:
@@ -113,12 +126,21 @@ def _slope(rows: list[dict]) -> float | None:
     return float(np.polyfit(x, y, 1)[0])
 
 
+def _ratios(rows: list[dict]) -> dict:
+    """The row's seconds at h = 1e-2 and 1e-3 over those at 1e-5, where the
+    problem has timed rows at those h."""
+    seconds = {r["h"]: r["seconds"] for r in rows if r["seconds"]}
+    if 1e-5 not in seconds:
+        return {}
+    return {f"{h:g}": seconds[h] / seconds[1e-5] for h in (1e-2, 1e-3) if h in seconds}
+
+
 def _row(h: float, march: dict, seconds: float | None) -> dict:
     """One row: h, the march's counts (or the refusal) and the timing."""
     row = {"h": h, **march, "seconds": seconds}
     if seconds is not None:
-        nodes = march["nodes"] + march.get("panel_nodes", 0)
-        row["us_per_node"] = 1e6 * seconds / nodes
+        panels = march.get("panel_nodes", 0) + march.get("direct_nodes", 0)
+        row["us_per_node"] = 1e6 * seconds / (march["nodes"] + panels)
     return row
 
 
@@ -165,11 +187,13 @@ def measure(echo) -> dict:
                 "panel_nodes": handler.panel_nodes,
                 "panel_chunks": handler.panel_chunks,
                 "panel_sweeps": handler.panel_sweeps,
+                **dict(zip(DIRECT, handler.direct)),
             }
             rows.append(_row(h, march, statistics.median(seconds)))
             echo(f"{name} h={h:g}: {handler.nodes} nodes, "
                  f"{handler.chunks} chunks, {handler.sweeps} sweeps, "
-                 f"{handler.panels} panels, {rows[-1]['seconds']:.3f} s, "
+                 f"{handler.panels} Levin and {handler.direct[0]} direct panels, "
+                 f"{rows[-1]['seconds']:.4f} s, "
                  f"{rows[-1]['us_per_node']:.3f} us/node")
         problems[name] = rows
     env = {
@@ -235,7 +259,12 @@ def _write(path: str, label: str, what: str, measured: dict) -> None:
         "label": label,
         "what": what,
         "problems": [
-            {"problem": name, "rows": rows, "slope": _slope(rows)}
+            {
+                "problem": name,
+                "rows": rows,
+                "slope": _slope(rows),
+                "ms_ratio_to_1e-5": _ratios(rows),
+            }
             for name, rows in measured["problems"].items()
         ],
         "env": measured["env"],

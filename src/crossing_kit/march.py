@@ -16,79 +16,61 @@ transfer matrix is read off a at the end of the interval. The oscillatory
 integral of ``oscquad`` is an entry of the reduced model's transfer
 matrix with r2 = 0.
 
-The march runs left to right only. It carries a unchanged across the
-part of its span where M vanishes, and marches only the rest, the span's
-overlap with the system's ``support``. That span is cut into segments of
-two kinds (_segments): the stationary zone, where F' is small or
-vanishes, keeps the uniform Picard chunks below, and each outer piece,
-where the phase turns fast, is solved on Levin panels. The cut is read
-off the System alone, its ``rate_on`` and ``local``, by splitting the
-span into halves: a candidate that the uniform march would cover with
-at most _PANEL_COST nodes at ZONE_POINTS_PER_PERIOD goes to the zone, one
-whose F', 1/F', m1 and m2 are resolved by its Chebyshev points, whose F'
-keeps its sign and turns the phase by at least _ADVANCE radians is a
-panel, and the rest split, _MAX_DEPTH levels deep at most. No panel is
-tried on a span whose uniform node estimate is at most _CROSSOVER, so
-such a span (every row of the corpora at h >= 1e-3) keeps the uniform
-march bit for bit. Each segment starts from the system's exact phase at
-its start.
+The march runs left to right only. It carries a unchanged where M
+vanishes and marches the rest, the span's overlap with the system's
+``support``, on panels of PANEL_POINTS Chebyshev points, cut from the
+System's ``local`` alone (_segments): a candidate within PICARD_REACH is
+a direct panel where mu1 = m1 e^{iF/h} and mu2 = m2 e^{-iF/h}, the phase
+taken from its left edge, are resolved by its points, else a Levin panel
+where F', 1/F', m1 and m2 are resolved, F' keeps its sign and e^{iF/h}
+is not; the rest split in halves, _MAX_DEPTH levels deep at most. Direct
+panels cover the stationary zone, where the phase turns slowly, and Levin
+panels the outer pieces, where it turns fast (the split of Agocs &
+Barnett, arXiv:2212.06924); their count is set by the smoothness of m1,
+m2 and F', not by h. Each segment starts from the system's exact phase.
 
-The zone's mesh is planned in one pass as Picard chunks, each a uniform
-grid within CHUNK_BYTES and int |M| <= PICARD_REACH that takes the widest
-dx resolving the fastest phase rate on its own span and one chunk's
-length on each side with POINTS_PER_PERIOD nodes per period, so the mesh
-is coarse where the phase is stationary and fine where it turns fast; the
-last chunk is shortened to end at the span's end. The grid is never built
-whole. Next to panels the zone ends inside the support, where the end
-cells' one-sided rules do not cancel along the oscillation (up to 1.5e-9
-on the corpora at 14 points per period), so there it resolves
-ZONE_POINTS_PER_PERIOD (or POINTS_PER_PERIOD, if that is more).
-N_MAX bounds the uniformly marched nodes only; the panels' count is set
-by the smoothness of m1, m2 and F', not by h.
+Each chunk's propagator U, a(end) = U a(x_0), is the Neumann series U =
+I + U_1 + U_2 + ..., U_{k+1} = int M U_k, the increments of Picard
+iteration, all integrals from the chunk's start. As M is off-diagonal,
+the terms U_k are diagonal at even k and anti-diagonal at odd k, and
+their nonzero entries form two Neumann chains: chain 0 is w_0 = 1,
+w_{k+1} = int mu1 w_k at even k and int mu2 w_k at odd k, chain 1 the
+same with mu1 and mu2 swapped. Chain 0's odd terms are those of U's
+(0, 1) entry and its even terms those of the (1, 1) entry; chain 1 gives
+the (1, 0) and (0, 0) entries. The march sums the even and odd terms at
+the chunk's end apart, U = [[1 + E_0, O_0], [O_1, 1 + E_1]], and sets
+a <- U a. Where M is skew-Hermitian, mu2 = -conj(mu1) (a self-adjoint
+coupling: the pair always, the model when r1 == r2), chain 1 is (-1)^k
+times the conjugate of chain 0 and U is in SU(2), [[1 + conj(E_1), O_0],
+[-conj(O_0), 1 + E_1]]: each sweep integrates one row, else two.
 
-Chunks are solved in turn, each from the coefficients and phase at the
-last node of the one before: per chunk the phase comes from cum_quad10, a
-tenth-order rule, of its rate, mu1 = m1 e^{iF/h} and mu2 = m2 e^{-iF/h}
-are formed once, and the chunk's propagator U, a(end) = U a(x_0), is the
-Neumann series U = I + U_1 + U_2 + ..., U_{k+1} = int M U_k, the
-increments of Picard iteration; all integrals start at the chunk's first
-node. As M is off-diagonal, the terms U_k are diagonal at even k and
-anti-diagonal at odd k, and their nonzero entries form two Neumann chains:
-chain 0 is w_0 = 1, w_{k+1} = int mu1 w_k at even k and int mu2 w_k at
-odd k, chain 1 the same with mu1 and mu2 swapped. Chain 0's odd terms are
-those of U's (0, 1) entry and its even terms those of the (1, 1) entry;
-chain 1 gives the (1, 0) and (0, 0) entries. The march sums the even and
-odd terms at the chunk's last node apart, U = [[1 + E_0, O_0], [O_1,
-1 + E_1]], and sets a <- U a. Where M is skew-Hermitian, mu2 =
--conj(mu1) (a self-adjoint coupling: the pair always, the model when
-r1 == r2), chain 1 is (-1)^k times the conjugate of chain 0 and U is in
-SU(2), [[1 + conj(E_1), O_0], [-conj(O_0), 1 + E_1]]: each sweep
-integrates one row, else two.
+A run of panels is one Picard chunk, or a run of them within
+PICARD_REACH (_panel_chunks), solved by _levin. There a chain's term is
+S + e^{+-iF/h} B, with the sign of its multiplier, and B = 0 on a direct
+panel. The next term's S is int mu S on a direct panel and int m B on a
+Levin one, by the panel's Clenshaw-Curtis cumulative matrix (Greengard,
+SIAM J. Numer. Anal. 28 (1991)); on a Levin panel its B solves the Levin
+collocation (D +- i F'/h) B = m S (Levin, Math. Comp. 38 (1982); Olver,
+IMA J. Numer. Anal. 26 (2006)), whose matrix is inverted once per panel.
+e^{iF/h} at the panel edges is chained from the chunk's first phase by
+the panels' integrals of F'.
 
-The sweeps allocate no array of a chunk's size: the latest term, M times
-it and the chains' multipliers live in work arrays allocated once per
-march and sized for its longest chunk, numpy and ``cum_quad10`` write
-into them, and a is kept only at the chunk's last node.
-
-An outer piece is one Picard chunk of Levin panels, or a run of them
-within PICARD_REACH, each chunk of at most CHUNK_BYTES // _BYTES_PER_PANEL
-panels (_levin). A panel holds PANEL_POINTS Chebyshev points; each
-chain's term is held there as S + e^{+-iF/h} B, with the sign of its
-multiplier. The next term's S is int m B, by the panel's Clenshaw-Curtis
-cumulative matrix, and its B solves the Levin collocation (D +- i F'/h) B
-= m S (Levin, Math. Comp. 38 (1982); Olver, IMA J. Numer. Anal. 26
-(2006)), whose matrix is inverted once per panel, so that each sweep is
-one batched matrix-vector product. The constants that keep a term
-continuous from panel to panel need e^{iF/h} only at the panel edges,
-chained from the chunk's first phase by the panels' integrals of F'.
-The Picard stop rule, its cap and the overflow check are those of the
-uniform chunks. A chunk whose first Levin solution is not resolved on its
-panels is marched by the zone's uniform plan instead.
+The uniform plan marches what the split leaves unresolved on its last
+level (near the crossing at h below about 1e-8), so that an h near the
+underflow limit is refused by N_MAX, and a chunk whose first Levin
+solution is not resolved. It is one pass of Picard chunks (_plan), each
+a uniform grid within CHUNK_BYTES and PICARD_REACH whose dx resolves the
+fastest phase rate on its own span and one chunk's length on each side
+with POINTS_PER_PERIOD nodes per period, or ZONE_POINTS_PER_PERIOD next
+to panels, where the end cells' one-sided rules do not cancel along the
+oscillation. Its chunks are solved in turn (_picard), the phase by
+cum_quad10, a tenth-order rule, in work arrays allocated once per march.
 """
 
 from __future__ import annotations
 
 import bisect
+import functools
 import logging
 import math
 from dataclasses import dataclass, replace
@@ -134,33 +116,33 @@ PICARD_REACH = (PICARD_TOL * math.factorial(PICARD_MAX_ITER // 2)) ** (
     1.0 / (PICARD_MAX_ITER // 2)
 )
 
-# The Levin panels of the outer pieces (see the module docstring). A panel
-# holds PANEL_POINTS Chebyshev points. Its data are resolved when the last
-# _TAIL Chebyshev coefficients of F', 1/F', m1 and m2 are within _TAIL_TOL
-# of their scales (max |F'|, max |1/F'| and the coupling bound), and so is
-# a chunk's first Levin solution, against its largest value. The pair's F'
-# is a difference of numbers near E0: on schrodinger-corpus 1 at h = 1e-8
-# its tail reads 5.7e-14 of max |F'| on [0.0125, 0.025] from rounding
-# alone. Below about one period per panel the Levin matrix nears the
-# singular D: a panel turns the phase by _ADVANCE radians at least. A
-# panel is worth _PANEL_COST uniform nodes of the zone, which is marched
-# at ZONE_POINTS_PER_PERIOD. The split starts from _FIRST_PIECES equal
-# pieces and goes _MAX_DEPTH levels deep, so no panel is shorter than
-# 2^-12 of the span, and near the underflow limit the zone alone exceeds
-# N_MAX. No panel is tried on a span whose uniform node estimate, the
-# count _piece_spacing checks, is below _CROSSOVER: there the planning
-# would cost more than it saves. _BYTES_PER_PANEL bounds the traced peak
-# of a panel chunk per panel from above: tracemalloc reads about 50 kB.
+# A panel's data are resolved when their last _TAIL Chebyshev coefficients
+# are within _TAIL_TOL of their scales (the coupling bound, max |F'| and
+# max |1/F'|), and so is a chunk's first Levin solution, against its
+# largest value. The pair's F' is a difference of numbers near E0: on
+# schrodinger-corpus 1 at h = 1e-8 its tail reads 5.7e-14 of max |F'| on
+# [0.0125, 0.025] from rounding alone. Where e^{iF/h} is nearly resolved,
+# so is the Levin matrix's homogeneous solution e^{-iF/h}, and the matrix
+# nears singular (condition number about 1e3 over the tail of e^{iF/h}): a
+# Levin panel's e^{iF/h} has a tail of _UNRESOLVED at least, about 50
+# radians of phase (no first Levin solution on the corpora and the random
+# models failed its check from h = 1e-1 to 1e-8; with a bound of 1e-2, one
+# did). The split starts from _FIRST_PIECES equal pieces and goes
+# _MAX_DEPTH levels deep, so no panel is shorter than 2^-12 of the span.
+# The first _judge call takes _LEVELS[0] levels, each later one _LEVELS[1]:
+# a call costs about as much as 40 candidates, and the pieces left after
+# the first call mostly settle on their first level. _BYTES_PER_PANEL
+# bounds the traced peak of a panel chunk per panel from above:
+# tracemalloc reads about 50 kB.
 PANEL_POINTS = 32
 ZONE_POINTS_PER_PERIOD = 40
-_PANEL_COST = 300
-_CROSSOVER = 6000
 _BYTES_PER_PANEL = 2**16
 _TAIL = 4
 _TAIL_TOL = 1e-12
-_ADVANCE = 8.0
+_UNRESOLVED = 0.1
 _FIRST_PIECES = 8
 _MAX_DEPTH = 9
+_LEVELS = (3, 2)
 
 logger = logging.getLogger("crossing_kit")
 
@@ -220,13 +202,6 @@ def _spacing(system: System, lo, hi, points: int) -> np.ndarray:
             (x_right - x_left) / (N_MIN - 1),
             2.0 * np.pi * system.h / (rate * points),
         )
-
-
-def _uniform_nodes(system: System, lo, hi, points: int) -> np.ndarray:
-    """Nodes of the uniform march on each [lo[k], hi[k]] at _spacing;
-    infinite for an h near the underflow limit."""
-    with np.errstate(divide="ignore", over="ignore"):
-        return (hi - lo) / _spacing(system, lo, hi, points)
 
 
 def _piece_spacing(system: System, start: float, end: float) -> list[float]:
@@ -404,26 +379,41 @@ def _propagator(system: System, sums: np.ndarray) -> np.ndarray:
 
 def _cheb() -> tuple[np.ndarray, ...]:
     """PANEL_POINTS Chebyshev points of the second kind on [-1, 1],
-    increasing, and three matrices that act on values there: the
+    increasing, and four matrices that act on values there: the
     cumulative integral from -1 (Clenshaw-Curtis), the derivative and,
-    transposed, the map to the last _TAIL Chebyshev coefficients. Built at
-    first use and kept read-only in _CHEB; threads that build them at once
-    all get the one tuple stored first."""
+    for rows of complex values seen as (re, im) pairs, the map to the last
+    _TAIL Chebyshev coefficients and the transposed cumulative integral:
+    real products, whatever the row count, where a complex one of 64 rows
+    or more can stall in a threaded BLAS. Built at first use and kept
+    read-only in _CHEB; threads that build them at once all get the one
+    tuple stored first."""
     key = (PANEL_POINTS, _TAIL)
     matrices = _CHEB.get(key)
     if matrices is None:
-        n, cheb = PANEL_POINTS, np.polynomial.chebyshev
-        angle = np.pi * np.arange(n - 1, -1, -1) / (n - 1)
-        t = np.cos(angle)
-        eye = np.eye(n)
+        n = PANEL_POINTS
+        k = np.arange(n)
+        angle = np.pi * k[::-1] / (n - 1)
         # values to coefficients: the discrete cosine transform of the
-        # second-kind points
-        ends = np.where((np.arange(n) == 0) | (np.arange(n) == n - 1), 0.5, 1.0)
-        coeffs = np.cos(np.arange(n)[:, None] * angle) * (2.0 / (n - 1))
+        # second-kind points; T_j at the points is cos(j angle)
+        ends = np.where((k == 0) | (k == n - 1), 0.5, 1.0)
+        coeffs = np.cos(k[:, None] * angle) * (2.0 / (n - 1))
         coeffs *= ends[:, None] * ends
-        cum = cheb.chebvander(t, n) @ cheb.chebint(eye, lbnd=-1.0) @ coeffs
-        deriv = cheb.chebvander(t, n - 2) @ cheb.chebder(eye) @ coeffs
-        matrices = (t, cum, deriv, coeffs[-_TAIL:].T.copy())
+        # the integral of T_0 is T_1, of T_j is T_{j+1} / (2j + 2) -
+        # T_{j-1} / (2j - 2) (no T_0 for j = 1), less its value at -1
+        integral = np.zeros((n + 1, n))
+        integral[1, 0] = 1.0
+        integral[k[1:] + 1, k[1:]] = 0.5 / (k[1:] + 1)
+        integral[k[2:] - 1, k[2:]] -= 0.5 / (k[2:] - 1)
+        integral[0] = -((-1.0) ** np.arange(n + 1)) @ integral
+        cum = np.cos(angle[:, None] * np.arange(n + 1)) @ integral @ coeffs
+        # T_j' = 2j (T_{j-1} + T_{j-3} + ...), with half the T_0 term
+        slope = np.where((k > k[:, None]) & ((k - k[:, None]) % 2 == 1), 2.0 * k, 0.0)
+        slope[0] /= 2.0
+        deriv = np.cos(angle[:, None] * k) @ slope @ coeffs
+        tail, pairs = np.zeros((2 * n, 2 * _TAIL)), np.zeros((2 * n, 2 * n))
+        for part in (0, 1):
+            tail[part::2, part::2], pairs[part::2, part::2] = coeffs[-_TAIL:].T, cum.T
+        matrices = (np.cos(angle), cum, deriv, tail, pairs)
         for matrix in matrices:
             matrix.setflags(write=False)
         matrices = _CHEB.setdefault(key, matrices)
@@ -433,104 +423,107 @@ def _cheb() -> tuple[np.ndarray, ...]:
 _CHEB: dict[tuple[int, int], tuple[np.ndarray, ...]] = {}
 
 
-def _zone_points() -> int:
-    """Nodes per period of the zone next to panels: ZONE_POINTS_PER_PERIOD,
-    or POINTS_PER_PERIOD where that is more."""
-    return max(ZONE_POINTS_PER_PERIOD, POINTS_PER_PERIOD)
-
-
-def _resolved(values: np.ndarray, scale) -> np.ndarray:
-    """Whether each row of values at the panel points has its last _TAIL
-    Chebyshev coefficients within _TAIL_TOL of ``scale`` (broadcast over
-    the rows)."""
-    tails = np.abs(values @ _cheb()[3]).max(axis=-1)
-    return tails <= _TAIL_TOL * scale
+def _tail(values: np.ndarray) -> np.ndarray:
+    """The largest modulus of the last _TAIL Chebyshev coefficients of each
+    row of complex values at the panel points."""
+    pairs = values.reshape(-1, PANEL_POINTS).view(float) @ _cheb()[3]
+    moduli = np.abs(pairs.view(complex)).T
+    return functools.reduce(np.maximum, moduli).reshape(values.shape[:-1])
 
 
 def _panel_data(system: System, lo: np.ndarray, hi: np.ndarray):
-    """Half-lengths, Chebyshev points and local(x) there, (rate, m1, m2),
+    """Half-lengths and local(x) at the Chebyshev points, (rate, m1, m2),
     each of shape (panels, PANEL_POINTS), of the panels [lo[k], hi[k]]."""
     half = 0.5 * (hi - lo)
     x = (lo + half)[:, None] + half[:, None] * _cheb()[0]
     rate, (m1, m2) = system.local(x.ravel())
-    return half, x, tuple(np.reshape(v, x.shape) for v in (rate, m1, m2))
+    return half, tuple(np.reshape(v, x.shape) for v in (rate, m1, m2))
 
 
-def _judge(system: System, lo: np.ndarray, hi: np.ndarray, last: bool) -> np.ndarray:
-    """Verdicts on the candidate panels [lo[k], hi[k]]: 1 for a Levin
-    panel, 0 for the uniform zone, -1 for a split in halves.
+def _judge(system: System, lo: np.ndarray, hi: np.ndarray, last):
+    """Verdicts on the candidate panels [lo[k], hi[k]] and their data.
 
-    A candidate the zone would march on _PANEL_COST nodes or fewer, or on
-    a count that is not finite, goes to the zone; so does one that is not
-    resolved on the ``last`` split level. A resolved candidate, within
-    PICARD_REACH, is a panel; the rest split.
+    A verdict is 2 for a direct panel, 1 for a Levin panel (see the module
+    docstring), -1 for a split in halves and 0 for the uniform plan, where
+    ``last`` (a flag per candidate, or one for all) is set; a judge that
+    returns 0 for every candidate marches the whole span on the uniform
+    plan. The data are the half-lengths and, at the points, m1, m2,
+    e^{iF/h} with the phase taken from the left edge, and F'.
     """
-    nodes = _uniform_nodes(system, lo, hi, _zone_points())
-    verdict = np.where((nodes > _PANEL_COST) & np.isfinite(nodes), -1, 0)
-    ask = verdict == -1
-    if not ask.any():
-        return verdict
-    half, _, (rate, m1, m2) = _panel_data(system, lo[ask], hi[ask])
-    low, high = rate.min(axis=1), rate.max(axis=1)
-    least = np.where(low > 0.0, low, -high)
-    coupling = np.full_like(least, system.coupling)
+    half, (rate, m1, m2) = _panel_data(system, lo, hi)
+    # near the underflow limit the phases overflow: such candidates split
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        resolved = (
-            (least > 0.0)
-            & (least * 2.0 * half >= _ADVANCE * system.h)
-            & _resolved(
-                np.stack((rate, 1.0 / rate, m1, m2)),
-                np.stack((np.maximum(high, -low), 1.0 / least, coupling, coupling)),
-            ).all(axis=0)
-            & (system.coupling * 2.0 * half <= PICARD_REACH)
-        )
-    verdict[ask] = np.where(resolved, 1, 0 if last else -1)
-    return verdict
+        phase = half[:, None] * (rate @ _cheb()[1].T) / system.h
+        osc = np.empty(phase.shape, dtype=complex)
+        np.cos(phase, out=osc.real)
+        np.sin(phase, out=osc.imag)
+        values = np.stack((m1 * osc, m2 * osc.conj(), m1, m2, osc, rate, 1 / rate), 1)
+        tails = _tail(values)
+        fine = tails[:, :4] <= _TAIL_TOL * system.coupling
+        # F' keeps its sign, and its least modulus is 1 / max |1/F'|
+        low, high = rate.min(axis=1), rate.max(axis=1)
+        least = np.where(low > 0.0, low, -high)
+        levin = (least > 0.0) & (tails[:, 4] >= _UNRESOLVED) & fine[:, 2:].all(axis=1)
+        levin &= tails[:, 5] <= _TAIL_TOL * np.maximum(high, -low)
+        levin &= tails[:, 6] <= _TAIL_TOL / least
+    near = system.coupling * 2.0 * half <= PICARD_REACH
+    verdict = np.where(near & levin, 1, np.where(last, 0, -1))
+    verdict[near & fine[:, :2].all(axis=1)] = 2
+    return verdict, (half, values[:, 2:6])
 
 
-def _segments(
-    system: System, lo: float, hi: float
-) -> list[tuple[float, float, np.ndarray | None]]:
-    """[lo, hi] cut into segments (start, end, edges), left to right: edges
-    is None where the zone's uniform march takes the segment, else the
-    edges of its Levin panels. One uniform segment unless the span's
-    uniform estimate exceeds _CROSSOVER nodes.
+def _segments(system: System, lo: float, hi: float) -> list[tuple]:
+    """[lo, hi] cut into segments (start, end, chunks), left to right:
+    chunks is None where the uniform plan takes the segment, else its
+    panel chunks (_panel_chunks), each (edges, data): the panel edges and
+    per panel whether it is direct, then _judge's data.
 
     The candidates start as _FIRST_PIECES equal pieces of [lo, hi] and
-    split in halves, _MAX_DEPTH levels at most, by _judge's verdicts, one
-    call per level.
+    split in halves, _MAX_DEPTH levels at most. One _judge call takes the
+    candidates and the levels of halves below them that _LEVELS allows; a
+    piece is kept where it has a verdict and no piece above it has one,
+    and the halves of the last level's other pieces are the next
+    candidates.
     """
-    edges = lo + (hi - lo) * np.linspace(0.0, 1.0, RATE_PIECES + 1)
-    estimate = _uniform_nodes(system, edges[:-1], edges[1:], POINTS_PER_PERIOD).sum()
-    if not (estimate > _CROSSOVER and math.isfinite(estimate)):
-        return [(lo, hi, None)]
-    first = lo + (hi - lo) * np.linspace(0.0, 1.0, _FIRST_PIECES + 1)
-    items = [(s, e, -1) for s, e in zip(first[:-1].tolist(), first[1:].tolist())]
-    for depth in range(_MAX_DEPTH + 1):
-        todo = [k for k, (_, _, v) in enumerate(items) if v == -1]
-        if not todo:
-            break
-        verdict = _judge(
-            system,
-            np.array([items[k][0] for k in todo]),
-            np.array([items[k][1] for k in todo]),
-            depth == _MAX_DEPTH,
-        )
-        found, new = dict(zip(todo, verdict.tolist())), []
-        for k, (s, e, v) in enumerate(items):
-            v = found.get(k, v)
-            mid = 0.5 * (s + e)
-            new += [(s, mid, -1), (mid, e, -1)] if v == -1 else [(s, e, v)]
-        items = new
-    segments = []  # [start, end, panel edges or None for the zone]
-    for s, e, v in items:
-        if segments and (segments[-1][2] is None) == (v == 0):
-            segments[-1][1] = e  # the same kind as the last: extend it
-            if v:
-                segments[-1][2].append(e)
-        else:
-            segments.append([s, e, [s, e] if v else None])
-    return [(s, e, None if p is None else np.array(p)) for s, e, p in segments]
+    cuts = lo + (hi - lo) * np.linspace(0.0, 1.0, _FIRST_PIECES + 1)
+    left, right, found, depth = cuts[:-1], cuts[1:], [], 0
+    while left.size:
+        levels = [(left, right)]
+        for _ in range(min(_LEVELS[depth > 0], _MAX_DEPTH + 1 - depth) - 1):
+            left, right = levels[-1]
+            mid = 0.5 * (left + right)
+            levels.append((np.concatenate((left, mid)), np.concatenate((mid, right))))
+        left, right = (np.concatenate(ends) for ends in zip(*levels))
+        depth += len(levels)
+        deepest = levels[-1][0].size
+        last = depth > _MAX_DEPTH and np.arange(left.size) >= left.size - deepest
+        verdict, (half, values) = _judge(system, left, right, last)
+        keep, start = np.zeros(left.size, bool), 0
+        free = np.ones(len(levels[0][0]), bool)
+        for piece, _ in levels:
+            judged = verdict[start : start + piece.size] >= 0
+            keep[start : start + piece.size] = free & judged
+            free, start = free & ~judged, start + piece.size
+            if piece.size < deepest:
+                free = np.concatenate((free, free))
+        found.append([f[keep] for f in (left, right, verdict, half, values)])
+        left, right = piece[free], levels[-1][1][free]
+        mid = 0.5 * (left + right)
+        left, right = np.concatenate((left, mid)), np.concatenate((mid, right))
+    found = [np.concatenate(f) for f in zip(*found)]
+    left, right, verdict, half, values = (f[np.argsort(found[0])] for f in found)
+    runs = np.flatnonzero(np.diff(verdict == 0)) + 1
+    segments = []
+    for a, b in zip([0, *runs], [*runs, len(left)]):
+        chunks, first = None, a
+        if verdict[a]:
+            chunks = []
+            for edges in _panel_chunks(system, np.append(left[a:b], right[b - 1])):
+                cut = slice(first, first + len(edges) - 1)
+                chunks.append((edges, (verdict[cut] == 2, half[cut], values[cut])))
+                first = cut.stop
+        segments.append((left[a], right[b - 1], chunks))
+    return segments
 
 
 def _panel_chunks(system: System, edges: np.ndarray) -> list[np.ndarray]:
@@ -547,66 +540,83 @@ def _panel_chunks(system: System, edges: np.ndarray) -> list[np.ndarray]:
     return chunks + [edges[first:]]
 
 
-def _levin(system: System, a0: np.ndarray, phi0: float, edges: np.ndarray):
+def _levin(system: System, a0: np.ndarray, phi0: float, edges: np.ndarray, data):
     """Coefficients at edges[-1] from their values a0 at edges[0], by
-    Picard iteration on the Levin panels between the edges; as _picard,
-    returns (a and the phase at edges[-1], sweeps), or None where the first
-    sweep's Levin solution is not resolved on its panels (_resolved).
+    Picard iteration on the panels between the edges, with their ``data``
+    as _segments gives them; as _picard, returns (a and the phase at
+    edges[-1], sweeps), or None where the first sweep's Levin solution is
+    not resolved on its panels.
 
-    Each chain's term k is S + e^{+-iF/h} B, the sign that of its
-    multiplier, with S and B held at the panels' Chebyshev points: the
-    next term takes S' = int m B by the panels' cumulative matrix and B'
-    from the Levin collocation (D +- i F'/h) B' = m S, whose matrix is
-    inverted once per panel; the constants that keep the term continuous
-    and zero at edges[0] need e^{iF/h} only at the panel edges, where the
-    phase is chained from phi0 by the panels' integrals of F'. The Picard
-    stop rule, its cap and the overflow check are _stops, on the bound
-    |S| + |B| of the term.
+    Each chain's term is S + e^{+-iF/h} B at the panels' points (see the
+    module docstring), e^{+-iF/h} that at the panel's left edge, chained
+    from phi0, times the data's. The panels' integrals are one real
+    product on (re, im) pairs, the Levin panels' B' complex products
+    batched per panel. The stop rule, cap and overflow check are _stops,
+    on the bound |S| + |B| of the term.
     """
-    _, cum, deriv, _ = _cheb()
-    half, _, (rate, m1, m2) = _panel_data(system, edges[:-1], edges[1:])
+    _, cum, deriv, _, pairs = _cheb()
+    direct, half, values = data
+    m1, m2, local, rate = values.transpose(1, 0, 2)
+    rate = rate.real
     phase = np.concatenate(([phi0], phi0 + np.cumsum(half * (rate @ cum[-1]))))
     scale = float(np.max(np.abs(a0.real) + np.abs(a0.imag)))
     if scale == 0.0:
         return a0, phase[-1], 0
-    diag = np.arange(PANEL_POINTS)
-    levin = deriv / half[:, None, None] + 0j
-    levin[:, diag, diag] += (1j / system.h) * rate
-    # the minus sign's matrix is the conjugate: B' = conj(inv conj(m S))
-    inverse = np.linalg.inv(levin).transpose(0, 2, 1)
-    del levin
-    osc = np.exp(1j * phase / system.h)
-    chains = _chains(system)
-    # as in _picard: chain c's multiplier at term k is row c + k % 2 of mu,
-    # and row 1, mu2, carries the minus sign
-    mu = np.stack((m1, m2, m1))
-    ends = np.stack((osc, np.conj(osc), osc))
-    weights = (cum.T * half[:, None, None]).astype(complex)
+    chains, levin, inverse = _chains(system), np.flatnonzero(~direct), None
+    if levin.size:
+        diag = np.arange(PANEL_POINTS)
+        matrix = deriv / half[levin, None, None] + 0j
+        matrix[:, diag, diag] += (1j / system.h) * rate[levin]
+        # the minus sign's matrix is the conjugate: B' = conj(inv conj(m S))
+        inverse = np.linalg.inv(matrix).transpose(0, 2, 1)
+        del matrix
+    # as in _picard, chain c's multiplier at term k is row c + k % 2 and row
+    # 1 carries the minus sign; S' integrates mu S (mu = 0 on Levin panels)
+    # and m B, both times the half-lengths. Each is kept by parity.
+    inside = np.exp(1j * phase[:-1, None] / system.h) * local
+    signs = np.stack((inside, np.conj(inside), inside))
+    m = np.stack((m1, m2, m1))
+    mu = np.where(direct[:, None], m * half[:, None] * signs, 0.0)
+    mu, m, m_levin, signs = (
+        (x[:chains], x[1 : chains + 1])
+        for x in (mu, m * half[:, None], m[:, levin], signs)
+    )
     s_part = np.ones((chains,) + rate.shape, dtype=complex)
     b_part = np.zeros_like(s_part)
-    sums = np.zeros((2, chains), dtype=complex)
+    ends = np.zeros((PICARD_MAX_ITER + 1, chains), dtype=complex)  # at edges[-1]
     for it in range(1, PICARD_MAX_ITER + 1):
         parity = (it - 1) % 2
-        mult, end = mu[parity : parity + chains], ends[parity : parity + chains]
         minus = 1 - parity
-        g = mult * s_part
-        if minus < chains:
-            np.conjugate(g[minus], out=g[minus])
-        new_b = np.matmul(g[..., None, :], inverse)[..., 0, :]
-        if minus < chains:
-            np.conjugate(new_b[minus], out=new_b[minus])
-        if it == 1 and not _resolved(new_b, np.abs(new_b).max()).all():
-            return None
-        s_part = np.matmul((mult * b_part)[..., None, :], weights)[..., 0, :]
-        start = end[:, :-1] * new_b[..., 0]
-        step = s_part[..., -1] + end[:, 1:] * new_b[..., -1] - start
-        total = np.cumsum(step, axis=-1)
-        s_part += (total - step - start)[..., None]
-        b_part = new_b
-        sums[it % 2] += total[:, -1]
-        moved = float((np.abs(s_part) + np.abs(b_part)).max())
-        if _stops(moved, scale, it, edges[0], edges[-1]):
+        g = mu[parity] * s_part
+        if inverse is not None:
+            g += m[parity] * b_part
+            solved = m_levin[parity] * s_part[:, levin]
+            if minus < chains:
+                np.conjugate(solved[minus], out=solved[minus])
+            solved = np.matmul(solved[..., None, :], inverse)[..., 0, :]
+            if minus < chains:
+                np.conjugate(solved[minus], out=solved[minus])
+            if it == 1 and not (_tail(solved) <= _TAIL_TOL * abs(solved).max()).all():
+                return None
+            b_part[:, levin] = solved
+            term = signs[parity] * b_part
+        s_part = g.reshape(-1, PANEL_POINTS).view(float) @ pairs
+        s_part = s_part.view(complex).reshape(g.shape)
+        step = s_part[..., -1]
+        if inverse is not None:
+            step = step + term[..., -1] - term[..., 0]
+        total = np.add.accumulate(step, axis=-1)
+        shift = total - step
+        if inverse is not None:
+            shift -= term[..., 0]
+        s_part += shift[..., None]
+        ends[it] = total[:, -1]
+        moved = np.abs(s_part)
+        if inverse is not None:
+            moved += np.abs(b_part)
+        if _stops(float(moved.max()), scale, it, edges[0], edges[-1]):
             break
+    sums = np.stack([ends[k : it + 1 : 2].sum(axis=0) for k in (2, 1)])  # by parity
     return a0 @ _propagator(system, sums).T, phase[-1], it
 
 
@@ -633,16 +643,17 @@ def march(system: System, a: np.ndarray, x_from: float, x_to: float) -> np.ndarr
 
     Only the span's overlap with ``system.support`` is marched; a is
     constant on the rest. The span is cut into _segments, each solved from
-    the exact phase at its start: the zone's as _plan's Picard chunks, the
-    outer pieces' as _panel_chunks. Every plan and the node budget are
-    checked before any work, and a span where M vanishes returns a as it
-    is. One DEBUG line on the ``crossing_kit`` logger reports the
-    uniformly marched nodes, the marched span, the smallest and largest
-    dx, Picard chunks, the sweeps of all chunks, the most any chunk needed
-    and the Neumann rows each sweep integrates (_chains), then the Levin
-    panels, their nodes, their chunks and sweeps, and the panel chunks the
-    Levin check refused. An overflow in a sweep raises StepFailure,
-    without a numpy warning.
+    the exact phase at its start: its panel chunks by _levin, the rest by
+    _plan's Picard chunks. Every plan and the node budget are checked
+    before any work, and a span where M vanishes returns a as it is. One
+    DEBUG line on the ``crossing_kit`` logger reports the uniformly
+    marched nodes, the marched span, the smallest and largest dx, Picard
+    chunks, the sweeps of all chunks, the most any chunk needed and the
+    Neumann rows each sweep integrates (_chains), then the Levin panels and
+    the direct panels, each with their nodes and the panel chunks that
+    hold them (a chunk with both kinds counts for both) and their sweeps,
+    and the panel chunks the Levin check refused. An overflow in a sweep
+    raises StepFailure, without a numpy warning.
     Returns the coefficients at x_to.
     """
     if x_to < x_from:
@@ -660,64 +671,52 @@ def march(system: System, a: np.ndarray, x_from: float, x_to: float) -> np.ndarr
         return a
     segments = _segments(system, lo, hi)
     zone = system
-    if any(edges is not None for *_, edges in segments):
-        ratio = _zone_points() / POINTS_PER_PERIOD
+    if any(chunks is not None for *_, chunks in segments):
+        ratio = max(ZONE_POINTS_PER_PERIOD, POINTS_PER_PERIOD) / POINTS_PER_PERIOD
         zone = replace(system, rate_on=lambda lo, hi: ratio * system.rate_on(lo, hi))
-    plans = [
-        _plan(zone, start, end) if edges is None else _panel_chunks(system, edges)
-        for start, end, edges in segments
-    ]
-    uniform = [p for (*_, e), p in zip(segments, plans) if e is None]
+    plans = [_plan(zone, s, e) if c is None else c for s, e, c in segments]
+    uniform = [p for (*_, c), p in zip(segments, plans) if c is None]
     _check_budget(_nodes(uniform))
     work = _work(system, max((c for p in uniform for _, c in p), default=0) + 1)
-    sweeps, worst, panels, panel_chunks, panel_sweeps, refused = 0, 0, 0, 0, 0, 0
+    sweeps, worst, refused = 0, 0, 0
+    # per kind, Levin then direct: panels, panel chunks and their sweeps
+    counts = np.zeros((2, 3), dtype=int)
     # an overflow shows as a non-finite Picard change, which the solvers raise
     with np.errstate(over="ignore", invalid="ignore"):
-        for (x, _, edges), plan in zip(segments, plans):
+        for (x, _, chunks), plan in zip(segments, plans):
             phi = system.phase(x)
-            if edges is None:
+            if chunks is None:
                 a, phi, iters, most = _uniform(zone, a, phi, x, plan, work)
                 sweeps, worst = sweeps + iters, max(worst, most)
                 continue
-            for part in plan:
-                solved = _levin(system, a, phi, part)
+            for edges, data in chunks:
+                solved = _levin(system, a, phi, edges, data)
                 if solved is None:
                     # the Levin solution failed its check: march uniformly
-                    fallback = _plan(zone, part[0], part[-1])
+                    fallback = _plan(zone, edges[0], edges[-1])
                     uniform.append(fallback)
                     _check_budget(_nodes(uniform))
                     cells = max(cells for _, cells in fallback) + 1
                     a, phi, iters, most = _uniform(
-                        zone, a, phi, part[0], fallback, _work(system, cells)
+                        zone, a, phi, edges[0], fallback, _work(system, cells)
                     )
                     sweeps, worst = sweeps + iters, max(worst, most)
                     refused += 1
                     continue
                 a, phi, iters = solved
-                panels, panel_chunks = panels + len(part) - 1, panel_chunks + 1
-                panel_sweeps += iters
-    chunks = [c for plan in uniform for c in plan]
+                for row, kind in zip(counts, (np.sum(~data[0]), np.sum(data[0]))):
+                    row += (kind, 1, iters) if kind else 0
+    picard = [chunk for plan in uniform for chunk in plan]
+    dx = [dx for dx, _ in picard] or [math.nan]
     logger.debug(
         "h=%.6e: marched %d nodes on [%g, %g] (from x=%g to %g), dx %.3g "
         "to %.3g, as %d Picard chunks of %d sweeps, at most %d in a chunk, "
         "%d Neumann rows per sweep; %d Levin panels of %d nodes as %d panel "
+        "chunks of %d sweeps, %d direct panels of %d nodes as %d panel "
         "chunks of %d sweeps, %d panel chunks refused by the Levin check",
-        system.h,
-        _nodes(uniform),
-        lo,
-        hi,
-        x_from,
-        x_to,
-        min((dx for dx, _ in chunks), default=math.nan),
-        max((dx for dx, _ in chunks), default=math.nan),
-        len(chunks),
-        sweeps,
-        worst,
-        _chains(system),
-        panels,
-        panels * PANEL_POINTS,
-        panel_chunks,
-        panel_sweeps,
+        *(system.h, _nodes(uniform), lo, hi, x_from, x_to, min(dx), max(dx)),
+        *(len(picard), sweeps, worst, _chains(system)),
+        *(n for p, c, s in counts for n in (p, p * PANEL_POINTS, c, s)),
         refused,
     )
     return a

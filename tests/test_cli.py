@@ -15,6 +15,8 @@ from crossing_kit.schrodinger import SchrodingerProblem
 from crossing_kit.sweep import MAX_GRID_POINTS, PowerLawFit, Verdict
 from crossing_kit.transfer import TransferMatrix
 
+from uniform_plan import march_uniformly
+
 
 def write_config(tmp_path, payload, name="config.json"):
     p = tmp_path / name
@@ -583,10 +585,12 @@ def test_h_near_underflow_is_a_numerical_failure(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("mode", ["sweep", "verify"])
-def test_too_few_rows_to_fit_keep_their_outputs(tmp_path, capsys, mode):
-    # a coupling that Picard cannot resolve at the three largest h: the two
-    # rows left cannot be fitted, which is a numerical failure, but the CSV
-    # and the summary are written and each failed row says why
+def test_too_few_rows_to_fit_keep_their_outputs(monkeypatch, tmp_path, capsys, mode):
+    # a coupling that Picard cannot resolve on the uniform plan at the three
+    # largest h (the panels resolve it): the two rows left cannot be
+    # fitted, which is a numerical failure, but the CSV and the summary are
+    # written and each failed row says why
+    march_uniformly(monkeypatch)
     csv, summary = tmp_path / "rows.csv", tmp_path / "summary.json"
     cfg = {
         "problem": model_block(coupling={"width": 0.8, "amplitude": 380.0}),

@@ -31,6 +31,7 @@ from crossing_kit.transfer import Problem
 
 import closed_form_oracle
 from ode_oracles import ode_oracle
+from uniform_plan import march_uniformly
 
 SQRT_2PI = 2.506628274631000502415765284811045253007
 
@@ -369,7 +370,8 @@ def test_each_sweep_integrates_only_the_rows_it_needs(monkeypatch, caplog, build
     # sweep integrates 2 rows, whatever the data's columns, and 1 where M is
     # skew-Hermitian (one chain is the other's conjugate up to sign), as on
     # the model with r1 == r2 and on the pair's normal form. Phases are
-    # real and integrated apart.
+    # real and integrated apart. The uniform plan's sweeps are counted here.
+    march_uniformly(monkeypatch)
     samples = []
     integrate = march.cum_quad10
 
@@ -426,7 +428,8 @@ def test_one_chain_equals_two_chains(caplog, build):
 # T at h = 1e-3 of the march that swept the one column v_0 = (1, 1),
 # v_{k+1} = int M v_k, before the chains, run with the tenth-order rule at
 # POINTS_PER_PERIOD = 14 on the plan of Picard chunks: the two chains hold
-# the same numbers in swapped rows, so r1 != r2 keeps every bit
+# the same numbers in swapped rows, so r1 != r2 keeps every bit of the
+# uniform plan
 _COLUMN_SWEEP_T = {
     3: [
         [(0.9978031247275067+1.0280174314837534e-05j), (-0.055730040706441615-0.056248503761520435j)],
@@ -440,7 +443,8 @@ _COLUMN_SWEEP_T = {
 
 
 @pytest.mark.parametrize("index", sorted(_COLUMN_SWEEP_T))
-def test_two_chains_keep_the_column_sweep_bits(index):
+def test_two_chains_keep_the_column_sweep_bits(monkeypatch, index):
+    march_uniformly(monkeypatch)
     prob = model_corpus(1e-3)[index]
     assert prob.r1 != prob.r2 and not _system(prob).skew_hermitian
     assert (transfer_numeric(prob).entries == np.array(_COLUMN_SWEEP_T[index])).all()
@@ -460,15 +464,36 @@ def test_overflow_stops_picard_at_once():
 def test_strong_coupling_needs_no_fallback(caplog):
     # chunks short enough for Picard at any coupling strength: the march
     # matches the direct integration, in its one DEBUG line and no other;
-    # it marches the couplings' support [-1.5, 1.5], not [-2, 2], in 6
-    # Picard chunks of one dx, each within PICARD_REACH
+    # it marches the couplings' support [-1.5, 1.5], not [-2, 2], on 12
+    # direct panels in 8 panel chunks, each within PICARD_REACH, and no
+    # node on the uniform plan
     prob = strong_coupling_problem()
     with caplog.at_level(logging.DEBUG, logger="crossing_kit"):
         T = prob.extract()
     assert np.abs(T.entries - ode_reference(prob)).max() <= 1e-9
     assert [r.levelno for r in caplog.records] == [logging.DEBUG]
     msg = caplog.records[0].getMessage()
-    assert "6 Picard chunks" in msg, msg
+    for word in (
+        "marched 0 nodes on [-1.5, 1.5]",
+        "12 direct panels of 384 nodes as 8 panel chunks",
+    ):
+        assert word in msg, msg
+
+
+def test_panels_resolve_a_coupling_the_uniform_plan_cannot(monkeypatch):
+    # amplitude 380 on the model of model-corpus 0 at h = 1e-1: the uniform
+    # plan's shortest chunk, 10 cells of the N_MIN dx, spans int |M| of
+    # about 3.8, where Picard does not converge within PICARD_MAX_ITER
+    # sweeps; the direct panels, each within PICARD_REACH and its own
+    # panel chunk, converge and match the direct integration (measured
+    # 4.3e-10)
+    coupling = Bump(0.8, 380.0)
+    prob = dataclasses.replace(model_corpus(1e-1)[0], r1=coupling, r2=coupling)
+    T = prob.extract()
+    assert np.abs(T.entries - ode_reference(prob)).max() <= 1e-9
+    march_uniformly(monkeypatch)
+    with pytest.raises(StepFailure, match="Picard iteration"):
+        prob.extract()
 
 
 def test_picard_fails_loudly_on_an_uncut_strong_coupling(monkeypatch):
@@ -509,8 +534,8 @@ def test_march_system_does_not_outlive_its_extraction(monkeypatch):
 
 
 def test_one_debug_line_per_march(caplog):
-    # at h = 1e-2 the N_MIN cap (2 / 2000) sets dx on the whole support,
-    # which is one Picard chunk
+    # at h = 1e-2 the phase turns slowly on the whole support: 12 direct
+    # panels, one panel chunk, and no node on the uniform plan
     prob = model_corpus(1e-2)[0]
     with caplog.at_level(logging.DEBUG, logger="crossing_kit"):
         transfer_numeric(prob)
@@ -520,9 +545,11 @@ def test_one_debug_line_per_march(caplog):
     msg = record.getMessage()
     for word in (
         "h=1.000000e-02",
-        "1601 nodes on [-0.8, 0.8] (from x=-1 to 1)",
-        "dx 0.001 to 0.001",
-        "1 Picard chunks of 14 sweeps, at most 14 in a chunk",
+        "marched 0 nodes on [-0.8, 0.8] (from x=-1 to 1)",
+        "0 Picard chunks of 0 sweeps, at most 0 in a chunk",
+        "1 Neumann rows per sweep; 0 Levin panels of 0 nodes",
+        "12 direct panels of 384 nodes as 1 panel chunks of 14 sweeps",
+        "0 panel chunks refused by the Levin check",
     ):
         assert word in msg, msg
 

@@ -47,6 +47,7 @@ from ode_oracles import (
     integrate,
     synthesize,
 )
+from uniform_plan import march_uniformly
 
 SQRT_2PI = 2.506628274631000502415765284811045253007
 
@@ -529,25 +530,25 @@ def test_march_is_within_2e_11_of_a_dense_march(monkeypatch, corpus, indices, h)
 
 
 def _march_line(caplog, run):
-    """run() and the uniformly marched nodes and Levin panels of the last
-    march's DEBUG line."""
+    """run() and the uniformly marched nodes and the panels, Levin and
+    direct, of the last march's DEBUG line."""
     caplog.clear()
     with caplog.at_level(logging.DEBUG, logger="crossing_kit"):
         out = run()
     msg = caplog.records[-1].getMessage()
     nodes = int(re.search(r"marched (\d+) nodes", msg).group(1))
-    panels = int(re.search(r"(\d+) Levin panels", msg).group(1))
+    panels = sum(int(n) for n in re.findall(r"(\d+) (?:Levin|direct) panels", msg))
     return out, nodes, panels, msg
 
 
-def _panels_against_uniform(monkeypatch, caplog, prob, pieces=16):
+def _panels_against_uniform(monkeypatch, caplog, prob, pieces=16, points=40):
     """|U - U_uniform| for the propagator U of prob's coupling support, and
     the DEBUG line of the march that gave U. U_uniform, the oracle of the
-    panel path, is the uniform march at 40 points per period, cut into
-    ``pieces`` equal parts that each start from the exact phase: marched
-    whole, it chains its phase over the span, whose rounding reaches
-    1.8e-11 on a random model at h = 1e-5 and 1.3e-10 on model-corpus 2
-    at h = 1e-6."""
+    panel path, is the uniform plan (march_uniformly) at ``points`` points
+    per period, cut into ``pieces`` equal parts that each start from the
+    exact phase: marched whole, it chains its phase over the span, whose
+    rounding reaches 1.8e-11 on a random model at h = 1e-5 and 1.3e-10 on
+    model-corpus 2 at h = 1e-6."""
     if isinstance(prob, normalform.NormalFormProblem):
         system = normalform._system(prob)
     else:
@@ -556,8 +557,8 @@ def _panels_against_uniform(monkeypatch, caplog, prob, pieces=16):
     eye = np.eye(2, dtype=complex)
     got, _, panels, msg = _march_line(caplog, lambda: march.march(system, eye, lo, hi))
     with monkeypatch.context() as patch:
-        patch.setattr(march, "_CROSSOVER", math.inf)
-        patch.setattr(march, "POINTS_PER_PERIOD", 40)
+        march_uniformly(patch)
+        patch.setattr(march, "POINTS_PER_PERIOD", points)
         want, cuts = eye, np.linspace(lo, hi, pieces + 1)
         for start, end in zip(cuts[:-1], cuts[1:]):
             want = march.march(system, want, start, end)
@@ -577,14 +578,12 @@ _CORPORA = {
 
 @pytest.mark.parametrize("corpus, index, h", _CORPORA.values(), ids=_CORPORA.keys())
 def test_levin_panels_match_the_uniform_march(monkeypatch, caplog, corpus, index, h):
-    # the outer pieces on Levin panels and the zone at ZONE_POINTS_PER_PERIOD
-    # against the uniform march at 40 points per period, on every case-i
-    # corpus problem: within 2e-11 at h = 1e-4 and 1e-5 and 1e-10 at 1e-6
-    # (measured at most 7.8e-13). At h <= 1e-5 every problem takes panels;
-    # at 1e-4 those whose span's uniform estimate is below _CROSSOVER keep
-    # the uniform march
+    # the march on Levin and direct panels against the uniform plan at 40
+    # points per period, on every case-i corpus problem: within 2e-11 at
+    # h = 1e-4 and 1e-5 and 1e-10 at 1e-6 (measured at most 2.3e-13 and
+    # 9.7e-13), and no node marched uniformly
     err, panels, msg = _panels_against_uniform(monkeypatch, caplog, corpus(h)[index])
-    assert panels > 0 or h == 1e-4, msg
+    assert panels > 0 and "marched 0 nodes" in msg, msg
     assert err <= (1e-10 if h == 1e-6 else 2e-11), err
 
 
@@ -592,12 +591,45 @@ def test_levin_panels_match_the_uniform_march(monkeypatch, caplog, corpus, index
 def test_levin_panels_match_the_uniform_march_on_random_models(monkeypatch, caplog, m):
     # seeded draws of the random-model family at h = 1e-5, r1 != r2 (two
     # chains): the panel path against the uniform march at 40 points per
-    # period (measured at most 1.2e-13)
+    # period (measured at most 9.7e-13, m = 3, seed 1, where that oracle is
+    # 1.3e-12 from itself at 96 points per period and the panels 3.6e-13)
     for seed in (0, 1, 2):
         prob = _random_model_problem(m, 1e-5, seed)
         err, panels, msg = _panels_against_uniform(monkeypatch, caplog, prob)
         assert panels > 0, msg
         assert err <= 2e-11, (seed, err)
+
+
+@pytest.mark.parametrize("h", [1e-2, 1e-3, 1e-4])
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_panels_match_the_uniform_plan_on_random_draws(monkeypatch, caplog, m, h):
+    # seeded draws of the random-model family (r1 != r2, two chains): the
+    # march, on panels alone, against the uniform plan at 40 points per
+    # period, within 1e-9 (measured at most 5.6e-13, m = 3, seed 1,
+    # h = 1e-4); the same draws with r2 = r1, where M is skew-Hermitian,
+    # give a propagator unitary to 1e-12 (measured at most 4.4e-16)
+    for seed in (0, 1, 2):
+        prob = _random_model_problem(m, h, seed)
+        err, panels, msg = _panels_against_uniform(monkeypatch, caplog, prob)
+        assert panels > 0 and "marched 0 nodes" in msg, msg
+        assert err <= 1e-9, (seed, err)
+        system = normalform._system(dataclasses.replace(prob, r2=prob.r1))
+        assert system.skew_hermitian
+        u = march.march(system, np.eye(2, dtype=complex), *system.support)
+        assert np.abs(u.conj().T @ u - np.eye(2)).max() <= 1e-12, seed
+
+
+def test_panels_keep_the_exact_phase_of_model_corpus_2(monkeypatch, caplog):
+    # model-corpus 2 at h = 1e-4 on panels, whose edges take their phase
+    # from the exact phase at the segment's start by the panels' integrals
+    # of F', against the uniform plan at 96 points per period cut into 16
+    # pieces that each start from the exact phase: measured 3.0e-14, where
+    # the uniform march of the whole span, 14k nodes at 14 points per
+    # period that chain their phase over it, read 2.5e-13
+    prob = model_corpus(1e-4)[2]
+    err, panels, msg = _panels_against_uniform(monkeypatch, caplog, prob, points=96)
+    assert panels > 0 and "marched 0 nodes" in msg, msg
+    assert err <= 1e-13, err
 
 
 _SELF_ADJOINT = {
@@ -659,39 +691,33 @@ def test_panel_matrices_are_built_once_under_threads(monkeypatch):
     finally:
         sys.setswitchinterval(switch)
     assert all(g is got[0] for g in got)
-    assert len(got[0]) == 4 and [m.shape for m in got[0]] == [
+    assert len(got[0]) == 5 and [m.shape for m in got[0]] == [
         (march.PANEL_POINTS,),
         (march.PANEL_POINTS, march.PANEL_POINTS),
         (march.PANEL_POINTS, march.PANEL_POINTS),
-        (march.PANEL_POINTS, march._TAIL),
+        (2 * march.PANEL_POINTS, 2 * march._TAIL),
+        (2 * march.PANEL_POINTS, 2 * march.PANEL_POINTS),
     ]
 
 
 def test_refused_panel_chunk_is_marched_uniformly(monkeypatch, caplog):
     # a panel chunk whose first Levin solution is not resolved to _TAIL_TOL
-    # (here: m1 perturbed by 1e-6 on the solve, after the planning saw it
-    # smooth) is marched by the zone's uniform plan instead; the march
+    # (here: m1 perturbed by 1e-6 in the data the solve gets, after the
+    # judge saw it smooth) is marched on the uniform plan instead; the march
     # reports it and still matches the uniform march at 40 points per period
     prob = model_corpus(1e-5)[1]
-    panel_data, levin, solving = march._panel_data, march._levin, []
+    levin = march._levin
 
-    def noisy(system, lo, hi):
-        half, x, (rate, m1, m2) = panel_data(system, lo, hi)
-        if solving:
-            m1 = m1 + 1e-6 * np.random.default_rng(5).standard_normal(m1.shape)
-        return half, x, (rate, m1, m2)
+    def noisy(system, a0, phi0, edges, data):
+        direct, half, values = data
+        values = values.copy()
+        noise = np.random.default_rng(5).standard_normal(values[:, 0].shape)
+        values[:, 0] += 1e-6 * noise
+        return levin(system, a0, phi0, edges, (direct, half, values))
 
-    def flagged(*args):
-        solving.append(True)
-        try:
-            return levin(*args)
-        finally:
-            solving.pop()
-
-    monkeypatch.setattr(march, "_panel_data", noisy)
-    monkeypatch.setattr(march, "_levin", flagged)
+    monkeypatch.setattr(march, "_levin", noisy)
     err, panels, msg = _panels_against_uniform(monkeypatch, caplog, prob)
-    assert panels == 0 and "2 panel chunks refused" in msg, msg
+    assert panels == 0 and "1 panel chunks refused" in msg, msg
     assert err <= 2e-11, err
 
 
@@ -809,6 +835,7 @@ def test_plan_refuses_what_only_the_estimate_admits(monkeypatch):
     # the pieces' node count is a lower bound on the plan's (8.5k against
     # 19.3k here): with N_MAX between the two the estimate passes, and the
     # plan refuses the march before any work array is allocated
+    march_uniformly(monkeypatch)
     prob = model_corpus(1e-4)[2]
     system = normalform._system(prob)
     lo, hi = prob.coupling_support()
@@ -858,10 +885,11 @@ _MARCHES = {
 
 @pytest.mark.parametrize("run", _MARCHES.values(), ids=_MARCHES.keys())
 def test_each_chunk_takes_the_widest_dx_that_resolves_its_reach(monkeypatch, run):
-    # a chunk of length L at distance u from the start resolves the rates
-    # on [u - L, u + 2L] with POINTS_PER_PERIOD nodes per period, within the
-    # N_MIN cap, and the next wider piece dx would not; the chunks tile the
-    # marched span
+    # on the uniform plan, a chunk of length L at distance u from the start
+    # resolves the rates on [u - L, u + 2L] with POINTS_PER_PERIOD nodes per
+    # period, within the N_MIN cap, and the next wider piece dx would not;
+    # the chunks tile the marched span
+    march_uniformly(monkeypatch)
     plans = []
     plan = march._plan
 
@@ -912,10 +940,11 @@ _SHORT_CHUNKS = {
     ids=[*_MARCHES, *_SHORT_CHUNKS],
 )
 def test_each_picard_chunk_is_a_run_of_equal_dx_segments(monkeypatch, run):
-    # every entry of the plan is one Picard chunk, a run of cells of one dx,
-    # within CHUNK_BYTES and, unless it has the fewest cells, within
+    # every entry of the uniform plan is one Picard chunk, a run of cells of
+    # one dx, within CHUNK_BYTES and, unless it has the fewest cells, within
     # int |M| <= PICARD_REACH; the chunks tile the marched span, and the
     # march solves each as planned
+    march_uniformly(monkeypatch)
     marches = []
     plan, picard = march._plan, march._picard
 
@@ -948,22 +977,34 @@ def test_each_picard_chunk_is_a_run_of_equal_dx_segments(monkeypatch, run):
 @pytest.mark.parametrize("index", [0, 1])
 def test_marched_phase_is_the_phase_at_every_chunk_end(monkeypatch, index, h):
     # F' is written once, in the pair's local(): the march integrates it
-    # chunk by chunk with cum_quad10, and the system's phase integrates it
-    # from 0 by Gauss-Legendre. The two agree at every Picard chunk end
-    # (measured at most 3.1e-16, corpus 0 at h = 1e-5)
+    # panel by panel by Clenshaw-Curtis, or chunk by chunk with cum_quad10
+    # on the uniform plan, and the system's phase integrates it from 0 by
+    # Gauss-Legendre. The two agree at every panel chunk end and every
+    # Picard chunk end (measured at most 3.1e-16 on the uniform plan,
+    # corpus 0 at h = 1e-5)
     prob = schrodinger_corpus(h)[index]
     system = schrodinger._system(prob)
-    ends, picard = [], march._picard
+    ends, picard, levin = [], march._picard, march._levin
 
     def solving(system, a0, phi0, x, dx, work):
         a, phi, iters = picard(system, a0, phi0, x, dx, work)
         ends.append((x[-1], phi))
         return a, phi, iters
 
+    def panels(system, a0, phi0, edges, data):
+        a, phi, iters = levin(system, a0, phi0, edges, data)
+        ends.append((edges[-1], phi))
+        return a, phi, iters
+
     monkeypatch.setattr(march, "_picard", solving)
-    march.march(system, np.eye(2, dtype=complex), prob.x_in, prob.x_out)
-    assert ends
-    assert max(abs(phi - system.phase(x)) for x, phi in ends) <= 1e-14
+    monkeypatch.setattr(march, "_levin", panels)
+    for uniform in (False, True):
+        if uniform:
+            march_uniformly(monkeypatch)
+        ends.clear()
+        march.march(system, np.eye(2, dtype=complex), prob.x_in, prob.x_out)
+        assert ends
+        assert max(abs(phi - system.phase(x)) for x, phi in ends) <= 1e-14
 
 
 def test_numeric_transfer_both_crossings():
