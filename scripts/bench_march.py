@@ -21,9 +21,12 @@ sweeps``, which the rows record as ``panels``, ``panel_nodes``,
 a tree with direct panels ``N direct panels of Q nodes as C panel chunks
 of S sweeps``, recorded as ``direct_panels``, ``direct_nodes``,
 ``direct_chunks`` and ``direct_sweeps`` (0 for a tree without them; a
-panel chunk that holds both kinds counts for both). A row the tree
-refuses (its node budget, at the smallest h for a tree without panels)
-is kept with its message under ``refused`` and no timing. Writes
+panel chunk that holds both kinds counts for both). A tree that solves
+each panel's propagator alone prints ``panel batches`` for ``panel
+chunks``: its panels are grouped only to bound memory, and
+``panel_chunks`` and ``direct_chunks`` then count those batches. A row
+the tree refuses (its node budget, at the smallest h for a tree without
+panels) is kept with its message under ``refused`` and no timing. Writes
 ``--out``, which has no default so that no run overwrites a committed
 BENCH_*.json by accident, with the rows, the log-log slope of seconds
 against 1/h over h = 1e-3 .. 1e-6 and the ratios of the row's seconds at
@@ -90,7 +93,7 @@ class _March(logging.Handler):
         self.chunks, self.sweeps = int(solve.group(1)), int(solve.group(2))
         self.rows = int(re.search(r"(\d+) Neumann rows per sweep", msg).group(1))
         panels = re.search(r"(\d+) Levin panels of (\d+) nodes", msg)
-        levin = re.search(r"(\d+) panel chunks of (\d+) sweeps", msg)
+        levin = re.search(r"(\d+) panel (?:chunks|batches) of (\d+) sweeps", msg)
         self.panels, self.panel_nodes = (
             (int(panels.group(1)), int(panels.group(2))) if panels else (0, 0)
         )
@@ -98,7 +101,8 @@ class _March(logging.Handler):
             (int(levin.group(1)), int(levin.group(2))) if levin else (0, 0)
         )
         direct = re.search(
-            r"(\d+) direct panels of (\d+) nodes as (\d+) panel chunks of (\d+) sweeps",
+            r"(\d+) direct panels of (\d+) nodes as (\d+) panel (?:chunks|batches) "
+            r"of (\d+) sweeps",
             msg,
         )
         self.direct = tuple(int(g) for g in direct.groups()) if direct else (0, 0, 0, 0)

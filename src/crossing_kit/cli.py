@@ -1,5 +1,16 @@
 """Batch front end: validate a JSON run config, dispatch, emit summaries.
 
+Options
+    --config PATH      the JSON run config (required)
+    --out PATH         primary output path: the CSV for grid modes, the
+                       JSON summary for single-h modes
+    --seed N           seed for randomized problem draws
+    --jobs N           accepted and ignored: rows run serially
+    -h, --help         print this help
+
+Options may also be written --opt=value, and shortened to a unique
+prefix (--conf PATH). A malformed command line exits 2.
+
 Subcommands
     predict            closed-form transfer matrix at a single h
     solve-model        numeric vs predicted transfer for the reduced model
@@ -8,7 +19,7 @@ Subcommands
     verify             sweep plus pass/fail checks on exponents and prefactors
 
 Exit codes: 0 success (all checks passed), 1 a verify check failed,
-2 configuration error, 3 numerical failure.
+2 a malformed command line or configuration error, 3 numerical failure.
 
 The config file is JSON with a strict schema: unknown keys are rejected
 with the full key path. CSV output is byte deterministic for a fixed
@@ -17,7 +28,6 @@ config. Set CROSSING_KIT_LOG=INFO (or DEBUG) for progress logging.
 
 from __future__ import annotations
 
-import argparse
 import dataclasses
 import json
 import logging
@@ -551,35 +561,76 @@ def _setup_logging() -> None:
     logging.basicConfig(level=level, format="%(levelname)s %(name)s: %(message)s")
 
 
+USAGE = "usage: crossing-kit {%s} %s" % (
+    ",".join(MODES),
+    "--config PATH [--out PATH] [--seed N] [--jobs N]",
+)
+# the options, each with a value, and whether it is an integer; no option
+# name is a prefix of another, so a prefix names at most one exactly
+_OPTIONS = {"--config": False, "--out": False, "--seed": True, "--jobs": True}
+
+
+class _UsageError(Exception):
+    """A command line that is not ``MODE --config PATH [options]``."""
+
+
+def _parse_args(argv: list[str]) -> dict | None:
+    """The mode and the options of a command line, keyed "mode" and by
+    option name (a repeated option keeps its last value), or None where it
+    asks for help. Raises _UsageError for any other shape."""
+    if argv[:1] in (["-h"], ["--help"]):
+        return None
+    if not argv or argv[0].startswith("-"):
+        raise _UsageError("the mode is required: " + ", ".join(MODES))
+    if argv[0] not in MODES:
+        raise _UsageError(f"unknown mode {argv[0]!r}: choose from {', '.join(MODES)}")
+    args, rest = {"mode": argv[0]}, argv[1:]
+    while rest:
+        word = rest.pop(0)
+        name, eq, value = word.partition("=")
+        named = [o for o in (*_OPTIONS, "--help") if o.startswith(name)]
+        named = named if len(name) > 2 else []
+        if word == "-h" or named == ["--help"]:
+            return None
+        if len(named) != 1:
+            raise _UsageError(f"unrecognized argument {word!r}")
+        option = named[0]
+        if not eq:
+            # a value may be a negative number, not another option
+            if not rest or (rest[0].startswith("-") and not rest[0][1:2].isdigit()):
+                raise _UsageError(f"{option} expects a value")
+            value = rest.pop(0)
+        if _OPTIONS[option]:
+            try:
+                value = int(value)
+            except ValueError:
+                message = f"{option} expects an integer, got {value!r}"
+                raise _UsageError(message) from None
+        args[option] = value
+    if "--config" not in args:
+        raise _UsageError("--config PATH is required")
+    return args
+
+
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="crossing-kit",
-        description=(
-            "Transfer matrices across finite-order crossings: predictions, "
-            "numerical extraction, h sweeps, and verification."
-        ),
-    )
-    sub = parser.add_subparsers(dest="mode", required=True)
-    helps = {
-        "predict": "evaluate the closed-form transfer matrix",
-        "solve-model": "integrate the reduced model and compare to the prediction",
-        "solve-schrodinger": "integrate the coupled pair and compare to the prediction",
-        "sweep": "run an h grid and write CSV rows plus power-law fits",
-        "verify": "sweep, then check exponents and prefactors; nonzero exit on failure",
-    }
-    for name in MODES:
-        p = sub.add_parser(name, help=helps[name])
-        p.add_argument("--config", required=True, help="path to a JSON run config")
-        p.add_argument("--out", help="primary output path (CSV for grid modes)")
-        # kept so that existing command lines still parse; rows run serially
-        p.add_argument("--jobs", type=int, help="accepted and ignored")
-        p.add_argument("--seed", type=int, help="seed for randomized problem draws")
-    args = parser.parse_args(argv)
+    """Run one command line (sys.argv[1:] by default); returns the exit
+    code, 2 with the usage on stderr for a malformed one."""
+    try:
+        args = _parse_args(list(sys.argv[1:] if argv is None else argv))
+    except _UsageError as exc:
+        print(f"{USAGE}\ncrossing-kit: error: {exc}", file=sys.stderr)
+        return 2
+    if args is None:
+        print(f"{USAGE}\n\n{__doc__}", end="")
+        return 0
 
     _setup_logging()
     try:
         config = parse_config(
-            args.config, mode=args.mode, seed=args.seed, out=args.out
+            args["--config"],
+            mode=args["mode"],
+            seed=args.get("--seed"),
+            out=args.get("--out"),
         )
     except (SchemaError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -29,36 +29,39 @@ panels the outer pieces, where it turns fast (the split of Agocs &
 Barnett, arXiv:2212.06924); their count is set by the smoothness of m1,
 m2 and F', not by h. Each segment starts from the system's exact phase.
 
-Each chunk's propagator U, a(end) = U a(x_0), is the Neumann series U =
-I + U_1 + U_2 + ..., U_{k+1} = int M U_k, the increments of Picard
-iteration, all integrals from the chunk's start. As M is off-diagonal,
+The propagator U of a chunk or a panel, a(end) = U a(x_0), is the
+Neumann series U = I + U_1 + U_2 + ..., U_{k+1} = int M U_k, the
+increments of Picard iteration, all integrals from its start. As M is off-diagonal,
 the terms U_k are diagonal at even k and anti-diagonal at odd k, and
 their nonzero entries form two Neumann chains: chain 0 is w_0 = 1,
 w_{k+1} = int mu1 w_k at even k and int mu2 w_k at odd k, chain 1 the
 same with mu1 and mu2 swapped. Chain 0's odd terms are those of U's
 (0, 1) entry and its even terms those of the (1, 1) entry; chain 1 gives
 the (1, 0) and (0, 0) entries. The march sums the even and odd terms at
-the chunk's end apart, U = [[1 + E_0, O_0], [O_1, 1 + E_1]], and sets
-a <- U a. Where M is skew-Hermitian, mu2 = -conj(mu1) (a self-adjoint
+the end apart, U = [[1 + E_0, O_0], [O_1, 1 + E_1]], and sets a <- U a. Where M is skew-Hermitian, mu2 = -conj(mu1) (a self-adjoint
 coupling: the pair always, the model when r1 == r2), chain 1 is (-1)^k
 times the conjugate of chain 0 and U is in SU(2), [[1 + conj(E_1), O_0],
 [-conj(O_0), 1 + E_1]]: each sweep integrates one row, else two.
 
-A run of panels is one Picard chunk, or a run of them within
-PICARD_REACH (_panel_chunks), solved by _levin. There a chain's term is
-S + e^{+-iF/h} B, with the sign of its multiplier, and B = 0 on a direct
-panel. The next term's S is int mu S on a direct panel and int m B on a
-Levin one, by the panel's Clenshaw-Curtis cumulative matrix (Greengard,
-SIAM J. Numer. Anal. 28 (1991)); on a Levin panel its B solves the Levin
-collocation (D +- i F'/h) B = m S (Levin, Math. Comp. 38 (1982); Olver,
-IMA J. Numer. Anal. 26 (2006)), whose matrix is inverted once per panel.
-e^{iF/h} at the panel edges is chained from the chunk's first phase by
-the panels' integrals of F'.
+Each panel's propagator is solved from its own left edge by _levin (the
+judge keeps every panel within PICARD_REACH), the panels of a segment in
+batches that bound the memory, at most CHUNK_BYTES // _BYTES_PER_PANEL,
+each swept at once; the segment's propagator is the ordered product of
+its panels'. On a panel a chain's term is S + e^{+-iF/h} B, with the
+sign of its multiplier, and B = 0 on a direct panel. The next term's S
+is int mu S on a direct panel and int m B on a Levin one, by the panel's
+Clenshaw-Curtis cumulative matrix (Greengard, SIAM J. Numer. Anal. 28
+(1991)); on a Levin panel its B solves the Levin collocation (D +- i
+F'/h) B = m S (Levin, Math. Comp. 38 (1982); Olver, IMA J. Numer. Anal.
+26 (2006)), whose matrix is inverted once per panel. e^{iF/h} at the
+panel edges is chained from the segment's first phase by the panels'
+integrals of F'.
 
 The uniform plan marches what the split leaves unresolved on its last
 level (near the crossing at h below about 1e-8), so that an h near the
-underflow limit is refused by N_MAX, and a chunk whose first Levin
-solution is not resolved. It is one pass of Picard chunks (_plan), each
+underflow limit is refused by N_MAX, and, alone and from the exact phase
+at its start, a Levin panel whose first Levin solution is not resolved.
+It is one pass of Picard chunks (_plan), each
 a uniform grid within CHUNK_BYTES and PICARD_REACH whose dx resolves the
 fastest phase rate on its own span and one chunk's length on each side
 with POINTS_PER_PERIOD nodes per period, or ZONE_POINTS_PER_PERIOD next
@@ -118,8 +121,8 @@ PICARD_REACH = (PICARD_TOL * math.factorial(PICARD_MAX_ITER // 2)) ** (
 
 # A panel's data are resolved when their last _TAIL Chebyshev coefficients
 # are within _TAIL_TOL of their scales (the coupling bound, max |F'| and
-# max |1/F'|), and so is a chunk's first Levin solution, against its
-# largest value. The pair's F' is a difference of numbers near E0: on
+# max |1/F'|), and so is a Levin panel's first solution, against the
+# largest of its batch. The pair's F' is a difference of numbers near E0: on
 # schrodinger-corpus 1 at h = 1e-8 its tail reads 5.7e-14 of max |F'| on
 # [0.0125, 0.025] from rounding alone. Where e^{iF/h} is nearly resolved,
 # so is the Levin matrix's homogeneous solution e^{-iF/h}, and the matrix
@@ -132,7 +135,7 @@ PICARD_REACH = (PICARD_TOL * math.factorial(PICARD_MAX_ITER // 2)) ** (
 # The first _judge call takes _LEVELS[0] levels, each later one _LEVELS[1]:
 # a call costs about as much as 40 candidates, and the pieces left after
 # the first call mostly settle on their first level. _BYTES_PER_PANEL
-# bounds the traced peak of a panel chunk per panel from above:
+# bounds the traced peak of a panel batch per panel from above:
 # tracemalloc reads about 50 kB.
 PANEL_POINTS = 32
 ZONE_POINTS_PER_PERIOD = 40
@@ -365,8 +368,8 @@ def _stops(moved: float, scale: float, it: int, start: float, end: float) -> boo
 
 
 def _propagator(system: System, sums: np.ndarray) -> np.ndarray:
-    """A chunk's propagator U from the chains' even and odd terms summed at
-    its end, ``sums`` of shape (2, chains)."""
+    """Propagators U, of shape (..., 2, 2), from the chains' even and odd
+    terms summed at their ends, ``sums`` of shape (2, chains, ...)."""
     # chain 0 sums O_0 at odd k and E_1 at even k, chain 1 O_1 and E_0
     even, odd = sums
     e1, o0 = even[0], odd[0]
@@ -374,7 +377,7 @@ def _propagator(system: System, sums: np.ndarray) -> np.ndarray:
         e0, o1 = np.conj(e1), -np.conj(o0)
     else:
         e0, o1 = even[1], odd[1]
-    return np.array([[1.0 + e0, o0], [o1, 1.0 + e1]])
+    return np.moveaxis(np.array([[1.0 + e0, o0], [o1, 1.0 + e1]]), (0, 1), (-2, -1))
 
 
 def _cheb() -> tuple[np.ndarray, ...]:
@@ -473,10 +476,10 @@ def _judge(system: System, lo: np.ndarray, hi: np.ndarray, last):
 
 
 def _segments(system: System, lo: float, hi: float) -> list[tuple]:
-    """[lo, hi] cut into segments (start, end, chunks), left to right:
-    chunks is None where the uniform plan takes the segment, else its
-    panel chunks (_panel_chunks), each (edges, data): the panel edges and
-    per panel whether it is direct, then _judge's data.
+    """[lo, hi] cut into segments (start, end, panels), left to right:
+    panels is None where the uniform plan takes the segment, else (edges,
+    data): the panel edges and per panel whether it is direct, then
+    _judge's data.
 
     The candidates start as _FIRST_PIECES equal pieces of [lo, hi] and
     split in halves, _MAX_DEPTH levels at most. One _judge call takes the
@@ -515,54 +518,37 @@ def _segments(system: System, lo: float, hi: float) -> list[tuple]:
     runs = np.flatnonzero(np.diff(verdict == 0)) + 1
     segments = []
     for a, b in zip([0, *runs], [*runs, len(left)]):
-        chunks, first = None, a
+        panels = None
         if verdict[a]:
-            chunks = []
-            for edges in _panel_chunks(system, np.append(left[a:b], right[b - 1])):
-                cut = slice(first, first + len(edges) - 1)
-                chunks.append((edges, (verdict[cut] == 2, half[cut], values[cut])))
-                first = cut.stop
-        segments.append((left[a], right[b - 1], chunks))
+            edges = np.append(left[a:b], right[b - 1])
+            panels = (edges, (verdict[a:b] == 2, half[a:b], values[a:b]))
+        segments.append((left[a], right[b - 1], panels))
     return segments
 
 
-def _panel_chunks(system: System, edges: np.ndarray) -> list[np.ndarray]:
-    """The panels between ``edges`` as Picard chunks, left to right: each
-    chunk has at most CHUNK_BYTES // _BYTES_PER_PANEL panels and, unless it
-    has one, int |M| within PICARD_REACH."""
-    most = max(1, CHUNK_BYTES // _BYTES_PER_PANEL)
-    chunks, first = [], 0
-    for k in range(1, len(edges)):
-        reach = system.coupling * (edges[k] - edges[first])
-        if k - first > 1 and (k - first > most or reach > PICARD_REACH):
-            chunks.append(edges[first:k])
-            first = k - 1
-    return chunks + [edges[first:]]
+def _levin(system: System, phi0: float, edges: np.ndarray, data):
+    """The propagators of the panels between ``edges``, each from its own
+    left edge, with their ``data`` as _segments gives them: returns U of
+    shape (panels, 2, 2), a(edges[k + 1]) = U[k] a(edges[k]), the phase at
+    the edges chained from phi0, the sweeps and a flag per panel whose
+    first Levin solution is not resolved (its U is not computed).
 
-
-def _levin(system: System, a0: np.ndarray, phi0: float, edges: np.ndarray, data):
-    """Coefficients at edges[-1] from their values a0 at edges[0], by
-    Picard iteration on the panels between the edges, with their ``data``
-    as _segments gives them; as _picard, returns (a and the phase at
-    edges[-1], sweeps), or None where the first sweep's Levin solution is
-    not resolved on its panels.
-
-    Each chain's term is S + e^{+-iF/h} B at the panels' points (see the
-    module docstring), e^{+-iF/h} that at the panel's left edge, chained
-    from phi0, times the data's. The panels' integrals are one real
-    product on (re, im) pairs, the Levin panels' B' complex products
-    batched per panel. The stop rule, cap and overflow check are _stops,
-    on the bound |S| + |B| of the term.
+    Each panel sums the Neumann series of its own propagator (see the
+    module docstring), all panels in one sweep. A chain's term is S +
+    e^{+-iF/h} B at the panels' points, e^{+-iF/h} that at the panel's
+    left edge, chained from phi0, times the data's. The panels' integrals
+    are one real product on (re, im) pairs, the Levin panels' B' complex
+    products batched per panel. The stop rule, cap and overflow check are
+    _stops on the bound |S| + |B| of the term, with scale 1: the data are
+    the identity.
     """
     _, cum, deriv, _, pairs = _cheb()
     direct, half, values = data
     m1, m2, local, rate = values.transpose(1, 0, 2)
     rate = rate.real
     phase = np.concatenate(([phi0], phi0 + np.cumsum(half * (rate @ cum[-1]))))
-    scale = float(np.max(np.abs(a0.real) + np.abs(a0.imag)))
-    if scale == 0.0:
-        return a0, phase[-1], 0
     chains, levin, inverse = _chains(system), np.flatnonzero(~direct), None
+    refused = np.zeros(len(half), dtype=bool)
     if levin.size:
         diag = np.arange(PANEL_POINTS)
         matrix = deriv / half[levin, None, None] + 0j
@@ -583,7 +569,7 @@ def _levin(system: System, a0: np.ndarray, phi0: float, edges: np.ndarray, data)
     )
     s_part = np.ones((chains,) + rate.shape, dtype=complex)
     b_part = np.zeros_like(s_part)
-    ends = np.zeros((PICARD_MAX_ITER + 1, chains), dtype=complex)  # at edges[-1]
+    ends = np.zeros((PICARD_MAX_ITER + 1, chains, len(half)), dtype=complex)
     for it in range(1, PICARD_MAX_ITER + 1):
         parity = (it - 1) % 2
         minus = 1 - parity
@@ -596,28 +582,38 @@ def _levin(system: System, a0: np.ndarray, phi0: float, edges: np.ndarray, data)
             solved = np.matmul(solved[..., None, :], inverse)[..., 0, :]
             if minus < chains:
                 np.conjugate(solved[minus], out=solved[minus])
-            if it == 1 and not (_tail(solved) <= _TAIL_TOL * abs(solved).max()).all():
-                return None
+            if it == 1:
+                scale = _TAIL_TOL * np.abs(solved).max()
+                refused[levin] = ~(_tail(solved) <= scale).all(axis=0)
             b_part[:, levin] = solved
             term = signs[parity] * b_part
         s_part = g.reshape(-1, PANEL_POINTS).view(float) @ pairs
         s_part = s_part.view(complex).reshape(g.shape)
-        step = s_part[..., -1]
         if inverse is not None:
-            step = step + term[..., -1] - term[..., 0]
-        total = np.add.accumulate(step, axis=-1)
-        shift = total - step
-        if inverse is not None:
-            shift -= term[..., 0]
-        s_part += shift[..., None]
-        ends[it] = total[:, -1]
+            # the term is continuous: 0 at the panel's left edge
+            s_part -= term[..., :1]
+            ends[it] = s_part[..., -1] + term[..., -1]
+            if it == 1 and refused.any():
+                # a refused panel's terms are 0 from here on
+                s_part[:, refused] = b_part[:, refused] = 0.0
+        else:
+            ends[it] = s_part[..., -1]
         moved = np.abs(s_part)
         if inverse is not None:
             moved += np.abs(b_part)
-        if _stops(float(moved.max()), scale, it, edges[0], edges[-1]):
+        if _stops(float(moved.max()), 1.0, it, edges[0], edges[-1]):
             break
     sums = np.stack([ends[k : it + 1 : 2].sum(axis=0) for k in (2, 1)])  # by parity
-    return a0 @ _propagator(system, sums).T, phase[-1], it
+    return _propagator(system, sums), phase, it, refused
+
+
+def _product(u: np.ndarray) -> np.ndarray:
+    """The ordered product u[-1] @ ... @ u[0] of a stack of 2x2 matrices,
+    as pairwise batched products."""
+    while len(u) > 1:
+        even = len(u) - len(u) % 2
+        u = np.concatenate((u[1:even:2] @ u[0:even:2], u[even:]))
+    return u[0]
 
 
 def _nodes(plans: list[list[tuple[float, int]]]) -> int:
@@ -637,23 +633,39 @@ def _uniform(system: System, a, phi: float, x: float, plan, work):
     return a, phi, sweeps, worst
 
 
+def _alone(zone: System, lo: float, hi: float, uniform: list) -> tuple:
+    """The propagator of the panel [lo, hi] on the uniform plan, from the
+    exact phase at lo, with its sweeps and the most in a chunk. The plan
+    joins ``uniform``, whose node budget is checked before any work."""
+    plan = _plan(zone, lo, hi)
+    uniform.append(plan)
+    _check_budget(_nodes(uniform))
+    work = _work(zone, max(cells for _, cells in plan) + 1)
+    eye = np.eye(2, dtype=complex)
+    ut, _, sweeps, most = _uniform(zone, eye, zone.phase(lo), lo, plan, work)
+    return ut.T, sweeps, most
+
+
 def march(system: System, a: np.ndarray, x_from: float, x_to: float) -> np.ndarray:
     """Carry coefficients a (shape (columns, 2)) from x_from to x_to; the
     march runs left to right only, x_to < x_from raises ValidationError.
 
     Only the span's overlap with ``system.support`` is marched; a is
     constant on the rest. The span is cut into _segments, each solved from
-    the exact phase at its start: its panel chunks by _levin, the rest by
-    _plan's Picard chunks. Every plan and the node budget are checked
-    before any work, and a span where M vanishes returns a as it is. One
-    DEBUG line on the ``crossing_kit`` logger reports the uniformly
-    marched nodes, the marched span, the smallest and largest dx, Picard
-    chunks, the sweeps of all chunks, the most any chunk needed and the
-    Neumann rows each sweep integrates (_chains), then the Levin panels and
-    the direct panels, each with their nodes and the panel chunks that
-    hold them (a chunk with both kinds counts for both) and their sweeps,
-    and the panel chunks the Levin check refused. An overflow in a sweep
-    raises StepFailure, without a numpy warning.
+    the exact phase at its start: its panels by _levin, in batches of at
+    most CHUNK_BYTES // _BYTES_PER_PANEL, and a = U a with U the ordered
+    product of their propagators; the rest by _plan's Picard chunks. A
+    Levin panel the check refuses is marched alone on the uniform plan,
+    from the exact phase at its start. Every plan and the node budget are
+    checked before any work, and a span where M vanishes returns a as it
+    is. One DEBUG line on the ``crossing_kit`` logger reports the
+    uniformly marched nodes, the marched span, the smallest and largest
+    dx, Picard chunks, the sweeps of all chunks, the most any chunk needed
+    and the Neumann rows each sweep integrates (_chains), then the Levin
+    panels and the direct panels, each with their nodes and the panel
+    batches that hold them (a batch with both kinds counts for both) and
+    their sweeps, and the panels the Levin check refused. An overflow in a
+    sweep raises StepFailure, without a numpy warning.
     Returns the coefficients at x_to.
     """
     if x_to < x_from:
@@ -671,49 +683,52 @@ def march(system: System, a: np.ndarray, x_from: float, x_to: float) -> np.ndarr
         return a
     segments = _segments(system, lo, hi)
     zone = system
-    if any(chunks is not None for *_, chunks in segments):
+    if any(panels is not None for *_, panels in segments):
         ratio = max(ZONE_POINTS_PER_PERIOD, POINTS_PER_PERIOD) / POINTS_PER_PERIOD
         zone = replace(system, rate_on=lambda lo, hi: ratio * system.rate_on(lo, hi))
-    plans = [_plan(zone, s, e) if c is None else c for s, e, c in segments]
-    uniform = [p for (*_, c), p in zip(segments, plans) if c is None]
+    plans = [_plan(zone, s, e) if p is None else p for s, e, p in segments]
+    uniform = [plan for (*_, p), plan in zip(segments, plans) if p is None]
     _check_budget(_nodes(uniform))
     work = _work(system, max((c for p in uniform for _, c in p), default=0) + 1)
     sweeps, worst, refused = 0, 0, 0
-    # per kind, Levin then direct: panels, panel chunks and their sweeps
+    per_batch = max(1, CHUNK_BYTES // _BYTES_PER_PANEL)
+    # per kind, Levin then direct: panels, panel batches and their sweeps
     counts = np.zeros((2, 3), dtype=int)
     # an overflow shows as a non-finite Picard change, which the solvers raise
     with np.errstate(over="ignore", invalid="ignore"):
-        for (x, _, chunks), plan in zip(segments, plans):
+        for (x, _, panels), plan in zip(segments, plans):
             phi = system.phase(x)
-            if chunks is None:
+            if panels is None:
                 a, phi, iters, most = _uniform(zone, a, phi, x, plan, work)
                 sweeps, worst = sweeps + iters, max(worst, most)
                 continue
-            for edges, data in chunks:
-                solved = _levin(system, a, phi, edges, data)
-                if solved is None:
+            edges, (direct, half, values) = panels
+            props = []
+            for first in range(0, len(half), per_batch):
+                cut = slice(first, first + per_batch)
+                batch = edges[first : first + per_batch + 1]
+                u, phase, iters, bad = _levin(
+                    system, phi, batch, (direct[cut], half[cut], values[cut])
+                )
+                phi = phase[-1]
+                for k in np.flatnonzero(bad):
                     # the Levin solution failed its check: march uniformly
-                    fallback = _plan(zone, edges[0], edges[-1])
-                    uniform.append(fallback)
-                    _check_budget(_nodes(uniform))
-                    cells = max(cells for _, cells in fallback) + 1
-                    a, phi, iters, most = _uniform(
-                        zone, a, phi, edges[0], fallback, _work(system, cells)
-                    )
-                    sweeps, worst = sweeps + iters, max(worst, most)
-                    refused += 1
-                    continue
-                a, phi, iters = solved
-                for row, kind in zip(counts, (np.sum(~data[0]), np.sum(data[0]))):
+                    u[k], fell, most = _alone(zone, batch[k], batch[k + 1], uniform)
+                    sweeps, worst = sweeps + fell, max(worst, most)
+                refused += np.count_nonzero(bad)
+                kinds = (np.sum(~direct[cut] & ~bad), np.sum(direct[cut]))
+                for row, kind in zip(counts, kinds):
                     row += (kind, 1, iters) if kind else 0
+                props.append(u)
+            a = a @ _product(np.concatenate(props)).T
     picard = [chunk for plan in uniform for chunk in plan]
     dx = [dx for dx, _ in picard] or [math.nan]
     logger.debug(
         "h=%.6e: marched %d nodes on [%g, %g] (from x=%g to %g), dx %.3g "
         "to %.3g, as %d Picard chunks of %d sweeps, at most %d in a chunk, "
         "%d Neumann rows per sweep; %d Levin panels of %d nodes as %d panel "
-        "chunks of %d sweeps, %d direct panels of %d nodes as %d panel "
-        "chunks of %d sweeps, %d panel chunks refused by the Levin check",
+        "batches of %d sweeps, %d direct panels of %d nodes as %d panel "
+        "batches of %d sweeps, %d panels refused by the Levin check",
         *(system.h, _nodes(uniform), lo, hi, x_from, x_to, min(dx), max(dx)),
         *(len(picard), sweeps, worst, _chains(system)),
         *(n for p, c, s in counts for n in (p, p * PANEL_POINTS, c, s)),

@@ -95,11 +95,12 @@ class SweepReport:
 def fit_power_law(
     points: list[tuple[float, float]], with_log: bool = False
 ) -> PowerLawFit:
-    """Least-squares fit of magnitude = amplitude * h^exponent.
+    """Least-squares fit of magnitude = amplitude * h^exponent, in closed
+    form on log h and log magnitude about their means.
 
-    Every h must be finite and positive. With ``with_log`` the model
-    carries an extra fixed log(1/h) factor, matching envelopes
-    h^e * log(1/h); every h must then lie in (0, 1).
+    Every h must be finite and positive, and two must differ. With
+    ``with_log`` the model carries an extra fixed log(1/h) factor,
+    matching envelopes h^e * log(1/h); every h must then lie in (0, 1).
     """
     if len(points) < 3:
         raise ValidationError("power-law fit needs at least 3 points")
@@ -115,12 +116,17 @@ def fit_power_law(
     ly = np.log(y)
     if with_log:
         ly = ly - np.log(np.log(1.0 / h))
-    design = np.vstack([lh, np.ones_like(lh)]).T
-    coef, *_ = np.linalg.lstsq(design, ly, rcond=None)
-    resid = ly - design @ coef
+    # least squares of ly = exponent * lh + c, about the means
+    dh = lh - lh.mean()
+    spread = float(dh @ dh)
+    if spread == 0.0:
+        raise DegenerateFit("a power-law fit needs two distinct h")
+    exponent = float(dh @ (ly - ly.mean())) / spread
+    intercept = float(ly.mean() - exponent * lh.mean())
+    resid = ly - (exponent * lh + intercept)
     return PowerLawFit(
-        exponent=float(coef[0]),
-        amplitude=float(np.exp(coef[1])),
+        exponent=exponent,
+        amplitude=float(np.exp(intercept)),
         residual_rms=float(np.sqrt(np.mean(resid**2))),
         with_log=with_log,
         npoints=len(points),

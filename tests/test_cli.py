@@ -3,11 +3,15 @@ and byte-deterministic CSV output."""
 
 import dataclasses
 import json
+import os
+import subprocess
+import sys
 import warnings
 
 import numpy as np
 import pytest
 
+import crossing_kit
 from crossing_kit.cli import MAX_ORDER, main, parse_config
 from crossing_kit.errors import SchemaError
 from crossing_kit.normalform import NormalFormProblem, predict_transfer
@@ -519,6 +523,95 @@ def test_sweep_csv_byte_deterministic(tmp_path, capsys):
     assert main(["sweep", "--config", path, "--out", str(out2), "--jobs", "2"]) == 0
     capsys.readouterr()
     assert out1.read_bytes() == out2.read_bytes()
+
+
+_MALFORMED = {
+    "no-mode": [],
+    "unknown-mode": ["check", "--config", "{path}"],
+    "missing-config": ["verify", "--out", "out.csv"],
+    "unknown-option": ["verify", "--config", "{path}", "--threads", "2"],
+    "jobs-not-an-integer": ["verify", "--config", "{path}", "--jobs", "x"],
+    "option-without-value": ["verify", "--config", "{path}", "--out"],
+    "config-without-value": ["verify", "--config"],
+    "stray-word": ["verify", "extra", "--config", "{path}"],
+}
+
+
+@pytest.mark.parametrize("argv", _MALFORMED.values(), ids=_MALFORMED.keys())
+def test_malformed_command_line_exits_2_with_usage(tmp_path, capsys, argv):
+    # the usage line and a one-line error on stderr, exit 2, no traceback
+    # and no SystemExit out of main
+    path = write_config(tmp_path, {"problem": {"kind": "model-corpus", "index": 0}})
+    argv = [word.format(path=path) for word in argv]
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # pragma: no cover - the failure being tested
+        pytest.fail(f"main raised SystemExit({exc.code})")
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    usage, error, *rest = err.splitlines()
+    assert usage.startswith("usage: crossing-kit ") and "--config PATH" in usage
+    assert error.startswith("crossing-kit: error: ") and rest == [], err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("flag", ["--help", "-h"])
+def test_help_lists_the_subcommands(capsys, flag):
+    for argv in ([flag], ["verify", flag], ["verify", "--config", "c.json", flag]):
+        assert main(argv) == 0
+        out, err = capsys.readouterr()
+        assert out.startswith("usage: crossing-kit ") and err == ""
+        for mode in ("predict", "solve-model", "solve-schrodinger", "sweep", "verify"):
+            assert f"\n    {mode} " in out, mode
+
+
+def test_option_spellings_still_run(tmp_path, capsys):
+    # --opt=value, a unique prefix and --jobs (accepted, ignored) all run
+    # the same command
+    path = write_config(tmp_path, {"problem": model_block(), "h": 1e-2})
+    outs = [tmp_path / f"{k}.json" for k in range(4)]
+    for argv in (
+        ["predict", f"--config={path}", "--out", str(outs[0])],
+        ["predict", "--conf", path, f"--out={outs[1]}"],
+        ["predict", "--config", path, "--jobs", "2", "--out", str(outs[2])],
+        ["predict", "--jo=1", "--se", "3", "--config", path, "--o", str(outs[3])],
+    ):
+        assert main(argv) == 0, argv
+    capsys.readouterr()
+    assert len({p.read_bytes() for p in outs}) == 1
+
+
+def test_seed_option_reaches_the_config(tmp_path, capsys):
+    # --seed overrides the file's seed, and a negative one (a value, not an
+    # option) is a configuration error
+    config = {"problem": {"kind": "random-model", "m": 1}, "h": 1e-2}
+    path = write_config(tmp_path, config)
+    outs = [tmp_path / f"{k}.json" for k in range(3)]
+    for out, seed in zip(outs, ("0", "0", "1")):
+        argv = ["predict", "--config", path, "--seed", seed, "--out", str(out)]
+        assert main(argv) == 0
+    assert outs[0].read_bytes() == outs[1].read_bytes() != outs[2].read_bytes()
+    capsys.readouterr()
+    assert main(["predict", "--config", path, "--seed", "-1"]) == 2
+    assert "config error: seed: must be at least 0" in capsys.readouterr().err
+
+
+def test_cli_import_loads_no_argparse():
+    # the command line is parsed by hand: importing the CLI loads neither
+    # argparse nor gettext
+    code = (
+        "import sys, crossing_kit.cli; "
+        "print(sorted({'argparse', 'gettext'} & set(sys.modules)))"
+    )
+    src = os.path.dirname(os.path.dirname(crossing_kit.__file__))
+    done = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        check=True,
+        env=dict(os.environ, PYTHONPATH=src),
+    )
+    assert done.stdout.strip() == "[]", done.stdout
 
 
 def test_numerical_failure_exits_3(tmp_path, capsys):

@@ -462,11 +462,11 @@ def test_overflow_stops_picard_at_once():
 
 
 def test_strong_coupling_needs_no_fallback(caplog):
-    # chunks short enough for Picard at any coupling strength: the march
+    # panels short enough for Picard at any coupling strength: the march
     # matches the direct integration, in its one DEBUG line and no other;
     # it marches the couplings' support [-1.5, 1.5], not [-2, 2], on 12
-    # direct panels in 8 panel chunks, each within PICARD_REACH, and no
-    # node on the uniform plan
+    # direct panels, each within PICARD_REACH and solved from its own left
+    # edge, in one panel batch of 18 sweeps, and no node on the uniform plan
     prob = strong_coupling_problem()
     with caplog.at_level(logging.DEBUG, logger="crossing_kit"):
         T = prob.extract()
@@ -475,7 +475,7 @@ def test_strong_coupling_needs_no_fallback(caplog):
     msg = caplog.records[0].getMessage()
     for word in (
         "marched 0 nodes on [-1.5, 1.5]",
-        "12 direct panels of 384 nodes as 8 panel chunks",
+        "12 direct panels of 384 nodes as 1 panel batches of 18 sweeps",
     ):
         assert word in msg, msg
 
@@ -484,8 +484,8 @@ def test_panels_resolve_a_coupling_the_uniform_plan_cannot(monkeypatch):
     # amplitude 380 on the model of model-corpus 0 at h = 1e-1: the uniform
     # plan's shortest chunk, 10 cells of the N_MIN dx, spans int |M| of
     # about 3.8, where Picard does not converge within PICARD_MAX_ITER
-    # sweeps; the direct panels, each within PICARD_REACH and its own
-    # panel chunk, converge and match the direct integration (measured
+    # sweeps; the direct panels, each within PICARD_REACH and solved from
+    # its own left edge, converge and match the direct integration (measured
     # 4.3e-10)
     coupling = Bump(0.8, 380.0)
     prob = dataclasses.replace(model_corpus(1e-1)[0], r1=coupling, r2=coupling)
@@ -497,16 +497,15 @@ def test_panels_resolve_a_coupling_the_uniform_plan_cannot(monkeypatch):
 
 
 def test_picard_fails_loudly_on_an_uncut_strong_coupling(monkeypatch):
-    # at four times the strong coupling, Picard on one chunk spanning the
-    # couplings' support does not contract within PICARD_MAX_ITER sweeps:
-    # the march raises instead of returning a T. Chunks cut by the coupling
-    # rule converge and match the direct integration. Without the
-    # PICARD_REACH cut one chunk, within CHUNK_BYTES, spans the support.
+    # at four times the strong coupling, the panels cut by the coupling
+    # rule converge in 18 sweeps and match the direct integration. Where
+    # Picard does not reach its stop within PICARD_MAX_ITER sweeps, here a
+    # cap of 10, the march raises instead of returning a T.
     strong = strong_coupling_problem()
     prob = dataclasses.replace(strong, r1=Bump(1.5, 12.0), r2=Bump(1.5, 12.0))
     T = prob.extract()
     assert np.abs(T.entries - ode_reference(prob)).max() <= 1e-9
-    monkeypatch.setattr(march, "PICARD_REACH", 1e9)  # one chunk
+    monkeypatch.setattr(march, "PICARD_MAX_ITER", 10)
     with pytest.raises(StepFailure, match=r"Picard iteration on \[-1.5, 1.5\]"):
         prob.extract()
 
@@ -535,7 +534,7 @@ def test_march_system_does_not_outlive_its_extraction(monkeypatch):
 
 def test_one_debug_line_per_march(caplog):
     # at h = 1e-2 the phase turns slowly on the whole support: 12 direct
-    # panels, one panel chunk, and no node on the uniform plan
+    # panels, one panel batch, and no node on the uniform plan
     prob = model_corpus(1e-2)[0]
     with caplog.at_level(logging.DEBUG, logger="crossing_kit"):
         transfer_numeric(prob)
@@ -548,8 +547,8 @@ def test_one_debug_line_per_march(caplog):
         "marched 0 nodes on [-0.8, 0.8] (from x=-1 to 1)",
         "0 Picard chunks of 0 sweeps, at most 0 in a chunk",
         "1 Neumann rows per sweep; 0 Levin panels of 0 nodes",
-        "12 direct panels of 384 nodes as 1 panel chunks of 14 sweeps",
-        "0 panel chunks refused by the Levin check",
+        "12 direct panels of 384 nodes as 1 panel batches of 11 sweeps",
+        "0 panels refused by the Levin check",
     ):
         assert word in msg, msg
 

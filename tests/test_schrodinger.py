@@ -700,25 +700,81 @@ def test_panel_matrices_are_built_once_under_threads(monkeypatch):
     ]
 
 
-def test_refused_panel_chunk_is_marched_uniformly(monkeypatch, caplog):
-    # a panel chunk whose first Levin solution is not resolved to _TAIL_TOL
-    # (here: m1 perturbed by 1e-6 in the data the solve gets, after the
-    # judge saw it smooth) is marched on the uniform plan instead; the march
-    # reports it and still matches the uniform march at 40 points per period
+def test_refused_panel_is_marched_uniformly(monkeypatch, caplog):
+    # a Levin panel whose first Levin solution is not resolved to _TAIL_TOL
+    # (here: m1 perturbed by 1e-6 on the first Levin panel of the data the
+    # solve gets, after the judge saw it smooth) is marched alone on the
+    # uniform plan, from the exact phase at its start, and the other panels
+    # keep theirs; the march reports it and still matches the uniform march
+    # at 40 points per period
     prob = model_corpus(1e-5)[1]
     levin = march._levin
 
-    def noisy(system, a0, phi0, edges, data):
+    def noisy(system, phi0, edges, data):
         direct, half, values = data
         values = values.copy()
-        noise = np.random.default_rng(5).standard_normal(values[:, 0].shape)
-        values[:, 0] += 1e-6 * noise
-        return levin(system, a0, phi0, edges, (direct, half, values))
+        first = np.flatnonzero(~direct)[:1]
+        noise = np.random.default_rng(5).standard_normal(values[first, 0].shape)
+        values[first, 0] += 1e-6 * noise
+        return levin(system, phi0, edges, (direct, half, values))
 
+    _, _, clean, _ = _march_line(caplog, prob.extract)
     monkeypatch.setattr(march, "_levin", noisy)
     err, panels, msg = _panels_against_uniform(monkeypatch, caplog, prob)
-    assert panels == 0 and "1 panel chunks refused" in msg, msg
+    nodes = int(re.search(r"marched (\d+) nodes", msg).group(1))
+    assert "1 panels refused" in msg and panels == clean - 1 and nodes > 0, msg
     assert err <= 2e-11, err
+
+
+def test_pair_1_at_1e_9_marches_one_panel_uniformly(caplog):
+    # schrodinger-corpus 1 at h = 1e-9: the first Levin solution of one
+    # panel, [-0.0125, -0.00625], fails its check, and that panel alone is
+    # marched on the uniform plan (1243 nodes), where a fallback over the
+    # whole run of panels around it would need 4.7e8 nodes and N_MAX
+    # refused the row. The propagator stays unitary to 1e-12, the bound
+    # test_levin_propagator_is_unitary_at_1e_8 holds (measured 4.4e-16)
+    prob = schrodinger_corpus(1e-9)[1]
+    system = schrodinger._system(prob)
+    eye = np.eye(2, dtype=complex)
+    u, nodes, panels, msg = _march_line(
+        caplog, lambda: march.march(system, eye, prob.x_in, prob.x_out)
+    )
+    assert "1 panels refused by the Levin check" in msg, msg
+    assert 0 < nodes < 2000 and panels > 0, msg
+    assert np.abs(u.conj().T @ u - eye).max() <= 1e-12
+    assert np.isfinite(prob.extract().entries).all()
+
+
+_BATCHED = {
+    "model-3-1e-05": (model_corpus(1e-5)[3], normalform._system),
+    "model-1-0.001": (model_corpus(1e-3)[1], normalform._system),
+    "pair-1-0.0001": (schrodinger_corpus(1e-4)[1], schrodinger._system),
+}
+
+
+@pytest.mark.parametrize("prob, build", _BATCHED.values(), ids=_BATCHED.keys())
+def test_a_panels_propagator_does_not_depend_on_its_batch(prob, build):
+    # each panel's propagator is solved from its own left edge: solved
+    # alone, from the phase its segment's batch gives its left edge, it
+    # is that of the whole batch within PICARD_TOL (measured at most
+    # 6.2e-17), one chain (pair) or two (model-corpus 3)
+    system = build(prob)
+    solved = 0
+    for start, _, panels in march._segments(system, *system.support):
+        if panels is None:
+            continue
+        edges, (direct, half, values) = panels
+        whole, phase, _, refused = march._levin(
+            system, system.phase(start), edges, panels[1]
+        )
+        for k in np.flatnonzero(~refused):
+            cut = slice(k, k + 1)
+            data = (direct[cut], half[cut], values[cut])
+            alone, _, _, bad = march._levin(system, phase[k], edges[k : k + 2], data)
+            if not bad[0]:
+                assert np.abs(alone[0] - whole[k]).max() <= march.PICARD_TOL, k
+                solved += 1
+    assert solved >= 12
 
 
 def test_march_fails_loudly_at_the_picard_cap():
@@ -770,25 +826,24 @@ _PEAKS = {
 @pytest.mark.parametrize("prob", _PEAKS.values(), ids=_PEAKS.keys())
 def test_march_peak_is_within_bytes_per_node(monkeypatch, prob):
     # _BYTES_PER_NODE sets the longest chunk and _BYTES_PER_PANEL the
-    # largest panel chunk: the traced peak of an extraction stays within
+    # largest panel batch: the traced peak of an extraction stays within
     # them, per node of that chunk (about 150 and 210 bytes a node for one
-    # chain and two) plus per panel of that panel chunk (about 50 kB), as
-    # the uniform chunks' work arrays live through the panel chunks
+    # chain and two) plus per panel of that panel batch (about 50 kB), as
+    # the uniform chunks' work arrays live through the panel batches
     longest, panels = [0], [0]
-    plan, panel_chunks = march._plan, march._panel_chunks
+    plan, levin = march._plan, march._levin
 
     def recording(system, start, end):
         chunks = plan(system, start, end)
         longest.append(max(cells for _, cells in chunks))
         return chunks
 
-    def recording_panels(system, edges):
-        chunks = panel_chunks(system, edges)
-        panels.append(max(len(chunk) - 1 for chunk in chunks))
-        return chunks
+    def recording_panels(system, phi0, edges, data):
+        panels.append(len(edges) - 1)
+        return levin(system, phi0, edges, data)
 
     monkeypatch.setattr(march, "_plan", recording)
-    monkeypatch.setattr(march, "_panel_chunks", recording_panels)
+    monkeypatch.setattr(march, "_levin", recording_panels)
     prob.extract()  # first-call caches
     tracemalloc.start()
     try:
@@ -979,9 +1034,9 @@ def test_marched_phase_is_the_phase_at_every_chunk_end(monkeypatch, index, h):
     # F' is written once, in the pair's local(): the march integrates it
     # panel by panel by Clenshaw-Curtis, or chunk by chunk with cum_quad10
     # on the uniform plan, and the system's phase integrates it from 0 by
-    # Gauss-Legendre. The two agree at every panel chunk end and every
-    # Picard chunk end (measured at most 3.1e-16 on the uniform plan,
-    # corpus 0 at h = 1e-5)
+    # Gauss-Legendre. The two agree at every panel edge and every Picard
+    # chunk end (measured at most 3.1e-16 on the uniform plan, corpus 0 at
+    # h = 1e-5)
     prob = schrodinger_corpus(h)[index]
     system = schrodinger._system(prob)
     ends, picard, levin = [], march._picard, march._levin
@@ -991,10 +1046,10 @@ def test_marched_phase_is_the_phase_at_every_chunk_end(monkeypatch, index, h):
         ends.append((x[-1], phi))
         return a, phi, iters
 
-    def panels(system, a0, phi0, edges, data):
-        a, phi, iters = levin(system, a0, phi0, edges, data)
-        ends.append((edges[-1], phi))
-        return a, phi, iters
+    def panels(system, phi0, edges, data):
+        solved = levin(system, phi0, edges, data)
+        ends.extend(zip(edges, solved[1]))
+        return solved
 
     monkeypatch.setattr(march, "_picard", solving)
     monkeypatch.setattr(march, "_levin", panels)

@@ -86,6 +86,28 @@ def test_fit_rejects_degenerate_data():
         fit_power_law([(h, 0.0) for h in HS])
     with pytest.raises(DegenerateFit):
         fit_power_law([(1e-1, 1.0), (1e-2, -0.5), (1e-3, 0.2)])
+    # one h has no slope through it
+    with pytest.raises(DegenerateFit, match="two distinct h"):
+        fit_power_law([(1e-2, 1.0), (1e-2, 0.5), (1e-2, 0.2)])
+
+
+@pytest.mark.parametrize("with_log", [False, True])
+def test_closed_form_fit_matches_least_squares(with_log):
+    # the centred closed form against numpy's least squares on noisy data
+    # over the default grids' h range: within 1e-12 (relative for the
+    # amplitude)
+    rng = np.random.default_rng(11)
+    for count in (3, 4, 12):
+        h = np.geomspace(1e-1, 1e-5, count)
+        y = 0.7 * h**0.5 * np.exp(rng.normal(0.0, 0.05, count))
+        fit = fit_power_law(list(zip(h, y)), with_log=with_log)
+        ly = np.log(y) - (np.log(np.log(1.0 / h)) if with_log else 0.0)
+        design = np.vstack([np.log(h), np.ones(count)]).T
+        (exponent, c), *_ = np.linalg.lstsq(design, ly, rcond=None)
+        rms = np.sqrt(np.mean((ly - design @ (exponent, c)) ** 2))
+        assert abs(fit.exponent - exponent) <= 1e-12
+        assert abs(fit.amplitude / np.exp(c) - 1.0) <= 1e-12
+        assert abs(fit.residual_rms - rms) <= 1e-12
 
 
 def test_run_sweep_preconditions():
