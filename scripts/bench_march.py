@@ -5,33 +5,36 @@
         --against-out PATH [--against-label TEXT] [--label TEXT]
 
 Extracts the transfer matrix of model-corpus 0, 1, 2 (self-adjoint, one
-Neumann chain) and 3 (r1 != r2, two chains) at h = 1e-2 .. 1e-6 and 1e-8
-and of schrodinger-corpus 0 and 1 at h = 1e-2 .. 1e-6, with the
-``crossing_kit`` package found on PYTHONPATH. Each row is timed REPEATS
-times in one process (the median is kept); its node count, Picard chunk
-count, total Picard sweeps and the Neumann rows each sweep integrates
-come from the march's DEBUG line, and ``us_per_node`` is the median
-seconds per node, uniformly marched or on a panel, in microseconds. Each
-measured tree prints the DEBUG line's ``marched N nodes``, ``N Picard
-chunks of S sweeps`` and ``N Neumann rows per sweep`` (every tree from
-2b05510 on does); a tree that solves the outer pieces on Levin panels
-also prints ``N Levin panels of Q nodes`` and ``N panel chunks of S
-sweeps``, which the rows record as ``panels``, ``panel_nodes``,
-``panel_chunks`` and ``panel_sweeps`` (0 for a tree without panels), and
-a tree with direct panels ``N direct panels of Q nodes as C panel chunks
-of S sweeps``, recorded as ``direct_panels``, ``direct_nodes``,
-``direct_chunks`` and ``direct_sweeps`` (0 for a tree without them; a
-panel chunk that holds both kinds counts for both). A tree that solves
-each panel's propagator alone prints ``panel batches`` for ``panel
-chunks``: its panels are grouped only to bound memory, and
-``panel_chunks`` and ``direct_chunks`` then count those batches. A row
-the tree refuses (its node budget, at the smallest h for a tree without
-panels) is kept with its message under ``refused`` and no timing. Writes
-``--out``, which has no default so that no run overwrites a committed
-BENCH_*.json by accident, with the rows, the log-log slope of seconds
-against 1/h over h = 1e-3 .. 1e-6 and the ratios of the row's seconds at
-h = 1e-2 and 1e-3 to those at 1e-5 (``ms_ratio_to_1e-5``) per problem,
-and the environment.
+Neumann chain) and 3 (r1 != r2, two chains) and of schrodinger-corpus 0
+and 1 at h = 1e-2 .. 1e-6 and at every second power of ten from 1e-8 to
+1e-16, with the ``crossing_kit`` package found on PYTHONPATH. Each row is
+timed REPEATS times in one process (the median is kept); its counts come
+from the march's DEBUG line, and ``us_per_node`` is the median seconds per
+node, uniformly marched or on a panel, in microseconds.
+
+Every measured tree prints ``N Neumann rows per sweep`` and, for its
+panels, ``N Levin panels of Q nodes as C panel batches of S sweeps`` and
+``N direct panels of Q nodes as C panel batches of S sweeps``, which the
+rows record as ``panels``, ``panel_nodes``, ``panel_chunks``,
+``panel_sweeps`` and ``direct_panels``, ``direct_nodes``,
+``direct_chunks``, ``direct_sweeps`` (a batch that holds both kinds counts
+for both; a tree that prints ``panel chunks`` for ``panel batches`` is
+read the same way, and one without direct panels records 0 for them). A
+tree that keeps a uniform plan of Picard chunks also prints ``marched N
+nodes`` and ``N Picard chunks of S sweeps``, recorded as ``nodes``,
+``picard_chunks`` and ``sweeps`` (0 for a tree that solves every span on
+panels), and ``N panels refused by the Levin check``; a tree whose Levin
+check splits a panel prints ``N panels split by the Levin check``, and
+``down to level L of D``, the deepest level of its panels and the one its
+budget allows. The rows record ``levin_refused`` from either line, and
+``level`` and ``allowed_level`` (None for a tree without them). A row the
+tree refuses (its node budget or its split's budget) is kept with its
+message under ``refused`` and no timing. Writes ``--out``, which has no
+default so that no run overwrites a committed BENCH_*.json by accident,
+with the rows, the log-log slope of seconds against 1/h over h = 1e-3 ..
+1e-6 (``slope``) and over h = 1e-8 .. 1e-16 (``slope_small_h``), the
+ratios of the row's seconds at h = 1e-2 and 1e-3 to those at 1e-5
+(``ms_ratio_to_1e-5``) per problem, and the environment.
 
 Without ``--against`` the rows are timed in this process; compare
 ``nodes`` across two such files, not ``seconds``: the two trees then run
@@ -64,48 +67,49 @@ import numpy as np
 
 REPEATS = 3
 ROUNDS = 5
-H_MODEL = (1e-2, 1e-3, 1e-4, 1e-5, 1e-6, 1e-8)
-H_PAIR = (1e-2, 1e-3, 1e-4, 1e-5, 1e-6)
-# the h range of each problem's slope
+H_VALUES = (1e-2, 1e-3, 1e-4, 1e-5, 1e-6, 1e-8, 1e-10, 1e-12, 1e-14, 1e-16)
+# the h ranges of each problem's slopes
 SLOPE_H = (1e-6, 1e-3)
-# the rows' record of the direct panels
+SLOPE_SMALL_H = (1e-16, 1e-8)
+# the rows' record of the Levin and the direct panels
+LEVIN = ("panels", "panel_nodes", "panel_chunks", "panel_sweeps")
 DIRECT = ("direct_panels", "direct_nodes", "direct_chunks", "direct_sweeps")
 
 
 class _March(logging.Handler):
-    """Keeps the node count, Picard chunks, sweeps, Neumann rows per sweep,
-    Levin panels, panel chunks and panel sweeps, and direct panels, their
-    nodes, chunks and sweeps, of the last march's DEBUG line."""
+    """Keeps the counts of the last march's DEBUG line: its uniform nodes,
+    Picard chunks and sweeps (0 where it prints none), Neumann rows per
+    sweep, Levin panels, their nodes, batches and sweeps, direct panels,
+    their nodes, batches and sweeps, the panels the Levin check refused or
+    split, and the deepest and allowed levels (None where it prints
+    none)."""
 
     def __init__(self):
         super().__init__(logging.DEBUG)
-        self.nodes = self.chunks = self.sweeps = self.rows = None
-        self.panels = self.panel_nodes = self.panel_chunks = self.panel_sweeps = 0
-        self.direct = (0, 0, 0, 0)
+        self.march = None
 
     def emit(self, record):
         msg = record.getMessage()
-        found = re.search(r"marched (\d+) nodes", msg)
-        if not found:
+        if "Neumann rows per sweep" not in msg:
             return
-        self.nodes = int(found.group(1))
-        solve = re.search(r"(\d+) Picard chunks of (\d+) sweeps", msg)
-        self.chunks, self.sweeps = int(solve.group(1)), int(solve.group(2))
-        self.rows = int(re.search(r"(\d+) Neumann rows per sweep", msg).group(1))
-        panels = re.search(r"(\d+) Levin panels of (\d+) nodes", msg)
-        levin = re.search(r"(\d+) panel (?:chunks|batches) of (\d+) sweeps", msg)
-        self.panels, self.panel_nodes = (
-            (int(panels.group(1)), int(panels.group(2))) if panels else (0, 0)
-        )
-        self.panel_chunks, self.panel_sweeps = (
-            (int(levin.group(1)), int(levin.group(2))) if levin else (0, 0)
-        )
-        direct = re.search(
-            r"(\d+) direct panels of (\d+) nodes as (\d+) panel (?:chunks|batches) "
-            r"of (\d+) sweeps",
-            msg,
-        )
-        self.direct = tuple(int(g) for g in direct.groups()) if direct else (0, 0, 0, 0)
+
+        def ints(pattern, names):
+            found = re.search(pattern, msg)
+            values = [int(g) for g in found.groups()] if found else [0] * len(names)
+            return dict(zip(names, values))
+
+        batches = r"as (\d+) panel (?:chunks|batches) of (\d+) sweeps"
+        level = re.search(r"down to level (\d+) of (\d+)", msg)
+        self.march = {
+            **ints(r"marched (\d+) nodes", ["nodes"]),
+            **ints(r"(\d+) Picard chunks of (\d+) sweeps", ["picard_chunks", "sweeps"]),
+            **ints(r"(\d+) Neumann rows per sweep", ["rows_per_sweep"]),
+            **ints(r"(\d+) Levin panels of (\d+) nodes " + batches, LEVIN),
+            **ints(r"(\d+) direct panels of (\d+) nodes " + batches, DIRECT),
+            **ints(r"(\d+) panels (?:refused|split) by the Levin", ["levin_refused"]),
+            "level": int(level.group(1)) if level else None,
+            "allowed_level": int(level.group(2)) if level else None,
+        }
 
 
 def _cpu() -> str:
@@ -119,10 +123,10 @@ def _cpu() -> str:
     return platform.processor() or "unknown"
 
 
-def _slope(rows: list[dict]) -> float | None:
+def _slope(rows: list[dict], h_range: tuple[float, float]) -> float | None:
     """Least-squares slope of log(seconds) against log(1/h) over the timed
-    rows with h in SLOPE_H; None with fewer than two."""
-    timed = [r for r in rows if SLOPE_H[0] <= r["h"] <= SLOPE_H[1] and r["seconds"]]
+    rows with h in ``h_range``; None with fewer than two."""
+    timed = [r for r in rows if h_range[0] <= r["h"] <= h_range[1] and r["seconds"]]
     if len(timed) < 2:
         return None
     x = np.log([1.0 / r["h"] for r in timed])
@@ -151,7 +155,7 @@ def _row(h: float, march: dict, seconds: float | None) -> dict:
 def measure(echo) -> dict:
     """Rows per problem, timed in this process, and the environment."""
     import crossing_kit
-    from crossing_kit.errors import ValidationError
+    from crossing_kit.errors import StepFailure, ValidationError
     from crossing_kit.normalform import model_corpus
     from crossing_kit.schrodinger import schrodinger_corpus
 
@@ -159,18 +163,15 @@ def measure(echo) -> dict:
     logger = logging.getLogger("crossing_kit")
     logger.addHandler(handler)
     logger.setLevel(logging.DEBUG)
-    cases = [
-        (f"model-corpus {k}", lambda h, k=k: model_corpus(h)[k], H_MODEL)
-        for k in (0, 1, 2, 3)
-    ]
+    cases = [(f"model-corpus {k}", lambda h, k=k: model_corpus(h)[k]) for k in range(4)]
     cases += [
-        (f"schrodinger-corpus {k}", lambda h, k=k: schrodinger_corpus(h)[k], H_PAIR)
+        (f"schrodinger-corpus {k}", lambda h, k=k: schrodinger_corpus(h)[k])
         for k in (0, 1)
     ]
     problems = {}
-    for name, build, h_values in cases:
+    for name, build in cases:
         rows = []
-        for h in h_values:
+        for h in H_VALUES:
             prob = build(h)
             seconds = []
             try:
@@ -178,26 +179,16 @@ def measure(echo) -> dict:
                     t0 = time.perf_counter()
                     prob.extract()
                     seconds.append(time.perf_counter() - t0)
-            except ValidationError as exc:
+            except (ValidationError, StepFailure) as exc:
                 rows.append(_row(h, {"refused": str(exc)}, None))
                 echo(f"{name} h={h:g}: refused ({exc})")
                 continue
-            march = {
-                "nodes": handler.nodes,
-                "picard_chunks": handler.chunks,
-                "sweeps": handler.sweeps,
-                "rows_per_sweep": handler.rows,
-                "panels": handler.panels,
-                "panel_nodes": handler.panel_nodes,
-                "panel_chunks": handler.panel_chunks,
-                "panel_sweeps": handler.panel_sweeps,
-                **dict(zip(DIRECT, handler.direct)),
-            }
+            march = handler.march
             rows.append(_row(h, march, statistics.median(seconds)))
-            echo(f"{name} h={h:g}: {handler.nodes} nodes, "
-                 f"{handler.chunks} chunks, {handler.sweeps} sweeps, "
-                 f"{handler.panels} Levin and {handler.direct[0]} direct panels, "
-                 f"{rows[-1]['seconds']:.4f} s, "
+            echo(f"{name} h={h:g}: {march['nodes']} nodes, "
+                 f"{march['picard_chunks']} chunks, {march['sweeps']} sweeps, "
+                 f"{march['panels']} Levin and {march['direct_panels']} direct "
+                 f"panels, {rows[-1]['seconds']:.4f} s, "
                  f"{rows[-1]['us_per_node']:.3f} us/node")
         problems[name] = rows
     env = {
@@ -266,7 +257,8 @@ def _write(path: str, label: str, what: str, measured: dict) -> None:
             {
                 "problem": name,
                 "rows": rows,
-                "slope": _slope(rows),
+                "slope": _slope(rows, SLOPE_H),
+                "slope_small_h": _slope(rows, SLOPE_SMALL_H),
                 "ms_ratio_to_1e-5": _ratios(rows),
             }
             for name, rows in measured["problems"].items()

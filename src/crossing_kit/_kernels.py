@@ -1,14 +1,15 @@
-"""Numerical inner-loop kernel: the march's quadrature.
+"""Numerical kernel: a cumulative quadrature of uniform samples.
 
-The cumulative quadrature powers the march (phases and Picard sweeps, in
-``march``) and is called inside its hot loops. It is a tenth-order rule:
-each mesh cell integrates the degree-9 polynomial through the ten nearest
-samples. There is one implementation, vectorized numpy: every pass over a
-chunk is one contiguous 1-D operation. A stack of rows is treated as one
-flat array for the centered rule (14 passes), whose entries that straddle
-two rows, a row's first five and last four, are then overwritten by the
-one-sided edge rules; dx is folded into the weights, and the cumulative
-sum starts each row at its ``initial`` value.
+``oscquad.gaussian_pairing`` integrates its grid samples with it, and the
+tests' uniform plan of Picard chunks (tests/uniform_plan.py) its phases
+and sweeps. It is a tenth-order rule: each mesh cell integrates the
+degree-9 polynomial through the ten nearest samples. There is one
+implementation, vectorized numpy: every pass over a row is one
+contiguous 1-D operation. A stack of rows is treated as one flat array
+for the centered rule (14 passes), whose entries that straddle two rows,
+a row's first five and last four, are then overwritten by the one-sided
+edge rules; dx is folded into the weights, and the cumulative sum starts
+each row at its ``initial`` value.
 """
 
 from __future__ import annotations

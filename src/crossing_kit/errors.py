@@ -50,7 +50,8 @@ class CaseMismatch(NumericalError):
 
 class StepFailure(NumericalError):
     """The march failed to reach the end of the interval: Picard iteration
-    on a chunk did not converge."""
+    on a panel did not converge, or the panel split did not resolve a
+    piece within its budget."""
 
 
 class DegenerateFit(NumericalError):

@@ -18,13 +18,13 @@ whose integral form is driven by the oscillatory integrals
     gamma_minus(v)(x) = int_{x0}^x e^{-iF(y)/h} r2(y) v(y) dy.
 
 Their compositions shrink like h^{1/(m+1)} as h -> 0. The march
-(``march.march``) solves a' = M a chunk by chunk, each by Picard
-iteration, which is the Neumann series of these operators on the chunk.
+(``march.march``) solves a' = M a panel by panel, each by Picard
+iteration, which is the Neumann series of these operators on the panel.
 As M is off-diagonal, the series alternates them: its odd terms are
 anti-diagonal, gamma+ (gamma- gamma+)^k and gamma- (gamma+ gamma-)^k, its
 even terms diagonal, (gamma+ gamma-)^k and (gamma- gamma+)^k, so the
-march sums them as two chains per chunk, one starting with each
-operator, and applies the chunk's propagator to the data. When r2 =
+march sums them as two chains per panel, one starting with each
+operator, and applies the panels' propagators to the data. When r2 =
 conj(r1) (for the real bumps here, r1 == r2) the model is self-adjoint:
 the terms that start with gamma- are the conjugates of those that start
 with gamma+, the propagator is in SU(2), and the march sweeps one chain,
@@ -146,7 +146,8 @@ def _system(prob: NormalFormProblem) -> march.System:
 
     M is skew-Hermitian when the coupling is self-adjoint, r1 == r2
     (mu2 = -conj(mu1)). It vanishes outside the hull of the coupling
-    supports. |m1| and |m2| are at most the larger amplitude.
+    supports. |m1| and |m2| are at most the larger amplitude. The
+    stationary zone's width is (h / |f^(m)(0)|)^(1/(m+1)), as F^(m+1) = f^(m).
     """
     F = prob.f.antideriv()
 
@@ -160,7 +161,7 @@ def _system(prob: NormalFormProblem) -> march.System:
         interval=prob.interval,
         support=prob.coupling_support(),
         phase=F,
-        rate_on=prob.f.abs_max_on,
+        zone=(prob.h / abs(prob.f_order_coeff())) ** (1.0 / (prob.m + 1)),
         coupling=max(abs(prob.r1.amplitude), abs(prob.r2.amplitude)),
         local=local,
         # real bumps: r2 = conj(r1) exactly when r1 == r2

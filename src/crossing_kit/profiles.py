@@ -72,15 +72,6 @@ class Poly1:
         tol = 1e-12 * np.polynomial.polynomial.polyval(max(abs(a), abs(b)), np.abs(q))
         return lo <= tol and -tol <= hi
 
-    def abs_max_on(self, lo, hi) -> np.ndarray:
-        """max |p| over each [lo_k, hi_k], for arrays lo <= hi."""
-        lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
-        bound = np.maximum(np.abs(self(lo)), np.abs(self(hi)))
-        for c in self.critical_points:
-            inside = (lo <= c) & (c <= hi)
-            bound[inside] = np.maximum(bound[inside], abs(float(self(c))))
-        return bound
-
     def antideriv(self) -> "Poly1":
         c = np.polynomial.polynomial.polyint(np.asarray(self.coeffs))
         return Poly1(tuple(c))

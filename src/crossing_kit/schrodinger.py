@@ -43,9 +43,11 @@ sqrt(p_j), b_j = s_j c_j then solves the model's form
     b' = [[0, -i r e^{iF/h}], [-i r e^{-iF/h}, 0]] b,
 
 with r = W / (2 sqrt(p_1 p_2)) and F = Phi_2 - Phi_1, so G never enters F:
-F' = p_2 - p_1 + h^2 (kappa_2/p_2 - kappa_1/p_1) / 2, and F is its integral.
-This M is skew-Hermitian, traceless and vanishes outside supp W, and
-its mesh resolves |F'| = |p_2 - p_1| + O(h^2) instead of the sum phase.
+F' = p_2 - p_1 + h^2 (kappa_2/p_2 - kappa_1/p_1) / 2, and F is its integral;
+p_2 - p_1 is formed as (V_1 - V_2) / (p_1 + p_2), the gap one polynomial,
+so that F' keeps its relative accuracy near the crossing. This M is
+skew-Hermitian, traceless and vanishes outside supp W, and the march's
+panels resolve |F'| = |p_2 - p_1| + O(h^2) instead of the sum phase.
 So its propagator U is in SU(2), and the - branches at (0, -xi0), the
 conjugate system from x_out to x_in, need no march: theirs is U^T. The
 extraction undoes s_j and Theta_j at the ends, so T stays in the
@@ -204,19 +206,25 @@ class WkbBasis:
             (1.0 + v.deriv_at(1, 0.0) ** 2 / (4.0 * prob.e0)) ** 0.25
             for v in (prob.v1, prob.v2)
         )
-        # V_j' and V_j'', built once: the march evaluates them per chunk
-        self.slopes = (prob.v1.deriv(1), prob.v2.deriv(1))
-        self.curvatures = (prob.v1.deriv(2), prob.v2.deriv(2))
+        # V_j, V_j' and V_j'' as the columns of one coefficient table, built
+        # once: rates evaluates all six in one Horner pass
+        v = (prob.v1, prob.v2)
+        polys = [*v, *(vj.deriv(k) for k in (1, 2) for vj in v)]
+        self.table = np.zeros((max(len(p.coeffs) for p in polys), len(polys)))
+        for column, p in enumerate(polys):
+            self.table[: len(p.coeffs), column] = p.coeffs
 
     def rates(self, x):
         """(q, p, sigma'/sigma, sigma''/sigma) at the points x: q_j = E0 - V_j
         and p_j = phi_j' = sqrt(q_j)."""
-        q = self.e0 - np.array([self.v1(x), self.v2(x)])
-        dlog, kappa = _sigma_ratios(
-            q,
-            np.array([p(x) for p in self.slopes]),
-            np.array([p(x) for p in self.curvatures]),
-        )
+        x = np.asarray(x, dtype=float)
+        table = self.table.reshape(self.table.shape + (1,) * x.ndim)
+        # Horner's rule in the order of np.polynomial.polynomial.polyval
+        values = table[-1] + x * 0.0
+        for coeffs in table[-2::-1]:
+            values = coeffs + values * x
+        q = self.e0 - values[:2]
+        dlog, kappa = _sigma_ratios(q, values[2:4], values[4:])
         return q, np.sqrt(q), dlog, kappa
 
     def amplitude(self, x):
@@ -252,8 +260,9 @@ def _from_zero(integrand, x: float):
 
 class _NormalForm:
     """The h-free part of the pair's normal form (case i): the basis, the
-    bounds of ``_system`` and ``theta``, the integrals at x_in and x_out
-    whose h^2 multiples are the phases Theta_j (module docstring)."""
+    gap V_1 - V_2, the bounds of ``_system`` and ``theta``, the integrals
+    at x_in and x_out whose h^2 multiples are the phases Theta_j (module
+    docstring)."""
 
     def __init__(self, prob: SchrodingerProblem):
         self.basis = basis = WkbBasis(prob)
@@ -264,18 +273,12 @@ class _NormalForm:
             return 0.5 * kappa / p - w2 / (4.0 * p[0] * p[1] * (p[0] + p[1]))
 
         self.theta = [_from_zero(integrand, x) for x in prob.interval]
-        ends, v = ([prob.x_in], [prob.x_out]), (prob.v1, prob.v2)
-        self.low = [vj.range_on(prob.x_in, prob.x_out) for vj in v]
-        # V_j - min V_j is nonnegative, so its largest modulus is its maximum
-        self.rise = [vj - Poly1((vmin,)) for vj, (vmin, _) in zip(v, self.low)]
-        q_low = [prob.e0 - vmax for _, vmax in self.low]
-        self.drift = sum(
-            _sigma_ratios(q, dv.abs_max_on(*ends)[0], ddv.abs_max_on(*ends)[0])[1]
-            / (2.0 * math.sqrt(q))
-            for dv, ddv, q in zip(basis.slopes, basis.curvatures, q_low)
-        )
         self.gap = prob.v1 - prob.v2
+        q_low = [prob.e0 - v.range_on(*prob.interval)[1] for v in (prob.v1, prob.v2)]
         self.coupling = abs(prob.w.amplitude) / (2.0 * (q_low[0] * q_low[1]) ** 0.25)
+        # |F^(n+1)(0)|: F' = (V_1 - V_2) / (p_1 + p_2) + O(h^2)
+        p_zero = basis.rates(0.0)[1]
+        self.stationary = abs(prob.delta_n()) / float(p_zero[0] + p_zero[1])
 
 
 def _system(prob: SchrodingerProblem) -> march.System:
@@ -283,24 +286,18 @@ def _system(prob: SchrodingerProblem) -> march.System:
     m1 = m2 = -i r, skew-Hermitian, supported on supp W. Its phase F is
     the integral of that same F' from 0.
 
-    The rate bound on a piece is |V_1 - V_2| / (p_1 + p_2) with each p_j at
-    its least on the piece, plus h^2 times a bound of |kappa_j| / (2 p_j)
-    summed over j on the interval; the coupling bound is max |W| over
-    2 sqrt(p_1 p_2) at the least p_j on the interval.
+    F' is (V_1 - V_2) / (p_1 + p_2) plus h^2 (kappa_2/p_2 - kappa_1/p_1)
+    / 2, the gap evaluated as one polynomial: p_2 - p_1 from q_2 - q_1, two
+    numbers near E0, would lose its relative accuracy near the crossing.
+    The coupling bound is max |W| over 2 sqrt(p_1 p_2) at the least p_j on
+    the interval, and the stationary zone's width (h / |F^(n+1)(0)|)^(1/(n+1)).
     """
     form = prob.shared(_NormalForm)
     basis, h = form.basis, prob.h
 
-    def rate_on(lo, hi):
-        p_low = [
-            np.sqrt(prob.e0 - vmin - d.abs_max_on(lo, hi))
-            for (vmin, _), d in zip(form.low, form.rise)
-        ]
-        return form.gap.abs_max_on(lo, hi) / (p_low[0] + p_low[1]) + h * h * form.drift
-
     def local(x):
-        q, p, _, kappa = basis.rates(x)
-        rate = (q[1] - q[0]) / (p[0] + p[1]) + h * h * 0.5 * (
+        _, p, _, kappa = basis.rates(x)
+        rate = form.gap(x) / (p[0] + p[1]) + h * h * 0.5 * (
             kappa[1] / p[1] - kappa[0] / p[0]
         )
         m = -1j * prob.w(x) / (2.0 * np.sqrt(p[0] * p[1]))
@@ -311,7 +308,7 @@ def _system(prob: SchrodingerProblem) -> march.System:
         interval=prob.interval,
         support=prob.w.support if prob.w.amplitude != 0.0 else None,
         phase=lambda x: float(_from_zero(lambda y: local(y)[0], x)),
-        rate_on=rate_on,
+        zone=(h / form.stationary) ** (1.0 / (prob.n + 1)),
         coupling=form.coupling,
         local=local,
         skew_hermitian=True,

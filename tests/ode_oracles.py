@@ -16,6 +16,7 @@ from crossing_kit.errors import NumericalError, StepFailure
 from crossing_kit.normalform import NormalFormProblem
 from crossing_kit.profiles import Bump
 from crossing_kit.schrodinger import SchrodingerProblem, WkbBasis
+from uniform_plan import abs_max_on
 
 ODE_TOL = 1e-11  # DOP853 tolerance of both oracles
 
@@ -101,7 +102,7 @@ def ode_oracle(
     # spanning thousands of fast periods; the step itself is fine but the
     # dense-output interpolant amplifies stage noise by the stiff factor
     # f/h. Capping the step at one local period keeps it conditioned.
-    rate = float(prob.f.abs_max_on([prob.x0], [prob.x1])[0])
+    rate = float(abs_max_on(prob.f, [prob.x0], [prob.x1])[0])
     max_step = 2.0 * np.pi * prob.h / rate if rate > 0 else np.inf
     sol = solve_ivp(
         model_rhs,

@@ -33,6 +33,8 @@ from crossing_kit._kernels import cum_quad10
 from crossing_kit.errors import StepFailure
 from crossing_kit.schrodinger import SchrodingerProblem, WkbBasis
 
+import uniform_plan
+
 # At 14 points per period the four-coefficient march is converged only
 # down to about this h: on schrodinger-corpus 1 at h = 1e-5 its T moves by
 # 1.08e-10 against the same march at 96 points per period, five times the
@@ -60,23 +62,24 @@ def apply(cross, self_, osc, back, a):
 
 
 def _plan(prob: SchrodingerProblem, basis: WkbBasis):
-    """The package's Picard chunks over [x_in, x_out] for the
+    """The uniform plan's Picard chunks over [x_in, x_out] for the
     four-coefficient system: rate bound 2 max p_j everywhere, coupling the
     largest row sum of |M|."""
     x = np.linspace(prob.x_in, prob.x_out, 1025)
     _, peak_cross, peak_self = coefficients(basis, prob.h, x, abs(prob.w.amplitude))
     lowest = min(v.range_on(prob.x_in, prob.x_out)[0] for v in (prob.v1, prob.v2))
     fastest = 2.0 * math.sqrt(prob.e0 - lowest)
-    system = march.System(
+    system = uniform_plan.System(
         h=prob.h,
         interval=prob.interval,
         support=prob.interval,
         phase=None,
-        rate_on=lambda lo, hi: np.full(np.shape(lo), fastest),
+        zone=None,
         coupling=2.0 * float(np.max(np.abs(peak_cross) + np.abs(peak_self))),
         local=None,
+        rate_on=lambda lo, hi: np.full(np.shape(lo), fastest),
     )
-    return march._plan(system, prob.x_in, prob.x_out)
+    return uniform_plan._plan(system, prob.x_in, prob.x_out)
 
 
 def transfer(prob: SchrodingerProblem, sign: int = 1) -> np.ndarray:

@@ -614,21 +614,61 @@ def test_cli_import_loads_no_argparse():
     assert done.stdout.strip() == "[]", done.stdout
 
 
+_VERIFY_GRIDS = {
+    "model": ({"kind": "model-corpus", "index": 0}, [1e-1, 1e-2, 1e-3, 1e-4]),
+    "pair": ({"kind": "schrodinger-corpus", "index": 0}, [1e-2, 5e-3, 2.5e-3, 1e-4]),
+}
+
+
+@pytest.mark.parametrize("problem, grid", _VERIFY_GRIDS.values(), ids=list(_VERIFY_GRIDS))
+def test_verify_imports_no_module_after_the_cli(tmp_path, problem, grid):
+    # a module imported for the first time inside a verify call is paid in
+    # its run time (np.union1d imports numpy.ma, 13 ms, on its first call):
+    # after `import crossing_kit.cli`, a verify on either family adds
+    # nothing to sys.modules
+    cfg = {
+        "problem": problem,
+        "h_grid": {"values": grid},
+        "output": {"csv": str(tmp_path / "r.csv"), "summary": str(tmp_path / "s.json")},
+    }
+    code = (
+        "import json, sys, crossing_kit.cli as cli; before = set(sys.modules); "
+        "rc = cli.main(['verify', '--config', sys.argv[1]]); "
+        "print(json.dumps([rc, sorted(set(sys.modules) - before)]))"
+    )
+    src = os.path.dirname(os.path.dirname(crossing_kit.__file__))
+    done = subprocess.run(
+        [sys.executable, "-c", code, write_config(tmp_path, cfg)],
+        capture_output=True,
+        text=True,
+        check=True,
+        env=dict(os.environ, PYTHONPATH=src),
+        timeout=120,
+    )
+    rc, added = json.loads(done.stdout.splitlines()[-1])
+    assert rc == 0 and added == [], (rc, added)
+
+
 def test_numerical_failure_exits_3(tmp_path, capsys):
-    # a coupling so strong that Picard iteration cannot converge even on
-    # the shortest chunk
+    # a coupling so strong that its support needs more than
+    # march.MAX_PANELS panels within PICARD_REACH: refused before any work
     cfg = {
         "problem": model_block(coupling={"width": 0.8, "amplitude": 1e4}),
         "h": 1e-2,
     }
     path = write_config(tmp_path, cfg)
-    assert main(["solve-model", "--config", path]) == 3
-    assert "numerical failure" in capsys.readouterr().err
+    with warnings.catch_warnings(record=True) as seen:
+        warnings.simplefilter("always")
+        assert main(["solve-model", "--config", path]) == 3
+    assert seen == []
+    err = _one_line_error(capsys)
+    assert "numerical failure" in err and "max_panels" in err
 
 
 def test_overflow_is_a_numerical_failure_without_warnings(tmp_path, capsys):
-    # the march stops at the first non-finite Picard change and names the
-    # overflow, instead of warning and sweeping on NaN to the cap
+    # a coupling near the float limit is refused by the same panel budget,
+    # before any product can overflow, instead of warning and sweeping on
+    # NaN to the cap
     cfg = {
         "problem": model_block(coupling={"width": 0.5, "amplitude": 1e300}),
         "h": 1e-2,
@@ -638,7 +678,7 @@ def test_overflow_is_a_numerical_failure_without_warnings(tmp_path, capsys):
         warnings.simplefilter("always")
         assert main(["solve-model", "--config", path]) == 3
     assert seen == []
-    assert "overflowed" in _one_line_error(capsys)
+    assert "max_panels" in _one_line_error(capsys)
 
 
 def _one_line_error(capsys) -> str:
@@ -649,17 +689,18 @@ def _one_line_error(capsys) -> str:
 
 
 def test_h_near_underflow_is_a_numerical_failure(tmp_path, capsys):
-    # the node count is infinite: refused before any integer conversion
+    # the stationary zone needs hundreds of levels of halves (at 1e-320 its
+    # ratio to the span is infinite): refused before any integer conversion
     path = write_config(tmp_path, {"problem": model_block(), "h": 1e-320})
     assert main(["solve-model", "--config", path]) == 3
-    assert "n_max" in _one_line_error(capsys)
-    # the Schrodinger march is refused by the same node budget before
+    assert "max_levels" in _one_line_error(capsys)
+    # the Schrodinger march is refused by the same split budget before
     # marching, instead of stepping on NaNs
     for h in (1e-320, 1e-200):
         problem = {"kind": "schrodinger-corpus", "index": 0}
         path = write_config(tmp_path, {"problem": problem, "h": h})
         assert main(["solve-schrodinger", "--config", path]) == 3
-        assert "n_max" in _one_line_error(capsys)
+        assert "max_levels" in _one_line_error(capsys)
     # in a sweep each refused row says why, on stdout and in the summary
     summary = tmp_path / "summary.json"
     grid = [1e-200, 1e-250, 1e-300, 1e-320]
@@ -670,11 +711,11 @@ def test_h_near_underflow_is_a_numerical_failure(tmp_path, capsys):
     }
     assert main(["sweep", "--config", write_config(tmp_path, cfg)]) == 3
     failed = [ln for ln in capsys.readouterr().out.splitlines() if "failed:" in ln]
-    assert len(failed) == 4 and all("n_max" in ln for ln in failed)
+    assert len(failed) == 4 and all("max_levels" in ln for ln in failed)
     rows = json.loads(summary.read_text(encoding="utf-8"))["failed_rows"]
     assert [r["h"] for r in rows] == grid
     assert all(r["status"] == "failed:ValidationError" for r in rows)
-    assert all("n_max" in r["detail"] for r in rows)
+    assert all("max_levels" in r["detail"] for r in rows)
 
 
 @pytest.mark.parametrize("mode", ["sweep", "verify"])

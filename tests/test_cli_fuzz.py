@@ -7,10 +7,11 @@ strings, booleans, null, NaN and infinities, integers far beyond the float
 range and floats down to the subnormals. `predict` solves nothing and may
 end in 0, 2 or 3. `solve-model`, `solve-schrodinger` and `sweep` run the
 march on what survives validation and may also end in 1; their skeletons
-start at h >= 1e-3, and while they run the node budget (`march.N_MAX`) is
-lowered to _SOLVE_N_MAX and the grid size (`sweep.MAX_GRID_POINTS`) to
+start at h >= 1e-3, and while they run the split's budget
+(`march.MAX_LEVELS`, `march.MAX_PANELS`) is lowered to _SOLVE_MAX_LEVELS
+and _SOLVE_MAX_PANELS and the grid size (`sweep.MAX_GRID_POINTS`) to
 _SOLVE_GRID_COUNT, so that no drawn value makes a solve slow; values past
-either bound take the refusal path that the full bounds take. Examples run
+these bounds take the refusal path that the full bounds take. Examples run
 inside a fresh temporary directory and strings carry no path separator,
 so a drawn `output.summary` or `output.csv` path stays inside it.
 """
@@ -111,8 +112,11 @@ _SWEEP_SKELETONS = [
     {"problem": {"kind": "random-model", "m": 1}, "seed": 3,
      "h_grid": {"values": [1e-1, 3e-2, 1e-2, 1e-3]}},
 ]
-# bounds while a solving mode runs: a 40 000-node march takes milliseconds
-_SOLVE_N_MAX = 40_000
+# bounds while a solving mode runs: a march of at most 256 pieces within
+# PICARD_REACH, 12 levels deep (model-corpus 0 down to h = 1e-3, not 1e-5),
+# takes milliseconds
+_SOLVE_MAX_LEVELS = 12
+_SOLVE_MAX_PANELS = 256
 _SOLVE_GRID_COUNT = 8
 
 _CORPUS0 = {"kind": "model-corpus", "index": 0}
@@ -202,9 +206,9 @@ def _run(mode, config):
 
 
 def _run_solving(mode, config):
-    with mock.patch.object(march, "N_MAX", _SOLVE_N_MAX), mock.patch.object(
-        sweep, "MAX_GRID_POINTS", _SOLVE_GRID_COUNT
-    ):
+    with mock.patch.object(march, "MAX_LEVELS", _SOLVE_MAX_LEVELS), mock.patch.object(
+        march, "MAX_PANELS", _SOLVE_MAX_PANELS
+    ), mock.patch.object(sweep, "MAX_GRID_POINTS", _SOLVE_GRID_COUNT):
         return _run(mode, config)
 
 
@@ -231,8 +235,8 @@ def test_solve_schrodinger_never_raises_on_any_json_value(config):
 
 @_SOLVING
 @given(configs(_SWEEP_SKELETONS))
-# a node budget hit in some rows and not in others, and a grid count past
-# the bound
+# the split's budget hit in some rows and not in others, and a grid count
+# past the bound
 @example({"problem": _CORPUS0, "h_grid": {"values": [1e-1, 1e-2, 1e-3, 1e-5]}})
 @example({"problem": _CORPUS0, "h_grid": {"start": 1e-1, "stop": 1e-3, "count": 9}})
 def test_sweep_never_raises_on_any_json_value(config):

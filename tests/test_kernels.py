@@ -15,6 +15,8 @@ from crossing_kit import _kernels, march, normalform
 from crossing_kit._kernels import cum_quad10
 from crossing_kit.normalform import model_corpus
 
+import uniform_plan
+
 
 def _cum_quad10_loop(values, dx, w10):
     # cumulative integral from the first grid point, one output per node
@@ -255,13 +257,13 @@ def test_cum_quad6_into_out_equals_a_fresh_result():
 
 
 def test_march_kernels_allocate_nothing_of_the_chunk_size():
-    # the Picard sweep's kernels write into their ``out``: numpy takes no
-    # temporaries or ufunc buffers as large as the chunk (tracemalloc sees
-    # numpy's data allocations). The march forms mu = (m1 e^{iF/h},
+    # the uniform plan's Picard sweep kernels write into their ``out``:
+    # numpy takes no temporaries or ufunc buffers as large as the chunk
+    # (tracemalloc sees numpy's data allocations). It forms mu = (m1 e^{iF/h},
     # m2 e^{-iF/h}) once per chunk, copies mu1 after it and multiplies its
     # two chains by (mu2, mu1) at an odd term
     rng = np.random.default_rng(3)
-    n = march.CHUNK_BYTES // march._BYTES_PER_NODE  # the longest chunk
+    n = march.CHUNK_BYTES // uniform_plan._BYTES_PER_NODE  # the longest chunk
     calls = []
     _, (m1, m2), (osc, back), _ = _model_case(rng, n)
     v = _random_complex(rng, (1, 2, n))

@@ -30,6 +30,7 @@ from crossing_kit.symbolcalc import stationary_prefactor
 from crossing_kit.transfer import Problem
 
 import closed_form_oracle
+import uniform_plan
 from ode_oracles import ode_oracle
 from uniform_plan import march_uniformly
 
@@ -173,8 +174,8 @@ def test_corpus_shape():
 
 
 def test_antiderivative_exact_for_linear_rate():
-    # f = x: the march carries F from F(x0) by cum_quad10 of the rate, which
-    # is exact for a linear rate, so F = x^2/2 at every chunk end
+    # f = x: the uniform plan carries F from F(x0) by cum_quad10 of the
+    # rate, which is exact for a linear rate, so F = x^2/2 at every chunk end
     prob = dataclasses.replace(model_corpus(1e-2)[0], r1=ZERO_BUMP, r2=ZERO_BUMP)
     system = _system(prob)
     phi0 = prob.f.antideriv()(prob.x0)
@@ -182,8 +183,8 @@ def test_antiderivative_exact_for_linear_rate():
     for end in (-0.3, 0.0, 1.0):
         x = np.linspace(prob.x0, end, 101)
         a0 = np.eye(2, dtype=complex)
-        work = march._work(system, len(x))
-        _, phi, _ = march._picard(system, a0, phi0, x, x[1] - x[0], work)
+        work = uniform_plan._work(system, len(x))
+        _, phi, _ = uniform_plan._picard(system, a0, phi0, x, x[1] - x[0], work)
         assert abs(phi - end**2 / 2.0) < 1e-13
 
 
@@ -227,11 +228,12 @@ def test_march_runs_left_to_right_only():
     assert march.march(system, a, 0.0, 0.0) is a
 
 
-def test_graded_mesh_marches_a_third_of_the_uniform_grid(caplog):
+def test_graded_mesh_marches_a_third_of_the_uniform_grid(monkeypatch, caplog):
     # model-corpus 1 (f = x^2) at h = 1e-5: the uniform grid at 24 points
     # per period of max |f| on [-1, 1] had 763945 nodes. Model-corpus 2
     # (f = x^3) there: a plan that refined each piece by the fastest rate
     # within one chunk's reach, before cutting chunks, marched 124486 nodes
+    march_uniformly(monkeypatch)
     for index, most in ((1, 763945 // 3), (2, 112_000)):
         prob = model_corpus(1e-5)[index]
         caplog.clear()
@@ -346,13 +348,16 @@ def test_picard_stop_scales_with_the_data(monkeypatch):
 
 
 def test_a_zero_column_is_carried_without_sweeps(caplog):
-    # nothing to sum: the model's march returns zero data at once, with no
-    # sweep and no division by the data's size
+    # nothing to sum: the uniform plan returns zero data at once, with no
+    # sweep and no division by the data's size; the panels carry it as
+    # U 0 = 0
     prob = model_corpus(1e-2)[0]
+    zero = np.zeros((1, 2), dtype=complex)
     with caplog.at_level(logging.DEBUG, logger="crossing_kit"):
-        a = march.march(_system(prob), np.zeros((1, 2), dtype=complex), prob.x0, prob.x1)
+        a = uniform_plan.march(uniform_plan.system(prob), zero, prob.x0, prob.x1)
     assert (a == 0.0).all()
     assert "of 0 sweeps" in caplog.records[0].getMessage()
+    assert (march.march(_system(prob), zero, prob.x0, prob.x1) == 0.0).all()
 
 
 @pytest.mark.parametrize(
@@ -373,14 +378,14 @@ def test_each_sweep_integrates_only_the_rows_it_needs(monkeypatch, caplog, build
     # real and integrated apart. The uniform plan's sweeps are counted here.
     march_uniformly(monkeypatch)
     samples = []
-    integrate = march.cum_quad10
+    integrate = uniform_plan.cum_quad10
 
     def counting(values, dx, out=None, initial=0.0):
         if np.iscomplexobj(values):
             samples.append((values.size, values.shape[-1]))
         return integrate(values, dx, out=out, initial=initial)
 
-    monkeypatch.setattr(march, "cum_quad10", counting)
+    monkeypatch.setattr(uniform_plan, "cum_quad10", counting)
     with caplog.at_level(logging.DEBUG, logger="crossing_kit"):
         build().extract()
     assert samples and all(size == rows * nodes for size, nodes in samples), samples
@@ -450,13 +455,20 @@ def test_two_chains_keep_the_column_sweep_bits(monkeypatch, index):
     assert (transfer_numeric(prob).entries == np.array(_COLUMN_SWEEP_T[index])).all()
 
 
-def test_overflow_stops_picard_at_once():
-    # a coupling near the float limit overflows the second sweep's product:
-    # the march raises StepFailure on that sweep's non-finite change, with
-    # no numpy RuntimeWarning (an error under this suite's filter)
+def test_overflow_stops_picard_at_once(monkeypatch):
+    # a coupling near the float limit overflows the second sweep's product
+    # on the uniform plan: the march raises StepFailure on that sweep's
+    # non-finite change (_stops, which the panels share), with no numpy
+    # RuntimeWarning (an error under this suite's filter). The panel march
+    # refuses that coupling by its panel budget before judging a panel.
     prob = dataclasses.replace(
         model_corpus(1e-2)[0], r1=Bump(0.5, 1e300), r2=Bump(0.5, 1e300)
     )
+    with monkeypatch.context() as patch:
+        patch.setattr(march, "_judge", None)
+        with pytest.raises(ValidationError, match="max_panels"):
+            prob.extract()
+    march_uniformly(monkeypatch)
     with pytest.raises(StepFailure, match=r"overflowed: sweep 2 moved by nan"):
         prob.extract()
 
@@ -466,7 +478,7 @@ def test_strong_coupling_needs_no_fallback(caplog):
     # matches the direct integration, in its one DEBUG line and no other;
     # it marches the couplings' support [-1.5, 1.5], not [-2, 2], on 12
     # direct panels, each within PICARD_REACH and solved from its own left
-    # edge, in one panel batch of 18 sweeps, and no node on the uniform plan
+    # edge, in one panel batch of 18 sweeps
     prob = strong_coupling_problem()
     with caplog.at_level(logging.DEBUG, logger="crossing_kit"):
         T = prob.extract()
@@ -474,7 +486,7 @@ def test_strong_coupling_needs_no_fallback(caplog):
     assert [r.levelno for r in caplog.records] == [logging.DEBUG]
     msg = caplog.records[0].getMessage()
     for word in (
-        "marched 0 nodes on [-1.5, 1.5]",
+        "marched [-1.5, 1.5]",
         "12 direct panels of 384 nodes as 1 panel batches of 18 sweeps",
     ):
         assert word in msg, msg
@@ -534,7 +546,7 @@ def test_march_system_does_not_outlive_its_extraction(monkeypatch):
 
 def test_one_debug_line_per_march(caplog):
     # at h = 1e-2 the phase turns slowly on the whole support: 12 direct
-    # panels, one panel batch, and no node on the uniform plan
+    # panels two levels below the first pieces, in one panel batch
     prob = model_corpus(1e-2)[0]
     with caplog.at_level(logging.DEBUG, logger="crossing_kit"):
         transfer_numeric(prob)
@@ -544,11 +556,10 @@ def test_one_debug_line_per_march(caplog):
     msg = record.getMessage()
     for word in (
         "h=1.000000e-02",
-        "marched 0 nodes on [-0.8, 0.8] (from x=-1 to 1)",
-        "0 Picard chunks of 0 sweeps, at most 0 in a chunk",
+        "marched [-0.8, 0.8] (from x=-1 to 1) on panels down to level 2 of 10",
         "1 Neumann rows per sweep; 0 Levin panels of 0 nodes",
         "12 direct panels of 384 nodes as 1 panel batches of 11 sweeps",
-        "0 panels refused by the Levin check",
+        "0 panels split by the Levin check",
     ):
         assert word in msg, msg
 

@@ -1,8 +1,9 @@
 """Coupled-pair front end: crossing data from potentials, closed-form
 transfer predictions for both energy regimes, and numeric extraction in the
 oscillatory basis, checked against a DOP853 reference solve. The checks of
-the march itself (resolution, memory, Picard cap, node budget) run on the
-reduced model too, which it extracts the same way.
+the march itself (resolution, memory, the split's budget, small h) run on
+the reduced model too, which it extracts the same way, and the checks of
+its oracle, the uniform plan of tests/uniform_plan.py, run on both.
 
 Numeric tolerances were measured once with margin and frozen; the tight
 h=1e-3 comparison lives in the acceptance suite, module tests run at a
@@ -16,6 +17,7 @@ import math
 import re
 import sys
 import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -23,7 +25,7 @@ import pytest
 
 from crossing_kit import march, normalform, schrodinger
 from crossing_kit.cli import _random_model_problem
-from crossing_kit.errors import CaseMismatch, StepFailure, ValidationError
+from crossing_kit.errors import CaseMismatch, ValidationError
 from crossing_kit.march import CHUNK_BYTES
 from crossing_kit.normalform import model_corpus
 from crossing_kit.oscquad import PhaseSpec, osc_integral_numeric
@@ -47,6 +49,7 @@ from ode_oracles import (
     integrate,
     synthesize,
 )
+import uniform_plan
 from uniform_plan import march_uniformly
 
 SQRT_2PI = 2.506628274631000502415765284811045253007
@@ -503,8 +506,9 @@ def test_flux_scaled_transfer_is_unitary(prob, ratio):
     ],
 )
 def test_march_resolution_is_converged(monkeypatch, prob):
+    # the panels at 32 Chebyshev points against those at 48
     coarse = prob.extract()
-    monkeypatch.setattr(march, "POINTS_PER_PERIOD", 48)
+    monkeypatch.setattr(march, "PANEL_POINTS", 48)
     fine = prob.extract()
     assert coarse.max_abs_diff(fine) <= 1e-9
 
@@ -520,48 +524,43 @@ _DENSE = {
 
 @pytest.mark.parametrize("corpus, indices, h", _DENSE.values(), ids=_DENSE.keys())
 def test_march_is_within_2e_11_of_a_dense_march(monkeypatch, corpus, indices, h):
-    # the march at its default density against the same march at 96 points
-    # per period, on every problem of both corpora that runs case i
+    # the march on panels of 32 Chebyshev points against the same march on
+    # panels of 64, on every problem of both corpora that runs case i
     coarse = [corpus(h)[k].extract() for k in indices]
-    monkeypatch.setattr(march, "POINTS_PER_PERIOD", 96)
+    monkeypatch.setattr(march, "PANEL_POINTS", 64)
     for k, got in zip(indices, coarse):
         err = got.max_abs_diff(corpus(h)[k].extract())
         assert err <= 2e-11, (k, err)
 
 
 def _march_line(caplog, run):
-    """run() and the uniformly marched nodes and the panels, Levin and
-    direct, of the last march's DEBUG line."""
+    """run() and the panels, Levin and direct, of the last march's DEBUG
+    line, and the line."""
     caplog.clear()
     with caplog.at_level(logging.DEBUG, logger="crossing_kit"):
         out = run()
     msg = caplog.records[-1].getMessage()
-    nodes = int(re.search(r"marched (\d+) nodes", msg).group(1))
     panels = sum(int(n) for n in re.findall(r"(\d+) (?:Levin|direct) panels", msg))
-    return out, nodes, panels, msg
+    return out, panels, msg
 
 
 def _panels_against_uniform(monkeypatch, caplog, prob, pieces=16, points=40):
     """|U - U_uniform| for the propagator U of prob's coupling support, and
     the DEBUG line of the march that gave U. U_uniform, the oracle of the
-    panel path, is the uniform plan (march_uniformly) at ``points`` points
-    per period, cut into ``pieces`` equal parts that each start from the
-    exact phase: marched whole, it chains its phase over the span, whose
-    rounding reaches 1.8e-11 on a random model at h = 1e-5 and 1.3e-10 on
-    model-corpus 2 at h = 1e-6."""
-    if isinstance(prob, normalform.NormalFormProblem):
-        system = normalform._system(prob)
-    else:
-        system = schrodinger._system(prob)
+    panel path, is the uniform plan (tests/uniform_plan.py) at ``points``
+    points per period, cut into ``pieces`` equal parts that each start
+    from the exact phase: marched whole, it chains its phase over the span,
+    whose rounding reaches 1.8e-11 on a random model at h = 1e-5 and
+    1.3e-10 on model-corpus 2 at h = 1e-6."""
+    system = uniform_plan.system(prob)
     lo, hi = system.support
     eye = np.eye(2, dtype=complex)
-    got, _, panels, msg = _march_line(caplog, lambda: march.march(system, eye, lo, hi))
+    got, panels, msg = _march_line(caplog, lambda: march.march(system, eye, lo, hi))
     with monkeypatch.context() as patch:
-        march_uniformly(patch)
-        patch.setattr(march, "POINTS_PER_PERIOD", points)
+        patch.setattr(uniform_plan, "POINTS_PER_PERIOD", points)
         want, cuts = eye, np.linspace(lo, hi, pieces + 1)
         for start, end in zip(cuts[:-1], cuts[1:]):
-            want = march.march(system, want, start, end)
+            want = uniform_plan.march(system, want, start, end)
     return float(np.abs(got - want).max()), panels, msg
 
 
@@ -581,9 +580,9 @@ def test_levin_panels_match_the_uniform_march(monkeypatch, caplog, corpus, index
     # the march on Levin and direct panels against the uniform plan at 40
     # points per period, on every case-i corpus problem: within 2e-11 at
     # h = 1e-4 and 1e-5 and 1e-10 at 1e-6 (measured at most 2.3e-13 and
-    # 9.7e-13), and no node marched uniformly
+    # 9.7e-13)
     err, panels, msg = _panels_against_uniform(monkeypatch, caplog, corpus(h)[index])
-    assert panels > 0 and "marched 0 nodes" in msg, msg
+    assert panels > 0, msg
     assert err <= (1e-10 if h == 1e-6 else 2e-11), err
 
 
@@ -611,7 +610,7 @@ def test_panels_match_the_uniform_plan_on_random_draws(monkeypatch, caplog, m, h
     for seed in (0, 1, 2):
         prob = _random_model_problem(m, h, seed)
         err, panels, msg = _panels_against_uniform(monkeypatch, caplog, prob)
-        assert panels > 0 and "marched 0 nodes" in msg, msg
+        assert panels > 0, msg
         assert err <= 1e-9, (seed, err)
         system = normalform._system(dataclasses.replace(prob, r2=prob.r1))
         assert system.skew_hermitian
@@ -621,14 +620,14 @@ def test_panels_match_the_uniform_plan_on_random_draws(monkeypatch, caplog, m, h
 
 def test_panels_keep_the_exact_phase_of_model_corpus_2(monkeypatch, caplog):
     # model-corpus 2 at h = 1e-4 on panels, whose edges take their phase
-    # from the exact phase at the segment's start by the panels' integrals
+    # from the exact phase at the edge nearest 0 and the panels' integrals
     # of F', against the uniform plan at 96 points per period cut into 16
     # pieces that each start from the exact phase: measured 3.0e-14, where
     # the uniform march of the whole span, 14k nodes at 14 points per
     # period that chain their phase over it, read 2.5e-13
     prob = model_corpus(1e-4)[2]
     err, panels, msg = _panels_against_uniform(monkeypatch, caplog, prob, points=96)
-    assert panels > 0 and "marched 0 nodes" in msg, msg
+    assert panels > 0, msg
     assert err <= 1e-13, err
 
 
@@ -643,13 +642,78 @@ _SELF_ADJOINT = {
 )
 def test_levin_propagator_is_unitary_at_1e_8(corpus, system, index):
     # where M is skew-Hermitian the propagator U of the whole support is
-    # unitary; at h = 1e-8 the march solves it on panels and a zone of a
-    # few hundred nodes, and U stays unitary to 1e-12 (measured 3e-15)
+    # unitary; at h = 1e-8 the march solves it on panels, and U stays
+    # unitary to 1e-12 (measured 3e-15)
     prob = corpus(1e-8)[index]
     sys_ = system(prob)
     assert sys_.skew_hermitian
     u = march.march(sys_, np.eye(2, dtype=complex), *sys_.interval)
     assert np.abs(u.conj().T @ u - np.eye(2)).max() <= 1e-12
+
+
+_CASE_I = {
+    **{f"model-{k}": (model_corpus, k) for k in range(6)},
+    **{f"pair-{k}": (schrodinger_corpus, k) for k in range(2)},
+}
+
+
+@pytest.mark.parametrize("corpus, index", _CASE_I.values(), ids=_CASE_I.keys())
+def test_small_h_extracts_in_milliseconds(caplog, corpus, index):
+    # h = 1e-12 and 1e-16: the split follows h into the stationary zone,
+    # its deepest panels within 2 levels of the zone's own level (measured
+    # within 1), no panel is split by the Levin check and an extraction
+    # takes under 20 ms (best of 3; measured 4-12 ms, where the uniform
+    # plan took 0.26 s at 1e-12 on model-corpus 0 and refused 1e-14). At
+    # 1e-16, t12 and t21 are within 1e-6 of the prediction (measured at
+    # most 3.6e-7, on pair-1)
+    for h in (1e-12, 1e-16):
+        prob = corpus(h)[index]
+        seconds = []
+        for _ in range(3):
+            start = time.perf_counter()
+            got, _, msg = _march_line(caplog, prob.extract)
+            seconds.append(time.perf_counter() - start)
+        assert "0 panels split by the Levin check" in msg, msg
+        assert min(seconds) < 0.02, seconds
+        reached, allowed = re.search(r"down to level (\d+) of (\d+)", msg).groups()
+        assert abs(int(reached) - (int(allowed) - march._SPARE_LEVELS)) <= 2, msg
+    want = prob.predict()
+    for entry in ("t12", "t21"):
+        assert abs(getattr(got, entry) / getattr(want, entry) - 1.0) <= 1e-6, entry
+
+
+@pytest.mark.parametrize("corpus, index", _CASE_I.values(), ids=_CASE_I.keys())
+def test_t12_does_not_depend_on_the_cut_at_small_h(monkeypatch, corpus, index):
+    # each panel edge takes its phase from the exact phase at the edge
+    # nearest 0 and the panels' integrals of F' summed outward, so the
+    # rounding of F/h does not reach T: t12 moves by at most 1e-14 when the
+    # split starts from 6 or 10 pieces or the panels have 48 points
+    # (measured at most 3.7e-16 at h = 1e-8 .. 1e-16, where chaining the
+    # phase from one end moved it by up to 4.2e-11, 1.2e-9 and 7.2e-8 at
+    # 1e-8, 1e-10 and 1e-12)
+    for h in (1e-8, 1e-10, 1e-12):
+        prob = corpus(h)[index]
+        t12 = prob.extract().t12
+        for name, value in (
+            ("_FIRST_PIECES", 6),
+            ("_FIRST_PIECES", 10),
+            ("PANEL_POINTS", 48),
+        ):
+            with monkeypatch.context() as patch:
+                patch.setattr(march, name, value)
+                assert abs(prob.extract().t12 - t12) <= 1e-14, (h, name, value)
+
+
+def test_pair_rate_keeps_its_relative_accuracy_near_the_crossing():
+    # F' of schrodinger-corpus 1 near the crossing, from the gap polynomial:
+    # its last 4 Chebyshev coefficients on [a, 2a] stay within _TAIL_TOL of
+    # max |F'| (measured at most 6.6e-16), where p_2 - p_1, a difference of
+    # two numbers near E0, read 8.5e-12, 9.9e-10 and 8.8e-6 at a = 1e-3,
+    # 1e-4 and 1e-6
+    system = schrodinger._system(schrodinger_corpus(1e-8)[1])
+    for a in (1e-3, 1e-4, 1e-6):
+        _, (rate, _, _) = march._panel_data(system, np.array([a]), np.array([2 * a]))
+        assert march._tail(rate + 0j)[0] <= march._TAIL_TOL * np.abs(rate).max(), a
 
 
 @pytest.mark.parametrize(
@@ -659,17 +723,14 @@ def test_levin_propagator_is_unitary_at_1e_8(corpus, system, index):
 )
 def test_levin_work_barely_grows_below_1e_6(caplog, corpus, index):
     # the cost of an extraction stops growing with 1/h: from h = 1e-6 to
-    # 1e-8 the nodes the march evaluates, uniform and on panels, and the
-    # panels stay within 2x (counts, not timings; 1.1k to 1.6k nodes and
-    # 20 to 26 panels on model-corpus 0), where the uniform march's nodes
-    # grew 100x
+    # 1e-8 the panels the march evaluates stay within 2x (counts, not
+    # timings; 26 to 32 panels on model-corpus 0), where the uniform
+    # march's nodes grew 100x
     counts = []
     for h in (1e-6, 1e-8):
-        _, nodes, panels, msg = _march_line(caplog, corpus(h)[index].extract)
-        counts.append((nodes + panels * march.PANEL_POINTS, panels))
-    (work_6, panels_6), (work_8, panels_8) = counts
-    assert 0.5 <= work_8 / work_6 <= 2.0, counts
-    assert 0.5 <= panels_8 / panels_6 <= 2.0, counts
+        _, panels, msg = _march_line(caplog, corpus(h)[index].extract)
+        counts.append(panels)
+    assert 0.5 <= counts[1] / counts[0] <= 2.0, counts
 
 
 def test_panel_matrices_are_built_once_under_threads(monkeypatch):
@@ -700,49 +761,85 @@ def test_panel_matrices_are_built_once_under_threads(monkeypatch):
     ]
 
 
-def test_refused_panel_is_marched_uniformly(monkeypatch, caplog):
-    # a Levin panel whose first Levin solution is not resolved to _TAIL_TOL
-    # (here: m1 perturbed by 1e-6 on the first Levin panel of the data the
-    # solve gets, after the judge saw it smooth) is marched alone on the
-    # uniform plan, from the exact phase at its start, and the other panels
-    # keep theirs; the march reports it and still matches the uniform march
-    # at 40 points per period
-    prob = model_corpus(1e-5)[1]
-    levin = march._levin
+def _perturb_first_levin_panel(monkeypatch):
+    """Make the first _levin call with a Levin panel see m1 perturbed by
+    1e-6 on its first Levin panel, after the judge saw it smooth."""
+    levin, calls = march._levin, []
 
-    def noisy(system, phi0, edges, data):
+    def noisy(system, phase, edges, data):
         direct, half, values = data
-        values = values.copy()
         first = np.flatnonzero(~direct)[:1]
-        noise = np.random.default_rng(5).standard_normal(values[first, 0].shape)
-        values[first, 0] += 1e-6 * noise
-        return levin(system, phi0, edges, (direct, half, values))
+        if first.size and not calls:
+            calls.append(edges[first[0]])
+            values = values.copy()
+            noise = np.random.default_rng(5).standard_normal(values[first, 0].shape)
+            values[first, 0] += 1e-6 * noise
+        return levin(system, phase, edges, (direct, half, values))
 
-    _, _, clean, _ = _march_line(caplog, prob.extract)
     monkeypatch.setattr(march, "_levin", noisy)
+    return calls
+
+
+def test_refused_panel_is_split_in_halves(monkeypatch, caplog):
+    # a Levin panel whose first Levin solution is not resolved to _TAIL_TOL
+    # of its own bound (here: m1 perturbed by 1e-6 on the first Levin panel
+    # the solve gets, after the judge saw it smooth) is split in halves,
+    # which are judged and solved in its place, from the exact phase at
+    # their edge nearest 0; the other panels keep theirs. The march reports
+    # it and still matches the uniform march at 40 points per period
+    prob = model_corpus(1e-5)[1]
+    _, clean, msg = _march_line(caplog, prob.extract)
+    assert "0 panels split by the Levin check" in msg, msg
+    perturbed = _perturb_first_levin_panel(monkeypatch)
     err, panels, msg = _panels_against_uniform(monkeypatch, caplog, prob)
-    nodes = int(re.search(r"marched (\d+) nodes", msg).group(1))
-    assert "1 panels refused" in msg and panels == clean - 1 and nodes > 0, msg
+    assert perturbed and "1 panels split by the Levin check" in msg, msg
+    assert panels >= clean + 1, msg
     assert err <= 2e-11, err
 
 
-def test_pair_1_at_1e_9_marches_one_panel_uniformly(caplog):
-    # schrodinger-corpus 1 at h = 1e-9: the first Levin solution of one
-    # panel, [-0.0125, -0.00625], fails its check, and that panel alone is
-    # marched on the uniform plan (1243 nodes), where a fallback over the
-    # whole run of panels around it would need 4.7e8 nodes and N_MAX
-    # refused the row. The propagator stays unitary to 1e-12, the bound
-    # test_levin_propagator_is_unitary_at_1e_8 holds (measured 4.4e-16)
+def test_pair_1_at_1e_9_splits_a_refused_panel(monkeypatch, caplog):
+    # schrodinger-corpus 1 at h = 1e-9: no first Levin solution fails its
+    # check now that F' is formed from the gap polynomial (it lost its
+    # relative accuracy near the crossing as p_2 - p_1, and one panel,
+    # [-0.0125, -0.00625], was refused). A perturbed Levin panel is split
+    # in halves, and the propagator stays unitary to 1e-12, the bound
+    # test_levin_propagator_is_unitary_at_1e_8 holds
     prob = schrodinger_corpus(1e-9)[1]
     system = schrodinger._system(prob)
     eye = np.eye(2, dtype=complex)
-    u, nodes, panels, msg = _march_line(
-        caplog, lambda: march.march(system, eye, prob.x_in, prob.x_out)
-    )
-    assert "1 panels refused by the Levin check" in msg, msg
-    assert 0 < nodes < 2000 and panels > 0, msg
+    run = lambda: march.march(system, eye, *system.support)  # noqa: E731
+    clean, _, msg = _march_line(caplog, run)
+    assert "0 panels split by the Levin check" in msg, msg
+    perturbed = _perturb_first_levin_panel(monkeypatch)
+    u, panels, msg = _march_line(caplog, run)
+    assert perturbed and "1 panels split by the Levin check" in msg, msg
     assert np.abs(u.conj().T @ u - eye).max() <= 1e-12
+    assert np.abs(u - clean).max() <= 1e-10
     assert np.isfinite(prob.extract().entries).all()
+
+
+def test_levin_verdicts_do_not_depend_on_the_batch(monkeypatch):
+    # the Levin check reads each panel's first solution against its own
+    # bound coupling * h / min |F'|, so batches of 3 panels refuse what
+    # batches of 32 do: nothing, on both corpora at h = 1e-1 .. 1e-9
+    seen = {}
+    levin = march._levin
+
+    def recording(system, phase, edges, data):
+        u, sweeps, refused = levin(system, phase, edges, data)
+        for k in np.flatnonzero(~data[0]):
+            seen.setdefault(size, []).append((edges[k], bool(refused[k])))
+        return u, sweeps, refused
+
+    monkeypatch.setattr(march, "_levin", recording)
+    for size in (march.CHUNK_BYTES // march._BYTES_PER_PANEL, 3):
+        monkeypatch.setattr(march, "_BYTES_PER_PANEL", march.CHUNK_BYTES // size)
+        for h in 10.0 ** -np.arange(1, 10):
+            for prob in model_corpus(h) + schrodinger_corpus(h)[:2]:
+                prob.extract()
+    big, small = seen.values()
+    assert len(big) == len(small) > 500
+    assert big == small and not any(refused for _, refused in big)
 
 
 _BATCHED = {
@@ -752,40 +849,48 @@ _BATCHED = {
 }
 
 
+def _cut(system):
+    """The march's panels of the system's support: their edges, the phase
+    there and their data."""
+    lo, hi = system.support
+    cuts = lo + (hi - lo) * np.linspace(0.0, 1.0, march._FIRST_PIECES + 1)
+    deepest = march._levels(system, lo, hi)
+    edges, _, data = march._split(system, cuts[:-1], cuts[1:], 0, deepest)
+    anchor = int(np.argmin(np.abs(edges)))
+    phase = march._edge_phases(edges, data, anchor, system.phase(edges[anchor]))
+    return edges, phase, data
+
+
 @pytest.mark.parametrize("prob, build", _BATCHED.values(), ids=_BATCHED.keys())
 def test_a_panels_propagator_does_not_depend_on_its_batch(prob, build):
     # each panel's propagator is solved from its own left edge: solved
-    # alone, from the phase its segment's batch gives its left edge, it
-    # is that of the whole batch within PICARD_TOL (measured at most
-    # 6.2e-17), one chain (pair) or two (model-corpus 3)
+    # alone, from the phase at its left edge, it is that of the whole batch
+    # within PICARD_TOL (measured at most 6.2e-17), one chain (pair) or two
+    # (model-corpus 3)
     system = build(prob)
-    solved = 0
-    for start, _, panels in march._segments(system, *system.support):
-        if panels is None:
-            continue
-        edges, (direct, half, values) = panels
-        whole, phase, _, refused = march._levin(
-            system, system.phase(start), edges, panels[1]
-        )
-        for k in np.flatnonzero(~refused):
-            cut = slice(k, k + 1)
-            data = (direct[cut], half[cut], values[cut])
-            alone, _, _, bad = march._levin(system, phase[k], edges[k : k + 2], data)
-            if not bad[0]:
-                assert np.abs(alone[0] - whole[k]).max() <= march.PICARD_TOL, k
-                solved += 1
-    assert solved >= 12
+    edges, phase, (direct, half, values) = _cut(system)
+    whole, _, refused = march._levin(system, phase[:-1], edges, (direct, half, values))
+    assert not refused.any()
+    for k in range(len(half)):
+        cut = slice(k, k + 1)
+        data = (direct[cut], half[cut], values[cut])
+        alone, _, _ = march._levin(system, phase[cut], edges[k : k + 2], data)
+        assert np.abs(alone[0] - whole[k]).max() <= march.PICARD_TOL, k
+    assert len(half) >= 12
 
 
-def test_march_fails_loudly_at_the_picard_cap():
-    # a coupling so strong that even the shortest chunk spans many
-    # e-foldings: Picard cannot converge in PICARD_MAX_ITER sweeps
+def test_march_refuses_an_out_of_reach_coupling(monkeypatch):
+    # a coupling so strong that its support needs more than MAX_PANELS
+    # panels within PICARD_REACH (amplitude 1e4: about 5.8k panels on the
+    # pair, 9.7k on the model): the march refuses it before it judges a
+    # panel
     strong = Bump(width=0.8, amplitude=1e4)
+    monkeypatch.setattr(march, "_judge", None)
     for prob in (
         dataclasses.replace(schrodinger_corpus(1e-2)[0], w=strong),
         dataclasses.replace(model_corpus(1e-2)[0], r1=strong, r2=strong),
     ):
-        with pytest.raises(StepFailure, match="Picard"):
+        with pytest.raises(ValidationError, match="max_panels"):
             prob.extract()
 
 
@@ -825,25 +930,24 @@ _PEAKS = {
 
 @pytest.mark.parametrize("prob", _PEAKS.values(), ids=_PEAKS.keys())
 def test_march_peak_is_within_bytes_per_node(monkeypatch, prob):
-    # _BYTES_PER_NODE sets the longest chunk and _BYTES_PER_PANEL the
-    # largest panel batch: the traced peak of an extraction stays within
-    # them, per node of that chunk (about 150 and 210 bytes a node for one
-    # chain and two) plus per panel of that panel batch (about 50 kB), as
-    # the uniform chunks' work arrays live through the panel batches
-    longest, panels = [0], [0]
-    plan, levin = march._plan, march._levin
+    # _BYTES_PER_PANEL sets the largest panel batch and _BYTES_PER_CANDIDATE
+    # the largest _judge call: the traced peak of an extraction stays within
+    # them, per panel of that batch (at most 41 kB a panel, 1.3k nodes) and
+    # per candidate of that call (6.7 kB), plus _BYTES_PER_CANDIDATE per
+    # panel kept (two copies of its 2 kB of data, at most)
+    batches, calls = [0], [0]
+    judge, levin = march._judge, march._levin
 
-    def recording(system, start, end):
-        chunks = plan(system, start, end)
-        longest.append(max(cells for _, cells in chunks))
-        return chunks
+    def judging(system, lo, hi):
+        calls.append(lo.size)
+        return judge(system, lo, hi)
 
-    def recording_panels(system, phi0, edges, data):
-        panels.append(len(edges) - 1)
-        return levin(system, phi0, edges, data)
+    def solving(system, phase, edges, data):
+        batches.append(len(phase))
+        return levin(system, phase, edges, data)
 
-    monkeypatch.setattr(march, "_plan", recording)
-    monkeypatch.setattr(march, "_levin", recording_panels)
+    monkeypatch.setattr(march, "_judge", judging)
+    monkeypatch.setattr(march, "_levin", solving)
     prob.extract()  # first-call caches
     tracemalloc.start()
     try:
@@ -851,60 +955,83 @@ def test_march_peak_is_within_bytes_per_node(monkeypatch, prob):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    bound = (max(longest) + 1) * march._BYTES_PER_NODE
-    assert peak <= bound + max(panels) * march._BYTES_PER_PANEL, (peak, longest, panels)
+    panels = sum(batches) // 2  # both extractions
+    bound = max(batches) * march._BYTES_PER_PANEL
+    bound += (panels + max(calls)) * march._BYTES_PER_CANDIDATE
+    assert peak <= bound, (peak, batches, calls)
+
+
+def test_a_judge_call_holds_at_most_chunk_bytes(monkeypatch):
+    # an amplitude of 3e3 at h = 1e-6 cuts the model's support into 4096
+    # direct panels: the judge takes them at most _PER_CALL at a time, and
+    # no call holds more than CHUNK_BYTES (measured at most 1.7 MB)
+    strong = Bump(0.8, 3e3)
+    prob = dataclasses.replace(model_corpus(1e-6)[0], r1=strong, r2=strong)
+    peaks, judge = [], march._judge
+
+    def judging(system, lo, hi):
+        held = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        out = judge(system, lo, hi)
+        peaks.append((lo.size, tracemalloc.get_traced_memory()[1] - held))
+        return out
+
+    monkeypatch.setattr(march, "_judge", judging)
+    tracemalloc.start()
+    try:
+        T = prob.extract().entries
+    finally:
+        tracemalloc.stop()
+    assert np.abs(T.conj().T @ T - np.eye(2)).max() <= 1e-12
+    assert max(n for n, _ in peaks) == march._PER_CALL
+    assert max(b for _, b in peaks) <= march.CHUNK_BYTES, peaks
 
 
 def test_node_budget_counts_the_marched_grid(monkeypatch, caplog):
-    # N_MAX bounds the nodes the march steps uniformly, those of the zone
-    # that the DEBUG line reports as marched, not the Levin panels': with
-    # N_MAX one above that count the march runs, with N_MAX at it the march
-    # is refused before any work. Near the underflow limit even the zone,
-    # at least 2^-12 of the support wide, is far above N_MAX. Both
-    # families, at h = 1e-6 where the outer pieces are panels.
-    for prob in (schrodinger_corpus(1e-6)[0], model_corpus(1e-6)[0]):
+    # the split's budget is decided before any candidate is judged: with
+    # MAX_LEVELS at the level a row may reach (_levels), the march runs; one
+    # below, it is refused before the first _judge call. Near the underflow
+    # limit the zone needs hundreds of levels, and both families refuse
+    # every h from 1e-200 to 1e-320 the same way
+    for prob in (schrodinger_corpus(1e-12)[0], model_corpus(1e-12)[0]):
         caplog.clear()
         with caplog.at_level(logging.DEBUG, logger="crossing_kit"):
             prob.extract()
         msg = caplog.records[-1].getMessage()
-        nodes = int(re.search(r"marched (\d+) nodes", msg).group(1))
-        assert int(re.search(r"(\d+) Levin panels", msg).group(1)) > 0, msg
-        monkeypatch.setattr(march, "N_MAX", nodes + 1)
+        deepest = int(re.search(r"down to level \d+ of (\d+)", msg).group(1))
+        monkeypatch.setattr(march, "MAX_LEVELS", deepest)
         prob.extract()
-        monkeypatch.setattr(march, "N_MAX", nodes)
-
-        def allocating(*args):
-            raise AssertionError("work arrays allocated over the budget")
-
-        with monkeypatch.context() as inner:
-            inner.setattr(march, "_work", allocating)
-            with pytest.raises(ValidationError, match="n_max"):
-                prob.extract()
-        monkeypatch.undo()
-    for prob in (schrodinger_corpus(1e-200)[0], model_corpus(1e-200)[0]):
-        with pytest.raises(ValidationError, match="nodes"):
+        monkeypatch.setattr(march, "MAX_LEVELS", deepest - 1)
+        monkeypatch.setattr(march, "_judge", None)
+        with pytest.raises(ValidationError, match="max_levels"):
             prob.extract()
+        monkeypatch.undo()
+    for h in (1e-200, 1e-250, 1e-300, 1e-320):
+        for prob in (schrodinger_corpus(h)[0], model_corpus(h)[0]):
+            with pytest.raises(ValidationError, match="max_levels"):
+                prob.extract()
 
 
 def test_plan_refuses_what_only_the_estimate_admits(monkeypatch):
-    # the pieces' node count is a lower bound on the plan's (8.5k against
-    # 19.3k here): with N_MAX between the two the estimate passes, and the
-    # plan refuses the march before any work array is allocated
+    # the uniform plan's pieces' node count is a lower bound on the plan's
+    # (8.5k against 19.3k here): with N_MAX between the two the estimate
+    # passes, and the plan refuses the march before any work array is
+    # allocated
     march_uniformly(monkeypatch)
     prob = model_corpus(1e-4)[2]
-    system = normalform._system(prob)
+    system = uniform_plan.system(prob)
     lo, hi = prob.coupling_support()
-    width = (hi - lo) / march.RATE_PIECES
-    estimate = sum(width / dx for dx in march._piece_spacing(system, lo, hi))
-    planned = sum(cells for _, cells in march._plan(system, lo, hi)) + 1
+    width = (hi - lo) / uniform_plan.RATE_PIECES
+    estimate = sum(width / dx for dx in uniform_plan._piece_spacing(system, lo, hi))
+    planned = sum(cells for _, cells in uniform_plan._plan(system, lo, hi)) + 1
     assert estimate < planned
-    monkeypatch.setattr(march, "N_MAX", int(estimate + planned) // 2)
-    march._piece_spacing(system, lo, hi)  # the estimate passes
+    monkeypatch.setattr(uniform_plan, "N_MAX", int(estimate + planned) // 2)
+    uniform_plan._piece_spacing(system, lo, hi)  # the estimate passes
 
     def allocating(*args):
         raise AssertionError("work arrays allocated over the budget")
 
-    monkeypatch.setattr(march, "_work", allocating)
+    monkeypatch.setattr(uniform_plan, "_work", allocating)
     with pytest.raises(ValidationError, match="n_max"):
         prob.extract()
 
@@ -913,9 +1040,9 @@ def _window_rate(system, start, end, near, far):
     """rate_on over the pieces of the plan of [start, end] that the
     distances [near, far] from start touch, clipped to [start, end]: the
     window as the plan reads it."""
-    width = (end - start) / march.RATE_PIECES
+    width = (end - start) / uniform_plan.RATE_PIECES
     first = max(0, int(near / width))
-    last = min(march.RATE_PIECES, int(far / width) + 1)
+    last = min(uniform_plan.RATE_PIECES, int(far / width) + 1)
     a, b = start + first * width, start + last * width
     return float(system.rate_on(np.array([a]), np.array([b]))[0])
 
@@ -946,33 +1073,33 @@ def test_each_chunk_takes_the_widest_dx_that_resolves_its_reach(monkeypatch, run
     # the chunks tile the marched span
     march_uniformly(monkeypatch)
     plans = []
-    plan = march._plan
+    plan = uniform_plan._plan
 
     def recording(system, start, end):
         chunks = plan(system, start, end)
         plans.append((system, start, end, chunks))
         return chunks
 
-    monkeypatch.setattr(march, "_plan", recording)
+    monkeypatch.setattr(uniform_plan, "_plan", recording)
     run()
     assert plans
     for system, start, end, chunks in plans:
-        cap = (system.interval[1] - system.interval[0]) / (march.N_MIN - 1)
-        widths = sorted(set(march._piece_spacing(system, start, end)))
+        cap = (system.interval[1] - system.interval[0]) / (uniform_plan.N_MIN - 1)
+        widths = sorted(set(uniform_plan._piece_spacing(system, start, end)))
 
         def bound(near, far):
             rate = _window_rate(system, start, end, near, far)
             period = 2.0 * math.pi * system.h / rate
-            return min(cap, period / march.POINTS_PER_PERIOD)
+            return min(cap, period / uniform_plan.POINTS_PER_PERIOD)
 
         u = 0.0
         for k, (dx, cells) in enumerate(chunks):
-            assert cells >= march._MIN_CHUNK_CELLS
-            reach = march._chunk_cells(system, dx) * dx
+            assert cells >= uniform_plan._MIN_CHUNK_CELLS
+            reach = uniform_plan._chunk_cells(system, dx) * dx
             assert dx <= bound(u - reach, u + cells * dx + reach) * (1 + 1e-9)
             wider = [d for d in widths if d > dx * (1 + 1e-9)]
             if k < len(chunks) - 1 and wider:
-                reach = march._chunk_cells(system, wider[0]) * wider[0]
+                reach = uniform_plan._chunk_cells(system, wider[0]) * wider[0]
                 assert wider[0] > bound(u - reach, u + 2 * reach) * (1 - 1e-9)
             u += cells * dx
         assert u == pytest.approx(end - start, rel=1e-12)
@@ -1001,7 +1128,7 @@ def test_each_picard_chunk_is_a_run_of_equal_dx_segments(monkeypatch, run):
     # march solves each as planned
     march_uniformly(monkeypatch)
     marches = []
-    plan, picard = march._plan, march._picard
+    plan, picard = uniform_plan._plan, uniform_plan._picard
 
     def planning(system, start, end):
         chunks = plan(system, start, end)
@@ -1012,17 +1139,17 @@ def test_each_picard_chunk_is_a_run_of_equal_dx_segments(monkeypatch, run):
         marches[-1][3].append((dx, len(x) - 1))
         return picard(system, a0, phi0, x, dx, work)
 
-    monkeypatch.setattr(march, "_plan", planning)
-    monkeypatch.setattr(march, "_picard", solving)
+    monkeypatch.setattr(uniform_plan, "_plan", planning)
+    monkeypatch.setattr(uniform_plan, "_picard", solving)
     run()
     assert marches
-    most = march.CHUNK_BYTES // march._BYTES_PER_NODE
+    most = march.CHUNK_BYTES // uniform_plan._BYTES_PER_NODE
     for system, span, chunks, solved in marches:
         assert solved == chunks
         for dx, cells in chunks:
             assert cells + 1 <= most
             assert (
-                cells == march._MIN_CHUNK_CELLS
+                cells == uniform_plan._MIN_CHUNK_CELLS
                 or system.coupling * cells * dx <= march.PICARD_REACH
             )
         assert sum(c * dx for dx, c in chunks) == pytest.approx(span, rel=1e-12)
@@ -1032,32 +1159,30 @@ def test_each_picard_chunk_is_a_run_of_equal_dx_segments(monkeypatch, run):
 @pytest.mark.parametrize("index", [0, 1])
 def test_marched_phase_is_the_phase_at_every_chunk_end(monkeypatch, index, h):
     # F' is written once, in the pair's local(): the march integrates it
-    # panel by panel by Clenshaw-Curtis, or chunk by chunk with cum_quad10
-    # on the uniform plan, and the system's phase integrates it from 0 by
-    # Gauss-Legendre. The two agree at every panel edge and every Picard
+    # panel by panel by Clenshaw-Curtis from the exact phase at the edge
+    # nearest 0, the uniform plan chunk by chunk with cum_quad10 from the
+    # start of the support, and the system's phase integrates it from 0 by
+    # Gauss-Legendre. The three agree at every panel edge and every Picard
     # chunk end (measured at most 3.1e-16 on the uniform plan, corpus 0 at
     # h = 1e-5)
     prob = schrodinger_corpus(h)[index]
-    system = schrodinger._system(prob)
-    ends, picard, levin = [], march._picard, march._levin
+    system = uniform_plan.system(prob)
+    ends, picard, levin = [], uniform_plan._picard, march._levin
 
     def solving(system, a0, phi0, x, dx, work):
         a, phi, iters = picard(system, a0, phi0, x, dx, work)
         ends.append((x[-1], phi))
         return a, phi, iters
 
-    def panels(system, phi0, edges, data):
-        solved = levin(system, phi0, edges, data)
-        ends.extend(zip(edges, solved[1]))
-        return solved
+    def panels(system, phase, edges, data):
+        ends.extend(zip(edges, phase))
+        return levin(system, phase, edges, data)
 
-    monkeypatch.setattr(march, "_picard", solving)
+    monkeypatch.setattr(uniform_plan, "_picard", solving)
     monkeypatch.setattr(march, "_levin", panels)
-    for uniform in (False, True):
-        if uniform:
-            march_uniformly(monkeypatch)
+    for solve in (march.march, uniform_plan.march):
         ends.clear()
-        march.march(system, np.eye(2, dtype=complex), prob.x_in, prob.x_out)
+        solve(system, np.eye(2, dtype=complex), prob.x_in, prob.x_out)
         assert ends
         assert max(abs(phi - system.phase(x)) for x, phi in ends) <= 1e-14
 

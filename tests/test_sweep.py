@@ -211,12 +211,13 @@ def test_zero_coupling_sweep_skips_fits():
 
 
 def test_failed_rows_recorded_not_raised(tmp_path):
-    # every row's grid would exceed the node budget N_MAX (h near the
-    # underflow limit): each extraction is refused, and the sweep records it
+    # every row's split would exceed the level budget MAX_LEVELS (h near
+    # the underflow limit): each extraction is refused, and the sweep
+    # records it
     prob = model_corpus(1e-2)[0]
     report = run_sweep(prob, np.geomspace(1e-200, 1e-300, 4))
     assert all(r.status == "failed:ValidationError" for r in report.rows)
-    assert all("n_max" in r.detail for r in report.rows)
+    assert all("max_levels" in r.detail for r in report.rows)
     assert report.ok_rows() == []
     assert all(math.isnan(e) for r in report.rows for e in r.abs_errors())
     path = tmp_path / "failed.csv"
