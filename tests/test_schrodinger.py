@@ -716,11 +716,7 @@ def test_pair_rate_keeps_its_relative_accuracy_near_the_crossing():
         assert march._tail(rate + 0j)[0] <= march._TAIL_TOL * np.abs(rate).max(), a
 
 
-@pytest.mark.parametrize(
-    "corpus, index",
-    [(model_corpus, k) for k in range(6)] + [(schrodinger_corpus, k) for k in range(2)],
-    ids=[f"model-{k}" for k in range(6)] + [f"pair-{k}" for k in range(2)],
-)
+@pytest.mark.parametrize("corpus, index", _CASE_I.values(), ids=_CASE_I.keys())
 def test_levin_work_barely_grows_below_1e_6(caplog, corpus, index):
     # the cost of an extraction stops growing with 1/h: from h = 1e-6 to
     # 1e-8 the panels the march evaluates stay within 2x (counts, not
@@ -932,7 +928,7 @@ _PEAKS = {
 def test_march_peak_is_within_bytes_per_node(monkeypatch, prob):
     # _BYTES_PER_PANEL sets the largest panel batch and _BYTES_PER_CANDIDATE
     # the largest _judge call: the traced peak of an extraction stays within
-    # them, per panel of that batch (at most 41 kB a panel, 1.3k nodes) and
+    # them, per panel of that batch (at most 41 kB a panel) and
     # per candidate of that call (6.7 kB), plus _BYTES_PER_CANDIDATE per
     # panel kept (two copies of its 2 kB of data, at most)
     batches, calls = [0], [0]
