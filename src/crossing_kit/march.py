@@ -29,11 +29,13 @@ where it turns fast (the split of Agocs & Barnett, arXiv:2212.06924).
 Their count is set by the smoothness of m1, m2 and F' and by the levels
 of halves that reach the zone, whose width is about (h /
 |F^{(m+1)}(0)|)^{1/(m+1)} at a crossing of order m: it grows like
-log(1/h). The split's budget (_levels) is decided before any candidate
-is judged: it goes _SPARE_LEVELS levels below the level whose pieces are
-as narrow as the System's ``zone`` or within PICARD_REACH of its
-``coupling``, and an h or a coupling that needs more than MAX_LEVELS
-levels or MAX_PANELS panels is refused with ValidationError.
+log(1/h). The split's levels (_levels) are decided before any candidate
+is judged: it starts at the first level whose pieces can be within
+PICARD_REACH of the System's ``coupling``, as a longer piece can only
+split, and goes _SPARE_LEVELS levels below the level whose pieces are
+as narrow as its ``zone`` or within that reach; an h or a coupling that
+needs more than MAX_LEVELS levels or MAX_PANELS panels is refused with
+ValidationError.
 
 The propagator U of a panel, a(end) = U a(start), is the Neumann series
 U = I + U_1 + U_2 + ..., U_{k+1} = int M U_k, the increments of Picard
@@ -64,8 +66,9 @@ F'/h) B = m S (Levin, Math. Comp. 38 (1982); Olver, IMA J. Numer. Anal.
 first Levin solution is not resolved is split in halves, which are
 judged and solved in its place. e^{iF/h} is needed at the panel edges:
 the phase there is the system's exact phase at the edge nearest x = 0
-plus the panels' integrals of F' summed outward from it (_edge_phases),
-so that its rounding at an edge is relative to |F| there.
+(0 without a call where that edge is 0) plus the panels' integrals of F'
+summed outward from it (_edge_phases), so that its rounding at an edge
+is relative to |F| there.
 """
 
 from __future__ import annotations
@@ -124,8 +127,12 @@ _LEVELS = (3, 2)
 # MAX_LEVELS levels (m = 1 on a unit span down to h of about 1e-35) and
 # MAX_PANELS pieces within PICARD_REACH of the coupling (an amplitude of
 # about 4e3 on a unit span), with as many again for the split's other
-# panels and candidates; a panel's data take 2 kB.
+# panels and candidates; a panel's data take 2 kB. The split starts at the
+# least level within _REACH_SLACK levels of the coupling's: the pieces of
+# the level above are then longer than PICARD_REACH / coupling by a factor
+# 1 + 7e-10 at least, far beyond the rounding of their ends.
 _SPARE_LEVELS = 9
+_REACH_SLACK = 1e-9
 MAX_LEVELS = 64
 MAX_PANELS = 2**12
 
@@ -142,7 +149,8 @@ class System:
 
     ``support`` is the hull of the points where M may be nonzero, or None
     where M vanishes on the whole interval; a is constant outside it.
-    ``phase(x)`` gives the exact phase F at the point x. ``zone`` is the
+    ``phase(x)`` gives the exact phase F at the point x, with F(0) = 0:
+    the march takes 0 at x = 0 without a call. ``zone`` is the
     width of the stationary zone, about (h / |F^{(m+1)}(0)|)^{1/(m+1)}
     for a crossing of order m at 0, where F/h turns by about a radian; it
     sets how deep the split may go. ``coupling`` bounds max(|m1|, |m2|);
@@ -269,13 +277,15 @@ def _panel_data(system: System, lo: np.ndarray, hi: np.ndarray):
     return half, tuple(np.reshape(v, x.shape) for v in (rate, m1, m2))
 
 
-def _levels(system: System, lo: float, hi: float) -> int:
-    """The deepest level of halves below the first pieces of [lo, hi] that
-    the split may reach: _SPARE_LEVELS below the level whose pieces are as
-    narrow as the system's ``zone`` or within PICARD_REACH of its
-    ``coupling``. Raises ValidationError, before any candidate is judged,
-    where the pieces within PICARD_REACH number more than MAX_PANELS or the
-    split needs more than MAX_LEVELS levels."""
+def _levels(system: System, lo: float, hi: float) -> tuple[int, int]:
+    """The levels of halves below the first pieces of [lo, hi] where the
+    split starts and the deepest it may reach. It starts at the first
+    level whose pieces can be within PICARD_REACH of the system's
+    ``coupling`` (within _REACH_SLACK), and goes _SPARE_LEVELS below the
+    level whose pieces are as narrow as its ``zone`` or within that reach.
+    Raises ValidationError, before any candidate is judged, where the
+    pieces within PICARD_REACH number more than MAX_PANELS or the split
+    needs more than MAX_LEVELS levels."""
     piece = (hi - lo) / _FIRST_PIECES
     reach = max(0.0, math.log2(piece * system.coupling / PICARD_REACH))
     if not reach <= math.log2(MAX_PANELS / _FIRST_PIECES):
@@ -291,7 +301,7 @@ def _levels(system: System, lo: float, hi: float) -> int:
             f"the panel split would need about {levels:.3g} levels (> max_levels="
             f"{MAX_LEVELS}); raise h or shrink the interval"
         )
-    return math.ceil(levels)
+    return math.ceil(reach - _REACH_SLACK), math.ceil(levels)
 
 
 def _judge(system: System, lo: np.ndarray, hi: np.ndarray):
@@ -531,15 +541,26 @@ def _solve(system: System, edges, phase, level, data, deepest: int, tally):
     return np.concatenate(props)
 
 
+def _halves(cuts: np.ndarray, levels: int) -> np.ndarray:
+    """The ends of the pieces ``levels`` levels of halves below those
+    between ``cuts``, each midpoint taken as _split takes it."""
+    for _ in range(levels):
+        halved = np.empty(2 * len(cuts) - 1)
+        halved[::2], halved[1::2] = cuts, 0.5 * (cuts[:-1] + cuts[1:])
+        cuts = halved
+    return cuts
+
+
 def _span(system: System, cuts, depth: int, deepest: int, tally) -> np.ndarray:
     """The propagator of [cuts[0], cuts[-1]] on panels: _split cuts them
     from the pieces between ``cuts``, ``depth`` levels below the first
     pieces, and _solve solves them; the phase at their edges is the exact
-    phase at the edge nearest x = 0 and the panels' integrals of F' summed
-    outward from there (_edge_phases)."""
+    phase at the edge nearest x = 0, where F(0) = 0 takes no call, and the
+    panels' integrals of F' summed outward from there (_edge_phases)."""
     edges, level, data = _split(system, cuts[:-1], cuts[1:], depth, deepest)
     anchor = int(np.argmin(np.abs(edges)))
-    phase = _edge_phases(edges, data, anchor, system.phase(edges[anchor]))
+    phi = 0.0 if edges[anchor] == 0.0 else system.phase(edges[anchor])
+    phase = _edge_phases(edges, data, anchor, phi)
     return _product(_solve(system, edges, phase[:-1], level, data, deepest, tally))
 
 
@@ -550,7 +571,8 @@ def march(system: System, a: np.ndarray, x_from: float, x_to: float) -> np.ndarr
     Only the span's overlap with ``system.support`` is marched; a is
     constant on the rest. The split's budget (_levels) is checked before
     any work, then the span's propagator U is that of its panels (_span),
-    and a = U a; a span where M vanishes returns a as it is. One DEBUG line
+    cut from the pieces of the split's first level, and a = U a; a span
+    where M vanishes returns a as it is. One DEBUG line
     on the ``crossing_kit`` logger reports the marched span, the deepest
     level of its panels and the one the budget allows, the Neumann rows
     each sweep integrates (_chains), then the Levin panels and the direct
@@ -573,13 +595,13 @@ def march(system: System, a: np.ndarray, x_from: float, x_to: float) -> np.ndarr
             x_to,
         )
         return a
-    deepest = _levels(system, lo, hi)
+    first, deepest = _levels(system, lo, hi)
     cuts = lo + (hi - lo) * np.linspace(0.0, 1.0, _FIRST_PIECES + 1)
     # per kind, Levin then direct: panels, panel batches and their sweeps
     tally = {"panels": np.zeros((2, 3), dtype=int), "refused": 0, "deepest": 0}
     # an overflow shows as a non-finite Picard change, which _stops raises
     with np.errstate(over="ignore", invalid="ignore"):
-        u = _span(system, cuts, 0, deepest, tally)
+        u = _span(system, _halves(cuts, first), first, deepest, tally)
     logger.debug(
         "h=%.6e: marched [%g, %g] (from x=%g to %g) on panels down to level %d "
         "of %d, %d Neumann rows per sweep; %d Levin panels of %d nodes as %d "

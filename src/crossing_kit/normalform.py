@@ -52,14 +52,11 @@ from .symbolcalc import (
 )
 from .transfer import Problem, TransferMatrix
 
-# Not called here: perfbench/tracer.py wraps this attribute of this module
-# by name, so it must stay importable from it. cum_quad6 is the kernel's
-# name from before its tenth-order rule.
-from ._kernels import cum_quad10 as cum_quad6  # noqa: F401
-
-# Names of removed functions, for the same reason: the tracer accepts None
-# for them, and nothing calls them. ode_oracle lives in tests/ode_oracles.py.
-ModelWorkspace = build_workspace = neumann_solve = extract_transfer = grid_for = ode_oracle = None
+# Names of removed functions, which perfbench/tracer.py wraps on this module
+# by name and accepts None for; nothing calls them. ode_oracle lives in
+# tests/ode_oracles.py.
+ModelWorkspace = build_workspace = neumann_solve = extract_transfer = None
+grid_for = ode_oracle = cum_quad6 = None
 
 
 @dataclass(frozen=True)

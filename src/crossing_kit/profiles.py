@@ -16,6 +16,18 @@ import numpy as np
 from .errors import ValidationError
 
 
+def _horner(x, coeffs):
+    """The polynomial with ascending ``coeffs`` at x by Horner's rule, in
+    the order of numpy's polyval."""
+    c = np.asarray(coeffs, dtype=float)
+    if isinstance(x, (tuple, list)):
+        x = np.asarray(x)
+    value = c[-1] + x * 0
+    for coeff in c[-2::-1]:
+        value = coeff + value * x
+    return value
+
+
 @dataclass(frozen=True)
 class Poly1:
     """Real polynomial in one variable, ascending coefficients.
@@ -23,25 +35,46 @@ class Poly1:
     ``zero_order`` and ``vanishes_off_zero`` state the crossing hypothesis
     every problem family checks: its rate vanishes at 0 to an exact order
     and nowhere else on a given range. This class holds the package's only
-    root finder.
+    root finder. Its values, derivatives, antiderivative and roots follow
+    numpy.polynomial's operations in the same order, so they equal
+    polyval's, polyder's, polyint's and polyroots' bit for bit, without
+    loading that package.
     """
 
     coeffs: tuple[float, ...]
 
     def __call__(self, x):
-        return np.polynomial.polynomial.polyval(x, np.asarray(self.coeffs))
+        return _horner(x, self.coeffs)
 
     def deriv(self, order: int = 1) -> "Poly1":
-        c = np.polynomial.polynomial.polyder(np.asarray(self.coeffs), order)
-        return Poly1(tuple(c) if c.size else (0.0,))
+        """The order-th derivative, j c_j per order, as numpy's polyder."""
+        c = np.asarray(self.coeffs, dtype=float)
+        if order >= c.size:
+            return Poly1(tuple(c[:1] * 0) or (0.0,))
+        for _ in range(order):
+            c = c[1:] * np.arange(1, c.size)
+        return Poly1(tuple(c))
 
     def deriv_at(self, order: int, x: float) -> float:
         return float(self.deriv(order)(x))
 
     @cached_property
     def critical_points(self) -> tuple[float, ...]:
-        """The real zeros of the derivative, found once per polynomial."""
-        roots = np.polynomial.polynomial.polyroots(np.asarray(self.deriv().coeffs))
+        """The real zeros of the derivative, found once per polynomial: as
+        numpy's polyroots, the sorted eigenvalues of the companion matrix
+        of its coefficients, trailing zeros trimmed."""
+        c = np.asarray(self.deriv().coeffs)
+        nonzero = np.flatnonzero(c)
+        c = c[: nonzero[-1] + 1] if nonzero.size else c[:1]
+        if c.size < 3:
+            roots = np.array([-c[0] / c[1]] if c.size == 2 else [])
+        else:
+            n = c.size - 1
+            companion = np.zeros((n, n))
+            companion.reshape(-1)[n :: n + 1] = 1
+            companion[:, -1] -= c[:-1] / c[-1]
+            roots = np.linalg.eigvals(companion)
+            roots.sort()
         return tuple(float(r.real) for r in roots if abs(r.imag) < 1e-12)
 
     def range_on(self, a: float, b: float) -> tuple[float, float]:
@@ -69,12 +102,18 @@ class Poly1:
             return True
         q = self.coeffs[k:]
         lo, hi = Poly1(q).range_on(a, b)
-        tol = 1e-12 * np.polynomial.polynomial.polyval(max(abs(a), abs(b)), np.abs(q))
+        tol = 1e-12 * _horner(max(abs(a), abs(b)), np.abs(q))
         return lo <= tol and -tol <= hi
 
     def antideriv(self) -> "Poly1":
-        c = np.polynomial.polynomial.polyint(np.asarray(self.coeffs))
-        return Poly1(tuple(c))
+        """The antiderivative that vanishes at 0, c_j / (j + 1) at degree
+        j + 1, as numpy's polyint."""
+        c = np.asarray(self.coeffs, dtype=float)
+        if c.size == 1 and c[0] == 0:
+            return Poly1(tuple(c + 0))
+        out = np.concatenate((c[:1] * 0, c[:1], c[1:] / np.arange(2, c.size + 1)))
+        out[0] += 0 - _horner(0, out)
+        return Poly1(tuple(out))
 
     def __sub__(self, other: "Poly1") -> "Poly1":
         n = max(len(self.coeffs), len(other.coeffs))

@@ -80,7 +80,27 @@ from .transfer import Problem, TransferMatrix
 # side and branch decomposition lives in tests/ode_oracles.py.
 grid_for = solve_ivp = branch_decompose = schrod_rhs = None
 
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(15)
+# The 15-point Gauss-Legendre rule on [-1, 1] of _from_zero, as data: the
+# values of numpy.polynomial.legendre.leggauss(15), so that no import
+# solves its eigenproblem.
+_GL_NODES = np.array(
+    [
+        -0.9879925180204854, -0.9372733924007058, -0.8482065834104272,
+        -0.7244177313601701, -0.5709721726085388, -0.3941513470775634,
+        -0.20119409399743451, 0.0, 0.20119409399743451, 0.3941513470775634,
+        0.5709721726085388, 0.7244177313601701, 0.8482065834104272,
+        0.9372733924007058, 0.9879925180204854,
+    ]
+)
+_GL_WEIGHTS = np.array(
+    [
+        0.030753241996117203, 0.0703660474881084, 0.10715922046717141,
+        0.13957067792615444, 0.16626920581699398, 0.1861610000155622,
+        0.1984314853271116, 0.2025782419255613, 0.1984314853271116,
+        0.1861610000155622, 0.16626920581699398, 0.13957067792615444,
+        0.10715922046717141, 0.0703660474881084, 0.030753241996117203,
+    ]
+)
 
 
 @dataclass(frozen=True)

@@ -29,11 +29,11 @@ import math
 import numpy as np
 
 from crossing_kit import march
-from crossing_kit._kernels import cum_quad10
 from crossing_kit.errors import StepFailure
 from crossing_kit.schrodinger import SchrodingerProblem, WkbBasis
 
 import uniform_plan
+from quad10 import cum_quad10
 
 # At 14 points per period the four-coefficient march is converged only
 # down to about this h: on schrodinger-corpus 1 at h = 1e-5 its T moves by

@@ -1,22 +1,21 @@
-"""Numerical kernel: a cumulative quadrature of uniform samples.
+"""The tenth-order cumulative quadrature of uniform samples, for the
+tests' oracles.
 
-``oscquad.gaussian_pairing`` integrates its grid samples with it, and the
-tests' uniform plan of Picard chunks (tests/uniform_plan.py) its phases
-and sweeps. It is a tenth-order rule: each mesh cell integrates the
-degree-9 polynomial through the ten nearest samples. There is one
-implementation, vectorized numpy: every pass over a row is one
-contiguous 1-D operation. A stack of rows is treated as one flat array
-for the centered rule (14 passes), whose entries that straddle two rows,
-a row's first five and last four, are then overwritten by the one-sided
-edge rules; dx is folded into the weights, and the cumulative sum starts
-each row at its ``initial`` value.
+The uniform plan of Picard chunks (uniform_plan.py) integrates its phases
+and sweeps with it, and the pair's four-coefficient march
+(pair_oracle.py) its phases and terms; the package's own march solves on
+Chebyshev panels instead. Each mesh cell integrates the degree-9
+polynomial through the ten nearest samples. The rule is vectorized numpy:
+every pass over a row is one contiguous 1-D operation. A stack of rows is
+treated as one flat array for the centered rule (14 passes), whose
+entries that straddle two rows, a row's first five and last four, are
+then overwritten by the one-sided edge rules; dx is folded into the
+weights, and the cumulative sum starts each row at its ``initial`` value.
 """
 
 from __future__ import annotations
 
 import numpy as np
-
-BACKEND = "numpy"
 
 # Weights of the order-10 cumulative rule: the integral over one mesh cell of
 # the degree-9 polynomial through ten consecutive samples. Row d integrates

@@ -596,12 +596,12 @@ def test_seed_option_reaches_the_config(tmp_path, capsys):
     assert "config error: seed: must be at least 0" in capsys.readouterr().err
 
 
-def test_cli_import_loads_no_argparse():
-    # the command line is parsed by hand: importing the CLI loads neither
-    # argparse nor gettext
+def _loaded_by_cli_import(names) -> list[str]:
+    """Those of the module ``names`` that `import crossing_kit.cli` loads
+    in a fresh interpreter."""
     code = (
         "import sys, crossing_kit.cli; "
-        "print(sorted({'argparse', 'gettext'} & set(sys.modules)))"
+        f"print(' '.join(sorted({set(names)!r} & set(sys.modules))))"
     )
     src = os.path.dirname(os.path.dirname(crossing_kit.__file__))
     done = subprocess.run(
@@ -611,7 +611,21 @@ def test_cli_import_loads_no_argparse():
         check=True,
         env=dict(os.environ, PYTHONPATH=src),
     )
-    assert done.stdout.strip() == "[]", done.stdout
+    return done.stdout.split()
+
+
+def test_cli_import_loads_no_argparse():
+    # the command line is parsed by hand: importing the CLI loads neither
+    # argparse nor gettext
+    assert _loaded_by_cli_import({"argparse", "gettext"}) == []
+
+
+def test_cli_import_loads_no_polynomial_package_or_kernel_module():
+    # Poly1 evaluates and finds roots on its own and the pair's quadrature
+    # rule is data: importing the CLI loads neither numpy.polynomial nor a
+    # second numerical engine beside the march
+    names = {"numpy.polynomial", "crossing_kit._kernels"}
+    assert _loaded_by_cli_import(names) == []
 
 
 _VERIFY_GRIDS = {

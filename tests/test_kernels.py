@@ -1,9 +1,11 @@
-"""Exactness, convergence and a scalar-loop reference for the inner-loop
-kernels, and the march's in-place kernels against the allocating formulas
-they replaced.
+"""The kernels of the tests' oracles: exactness, convergence and a
+scalar-loop reference for the tenth-order rule of quad10.py, and the
+uniform plan's in-place kernels against the allocating formulas they
+replaced.
 
-The kernel was named cum_quad6 before its tenth-order rule; the tests of
-its call contract, which it kept, still carry that name."""
+The rule was the package's kernel cum_quad6 before its tenth order, and
+moved to the tests with the uniform plan; the tests of its call contract,
+which it kept, still carry that name."""
 
 import tracemalloc
 from fractions import Fraction
@@ -11,11 +13,12 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from crossing_kit import _kernels, march, normalform
-from crossing_kit._kernels import cum_quad10
+from crossing_kit import march, normalform
 from crossing_kit.normalform import model_corpus
 
+import quad10
 import uniform_plan
+from quad10 import cum_quad10
 
 
 def _cum_quad10_loop(values, dx, w10):
@@ -63,8 +66,8 @@ def _moment_weights(points):
 def test_cum_quad10_weights_are_the_moment_solution():
     # the literal table is the exact rational solution, rounded once
     exact = _moment_weights(10)
-    assert _kernels._W10.shape == (9, 10)
-    for row, want in zip(_kernels._W10, exact):
+    assert quad10._W10.shape == (9, 10)
+    for row, want in zip(quad10._W10, exact):
         assert row.tolist() == [float(w) for w in want]
         assert sum(want) == 1
 
@@ -107,7 +110,7 @@ def test_backends_agree():
     vals = rng.normal(size=x.size) + 1j * rng.normal(size=x.size)
     dx = x[1] - x[0]
     # the vectorized kernel against the scalar-loop reference above
-    a = _cum_quad10_loop(vals.astype(complex), dx, _kernels._W10)
+    a = _cum_quad10_loop(vals.astype(complex), dx, quad10._W10)
     b = cum_quad10(vals, dx)
     scale = np.max(np.abs(a)) + 1.0
     assert np.max(np.abs(a - b)) <= 1e-13 * scale
@@ -118,7 +121,7 @@ def test_backends_agree():
         for dx in (2e-3, -7e-4):
             got = cum_quad10(vals, dx)
             for row, out in zip(vals.reshape(-1, shape[-1]), got.reshape(-1, shape[-1])):
-                want = _cum_quad10_loop(row, dx, _kernels._W10)
+                want = _cum_quad10_loop(row, dx, quad10._W10)
                 scale = np.max(np.abs(want)) + 1.0
                 assert np.max(np.abs(out - want)) <= 1e-13 * scale
 

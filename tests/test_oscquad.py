@@ -167,7 +167,7 @@ def test_numeric_error_estimate_quiet_regime():
     value = osc_integral_numeric(ph, amp, 1.0, (-0.6, 0.6))
     xs = np.linspace(-0.6, 0.6, 20001)
     integrand = amp(xs) * np.exp(1j * ph.func(xs))
-    from crossing_kit._kernels import cum_quad10
+    from quad10 import cum_quad10
 
     ref = cum_quad10(integrand.astype(complex), xs[1] - xs[0])[-1]
     assert abs(value - ref) <= 1e-10
@@ -251,6 +251,15 @@ def test_gaussian_pairing_closed_form(lam):
     got = gaussian_pairing(_quadratic_chirp(lam, h), h)
     exact = (1 - 1j * lam) ** (-0.5)
     assert abs(got - exact) <= 1e-6
+
+
+@pytest.mark.parametrize("lam", [-2.0, 0.0, 1.0])
+def test_gaussian_pairing_is_exact_to_rounding(lam):
+    # the trapezoid rule on the Gaussian window converges geometrically:
+    # on the chirp grid it is within 1e-12 of (1 - i lam)^(-1/2)
+    h = 1e-3
+    got = gaussian_pairing(_quadratic_chirp(lam, h), h)
+    assert abs(got - (1 - 1j * lam) ** (-0.5)) <= 1e-12
 
 
 def test_gaussian_pairing_angle_matches_half_arctan():

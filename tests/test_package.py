@@ -52,6 +52,22 @@ def _package_imports() -> dict[str, set[str]]:
     return graph
 
 
+def _external_imports(path: Path) -> set[str]:
+    """The modules outside the package that the source at ``path``
+    imports, by their full dotted names, and the attributes of numpy it
+    reads (np.polynomial as numpy.polynomial)."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            names.update(f"{node.module}.{alias.name}" for alias in node.names)
+        elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+            if node.value.id in ("np", "numpy"):
+                names.add(f"numpy.{node.attr}")
+    return names
+
+
 def test_module_imports_are_layered():
     # the import graph is acyclic, and the prediction route depends on no
     # solver: symbolcalc reaches only the error types and the transfer matrix
@@ -70,18 +86,32 @@ def test_module_imports_are_layered():
     for name in graph:
         visit(name, ())
     assert reach["symbolcalc"] <= {"errors", "transfer"}
+    # the march is the package's one numerical engine: no module imports a
+    # kernel module, and none loads numpy.polynomial (Poly1 evaluates,
+    # differentiates, integrates and finds roots on its own)
+    assert not any("kernels" in name for name in set(graph).union(*graph.values()))
+    package = Path(crossing_kit.__file__).parent
+    for path in package.glob("*.py"):
+        for name in _external_imports(path):
+            assert not name.startswith("numpy.polynomial"), (path.stem, name)
+
+
+# The names of numpy's polynomial root finders and of its eigenvalue
+# solvers, on which any root finder on a companion matrix would rest.
+_ROOT_FINDERS = {"polyroots", "roots", "eig", "eigvals", "eigh", "eigvalsh"}
 
 
 def test_profiles_holds_the_only_root_finder():
-    # every family checks its crossing hypothesis with Poly1: a second root
-    # finder, with its own idea of which roots are real, fails here
+    # every family checks its crossing hypothesis with Poly1, whose roots
+    # are the eigenvalues of a companion matrix: a second root finder, with
+    # its own idea of which roots are real, fails here
     package = Path(crossing_kit.__file__).parent
     users = set()
     for path in package.glob("*.py"):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             name = getattr(node, "attr", None) or getattr(node, "id", None)
-            aliases = getattr(node, "names", ())
-            if name == "polyroots" or any(a.name == "polyroots" for a in aliases):
+            aliases = {a.name for a in getattr(node, "names", ())}
+            if name in _ROOT_FINDERS or aliases & _ROOT_FINDERS:
                 users.add(path.stem)
     assert users == {"profiles"}
 

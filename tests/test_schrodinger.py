@@ -320,6 +320,14 @@ def test_phase_closed_form_for_constant_potential():
         assert basis.phase(x) == pytest.approx(want, rel=1e-13, abs=1e-15)
 
 
+def test_phase_rule_is_numpys_gauss_legendre_rule():
+    # the 15-point rule of the basis phase and of Theta is stored as data,
+    # equal bit for bit to numpy's: no import solves its eigenproblem
+    nodes, weights = np.polynomial.legendre.leggauss(15)
+    assert schrodinger._GL_NODES.tobytes() == nodes.tobytes()
+    assert schrodinger._GL_WEIGHTS.tobytes() == weights.tobytes()
+
+
 def test_basis_requires_positive_energy():
     with pytest.raises(CaseMismatch):
         WkbBasis(schrodinger_corpus(1e-3)[2])
@@ -850,7 +858,7 @@ def _cut(system):
     there and their data."""
     lo, hi = system.support
     cuts = lo + (hi - lo) * np.linspace(0.0, 1.0, march._FIRST_PIECES + 1)
-    deepest = march._levels(system, lo, hi)
+    _, deepest = march._levels(system, lo, hi)
     edges, _, data = march._split(system, cuts[:-1], cuts[1:], 0, deepest)
     anchor = int(np.argmin(np.abs(edges)))
     phase = march._edge_phases(edges, data, anchor, system.phase(edges[anchor]))
@@ -888,6 +896,69 @@ def test_march_refuses_an_out_of_reach_coupling(monkeypatch):
     ):
         with pytest.raises(ValidationError, match="max_panels"):
             prob.extract()
+
+
+_FAMILIES = {
+    "pair": (schrodinger_corpus, "w", schrodinger._system),
+    "model": (model_corpus, ("r1", "r2"), normalform._system),
+}
+
+
+def _with_coupling(family, h, amplitude):
+    """The family's corpus problem 0 at h, its coupling's amplitude set, and
+    its march system."""
+    corpus, names, build = _FAMILIES[family]
+    strong = Bump(width=0.8, amplitude=amplitude)
+    prob = corpus(h)[0]
+    fields = dict.fromkeys([names] if isinstance(names, str) else names, strong)
+    return build(dataclasses.replace(prob, **fields))
+
+
+@pytest.mark.parametrize("family", _FAMILIES)
+def test_a_strong_coupling_starts_the_split_at_its_reach(monkeypatch, family):
+    # a piece longer than PICARD_REACH / coupling can only split, so the
+    # split starts at the first level whose pieces can be kept: at an
+    # amplitude of 1e3 it judges no longer piece, and the panels and T are
+    # those of the split started from the first pieces, bit for bit
+    system = _with_coupling(family, 1e-2, 1e3)
+    judge, reach = march._judge, []
+
+    def judging(system, lo, hi):
+        reach.append(float(np.max(hi - lo)) * system.coupling)
+        return judge(system, lo, hi)
+
+    monkeypatch.setattr(march, "_judge", judging)
+    u = march.march(system, np.eye(2, dtype=complex), *system.interval).T
+    assert 0.0 < max(reach) <= march.PICARD_REACH
+    lo, hi = system.support
+    first, deepest = march._levels(system, lo, hi)
+    cuts = lo + (hi - lo) * np.linspace(0.0, 1.0, march._FIRST_PIECES + 1)
+    tally = {"panels": np.zeros((2, 3), dtype=int), "refused": 0, "deepest": 0}
+    reach.clear()
+    assert (march._span(system, cuts, 0, deepest, tally) == u).all()
+    assert first > 0 and max(reach) > march.PICARD_REACH
+
+
+@pytest.mark.parametrize("family", _FAMILIES)
+def test_the_march_takes_the_phase_at_0_without_a_call(family):
+    # F(0) = 0 is in the System's contract: where the panel edge nearest 0
+    # is 0 itself, as on every corpus problem (symmetric supports), the
+    # march calls no phase; a support whose edges miss 0 takes one call
+    system = _with_coupling(family, 1e-2, 1.0)
+    calls = []
+
+    def phase(x):
+        calls.append(x)
+        return system.phase(x)
+
+    counted = dataclasses.replace(system, phase=phase)
+    a = np.eye(2, dtype=complex)
+    u = march.march(counted, a, *system.interval)
+    assert calls == []
+    assert (u == march.march(system, a, *system.interval)).all()
+    lo, hi = system.support
+    march.march(dataclasses.replace(counted, support=(lo, 0.7 * hi)), a, lo, hi)
+    assert len(calls) == 1 and calls[0] != 0.0
 
 
 def test_march_memory_is_bounded():

@@ -29,7 +29,6 @@ import numpy as np
 
 from crossing_kit import march as panels
 from crossing_kit import normalform, schrodinger
-from crossing_kit._kernels import cum_quad10
 from crossing_kit.errors import ValidationError
 from crossing_kit.march import (
     CHUNK_BYTES,
@@ -40,6 +39,8 @@ from crossing_kit.march import (
     _stops,
 )
 from crossing_kit.profiles import Poly1
+
+from quad10 import cum_quad10
 
 # The mesh rule: each chunk resolves the fastest phase rate on and near its
 # own span with POINTS_PER_PERIOD nodes per period, and no dx is wider than
