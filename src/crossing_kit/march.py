@@ -50,7 +50,8 @@ even terms those of the (1, 1) entry; chain 1 gives the (1, 0) and (0,
 -conj(mu1) (a self-adjoint coupling: the pair always, the model when r1
 == r2), chain 1 is (-1)^k times the conjugate of chain 0 and U is in
 SU(2), [[1 + conj(E_1), O_0], [-conj(O_0), 1 + E_1]]: each sweep
-integrates one row, else two.
+integrates one row, else two. The march reads that off m1 and m2 at the
+panels' points, once per span (_solve, _one_chain).
 
 Each panel's propagator is solved from its own left edge by _levin (the
 judge keeps every panel within PICARD_REACH), in batches that bound the
@@ -64,11 +65,12 @@ Clenshaw-Curtis cumulative matrix (Greengard, SIAM J. Numer. Anal. 28
 F'/h) B = m S (Levin, Math. Comp. 38 (1982); Olver, IMA J. Numer. Anal.
 26 (2006)), whose matrix is inverted once per panel. A Levin panel whose
 first Levin solution is not resolved is split in halves, which are
-judged and solved in its place. e^{iF/h} is needed at the panel edges:
-the phase there is the system's exact phase at the edge nearest x = 0
-(0 without a call where that edge is 0) plus the panels' integrals of F'
-summed outward from it (_edge_phases), so that its rounding at an edge
-is relative to |F| there.
+judged and solved in its place, from the phase at its left edge.
+e^{iF/h} is needed at the panel edges: the phase there is F at the edge
+nearest x = 0, the integral of F' from 0 (``integral``, on the panels'
+rule; 0 without a call where that edge is 0, as F(0) = 0), plus the
+panels' integrals of F' summed outward from it (_edge_phases), so that
+its rounding at an edge is relative to |F| there.
 """
 
 from __future__ import annotations
@@ -141,41 +143,28 @@ logger = logging.getLogger("crossing_kit")
 
 @dataclass(frozen=True)
 class System:
-    """a' = M a on ``interval``, M = [[0, m1 e^{iF/h}], [m2 e^{-iF/h}, 0]],
-    as a problem family supplies it, marched from left to right.
+    """a' = M a, M = [[0, m1 e^{iF/h}], [m2 e^{-iF/h}, 0]], as a problem
+    family supplies it, marched from left to right: the facts only the
+    family knows. F(0) = 0, and the march works out the rest from
+    ``local``: the phase F as the integral of F' from 0 (_span), and
+    whether M is skew-Hermitian from m1 and m2 at the panel points.
 
     ``local(x)`` gives the phase rate F' at the nodes x and the smooth
     coefficients (m1, m2) there, each of shape (len(x),).
 
     ``support`` is the hull of the points where M may be nonzero, or None
-    where M vanishes on the whole interval; a is constant outside it.
-    ``phase(x)`` gives the exact phase F at the point x, with F(0) = 0:
-    the march takes 0 at x = 0 without a call. ``zone`` is the
+    where M vanishes everywhere; a is constant outside it. ``zone`` is the
     width of the stationary zone, about (h / |F^{(m+1)}(0)|)^{1/(m+1)}
     for a crossing of order m at 0, where F/h turns by about a radian; it
     sets how deep the split may go. ``coupling`` bounds max(|m1|, |m2|);
     it sets the panel lengths.
-
-    ``skew_hermitian`` states that mu2 = -conj(mu1), so M^H = -M: a fact
-    about the equations, set by the family that builds them. The march then
-    sums the Neumann terms of each panel's propagator as one chain instead
-    of two (see _levin).
     """
 
     h: float
-    interval: tuple[float, float]
     support: tuple[float, float] | None
-    phase: Callable
     zone: float
     coupling: float
     local: Callable
-    skew_hermitian: bool = False
-
-
-def _chains(system: System) -> int:
-    """Neumann chains, the rows one sweep integrates: one where M is
-    skew-Hermitian, else two."""
-    return 1 if system.skew_hermitian else 2
 
 
 def _stops(moved: float, scale: float, it: int, start: float, end: float) -> bool:
@@ -201,13 +190,14 @@ def _stops(moved: float, scale: float, it: int, start: float, end: float) -> boo
     return False
 
 
-def _propagator(system: System, sums: np.ndarray) -> np.ndarray:
+def _propagator(one: bool, sums: np.ndarray) -> np.ndarray:
     """Propagators U, of shape (..., 2, 2), from the chains' even and odd
-    terms summed at their ends, ``sums`` of shape (2, chains, ...)."""
+    terms summed at their ends, ``sums`` of shape (2, chains, ...): of one
+    chain where M is skew-Hermitian (``one``), else of two."""
     # chain 0 sums O_0 at odd k and E_1 at even k, chain 1 O_1 and E_0
     even, odd = sums
     e1, o0 = even[0], odd[0]
-    if system.skew_hermitian:
+    if one:
         e0, o1 = np.conj(e1), -np.conj(o0)
     else:
         e0, o1 = even[1], odd[1]
@@ -266,6 +256,26 @@ def _tail(values: np.ndarray) -> np.ndarray:
     pairs = values.reshape(-1, PANEL_POINTS).view(float) @ _cheb()[3]
     moduli = np.abs(pairs.view(complex)).T
     return functools.reduce(np.maximum, moduli).reshape(values.shape[:-1])
+
+
+def integral(func, a: float, b: float):
+    """int_a^b of ``func`` by the panels' Clenshaw-Curtis rule on max(4,
+    ceil(8 |b - a|)) equal panels: enough for an integrand analytic near
+    [a, b], as F' is. ``func`` maps a 1-d array of points to values whose
+    last axis runs over them."""
+    points, cum = _cheb()[:2]
+    edges = np.linspace(a, b, max(4, math.ceil(8.0 * abs(b - a))) + 1)
+    half = 0.5 * (edges[1:] - edges[:-1])
+    x = (edges[:-1] + half)[:, None] + half[:, None] * points
+    values = np.asarray(func(x.ravel()))
+    return (values.reshape(values.shape[:-1] + x.shape) @ cum[-1]) @ half
+
+
+def _one_chain(values: np.ndarray) -> bool:
+    """Whether M is skew-Hermitian, m2 == -conj(m1), at every point of the
+    panels' _judge ``values``, the points the solve uses: its propagators
+    then take one Neumann chain, else two."""
+    return bool((values[:, 1] == -np.conj(values[:, 0])).all())
 
 
 def _panel_data(system: System, lo: np.ndarray, hi: np.ndarray):
@@ -421,10 +431,11 @@ def _edge_phases(edges: np.ndarray, data, anchor: int, phi: float) -> np.ndarray
     return phase
 
 
-def _levin(system: System, phase: np.ndarray, edges: np.ndarray, data):
+def _levin(system: System, phase: np.ndarray, edges: np.ndarray, data, one: bool):
     """The propagators of the panels between ``edges``, each from its own
     left edge, with their ``data`` as _split gives them and the phase at
-    their left edges: returns U of shape (panels, 2, 2), a(edges[k + 1]) =
+    their left edges, of one Neumann chain where ``one`` (_one_chain), else
+    of two: returns U of shape (panels, 2, 2), a(edges[k + 1]) =
     U[k] a(edges[k]), the sweeps and a flag per panel whose first Levin
     solution is not resolved (its U is not computed).
 
@@ -442,7 +453,7 @@ def _levin(system: System, phase: np.ndarray, edges: np.ndarray, data):
     direct, half, values = data
     m1, m2, local, rate = values.transpose(1, 0, 2)
     rate = rate.real
-    chains, levin, inverse = _chains(system), np.flatnonzero(~direct), None
+    chains, levin, inverse = 1 if one else 2, np.flatnonzero(~direct), None
     refused = np.zeros(len(half), dtype=bool)
     if levin.size:
         diag = np.arange(PANEL_POINTS)
@@ -499,7 +510,7 @@ def _levin(system: System, phase: np.ndarray, edges: np.ndarray, data):
         if _stops(float(moved.max()), 1.0, it, edges[0], edges[-1]):
             break
     sums = np.stack([ends[k : it + 1 : 2].sum(axis=0) for k in (2, 1)])  # by parity
-    return _propagator(system, sums), it, refused
+    return _propagator(one, sums), it, refused
 
 
 def _product(u: np.ndarray) -> np.ndarray:
@@ -514,19 +525,23 @@ def _product(u: np.ndarray) -> np.ndarray:
 def _solve(system: System, edges, phase, level, data, deepest: int, tally):
     """The propagators of the panels between ``edges``, with the phase at
     their left edges, their levels and their data as _split gives them, in
-    batches of at most CHUNK_BYTES // _BYTES_PER_PANEL panels. A Levin
-    panel the check refuses takes that of its halves (_span, down to level
-    ``deepest``). ``tally`` counts, per kind, Levin then direct, the
-    panels, the panel batches that hold them and their sweeps, then the
-    refused panels and the deepest level solved."""
+    batches of at most CHUNK_BYTES // _BYTES_PER_PANEL panels: of one
+    Neumann chain where _one_chain finds M skew-Hermitian on them, else of
+    two. A Levin panel the check refuses takes that of its halves (_span,
+    down to level ``deepest``), from the phase at its left edge. ``tally``
+    counts, per kind, Levin then direct, the panels, the panel batches that
+    hold them and their sweeps, then the refused panels, the deepest level
+    solved and the most Neumann rows per sweep."""
     direct, half, values = data
+    one = _one_chain(values)
+    tally["rows"] = max(tally["rows"], 1 if one else 2)
     per_batch = max(1, CHUNK_BYTES // _BYTES_PER_PANEL)
     props = []
     for first in range(0, len(half), per_batch):
         cut = slice(first, first + per_batch)
         batch = edges[first : first + per_batch + 1]
         u, sweeps, bad = _levin(
-            system, phase[cut], batch, (direct[cut], half[cut], values[cut])
+            system, phase[cut], batch, (direct[cut], half[cut], values[cut]), one
         )
         kinds = (np.sum(~direct[cut] & ~bad), np.sum(direct[cut]))
         for row, kind in zip(tally["panels"], kinds):
@@ -536,7 +551,8 @@ def _solve(system: System, edges, phase, level, data, deepest: int, tally):
         for k in np.flatnonzero(bad):
             lo, hi = batch[k : k + 2]
             cuts = np.array([lo, 0.5 * (lo + hi), hi])
-            u[k] = _span(system, cuts, level[first + k] + 1, deepest, tally)
+            depth = level[first + k] + 1
+            u[k] = _span(system, cuts, depth, deepest, tally, phase[first + k])
         props.append(u)
     return np.concatenate(props)
 
@@ -551,15 +567,20 @@ def _halves(cuts: np.ndarray, levels: int) -> np.ndarray:
     return cuts
 
 
-def _span(system: System, cuts, depth: int, deepest: int, tally) -> np.ndarray:
+def _span(system: System, cuts, depth: int, deepest: int, tally, start=None):
     """The propagator of [cuts[0], cuts[-1]] on panels: _split cuts them
     from the pieces between ``cuts``, ``depth`` levels below the first
-    pieces, and _solve solves them; the phase at their edges is the exact
-    phase at the edge nearest x = 0, where F(0) = 0 takes no call, and the
-    panels' integrals of F' summed outward from there (_edge_phases)."""
+    pieces, and _solve solves them. The phase at their edges is ``start``
+    at the left edge where given, else, as F(0) = 0, the integral of F'
+    from 0 at the edge nearest x = 0 (0 without a call where that edge is
+    0); the panels' integrals of F' are summed outward from there
+    (_edge_phases)."""
     edges, level, data = _split(system, cuts[:-1], cuts[1:], depth, deepest)
-    anchor = int(np.argmin(np.abs(edges)))
-    phi = 0.0 if edges[anchor] == 0.0 else system.phase(edges[anchor])
+    anchor, phi = 0, start
+    if start is None:
+        anchor, phi = int(np.argmin(np.abs(edges))), 0.0
+        if edges[anchor] != 0.0:
+            phi = float(integral(lambda x: system.local(x)[0], 0.0, edges[anchor]))
     phase = _edge_phases(edges, data, anchor, phi)
     return _product(_solve(system, edges, phase[:-1], level, data, deepest, tally))
 
@@ -575,7 +596,7 @@ def march(system: System, a: np.ndarray, x_from: float, x_to: float) -> np.ndarr
     where M vanishes returns a as it is. One DEBUG line
     on the ``crossing_kit`` logger reports the marched span, the deepest
     level of its panels and the one the budget allows, the Neumann rows
-    each sweep integrates (_chains), then the Levin panels and the direct
+    each sweep integrates (_one_chain), then the Levin panels and the direct
     panels, each with their nodes and the panel batches that hold them (a
     batch with both kinds counts for both) and their sweeps, and the
     panels the Levin check split. An overflow in a sweep raises
@@ -597,8 +618,9 @@ def march(system: System, a: np.ndarray, x_from: float, x_to: float) -> np.ndarr
         return a
     first, deepest = _levels(system, lo, hi)
     cuts = lo + (hi - lo) * np.linspace(0.0, 1.0, _FIRST_PIECES + 1)
-    # per kind, Levin then direct: panels, panel batches and their sweeps
-    tally = {"panels": np.zeros((2, 3), dtype=int), "refused": 0, "deepest": 0}
+    # per kind, Levin then direct: panels, panel batches and their sweeps;
+    # the refused panels, the deepest level solved and the Neumann rows
+    tally = dict(panels=np.zeros((2, 3), dtype=int), refused=0, deepest=0, rows=0)
     # an overflow shows as a non-finite Picard change, which _stops raises
     with np.errstate(over="ignore", invalid="ignore"):
         u = _span(system, _halves(cuts, first), first, deepest, tally)
@@ -607,7 +629,7 @@ def march(system: System, a: np.ndarray, x_from: float, x_to: float) -> np.ndarr
         "of %d, %d Neumann rows per sweep; %d Levin panels of %d nodes as %d "
         "panel batches of %d sweeps, %d direct panels of %d nodes as %d panel "
         "batches of %d sweeps, %d panels split by the Levin check",
-        *(system.h, lo, hi, x_from, x_to, tally["deepest"], deepest, _chains(system)),
+        *(system.h, lo, hi, x_from, x_to, tally["deepest"], deepest, tally["rows"]),
         *(n for p, c, s in tally["panels"] for n in (p, p * PANEL_POINTS, c, s)),
         tally["refused"],
     )

@@ -27,11 +27,12 @@ march sums them as two chains per panel, one starting with each
 operator, and applies the panels' propagators to the data. When r2 =
 conj(r1) (for the real bumps here, r1 == r2) the model is self-adjoint:
 the terms that start with gamma- are the conjugates of those that start
-with gamma+, the propagator is in SU(2), and the march sweeps one chain,
-one row per sweep. a is constant once the couplings have switched off,
-so marching the two basis inputs from x0 to x1 and reading a at x1
-yields the transfer matrix, whose off-diagonal entries carry the
-h^{1/(m+1)} stationary-point contribution predicted by predict_transfer.
+with gamma+, the propagator is in SU(2), and the march, which reads this
+off the couplings' values, sweeps one chain, one row per sweep. a is
+constant once the couplings have switched off, so marching the two
+basis inputs from x0 to x1 and reading a at x1 yields the transfer
+matrix, whose off-diagonal entries carry the h^{1/(m+1)}
+stationary-point contribution predicted by predict_transfer.
 """
 
 from __future__ import annotations
@@ -138,15 +139,15 @@ def _check_single_crossing(branch: int) -> None:
 
 
 def _system(prob: NormalFormProblem) -> march.System:
-    """The model's a' = M a for the march: phase F, rate f, and
-    (m1, m2) = (-i r1, -i r2).
+    """The model's a' = M a for the march: rate f, and (m1, m2) = (-i r1,
+    -i r2), with r2's values those of r1 where r1 == r2; the march takes
+    its phase F from f, and one Neumann chain where they make M
+    skew-Hermitian (real bumps: r1 == r2).
 
-    M is skew-Hermitian when the coupling is self-adjoint, r1 == r2
-    (mu2 = -conj(mu1)). It vanishes outside the hull of the coupling
-    supports. |m1| and |m2| are at most the larger amplitude. The
-    stationary zone's width is (h / |f^(m)(0)|)^(1/(m+1)), as F^(m+1) = f^(m).
+    M vanishes outside the hull of the coupling supports. |m1| and |m2|
+    are at most the larger amplitude. The stationary zone's width is (h /
+    |f^(m)(0)|)^(1/(m+1)), as F^(m+1) = f^(m).
     """
-    F = prob.f.antideriv()
 
     def local(x):
         m1 = -1j * prob.r1(x)
@@ -155,14 +156,10 @@ def _system(prob: NormalFormProblem) -> march.System:
 
     return march.System(
         h=prob.h,
-        interval=prob.interval,
         support=prob.coupling_support(),
-        phase=F,
         zone=(prob.h / abs(prob.f_order_coeff())) ** (1.0 / (prob.m + 1)),
         coupling=max(abs(prob.r1.amplitude), abs(prob.r2.amplitude)),
         local=local,
-        # real bumps: r2 = conj(r1) exactly when r1 == r2
-        skew_hermitian=prob.r1 == prob.r2,
     )
 
 

@@ -43,9 +43,11 @@ sqrt(p_j), b_j = s_j c_j then solves the model's form
     b' = [[0, -i r e^{iF/h}], [-i r e^{-iF/h}, 0]] b,
 
 with r = W / (2 sqrt(p_1 p_2)) and F = Phi_2 - Phi_1, so G never enters F:
-F' = p_2 - p_1 + h^2 (kappa_2/p_2 - kappa_1/p_1) / 2, and F is its integral;
-p_2 - p_1 is formed as (V_1 - V_2) / (p_1 + p_2), the gap one polynomial,
-so that F' keeps its relative accuracy near the crossing. This M is
+F' = p_2 - p_1 + h^2 (kappa_2/p_2 - kappa_1/p_1) / 2, and F is its integral
+from 0, which the march works out (phi_j and Theta_j are integrals from 0
+by the same rule, ``march.integral``); p_2 - p_1 is formed as (V_1 - V_2)
+/ (p_1 + p_2), the gap one polynomial, so that F' keeps its relative
+accuracy near the crossing. This M is
 skew-Hermitian, traceless and vanishes outside supp W, and the march's
 panels resolve |F'| = |p_2 - p_1| + O(h^2) instead of the sum phase.
 So its propagator U is in SU(2), and the - branches at (0, -xi0), the
@@ -79,29 +81,6 @@ from .transfer import Problem, TransferMatrix
 # grid_for is removed, and the DOP853 reference solve with its right-hand
 # side and branch decomposition lives in tests/ode_oracles.py.
 grid_for = solve_ivp = branch_decompose = schrod_rhs = None
-
-# The 15-point Gauss-Legendre rule on [-1, 1] of _from_zero, as data: the
-# values of numpy.polynomial.legendre.leggauss(15), so that no import
-# solves its eigenproblem.
-_GL_NODES = np.array(
-    [
-        -0.9879925180204854, -0.9372733924007058, -0.8482065834104272,
-        -0.7244177313601701, -0.5709721726085388, -0.3941513470775634,
-        -0.20119409399743451, 0.0, 0.20119409399743451, 0.3941513470775634,
-        0.5709721726085388, 0.7244177313601701, 0.8482065834104272,
-        0.9372733924007058, 0.9879925180204854,
-    ]
-)
-_GL_WEIGHTS = np.array(
-    [
-        0.030753241996117203, 0.0703660474881084, 0.10715922046717141,
-        0.13957067792615444, 0.16626920581699398, 0.1861610000155622,
-        0.1984314853271116, 0.2025782419255613, 0.1984314853271116,
-        0.1861610000155622, 0.16626920581699398, 0.13957067792615444,
-        0.10715922046717141, 0.0703660474881084, 0.030753241996117203,
-    ]
-)
-
 
 @dataclass(frozen=True)
 class SchrodingerProblem(Problem):
@@ -253,10 +232,10 @@ class WkbBasis:
         return np.reshape(self.c, (2,) + (1,) * np.ndim(x)) * (1.0 - ratio) ** -0.25
 
     def phase(self, x: float) -> np.ndarray:
-        """(phi_1, phi_2) at the point x, by _from_zero. The integrand is
-        analytic on the interval (no turning point), so a handful of panels
-        per unit length reaches machine accuracy."""
-        return _from_zero(lambda y: self.rates(y)[1], x)
+        """(phi_1, phi_2) at the point x, by ``march.integral``. The
+        integrand is analytic on the interval (no turning point), so a
+        handful of panels per unit length reaches machine accuracy."""
+        return march.integral(lambda y: self.rates(y)[1], 0.0, x)
 
 
 def _sigma_ratios(q, slope, curvature):
@@ -264,18 +243,6 @@ def _sigma_ratios(q, slope, curvature):
     sigma ~ q^(-1/4), they are V'/(4q) and V''/(4q) + 5 V'^2/(16 q^2)."""
     slope = slope / q
     return 0.25 * slope, 0.25 * curvature / q + 0.3125 * slope * slope
-
-
-def _from_zero(integrand, x: float):
-    """int_0^x of ``integrand`` by composite 15-node Gauss-Legendre panels,
-    at least four and eight per unit length. ``integrand`` maps an array
-    of points to values whose last axes have its shape."""
-    npan = max(4, math.ceil(abs(x) * 8))
-    edges = np.linspace(0.0, x, npan + 1)
-    mid = 0.5 * (edges[:-1] + edges[1:])
-    half = 0.5 * (edges[1:] - edges[:-1])
-    pts = mid[:, None] + half[:, None] * _GL_NODES[None, :]
-    return (integrand(pts) @ _GL_WEIGHTS) @ half
 
 
 class _NormalForm:
@@ -292,7 +259,7 @@ class _NormalForm:
             w2 = prob.w(y) ** 2
             return 0.5 * kappa / p - w2 / (4.0 * p[0] * p[1] * (p[0] + p[1]))
 
-        self.theta = [_from_zero(integrand, x) for x in prob.interval]
+        self.theta = [march.integral(integrand, 0.0, x) for x in prob.interval]
         self.gap = prob.v1 - prob.v2
         q_low = [prob.e0 - v.range_on(*prob.interval)[1] for v in (prob.v1, prob.v2)]
         self.coupling = abs(prob.w.amplitude) / (2.0 * (q_low[0] * q_low[1]) ** 0.25)
@@ -302,9 +269,9 @@ class _NormalForm:
 
 
 def _system(prob: SchrodingerProblem) -> march.System:
-    """The normal form of the + branches for the march: rate F',
-    m1 = m2 = -i r, skew-Hermitian, supported on supp W. Its phase F is
-    the integral of that same F' from 0.
+    """The normal form of the + branches for the march: rate F' and
+    m1 = m2 = -i r, supported on supp W. The march takes the phase F as
+    the integral of that same F' from 0, and finds M skew-Hermitian.
 
     F' is (V_1 - V_2) / (p_1 + p_2) plus h^2 (kappa_2/p_2 - kappa_1/p_1)
     / 2, the gap evaluated as one polynomial: p_2 - p_1 from q_2 - q_1, two
@@ -325,13 +292,10 @@ def _system(prob: SchrodingerProblem) -> march.System:
 
     return march.System(
         h=h,
-        interval=prob.interval,
         support=prob.w.support if prob.w.amplitude != 0.0 else None,
-        phase=lambda x: float(_from_zero(lambda y: local(y)[0], x)),
         zone=(h / form.stationary) ** (1.0 / (prob.n + 1)),
         coupling=form.coupling,
         local=local,
-        skew_hermitian=True,
     )
 
 

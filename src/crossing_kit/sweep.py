@@ -53,7 +53,6 @@ class PowerLawFit:
     exponent: float
     amplitude: float
     residual_rms: float
-    with_log: bool
     npoints: int
 
 
@@ -92,15 +91,11 @@ class SweepReport:
         return [(r.h, abs(getattr(r.extracted, name) - shift)) for r in self.ok_rows()]
 
 
-def fit_power_law(
-    points: list[tuple[float, float]], with_log: bool = False
-) -> PowerLawFit:
+def fit_power_law(points: list[tuple[float, float]]) -> PowerLawFit:
     """Least-squares fit of magnitude = amplitude * h^exponent, in closed
     form on log h and log magnitude about their means.
 
-    Every h must be finite and positive, and two must differ. With
-    ``with_log`` the model carries an extra fixed log(1/h) factor,
-    matching envelopes h^e * log(1/h); every h must then lie in (0, 1).
+    Every h must be finite and positive, and two must differ.
     """
     if len(points) < 3:
         raise ValidationError("power-law fit needs at least 3 points")
@@ -108,14 +103,10 @@ def fit_power_law(
     y = np.array([p[1] for p in points], dtype=float)
     if not np.all(np.isfinite(h) & (h > 0.0)):
         raise ValidationError("a power-law fit needs every h finite and positive")
-    if with_log and not np.all(h < 1.0):
-        raise ValidationError("the log(1/h) envelope needs every h in (0, 1)")
     if np.any(y <= 0.0) or not np.all(np.isfinite(y)):
         raise DegenerateFit("magnitudes must be positive and finite")
     lh = np.log(h)
     ly = np.log(y)
-    if with_log:
-        ly = ly - np.log(np.log(1.0 / h))
     # least squares of ly = exponent * lh + c, about the means
     dh = lh - lh.mean()
     spread = float(dh @ dh)
@@ -128,7 +119,6 @@ def fit_power_law(
         exponent=exponent,
         amplitude=float(np.exp(intercept)),
         residual_rms=float(np.sqrt(np.mean(resid**2))),
-        with_log=with_log,
         npoints=len(points),
     )
 

@@ -3,6 +3,7 @@
 package imports and runs without scipy."""
 
 import ast
+import dataclasses
 import json
 import os
 import subprocess
@@ -12,6 +13,7 @@ from pathlib import Path
 import numpy as np
 
 import crossing_kit
+from crossing_kit import march
 from crossing_kit.normalform import model_corpus
 
 from ode_oracles import ode_oracle
@@ -116,21 +118,32 @@ def test_profiles_holds_the_only_root_finder():
     assert users == {"profiles"}
 
 
-def test_sweep_fits_use_the_plain_power_law():
-    # one fit rule: no call of fit_power_law in the package passes the
-    # log(1/h) envelope, by keyword or as its second argument
+def test_march_system_holds_what_only_a_family_knows():
+    # the march works out the phase F and the Neumann chain count from
+    # ``local``: a family hands it these five fields and no more
+    names = [field.name for field in dataclasses.fields(march.System)]
+    assert names == ["h", "support", "zone", "coupling", "local"]
+
+
+def _names(node: ast.AST) -> set[str]:
+    """The names a node defines, reads or imports."""
+    names = {getattr(node, key, None) for key in ("name", "id", "attr")}
+    names.update(alias.name for alias in getattr(node, "names", ()))
+    return {n for n in names if isinstance(n, str)}
+
+
+def test_march_holds_the_only_quadrature_rule():
+    # every integral of the package is the march's Clenshaw-Curtis rule
+    # (march.integral and the panels): no other module defines a rule of
+    # its own, a _from_zero or a stored _GL_ table, or reads _cheb
     package = Path(crossing_kit.__file__).parent
-    calls = []
     for path in package.glob("*.py"):
+        if path.stem == "march":
+            continue
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-            if isinstance(node, ast.Call):
-                name = getattr(node.func, "attr", None) or getattr(node.func, "id", None)
-                if name == "fit_power_law":
-                    calls.append((path.stem, node))
-    assert calls  # attach_fits fits every tracked quantity
-    for stem, call in calls:
-        with_log = any(k.arg in ("with_log", None) for k in call.keywords)
-        assert len(call.args) == 1 and not with_log, (stem, call.lineno)
+            for name in _names(node):
+                bad = name in ("_from_zero", "_cheb") or name.startswith("_GL")
+                assert not bad, (path.stem, name)
 
 
 # In a fresh interpreter with scipy blocked: import every module of the

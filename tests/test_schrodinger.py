@@ -320,14 +320,6 @@ def test_phase_closed_form_for_constant_potential():
         assert basis.phase(x) == pytest.approx(want, rel=1e-13, abs=1e-15)
 
 
-def test_phase_rule_is_numpys_gauss_legendre_rule():
-    # the 15-point rule of the basis phase and of Theta is stored as data,
-    # equal bit for bit to numpy's: no import solves its eigenproblem
-    nodes, weights = np.polynomial.legendre.leggauss(15)
-    assert schrodinger._GL_NODES.tobytes() == nodes.tobytes()
-    assert schrodinger._GL_WEIGHTS.tobytes() == weights.tobytes()
-
-
 def test_basis_requires_positive_energy():
     with pytest.raises(CaseMismatch):
         WkbBasis(schrodinger_corpus(1e-3)[2])
@@ -621,8 +613,10 @@ def test_panels_match_the_uniform_plan_on_random_draws(monkeypatch, caplog, m, h
         assert panels > 0, msg
         assert err <= 1e-9, (seed, err)
         system = normalform._system(dataclasses.replace(prob, r2=prob.r1))
-        assert system.skew_hermitian
-        u = march.march(system, np.eye(2, dtype=complex), *system.support)
+        eye = np.eye(2, dtype=complex)
+        run = lambda: march.march(system, eye, *system.support)  # noqa: E731
+        u, _, msg = _march_line(caplog, run)
+        assert "1 Neumann rows per sweep" in msg, msg
         assert np.abs(u.conj().T @ u - np.eye(2)).max() <= 1e-12, seed
 
 
@@ -653,9 +647,7 @@ def test_levin_propagator_is_unitary_at_1e_8(corpus, system, index):
     # unitary; at h = 1e-8 the march solves it on panels, and U stays
     # unitary to 1e-12 (measured 3e-15)
     prob = corpus(1e-8)[index]
-    sys_ = system(prob)
-    assert sys_.skew_hermitian
-    u = march.march(sys_, np.eye(2, dtype=complex), *sys_.interval)
+    u = march.march(system(prob), np.eye(2, dtype=complex), *prob.interval)
     assert np.abs(u.conj().T @ u - np.eye(2)).max() <= 1e-12
 
 
@@ -770,7 +762,7 @@ def _perturb_first_levin_panel(monkeypatch):
     1e-6 on its first Levin panel, after the judge saw it smooth."""
     levin, calls = march._levin, []
 
-    def noisy(system, phase, edges, data):
+    def noisy(system, phase, edges, data, one):
         direct, half, values = data
         first = np.flatnonzero(~direct)[:1]
         if first.size and not calls:
@@ -778,7 +770,7 @@ def _perturb_first_levin_panel(monkeypatch):
             values = values.copy()
             noise = np.random.default_rng(5).standard_normal(values[first, 0].shape)
             values[first, 0] += 1e-6 * noise
-        return levin(system, phase, edges, (direct, half, values))
+        return levin(system, phase, edges, (direct, half, values), one)
 
     monkeypatch.setattr(march, "_levin", noisy)
     return calls
@@ -829,8 +821,8 @@ def test_levin_verdicts_do_not_depend_on_the_batch(monkeypatch):
     seen = {}
     levin = march._levin
 
-    def recording(system, phase, edges, data):
-        u, sweeps, refused = levin(system, phase, edges, data)
+    def recording(system, phase, edges, data, one):
+        u, sweeps, refused = levin(system, phase, edges, data, one)
         for k in np.flatnonzero(~data[0]):
             seen.setdefault(size, []).append((edges[k], bool(refused[k])))
         return u, sweeps, refused
@@ -854,31 +846,34 @@ _BATCHED = {
 
 
 def _cut(system):
-    """The march's panels of the system's support: their edges, the phase
-    there and their data."""
+    """The march's panels of the system's support, symmetric about 0:
+    their edges, the phase there and their data."""
     lo, hi = system.support
     cuts = lo + (hi - lo) * np.linspace(0.0, 1.0, march._FIRST_PIECES + 1)
     _, deepest = march._levels(system, lo, hi)
     edges, _, data = march._split(system, cuts[:-1], cuts[1:], 0, deepest)
     anchor = int(np.argmin(np.abs(edges)))
-    phase = march._edge_phases(edges, data, anchor, system.phase(edges[anchor]))
-    return edges, phase, data
+    assert edges[anchor] == 0.0
+    return edges, march._edge_phases(edges, data, anchor, 0.0), data
 
 
 @pytest.mark.parametrize("prob, build", _BATCHED.values(), ids=_BATCHED.keys())
 def test_a_panels_propagator_does_not_depend_on_its_batch(prob, build):
     # each panel's propagator is solved from its own left edge: solved
     # alone, from the phase at its left edge, it is that of the whole batch
-    # within PICARD_TOL (measured at most 6.2e-17), one chain (pair) or two
-    # (model-corpus 3)
+    # within PICARD_TOL (measured at most 6.2e-17), one chain (the pair,
+    # model-corpus 1) or two (model-corpus 3)
     system = build(prob)
     edges, phase, (direct, half, values) = _cut(system)
-    whole, _, refused = march._levin(system, phase[:-1], edges, (direct, half, values))
+    one = march._one_chain(values)
+    assert one == (build is schrodinger._system or prob.r1 == prob.r2)
+    data = (direct, half, values)
+    whole, _, refused = march._levin(system, phase[:-1], edges, data, one)
     assert not refused.any()
     for k in range(len(half)):
         cut = slice(k, k + 1)
         data = (direct[cut], half[cut], values[cut])
-        alone, _, _ = march._levin(system, phase[cut], edges[k : k + 2], data)
+        alone, _, _ = march._levin(system, phase[cut], edges[k : k + 2], data, one)
         assert np.abs(alone[0] - whole[k]).max() <= march.PICARD_TOL, k
     assert len(half) >= 12
 
@@ -928,37 +923,115 @@ def test_a_strong_coupling_starts_the_split_at_its_reach(monkeypatch, family):
         return judge(system, lo, hi)
 
     monkeypatch.setattr(march, "_judge", judging)
-    u = march.march(system, np.eye(2, dtype=complex), *system.interval).T
+    u = march.march(system, np.eye(2, dtype=complex), *system.support).T
     assert 0.0 < max(reach) <= march.PICARD_REACH
     lo, hi = system.support
     first, deepest = march._levels(system, lo, hi)
     cuts = lo + (hi - lo) * np.linspace(0.0, 1.0, march._FIRST_PIECES + 1)
-    tally = {"panels": np.zeros((2, 3), dtype=int), "refused": 0, "deepest": 0}
+    tally = dict(panels=np.zeros((2, 3), dtype=int), refused=0, deepest=0, rows=0)
     reach.clear()
     assert (march._span(system, cuts, 0, deepest, tally) == u).all()
     assert first > 0 and max(reach) > march.PICARD_REACH
 
 
 @pytest.mark.parametrize("family", _FAMILIES)
-def test_the_march_takes_the_phase_at_0_without_a_call(family):
-    # F(0) = 0 is in the System's contract: where the panel edge nearest 0
-    # is 0 itself, as on every corpus problem (symmetric supports), the
-    # march calls no phase; a support whose edges miss 0 takes one call
+def test_the_march_takes_the_phase_at_0_without_a_call(monkeypatch, family):
+    # F(0) = 0: where the panel edge nearest 0 is 0 itself, as on every
+    # corpus problem (symmetric supports), the march integrates no F'; a
+    # support whose edges miss 0 takes one march.integral call, from 0 to
+    # the edge nearest it
     system = _with_coupling(family, 1e-2, 1.0)
-    calls = []
+    integral, calls = march.integral, []
 
-    def phase(x):
-        calls.append(x)
-        return system.phase(x)
+    def counting(func, a, b):
+        calls.append((a, b))
+        return integral(func, a, b)
 
-    counted = dataclasses.replace(system, phase=phase)
-    a = np.eye(2, dtype=complex)
-    u = march.march(counted, a, *system.interval)
-    assert calls == []
-    assert (u == march.march(system, a, *system.interval)).all()
+    monkeypatch.setattr(march, "integral", counting)
+    eye = np.eye(2, dtype=complex)
     lo, hi = system.support
-    march.march(dataclasses.replace(counted, support=(lo, 0.7 * hi)), a, lo, hi)
-    assert len(calls) == 1 and calls[0] != 0.0
+    march.march(system, eye, lo, hi)
+    assert calls == []
+    march.march(dataclasses.replace(system, support=(lo, 0.7 * hi)), eye, lo, hi)
+    assert len(calls) == 1 and calls[0][0] == 0.0 and calls[0][1] != 0.0
+
+
+def test_integral_is_exact_on_polynomials():
+    # march.integral, the panels' Clenshaw-Curtis rule, against the exact
+    # antiderivative of polynomials of degree up to 12, over spans that
+    # take 4 to 17 panels and either sign: within rounding of the
+    # integrand's scale
+    rng = np.random.default_rng(7)
+    for degree in range(13):
+        p = Poly1(tuple(rng.uniform(-1.0, 1.0, degree + 1)))
+        for a, b in ((0.0, 0.3), (0.0, -1.1), (-0.7, 2.0), (1.2, -0.4)):
+            want = p.antideriv()(b) - p.antideriv()(a)
+            scale = abs(b - a) * sum(abs(c) for c in p.coeffs) * 2.0**degree
+            assert abs(march.integral(p, a, b) - want) <= 1e-15 * scale, (degree, a)
+    # values whose last axis runs over the points: both WKB branches at once
+    two = march.integral(lambda x: np.array([x, x * x]), 0.0, -0.6)
+    assert two.shape == (2,) and np.abs(two - (0.18, -0.072)).max() <= 1e-16
+
+
+def _extract(corpus, index):
+    return lambda h: corpus(h)[index].extract()
+
+
+_ROWS = {
+    **{f"model-{k}": (_extract(model_corpus, k), 1) for k in (0, 1, 2, 5)},
+    **{f"model-{k}": (_extract(model_corpus, k), 2) for k in (3, 4)},
+    **{f"pair-{k}": (_extract(schrodinger_corpus, k), 1) for k in (0, 1)},
+    "osc-integral": (
+        lambda h: osc_integral_numeric(
+            PhaseSpec.from_poly(Poly1((0.0, 0.0, 0.5))), Bump(0.8), h, (-1.0, 1.0)
+        ),
+        2,
+    ),
+}
+
+
+@pytest.mark.parametrize("run, rows", _ROWS.values(), ids=_ROWS.keys())
+def test_the_march_finds_the_chain_count(caplog, run, rows):
+    # one Neumann row per sweep where m2 == -conj(m1) at every panel point
+    # (r1 == r2, and the pair), two where the couplings differ, as in the
+    # oscillatory integral, the model with r2 = 0
+    for h in (1e-2, 1e-4):
+        _, _, msg = _march_line(caplog, lambda: run(h))
+        assert f"{rows} Neumann rows per sweep" in msg, msg
+
+
+_OFF_CENTRE = {
+    "model": lambda h: normalform.NormalFormProblem(
+        f=Poly1((0.0, 1.0, 0.3)), r1=Bump(0.6, 1.0, 0.13), r2=Bump(0.5, 0.8, 0.1),
+        x0=-1.0, x1=1.0, h=h, m=1,
+    ),
+    "pair": lambda h: dataclasses.replace(
+        schrodinger_corpus(h)[0], w=Bump(0.6, 1.0, 0.17)
+    ),
+}
+
+
+@pytest.mark.parametrize("h", [1e-2, 1e-3, 1e-4])
+@pytest.mark.parametrize("family", _OFF_CENTRE)
+def test_off_centre_couplings_match_the_uniform_plan(monkeypatch, caplog, family, h):
+    # a support whose panel edges miss 0: the march takes the phase at the
+    # edge nearest 0 from march.integral of F', and its propagator matches
+    # the uniform plan, which starts from the exact phase, within 2e-11
+    prob = _OFF_CENTRE[family](h)
+    system = uniform_plan.system(prob)
+    integral, calls = march.integral, []
+
+    def counting(func, a, b):
+        calls.append(b)
+        return integral(func, a, b)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(march, "integral", counting)
+        march.march(system, np.eye(2, dtype=complex), *system.support)
+    assert len(calls) == 1 and calls[0] != 0.0, calls
+    err, panels, msg = _panels_against_uniform(monkeypatch, caplog, prob)
+    assert panels > 0, msg
+    assert err <= 2e-11, err
 
 
 def test_march_memory_is_bounded():
@@ -1009,9 +1082,9 @@ def test_march_peak_is_within_bytes_per_node(monkeypatch, prob):
         calls.append(lo.size)
         return judge(system, lo, hi)
 
-    def solving(system, phase, edges, data):
+    def solving(system, phase, edges, data, one):
         batches.append(len(phase))
-        return levin(system, phase, edges, data)
+        return levin(system, phase, edges, data, one)
 
     monkeypatch.setattr(march, "_judge", judging)
     monkeypatch.setattr(march, "_levin", solving)
@@ -1226,12 +1299,12 @@ def test_each_picard_chunk_is_a_run_of_equal_dx_segments(monkeypatch, run):
 @pytest.mark.parametrize("index", [0, 1])
 def test_marched_phase_is_the_phase_at_every_chunk_end(monkeypatch, index, h):
     # F' is written once, in the pair's local(): the march integrates it
-    # panel by panel by Clenshaw-Curtis from the exact phase at the edge
-    # nearest 0, the uniform plan chunk by chunk with cum_quad10 from the
-    # start of the support, and the system's phase integrates it from 0 by
-    # Gauss-Legendre. The three agree at every panel edge and every Picard
-    # chunk end (measured at most 3.1e-16 on the uniform plan, corpus 0 at
-    # h = 1e-5)
+    # panel by panel by Clenshaw-Curtis from its integral from 0 at the
+    # edge nearest 0, the uniform plan chunk by chunk with cum_quad10 from
+    # the start of the support, and the uniform plan's exact phase
+    # integrates it from 0 by march.integral. The three agree at every
+    # panel edge and every Picard chunk end (measured at most 2.9e-16 on
+    # the uniform plan, corpus 0 at h = 1e-5)
     prob = schrodinger_corpus(h)[index]
     system = uniform_plan.system(prob)
     ends, picard, levin = [], uniform_plan._picard, march._levin
@@ -1241,9 +1314,9 @@ def test_marched_phase_is_the_phase_at_every_chunk_end(monkeypatch, index, h):
         ends.append((x[-1], phi))
         return a, phi, iters
 
-    def panels(system, phase, edges, data):
+    def panels(system, phase, edges, data, one):
         ends.extend(zip(edges, phase))
-        return levin(system, phase, edges, data)
+        return levin(system, phase, edges, data, one)
 
     monkeypatch.setattr(uniform_plan, "_picard", solving)
     monkeypatch.setattr(march, "_levin", panels)

@@ -39,32 +39,24 @@ def test_fit_recovers_exact_power_law():
 
 
 def test_fit_recovers_logarithmic_envelope():
+    # data with a log(1/h) envelope: divided out of the magnitudes, the fit
+    # recovers the exponent; left in, it reads a shallower slope
     pts = [(h, h ** (2.0 / 3.0) * math.log(1.0 / h)) for h in HS]
-    fit = fit_power_law(pts, with_log=True)
+    fit = fit_power_law([(h, y / math.log(1.0 / h)) for h, y in pts])
     assert abs(fit.exponent - 2.0 / 3.0) < 1e-6
     assert abs(fit.amplitude - 1.0) < 1e-6
-    # without the log factor the same data reads as a shallower slope
     assert fit_power_law(pts).exponent < 2.0 / 3.0 - 0.05
-
-
-def test_log_envelope_needs_every_h_in_the_unit_interval():
-    # log(1/h) is negative beyond h = 1 and zero at it: the fit refuses
-    # such points rather than return NaN
-    for h_max in (2.0, 1.0):
-        with pytest.raises(ValidationError, match="log"):
-            fit_power_law([(h_max, 1.0), (0.5, 0.7), (0.1, 0.3)], with_log=True)
+    # h beyond 1 is a valid point of the plain fit
     assert math.isfinite(fit_power_law([(2.0, 1.0), (0.5, 0.7), (0.1, 0.3)]).exponent)
 
 
 def test_fit_refuses_h_that_is_not_finite_and_positive(capfd):
     # log(h) of such an h is -inf or NaN, which numpy's least squares met
     # with "SVD did not converge" and LAPACK lines on stderr: the fit
-    # refuses the h before the logarithm, quietly, with or without the
-    # log(1/h) envelope
+    # refuses the h before the logarithm, quietly
     for bad in (0.0, -0.5, float("nan"), float("inf")):
-        for with_log in (False, True):
-            with pytest.raises(ValidationError, match="finite and positive"):
-                fit_power_law([(bad, 1.0), (0.5, 0.7), (0.1, 0.3)], with_log=with_log)
+        with pytest.raises(ValidationError, match="finite and positive"):
+            fit_power_law([(bad, 1.0), (0.5, 0.7), (0.1, 0.3)])
     assert capfd.readouterr() == ("", "")
 
 
@@ -91,17 +83,19 @@ def test_fit_rejects_degenerate_data():
         fit_power_law([(1e-2, 1.0), (1e-2, 0.5), (1e-2, 0.2)])
 
 
-@pytest.mark.parametrize("with_log", [False, True])
-def test_closed_form_fit_matches_least_squares(with_log):
+@pytest.mark.parametrize("envelope", [False, True])
+def test_closed_form_fit_matches_least_squares(envelope):
     # the centred closed form against numpy's least squares on noisy data
-    # over the default grids' h range: within 1e-12 (relative for the
-    # amplitude)
+    # over the default grids' h range, with or without a log(1/h) envelope
+    # divided out of it: within 1e-12 (relative for the amplitude)
     rng = np.random.default_rng(11)
     for count in (3, 4, 12):
         h = np.geomspace(1e-1, 1e-5, count)
         y = 0.7 * h**0.5 * np.exp(rng.normal(0.0, 0.05, count))
-        fit = fit_power_law(list(zip(h, y)), with_log=with_log)
-        ly = np.log(y) - (np.log(np.log(1.0 / h)) if with_log else 0.0)
+        if envelope:
+            y = y / np.log(1.0 / h)
+        fit = fit_power_law(list(zip(h, y)))
+        ly = np.log(y)
         design = np.vstack([np.log(h), np.ones(count)]).T
         (exponent, c), *_ = np.linalg.lstsq(design, ly, rcond=None)
         rms = np.sqrt(np.mean((ly - design @ (exponent, c)) ** 2))
@@ -195,7 +189,6 @@ def test_deficit_fits_read_the_remainder_order(corpus, family):
     report = run_sweep(corpus(start)[0], np.geomspace(start, stop, count))
     attach_fits(report)
     assert set(report.fits) == {"t12", "t21", "t11_deficit", "t22_deficit"}
-    assert not any(fit.with_log for fit in report.fits.values())
     for q in ("t11_deficit", "t22_deficit"):
         assert abs(report.fits[q].exponent - 1.0) <= 0.01, q
 

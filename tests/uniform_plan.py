@@ -10,10 +10,12 @@ phase by ``cum_quad10``, a tenth-order rule, in work arrays allocated
 once per march. Its cost grows like 1/h, so the tests run it at moderate
 h, as an independent route to the same transfer matrices.
 
-The plan needs a bound on |F'| over any sub-interval, which the march's
-``System`` does not carry: ``system(prob)`` adds it (``rate_on``) for
-either problem family, and ``march(system, a, x_from, x_to)`` marches
-such a system from the exact phase at the start of its support.
+The plan needs facts about the problem that the march's ``System`` does
+not carry, as the march works them out from ``local`` or has no use for
+them: the interval, the exact phase F, whether M is skew-Hermitian and a
+bound on |F'| over any sub-interval (``rate_on``). ``system(prob)`` adds
+them for either problem family, and ``march(system, a, x_from, x_to)``
+marches such a system from the exact phase at the start of its support.
 ``march_uniformly(monkeypatch)`` routes every extraction through it.
 """
 
@@ -34,7 +36,6 @@ from crossing_kit.march import (
     CHUNK_BYTES,
     PICARD_MAX_ITER,
     PICARD_REACH,
-    _chains,
     _propagator,
     _stops,
 )
@@ -68,11 +69,22 @@ logger = logging.getLogger("crossing_kit")
 
 @dataclass(frozen=True)
 class System(panels.System):
-    """A march's system with ``rate_on(lo, hi)``, which bounds |F'| on each
-    [lo[k], hi[k]] of the arrays lo <= hi; it sets the plan's mesh and its
-    node budget."""
+    """A march's system with the problem's ``interval``, its exact
+    ``phase(x)`` with F(0) = 0, ``skew_hermitian``, whether mu2 =
+    -conj(mu1) (the plan then sweeps one Neumann chain, else two), and
+    ``rate_on(lo, hi)``, which bounds |F'| on each [lo[k], hi[k]] of the
+    arrays lo <= hi; it sets the plan's mesh and its node budget."""
 
+    interval: tuple[float, float] | None = None
+    phase: Callable | None = None
+    skew_hermitian: bool = False
     rate_on: Callable | None = None
+
+
+def _chains(system: System) -> int:
+    """Neumann chains, the rows one sweep integrates: one where M is
+    skew-Hermitian, else two."""
+    return 1 if system.skew_hermitian else 2
 
 
 def abs_max_on(poly: Poly1, lo, hi) -> np.ndarray:
@@ -118,18 +130,35 @@ def rate_on(prob) -> Callable:
     return bound
 
 
-def _with_rate(base: panels.System, prob) -> System:
-    own = {f.name: getattr(base, f.name) for f in fields(base)}
-    return System(**own, rate_on=rate_on(prob))
+def _for_plan(base: panels.System, prob) -> System:
+    """``base``, the family's march system of ``prob``, with the facts the
+    plan needs. The model's exact phase is the antiderivative of f, and M
+    is skew-Hermitian where r1 == r2 (real bumps: r2 = conj(r1)); the
+    pair's phase is the integral of its F' from 0 by ``march.integral``,
+    and its M is always skew-Hermitian."""
+    own = {f.name: getattr(base, f.name) for f in fields(panels.System)}
+    if isinstance(prob, normalform.NormalFormProblem):
+        phase, skew = prob.f.antideriv(), prob.r1 == prob.r2
+    else:
+        rate = lambda y: base.local(y)[0]  # noqa: E731
+        phase, skew = lambda x: float(panels.integral(rate, 0.0, x)), True
+    return System(
+        **own,
+        interval=prob.interval,
+        phase=phase,
+        skew_hermitian=skew,
+        rate_on=rate_on(prob),
+    )
 
 
 def system(prob) -> System:
-    """The family's march system of ``prob`` with its rate bound."""
+    """The family's march system of ``prob`` with the facts the plan
+    needs."""
     if isinstance(prob, normalform.NormalFormProblem):
         base = normalform._system(prob)
     else:
         base = schrodinger._system(prob)
-    return base if isinstance(base, System) else _with_rate(base, prob)
+    return base if isinstance(base, System) else _for_plan(base, prob)
 
 
 def _chunk_cells(system: System, dx: float) -> int:
@@ -286,7 +315,7 @@ def _picard(system: System, a0: np.ndarray, phi0: float, x, dx: float, work):
             break
         np.multiply(mult[it % 2], term, out=m_term)
         integrand = m_term
-    return a0 @ _propagator(system, sums).T, phase[-1], it
+    return a0 @ _propagator(system.skew_hermitian, sums).T, phase[-1], it
 
 
 def _uniform(system: System, a, phi: float, x: float, plan, work):
@@ -336,11 +365,11 @@ def march(system: System, a: np.ndarray, x_from: float, x_to: float) -> np.ndarr
 def march_uniformly(monkeypatch) -> None:
     """Make every extraction march on the uniform plan while
     ``monkeypatch`` (a pytest MonkeyPatch, or one of its contexts) holds:
-    both families' systems carry their rate bound and ``march.march`` is
-    ``march``."""
+    both families' systems carry the facts the plan needs and
+    ``march.march`` is ``march``."""
     for module in (normalform, schrodinger):
         build = module._system
         monkeypatch.setattr(
-            module, "_system", lambda prob, build=build: _with_rate(build(prob), prob)
+            module, "_system", lambda prob, build=build: _for_plan(build(prob), prob)
         )
     monkeypatch.setattr(panels, "march", march)
