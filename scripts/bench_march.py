@@ -46,7 +46,9 @@ processes, one with PYTHONPATH as given and one with PYTHONPATH=DIR/src,
 alternating which goes first. Each row keeps the median over rounds of
 its per-process medians, and ``rounds_faster`` counts the rounds in which
 the row ran faster than in the other tree's process of the same pair.
-Writes both trees' files: ``--out`` and ``--against-out``.
+Writes both trees' files: ``--out`` and ``--against-out``. The other
+tree must have this interface, h-free problems whose ``extract`` takes h:
+a tree whose problems carry their own h cannot be timed against it.
 """
 
 from __future__ import annotations
@@ -163,21 +165,21 @@ def measure(echo) -> dict:
     logger = logging.getLogger("crossing_kit")
     logger.addHandler(handler)
     logger.setLevel(logging.DEBUG)
-    cases = [(f"model-corpus {k}", lambda h, k=k: model_corpus(h)[k]) for k in range(4)]
+    cases = [(f"model-corpus {k}", lambda k=k: model_corpus()[k]) for k in range(4)]
     cases += [
-        (f"schrodinger-corpus {k}", lambda h, k=k: schrodinger_corpus(h)[k])
+        (f"schrodinger-corpus {k}", lambda k=k: schrodinger_corpus()[k])
         for k in (0, 1)
     ]
     problems = {}
     for name, build in cases:
         rows = []
         for h in H_VALUES:
-            prob = build(h)
+            prob = build()  # a fresh problem per row: its first run sets it up
             seconds = []
             try:
                 for _ in range(REPEATS):
                     t0 = time.perf_counter()
-                    prob.extract()
+                    prob.extract(h)
                     seconds.append(time.perf_counter() - t0)
             except (ValidationError, StepFailure) as exc:
                 rows.append(_row(h, {"refused": str(exc)}, None))

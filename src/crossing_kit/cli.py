@@ -89,11 +89,13 @@ MAX_ORDER = 64
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Validated run description, ready to dispatch."""
+    """Validated run description, ready to dispatch: the problem, built
+    once without h, and the h values it runs at."""
 
     mode: str
     problem: Problem
-    h_values: tuple[float, ...] | None
+    # the h grid, or the one h of a single-h mode
+    h_values: tuple[float, ...]
     # None for the zero-energy pair, whose one crossing has no branch
     branch: int | None
     tolerances: dict
@@ -191,7 +193,7 @@ def _build_bump(node, path: str) -> Bump:
     return Bump(width=width, amplitude=amplitude, center=center)
 
 
-def _random_model_problem(m: int, h: float, seed: int) -> NormalFormProblem:
+def _random_model_problem(m: int, seed: int) -> NormalFormProblem:
     """Draw an admissible model problem; identical seed, identical problem."""
     rng = np.random.default_rng(seed)
     width = float(rng.uniform(0.5, 1.0))
@@ -205,13 +207,12 @@ def _random_model_problem(m: int, h: float, seed: int) -> NormalFormProblem:
         r2=Bump(width=width, amplitude=amp2),
         x0=-1.5,
         x1=1.5,
-        h=h,
         m=m,
     )
 
 
-def _build_problem(obj: dict, kind: str, h: float, seed: int):
-    """The one problem the config's ``problem`` object names, at h."""
+def _build_problem(obj: dict, kind: str, seed: int):
+    """The one problem the config's ``problem`` object names."""
     path = "problem"
 
     def field(key, expect=_expect_number, **limits):
@@ -233,7 +234,7 @@ def _build_problem(obj: dict, kind: str, h: float, seed: int):
             r1 = field("coupling", _build_bump)
             r2 = field("coupling2", _build_bump) if "coupling2" in obj else r1
             lo, hi = field("interval", _expect_number_list, length=2)
-            return NormalFormProblem(f=f, r1=r1, r2=r2, x0=lo, x1=hi, h=h, m=m)
+            return NormalFormProblem(f=f, r1=r1, r2=r2, x0=lo, x1=hi, m=m)
         if kind == "schrodinger":
             _reject_unknown(
                 obj,
@@ -244,7 +245,7 @@ def _build_problem(obj: dict, kind: str, h: float, seed: int):
             e0, w = field("e0"), field("coupling", _build_bump)
             lo, hi = field("interval", _expect_number_list, length=2)
             return SchrodingerProblem(
-                v1=v1, v2=v2, w=w, e0=e0, n=n, h=h, x_in=lo, x_out=hi
+                v1=v1, v2=v2, w=w, e0=e0, n=n, x_in=lo, x_out=hi
             )
         if kind in _CORPORA:
             _reject_unknown(obj, path, {"kind", "index"})
@@ -252,10 +253,10 @@ def _build_problem(obj: dict, kind: str, h: float, seed: int):
             index = field("index", _expect_int, minimum=0)
             if index >= len(table):
                 raise SchemaError(f"{path}.index", f"must be below {len(table)}")
-            return cls(**table[index], h=h)
+            return cls(**table[index])
         # random-model: seeded draw, used for randomized property runs
         _reject_unknown(obj, path, {"kind", "m"})
-        return _random_model_problem(order("m"), h, seed)
+        return _random_model_problem(order("m"), seed)
     except ValidationError as exc:
         raise SchemaError(path, str(exc)) from exc
 
@@ -335,7 +336,7 @@ def parse_config(
     single_h = mode in ("predict", "solve-model", "solve-schrodinger")
     h_values = None
     if single_h:
-        h = _expect_number(_require(obj, "h", ""), "h", positive=True)
+        h_values = (_expect_number(_require(obj, "h", ""), "h", positive=True),)
     elif "h_grid" in obj:
         h_values = _build_grid(obj["h_grid"], "h_grid")
 
@@ -348,13 +349,13 @@ def parse_config(
     if needed is not None and needed != family:
         raise SchemaError("problem.kind", f"{mode} needs a {needed} problem, got {kind!r}")
     # defaults for verify depend on the problem family
-    if h_values is None and not single_h:
+    if h_values is None:
         if mode == "sweep":
             raise SchemaError("h_grid", "required key is missing")
         start, stop, count = _DEFAULT_GRIDS[family]
         h_values = tuple(float(v) for v in np.geomspace(start, stop, count))
 
-    problem = _build_problem(problem_node, kind, h if single_h else max(h_values), seed)
+    problem = _build_problem(problem_node, kind, seed)
 
     if family == "schrodinger" and problem.case == "ii" and mode != "predict":
         raise SchemaError(
@@ -432,8 +433,8 @@ def _write_summary(config: RunConfig, payload: dict) -> None:
 
 
 def _run_predict(config: RunConfig) -> int:
-    h, branch = config.problem.h, config.branch
-    t = config.problem.predict(branch or 1)
+    (h,), branch = config.h_values, config.branch
+    t = config.problem.predict(h, branch or 1)
     print(f"predict  h={h:.6e}" + ("" if branch is None else f"  branch={branch}"))
     _print_matrix("predicted", t)
     summary = {"mode": "predict", "h": h, "branch": branch}
@@ -443,11 +444,11 @@ def _run_predict(config: RunConfig) -> int:
 
 
 def _run_single_solve(config: RunConfig) -> int:
-    prob = config.problem
-    predicted = prob.predict(config.branch)
-    extracted = prob.extract(config.branch)
+    (h,), prob = config.h_values, config.problem
+    predicted = prob.predict(h, config.branch)
+    extracted = prob.extract(h, config.branch)
     errors = extracted.entrywise_abs_diff(predicted)
-    print(f"{config.mode}  h={prob.h:.6e}  branch={config.branch}")
+    print(f"{config.mode}  h={h:.6e}  branch={config.branch}")
     _print_matrix("extracted", extracted)
     _print_matrix("predicted", predicted)
     print(f"max abs error: {extracted.max_abs_diff(predicted):.6e}")
@@ -455,7 +456,7 @@ def _run_single_solve(config: RunConfig) -> int:
         config,
         {
             "mode": config.mode,
-            "h": prob.h,
+            "h": h,
             "branch": config.branch,
             "extracted": _matrix_payload(extracted),
             "predicted": _matrix_payload(predicted),

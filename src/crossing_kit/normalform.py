@@ -37,6 +37,7 @@ stationary-point contribution predicted by predict_transfer.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -51,7 +52,7 @@ from .symbolcalc import (
     crossing_data_from_symbols,
     transfer_predicted_general,
 )
-from .transfer import Problem, TransferMatrix
+from .transfer import TransferMatrix, check_h
 
 # Names of removed functions, which perfbench/tracer.py wraps on this module
 # by name and accepts None for; nothing calls them. ode_oracle lives in
@@ -61,14 +62,15 @@ grid_for = ode_oracle = cum_quad6 = None
 
 
 @dataclass(frozen=True)
-class NormalFormProblem(Problem):
-    """Problem data for the reduced model on [x0, x1].
+class NormalFormProblem:
+    """Problem data for the reduced model on [x0, x1], for every h.
 
     f must vanish at 0 to the exact order m (``Poly1.zero_order``), and
     nowhere else on the support of an active coupling, its ends included
     (``Poly1.vanishes_off_zero``): a second zero there, even a double one,
     would be a second crossing. Both couplings must be supported strictly
-    inside the interval.
+    inside the interval. The crossing invariants, which do not depend on
+    h, are built once, when a prediction first asks for them.
     """
 
     f: Poly1
@@ -76,14 +78,11 @@ class NormalFormProblem(Problem):
     r2: Bump
     x0: float
     x1: float
-    h: float
     m: int
 
     def __post_init__(self):
         if not (self.x0 < 0.0 < self.x1):
             raise ValidationError("interval must satisfy x0 < 0 < x1")
-        if not (self.h > 0):
-            raise ValidationError("h must be positive")
         if self.m < 1:
             raise ValidationError("m must be a positive integer")
         if self.f.zero_order != self.m:
@@ -118,19 +117,23 @@ class NormalFormProblem(Problem):
         """f^(m)(0), the first nonvanishing derivative at the crossing."""
         return math.factorial(self.m) * self.f.coeffs[self.m]
 
+    @functools.cached_property
+    def _data(self) -> CrossingData:
+        return crossing_data(self)
+
     # -- the Problem interface used by the sweep and the CLI
 
     @property
     def order(self) -> int:
         return self.m
 
-    def predict(self, branch: int = 1) -> TransferMatrix:
+    def predict(self, h: float, branch: int = 1) -> TransferMatrix:
         _check_single_crossing(branch)
-        return predict_transfer(self)
+        return predict_transfer(self, h)
 
-    def extract(self, branch: int = 1) -> TransferMatrix:
+    def extract(self, h: float, branch: int = 1) -> TransferMatrix:
         _check_single_crossing(branch)
-        return transfer_numeric(self)
+        return transfer_numeric(self, h)
 
 
 def _check_single_crossing(branch: int) -> None:
@@ -138,8 +141,8 @@ def _check_single_crossing(branch: int) -> None:
         raise ValidationError("the reduced model has one crossing; branch must be 1")
 
 
-def _system(prob: NormalFormProblem) -> march.System:
-    """The model's a' = M a for the march: rate f, and (m1, m2) = (-i r1,
+def _system(prob: NormalFormProblem, h: float) -> march.System:
+    """The model's a' = M a at h for the march: rate f, and (m1, m2) = (-i r1,
     -i r2), with r2's values those of r1 where r1 == r2; the march takes
     its phase F from f, and one Neumann chain where they make M
     skew-Hermitian (real bumps: r1 == r2).
@@ -154,10 +157,11 @@ def _system(prob: NormalFormProblem) -> march.System:
         m2 = m1 if prob.r2 == prob.r1 else -1j * prob.r2(x)
         return np.asarray(prob.f(x), dtype=float), (m1, m2)
 
+    check_h(h)
     return march.System(
-        h=prob.h,
+        h=h,
         support=prob.coupling_support(),
-        zone=(prob.h / abs(prob.f_order_coeff())) ** (1.0 / (prob.m + 1)),
+        zone=(h / abs(prob.f_order_coeff())) ** (1.0 / (prob.m + 1)),
         coupling=max(abs(prob.r1.amplitude), abs(prob.r2.amplitude)),
         local=local,
     )
@@ -183,29 +187,29 @@ def crossing_data(prob: NormalFormProblem) -> CrossingData:
     return crossing_data_from_symbols(p1, p2, q1, q2, max_m=prob.m + 1)
 
 
-def predict_transfer(prob: NormalFormProblem) -> TransferMatrix:
-    """Leading-order transfer matrix for the model problem.
+def predict_transfer(prob: NormalFormProblem, h: float) -> TransferMatrix:
+    """Leading-order transfer matrix for the model problem at h.
 
     Off-diagonal entries are -i h^{1/(m+1)} r_j(0) times the stationary
     prefactor of the corresponding phase sign; diagonal entries are 1 up to
     a higher-order remainder.
     """
-    return transfer_predicted_general(prob.shared(crossing_data), prob.h)
+    return transfer_predicted_general(prob._data, h)
 
 
-def transfer_numeric(prob: NormalFormProblem) -> TransferMatrix:
-    """Extracted transfer matrix: both basis inputs marched from x0 to x1.
+def transfer_numeric(prob: NormalFormProblem, h: float) -> TransferMatrix:
+    """Extracted transfer matrix at h: both basis inputs marched from x0 to x1.
 
     Column j of T is a(x1) for a(x0) = e_j, in the frame
     a = (u1, e^{-iF/h} u2) with F(0) = 0.
     """
-    a = march.march(_system(prob), np.eye(2, dtype=complex), prob.x0, prob.x1)
-    return TransferMatrix(a.T, h=prob.h)
+    a = march.march(_system(prob, h), np.eye(2, dtype=complex), prob.x0, prob.x1)
+    return TransferMatrix(a.T, h=h)
 
 
 _WIDE = Bump(width=0.8, amplitude=1.0)
 
-# The six reference problems of the verification suite, without h, all on
+# The six reference problems of the verification suite, all on
 # [-1, 1]. The first three share a wide unit-amplitude coupling: the width
 # keeps the amplitude's curvature at the crossing small, which keeps the
 # next-order corrections out of the asymptotic fits.
@@ -222,6 +226,6 @@ MODEL_CORPUS = tuple(
 )
 
 
-def model_corpus(h: float) -> list[NormalFormProblem]:
-    """The problems of ``MODEL_CORPUS`` at h."""
-    return [NormalFormProblem(**fields, h=h) for fields in MODEL_CORPUS]
+def model_corpus() -> list[NormalFormProblem]:
+    """The problems of ``MODEL_CORPUS``."""
+    return [NormalFormProblem(**fields) for fields in MODEL_CORPUS]

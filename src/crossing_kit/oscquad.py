@@ -37,6 +37,7 @@ from .errors import GridTooCoarse, ValidationError
 from .normalform import NormalFormProblem, transfer_numeric
 from .profiles import ZERO_BUMP, Bump, Poly1
 from .symbolcalc import stationary_prefactor
+from .transfer import check_h
 
 # The name of a removed kernel, which perfbench/tracer.py wraps on this
 # module and accepts None for; nothing calls it.
@@ -95,8 +96,7 @@ class PhaseSpec:
 
 def osc_leading_term(phase: PhaseSpec, a0: complex, h: float) -> complex:
     """Closed-form leading term of the oscillatory integral as h -> 0."""
-    if not (h > 0):
-        raise ValidationError("h must be positive")
+    check_h(h)
     m = phase.m
     c = phase.deriv(m + 1, 0.0)
     return stationary_prefactor(m, c) * a0 * h ** (1.0 / (m + 1))
@@ -109,17 +109,20 @@ def osc_integral_numeric(
 
     The reduced model with f = F', r1 = amp and r2 = 0 carries the column
     (0, 1) to (-i I, 1), so I = i t12 of its ``transfer_numeric``: the
-    graded mesh over the amplitude's support, the node budget checked
-    before any work and the memory bounded by CHUNK_BYTES. As r1 of the
-    model, ``amp`` must be supported strictly inside ``interval``
-    (ValidationError otherwise).
+    panel march over the amplitude's support. An h or an amplitude whose
+    panel split would need more than ``march.MAX_LEVELS`` levels, or more
+    than ``march.MAX_PANELS`` panels within the Picard reach, is refused
+    with ValidationError before any panel is judged, and the march's
+    memory is bounded by ``march.CHUNK_BYTES``. As r1 of the model,
+    ``amp`` must be supported strictly inside ``interval``, and h must be
+    finite and positive (ValidationError otherwise).
     """
     x0, x1 = float(interval[0]), float(interval[1])
     phase.validate(x0, x1)
     prob = NormalFormProblem(
-        f=phase.func.deriv(1), r1=amp, r2=ZERO_BUMP, x0=x0, x1=x1, h=h, m=phase.m
+        f=phase.func.deriv(1), r1=amp, r2=ZERO_BUMP, x0=x0, x1=x1, m=phase.m
     )
-    return complex(1j * transfer_numeric(prob).t12)
+    return complex(1j * transfer_numeric(prob, h).t12)
 
 
 @dataclass
@@ -162,8 +165,7 @@ def gaussian_pairing(v: GridFunction, h: float) -> complex:
     Gaussian scale, and resolve v's own oscillation. For v = e^{i lambda
     x^2/(2h)} the exact value is (1 - i lambda)^(-1/2).
     """
-    if not (h > 0):
-        raise ValidationError("h must be positive")
+    check_h(h)
     half = 8.0 * math.sqrt(h)
     if v.x0 > -half or v.x1 < half:
         raise GridTooCoarse(

@@ -61,6 +61,7 @@ h = 1e-2 .. 1e-3 (tests/pair_oracle.py holds that march).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -75,7 +76,7 @@ from .symbolcalc import (
     crossing_data_from_symbols,
     transfer_predicted_general,
 )
-from .transfer import Problem, TransferMatrix
+from .transfer import TransferMatrix, check_h
 
 # Names perfbench/tracer.py wraps on this module and accepts None for:
 # grid_for is removed, and the DOP853 reference solve with its right-hand
@@ -83,8 +84,8 @@ from .transfer import Problem, TransferMatrix
 grid_for = solve_ivp = branch_decompose = schrod_rhs = None
 
 @dataclass(frozen=True)
-class SchrodingerProblem(Problem):
-    """Problem data for the coupled pair on [x_in, x_out].
+class SchrodingerProblem:
+    """Problem data for the coupled pair on [x_in, x_out], for every h.
 
     n is the exact vanishing order of V2 - V1 at 0 (``Poly1.zero_order``),
     and V2 - V1 must not vanish anywhere else on supp W, its ends included
@@ -92,6 +93,8 @@ class SchrodingerProblem(Problem):
     meet a second time under the coupling, in either case. The coupling W
     must be supported strictly inside the interval so that branch
     coefficients can be read off in coupling-free zones near both ends.
+    What does not depend on h, the normal form of case i and the crossing
+    invariants of each crossing, is built once, when first asked for.
     """
 
     v1: Poly1
@@ -99,15 +102,12 @@ class SchrodingerProblem(Problem):
     w: Bump
     e0: float
     n: int
-    h: float
     x_in: float
     x_out: float
 
     def __post_init__(self):
         if not (self.x_in < 0.0 < self.x_out):
             raise ValidationError("interval must satisfy x_in < 0 < x_out")
-        if not (self.h > 0):
-            raise ValidationError("h must be positive")
         if self.n < 1:
             raise ValidationError("n must be a positive integer")
         diff = self.v2 - self.v1
@@ -161,6 +161,15 @@ class SchrodingerProblem(Problem):
         """(V2 - V1)^(n)(0), the first nonvanishing difference derivative."""
         return math.factorial(self.n) * (self.v2 - self.v1).coeffs[self.n]
 
+    @functools.cached_property
+    def _form(self) -> "_NormalForm":
+        return _NormalForm(self)
+
+    @functools.cached_property
+    def _crossing_data(self):
+        """``build_crossing_data`` of this problem, once per crossing."""
+        return functools.cache(lambda which: build_crossing_data(self, which))
+
     # -- the Problem interface used by the sweep and the CLI
 
     @property
@@ -168,14 +177,14 @@ class SchrodingerProblem(Problem):
         """Contact order: n at the crossings +-xi0, 2n at the origin."""
         return self.n if self.case == "i" else 2 * self.n
 
-    def predict(self, branch: int = 1) -> TransferMatrix:
-        """T at (0, branch * xi0); the origin crossing ignores ``branch``."""
+    def predict(self, h: float, branch: int = 1) -> TransferMatrix:
+        """T at h and (0, branch * xi0); the origin crossing ignores ``branch``."""
         if self.case == "ii":
-            return predict_transfer_case_ii(self)
-        return predict_transfer_case_i(self, branch)
+            return predict_transfer_case_ii(self, h)
+        return predict_transfer_case_i(self, h, branch)
 
-    def extract(self, branch: int = 1) -> TransferMatrix:
-        return numeric_transfer_case_i(self, branch)
+    def extract(self, h: float, branch: int = 1) -> TransferMatrix:
+        return numeric_transfer_case_i(self, h, branch)
 
 
 class WkbBasis:
@@ -249,7 +258,7 @@ class _NormalForm:
     """The h-free part of the pair's normal form (case i): the basis, the
     gap V_1 - V_2, the bounds of ``_system`` and ``theta``, the integrals
     at x_in and x_out whose h^2 multiples are the phases Theta_j (module
-    docstring)."""
+    docstring). A problem builds it once, at its first extraction."""
 
     def __init__(self, prob: SchrodingerProblem):
         self.basis = basis = WkbBasis(prob)
@@ -268,8 +277,8 @@ class _NormalForm:
         self.stationary = abs(prob.delta_n()) / float(p_zero[0] + p_zero[1])
 
 
-def _system(prob: SchrodingerProblem) -> march.System:
-    """The normal form of the + branches for the march: rate F' and
+def _system(prob: SchrodingerProblem, h: float) -> march.System:
+    """The normal form of the + branches at h for the march: rate F' and
     m1 = m2 = -i r, supported on supp W. The march takes the phase F as
     the integral of that same F' from 0, and finds M skew-Hermitian.
 
@@ -279,8 +288,9 @@ def _system(prob: SchrodingerProblem) -> march.System:
     The coupling bound is max |W| over 2 sqrt(p_1 p_2) at the least p_j on
     the interval, and the stationary zone's width (h / |F^(n+1)(0)|)^(1/(n+1)).
     """
-    form = prob.shared(_NormalForm)
-    basis, h = form.basis, prob.h
+    check_h(h)
+    form = prob._form
+    basis = form.basis
 
     def local(x):
         _, p, _, kappa = basis.rates(x)
@@ -300,9 +310,9 @@ def _system(prob: SchrodingerProblem) -> march.System:
 
 
 def numeric_transfer_case_i(
-    prob: SchrodingerProblem, which_sign: int = 1
+    prob: SchrodingerProblem, h: float, which_sign: int = 1
 ) -> TransferMatrix:
-    """Transfer matrix at (0, which_sign * xi0), extracted by one march.
+    """Transfer matrix at h and (0, which_sign * xi0), extracted by one march.
 
     Unit data on the + branches marches from x_in to x_out in the normal
     form (module docstring) over supp W; with U its propagator,
@@ -311,18 +321,18 @@ def numeric_transfer_case_i(
 
     The - branches' propagator is U^T: (T_-)_jk = (T_+)_kj c_k^2 / c_j^2.
     """
-    form = prob.shared(_NormalForm)
+    form = prob._form
     if which_sign not in (1, -1):
         raise ValidationError("which_sign must be +1 or -1")
-    u = march.march(_system(prob), np.eye(2, dtype=complex), prob.x_in, prob.x_out).T
+    u = march.march(_system(prob, h), np.eye(2, dtype=complex), prob.x_in, prob.x_out).T
     # s_j = sigma_j sqrt(p_j) = c_j E0^{1/4}: the ratios are those of c_j
     scale = np.array(form.basis.c)
-    out = np.exp(1j / prob.h * (prob.h**2 * form.theta[1])) / scale
-    into = np.exp(-1j / prob.h * (prob.h**2 * form.theta[0])) * scale
+    out = np.exp(1j / h * (h**2 * form.theta[1])) / scale
+    into = np.exp(-1j / h * (h**2 * form.theta[0])) * scale
     t = out[:, None] * u * into[None, :]
     if which_sign == -1:
         t = t.T * scale**2 / scale[:, None] ** 2
-    return TransferMatrix(t, h=prob.h)
+    return TransferMatrix(t, h=h)
 
 
 def build_crossing_data(prob: SchrodingerProblem, which: int) -> CrossingData:
@@ -366,7 +376,7 @@ def build_crossing_data(prob: SchrodingerProblem, which: int) -> CrossingData:
 
 
 def predict_transfer_case_i(
-    prob: SchrodingerProblem, which_sign: int = 1
+    prob: SchrodingerProblem, h: float, which_sign: int = 1
 ) -> TransferMatrix:
     """Leading transfer matrix at (0, which_sign * xi0), from the invariants.
 
@@ -377,11 +387,10 @@ def predict_transfer_case_i(
     """
     if which_sign not in (1, -1):
         raise ValidationError("which_sign must be +1 or -1")
-    data = prob.shared(build_crossing_data, which_sign)
-    return transfer_predicted_general(data, prob.h)
+    return transfer_predicted_general(prob._crossing_data(which_sign), h)
 
 
-def predict_transfer_case_ii(prob: SchrodingerProblem) -> TransferMatrix:
+def predict_transfer_case_ii(prob: SchrodingerProblem, h: float) -> TransferMatrix:
     """Leading transfer matrix at the zero-energy crossing, from the invariants.
 
     The off-diagonal amplitudes come out real and positive:
@@ -393,10 +402,10 @@ def predict_transfer_case_ii(prob: SchrodingerProblem) -> TransferMatrix:
     with k the other index and delta_n the first nonvanishing derivative
     of V2 - V1 at 0.
     """
-    return transfer_predicted_general(prob.shared(build_crossing_data, 0), prob.h)
+    return transfer_predicted_general(prob._crossing_data(0), h)
 
 
-# Reference problems without h: two positive-energy cases on [-1.2, 1.2]
+# Reference problems: two positive-energy cases on [-1.2, 1.2]
 # and one zero-energy case on [-0.9, 0.9]. The positive-energy entries use
 # E0 = 1 and equal potential slopes at 0, where the invariant route reduces
 # to the textbook closed-form amplitudes; the coupling width keeps its
@@ -412,6 +421,6 @@ SCHRODINGER_CORPUS = tuple(
 )
 
 
-def schrodinger_corpus(h: float) -> list[SchrodingerProblem]:
-    """The problems of ``SCHRODINGER_CORPUS`` at h."""
-    return [SchrodingerProblem(**fields, h=h) for fields in SCHRODINGER_CORPUS]
+def schrodinger_corpus() -> list[SchrodingerProblem]:
+    """The problems of ``SCHRODINGER_CORPUS``."""
+    return [SchrodingerProblem(**fields) for fields in SCHRODINGER_CORPUS]

@@ -125,9 +125,8 @@ def fit_power_law(points: list[tuple[float, float]]) -> PowerLawFit:
 
 def _solve_pair(problem: Problem, h: float):
     """(extracted, predicted) transfer matrices for one h."""
-    prob_h = problem.with_h(h)
-    predicted = prob_h.predict(1)
-    extracted = prob_h.extract(1)
+    predicted = problem.predict(h, 1)
+    extracted = problem.extract(h, 1)
     return extracted, predicted
 
 

@@ -35,7 +35,7 @@ from .errors import (
     ValidationError,
     ZeroGradient,
 )
-from .transfer import TransferMatrix
+from .transfer import TransferMatrix, check_h
 
 __all__ = [
     "Poly2",
@@ -347,8 +347,7 @@ def omega_general(data: CrossingData) -> tuple[complex, complex]:
 
 def transfer_predicted_general(data: CrossingData, h: float) -> TransferMatrix:
     """Leading-order transfer matrix I - i h^(1/(m+1)) antidiag(w1 q1, w2 q2)."""
-    if not (h > 0):
-        raise ValidationError("h must be positive")
+    check_h(h)
     omega1, omega2 = omega_general(data)
     lam = h ** (1.0 / (data.m + 1))
     entries = np.array(

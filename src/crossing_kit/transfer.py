@@ -2,8 +2,7 @@
 
 from __future__ import annotations
 
-import copy
-import functools
+import math
 from dataclasses import dataclass
 from typing import Protocol, runtime_checkable
 
@@ -58,44 +57,27 @@ class TransferMatrix:
         return float(self.entrywise_abs_diff(other).max())
 
 
+def check_h(h: float) -> None:
+    """Refuse an h that is not finite and positive: the one check of h on
+    every route to a transfer matrix, before any work at that h."""
+    if not 0.0 < h < math.inf:  # False for NaN too
+        raise ValidationError("h must be finite and positive")
+
+
 @runtime_checkable
 class Problem(Protocol):
-    """A crossing problem at one h, as the sweep and the CLI use it.
+    """A crossing problem, h-free, as the sweep and the CLI use it.
 
-    ``predict`` gives T from the crossing invariants, ``extract`` reads T off
-    a numerical solve; ``branch`` picks the crossing where a problem has more
-    than one. ``order`` is the contact order m, so the off-diagonal entries
-    scale like h^(1/(order+1)).
-
-    The frozen problem dataclasses subclass it for ``with_h`` and for
-    ``setup``, the record of their h-free values that ``shared`` fills.
+    ``predict`` gives T at h from the crossing invariants, ``extract`` reads
+    T at h off a numerical solve; ``branch`` picks the crossing where a
+    problem has more than one. ``order`` is the contact order m, so the
+    off-diagonal entries scale like h^(1/(order+1)). A problem sets up what
+    does not depend on h once, when first asked for, and keeps it.
     """
-
-    h: float
-
-    setup = functools.cached_property(lambda self: {})
 
     @property
     def order(self) -> int: ...
 
-    def with_h(self, h: float) -> "Problem":
-        """The same validated problem at another h: it checks only h > 0 and
-        holds the same ``setup``, so a sweep sets its problem up once. A
-        ``dataclasses.replace`` of any other field makes a fresh record."""
-        if not (h > 0):
-            raise ValidationError("h must be positive")
-        self.setup  # cached on self first, so that the copy holds it
-        twin = copy.copy(self)
-        object.__setattr__(twin, "h", h)
-        return twin
+    def predict(self, h: float, branch: int = 1) -> TransferMatrix: ...
 
-    def shared(self, build, *args):
-        """``build(self, *args)``, built once per problem; it must not read h."""
-        key = (build, *args)
-        if key not in self.setup:
-            self.setup[key] = build(self, *args)
-        return self.setup[key]
-
-    def predict(self, branch: int = 1) -> TransferMatrix: ...
-
-    def extract(self, branch: int = 1) -> TransferMatrix: ...
+    def extract(self, h: float, branch: int = 1) -> TransferMatrix: ...

@@ -19,18 +19,18 @@ from crossing_kit.symbolcalc import mu_m, stationary_prefactor
 from crossing_kit.transfer import TransferMatrix
 
 
-def predict_transfer(prob: NormalFormProblem) -> TransferMatrix:
-    """Leading-order transfer matrix for the model problem.
+def predict_transfer(prob: NormalFormProblem, h: float) -> TransferMatrix:
+    """Leading-order transfer matrix for the model problem at h.
 
     Off-diagonal entries are -i h^{1/(m+1)} r_j(0) times the stationary
     prefactor of the corresponding phase sign; diagonal entries are 1 up to
     a higher-order remainder.
     """
-    lam = prob.h ** (1.0 / (prob.m + 1))
+    lam = h ** (1.0 / (prob.m + 1))
     fm0 = prob.f_order_coeff()
     t12 = -1j * lam * prob.r1(0.0) * stationary_prefactor(prob.m, fm0)
     t21 = -1j * lam * prob.r2(0.0) * stationary_prefactor(prob.m, -fm0)
-    return TransferMatrix([[1.0, t12], [t21, 1.0]], h=prob.h)
+    return TransferMatrix([[1.0, t12], [t21, 1.0]], h=h)
 
 
 def _omega_case_i(prob: SchrodingerProblem) -> complex:
@@ -42,9 +42,9 @@ def _omega_case_i(prob: SchrodingerProblem) -> complex:
 
 
 def predict_transfer_case_i(
-    prob: SchrodingerProblem, which_sign: int = 1
+    prob: SchrodingerProblem, h: float, which_sign: int = 1
 ) -> TransferMatrix:
-    """Closed-form leading transfer matrix at (0, which_sign * xi0).
+    """Closed-form leading transfer matrix at h and (0, which_sign * xi0).
 
     At +xi0 the off-diagonals are -i h^{1/(n+1)} W(0) (omega, conj(omega));
     at -xi0 the two amplitudes trade places. Diagonal entries are 1 up to a
@@ -57,17 +57,17 @@ def predict_transfer_case_i(
     omega = _omega_case_i(prob)
     if which_sign == -1:
         omega = np.conj(omega)
-    lam = prob.h ** (1.0 / (prob.n + 1))
+    lam = h ** (1.0 / (prob.n + 1))
     w0 = prob.w(0.0)
     entries = [
         [1.0, -1j * lam * omega * w0],
         [-1j * lam * np.conj(omega) * w0, 1.0],
     ]
-    return TransferMatrix(entries, h=prob.h)
+    return TransferMatrix(entries, h=h)
 
 
-def predict_transfer_case_ii(prob: SchrodingerProblem) -> TransferMatrix:
-    """Closed-form leading transfer matrix at the zero-energy crossing.
+def predict_transfer_case_ii(prob: SchrodingerProblem, h: float) -> TransferMatrix:
+    """Closed-form leading transfer matrix at h and the zero-energy crossing.
 
     Both off-diagonal amplitudes are real and positive:
 
@@ -94,10 +94,10 @@ def predict_transfer_case_ii(prob: SchrodingerProblem) -> TransferMatrix:
         * shared
         for j in (0, 1)
     ]
-    lam = prob.h ** root
+    lam = h ** root
     w0 = prob.w(0.0)
     entries = [
         [1.0, -1j * lam * omega[0] * w0],
         [-1j * lam * omega[1] * w0, 1.0],
     ]
-    return TransferMatrix(entries, h=prob.h)
+    return TransferMatrix(entries, h=h)

@@ -79,9 +79,10 @@ def schrod_rhs(x, y, v1_coeffs, v2_coeffs, wp, e0, h):
 
 
 def ode_oracle(
-    prob: NormalFormProblem, alpha_in: tuple[complex, complex], x
+    prob: NormalFormProblem, h: float, alpha_in: tuple[complex, complex], x
 ) -> np.ndarray:
-    """Direct adaptive integration of the model system: the march's oracle.
+    """Direct adaptive integration of the model system at h: the march's
+    oracle.
 
     Starts from the frame coefficients a(x0) = alpha_in, that is
     u1(x0) = a1 and u2(x0) = a2 e^{iF(x0)/h}, and returns the frame
@@ -91,19 +92,19 @@ def ode_oracle(
     x = np.asarray(x, dtype=float)
     a1, a2 = complex(alpha_in[0]), complex(alpha_in[1])
     F = prob.f.antideriv()
-    y0 = np.array([a1, a2 * np.exp(1j * F(prob.x0) / prob.h)], dtype=complex)
+    y0 = np.array([a1, a2 * np.exp(1j * F(prob.x0) / h)], dtype=complex)
     args = (
         np.asarray(prob.f.coeffs, dtype=float),
         kernel_params(prob.r1),
         kernel_params(prob.r2),
-        prob.h,
+        h,
     )
     # Where a component is identically zero the controller would take steps
     # spanning thousands of fast periods; the step itself is fine but the
     # dense-output interpolant amplifies stage noise by the stiff factor
     # f/h. Capping the step at one local period keeps it conditioned.
     rate = float(abs_max_on(prob.f, [prob.x0], [prob.x1])[0])
-    max_step = 2.0 * np.pi * prob.h / rate if rate > 0 else np.inf
+    max_step = 2.0 * np.pi * h / rate if rate > 0 else np.inf
     sol = solve_ivp(
         model_rhs,
         (prob.x0, float(x[-1])),
@@ -117,17 +118,17 @@ def ode_oracle(
     )
     if not sol.success:
         raise StepFailure(f"adaptive integrator failed: {sol.message}")
-    return np.array([sol.y[0], np.exp(-1j * F(x) / prob.h) * sol.y[1]])
+    return np.array([sol.y[0], np.exp(-1j * F(x) / h) * sol.y[1]])
 
 
-def synthesize(prob: SchrodingerProblem, coeffs, x: float) -> np.ndarray:
+def synthesize(prob: SchrodingerProblem, h: float, coeffs, x: float) -> np.ndarray:
     """State vector (u1, u1', u2, u2') with branch coefficients ``coeffs``.
 
     coeffs = (a1_plus, a1_minus, a2_plus, a2_minus), in the exact
     convention: u_j' = a_j+ w_j+' + a_j- w_j-'.
     """
     a = np.asarray(coeffs, dtype=complex)
-    basis, h = WkbBasis(prob), prob.h
+    basis = WkbBasis(prob)
     _, rate, dlog, _ = basis.rates(x)
     sig = basis.amplitude(x)
     osc = np.exp(1j * basis.phase(x) / h)
@@ -138,7 +139,7 @@ def synthesize(prob: SchrodingerProblem, coeffs, x: float) -> np.ndarray:
     return out
 
 
-def branch_decompose(prob: SchrodingerProblem, x: float, u, hdu):
+def branch_decompose(prob: SchrodingerProblem, h: float, x: float, u, hdu):
     """Branch coefficients (a_plus, a_minus) of both equations at the point
     x, each of shape (2,), from u = (u1, u2) and hdu = (h u1', h u2').
 
@@ -156,27 +157,33 @@ def branch_decompose(prob: SchrodingerProblem, x: float, u, hdu):
             "branch matrix nearly singular (turning point too close)"
         )
     # h u' less its amplitude part is the phase part i phi' sigma (a+ e - a- e*)
-    hdu = hdu - prob.h * dlog * u
-    osc = np.exp(1j * basis.phase(x) / prob.h)
+    hdu = hdu - h * dlog * u
+    osc = np.exp(1j * basis.phase(x) / h)
     a_plus = (u - 1j * hdu / rate) / (2.0 * sig * osc)
     a_minus = (u + 1j * hdu / rate) / (2.0 * sig * np.conj(osc))
     return a_plus, a_minus
 
 
-def _rhs_args(prob: SchrodingerProblem):
+def _rhs_args(prob: SchrodingerProblem, h: float):
     return (
         np.asarray(prob.v1.coeffs, dtype=float),
         np.asarray(prob.v2.coeffs, dtype=float),
         kernel_params(prob.w),
         prob.e0,
-        prob.h,
+        h,
     )
 
 
 def integrate(
-    prob: SchrodingerProblem, coeffs, x_from: float, x_to: float, t_eval, tol=ODE_TOL
+    prob: SchrodingerProblem,
+    h: float,
+    coeffs,
+    x_from: float,
+    x_to: float,
+    t_eval,
+    tol=ODE_TOL,
 ) -> np.ndarray:
-    """DOP853 reference solve of the coupled pair.
+    """DOP853 reference solve of the coupled pair at h.
 
     ``coeffs`` = (a1_plus, a1_minus, a2_plus, a2_minus) is synthesized into
     the state (u1, u1', u2, u2') at x_from, which DOP853 carries to x_to.
@@ -185,12 +192,12 @@ def integrate(
     sol = solve_ivp(
         schrod_rhs,
         (x_from, x_to),
-        synthesize(prob, coeffs, x_from),
+        synthesize(prob, h, coeffs, x_from),
         method="DOP853",
         t_eval=t_eval,
         rtol=tol,
         atol=tol,
-        args=_rhs_args(prob),
+        args=_rhs_args(prob, h),
     )
     if not sol.success:
         raise StepFailure(f"adaptive integrator failed: {sol.message}")

@@ -61,16 +61,16 @@ def apply(cross, self_, osc, back, a):
     return da
 
 
-def _plan(prob: SchrodingerProblem, basis: WkbBasis):
+def _plan(prob: SchrodingerProblem, h: float, basis: WkbBasis):
     """The uniform plan's Picard chunks over [x_in, x_out] for the
     four-coefficient system: rate bound 2 max p_j everywhere, coupling the
     largest row sum of |M|."""
     x = np.linspace(prob.x_in, prob.x_out, 1025)
-    _, peak_cross, peak_self = coefficients(basis, prob.h, x, abs(prob.w.amplitude))
+    _, peak_cross, peak_self = coefficients(basis, h, x, abs(prob.w.amplitude))
     lowest = min(v.range_on(prob.x_in, prob.x_out)[0] for v in (prob.v1, prob.v2))
     fastest = 2.0 * math.sqrt(prob.e0 - lowest)
     system = uniform_plan.System(
-        h=prob.h,
+        h=h,
         interval=prob.interval,
         support=prob.interval,
         phase=None,
@@ -82,13 +82,13 @@ def _plan(prob: SchrodingerProblem, basis: WkbBasis):
     return uniform_plan._plan(system, prob.x_in, prob.x_out)
 
 
-def transfer(prob: SchrodingerProblem, sign: int = 1) -> np.ndarray:
-    """T at (0, sign * xi0) from the four-coefficient march: unit data on
+def transfer(prob: SchrodingerProblem, h: float, sign: int = 1) -> np.ndarray:
+    """T at h and (0, sign * xi0) from the four-coefficient march: unit data on
     the incoming branches at one end, read on the outgoing ones at the
     other. Refuses h < H_MIN, where the march is not converged."""
-    if prob.h < H_MIN:
+    if h < H_MIN:
         raise ValueError(
-            f"h={prob.h:g} < {H_MIN:g}: the four-coefficient march is not "
+            f"h={h:g} < {H_MIN:g}: the four-coefficient march is not "
             "converged there at 14 points per period (at h = 1e-5 on "
             "schrodinger-corpus 1 its T moves by 1.08e-10 against 96)"
         )
@@ -99,11 +99,11 @@ def transfer(prob: SchrodingerProblem, sign: int = 1) -> np.ndarray:
     a[0, slot] = a[1, 2 + slot] = 1.0
     step = float(sign)
     x, phi = start, basis.phase(start)
-    for dx, cells in _plan(prob, basis)[::sign]:
+    for dx, cells in _plan(prob, h, basis)[::sign]:
         nodes = x + step * dx * np.arange(cells + 1)
-        rate, cross, self_ = coefficients(basis, prob.h, nodes, prob.w(nodes))
+        rate, cross, self_ = coefficients(basis, h, nodes, prob.w(nodes))
         phase = cum_quad10(rate, step * dx, initial=phi)
-        osc = np.exp(1j * phase / prob.h)
+        osc = np.exp(1j * phase / h)
         back = np.conj(osc)
         m_d, total = apply(cross, self_, osc, back, a[:, :, None]), a.copy()
         for _ in range(march.PICARD_MAX_ITER):

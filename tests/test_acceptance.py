@@ -8,7 +8,6 @@ silent regressions that would make a bound vacuously loose.
 """
 
 import cmath
-import dataclasses
 import math
 from concurrent.futures import ThreadPoolExecutor
 
@@ -90,7 +89,7 @@ def test_02_airy_cross_check_m2():
 
 def test_03_model_transfer_m1_sweep():
     # frozen: exponent 0.4927, amplitude ratio 0.9453, arg -2.3553
-    rep = run_sweep(model_corpus(1e-1)[0], np.geomspace(1e-1, 1e-4, 12))
+    rep = run_sweep(model_corpus()[0], np.geomspace(1e-1, 1e-4, 12))
     assert len(rep.ok_rows()) == 12
     fit = fit_power_law(rep.magnitudes("t21"))
     assert abs(fit.exponent - 0.5) <= 0.02
@@ -103,7 +102,7 @@ def test_03_model_transfer_m1_sweep():
 
 def test_04_model_transfer_m2_sweep():
     # frozen: exponent 0.3303, amplitude ratio 0.9675
-    rep = run_sweep(model_corpus(1e-3)[1], np.geomspace(1e-3, 1e-5, 12))
+    rep = run_sweep(model_corpus()[1], np.geomspace(1e-3, 1e-5, 12))
     assert len(rep.ok_rows()) == 12
     fit = fit_power_law(rep.magnitudes("t21"))
     assert abs(fit.exponent - 1.0 / 3.0) <= 0.02
@@ -120,14 +119,14 @@ def test_05_series_vs_direct_integration():
     # each chunk) against DOP853, at points across the coupling support and
     # at x1, where T is read
     worst = 0.0
-    for prob in model_corpus(1e-2):
+    for prob in model_corpus():
         lo, hi = prob.coupling_support()
         xs = [*np.linspace(lo, hi, 9)[1:-1], prob.x1]
         for alpha in ((1.0, 0.0), (0.0, 1.0)):
-            direct = ode_oracle(prob, alpha, xs)
+            direct = ode_oracle(prob, 1e-2, alpha, xs)
             for k, x in enumerate(xs):
                 a = march.march(
-                    _system(prob), np.array([alpha], dtype=complex), prob.x0, x
+                    _system(prob, 1e-2), np.array([alpha], dtype=complex), prob.x0, x
                 )
                 worst = max(worst, float(np.abs(a[0] - direct[:, k]).max()))
     assert worst <= 1e-7
@@ -137,7 +136,7 @@ def test_05_series_vs_direct_integration():
 def test_06_diagonal_deficit_envelope():
     # frozen exponents: 1.1101 (order 1, log envelope), 0.6441 (order 2)
     for idx, m in ((0, 1), (1, 2)):
-        rep = run_sweep(model_corpus(1e-3)[idx], np.geomspace(1e-3, 1e-5, 8))
+        rep = run_sweep(model_corpus()[idx], np.geomspace(1e-3, 1e-5, 8))
         assert len(rep.ok_rows()) == 8
         # order 1 carries the log(1/h) envelope, divided out of the data
         pts = rep.magnitudes("t11_deficit")
@@ -168,8 +167,8 @@ def _tangential_corpus():
     """(data, p1, p2) for every tangential crossing in the two corpora."""
     out = []
     for prob, which_list in (
-        (schrodinger_corpus(1e-3)[1], (1, -1)),
-        (schrodinger_corpus(1e-3)[2], (0,)),
+        (schrodinger_corpus()[1], (1, -1)),
+        (schrodinger_corpus()[2], (0,)),
     ):
         for which in which_list:
             data = build_crossing_data(prob, which)
@@ -228,10 +227,10 @@ def test_07_bracket_identities():
 def test_08_closed_form_matches_general_route():
     worst = 0.0
     for h in (1e-2, 1e-3):
-        for prob in schrodinger_corpus(h)[:2]:
+        for prob in schrodinger_corpus()[:2]:
             for which in (1, -1):
-                display = closed_form_oracle.predict_transfer_case_i(prob, which)
-                general = predict_transfer_case_i(prob, which)
+                display = closed_form_oracle.predict_transfer_case_i(prob, h, which)
+                general = predict_transfer_case_i(prob, h, which)
                 worst = max(worst, display.max_abs_diff(general))
     assert worst <= 1e-10
     report(8, f"closed form equals invariant route at both crossings ({worst:.1e})")
@@ -239,21 +238,19 @@ def test_08_closed_form_matches_general_route():
 
 def test_09_schrodinger_numeric_verification():
     # frozen: exponent 0.4958; off-diagonal rel errors ~1.1% at h=1e-3
-    base = schrodinger_corpus(1e-2)[0]
+    base = schrodinger_corpus()[0]
 
     def magnitude(h: float) -> tuple[float, float]:
-        p = dataclasses.replace(base, h=float(h))
-        return float(h), abs(complex(numeric_transfer_case_i(p, 1).t12))
+        return float(h), abs(complex(numeric_transfer_case_i(base, float(h), 1).t12))
 
     with ThreadPoolExecutor(3) as pool:
         points = list(pool.map(magnitude, np.geomspace(1e-2, 10.0**-3.5, 6)))
     fit = fit_power_law(points)
     assert abs(fit.exponent - 0.5) <= 0.03
 
-    p3 = dataclasses.replace(base, h=1e-3)
     for branch in (1, -1):
-        predicted = predict_transfer_case_i(p3, branch)
-        extracted = numeric_transfer_case_i(p3, branch)
+        predicted = predict_transfer_case_i(base, 1e-3, branch)
+        extracted = numeric_transfer_case_i(base, 1e-3, branch)
         scale = abs(complex(predicted.t12))
         diff = extracted.entrywise_abs_diff(predicted)
         assert diff[0][1] / scale <= 0.15

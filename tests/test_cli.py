@@ -46,7 +46,7 @@ def test_minimal_model_config_fills_defaults(tmp_path):
     )
     config = parse_config(path)
     assert config.mode == "solve-model"
-    assert config.problem.h == 1e-2
+    assert config.h_values == (1e-2,)
     assert config.branch == 1
     assert config.tolerances == {"exponent": 0.05, "prefactor": 0.10}
     assert config.csv_path is None and config.summary_path is None
@@ -347,7 +347,7 @@ def test_predict_summary_matches_library(tmp_path, capsys):
     assert main(["predict", "--config", path]) == 0
     capsys.readouterr()
     payload = json.loads(out.read_text(encoding="utf-8"))
-    expected = predict_transfer(parse_config(path, mode="predict").problem)
+    expected = predict_transfer(parse_config(path, mode="predict").problem, 1e-3)
     re, im = payload["entries"]["t21"]
     assert complex(re, im) == pytest.approx(complex(expected.t21), abs=1e-15)
 
@@ -428,9 +428,10 @@ def test_prefactor_gate_fails_a_prediction_off_by_15_percent(
     path = write_config(tmp_path, cfg)
     for scale, code in ((1.0, 0), (1.15, 1), (1 / 1.15, 1)):
 
-        def scaled(self, branch=1, scale=scale):
-            t = predict(self, branch).entries * np.array([[1.0, scale], [scale, 1.0]])
-            return TransferMatrix(t, h=self.h)
+        def scaled(self, h, branch=1, scale=scale):
+            off = np.array([[1.0, scale], [scale, 1.0]])
+            t = predict(self, h, branch).entries * off
+            return TransferMatrix(t, h=h)
 
         monkeypatch.setattr(family, "predict", scaled)
         assert main(["verify", "--config", path]) == code, scale

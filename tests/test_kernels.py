@@ -220,10 +220,10 @@ def _oscillations(rng, phases, n, h):
 
 
 def _model_case(rng, n):
-    prob = model_corpus(1e-3)[4]  # unequal couplings r1 != r2
+    prob, h = model_corpus()[4], 1e-3  # unequal couplings r1 != r2
     x = np.sort(rng.uniform(-0.5, 0.5, n))
-    _, coeffs = normalform._system(prob).local(x)
-    return (prob.r1(x), prob.r2(x)), coeffs, _oscillations(rng, 1, n, prob.h), 2
+    _, coeffs = normalform._system(prob, h).local(x)
+    return (prob.r1(x), prob.r2(x)), coeffs, _oscillations(rng, 1, n, h), 2
 
 
 @pytest.mark.parametrize(

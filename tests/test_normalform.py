@@ -37,11 +37,11 @@ from uniform_plan import march_uniformly
 SQRT_2PI = 2.506628274631000502415765284811045253007
 
 
-def marched(prob, alpha, x_to):
-    """Frame coefficients (u1, e^{-iF/h} u2) at x_to, marched from
+def marched(prob, h, alpha, x_to):
+    """Frame coefficients (u1, e^{-iF/h} u2) at x_to and h, marched from
     a(x0) = alpha."""
     a = np.array([alpha], dtype=complex)
-    return march.march(_system(prob), a, prob.x0, x_to)[0]
+    return march.march(_system(prob, h), a, prob.x0, x_to)[0]
 
 
 def probe_points(prob):
@@ -50,35 +50,38 @@ def probe_points(prob):
     return [*np.linspace(lo, hi, 7)[1:-1], prob.x1]
 
 
-def oracle_gap(prob, alpha):
-    """Largest |march - ODE oracle| over the probe points."""
+def oracle_gap(prob, h, alpha):
+    """Largest |march - ODE oracle| at h over the probe points."""
     xs = probe_points(prob)
-    want = ode_oracle(prob, alpha, xs)
+    want = ode_oracle(prob, h, alpha, xs)
     return max(
-        float(np.abs(marched(prob, alpha, x) - want[:, k]).max())
+        float(np.abs(marched(prob, h, alpha, x) - want[:, k]).max())
         for k, x in enumerate(xs)
     )
 
 
-def ode_reference(prob):
-    """T read off two direct ODE solves at x1."""
-    cols = [ode_oracle(prob, a, [prob.x1])[:, -1] for a in ((1, 0), (0, 1))]
+def ode_reference(prob, h):
+    """T at h read off two direct ODE solves at x1."""
+    cols = [ode_oracle(prob, h, a, [prob.x1])[:, -1] for a in ((1, 0), (0, 1))]
     return np.array(cols).T
 
 
 def strong_coupling_problem():
     """A model problem whose coupling integrals over the whole interval are
     far from small: one Neumann series on the interval would not be
-    contractive, so only the march's short chunks converge."""
+    contractive, so only the march's short chunks converge. The tests run
+    it at STRONG_H."""
     return NormalFormProblem(
         f=Poly1((0.0, 1.0)),
         r1=Bump(1.5, 3.0),
         r2=Bump(1.5, 3.0),
         x0=-2.0,
         x1=2.0,
-        h=1e-1,
         m=1,
     )
+
+
+STRONG_H = 1e-1
 
 
 # ---------------------------------------------------------------- validation
@@ -88,16 +91,14 @@ def test_problem_validation():
     f = Poly1((0.0, 1.0))
     r = Bump(width=0.5)
     with pytest.raises(ValidationError):
-        NormalFormProblem(f=f, r1=r, r2=r, x0=0.1, x1=1.0, h=1e-2, m=1)
-    with pytest.raises(ValidationError):
-        NormalFormProblem(f=f, r1=r, r2=r, x0=-1.0, x1=1.0, h=-1e-2, m=1)
+        NormalFormProblem(f=f, r1=r, r2=r, x0=0.1, x1=1.0, m=1)
     # declared order must match the actual vanishing order of f
     with pytest.raises(ValidationError):
-        NormalFormProblem(f=f, r1=r, r2=r, x0=-1.0, x1=1.0, h=1e-2, m=2)
+        NormalFormProblem(f=f, r1=r, r2=r, x0=-1.0, x1=1.0, m=2)
     # coupling support must stay strictly inside the interval
     with pytest.raises(ValidationError):
         NormalFormProblem(
-            f=f, r1=Bump(width=1.0), r2=r, x0=-1.0, x1=1.0, h=1e-2, m=1
+            f=f, r1=Bump(width=1.0), r2=r, x0=-1.0, x1=1.0, m=1
         )
     # f must not vanish inside a coupling support except at 0
     with pytest.raises(ValidationError):
@@ -107,7 +108,6 @@ def test_problem_validation():
             r2=r,
             x0=-1.0,
             x1=1.0,
-            h=1e-2,
             m=1,
         )
 
@@ -119,14 +119,14 @@ def test_a_double_zero_under_the_coupling_is_refused():
     f = Poly1(tuple(np.polynomial.polynomial.polyfromroots([0.0, 0.45, 0.45])))
     with pytest.raises(ValidationError, match="vanishes away from 0"):
         NormalFormProblem(
-            f=f, r1=Bump(0.8), r2=Bump(0.8), x0=-1.0, x1=1.0, h=1e-4, m=1
+            f=f, r1=Bump(0.8), r2=Bump(0.8), x0=-1.0, x1=1.0, m=1
         )
     # outside the supports the second zero is harmless
-    NormalFormProblem(f=f, r1=Bump(0.4), r2=Bump(0.4), x0=-1.0, x1=1.0, h=1e-4, m=1)
+    NormalFormProblem(f=f, r1=Bump(0.4), r2=Bump(0.4), x0=-1.0, x1=1.0, m=1)
 
 
 def test_problem_accessors():
-    prob = model_corpus(1e-2)[1]
+    prob = model_corpus()[1]
     assert prob.interval == (-1.0, 1.0)
     assert prob.coupling_support() == (-0.8, 0.8)
     assert prob.f_order_coeff() == 2.0  # f = x^2, f''(0) = 2
@@ -136,36 +136,35 @@ def test_problem_accessors():
         r2=Bump(1.0, 0.0),
         x0=-1.0,
         x1=1.0,
-        h=1e-2,
         m=1,
     )
     assert decoupled.coupling_support() is None
     assert isinstance(prob, Problem)
     assert prob.order == 2
-    assert prob.with_h(1e-3) == dataclasses.replace(prob, h=1e-3)
     with pytest.raises(ValidationError):
-        prob.predict(-1)  # the model has a single crossing
+        prob.predict(1e-3, -1)  # the model has a single crossing
 
 
-def test_with_h_shares_the_setup_and_reproduces_a_fresh_problem():
-    # every with_h of a problem holds its one h-free setup record; each h
-    # still reads as a problem built afresh at that h, bit for bit, so a
-    # record that kept the h of the first row it served would show here
-    for i, prob in enumerate(model_corpus(1e-1)):
-        rows = [prob.with_h(h) for h in (1e-2, 2.5e-3, 1e-4)]
-        assert all(row.setup is prob.setup for row in rows)
-        for row in rows:
-            fresh = model_corpus(row.h)[i]
-            assert np.array_equal(row.extract().entries, fresh.extract().entries)
-            assert np.array_equal(row.predict().entries, fresh.predict().entries)
-        assert dataclasses.replace(prob, m=prob.m).setup is not prob.setup
-    for h in (0.0, -1e-3, float("nan")):
-        with pytest.raises(ValidationError, match="h must be positive"):
-            prob.with_h(h)
+def test_a_problem_that_ran_other_h_reproduces_a_fresh_problem():
+    # a problem keeps its h-free setup, the crossing data, once built; each
+    # h still reads as on a problem built afresh, bit for bit, so a setup
+    # that kept the h of the first call it served would show here. A copy
+    # by dataclasses.replace is an equal problem that sets itself up anew
+    for i, prob in enumerate(model_corpus()):
+        prob.predict(1e-1)
+        data = prob._data
+        for h in (1e-2, 2.5e-3, 1e-4):
+            fresh = model_corpus()[i]
+            assert np.array_equal(prob.extract(h).entries, fresh.extract(h).entries)
+            assert np.array_equal(prob.predict(h).entries, fresh.predict(h).entries)
+        assert prob._data is data
+        copy = dataclasses.replace(prob, m=prob.m)
+        assert copy == prob
+        assert vars(copy).keys() == {f.name for f in dataclasses.fields(copy)}
 
 
 def test_corpus_shape():
-    corpus = model_corpus(1e-2)
+    corpus = model_corpus()
     assert [p.m for p in corpus] == [1, 2, 3, 1, 2, 1]
     assert all(p.r1(0.0) > 0 or p.r2(0.0) > 0 for p in corpus)
 
@@ -176,8 +175,8 @@ def test_corpus_shape():
 def test_antiderivative_exact_for_linear_rate():
     # f = x: the uniform plan carries F from F(x0) by cum_quad10 of the
     # rate, which is exact for a linear rate, so F = x^2/2 at every chunk end
-    prob = dataclasses.replace(model_corpus(1e-2)[0], r1=ZERO_BUMP, r2=ZERO_BUMP)
-    system = uniform_plan.system(prob)
+    prob = dataclasses.replace(model_corpus()[0], r1=ZERO_BUMP, r2=ZERO_BUMP)
+    system = uniform_plan.system(prob, 1e-2)
     phi0 = system.phase(prob.x0)
     assert phi0 == 0.5
     for end in (-0.3, 0.0, 1.0):
@@ -192,11 +191,11 @@ def test_gamma_vanishes_before_the_coupling_switches_on():
     # M, and with it every coupling integral gamma_plus/gamma_minus, is
     # exactly zero left of the supports: the march returns the data as is,
     # also over an empty span and over a span shorter than one chunk
-    prob = model_corpus(1e-3)[0]
+    prob = model_corpus()[0]
     lo = prob.coupling_support()[0]
     for alpha in ((1.0, 0.0), (0.3 - 0.4j, 0.8 + 0.1j)):
         for x_to in (prob.x0, prob.x0 + 1e-4, lo):
-            assert (marched(prob, alpha, x_to) == np.array(alpha)).all()
+            assert (marched(prob, 1e-3, alpha, x_to) == np.array(alpha)).all()
 
 
 def test_skipping_where_m_vanishes_is_exact():
@@ -204,9 +203,9 @@ def test_skipping_where_m_vanishes_is_exact():
     # are exact: marching x0 -> x1 equals marching the support alone, bit
     # for bit, and a march that walks the whole interval agrees to the mesh
     # error
-    prob = model_corpus(1e-3)[1]
+    prob = model_corpus()[1]
     lo, hi = prob.coupling_support()
-    system = _system(prob)
+    system = _system(prob, 1e-3)
     whole = dataclasses.replace(system, support=prob.interval)
     a = np.eye(2, dtype=complex)
     skipped = march.march(system, a, prob.x0, prob.x1)
@@ -218,9 +217,9 @@ def test_skipping_where_m_vanishes_is_exact():
 def test_march_runs_left_to_right_only():
     # a leftward span is refused before any work, also where M vanishes on
     # it; an empty span returns the data as is
-    prob = model_corpus(1e-3)[1]
+    prob = model_corpus()[1]
     lo, _ = prob.coupling_support()
-    system = _system(prob)
+    system = _system(prob, 1e-3)
     a = np.eye(2, dtype=complex)
     for x_from, x_to in ((prob.x1, prob.x0), (lo, prob.x0), (0.0, -1e-12)):
         with pytest.raises(ValidationError, match="left to right"):
@@ -235,10 +234,10 @@ def test_graded_mesh_marches_a_third_of_the_uniform_grid(monkeypatch, caplog):
     # within one chunk's reach, before cutting chunks, marched 124486 nodes
     march_uniformly(monkeypatch)
     for index, most in ((1, 763945 // 3), (2, 112_000)):
-        prob = model_corpus(1e-5)[index]
+        prob = model_corpus()[index]
         caplog.clear()
         with caplog.at_level(logging.DEBUG, logger="crossing_kit"):
-            transfer_numeric(prob)
+            transfer_numeric(prob, 1e-5)
         msg = caplog.records[0].getMessage()
         nodes = int(re.search(r"marched (\d+) nodes", msg).group(1))
         assert nodes <= most, msg
@@ -248,10 +247,11 @@ def test_gamma_minus_fresnel_value():
     # with r1 switched off, a1 stays 1 and t21 = -i gamma_minus(1)(x1); for
     # f = x the full integral of the unit coupling is the stationary value
     # sqrt(2 pi h) e^{-i pi/4} up to O(h)
-    prob = dataclasses.replace(model_corpus(1e-4)[0], r1=ZERO_BUMP)
-    T = transfer_numeric(prob)
+    h = 1e-4
+    prob = dataclasses.replace(model_corpus()[0], r1=ZERO_BUMP)
+    T = transfer_numeric(prob, h)
     got = 1j * T.t21
-    want = math.sqrt(2.0 * math.pi * prob.h) * np.exp(-1j * math.pi / 4.0)
+    want = math.sqrt(2.0 * math.pi * h) * np.exp(-1j * math.pi / 4.0)
     assert T.t11 == 1.0
     assert abs(got - want) / abs(want) < 1e-3
 
@@ -265,36 +265,36 @@ def test_march_matches_ode_oracle():
     # integration of the differential form, inside the supports and at x1
     for k in range(3):
         for h in (1e-1, 1e-2, 1e-3):
-            prob = model_corpus(h)[k]
+            prob = model_corpus()[k]
             for alpha in ((1.0, 0.0), (0.3 - 0.4j, 0.8 + 0.1j)):
-                diff = oracle_gap(prob, alpha)
+                diff = oracle_gap(prob, h, alpha)
                 assert diff < 1e-8, (prob.m, h, alpha, diff)
 
 
 def test_march_matches_ode_oracle_small_h_spot():
-    prob = model_corpus(1e-4)[0]
-    assert oracle_gap(prob, (1.0, 0.0)) < 1e-7
+    prob = model_corpus()[0]
+    assert oracle_gap(prob, 1e-4, (1.0, 0.0)) < 1e-7
 
 
 def test_march_is_linear_in_the_data():
-    prob = model_corpus(1e-2)[0]
+    prob = model_corpus()[0]
     a = (0.5 - 0.2j, 0.1 + 0.9j)
     b = (-0.7 + 0.3j, 0.4 + 0.0j)
-    sa = marched(prob, a, prob.x1)
-    sb = marched(prob, b, prob.x1)
-    sab = marched(prob, (a[0] + b[0], a[1] + b[1]), prob.x1)
+    sa = marched(prob, 1e-2, a, prob.x1)
+    sb = marched(prob, 1e-2, b, prob.x1)
+    sab = marched(prob, 1e-2, (a[0] + b[0], a[1] + b[1]), prob.x1)
     assert np.abs(sab - sa - sb).max() < 1e-12
 
 
 def test_equal_couplings_conserve_the_two_component_norm():
     # with r1 = r2 real the system is self-adjoint up to the phase factor:
     # |u1|^2 + |u2|^2 is a constant of the motion, so T is unitary
-    prob = model_corpus(1e-2)[0]
+    prob = model_corpus()[0]
     xs = np.linspace(prob.x0, prob.x1, 2001)
-    a = ode_oracle(prob, (0.6 + 0.2j, -0.3 + 0.7j), xs)
+    a = ode_oracle(prob, 1e-2, (0.6 + 0.2j, -0.3 + 0.7j), xs)
     norm = np.abs(a[0]) ** 2 + np.abs(a[1]) ** 2
     assert norm.max() - norm.min() < 1e-8
-    T = transfer_numeric(prob).entries
+    T = transfer_numeric(prob, 1e-2).entries
     assert np.abs(T.conj().T @ T - np.eye(2)).max() < 1e-8
 
 
@@ -305,10 +305,9 @@ def test_decoupled_problem_is_exact():
         r2=Bump(1.0, 0.0),
         x0=-1.0,
         x1=1.0,
-        h=1e-2,
         m=1,
     )
-    T = transfer_numeric(prob)
+    T = transfer_numeric(prob, 1e-2)
     assert (T.entries == np.eye(2)).all()
 
 
@@ -318,10 +317,10 @@ def test_picard_stop_bounds_the_truncation(monkeypatch):
     # the stop leaves out is below PICARD_TOL per chunk, and T stops
     # within chunks * PICARD_TOL of the converged value (1 Picard chunk
     # here; the bound allows 7)
-    prob = model_corpus(1e-2)[1]
-    converged = transfer_numeric(prob)
+    prob = model_corpus()[1]
+    converged = transfer_numeric(prob, 1e-2)
     monkeypatch.setattr(march, "PICARD_TOL", 1e-8)
-    stopped = transfer_numeric(prob)
+    stopped = transfer_numeric(prob, 1e-2)
     observed = stopped.max_abs_diff(converged)
     assert 0.0 < observed <= 7 * 1e-8
 
@@ -332,17 +331,17 @@ def test_picard_stop_scales_with_the_data(monkeypatch):
     # data scaled by 10: T applied to the data within roundoff, the direct
     # integration within 1e-9 * 10, and the truncation at a looser
     # PICARD_TOL within the bound of the test above, in absolute terms
-    prob = model_corpus(1e-2)[1]
+    prob, h = model_corpus()[1], 1e-2
     rng = np.random.default_rng(17)
     a0 = 10.0 * rng.uniform(0.8, 1.2, (2, 2)) * np.exp(2j * np.pi * rng.uniform(size=(2, 2)))
-    T = transfer_numeric(prob).entries
-    converged = march.march(_system(prob), a0, prob.x0, prob.x1)
+    T = transfer_numeric(prob, h).entries
+    converged = march.march(_system(prob, h), a0, prob.x0, prob.x1)
     assert np.abs(converged - a0 @ T.T).max() <= 1e-13 * 10
     for got, alpha in zip(converged, a0):
-        want = ode_oracle(prob, alpha, [prob.x1])[:, -1]
+        want = ode_oracle(prob, h, alpha, [prob.x1])[:, -1]
         assert np.abs(got - want).max() <= 1e-9 * 10
     monkeypatch.setattr(march, "PICARD_TOL", 1e-8)
-    stopped = march.march(_system(prob), a0, prob.x0, prob.x1)
+    stopped = march.march(_system(prob, h), a0, prob.x0, prob.x1)
     observed = float(np.abs(stopped - converged).max())
     assert 0.0 < observed <= 7 * 1e-8
 
@@ -351,26 +350,28 @@ def test_a_zero_column_is_carried_without_sweeps(caplog):
     # nothing to sum: the uniform plan returns zero data at once, with no
     # sweep and no division by the data's size; the panels carry it as
     # U 0 = 0
-    prob = model_corpus(1e-2)[0]
+    prob = model_corpus()[0]
     zero = np.zeros((1, 2), dtype=complex)
     with caplog.at_level(logging.DEBUG, logger="crossing_kit"):
-        a = uniform_plan.march(uniform_plan.system(prob), zero, prob.x0, prob.x1)
+        a = uniform_plan.march(uniform_plan.system(prob, 1e-2), zero, prob.x0, prob.x1)
     assert (a == 0.0).all()
     assert "of 0 sweeps" in caplog.records[0].getMessage()
-    assert (march.march(_system(prob), zero, prob.x0, prob.x1) == 0.0).all()
+    assert (march.march(_system(prob, 1e-2), zero, prob.x0, prob.x1) == 0.0).all()
 
 
 @pytest.mark.parametrize(
-    "build, rows",
+    "build, h, rows",
     [
-        (lambda: model_corpus(1e-2)[0], 1),
-        (strong_coupling_problem, 1),
-        (lambda: model_corpus(1e-2)[3], 2),
-        (lambda: schrodinger_corpus(1e-2)[0], 1),
+        (lambda: model_corpus()[0], 1e-2, 1),
+        (strong_coupling_problem, STRONG_H, 1),
+        (lambda: model_corpus()[3], 1e-2, 2),
+        (lambda: schrodinger_corpus()[0], 1e-2, 1),
     ],
     ids=["model", "strong-model", "model-corpus-3", "pair"],
 )
-def test_each_sweep_integrates_only_the_rows_it_needs(monkeypatch, caplog, build, rows):
+def test_each_sweep_integrates_only_the_rows_it_needs(
+    monkeypatch, caplog, build, h, rows
+):
     # M is off-diagonal, so its propagator's terms are two chains: each
     # sweep integrates 2 rows, whatever the data's columns, and 1 where M is
     # skew-Hermitian (one chain is the other's conjugate up to sign), as on
@@ -387,7 +388,7 @@ def test_each_sweep_integrates_only_the_rows_it_needs(monkeypatch, caplog, build
 
     monkeypatch.setattr(uniform_plan, "cum_quad10", counting)
     with caplog.at_level(logging.DEBUG, logger="crossing_kit"):
-        build().extract()
+        build().extract(h)
     assert samples and all(size == rows * nodes for size, nodes in samples), samples
     msg = caplog.records[-1].getMessage()
     assert len(samples) == int(re.search(r"of (\d+) sweeps", msg).group(1))
@@ -403,25 +404,25 @@ def _sweeps_and_transfer(system, prob, caplog):
 
 
 @pytest.mark.parametrize(
-    "build",
+    "build, h",
     [
         *(
-            lambda h=h, k=k: model_corpus(h)[k]
+            (lambda k=k: model_corpus()[k], h)
             for h in (1e-2, 1e-4)
             for k in (0, 1, 2, 5)
         ),
-        strong_coupling_problem,
+        (strong_coupling_problem, STRONG_H),
     ],
     ids=[f"corpus-{k}-h{h:g}" for h in (1e-2, 1e-4) for k in (0, 1, 2, 5)]
     + ["strong-model"],
 )
-def test_one_chain_equals_two_chains(monkeypatch, caplog, build):
+def test_one_chain_equals_two_chains(monkeypatch, caplog, build, h):
     # r1 == r2: M is skew-Hermitian, and the march sweeps one chain of the
     # propagator's terms and takes the other as its conjugate up to sign.
     # Sweeping both chains, forced by the chain check, gives the same T to
     # rounding, in as many sweeps
     prob = build()
-    system = _system(prob)
+    system = _system(prob, h)
     one = _sweeps_and_transfer(system, prob, caplog)
     assert "1 Neumann rows per sweep" in caplog.records[-1].getMessage()
     monkeypatch.setattr(march, "_one_chain", lambda values: False)
@@ -451,9 +452,10 @@ _COLUMN_SWEEP_T = {
 @pytest.mark.parametrize("index", sorted(_COLUMN_SWEEP_T))
 def test_two_chains_keep_the_column_sweep_bits(monkeypatch, index):
     march_uniformly(monkeypatch)
-    prob = model_corpus(1e-3)[index]
+    prob = model_corpus()[index]
     assert prob.r1 != prob.r2
-    assert (transfer_numeric(prob).entries == np.array(_COLUMN_SWEEP_T[index])).all()
+    T = transfer_numeric(prob, 1e-3).entries
+    assert (T == np.array(_COLUMN_SWEEP_T[index])).all()
 
 
 def test_overflow_stops_picard_at_once(monkeypatch):
@@ -463,15 +465,15 @@ def test_overflow_stops_picard_at_once(monkeypatch):
     # RuntimeWarning (an error under this suite's filter). The panel march
     # refuses that coupling by its panel budget before judging a panel.
     prob = dataclasses.replace(
-        model_corpus(1e-2)[0], r1=Bump(0.5, 1e300), r2=Bump(0.5, 1e300)
+        model_corpus()[0], r1=Bump(0.5, 1e300), r2=Bump(0.5, 1e300)
     )
     with monkeypatch.context() as patch:
         patch.setattr(march, "_judge", None)
         with pytest.raises(ValidationError, match="max_panels"):
-            prob.extract()
+            prob.extract(1e-2)
     march_uniformly(monkeypatch)
     with pytest.raises(StepFailure, match=r"overflowed: sweep 2 moved by nan"):
-        prob.extract()
+        prob.extract(1e-2)
 
 
 def test_strong_coupling_needs_no_fallback(caplog):
@@ -482,8 +484,8 @@ def test_strong_coupling_needs_no_fallback(caplog):
     # edge, in one panel batch of 18 sweeps
     prob = strong_coupling_problem()
     with caplog.at_level(logging.DEBUG, logger="crossing_kit"):
-        T = prob.extract()
-    assert np.abs(T.entries - ode_reference(prob)).max() <= 1e-9
+        T = prob.extract(STRONG_H)
+    assert np.abs(T.entries - ode_reference(prob, STRONG_H)).max() <= 1e-9
     assert [r.levelno for r in caplog.records] == [logging.DEBUG]
     msg = caplog.records[0].getMessage()
     for word in (
@@ -501,12 +503,12 @@ def test_panels_resolve_a_coupling_the_uniform_plan_cannot(monkeypatch):
     # its own left edge, converge and match the direct integration (measured
     # 4.3e-10)
     coupling = Bump(0.8, 380.0)
-    prob = dataclasses.replace(model_corpus(1e-1)[0], r1=coupling, r2=coupling)
-    T = prob.extract()
-    assert np.abs(T.entries - ode_reference(prob)).max() <= 1e-9
+    prob = dataclasses.replace(model_corpus()[0], r1=coupling, r2=coupling)
+    T = prob.extract(1e-1)
+    assert np.abs(T.entries - ode_reference(prob, 1e-1)).max() <= 1e-9
     march_uniformly(monkeypatch)
     with pytest.raises(StepFailure, match="Picard iteration"):
-        prob.extract()
+        prob.extract(1e-1)
 
 
 def test_picard_fails_loudly_on_an_uncut_strong_coupling(monkeypatch):
@@ -516,11 +518,11 @@ def test_picard_fails_loudly_on_an_uncut_strong_coupling(monkeypatch):
     # cap of 10, the march raises instead of returning a T.
     strong = strong_coupling_problem()
     prob = dataclasses.replace(strong, r1=Bump(1.5, 12.0), r2=Bump(1.5, 12.0))
-    T = prob.extract()
-    assert np.abs(T.entries - ode_reference(prob)).max() <= 1e-9
+    T = prob.extract(STRONG_H)
+    assert np.abs(T.entries - ode_reference(prob, STRONG_H)).max() <= 1e-9
     monkeypatch.setattr(march, "PICARD_MAX_ITER", 10)
     with pytest.raises(StepFailure, match=r"Picard iteration on \[-1.5, 1.5\]"):
-        prob.extract()
+        prob.extract(STRONG_H)
 
 
 def test_march_system_does_not_outlive_its_extraction(monkeypatch):
@@ -530,15 +532,15 @@ def test_march_system_does_not_outlive_its_extraction(monkeypatch):
     built = []
     construct = normalform._system
 
-    def recording(prob):
-        system = construct(prob)
+    def recording(prob, h):
+        system = construct(prob, h)
         built.append(weakref.ref(system))
         return system
 
     monkeypatch.setattr(normalform, "_system", recording)
-    for prob in (model_corpus(1e-2)[0], strong_coupling_problem()):
+    for prob, h in ((model_corpus()[0], 1e-2), (strong_coupling_problem(), STRONG_H)):
         built.clear()
-        T = prob.extract()
+        T = prob.extract(h)
         gc.collect()
         assert np.isfinite(T.entries).all()
         assert len(built) == 1, (prob, len(built))
@@ -548,9 +550,9 @@ def test_march_system_does_not_outlive_its_extraction(monkeypatch):
 def test_one_debug_line_per_march(caplog):
     # at h = 1e-2 the phase turns slowly on the whole support: 12 direct
     # panels two levels below the first pieces, in one panel batch
-    prob = model_corpus(1e-2)[0]
+    prob = model_corpus()[0]
     with caplog.at_level(logging.DEBUG, logger="crossing_kit"):
-        transfer_numeric(prob)
+        transfer_numeric(prob, 1e-2)
     assert len(caplog.records) == 1
     record = caplog.records[0]
     assert record.name == "crossing_kit" and record.levelno == logging.DEBUG
@@ -573,10 +575,10 @@ def test_extraction_invariant_under_read_point():
     # anywhere there: no read-off window is needed. Each read point sets
     # its own mesh, so this runs where the mesh error is below the bound
     # (at h = 1e-3 the reads differ by the mesh error, about 2e-11)
-    prob = model_corpus(1e-2)[0]  # support ends at 0.8, x1 = 1
-    T = transfer_numeric(prob).entries
+    prob = model_corpus()[0]  # support ends at 0.8, x1 = 1
+    T = transfer_numeric(prob, 1e-2).entries
     for x in (0.81, 0.9, 0.95):
-        cols = [marched(prob, a, x) for a in ((1, 0), (0, 1))]
+        cols = [marched(prob, 1e-2, a, x) for a in ((1, 0), (0, 1))]
         assert np.abs(np.array(cols).T - T).max() < 1e-12
 
 
@@ -592,19 +594,19 @@ def test_landau_zener_transition_probability(R):
     for h in (1e-3, 1e-4, 1e-5):
         coupling = Bump(0.8, R / math.sqrt(h))
         prob = NormalFormProblem(
-            f=Poly1((0.0, 1.0)), r1=coupling, r2=coupling, x0=-1.0, x1=1.0, h=h, m=1
+            f=Poly1((0.0, 1.0)), r1=coupling, r2=coupling, x0=-1.0, x1=1.0, m=1
         )
         p_lz = 1.0 - math.exp(-2.0 * math.pi * R**2)
-        T = transfer_numeric(prob).entries
+        T = transfer_numeric(prob, h).entries
         gap = abs(T[1, 0]) ** 2 - p_lz
         assert abs(gap) <= 0.6 * h, (h, gap)
         assert np.abs(T.conj().T @ T - np.eye(2)).max() <= 1e-12, h
 
 
 def test_predicted_entries_m1():
-    prob = model_corpus(1e-3)[0]  # f = x, r1(0) = r2(0) = 1
-    T = predict_transfer(prob)
-    lam = math.sqrt(prob.h)
+    prob = model_corpus()[0]  # f = x, r1(0) = r2(0) = 1
+    T = predict_transfer(prob, 1e-3)
+    lam = math.sqrt(1e-3)
     want12 = -1j * lam * SQRT_2PI * np.exp(1j * math.pi / 4.0)
     want21 = -1j * lam * SQRT_2PI * np.exp(-1j * math.pi / 4.0)
     assert abs(T.t12 - want12) < 1e-12
@@ -619,29 +621,27 @@ def test_prediction_matches_closed_form_oracle():
     # the invariant route with flux-normalised couplings against the
     # closed form, on the corpus and on random draws of order 1..3
     rng = np.random.default_rng(11)
-    probs = [p for h in (1e-1, 1e-3, 1e-5) for p in model_corpus(h)]
+    probs = [(p, h) for h in (1e-1, 1e-3, 1e-5) for p in model_corpus()]
     for _ in range(30):
         m = int(rng.integers(1, 4))
         lead = float(rng.uniform(-2.0, 2.0))
         f = Poly1((0.0,) * m + (lead, 0.2 * lead * float(rng.uniform(-1.0, 1.0))))
-        probs.append(
-            NormalFormProblem(
-                f=f,
-                r1=Bump(width=0.8, amplitude=float(rng.uniform(0.3, 1.2))),
-                r2=Bump(width=0.8, amplitude=float(rng.uniform(0.3, 1.2))),
-                x0=-1.0,
-                x1=1.0,
-                h=float(10.0 ** rng.uniform(-5.0, -1.0)),
-                m=m,
-            )
+        prob = NormalFormProblem(
+            f=f,
+            r1=Bump(width=0.8, amplitude=float(rng.uniform(0.3, 1.2))),
+            r2=Bump(width=0.8, amplitude=float(rng.uniform(0.3, 1.2))),
+            x0=-1.0,
+            x1=1.0,
+            m=m,
         )
-    for prob in probs:
-        closed = closed_form_oracle.predict_transfer(prob)
-        general = predict_transfer(prob)
+        probs.append((prob, float(10.0 ** rng.uniform(-5.0, -1.0))))
+    for prob, h in probs:
+        closed = closed_form_oracle.predict_transfer(prob, h)
+        general = predict_transfer(prob, h)
         assert general.max_abs_diff(closed) <= 1e-14
 
 
 def test_transfer_numeric_matches_ode_reference():
-    prob = model_corpus(1e-2)[4]
-    a = transfer_numeric(prob)
-    assert np.abs(a.entries - ode_reference(prob)).max() < 1e-8
+    prob = model_corpus()[4]
+    a = transfer_numeric(prob, 1e-2)
+    assert np.abs(a.entries - ode_reference(prob, 1e-2)).max() < 1e-8

@@ -218,10 +218,10 @@ def test_numeric_is_the_model_with_r2_zero(key):
     ph = PhaseSpec.from_poly(poly)
     prob = NormalFormProblem(
         f=poly.deriv(1), r1=bump, r2=ZERO_BUMP, x0=interval[0], x1=interval[1],
-        h=1e-3, m=ph.m,
+        m=ph.m,
     )
     value = osc_integral_numeric(ph, bump, 1e-3, interval)
-    assert value == 1j * transfer_numeric(prob).t12
+    assert value == 1j * transfer_numeric(prob, 1e-3).t12
 
 
 def test_numeric_rejects_amplitude_past_interval():

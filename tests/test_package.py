@@ -4,6 +4,7 @@ package imports and runs without scipy."""
 
 import ast
 import dataclasses
+import inspect
 import json
 import os
 import subprocess
@@ -13,8 +14,10 @@ from pathlib import Path
 import numpy as np
 
 import crossing_kit
-from crossing_kit import march
-from crossing_kit.normalform import model_corpus
+from crossing_kit import march, sweep
+from crossing_kit.normalform import NormalFormProblem, model_corpus
+from crossing_kit.schrodinger import SchrodingerProblem, schrodinger_corpus
+from crossing_kit.transfer import Problem
 
 from ode_oracles import ode_oracle
 
@@ -146,6 +149,32 @@ def test_march_holds_the_only_quadrature_rule():
                 assert not bad, (path.stem, name)
 
 
+def test_problems_are_h_free():
+    # one problem interface: a problem is built once, for every h, and
+    # predict and extract take h. No problem carries an h, and no module
+    # makes a copy at another h or keeps a shared setup record
+    assert {name for name in vars(Problem) if not name.startswith("_")} == {
+        "order",
+        "predict",
+        "extract",
+    }
+    for family, corpus in (
+        (NormalFormProblem, model_corpus),
+        (SchrodingerProblem, schrodinger_corpus),
+    ):
+        assert "h" not in {field.name for field in dataclasses.fields(family)}
+        assert Problem not in family.__mro__  # it meets the protocol, no more
+        assert all(isinstance(prob, Problem) for prob in corpus())
+        for method in (family.predict, family.extract):
+            assert list(inspect.signature(method).parameters) == ["self", "h", "branch"]
+    package = Path(crossing_kit.__file__).parent
+    for path in package.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            for name in _names(node):
+                assert name not in ("with_h", "shared", "setup"), (path.stem, name)
+    assert list(inspect.signature(sweep._solve_pair).parameters) == ["problem", "h"]
+
+
 # In a fresh interpreter with scipy blocked: import every module of the
 # package, and run `verify` on a short grid of each family. Then unblock
 # scipy, call the model's DOP853 test oracle once and report its values.
@@ -171,7 +200,7 @@ del sys.modules["scipy"]
 sys.path.insert(0, sys.argv[1])
 from crossing_kit.normalform import model_corpus
 from ode_oracles import ode_oracle
-a = ode_oracle(model_corpus(1e-2)[0], (1.0, 0.5j), [-0.5, 0.0, 1.0])
+a = ode_oracle(model_corpus()[0], 1e-2, (1.0, 0.5j), [-0.5, 0.0, 1.0])
 report["oracle"] = [[z.real, z.imag] for z in a.ravel().tolist()]
 print(json.dumps(report))
 """
@@ -202,6 +231,6 @@ def test_cli_runs_verify_without_loading_scipy_integrate(tmp_path):
         "__init__"
     }
     assert report["model"] == 0 and report["schrodinger"] == 0
-    want = ode_oracle(model_corpus(1e-2)[0], (1.0, 0.5j), [-0.5, 0.0, 1.0])
+    want = ode_oracle(model_corpus()[0], 1e-2, (1.0, 0.5j), [-0.5, 0.0, 1.0])
     got = np.array([complex(*z) for z in report["oracle"]]).reshape(want.shape)
     assert (got == want).all()

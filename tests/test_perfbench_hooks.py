@@ -31,7 +31,7 @@ from crossing_kit.schrodinger import schrodinger_corpus
 t = tracer.Tracer()
 tracer.install(t)
 assert isinstance(crossing_kit.BACKEND, str)
-sweep._solve_pair(model_corpus(1e-1)[0], 1e-1)
+sweep._solve_pair(model_corpus()[0], 1e-1)
 names = {s.name for s in t.spans()}
 rows = {s.row for s in t.spans()}
 missing = {"sweep.row", "predict", "normalform.transfer_numeric"} - names
@@ -51,7 +51,7 @@ for name, want in (
     assert per_name[name] == want, (name, per_name[name])
 
 assert t.counts()["kernels.schrod_rhs.calls"] == 0
-sweep._solve_pair(schrodinger_corpus(1e-2)[0], 1e-2)
+sweep._solve_pair(schrodinger_corpus()[0], 1e-2)
 per_name = collections.Counter(s.name for s in t.spans() if s.row == 1e-2)
 for name, want in (
     ("sweep.row", 1),

@@ -12,6 +12,7 @@ cheaper h.
 
 import concurrent.futures
 import dataclasses
+import functools
 import logging
 import math
 import re
@@ -63,27 +64,27 @@ def test_problem_validation():
     v2 = Poly1((0.0, 0.25))
     w = Bump(width=0.5)
     with pytest.raises(ValidationError):
-        SchrodingerProblem(v1=v1, v2=v2, w=w, e0=1.0, n=1, h=1e-3, x_in=0.1, x_out=1.0)
+        SchrodingerProblem(v1=v1, v2=v2, w=w, e0=1.0, n=1, x_in=0.1, x_out=1.0)
     with pytest.raises(ValidationError):
-        SchrodingerProblem(v1=v1, v2=v2, w=w, e0=1.0, n=2, h=1e-3, x_in=-1.0, x_out=1.0)
+        SchrodingerProblem(v1=v1, v2=v2, w=w, e0=1.0, n=2, x_in=-1.0, x_out=1.0)
     with pytest.raises(ValidationError):  # identical potentials: no declared order fits
-        SchrodingerProblem(v1=v1, v2=v1, w=w, e0=1.0, n=1, h=1e-3, x_in=-1.0, x_out=1.0)
+        SchrodingerProblem(v1=v1, v2=v1, w=w, e0=1.0, n=1, x_in=-1.0, x_out=1.0)
     with pytest.raises(ValidationError):  # negative energy
-        SchrodingerProblem(v1=v1, v2=v2, w=w, e0=-1.0, n=1, h=1e-3, x_in=-1.0, x_out=1.0)
+        SchrodingerProblem(v1=v1, v2=v2, w=w, e0=-1.0, n=1, x_in=-1.0, x_out=1.0)
     with pytest.raises(ValidationError):  # turning point inside the interval
         SchrodingerProblem(
             v1=Poly1((0.0, 2.0)), v2=Poly1((0.0, 2.0, 1.0)), w=Bump(width=0.2),
-            e0=1.0, n=2, h=1e-3, x_in=-1.0, x_out=1.0,
+            e0=1.0, n=2, x_in=-1.0, x_out=1.0,
         )
     with pytest.raises(ValidationError):  # coupling support reaches the boundary
-        SchrodingerProblem(v1=v1, v2=v2, w=Bump(width=1.0), e0=1.0, n=1, h=1e-3,
+        SchrodingerProblem(v1=v1, v2=v2, w=Bump(width=1.0), e0=1.0, n=1,
                            x_in=-1.0, x_out=1.0)
     with pytest.raises(ValidationError):  # zero-energy case needs V1(0) = 0
         SchrodingerProblem(v1=Poly1((0.5, -1.0)), v2=Poly1((0.5, -2.0)), w=w,
-                           e0=0.0, n=1, h=1e-3, x_in=-0.9, x_out=0.9)
+                           e0=0.0, n=1, x_in=-0.9, x_out=0.9)
     with pytest.raises(ValidationError):  # zero-energy case needs V_j'(0) != 0
         SchrodingerProblem(v1=Poly1((0.0, 0.0, 1.0)), v2=Poly1((0.0, 0.0, 2.0)), w=w,
-                           e0=0.0, n=2, h=1e-3, x_in=-0.9, x_out=0.9)
+                           e0=0.0, n=2, x_in=-0.9, x_out=0.9)
 
 
 @pytest.mark.parametrize(
@@ -99,43 +100,42 @@ def test_a_second_crossing_under_the_coupling_is_refused(v1, v2, e0):
     # predicted 0.126 at h = 1e-3
     with pytest.raises(ValidationError, match="V2 - V1 vanishes away from 0"):
         SchrodingerProblem(v1=Poly1(v1), v2=Poly1(v2), w=Bump(0.8), e0=e0, n=1,
-                           h=1e-3, x_in=-1.2, x_out=1.2)
+                           x_in=-1.2, x_out=1.2)
     # outside supp W the second zero is no crossing of the coupled pair
     SchrodingerProblem(v1=Poly1(v1), v2=Poly1(v2), w=Bump(0.15), e0=e0, n=1,
-                       h=1e-3, x_in=-1.2, x_out=1.2)
+                       x_in=-1.2, x_out=1.2)
 
 
 @pytest.mark.parametrize("index", [0, 1, 2])
-def test_with_h_shares_the_setup_and_reproduces_a_fresh_problem(index):
-    # every with_h of a problem holds its one h-free setup record (crossing
-    # data, WKB basis, normal-form bounds, Theta integrals); each h still
-    # reads as a problem built afresh at that h, bit for bit on both
-    # branches, so a cached part that kept the h of the first row it served
-    # (a WkbBasis holding its problem, say) would show here
-    prob = schrodinger_corpus(1e-1)[index]
-    rows = [prob.with_h(h) for h in (1e-2, 2.5e-3, 1e-4)]
-    assert all(row.setup is prob.setup for row in rows)
-    for row in rows:
-        fresh = schrodinger_corpus(row.h)[index]
+def test_a_problem_that_ran_other_h_reproduces_a_fresh_problem(index):
+    # a problem keeps its h-free setup (crossing data, and for case i the
+    # normal form: WKB basis, bounds, Theta integrals) once built; each h
+    # still reads as on a problem built afresh, bit for bit on both
+    # branches, so a cached part that kept the h of the first call it
+    # served would show here. A copy by dataclasses.replace is an equal
+    # problem that sets itself up anew
+    prob = schrodinger_corpus()[index]
+    prob.predict(1e-1)
+    for h in (1e-2, 2.5e-3, 1e-4):
+        fresh = schrodinger_corpus()[index]
         if prob.case == "ii":
-            got, want = row.predict(), fresh.predict()
-            assert np.array_equal(got.entries, want.entries), row.h
+            got, want = prob.predict(h), fresh.predict(h)
+            assert np.array_equal(got.entries, want.entries), h
             with pytest.raises(CaseMismatch):
-                row.extract()
+                prob.extract(h)
             continue
         for branch in (1, -1):
-            got, want = row.extract(branch), fresh.extract(branch)
-            assert np.array_equal(got.entries, want.entries), (row.h, branch)
-            got, want = row.predict(branch), fresh.predict(branch)
-            assert np.array_equal(got.entries, want.entries), (row.h, branch)
-    assert dataclasses.replace(prob, n=prob.n).setup is not prob.setup
-    for h in (0.0, -1e-3, float("nan")):
-        with pytest.raises(ValidationError, match="h must be positive"):
-            prob.with_h(h)
+            got, want = prob.extract(h, branch), fresh.extract(h, branch)
+            assert np.array_equal(got.entries, want.entries), (h, branch)
+            got, want = prob.predict(h, branch), fresh.predict(h, branch)
+            assert np.array_equal(got.entries, want.entries), (h, branch)
+    copy = dataclasses.replace(prob, n=prob.n)
+    assert copy == prob
+    assert vars(copy).keys() == {f.name for f in dataclasses.fields(copy)}
 
 
 def test_corpus_shape_and_cases():
-    corpus = schrodinger_corpus(1e-3)
+    corpus = schrodinger_corpus()
     assert [p.case for p in corpus] == ["i", "i", "ii"]
     assert [p.n for p in corpus] == [1, 2, 1]
     assert [p.order for p in corpus] == [1, 2, 2]  # the origin has order 2n
@@ -151,7 +151,7 @@ def test_crossing_data_tangential_example():
     # E0=1, V1=2x, V2=2x+x^2: order-2 contact at (0, 1) with bracket 8
     prob = SchrodingerProblem(
         v1=Poly1((0.0, 2.0)), v2=Poly1((0.0, 2.0, 1.0)), w=Bump(width=0.2),
-        e0=1.0, n=2, h=1e-3, x_in=-0.3, x_out=0.3,
+        e0=1.0, n=2, x_in=-0.3, x_out=0.3,
     )
     data = build_crossing_data(prob, 1)
     assert data.m == 2
@@ -165,7 +165,7 @@ def test_crossing_data_tangential_example():
 
 def test_minus_crossing_bracket_parity():
     # the n-fold bracket picks up (-1)^n between the two crossing momenta
-    corpus = schrodinger_corpus(1e-3)
+    corpus = schrodinger_corpus()
     odd = build_crossing_data(corpus[0], 1), build_crossing_data(corpus[0], -1)
     assert odd[0].bracket_m == 1.0
     assert odd[1].bracket_m == -1.0
@@ -174,7 +174,7 @@ def test_minus_crossing_bracket_parity():
 
 
 def test_crossing_data_case_mismatch():
-    corpus = schrodinger_corpus(1e-3)
+    corpus = schrodinger_corpus()
     with pytest.raises(CaseMismatch):
         build_crossing_data(corpus[0], 0)
     with pytest.raises(CaseMismatch):
@@ -185,11 +185,11 @@ def test_crossing_data_case_mismatch():
 
 def test_zero_energy_bracket_identity():
     # 2n-fold bracket at the origin equals ((-1)^n (2n)!/n!) V1'(0)^n delta_n
-    p1 = schrodinger_corpus(1e-3)[2]  # V1 = -x, V2 = -2x
+    p1 = schrodinger_corpus()[2]  # V1 = -x, V2 = -2x
     assert build_crossing_data(p1, 0).bracket_m == -2.0
     p2 = SchrodingerProblem(
         v1=Poly1((0.0, -1.0)), v2=Poly1((0.0, -1.0, 1.0)), w=Bump(width=0.5),
-        e0=0.0, n=2, h=1e-3, x_in=-0.9, x_out=0.9,
+        e0=0.0, n=2, x_in=-0.9, x_out=0.9,
     )
     assert build_crossing_data(p2, 0).bracket_m == 24.0
 
@@ -201,7 +201,7 @@ def test_high_contact_order_bracket(n):
     # faster; the zero test must not mistake it for rounding
     prob = SchrodingerProblem(
         v1=Poly1((0.0, -0.25)), v2=Poly1((0.0, -0.25) + (0.0,) * (n - 2) + (1.0,)),
-        w=Bump(width=0.5), e0=1.0, n=n, h=1e-3, x_in=-0.9, x_out=0.9,
+        w=Bump(width=0.5), e0=1.0, n=n, x_in=-0.9, x_out=0.9,
     )
     data = build_crossing_data(prob, 1)
     assert data.m == n
@@ -212,51 +212,51 @@ def test_high_contact_order_bracket(n):
 
 
 def test_predicted_amplitude_goldens():
-    corpus = schrodinger_corpus(1e-3)
-    T = predict_transfer_case_i(corpus[0], 1)
-    lam = math.sqrt(corpus[0].h)
+    corpus = schrodinger_corpus()
+    T = predict_transfer_case_i(corpus[0], 1e-3, 1)
+    lam = math.sqrt(1e-3)
     omega = T.t12 / (-1j * lam * corpus[0].w(0.0))
     assert abs(abs(omega) - SQRT_2PI) < 1e-12
     assert abs(np.angle(omega) + math.pi / 4.0) < 1e-12
     # unit difference slope: amplitude reduces to sqrt(pi) e^{-i pi/4}
     unit = SchrodingerProblem(
         v1=Poly1((0.0, -0.5)), v2=Poly1((0.0, 0.5)), w=Bump(width=0.3),
-        e0=1.0, n=1, h=1e-3, x_in=-1.0, x_out=1.0,
+        e0=1.0, n=1, x_in=-1.0, x_out=1.0,
     )
-    Tu = predict_transfer_case_i(unit, 1)
-    omega_u = Tu.t12 / (-1j * math.sqrt(unit.h) * unit.w(0.0))
+    Tu = predict_transfer_case_i(unit, 1e-3, 1)
+    omega_u = Tu.t12 / (-1j * math.sqrt(1e-3) * unit.w(0.0))
     assert abs(omega_u - math.sqrt(math.pi) * np.exp(-1j * math.pi / 4.0)) < 1e-12
 
 
 def test_prediction_matches_general_route_both_signs():
-    for prob in schrodinger_corpus(1e-3)[:2]:
+    for prob in schrodinger_corpus()[:2]:
         for sign in (1, -1):
-            display = closed_form_oracle.predict_transfer_case_i(prob, sign)
-            general = predict_transfer_case_i(prob, sign)
+            display = closed_form_oracle.predict_transfer_case_i(prob, 1e-3, sign)
+            general = predict_transfer_case_i(prob, 1e-3, sign)
             assert display.max_abs_diff(general) < 1e-12
 
 
 def test_minus_crossing_swaps_the_amplitudes():
-    prob = schrodinger_corpus(1e-3)[0]
-    plus = predict_transfer_case_i(prob, 1)
-    minus = predict_transfer_case_i(prob, -1)
+    prob = schrodinger_corpus()[0]
+    plus = predict_transfer_case_i(prob, 1e-3, 1)
+    minus = predict_transfer_case_i(prob, 1e-3, -1)
     assert abs(plus.t12 - minus.t21) < 1e-15
     assert abs(plus.t21 - minus.t12) < 1e-15
 
 
 def test_zero_coupling_prediction_is_identity():
     prob = dataclasses.replace(
-        schrodinger_corpus(1e-3)[0], w=Bump(width=0.2, center=0.5)
+        schrodinger_corpus()[0], w=Bump(width=0.2, center=0.5)
     )
     assert prob.w(0.0) == 0.0
-    T = predict_transfer_case_i(prob, 1)
+    T = predict_transfer_case_i(prob, 1e-3, 1)
     assert np.abs(T.entries - np.eye(2)).max() == 0.0
 
 
 def test_case_ii_goldens_and_ratio():
-    prob = schrodinger_corpus(1e-3)[2]  # V1 = -x, V2 = -2x
-    T = predict_transfer_case_ii(prob)
-    lam = prob.h ** (1.0 / 3.0)
+    prob = schrodinger_corpus()[2]  # V1 = -x, V2 = -2x
+    T = predict_transfer_case_ii(prob, 1e-3)
+    lam = 1e-3 ** (1.0 / 3.0)
     w0 = prob.w(0.0)
     omega1 = T.t12 / (-1j * lam * w0)
     omega2 = T.t21 / (-1j * lam * w0)
@@ -264,25 +264,25 @@ def test_case_ii_goldens_and_ratio():
     assert abs(omega2 - 1.4052573853713080) < 1e-12
     # exact algebraic ratio (|V2'|/|V1'|)^{(n+2)/(2n+1)} = 2
     assert abs(omega1 / omega2 - 2.0) < 1e-12
-    closed = closed_form_oracle.predict_transfer_case_ii(prob)
+    closed = closed_form_oracle.predict_transfer_case_ii(prob, 1e-3)
     assert T.max_abs_diff(closed) < 1e-12
 
 
 def test_case_mismatch_between_predictors():
-    corpus = schrodinger_corpus(1e-3)
+    corpus = schrodinger_corpus()
     with pytest.raises(CaseMismatch):
-        predict_transfer_case_i(corpus[2], 1)
+        predict_transfer_case_i(corpus[2], 1e-3, 1)
     with pytest.raises(CaseMismatch):
-        predict_transfer_case_ii(corpus[0])
+        predict_transfer_case_ii(corpus[0], 1e-3)
     with pytest.raises(ValidationError):
-        predict_transfer_case_i(corpus[0], 3)
+        predict_transfer_case_i(corpus[0], 1e-3, 3)
 
 
 # ------------------------------------------------------------------ the basis
 
 
 def test_basis_normalization_and_flux():
-    prob = schrodinger_corpus(1e-3)[0]
+    prob = schrodinger_corpus()[0]
     basis = WkbBasis(prob)
     c = [(1.0 + v.deriv_at(1, 0.0) ** 2 / 4.0) ** 0.25 for v in (prob.v1, prob.v2)]
     assert basis.amplitude(0.0) == pytest.approx(c, rel=1e-14)
@@ -295,7 +295,7 @@ def test_basis_normalization_and_flux():
 def test_rates_are_the_derivatives_of_the_basis():
     # p_j = phi_j', sigma_j'/sigma_j and sigma_j''/sigma_j against central
     # differences of phase and amplitude, both branches at once
-    prob = schrodinger_corpus(1e-3)[1]
+    prob = schrodinger_corpus()[1]
     basis = WkbBasis(prob)
     xs, d = np.linspace(-1.0, 1.0, 9), 1e-4
     q, p, dlog, kappa = basis.rates(xs)
@@ -312,7 +312,7 @@ def test_rates_are_the_derivatives_of_the_basis():
 def test_phase_closed_form_for_constant_potential():
     prob = SchrodingerProblem(
         v1=Poly1((0.36,)), v2=Poly1((0.36, 0.5)), w=Bump(width=0.3),
-        e0=1.0, n=1, h=1e-3, x_in=-0.8, x_out=0.8,
+        e0=1.0, n=1, x_in=-0.8, x_out=0.8,
     )
     basis = WkbBasis(prob)
     for x in (-0.7, 0.3, 0.8):
@@ -322,65 +322,67 @@ def test_phase_closed_form_for_constant_potential():
 
 def test_basis_requires_positive_energy():
     with pytest.raises(CaseMismatch):
-        WkbBasis(schrodinger_corpus(1e-3)[2])
+        WkbBasis(schrodinger_corpus()[2])
 
 
 def test_decompose_round_trip_and_conjugation():
-    prob = schrodinger_corpus(1e-3)[0]
+    prob = schrodinger_corpus()[0]
     rng = np.random.default_rng(11)
     coeffs = rng.standard_normal(4) + 1j * rng.standard_normal(4)
     x = 0.95
-    y = synthesize(prob, coeffs, x)
-    ap, am = branch_decompose(prob, x, y[0::2], prob.h * y[1::2])
+    y = synthesize(prob, 1e-3, coeffs, x)
+    ap, am = branch_decompose(prob, 1e-3, x, y[0::2], 1e-3 * y[1::2])
     got = np.array([ap, am]).T.ravel()  # (a1+, a1-, a2+, a2-)
     assert np.abs(got - coeffs).max() < 1e-12
     # conjugating the state swaps the branches with conjugated coefficients
     swapped = np.conj(coeffs[[1, 0, 3, 2]])
-    assert np.abs(np.conj(y) - synthesize(prob, swapped, x)).max() < 1e-12
+    assert np.abs(np.conj(y) - synthesize(prob, 1e-3, swapped, x)).max() < 1e-12
 
 
 def test_decompose_ill_conditioned_near_flux_collapse():
     tiny = SchrodingerProblem(
         v1=Poly1((0.0,)), v2=Poly1((0.0, 1e-20)), w=Bump(width=0.2),
-        e0=1e-18, n=1, h=1e-3, x_in=-0.5, x_out=0.5,
+        e0=1e-18, n=1, x_in=-0.5, x_out=0.5,
     )
     with pytest.raises(IllConditioned):
-        branch_decompose(tiny, 0.4, np.array([1.0 + 0j, 0j]), np.zeros(2, complex))
+        u, hdu = np.array([1.0 + 0j, 0j]), np.zeros(2, complex)
+        branch_decompose(tiny, 1e-3, 0.4, u, hdu)
 
 
 # ------------------------------------------------------------------ the solves
 
 
-def _propagate(prob, xs, tol=ODE_TOL):
-    """The basis, and (u1, u2) at xs for unit data on the + branch of
-    equation 1 entering at x_in."""
-    y = integrate(prob, (1.0, 0.0, 0.0, 0.0), prob.x_in, prob.x_out, xs, tol)
+def _propagate(prob, h, xs, tol=ODE_TOL):
+    """The basis, and (u1, u2) at xs and h for unit data on the + branch
+    of equation 1 entering at x_in."""
+    y = integrate(prob, h, (1.0, 0.0, 0.0, 0.0), prob.x_in, prob.x_out, xs, tol)
     return WkbBasis(prob), y[0], y[2]
 
 
 def test_decoupled_solution_tracks_its_branch():
-    prob = dataclasses.replace(schrodinger_corpus(2.5e-3)[0], w=ZERO_BUMP)
+    h = 2.5e-3
+    prob = dataclasses.replace(schrodinger_corpus()[0], w=ZERO_BUMP)
     probes = (-1.2, 0.0, 0.9)
     xs = np.union1d(np.linspace(prob.x_in, prob.x_out, 2001), probes)
-    basis, u1, u2 = _propagate(prob, xs)
+    basis, u1, u2 = _propagate(prob, h, xs)
     assert np.abs(u2).max() < 1e-9
     for x in probes:
         k = int(np.searchsorted(xs, x))
-        wkb = basis.amplitude(x)[0] * np.exp(1j * basis.phase(x)[0] / prob.h)
-        assert abs(u1[k] - wkb) < 0.5 * prob.h
+        wkb = basis.amplitude(x)[0] * np.exp(1j * basis.phase(x)[0] / h)
+        assert abs(u1[k] - wkb) < 0.5 * h
 
 
 def test_tolerance_refinement_is_converged():
-    prob = schrodinger_corpus(2.5e-3)[0]
+    prob = schrodinger_corpus()[0]
     xs = np.linspace(prob.x_in, prob.x_out, 2001)
-    _, a1, a2 = _propagate(prob, xs, tol=1e-11)
-    _, b1, b2 = _propagate(prob, xs, tol=5e-12)
+    _, a1, a2 = _propagate(prob, 2.5e-3, xs, tol=1e-11)
+    _, b1, b2 = _propagate(prob, 2.5e-3, xs, tol=5e-12)
     diff = max(np.abs(a1 - b1).max(), np.abs(a2 - b2).max())
     assert diff < 1e-8
 
 
-def _reference_transfer(prob, sign):
-    """T at (0, sign * xi0) by DOP853: unit data synthesized in the exact
+def _reference_transfer(prob, h, sign):
+    """T at h and (0, sign * xi0) by DOP853: unit data synthesized in the exact
     basis at the input end, decomposed in it at the read-off end."""
     start, end = (prob.x_in, prob.x_out)[::sign]
     slot = (1 - sign) // 2
@@ -388,8 +390,8 @@ def _reference_transfer(prob, sign):
     for c in (0, 1):
         coeffs = np.zeros(4)
         coeffs[2 * c + slot] = 1.0
-        y = integrate(prob, coeffs, start, end, [end])[:, -1]
-        cols.append(branch_decompose(prob, end, y[0::2], prob.h * y[1::2])[slot])
+        y = integrate(prob, h, coeffs, start, end, [end])[:, -1]
+        cols.append(branch_decompose(prob, h, end, y[0::2], h * y[1::2])[slot])
     return np.array(cols).T
 
 
@@ -397,10 +399,10 @@ def _reference_transfer(prob, sign):
 @pytest.mark.parametrize("index", [0, 1])
 def test_march_matches_the_reference_solve(index, h):
     # the exact four-coefficient system, marched, against DOP853
-    prob = schrodinger_corpus(h)[index]
+    prob = schrodinger_corpus()[index]
     for sign in (1, -1):
-        got = pair_oracle.transfer(prob, sign)
-        want = _reference_transfer(prob, sign)
+        got = pair_oracle.transfer(prob, h, sign)
+        want = _reference_transfer(prob, h, sign)
         assert np.abs(got - want).max() <= 1e-8, sign
 
 
@@ -409,70 +411,74 @@ def test_march_matches_the_reference_solve(index, h):
 def test_normal_form_is_within_6_h_5_2_of_the_exact_system(index, h):
     # averaging out the counter-propagating branches costs O(h^{5/2}): the
     # largest measured ratio is 5.24, on corpus 1 at h = 1e-2
-    prob = schrodinger_corpus(h)[index]
+    prob = schrodinger_corpus()[index]
     for sign in (1, -1):
-        got = numeric_transfer_case_i(prob, sign).entries
-        want = pair_oracle.transfer(prob, sign)
+        got = numeric_transfer_case_i(prob, h, sign).entries
+        want = pair_oracle.transfer(prob, h, sign)
         assert np.abs(got - want).max() <= 6 * h**2.5, sign
 
 
-def _unequal_slopes(h):
+def _unequal_slopes():
     return SchrodingerProblem(
         v1=Poly1((0.0, -0.5)), v2=Poly1((0.0, 0.25)), w=Bump(width=0.8),
-        e0=1.0, n=1, h=h, x_in=-1.2, x_out=1.2,
+        e0=1.0, n=1, x_in=-1.2, x_out=1.2,
     )
 
 
 _TRANSPOSED = {
-    **{f"{k}-{h:g}": schrodinger_corpus(h)[k] for k in (0, 1) for h in (1e-2, 1e-4)},
-    **{f"unequal-slopes-{h:g}": _unequal_slopes(h) for h in (1e-2, 1e-4)},
+    **{
+        f"{k}-{h:g}": (schrodinger_corpus()[k], h)
+        for k in (0, 1)
+        for h in (1e-2, 1e-4)
+    },
+    **{f"unequal-slopes-{h:g}": (_unequal_slopes(), h) for h in (1e-2, 1e-4)},
 }
 
 
-@pytest.mark.parametrize("prob", _TRANSPOSED.values(), ids=_TRANSPOSED.keys())
-def test_minus_prediction_is_the_flux_scaled_transpose(prob):
+@pytest.mark.parametrize("prob, h", _TRANSPOSED.values(), ids=_TRANSPOSED.keys())
+def test_minus_prediction_is_the_flux_scaled_transpose(prob, h):
     # the extraction reads T at -xi0 as C^{-2} T^T C^2 of T at +xi0, C =
     # diag(c_j); the invariant route obeys the same identity (measured
     # 7.9e-17), so both use one flux convention at -xi0. The plain
     # transpose misses by 4.6e-3 at h = 1e-2 where the slopes differ
     c2 = np.array(WkbBasis(prob).c) ** 2
-    plus = predict_transfer_case_i(prob, 1).entries
-    minus = predict_transfer_case_i(prob, -1).entries
+    plus = predict_transfer_case_i(prob, h, 1).entries
+    minus = predict_transfer_case_i(prob, h, -1).entries
     assert np.abs(minus - plus.T * c2[None, :] / c2[:, None]).max() <= 1e-15
 
 
 def test_minus_crossing_is_read_off_the_plus_march(caplog):
     # the - branches' propagator from x_out to x_in is the transpose of the
     # + one from x_in to x_out: the - extraction marches once, the + march
-    prob = _unequal_slopes(1e-3)
+    prob = _unequal_slopes()
     with caplog.at_level(logging.DEBUG, logger="crossing_kit"):
         for sign in (1, -1):
-            numeric_transfer_case_i(prob, sign)
+            numeric_transfer_case_i(prob, 1e-3, sign)
     plus, minus = [r.getMessage() for r in caplog.records]
     assert minus == plus and " marched " in plus
 
 
 def test_pair_oracle_refuses_h_below_its_converged_range():
-    prob = schrodinger_corpus(pair_oracle.H_MIN / 2)[1]
+    prob = schrodinger_corpus()[1]
     with pytest.raises(ValueError, match="not converged"):
-        pair_oracle.transfer(prob)
+        pair_oracle.transfer(prob, pair_oracle.H_MIN / 2)
 
 
 _FLUX = {
     **{
-        f"{k}-{h:g}": (schrodinger_corpus(h)[k], 1.0)
+        f"{k}-{h:g}": (schrodinger_corpus()[k], h, 1.0)
         for k in (0, 1)
         for h in (1e-2, 1e-3, 1e-4)
     },
     **{
-        f"unequal-slopes-{h:g}": (_unequal_slopes(h), 1.0113)
+        f"unequal-slopes-{h:g}": (_unequal_slopes(), h, 1.0113)
         for h in (1e-2, 1e-3, 1e-4)
     },
 }
 
 
-@pytest.mark.parametrize("prob, ratio", _FLUX.values(), ids=_FLUX.keys())
-def test_flux_scaled_transfer_is_unitary(prob, ratio):
+@pytest.mark.parametrize("prob, h, ratio", _FLUX.values(), ids=_FLUX.keys())
+def test_flux_scaled_transfer_is_unitary(prob, h, ratio):
     # the flux sigma_j^2 p_j is conserved, so diag(s) T diag(s)^{-1} with
     # s_j = sigma_j sqrt(p_j) is unitary. A wrong flux scale fails it where
     # the slopes differ (s_1 / s_2 = 1.0113); the four-coefficient march
@@ -481,20 +487,20 @@ def test_flux_scaled_transfer_is_unitary(prob, ratio):
     s = basis.amplitude(0.3) * np.sqrt(basis.rates(0.3)[1])
     assert s[0] / s[1] == pytest.approx(ratio, abs=1e-4)
     for sign in (1, -1):
-        T = numeric_transfer_case_i(prob, sign).entries
+        T = numeric_transfer_case_i(prob, h, sign).entries
         scaled = s[:, None] * T / s[None, :]
         assert np.abs(scaled.conj().T @ scaled - np.eye(2)).max() <= 1e-12, sign
 
 
 @pytest.mark.parametrize(
-    "prob",
+    "prob, h",
     [
-        schrodinger_corpus(1e-2)[1],
-        schrodinger_corpus(2.5e-3)[1],
-        model_corpus(1e-3)[0],
-        model_corpus(1e-4)[2],
-        model_corpus(1e-5)[1],
-        *(_random_model_problem(m, 1e-4, s) for m in (1, 2, 3) for s in (0, 1, 2)),
+        (schrodinger_corpus()[1], 1e-2),
+        (schrodinger_corpus()[1], 2.5e-3),
+        (model_corpus()[0], 1e-3),
+        (model_corpus()[2], 1e-4),
+        (model_corpus()[1], 1e-5),
+        *((_random_model_problem(m, s), 1e-4) for m in (1, 2, 3) for s in (0, 1, 2)),
     ],
     ids=[
         "0.01",
@@ -505,11 +511,11 @@ def test_flux_scaled_transfer_is_unitary(prob, ratio):
         *(f"random-m{m}-seed{s}-0.0001" for m in (1, 2, 3) for s in (0, 1, 2)),
     ],
 )
-def test_march_resolution_is_converged(monkeypatch, prob):
+def test_march_resolution_is_converged(monkeypatch, prob, h):
     # the panels at 32 Chebyshev points against those at 48
-    coarse = prob.extract()
+    coarse = prob.extract(h)
     monkeypatch.setattr(march, "PANEL_POINTS", 48)
-    fine = prob.extract()
+    fine = prob.extract(h)
     assert coarse.max_abs_diff(fine) <= 1e-9
 
 
@@ -526,10 +532,10 @@ _DENSE = {
 def test_march_is_within_2e_11_of_a_dense_march(monkeypatch, corpus, indices, h):
     # the march on panels of 32 Chebyshev points against the same march on
     # panels of 64, on every problem of both corpora that runs case i
-    coarse = [corpus(h)[k].extract() for k in indices]
+    coarse = [corpus()[k].extract(h) for k in indices]
     monkeypatch.setattr(march, "PANEL_POINTS", 64)
     for k, got in zip(indices, coarse):
-        err = got.max_abs_diff(corpus(h)[k].extract())
+        err = got.max_abs_diff(corpus()[k].extract(h))
         assert err <= 2e-11, (k, err)
 
 
@@ -544,15 +550,15 @@ def _march_line(caplog, run):
     return out, panels, msg
 
 
-def _panels_against_uniform(monkeypatch, caplog, prob, pieces=16, points=40):
-    """|U - U_uniform| for the propagator U of prob's coupling support, and
+def _panels_against_uniform(monkeypatch, caplog, prob, h, pieces=16, points=40):
+    """|U - U_uniform| for the propagator U at h of prob's coupling support, and
     the DEBUG line of the march that gave U. U_uniform, the oracle of the
     panel path, is the uniform plan (tests/uniform_plan.py) at ``points``
     points per period, cut into ``pieces`` equal parts that each start
     from the exact phase: marched whole, it chains its phase over the span,
     whose rounding reaches 1.8e-11 on a random model at h = 1e-5 and
     1.3e-10 on model-corpus 2 at h = 1e-6."""
-    system = uniform_plan.system(prob)
+    system = uniform_plan.system(prob, h)
     lo, hi = system.support
     eye = np.eye(2, dtype=complex)
     got, panels, msg = _march_line(caplog, lambda: march.march(system, eye, lo, hi))
@@ -581,7 +587,7 @@ def test_levin_panels_match_the_uniform_march(monkeypatch, caplog, corpus, index
     # points per period, on every case-i corpus problem: within 2e-11 at
     # h = 1e-4 and 1e-5 and 1e-10 at 1e-6 (measured at most 2.3e-13 and
     # 9.7e-13)
-    err, panels, msg = _panels_against_uniform(monkeypatch, caplog, corpus(h)[index])
+    err, panels, msg = _panels_against_uniform(monkeypatch, caplog, corpus()[index], h)
     assert panels > 0, msg
     assert err <= (1e-10 if h == 1e-6 else 2e-11), err
 
@@ -593,8 +599,8 @@ def test_levin_panels_match_the_uniform_march_on_random_models(monkeypatch, capl
     # period (measured at most 9.7e-13, m = 3, seed 1, where that oracle is
     # 1.3e-12 from itself at 96 points per period and the panels 3.6e-13)
     for seed in (0, 1, 2):
-        prob = _random_model_problem(m, 1e-5, seed)
-        err, panels, msg = _panels_against_uniform(monkeypatch, caplog, prob)
+        prob = _random_model_problem(m, seed)
+        err, panels, msg = _panels_against_uniform(monkeypatch, caplog, prob, 1e-5)
         assert panels > 0, msg
         assert err <= 2e-11, (seed, err)
 
@@ -608,11 +614,11 @@ def test_panels_match_the_uniform_plan_on_random_draws(monkeypatch, caplog, m, h
     # h = 1e-4); the same draws with r2 = r1, where M is skew-Hermitian,
     # give a propagator unitary to 1e-12 (measured at most 4.4e-16)
     for seed in (0, 1, 2):
-        prob = _random_model_problem(m, h, seed)
-        err, panels, msg = _panels_against_uniform(monkeypatch, caplog, prob)
+        prob = _random_model_problem(m, seed)
+        err, panels, msg = _panels_against_uniform(monkeypatch, caplog, prob, h)
         assert panels > 0, msg
         assert err <= 1e-9, (seed, err)
-        system = normalform._system(dataclasses.replace(prob, r2=prob.r1))
+        system = normalform._system(dataclasses.replace(prob, r2=prob.r1), h)
         eye = np.eye(2, dtype=complex)
         run = lambda: march.march(system, eye, *system.support)  # noqa: E731
         u, _, msg = _march_line(caplog, run)
@@ -627,8 +633,10 @@ def test_panels_keep_the_exact_phase_of_model_corpus_2(monkeypatch, caplog):
     # pieces that each start from the exact phase: measured 3.0e-14, where
     # the uniform march of the whole span, 14k nodes at 14 points per
     # period that chain their phase over it, read 2.5e-13
-    prob = model_corpus(1e-4)[2]
-    err, panels, msg = _panels_against_uniform(monkeypatch, caplog, prob, points=96)
+    prob = model_corpus()[2]
+    err, panels, msg = _panels_against_uniform(
+        monkeypatch, caplog, prob, 1e-4, points=96
+    )
     assert panels > 0, msg
     assert err <= 1e-13, err
 
@@ -646,8 +654,8 @@ def test_levin_propagator_is_unitary_at_1e_8(corpus, system, index):
     # where M is skew-Hermitian the propagator U of the whole support is
     # unitary; at h = 1e-8 the march solves it on panels, and U stays
     # unitary to 1e-12 (measured 3e-15)
-    prob = corpus(1e-8)[index]
-    u = march.march(system(prob), np.eye(2, dtype=complex), *prob.interval)
+    prob = corpus()[index]
+    u = march.march(system(prob, 1e-8), np.eye(2, dtype=complex), *prob.interval)
     assert np.abs(u.conj().T @ u - np.eye(2)).max() <= 1e-12
 
 
@@ -667,17 +675,17 @@ def test_small_h_extracts_in_milliseconds(caplog, corpus, index):
     # 1e-16, t12 and t21 are within 1e-6 of the prediction (measured at
     # most 3.6e-7, on pair-1)
     for h in (1e-12, 1e-16):
-        prob = corpus(h)[index]
+        prob = corpus()[index]
         seconds = []
         for _ in range(3):
             start = time.perf_counter()
-            got, _, msg = _march_line(caplog, prob.extract)
+            got, _, msg = _march_line(caplog, lambda: prob.extract(h))
             seconds.append(time.perf_counter() - start)
         assert "0 panels split by the Levin check" in msg, msg
         assert min(seconds) < 0.02, seconds
         reached, allowed = re.search(r"down to level (\d+) of (\d+)", msg).groups()
         assert abs(int(reached) - (int(allowed) - march._SPARE_LEVELS)) <= 2, msg
-    want = prob.predict()
+    want = prob.predict(h)
     for entry in ("t12", "t21"):
         assert abs(getattr(got, entry) / getattr(want, entry) - 1.0) <= 1e-6, entry
 
@@ -692,8 +700,8 @@ def test_t12_does_not_depend_on_the_cut_at_small_h(monkeypatch, corpus, index):
     # phase from one end moved it by up to 4.2e-11, 1.2e-9 and 7.2e-8 at
     # 1e-8, 1e-10 and 1e-12)
     for h in (1e-8, 1e-10, 1e-12):
-        prob = corpus(h)[index]
-        t12 = prob.extract().t12
+        prob = corpus()[index]
+        t12 = prob.extract(h).t12
         for name, value in (
             ("_FIRST_PIECES", 6),
             ("_FIRST_PIECES", 10),
@@ -701,7 +709,7 @@ def test_t12_does_not_depend_on_the_cut_at_small_h(monkeypatch, corpus, index):
         ):
             with monkeypatch.context() as patch:
                 patch.setattr(march, name, value)
-                assert abs(prob.extract().t12 - t12) <= 1e-14, (h, name, value)
+                assert abs(prob.extract(h).t12 - t12) <= 1e-14, (h, name, value)
 
 
 def test_pair_rate_keeps_its_relative_accuracy_near_the_crossing():
@@ -710,7 +718,7 @@ def test_pair_rate_keeps_its_relative_accuracy_near_the_crossing():
     # max |F'| (measured at most 6.6e-16), where p_2 - p_1, a difference of
     # two numbers near E0, read 8.5e-12, 9.9e-10 and 8.8e-6 at a = 1e-3,
     # 1e-4 and 1e-6
-    system = schrodinger._system(schrodinger_corpus(1e-8)[1])
+    system = schrodinger._system(schrodinger_corpus()[1], 1e-8)
     for a in (1e-3, 1e-4, 1e-6):
         _, (rate, _, _) = march._panel_data(system, np.array([a]), np.array([2 * a]))
         assert march._tail(rate + 0j)[0] <= march._TAIL_TOL * np.abs(rate).max(), a
@@ -724,7 +732,7 @@ def test_levin_work_barely_grows_below_1e_6(caplog, corpus, index):
     # march's nodes grew 100x
     counts = []
     for h in (1e-6, 1e-8):
-        _, panels, msg = _march_line(caplog, corpus(h)[index].extract)
+        _, panels, msg = _march_line(caplog, lambda: corpus()[index].extract(h))
         counts.append(panels)
     assert 0.5 <= counts[1] / counts[0] <= 2.0, counts
 
@@ -783,11 +791,11 @@ def test_refused_panel_is_split_in_halves(monkeypatch, caplog):
     # which are judged and solved in its place, from the exact phase at
     # their edge nearest 0; the other panels keep theirs. The march reports
     # it and still matches the uniform march at 40 points per period
-    prob = model_corpus(1e-5)[1]
-    _, clean, msg = _march_line(caplog, prob.extract)
+    prob = model_corpus()[1]
+    _, clean, msg = _march_line(caplog, lambda: prob.extract(1e-5))
     assert "0 panels split by the Levin check" in msg, msg
     perturbed = _perturb_first_levin_panel(monkeypatch)
-    err, panels, msg = _panels_against_uniform(monkeypatch, caplog, prob)
+    err, panels, msg = _panels_against_uniform(monkeypatch, caplog, prob, 1e-5)
     assert perturbed and "1 panels split by the Levin check" in msg, msg
     assert panels >= clean + 1, msg
     assert err <= 2e-11, err
@@ -800,8 +808,8 @@ def test_pair_1_at_1e_9_splits_a_refused_panel(monkeypatch, caplog):
     # [-0.0125, -0.00625], was refused). A perturbed Levin panel is split
     # in halves, and the propagator stays unitary to 1e-12, the bound
     # test_levin_propagator_is_unitary_at_1e_8 holds
-    prob = schrodinger_corpus(1e-9)[1]
-    system = schrodinger._system(prob)
+    prob = schrodinger_corpus()[1]
+    system = schrodinger._system(prob, 1e-9)
     eye = np.eye(2, dtype=complex)
     run = lambda: march.march(system, eye, *system.support)  # noqa: E731
     clean, _, msg = _march_line(caplog, run)
@@ -811,7 +819,7 @@ def test_pair_1_at_1e_9_splits_a_refused_panel(monkeypatch, caplog):
     assert perturbed and "1 panels split by the Levin check" in msg, msg
     assert np.abs(u.conj().T @ u - eye).max() <= 1e-12
     assert np.abs(u - clean).max() <= 1e-10
-    assert np.isfinite(prob.extract().entries).all()
+    assert np.isfinite(prob.extract(1e-9).entries).all()
 
 
 def test_levin_verdicts_do_not_depend_on_the_batch(monkeypatch):
@@ -831,17 +839,17 @@ def test_levin_verdicts_do_not_depend_on_the_batch(monkeypatch):
     for size in (march.CHUNK_BYTES // march._BYTES_PER_PANEL, 3):
         monkeypatch.setattr(march, "_BYTES_PER_PANEL", march.CHUNK_BYTES // size)
         for h in 10.0 ** -np.arange(1, 10):
-            for prob in model_corpus(h) + schrodinger_corpus(h)[:2]:
-                prob.extract()
+            for prob in model_corpus() + schrodinger_corpus()[:2]:
+                prob.extract(h)
     big, small = seen.values()
     assert len(big) == len(small) > 500
     assert big == small and not any(refused for _, refused in big)
 
 
 _BATCHED = {
-    "model-3-1e-05": (model_corpus(1e-5)[3], normalform._system),
-    "model-1-0.001": (model_corpus(1e-3)[1], normalform._system),
-    "pair-1-0.0001": (schrodinger_corpus(1e-4)[1], schrodinger._system),
+    "model-3-1e-05": (model_corpus()[3], 1e-5, normalform._system),
+    "model-1-0.001": (model_corpus()[1], 1e-3, normalform._system),
+    "pair-1-0.0001": (schrodinger_corpus()[1], 1e-4, schrodinger._system),
 }
 
 
@@ -857,13 +865,13 @@ def _cut(system):
     return edges, march._edge_phases(edges, data, anchor, 0.0), data
 
 
-@pytest.mark.parametrize("prob, build", _BATCHED.values(), ids=_BATCHED.keys())
-def test_a_panels_propagator_does_not_depend_on_its_batch(prob, build):
+@pytest.mark.parametrize("prob, h, build", _BATCHED.values(), ids=_BATCHED.keys())
+def test_a_panels_propagator_does_not_depend_on_its_batch(prob, h, build):
     # each panel's propagator is solved from its own left edge: solved
     # alone, from the phase at its left edge, it is that of the whole batch
     # within PICARD_TOL (measured at most 6.2e-17), one chain (the pair,
     # model-corpus 1) or two (model-corpus 3)
-    system = build(prob)
+    system = build(prob, h)
     edges, phase, (direct, half, values) = _cut(system)
     one = march._one_chain(values)
     assert one == (build is schrodinger._system or prob.r1 == prob.r2)
@@ -886,11 +894,11 @@ def test_march_refuses_an_out_of_reach_coupling(monkeypatch):
     strong = Bump(width=0.8, amplitude=1e4)
     monkeypatch.setattr(march, "_judge", None)
     for prob in (
-        dataclasses.replace(schrodinger_corpus(1e-2)[0], w=strong),
-        dataclasses.replace(model_corpus(1e-2)[0], r1=strong, r2=strong),
+        dataclasses.replace(schrodinger_corpus()[0], w=strong),
+        dataclasses.replace(model_corpus()[0], r1=strong, r2=strong),
     ):
         with pytest.raises(ValidationError, match="max_panels"):
-            prob.extract()
+            prob.extract(1e-2)
 
 
 _FAMILIES = {
@@ -904,9 +912,9 @@ def _with_coupling(family, h, amplitude):
     its march system."""
     corpus, names, build = _FAMILIES[family]
     strong = Bump(width=0.8, amplitude=amplitude)
-    prob = corpus(h)[0]
+    prob = corpus()[0]
     fields = dict.fromkeys([names] if isinstance(names, str) else names, strong)
-    return build(dataclasses.replace(prob, **fields))
+    return build(dataclasses.replace(prob, **fields), h)
 
 
 @pytest.mark.parametrize("family", _FAMILIES)
@@ -973,8 +981,10 @@ def test_integral_is_exact_on_polynomials():
     assert two.shape == (2,) and np.abs(two - (0.18, -0.072)).max() <= 1e-16
 
 
-def _extract(corpus, index):
-    return lambda h: corpus(h)[index].extract()
+def _extract(corpus, index, *h):
+    """extract of the corpus problem at ``index``, as a function of h, or
+    of nothing where h is given."""
+    return functools.partial(corpus()[index].extract, *h)
 
 
 _ROWS = {
@@ -1001,13 +1011,11 @@ def test_the_march_finds_the_chain_count(caplog, run, rows):
 
 
 _OFF_CENTRE = {
-    "model": lambda h: normalform.NormalFormProblem(
+    "model": normalform.NormalFormProblem(
         f=Poly1((0.0, 1.0, 0.3)), r1=Bump(0.6, 1.0, 0.13), r2=Bump(0.5, 0.8, 0.1),
-        x0=-1.0, x1=1.0, h=h, m=1,
+        x0=-1.0, x1=1.0, m=1,
     ),
-    "pair": lambda h: dataclasses.replace(
-        schrodinger_corpus(h)[0], w=Bump(0.6, 1.0, 0.17)
-    ),
+    "pair": dataclasses.replace(schrodinger_corpus()[0], w=Bump(0.6, 1.0, 0.17)),
 }
 
 
@@ -1017,8 +1025,8 @@ def test_off_centre_couplings_match_the_uniform_plan(monkeypatch, caplog, family
     # a support whose panel edges miss 0: the march takes the phase at the
     # edge nearest 0 from march.integral of F', and its propagator matches
     # the uniform plan, which starts from the exact phase, within 2e-11
-    prob = _OFF_CENTRE[family](h)
-    system = uniform_plan.system(prob)
+    prob = _OFF_CENTRE[family]
+    system = uniform_plan.system(prob, h)
     integral, calls = march.integral, []
 
     def counting(func, a, b):
@@ -1029,7 +1037,7 @@ def test_off_centre_couplings_match_the_uniform_plan(monkeypatch, caplog, family
         patch.setattr(march, "integral", counting)
         march.march(system, np.eye(2, dtype=complex), *system.support)
     assert len(calls) == 1 and calls[0] != 0.0, calls
-    err, panels, msg = _panels_against_uniform(monkeypatch, caplog, prob)
+    err, panels, msg = _panels_against_uniform(monkeypatch, caplog, prob, h)
     assert panels > 0, msg
     assert err <= 2e-11, err
 
@@ -1047,10 +1055,10 @@ def test_march_memory_is_bounded():
     ):
         peaks = {}
         for h in (h_big, h_small):
-            prob = corpus(h)[0]
+            prob = corpus()[0]
             tracemalloc.start()
             try:
-                prob.extract()
+                prob.extract(h)
                 peaks[h] = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
@@ -1059,17 +1067,17 @@ def test_march_memory_is_bounded():
 
 
 _PEAKS = {
-    "pair-0-0.01": schrodinger_corpus(1e-2)[0],
-    "pair-1-0.001": schrodinger_corpus(1e-3)[1],
-    "pair-0-0.0001": schrodinger_corpus(1e-4)[0],
-    "model-0-0.01": model_corpus(1e-2)[0],
-    "model-3-0.0001": model_corpus(1e-4)[3],
-    "model-1-1e-05": model_corpus(1e-5)[1],
+    "pair-0-0.01": (schrodinger_corpus()[0], 1e-2),
+    "pair-1-0.001": (schrodinger_corpus()[1], 1e-3),
+    "pair-0-0.0001": (schrodinger_corpus()[0], 1e-4),
+    "model-0-0.01": (model_corpus()[0], 1e-2),
+    "model-3-0.0001": (model_corpus()[3], 1e-4),
+    "model-1-1e-05": (model_corpus()[1], 1e-5),
 }
 
 
-@pytest.mark.parametrize("prob", _PEAKS.values(), ids=_PEAKS.keys())
-def test_march_peak_is_within_bytes_per_node(monkeypatch, prob):
+@pytest.mark.parametrize("prob, h", _PEAKS.values(), ids=_PEAKS.keys())
+def test_march_peak_is_within_bytes_per_node(monkeypatch, prob, h):
     # _BYTES_PER_PANEL sets the largest panel batch and _BYTES_PER_CANDIDATE
     # the largest _judge call: the traced peak of an extraction stays within
     # them, per panel of that batch (at most 41 kB a panel) and
@@ -1088,10 +1096,10 @@ def test_march_peak_is_within_bytes_per_node(monkeypatch, prob):
 
     monkeypatch.setattr(march, "_judge", judging)
     monkeypatch.setattr(march, "_levin", solving)
-    prob.extract()  # first-call caches
+    prob.extract(h)  # first-call caches
     tracemalloc.start()
     try:
-        prob.extract()
+        prob.extract(h)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -1106,7 +1114,7 @@ def test_a_judge_call_holds_at_most_chunk_bytes(monkeypatch):
     # direct panels: the judge takes them at most _PER_CALL at a time, and
     # no call holds more than CHUNK_BYTES (measured at most 1.7 MB)
     strong = Bump(0.8, 3e3)
-    prob = dataclasses.replace(model_corpus(1e-6)[0], r1=strong, r2=strong)
+    prob = dataclasses.replace(model_corpus()[0], r1=strong, r2=strong)
     peaks, judge = [], march._judge
 
     def judging(system, lo, hi):
@@ -1119,7 +1127,7 @@ def test_a_judge_call_holds_at_most_chunk_bytes(monkeypatch):
     monkeypatch.setattr(march, "_judge", judging)
     tracemalloc.start()
     try:
-        T = prob.extract().entries
+        T = prob.extract(1e-6).entries
     finally:
         tracemalloc.stop()
     assert np.abs(T.conj().T @ T - np.eye(2)).max() <= 1e-12
@@ -1133,23 +1141,23 @@ def test_node_budget_counts_the_marched_grid(monkeypatch, caplog):
     # below, it is refused before the first _judge call. Near the underflow
     # limit the zone needs hundreds of levels, and both families refuse
     # every h from 1e-200 to 1e-320 the same way
-    for prob in (schrodinger_corpus(1e-12)[0], model_corpus(1e-12)[0]):
+    for prob in (schrodinger_corpus()[0], model_corpus()[0]):
         caplog.clear()
         with caplog.at_level(logging.DEBUG, logger="crossing_kit"):
-            prob.extract()
+            prob.extract(1e-12)
         msg = caplog.records[-1].getMessage()
         deepest = int(re.search(r"down to level \d+ of (\d+)", msg).group(1))
         monkeypatch.setattr(march, "MAX_LEVELS", deepest)
-        prob.extract()
+        prob.extract(1e-12)
         monkeypatch.setattr(march, "MAX_LEVELS", deepest - 1)
         monkeypatch.setattr(march, "_judge", None)
         with pytest.raises(ValidationError, match="max_levels"):
-            prob.extract()
+            prob.extract(1e-12)
         monkeypatch.undo()
     for h in (1e-200, 1e-250, 1e-300, 1e-320):
-        for prob in (schrodinger_corpus(h)[0], model_corpus(h)[0]):
+        for prob in (schrodinger_corpus()[0], model_corpus()[0]):
             with pytest.raises(ValidationError, match="max_levels"):
-                prob.extract()
+                prob.extract(h)
 
 
 def test_plan_refuses_what_only_the_estimate_admits(monkeypatch):
@@ -1158,8 +1166,8 @@ def test_plan_refuses_what_only_the_estimate_admits(monkeypatch):
     # passes, and the plan refuses the march before any work array is
     # allocated
     march_uniformly(monkeypatch)
-    prob = model_corpus(1e-4)[2]
-    system = uniform_plan.system(prob)
+    prob = model_corpus()[2]
+    system = uniform_plan.system(prob, 1e-4)
     lo, hi = prob.coupling_support()
     width = (hi - lo) / uniform_plan.RATE_PIECES
     estimate = sum(width / dx for dx in uniform_plan._piece_spacing(system, lo, hi))
@@ -1173,7 +1181,7 @@ def test_plan_refuses_what_only_the_estimate_admits(monkeypatch):
 
     monkeypatch.setattr(uniform_plan, "_work", allocating)
     with pytest.raises(ValidationError, match="n_max"):
-        prob.extract()
+        prob.extract(1e-4)
 
 
 def _window_rate(system, start, end, near, far):
@@ -1196,11 +1204,11 @@ def _envelope_integral():
 
 _MARCHES = {
     **{
-        f"model-{k}-{h:g}": model_corpus(h)[k].extract
+        f"model-{k}-{h:g}": _extract(model_corpus, k, h)
         for h in (1e-4, 1e-5)
         for k in (0, 1, 2)
     },
-    "pair-0.001": schrodinger_corpus(1e-3)[0].extract,
+    "pair-0.001": _extract(schrodinger_corpus, 0, 1e-3),
     "envelope-4-1e-06": _envelope_integral,
 }
 
@@ -1248,11 +1256,14 @@ def test_each_chunk_takes_the_widest_dx_that_resolves_its_reach(monkeypatch, run
 # where the coupling, not CHUNK_BYTES, sets the chunk length: at h = 1e-2
 # and 1e-3 on the model, and at three times its coupling
 _SHORT_CHUNKS = {
-    "model-0-0.01": model_corpus(1e-2)[0].extract,
-    "model-0-0.001": model_corpus(1e-3)[0].extract,
-    "model-0-0.01-strong": dataclasses.replace(
-        model_corpus(1e-2)[0], r1=Bump(0.8, 3.0), r2=Bump(0.8, 3.0)
-    ).extract,
+    "model-0-0.01": _extract(model_corpus, 0, 1e-2),
+    "model-0-0.001": _extract(model_corpus, 0, 1e-3),
+    "model-0-0.01-strong": functools.partial(
+        dataclasses.replace(
+            model_corpus()[0], r1=Bump(0.8, 3.0), r2=Bump(0.8, 3.0)
+        ).extract,
+        1e-2,
+    ),
 }
 
 
@@ -1305,8 +1316,8 @@ def test_marched_phase_is_the_phase_at_every_chunk_end(monkeypatch, index, h):
     # integrates it from 0 by march.integral. The three agree at every
     # panel edge and every Picard chunk end (measured at most 2.9e-16 on
     # the uniform plan, corpus 0 at h = 1e-5)
-    prob = schrodinger_corpus(h)[index]
-    system = uniform_plan.system(prob)
+    prob = schrodinger_corpus()[index]
+    system = uniform_plan.system(prob, h)
     ends, picard, levin = [], uniform_plan._picard, march._levin
 
     def solving(system, a0, phi0, x, dx, work):
@@ -1328,10 +1339,10 @@ def test_marched_phase_is_the_phase_at_every_chunk_end(monkeypatch, index, h):
 
 
 def test_numeric_transfer_both_crossings():
-    prob = schrodinger_corpus(2.5e-3)[0]
+    prob = schrodinger_corpus()[0]
     for sign in (1, -1):
-        ext = numeric_transfer_case_i(prob, sign)
-        pred = predict_transfer_case_i(prob, sign)
+        ext = numeric_transfer_case_i(prob, 2.5e-3, sign)
+        pred = predict_transfer_case_i(prob, 2.5e-3, sign)
         for entry in ("t12", "t21"):
             e, p = getattr(ext, entry), getattr(pred, entry)
             assert abs(e - p) / abs(p) < 0.08, (sign, entry)
@@ -1344,26 +1355,26 @@ def test_unequal_slopes_prediction_matches_numerics():
     # matters here; the equal-slope closed form stays about 1.3% off
     prob = SchrodingerProblem(
         v1=Poly1((0.0, -0.5)), v2=Poly1((0.0, 0.25)), w=Bump(width=0.8),
-        e0=1.0, n=1, h=1e-3, x_in=-1.2, x_out=1.2,
+        e0=1.0, n=1, x_in=-1.2, x_out=1.2,
     )
-    pred = predict_transfer_case_i(prob, 1)
-    ext = numeric_transfer_case_i(prob, 1)
+    pred = predict_transfer_case_i(prob, 1e-3, 1)
+    ext = numeric_transfer_case_i(prob, 1e-3, 1)
     for entry in ("t12", "t21"):
         e, p = getattr(ext, entry), getattr(pred, entry)
         assert abs(e - p) / abs(p) < 0.01, entry
 
 
 def test_numeric_transfer_decoupled_is_identity():
-    prob = dataclasses.replace(schrodinger_corpus(2.5e-3)[0], w=ZERO_BUMP)
-    ext = numeric_transfer_case_i(prob, 1)
+    prob = dataclasses.replace(schrodinger_corpus()[0], w=ZERO_BUMP)
+    ext = numeric_transfer_case_i(prob, 2.5e-3, 1)
     assert np.abs(ext.entries - np.eye(2)).max() < 1e-4
 
 
 def test_numeric_transfer_case_and_sign_guards():
     # the coefficients are read at the interval end, so no read-off window
     # is left to guard; the crossing regime and the sign still are
-    prob = schrodinger_corpus(2.5e-3)[0]
+    prob = schrodinger_corpus()[0]
     with pytest.raises(CaseMismatch):
-        numeric_transfer_case_i(schrodinger_corpus(1e-3)[2], 1)
+        numeric_transfer_case_i(schrodinger_corpus()[2], 1e-3, 1)
     with pytest.raises(ValidationError):
-        numeric_transfer_case_i(prob, 0)
+        numeric_transfer_case_i(prob, 2.5e-3, 0)

@@ -8,8 +8,8 @@ import math
 import numpy as np
 import pytest
 
-from crossing_kit import normalform, schrodinger
-from crossing_kit.cli import _DEFAULT_GRIDS
+from crossing_kit import normalform, schrodinger, sweep
+from crossing_kit.cli import _DEFAULT_GRIDS, _DEFAULT_TOLERANCES, _random_model_problem
 from crossing_kit.errors import DegenerateFit, ValidationError
 from crossing_kit.normalform import NormalFormProblem, model_corpus
 from crossing_kit.profiles import Bump
@@ -105,7 +105,7 @@ def test_closed_form_fit_matches_least_squares(envelope):
 
 
 def test_run_sweep_preconditions():
-    prob = model_corpus(1e-2)[0]
+    prob = model_corpus()[0]
     with pytest.raises(ValidationError):
         run_sweep(prob, [1e-1, 1e-2, 1e-3])
     with pytest.raises(ValidationError):
@@ -119,41 +119,99 @@ def test_run_sweep_preconditions():
 @pytest.mark.parametrize(
     "corpus, expected",
     [
-        (model_corpus, {"__post_init__": 1, "crossing_data": 1}),
+        (model_corpus, {"NormalFormProblem": 1, "crossing_data": 1}),
         (
             schrodinger_corpus,
-            {"__post_init__": 1, "build_crossing_data": 1, "__init__": 1},
+            {
+                "SchrodingerProblem": 1,
+                "build_crossing_data": 1,
+                "_NormalForm": 1,
+                "WkbBasis": 1,
+            },
         ),
     ],
     ids=["model", "schrodinger"],
 )
 def test_a_sweep_sets_its_problem_up_once(monkeypatch, corpus, expected):
-    # the rows are with_h copies of the problem: it is validated once, and
-    # its crossing data and the pair's WKB basis are built once, not per row
-    base = corpus(1e-2)[0]
-    calls = collections.Counter()
-    for owner, name in (
-        (NormalFormProblem, "__post_init__"),
-        (SchrodingerProblem, "__post_init__"),
-        (WkbBasis, "__init__"),
-        (normalform, "crossing_data"),
-        (schrodinger, "build_crossing_data"),
+    # the problem is h-free: it is validated once, and its crossing data,
+    # and the pair's normal form with its WKB basis, are built once over a
+    # 12-row sweep, not per row; the pair builds the crossing data of
+    # branch 1 only
+    base = corpus()[0]
+    calls, crossings = collections.Counter(), []
+    for owner, name, key in (
+        (NormalFormProblem, "__post_init__", "NormalFormProblem"),
+        (SchrodingerProblem, "__post_init__", "SchrodingerProblem"),
+        (schrodinger._NormalForm, "__init__", "_NormalForm"),
+        (WkbBasis, "__init__", "WkbBasis"),
+        (normalform, "crossing_data", "crossing_data"),
+        (schrodinger, "build_crossing_data", "build_crossing_data"),
     ):
 
-        def counted(*args, _run=getattr(owner, name), _name=name, **kwargs):
-            calls[_name] += 1
+        def counted(*args, _run=getattr(owner, name), _key=key, **kwargs):
+            calls[_key] += 1
+            if _key == "build_crossing_data":
+                crossings.append(args[1])
             return _run(*args, **kwargs)
 
         monkeypatch.setattr(owner, name, counted)
     prob = dataclasses.replace(base)
-    report = run_sweep(prob, [1e-2, 5e-3, 2.5e-3, 1e-4])
-    assert [r.status for r in report.rows] == ["ok"] * 4
+    report = run_sweep(prob, np.geomspace(1e-2, 1e-4, 12))
+    assert [r.status for r in report.rows] == ["ok"] * 12
     assert calls == expected
+    assert crossings == ([1] if corpus is schrodinger_corpus else [])
+
+
+@pytest.mark.parametrize("h", [math.inf, math.nan, 0.0, -1e-3])
+@pytest.mark.parametrize(
+    "prob",
+    [model_corpus()[0], schrodinger_corpus()[0]],
+    ids=["model", "schrodinger"],
+)
+def test_an_h_that_is_not_finite_and_positive_is_refused(prob, h):
+    # predict and extract of both families refuse it with ValidationError
+    # before any work at that h: an infinite h reached the march's split
+    # as a raw ValueError (math domain error), and predicted NaN entries.
+    # No numpy warning is raised on the way (an error under this suite's
+    # filter); a sweep row's solve refuses it the same way
+    branches = (1, -1) if isinstance(prob, SchrodingerProblem) else (1,)
+    for run in (prob.predict, prob.extract):
+        for branch in branches:
+            with pytest.raises(ValidationError, match="h must be finite and positive"):
+                run(h, branch)
+    with pytest.raises(ValidationError, match="h must be finite and positive"):
+        sweep._solve_pair(prob, h)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_random_models_pass_on_the_default_grid(m):
+    # seeded draws of the random-model family, seeds 0-9, on the default
+    # model grid (12 h, 1e-3 .. 1e-5): every row is ok and both exponent
+    # verdicts pass (m = 3 reads 0.237-0.245 against 0.25), and at m = 1
+    # and 2 every verdict passes (largest relative prefactor miss 0.040).
+    # At m = 3 the prefactor verdict is not asserted: the free fit's
+    # amplitude extrapolates a small exponent misfit to h = 1, and seeds 2,
+    # 3, 4 and 7 miss by 0.12-0.14, the defect that fails model-corpus 2
+    # (ROADMAP, the prefactor check that uses the paper's remainder)
+    start, stop, count = _DEFAULT_GRIDS["model"]
+    for seed in range(10):
+        prob = _random_model_problem(m, seed)
+        report = run_sweep(prob, np.geomspace(start, stop, count))
+        assert [r.status for r in report.rows] == ["ok"] * count, seed
+        attach_fits(report)
+        passed = verify(report, prob.order, _DEFAULT_TOLERANCES)
+        verdicts = report.verdicts
+        assert sorted(verdicts) == [
+            f"{q}:{kind}" for q in ("t12", "t21") for kind in ("exponent", "prefactor")
+        ]
+        assert verdicts["t12:exponent"].passed and verdicts["t21:exponent"].passed, seed
+        if m < 3:
+            assert passed, (seed, verdicts)
 
 
 def test_report_rows_sorted_and_parallel_deterministic(tmp_path):
     # rows run serially; two runs of one grid write the same CSV bytes
-    prob = model_corpus(1e-2)[0]
+    prob = model_corpus()[0]
     hs = np.geomspace(1e-3, 1e-1, 4)  # deliberately increasing
     first = run_sweep(prob, hs)
     second = run_sweep(prob, hs)
@@ -165,7 +223,7 @@ def test_report_rows_sorted_and_parallel_deterministic(tmp_path):
 
 
 def test_sweep_rows_carry_small_errors_and_fits():
-    prob = model_corpus(1e-2)[0]
+    prob = model_corpus()[0]
     report = run_sweep(prob, np.geomspace(1e-1, 1e-3, 5))
     assert all(r.status == "ok" for r in report.rows)
     for r in report.rows:
@@ -186,7 +244,7 @@ def test_deficit_fits_read_the_remainder_order(corpus, family):
     # |T_jj - 1| reads the remainder's order 2/(m+1) = 1; no sweep fit
     # carries the log(1/h) envelope, which would read 1.11 and 1.15
     start, stop, count = _DEFAULT_GRIDS[family]
-    report = run_sweep(corpus(start)[0], np.geomspace(start, stop, count))
+    report = run_sweep(corpus()[0], np.geomspace(start, stop, count))
     attach_fits(report)
     assert set(report.fits) == {"t12", "t21", "t11_deficit", "t22_deficit"}
     for q in ("t11_deficit", "t22_deficit"):
@@ -195,7 +253,7 @@ def test_deficit_fits_read_the_remainder_order(corpus, family):
 
 def test_zero_coupling_sweep_skips_fits():
     prob = dataclasses.replace(
-        model_corpus(1e-2)[0], r1=Bump(1.0, 0.0), r2=Bump(1.0, 0.0)
+        model_corpus()[0], r1=Bump(1.0, 0.0), r2=Bump(1.0, 0.0)
     )
     report = run_sweep(prob, np.geomspace(1e-1, 1e-3, 4))
     assert all(max(r.abs_errors()) < 1e-8 for r in report.rows)
@@ -207,7 +265,7 @@ def test_failed_rows_recorded_not_raised(tmp_path):
     # every row's split would exceed the level budget MAX_LEVELS (h near
     # the underflow limit): each extraction is refused, and the sweep
     # records it
-    prob = model_corpus(1e-2)[0]
+    prob = model_corpus()[0]
     report = run_sweep(prob, np.geomspace(1e-200, 1e-300, 4))
     assert all(r.status == "failed:ValidationError" for r in report.rows)
     assert all("max_levels" in r.detail for r in report.rows)
@@ -276,7 +334,7 @@ def test_verify_reads_the_largest_h_ok_row():
 
 
 def test_csv_round_trip_bit_exact(tmp_path):
-    prob = model_corpus(1e-2)[0]
+    prob = model_corpus()[0]
     report = run_sweep(prob, np.geomspace(1e-1, 1e-3, 4))
     p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
     write_csv(report, p1)
@@ -304,7 +362,7 @@ def test_csv_rejects_malformed_input(tmp_path):
 
 def test_schrodinger_sweep_reaches_small_h():
     # the coupled pair down to h = 1e-5 (2.1M grid nodes at the last row)
-    prob = schrodinger_corpus(1e-3)[0]
+    prob = schrodinger_corpus()[0]
     report = run_sweep(prob, np.geomspace(1e-3, 1e-5, 5))
     assert [r.status for r in report.rows] == ["ok"] * 5
     attach_fits(report)

@@ -13,8 +13,8 @@ h, as an independent route to the same transfer matrices.
 The plan needs facts about the problem that the march's ``System`` does
 not carry, as the march works them out from ``local`` or has no use for
 them: the interval, the exact phase F, whether M is skew-Hermitian and a
-bound on |F'| over any sub-interval (``rate_on``). ``system(prob)`` adds
-them for either problem family, and ``march(system, a, x_from, x_to)``
+bound on |F'| over any sub-interval (``rate_on``). ``system(prob, h)``
+adds them for either problem family at h, and ``march(system, a, x_from, x_to)``
 marches such a system from the exact phase at the start of its support.
 ``march_uniformly(monkeypatch)`` routes every extraction through it.
 """
@@ -97,14 +97,14 @@ def abs_max_on(poly: Poly1, lo, hi) -> np.ndarray:
     return bound
 
 
-def rate_on(prob) -> Callable:
-    """The rate bound of ``prob``: max |f| on each piece for the model, and
+def rate_on(prob, h: float) -> Callable:
+    """The rate bound of ``prob`` at h: max |f| on each piece for the model, and
     for the pair |V_1 - V_2| / (p_1 + p_2) with each p_j at its least on
     the piece, plus h^2 times a bound of |kappa_j| / (2 p_j) summed over j
     on the interval."""
     if isinstance(prob, normalform.NormalFormProblem):
         return lambda lo, hi: abs_max_on(prob.f, lo, hi)
-    h, ends, v = prob.h, ([prob.x_in], [prob.x_out]), (prob.v1, prob.v2)
+    ends, v = ([prob.x_in], [prob.x_out]), (prob.v1, prob.v2)
     low = [vj.range_on(prob.x_in, prob.x_out) for vj in v]
     # V_j - min V_j is nonnegative, so its largest modulus is its maximum
     rise = [vj - Poly1((vmin,)) for vj, (vmin, _) in zip(v, low)]
@@ -147,17 +147,17 @@ def _for_plan(base: panels.System, prob) -> System:
         interval=prob.interval,
         phase=phase,
         skew_hermitian=skew,
-        rate_on=rate_on(prob),
+        rate_on=rate_on(prob, base.h),
     )
 
 
-def system(prob) -> System:
-    """The family's march system of ``prob`` with the facts the plan
+def system(prob, h: float) -> System:
+    """The family's march system of ``prob`` at h with the facts the plan
     needs."""
     if isinstance(prob, normalform.NormalFormProblem):
-        base = normalform._system(prob)
+        base = normalform._system(prob, h)
     else:
-        base = schrodinger._system(prob)
+        base = schrodinger._system(prob, h)
     return base if isinstance(base, System) else _for_plan(base, prob)
 
 
@@ -370,6 +370,8 @@ def march_uniformly(monkeypatch) -> None:
     for module in (normalform, schrodinger):
         build = module._system
         monkeypatch.setattr(
-            module, "_system", lambda prob, build=build: _for_plan(build(prob), prob)
+            module,
+            "_system",
+            lambda prob, h, build=build: _for_plan(build(prob, h), prob),
         )
     monkeypatch.setattr(panels, "march", march)
