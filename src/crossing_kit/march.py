@@ -87,7 +87,8 @@ from .errors import StepFailure, ValidationError
 
 # The march's working memory: no panel batch holds more than CHUNK_BYTES,
 # and no _judge call more than CHUNK_BYTES of candidate data, whatever h
-# is. _BYTES_PER_PANEL bounds the traced peak of a panel batch per panel
+# is, and ``integral`` takes _PER_CALL panels at a time, whatever its
+# span. _BYTES_PER_PANEL bounds the traced peak of a panel batch per panel
 # from above (tracemalloc reads at most 41 kB), _BYTES_PER_CANDIDATE that
 # of a _judge call per candidate (at most 6.7 kB).
 CHUNK_BYTES = 2**21
@@ -262,13 +263,20 @@ def integral(func, a: float, b: float):
     """int_a^b of ``func`` by the panels' Clenshaw-Curtis rule on max(4,
     ceil(8 |b - a|)) equal panels: enough for an integrand analytic near
     [a, b], as F' is. ``func`` maps a 1-d array of points to values whose
-    last axis runs over them."""
+    last axis runs over them. It is called on at most _PER_CALL panels'
+    points at a time, so beyond the panels' edges (8 bytes a panel) the
+    memory does not grow with |b - a|."""
     points, cum = _cheb()[:2]
     edges = np.linspace(a, b, max(4, math.ceil(8.0 * abs(b - a))) + 1)
-    half = 0.5 * (edges[1:] - edges[:-1])
-    x = (edges[:-1] + half)[:, None] + half[:, None] * points
-    values = np.asarray(func(x.ravel()))
-    return (values.reshape(values.shape[:-1] + x.shape) @ cum[-1]) @ half
+    left, right, total = edges[:-1], edges[1:], 0.0
+    for k in range(0, left.size, _PER_CALL):
+        lo, hi = left[k : k + _PER_CALL], right[k : k + _PER_CALL]
+        half = 0.5 * (hi - lo)
+        x = (lo + half)[:, None] + half[:, None] * points
+        values = np.asarray(func(x.ravel()))
+        values = values.reshape(values.shape[:-1] + x.shape)
+        total = total + (values @ cum[-1]) @ half
+    return total
 
 
 def _one_chain(values: np.ndarray) -> bool:

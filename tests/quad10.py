@@ -1,16 +1,16 @@
 """The tenth-order cumulative quadrature of uniform samples, for the
 tests' oracles.
 
-The uniform plan of Picard chunks (uniform_plan.py) integrates its phases
-and sweeps with it, and the pair's four-coefficient march
-(pair_oracle.py) its phases and terms; the package's own march solves on
-Chebyshev panels instead. Each mesh cell integrates the degree-9
-polynomial through the ten nearest samples. The rule is vectorized numpy:
-every pass over a row is one contiguous 1-D operation. A stack of rows is
-treated as one flat array for the centered rule (14 passes), whose
-entries that straddle two rows, a row's first five and last four, are
-then overwritten by the one-sided edge rules; dx is folded into the
-weights, and the cumulative sum starts each row at its ``initial`` value.
+The uniform Picard march (uniform_plan.py) and the pair's four-coefficient
+march (pair_oracle.py) integrate their phases and Picard terms with it;
+the package's own march solves on Chebyshev panels instead. Each mesh cell
+integrates the degree-9 polynomial through the ten nearest samples. The
+rule is vectorized numpy: every pass over a row is one contiguous 1-D
+operation. A stack of rows is treated as one flat array for the centered
+rule (14 passes, its pair sums in Horner form), whose entries that
+straddle two rows, a row's first five and last four, are then overwritten
+by the one-sided edge rules; dx is folded into the weights, and the
+cumulative sum starts each row at 0.
 """
 
 from __future__ import annotations
@@ -82,24 +82,14 @@ _C0 = _W10[4, 0]
 _HEAD, _TAIL = _W10[:4].T.copy(), _W10[5:].T.copy()
 
 
-def cum_quad10(
-    values: np.ndarray,
-    dx: float,
-    out: np.ndarray | None = None,
-    initial: float | np.ndarray = 0.0,
-) -> np.ndarray:
+def cum_quad10(values: np.ndarray, dx: float) -> np.ndarray:
     """Cumulative integral of uniformly sampled values, tenth order.
 
     Integrates along the last axis, so a stack of rows is one call. Returns
-    an array of the same shape whose entry k is ``initial`` plus the
-    integral from the first node to node k; ``initial`` broadcasts against
-    the rows (shape ``values.shape[:-1]``). Each mesh cell integrates the
-    degree-9 polynomial through the ten nearest samples; a row needs at
-    least ten. Real input gives float64, complex input complex128.
-    ``out``, a C-contiguous array of that shape and dtype that shares no
-    memory with ``values``, receives the result instead of a new array: the
-    cell integrals are written into it and summed in place, so the call
-    allocates nothing of the input's size.
+    an array of the same shape whose entry k is the integral from the
+    first node to node k. Each mesh cell integrates the degree-9
+    polynomial through the ten nearest samples; a row needs at least ten.
+    Real input gives float64, complex input complex128.
     """
     values = np.asarray(values)
     dtype = np.complex128 if np.iscomplexobj(values) else np.float64
@@ -107,20 +97,8 @@ def cum_quad10(
     n = values.shape[-1]
     if n < 10:
         raise ValueError("cum_quad10 needs at least 10 samples")
-    if out is None:
-        out = np.empty(values.shape, dtype=dtype)
-    elif (
-        out.shape != values.shape
-        or out.dtype != dtype
-        or not out.flags.c_contiguous
-    ):
-        raise ValueError(
-            f"out must be a C-contiguous {np.dtype(dtype)} array of shape "
-            f"{values.shape}"
-        )
-    elif np.shares_memory(out, values):
-        raise ValueError("out must not share memory with values")
     dx = float(dx)
+    out = np.empty(values.shape, dtype=dtype)
     v, o = values.reshape(-1), out.reshape(-1)
     size = v.size
     # the centered rule on the flat arrays, 14 passes: the integral over
@@ -137,6 +115,6 @@ def cum_quad10(
     rows, o2 = values.reshape(-1, n), out.reshape(-1, n)
     np.matmul(rows[:, :10], _HEAD * dx, out=o2[:, 1:5])
     np.matmul(rows[:, n - 10 :], _TAIL * dx, out=o2[:, n - 4 :])
-    out[..., 0] = initial
+    o2[:, 0] = 0.0
     np.add.accumulate(o2, axis=-1, out=o2)
     return out

@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -13,13 +14,12 @@ import pytest
 
 import crossing_kit
 from crossing_kit.cli import MAX_ORDER, main, parse_config
-from crossing_kit.errors import SchemaError
+from crossing_kit.errors import SchemaError, StepFailure
+from crossing_kit.march import CHUNK_BYTES
 from crossing_kit.normalform import NormalFormProblem, predict_transfer
 from crossing_kit.schrodinger import SchrodingerProblem
 from crossing_kit.sweep import MAX_GRID_POINTS, PowerLawFit, Verdict
 from crossing_kit.transfer import TransferMatrix
-
-from uniform_plan import march_uniformly
 
 
 def write_config(tmp_path, payload, name="config.json"):
@@ -735,14 +735,20 @@ def test_h_near_underflow_is_a_numerical_failure(tmp_path, capsys):
 
 @pytest.mark.parametrize("mode", ["sweep", "verify"])
 def test_too_few_rows_to_fit_keep_their_outputs(monkeypatch, tmp_path, capsys, mode):
-    # a coupling that Picard cannot resolve on the uniform plan at the three
-    # largest h (the panels resolve it): the two rows left cannot be
-    # fitted, which is a numerical failure, but the CSV and the summary are
-    # written and each failed row says why
-    march_uniformly(monkeypatch)
+    # rows whose extraction fails at the three largest h: the two rows
+    # left cannot be fitted, which is a numerical failure, but the CSV and
+    # the summary are written and each failed row says why
+    extract = NormalFormProblem.extract
+
+    def failing(self, h, branch=1):
+        if h >= 0.01:
+            raise StepFailure(f"Picard iteration at h={h:g} did not converge")
+        return extract(self, h, branch)
+
+    monkeypatch.setattr(NormalFormProblem, "extract", failing)
     csv, summary = tmp_path / "rows.csv", tmp_path / "summary.json"
     cfg = {
-        "problem": model_block(coupling={"width": 0.8, "amplitude": 380.0}),
+        "problem": model_block(),
         "h_grid": {"values": [0.1, 0.03, 0.01, 0.003, 0.001]},
         "output": {"csv": str(csv), "summary": str(summary)},
     }
@@ -759,6 +765,34 @@ def test_too_few_rows_to_fit_keep_their_outputs(monkeypatch, tmp_path, capsys, m
     rows = payload["failed_rows"]
     assert [r["h"] for r in rows] == [0.1, 0.03, 0.01]
     assert all("Picard iteration" in r["detail"] for r in rows)
+
+
+def test_a_wide_interval_solves_in_bounded_memory(tmp_path, capsys):
+    # the pair's WKB phases at the ends of [-1e4, 1e4] are integrals over
+    # 80000 panels: the solve exits 0, and its traced peak stays within two
+    # CHUNK_BYTES (measured 2.0 MB, where placing the panels at once held
+    # 390 MB, and on [-1e6, 1e6] raised numpy's _ArrayMemoryError)
+    cfg = {
+        "problem": {
+            "kind": "schrodinger",
+            "n": 1,
+            "v1_coeffs": [0.0, -1e-7],
+            "v2_coeffs": [0.0, 1e-7],
+            "e0": 1.0,
+            "coupling": {"width": 0.8},
+            "interval": [-1e4, 1e4],
+        },
+        "h": 1e-2,
+    }
+    path = write_config(tmp_path, cfg)
+    tracemalloc.start()
+    try:
+        assert main(["solve-schrodinger", "--config", path]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * CHUNK_BYTES, peak
+    assert "extracted:" in capsys.readouterr().out
 
 
 def test_huge_grid_count_rejected_before_allocation(tmp_path, capsys):

@@ -25,14 +25,11 @@ from crossing_kit.normalform import (
     transfer_numeric,
 )
 from crossing_kit.profiles import Bump, Poly1, ZERO_BUMP
-from crossing_kit.schrodinger import schrodinger_corpus
 from crossing_kit.symbolcalc import stationary_prefactor
 from crossing_kit.transfer import Problem
 
 import closed_form_oracle
-import uniform_plan
 from ode_oracles import ode_oracle
-from uniform_plan import march_uniformly
 
 SQRT_2PI = 2.506628274631000502415765284811045253007
 
@@ -172,21 +169,6 @@ def test_corpus_shape():
 # ------------------------------------------------------------- the system
 
 
-def test_antiderivative_exact_for_linear_rate():
-    # f = x: the uniform plan carries F from F(x0) by cum_quad10 of the
-    # rate, which is exact for a linear rate, so F = x^2/2 at every chunk end
-    prob = dataclasses.replace(model_corpus()[0], r1=ZERO_BUMP, r2=ZERO_BUMP)
-    system = uniform_plan.system(prob, 1e-2)
-    phi0 = system.phase(prob.x0)
-    assert phi0 == 0.5
-    for end in (-0.3, 0.0, 1.0):
-        x = np.linspace(prob.x0, end, 101)
-        a0 = np.eye(2, dtype=complex)
-        work = uniform_plan._work(system, len(x))
-        _, phi, _ = uniform_plan._picard(system, a0, phi0, x, x[1] - x[0], work)
-        assert abs(phi - end**2 / 2.0) < 1e-13
-
-
 def test_gamma_vanishes_before_the_coupling_switches_on():
     # M, and with it every coupling integral gamma_plus/gamma_minus, is
     # exactly zero left of the supports: the march returns the data as is,
@@ -225,22 +207,6 @@ def test_march_runs_left_to_right_only():
         with pytest.raises(ValidationError, match="left to right"):
             march.march(system, a, x_from, x_to)
     assert march.march(system, a, 0.0, 0.0) is a
-
-
-def test_graded_mesh_marches_a_third_of_the_uniform_grid(monkeypatch, caplog):
-    # model-corpus 1 (f = x^2) at h = 1e-5: the uniform grid at 24 points
-    # per period of max |f| on [-1, 1] had 763945 nodes. Model-corpus 2
-    # (f = x^3) there: a plan that refined each piece by the fastest rate
-    # within one chunk's reach, before cutting chunks, marched 124486 nodes
-    march_uniformly(monkeypatch)
-    for index, most in ((1, 763945 // 3), (2, 112_000)):
-        prob = model_corpus()[index]
-        caplog.clear()
-        with caplog.at_level(logging.DEBUG, logger="crossing_kit"):
-            transfer_numeric(prob, 1e-5)
-        msg = caplog.records[0].getMessage()
-        nodes = int(re.search(r"marched (\d+) nodes", msg).group(1))
-        assert nodes <= most, msg
 
 
 def test_gamma_minus_fresnel_value():
@@ -346,53 +312,11 @@ def test_picard_stop_scales_with_the_data(monkeypatch):
     assert 0.0 < observed <= 7 * 1e-8
 
 
-def test_a_zero_column_is_carried_without_sweeps(caplog):
-    # nothing to sum: the uniform plan returns zero data at once, with no
-    # sweep and no division by the data's size; the panels carry it as
-    # U 0 = 0
+def test_a_zero_column_is_carried_without_sweeps():
+    # nothing to sum: the panels carry zero data as U 0 = 0, exactly
     prob = model_corpus()[0]
     zero = np.zeros((1, 2), dtype=complex)
-    with caplog.at_level(logging.DEBUG, logger="crossing_kit"):
-        a = uniform_plan.march(uniform_plan.system(prob, 1e-2), zero, prob.x0, prob.x1)
-    assert (a == 0.0).all()
-    assert "of 0 sweeps" in caplog.records[0].getMessage()
     assert (march.march(_system(prob, 1e-2), zero, prob.x0, prob.x1) == 0.0).all()
-
-
-@pytest.mark.parametrize(
-    "build, h, rows",
-    [
-        (lambda: model_corpus()[0], 1e-2, 1),
-        (strong_coupling_problem, STRONG_H, 1),
-        (lambda: model_corpus()[3], 1e-2, 2),
-        (lambda: schrodinger_corpus()[0], 1e-2, 1),
-    ],
-    ids=["model", "strong-model", "model-corpus-3", "pair"],
-)
-def test_each_sweep_integrates_only_the_rows_it_needs(
-    monkeypatch, caplog, build, h, rows
-):
-    # M is off-diagonal, so its propagator's terms are two chains: each
-    # sweep integrates 2 rows, whatever the data's columns, and 1 where M is
-    # skew-Hermitian (one chain is the other's conjugate up to sign), as on
-    # the model with r1 == r2 and on the pair's normal form. Phases are
-    # real and integrated apart. The uniform plan's sweeps are counted here.
-    march_uniformly(monkeypatch)
-    samples = []
-    integrate = uniform_plan.cum_quad10
-
-    def counting(values, dx, out=None, initial=0.0):
-        if np.iscomplexobj(values):
-            samples.append((values.size, values.shape[-1]))
-        return integrate(values, dx, out=out, initial=initial)
-
-    monkeypatch.setattr(uniform_plan, "cum_quad10", counting)
-    with caplog.at_level(logging.DEBUG, logger="crossing_kit"):
-        build().extract(h)
-    assert samples and all(size == rows * nodes for size, nodes in samples), samples
-    msg = caplog.records[-1].getMessage()
-    assert len(samples) == int(re.search(r"of (\d+) sweeps", msg).group(1))
-    assert f"{rows} Neumann rows per sweep" in msg, msg
 
 
 def _sweeps_and_transfer(system, prob, caplog):
@@ -432,48 +356,34 @@ def test_one_chain_equals_two_chains(monkeypatch, caplog, build, h):
     assert np.abs(one[1] - two[1]).max() <= 1e-15
 
 
-# T at h = 1e-3 of the march that swept the one column v_0 = (1, 1),
-# v_{k+1} = int M v_k, before the chains, run with the tenth-order rule at
-# POINTS_PER_PERIOD = 14 on the plan of Picard chunks: the two chains hold
-# the same numbers in swapped rows, so r1 != r2 keeps every bit of the
-# uniform plan
-_COLUMN_SWEEP_T = {
-    3: [
-        [(0.9978031247275067+1.0280174314837534e-05j), (-0.055730040706441615-0.056248503761520435j)],
-        [(0.0388279757019009-0.039557313963581885j), (0.9978031247275205+1.0280174313978794e-05j)],
-    ],
-    4: [
-        [(0.9759290515502345+0.02766518455758154j), (-3.988783003807481e-15-0.17711882183302546j)],
-        [(5.919251249862073e-15-0.26421316164677144j), (0.9759290515502343-0.027665184557581563j)],
-    ],
-}
-
-
-@pytest.mark.parametrize("index", sorted(_COLUMN_SWEEP_T))
-def test_two_chains_keep_the_column_sweep_bits(monkeypatch, index):
-    march_uniformly(monkeypatch)
-    prob = model_corpus()[index]
-    assert prob.r1 != prob.r2
-    T = transfer_numeric(prob, 1e-3).entries
-    assert (T == np.array(_COLUMN_SWEEP_T[index])).all()
-
-
 def test_overflow_stops_picard_at_once(monkeypatch):
-    # a coupling near the float limit overflows the second sweep's product
-    # on the uniform plan: the march raises StepFailure on that sweep's
-    # non-finite change (_stops, which the panels share), with no numpy
-    # RuntimeWarning (an error under this suite's filter). The panel march
-    # refuses that coupling by its panel budget before judging a panel.
+    # a coupling near the float limit: the panel march refuses it by its
+    # panel budget before judging a panel
     prob = dataclasses.replace(
         model_corpus()[0], r1=Bump(0.5, 1e300), r2=Bump(0.5, 1e300)
     )
-    with monkeypatch.context() as patch:
-        patch.setattr(march, "_judge", None)
-        with pytest.raises(ValidationError, match="max_panels"):
-            prob.extract(1e-2)
-    march_uniformly(monkeypatch)
-    with pytest.raises(StepFailure, match=r"overflowed: sweep 2 moved by nan"):
+    monkeypatch.setattr(march, "_judge", None)
+    with pytest.raises(ValidationError, match="max_panels"):
         prob.extract(1e-2)
+
+
+def test_picard_stop_raises_on_an_overflow_and_at_the_sweep_cap():
+    # _stops ends a panel batch's Picard sweeps: within PICARD_TOL /
+    # sqrt(2) of the data's scale it stops; a change that is not finite
+    # (an overflow) raises at once, and so does the sweep cap reached
+    # without the stop, with no numpy RuntimeWarning (an error under this
+    # suite's filter). The panel march cannot reach the overflow: a
+    # coupling that large is refused by the panel budget (the test above)
+    stops = march._stops
+    assert stops(1e-15, 1.0, 1, -1.0, 1.0) is True
+    assert stops(1e-15, 10.0, 1, -1.0, 1.0) is False
+    for moved, scale in ((math.nan, 1.0), (math.inf, 1.0), (1e300, 1e300)):
+        with pytest.raises(StepFailure, match=r"\[-1, 1\] overflowed: sweep 2"):
+            stops(moved, scale, 2, -1.0, 1.0)
+    cap = march.PICARD_MAX_ITER
+    assert stops(1.0, 1.0, cap - 1, -1.0, 1.0) is False
+    with pytest.raises(StepFailure, match=f"after {cap} iterations"):
+        stops(1.0, 1.0, cap, -1.0, 1.0)
 
 
 def test_strong_coupling_needs_no_fallback(caplog):
@@ -495,20 +405,14 @@ def test_strong_coupling_needs_no_fallback(caplog):
         assert word in msg, msg
 
 
-def test_panels_resolve_a_coupling_the_uniform_plan_cannot(monkeypatch):
-    # amplitude 380 on the model of model-corpus 0 at h = 1e-1: the uniform
-    # plan's shortest chunk, 10 cells of the N_MIN dx, spans int |M| of
-    # about 3.8, where Picard does not converge within PICARD_MAX_ITER
-    # sweeps; the direct panels, each within PICARD_REACH and solved from
-    # its own left edge, converge and match the direct integration (measured
-    # 4.3e-10)
+def test_panels_resolve_a_strong_coupling_at_a_large_h():
+    # amplitude 380 on the model of model-corpus 0 at h = 1e-1: the direct
+    # panels, each within PICARD_REACH and solved from its own left edge,
+    # converge and match the direct integration (measured 4.3e-10)
     coupling = Bump(0.8, 380.0)
     prob = dataclasses.replace(model_corpus()[0], r1=coupling, r2=coupling)
     T = prob.extract(1e-1)
     assert np.abs(T.entries - ode_reference(prob, 1e-1)).max() <= 1e-9
-    march_uniformly(monkeypatch)
-    with pytest.raises(StepFailure, match="Picard iteration"):
-        prob.extract(1e-1)
 
 
 def test_picard_fails_loudly_on_an_uncut_strong_coupling(monkeypatch):

@@ -20,6 +20,7 @@ from crossing_kit.schrodinger import SchrodingerProblem, schrodinger_corpus
 from crossing_kit.transfer import Problem
 
 from ode_oracles import ode_oracle
+from quad10 import cum_quad10
 
 
 def test_all_is_sorted_unique_and_complete():
@@ -149,6 +150,37 @@ def test_march_holds_the_only_quadrature_rule():
                 assert not bad, (path.stem, name)
 
 
+def _march_privates(tree: ast.AST) -> list[str]:
+    """The _-prefixed names of crossing_kit.march that a module's ``tree``
+    imports or reads, through any name the module binds to march."""
+    found, bound = [], {"crossing_kit.march"}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "crossing_kit.march":
+            found += [a.name for a in node.names if a.name.startswith("_")]
+        elif isinstance(node, ast.ImportFrom) and node.module == "crossing_kit":
+            bound |= {a.asname or a.name for a in node.names if a.name == "march"}
+        elif isinstance(node, ast.Import):
+            bound |= {a.asname for a in node.names if a.name == "crossing_kit.march"}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and node.attr.startswith("_"):
+            if ast.unparse(node.value) in bound:
+                found.append(node.attr)
+    return found
+
+
+def test_the_oracles_are_independent_of_the_march():
+    # the uniform Picard march, the pair's four-coefficient march and their
+    # quadrature rule check the march: they share none of its private
+    # helpers, and the rule takes its samples and dx and nothing else
+    tests = Path(__file__).parent
+    for name in ("uniform_plan", "pair_oracle", "quad10"):
+        tree = ast.parse((tests / f"{name}.py").read_text(encoding="utf-8"))
+        assert _march_privates(tree) == [], name
+    probe = "from crossing_kit.march import _stops\nimport crossing_kit.march as m\nm._x"
+    assert _march_privates(ast.parse(probe)) == ["_stops", "_x"]
+    assert list(inspect.signature(cum_quad10).parameters) == ["values", "dx"]
+
+
 def test_problems_are_h_free():
     # one problem interface: a problem is built once, for every h, and
     # predict and extract take h. No problem carries an h, and no module
@@ -200,6 +232,7 @@ del sys.modules["scipy"]
 sys.path.insert(0, sys.argv[1])
 from crossing_kit.normalform import model_corpus
 from ode_oracles import ode_oracle
+from quad10 import cum_quad10
 a = ode_oracle(model_corpus()[0], 1e-2, (1.0, 0.5j), [-0.5, 0.0, 1.0])
 report["oracle"] = [[z.real, z.imag] for z in a.ravel().tolist()]
 print(json.dumps(report))

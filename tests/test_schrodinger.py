@@ -2,8 +2,9 @@
 transfer predictions for both energy regimes, and numeric extraction in the
 oscillatory basis, checked against a DOP853 reference solve. The checks of
 the march itself (resolution, memory, the split's budget, small h) run on
-the reduced model too, which it extracts the same way, and the checks of
-its oracle, the uniform plan of tests/uniform_plan.py, run on both.
+the reduced model too, which it extracts the same way, and so do its
+comparisons with its oracle, the plain uniform Picard march of
+tests/uniform_plan.py.
 
 Numeric tolerances were measured once with margin and frozen; the tight
 h=1e-3 comparison lives in the acceptance suite, module tests run at a
@@ -51,7 +52,6 @@ from ode_oracles import (
     synthesize,
 )
 import uniform_plan
-from uniform_plan import march_uniformly
 
 SQRT_2PI = 2.506628274631000502415765284811045253007
 
@@ -553,11 +553,10 @@ def _march_line(caplog, run):
 def _panels_against_uniform(monkeypatch, caplog, prob, h, pieces=16, points=40):
     """|U - U_uniform| for the propagator U at h of prob's coupling support, and
     the DEBUG line of the march that gave U. U_uniform, the oracle of the
-    panel path, is the uniform plan (tests/uniform_plan.py) at ``points``
-    points per period, cut into ``pieces`` equal parts that each start
-    from the exact phase: marched whole, it chains its phase over the span,
-    whose rounding reaches 1.8e-11 on a random model at h = 1e-5 and
-    1.3e-10 on model-corpus 2 at h = 1e-6."""
+    panel path, is the uniform Picard march (tests/uniform_plan.py) at
+    ``points`` points per period, cut into ``pieces`` equal parts that
+    each start from the exact phase and take the one dx of their own rate
+    bound, where the whole span would take the dx of its fastest rate."""
     system = uniform_plan.system(prob, h)
     lo, hi = system.support
     eye = np.eye(2, dtype=complex)
@@ -583,10 +582,10 @@ _CORPORA = {
 
 @pytest.mark.parametrize("corpus, index, h", _CORPORA.values(), ids=_CORPORA.keys())
 def test_levin_panels_match_the_uniform_march(monkeypatch, caplog, corpus, index, h):
-    # the march on Levin and direct panels against the uniform plan at 40
+    # the march on Levin and direct panels against the uniform march at 40
     # points per period, on every case-i corpus problem: within 2e-11 at
-    # h = 1e-4 and 1e-5 and 1e-10 at 1e-6 (measured at most 2.3e-13 and
-    # 9.7e-13)
+    # h = 1e-4 and 1e-5 and 1e-10 at 1e-6 (measured at most 2.2e-13 and
+    # 1.9e-14)
     err, panels, msg = _panels_against_uniform(monkeypatch, caplog, corpus()[index], h)
     assert panels > 0, msg
     assert err <= (1e-10 if h == 1e-6 else 2e-11), err
@@ -596,8 +595,8 @@ def test_levin_panels_match_the_uniform_march(monkeypatch, caplog, corpus, index
 def test_levin_panels_match_the_uniform_march_on_random_models(monkeypatch, caplog, m):
     # seeded draws of the random-model family at h = 1e-5, r1 != r2 (two
     # chains): the panel path against the uniform march at 40 points per
-    # period (measured at most 9.7e-13, m = 3, seed 1, where that oracle is
-    # 1.3e-12 from itself at 96 points per period and the panels 3.6e-13)
+    # period (measured at most 1.3e-12, m = 3, seed 1, where that oracle is
+    # 1.3e-12 from itself at 96 points per period and the panels 1.3e-15)
     for seed in (0, 1, 2):
         prob = _random_model_problem(m, seed)
         err, panels, msg = _panels_against_uniform(monkeypatch, caplog, prob, 1e-5)
@@ -609,8 +608,8 @@ def test_levin_panels_match_the_uniform_march_on_random_models(monkeypatch, capl
 @pytest.mark.parametrize("m", [1, 2, 3])
 def test_panels_match_the_uniform_plan_on_random_draws(monkeypatch, caplog, m, h):
     # seeded draws of the random-model family (r1 != r2, two chains): the
-    # march, on panels alone, against the uniform plan at 40 points per
-    # period, within 1e-9 (measured at most 5.6e-13, m = 3, seed 1,
+    # march, on panels alone, against the uniform march at 40 points per
+    # period, within 1e-9 (measured at most 4.9e-13, m = 3, seed 1,
     # h = 1e-4); the same draws with r2 = r1, where M is skew-Hermitian,
     # give a propagator unitary to 1e-12 (measured at most 4.4e-16)
     for seed in (0, 1, 2):
@@ -629,10 +628,10 @@ def test_panels_match_the_uniform_plan_on_random_draws(monkeypatch, caplog, m, h
 def test_panels_keep_the_exact_phase_of_model_corpus_2(monkeypatch, caplog):
     # model-corpus 2 at h = 1e-4 on panels, whose edges take their phase
     # from the exact phase at the edge nearest 0 and the panels' integrals
-    # of F', against the uniform plan at 96 points per period cut into 16
-    # pieces that each start from the exact phase: measured 3.0e-14, where
-    # the uniform march of the whole span, 14k nodes at 14 points per
-    # period that chain their phase over it, read 2.5e-13
+    # of F', against the uniform march at 96 points per period cut into 16
+    # pieces that each start from the exact phase: measured 8.9e-16, where
+    # the uniform march of the whole span at 14 points per period read
+    # 9.5e-13
     prob = model_corpus()[2]
     err, panels, msg = _panels_against_uniform(
         monkeypatch, caplog, prob, 1e-4, points=96
@@ -1024,7 +1023,8 @@ _OFF_CENTRE = {
 def test_off_centre_couplings_match_the_uniform_plan(monkeypatch, caplog, family, h):
     # a support whose panel edges miss 0: the march takes the phase at the
     # edge nearest 0 from march.integral of F', and its propagator matches
-    # the uniform plan, which starts from the exact phase, within 2e-11
+    # the uniform march, which starts from the exact phase, within 2e-11
+    # (measured at most 1.2e-13, the pair at h = 1e-4)
     prob = _OFF_CENTRE[family]
     system = uniform_plan.system(prob, h)
     integral, calls = march.integral, []
@@ -1040,6 +1040,25 @@ def test_off_centre_couplings_match_the_uniform_plan(monkeypatch, caplog, family
     err, panels, msg = _panels_against_uniform(monkeypatch, caplog, prob, h)
     assert panels > 0, msg
     assert err <= 2e-11, err
+
+
+def test_integral_holds_at_most_chunk_bytes():
+    # march.integral places ceil(8 |b - a|) panels, 80000 over a length of
+    # 1e4: it takes them _PER_CALL at a time, so its traced peak stays
+    # within CHUNK_BYTES (measured 1.1 MB, where placing them at once held
+    # 104 MB), and the sum keeps its accuracy
+    def func(y):
+        return np.array([np.cos(y), np.sin(y)])
+
+    march.integral(func, 0.0, 1.0)  # first-call caches
+    tracemalloc.start()
+    try:
+        got = march.integral(func, 0.0, 1e4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= CHUNK_BYTES, peak
+    assert np.abs(got - [math.sin(1e4), 1.0 - math.cos(1e4)]).max() <= 1e-12
 
 
 def test_march_memory_is_bounded():
@@ -1160,182 +1179,26 @@ def test_node_budget_counts_the_marched_grid(monkeypatch, caplog):
                 prob.extract(h)
 
 
-def test_plan_refuses_what_only_the_estimate_admits(monkeypatch):
-    # the uniform plan's pieces' node count is a lower bound on the plan's
-    # (8.5k against 19.3k here): with N_MAX between the two the estimate
-    # passes, and the plan refuses the march before any work array is
-    # allocated
-    march_uniformly(monkeypatch)
-    prob = model_corpus()[2]
-    system = uniform_plan.system(prob, 1e-4)
-    lo, hi = prob.coupling_support()
-    width = (hi - lo) / uniform_plan.RATE_PIECES
-    estimate = sum(width / dx for dx in uniform_plan._piece_spacing(system, lo, hi))
-    planned = sum(cells for _, cells in uniform_plan._plan(system, lo, hi)) + 1
-    assert estimate < planned
-    monkeypatch.setattr(uniform_plan, "N_MAX", int(estimate + planned) // 2)
-    uniform_plan._piece_spacing(system, lo, hi)  # the estimate passes
-
-    def allocating(*args):
-        raise AssertionError("work arrays allocated over the budget")
-
-    monkeypatch.setattr(uniform_plan, "_work", allocating)
-    with pytest.raises(ValidationError, match="n_max"):
-        prob.extract(1e-4)
-
-
-def _window_rate(system, start, end, near, far):
-    """rate_on over the pieces of the plan of [start, end] that the
-    distances [near, far] from start touch, clipped to [start, end]: the
-    window as the plan reads it."""
-    width = (end - start) / uniform_plan.RATE_PIECES
-    first = max(0, int(near / width))
-    last = min(uniform_plan.RATE_PIECES, int(far / width) + 1)
-    a, b = start + first * width, start + last * width
-    return float(system.rate_on(np.array([a]), np.array([b]))[0])
-
-
-def _envelope_integral():
-    # ENVELOPE_CORPUS (4, +1) of test_oscquad at h = 1e-6
-    phase = PhaseSpec.from_poly(Poly1((0, 0, 0, 0, 0, 0.2)))
-    amp = Bump(width=0.5, center=0.1)
-    return osc_integral_numeric(phase, amp, 1e-6, (-0.6, 0.8))
-
-
-_MARCHES = {
-    **{
-        f"model-{k}-{h:g}": _extract(model_corpus, k, h)
-        for h in (1e-4, 1e-5)
-        for k in (0, 1, 2)
-    },
-    "pair-0.001": _extract(schrodinger_corpus, 0, 1e-3),
-    "envelope-4-1e-06": _envelope_integral,
-}
-
-
-@pytest.mark.parametrize("run", _MARCHES.values(), ids=_MARCHES.keys())
-def test_each_chunk_takes_the_widest_dx_that_resolves_its_reach(monkeypatch, run):
-    # on the uniform plan, a chunk of length L at distance u from the start
-    # resolves the rates on [u - L, u + 2L] with POINTS_PER_PERIOD nodes per
-    # period, within the N_MIN cap, and the next wider piece dx would not;
-    # the chunks tile the marched span
-    march_uniformly(monkeypatch)
-    plans = []
-    plan = uniform_plan._plan
-
-    def recording(system, start, end):
-        chunks = plan(system, start, end)
-        plans.append((system, start, end, chunks))
-        return chunks
-
-    monkeypatch.setattr(uniform_plan, "_plan", recording)
-    run()
-    assert plans
-    for system, start, end, chunks in plans:
-        cap = (system.interval[1] - system.interval[0]) / (uniform_plan.N_MIN - 1)
-        widths = sorted(set(uniform_plan._piece_spacing(system, start, end)))
-
-        def bound(near, far):
-            rate = _window_rate(system, start, end, near, far)
-            period = 2.0 * math.pi * system.h / rate
-            return min(cap, period / uniform_plan.POINTS_PER_PERIOD)
-
-        u = 0.0
-        for k, (dx, cells) in enumerate(chunks):
-            assert cells >= uniform_plan._MIN_CHUNK_CELLS
-            reach = uniform_plan._chunk_cells(system, dx) * dx
-            assert dx <= bound(u - reach, u + cells * dx + reach) * (1 + 1e-9)
-            wider = [d for d in widths if d > dx * (1 + 1e-9)]
-            if k < len(chunks) - 1 and wider:
-                reach = uniform_plan._chunk_cells(system, wider[0]) * wider[0]
-                assert wider[0] > bound(u - reach, u + 2 * reach) * (1 - 1e-9)
-            u += cells * dx
-        assert u == pytest.approx(end - start, rel=1e-12)
-
-
-# where the coupling, not CHUNK_BYTES, sets the chunk length: at h = 1e-2
-# and 1e-3 on the model, and at three times its coupling
-_SHORT_CHUNKS = {
-    "model-0-0.01": _extract(model_corpus, 0, 1e-2),
-    "model-0-0.001": _extract(model_corpus, 0, 1e-3),
-    "model-0-0.01-strong": functools.partial(
-        dataclasses.replace(
-            model_corpus()[0], r1=Bump(0.8, 3.0), r2=Bump(0.8, 3.0)
-        ).extract,
-        1e-2,
-    ),
-}
-
-
-@pytest.mark.parametrize(
-    "run",
-    [*_MARCHES.values(), *_SHORT_CHUNKS.values()],
-    ids=[*_MARCHES, *_SHORT_CHUNKS],
-)
-def test_each_picard_chunk_is_a_run_of_equal_dx_segments(monkeypatch, run):
-    # every entry of the uniform plan is one Picard chunk, a run of cells of
-    # one dx, within CHUNK_BYTES and, unless it has the fewest cells, within
-    # int |M| <= PICARD_REACH; the chunks tile the marched span, and the
-    # march solves each as planned
-    march_uniformly(monkeypatch)
-    marches = []
-    plan, picard = uniform_plan._plan, uniform_plan._picard
-
-    def planning(system, start, end):
-        chunks = plan(system, start, end)
-        marches.append((system, end - start, chunks, []))
-        return chunks
-
-    def solving(system, a0, phi0, x, dx, work):
-        marches[-1][3].append((dx, len(x) - 1))
-        return picard(system, a0, phi0, x, dx, work)
-
-    monkeypatch.setattr(uniform_plan, "_plan", planning)
-    monkeypatch.setattr(uniform_plan, "_picard", solving)
-    run()
-    assert marches
-    most = march.CHUNK_BYTES // uniform_plan._BYTES_PER_NODE
-    for system, span, chunks, solved in marches:
-        assert solved == chunks
-        for dx, cells in chunks:
-            assert cells + 1 <= most
-            assert (
-                cells == uniform_plan._MIN_CHUNK_CELLS
-                or system.coupling * cells * dx <= march.PICARD_REACH
-            )
-        assert sum(c * dx for dx, c in chunks) == pytest.approx(span, rel=1e-12)
-
-
 @pytest.mark.parametrize("h", [1e-2, 2.5e-3, 1e-4, 1e-5])
 @pytest.mark.parametrize("index", [0, 1])
 def test_marched_phase_is_the_phase_at_every_chunk_end(monkeypatch, index, h):
     # F' is written once, in the pair's local(): the march integrates it
     # panel by panel by Clenshaw-Curtis from its integral from 0 at the
-    # edge nearest 0, the uniform plan chunk by chunk with cum_quad10 from
-    # the start of the support, and the uniform plan's exact phase
-    # integrates it from 0 by march.integral. The three agree at every
-    # panel edge and every Picard chunk end (measured at most 2.9e-16 on
-    # the uniform plan, corpus 0 at h = 1e-5)
+    # edge nearest 0, and the exact phase of the uniform march integrates
+    # it from 0 by march.integral. The two agree at every panel edge
+    # (measured at most 1.4e-17, corpus 0)
     prob = schrodinger_corpus()[index]
     system = uniform_plan.system(prob, h)
-    ends, picard, levin = [], uniform_plan._picard, march._levin
-
-    def solving(system, a0, phi0, x, dx, work):
-        a, phi, iters = picard(system, a0, phi0, x, dx, work)
-        ends.append((x[-1], phi))
-        return a, phi, iters
+    ends, levin = [], march._levin
 
     def panels(system, phase, edges, data, one):
         ends.extend(zip(edges, phase))
         return levin(system, phase, edges, data, one)
 
-    monkeypatch.setattr(uniform_plan, "_picard", solving)
     monkeypatch.setattr(march, "_levin", panels)
-    for solve in (march.march, uniform_plan.march):
-        ends.clear()
-        solve(system, np.eye(2, dtype=complex), prob.x_in, prob.x_out)
-        assert ends
-        assert max(abs(phi - system.phase(x)) for x, phi in ends) <= 1e-14
+    march.march(system, np.eye(2, dtype=complex), prob.x_in, prob.x_out)
+    assert ends
+    assert max(abs(phi - system.phase(x)) for x, phi in ends) <= 1e-14
 
 
 def test_numeric_transfer_both_crossings():
