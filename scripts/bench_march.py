@@ -1,4 +1,4 @@
-"""Cost of one extraction as h shrinks: seconds, nodes and us per node per row.
+"""Cost of one extraction as h shrinks: seconds, panels and us per node per row.
 
     PYTHONPATH=src python3 scripts/bench_march.py --out PATH [--label TEXT]
     PYTHONPATH=src python3 scripts/bench_march.py --out PATH --against DIR
@@ -8,38 +8,22 @@ Extracts the transfer matrix of model-corpus 0, 1, 2 (self-adjoint, one
 Neumann chain) and 3 (r1 != r2, two chains) and of schrodinger-corpus 0
 and 1 at h = 1e-2 .. 1e-6 and at every second power of ten from 1e-8 to
 1e-16, with the ``crossing_kit`` package found on PYTHONPATH. Each row is
-timed REPEATS times in one process (the median is kept); its counts come
-from the march's DEBUG line, and ``us_per_node`` is the median seconds per
-node, uniformly marched or on a panel, in microseconds.
+timed REPEATS times in one process (the median is kept). Its counts are
+the fields of ``crossing_kit.march.SolveStats``, which the march's DEBUG
+log record carries, and ``us_per_node`` is the median seconds per panel
+node in microseconds. A row the tree refuses (its split's budget) is kept
+with its message under ``refused`` and no timing.
+Writes ``--out``, which has no default so that no run overwrites a
+committed BENCH_*.json by accident, with the rows, the log-log slope of
+seconds against 1/h over h = 1e-3 .. 1e-6 (``slope``) and over h = 1e-8
+.. 1e-16 (``slope_small_h``), the ratios of the row's seconds at h = 1e-2
+and 1e-3 to those at 1e-5 (``ms_ratio_to_1e-5``) per problem, and the
+environment.
 
-Every measured tree prints ``N Neumann rows per sweep`` and, for its
-panels, ``N Levin panels of Q nodes as C panel batches of S sweeps`` and
-``N direct panels of Q nodes as C panel batches of S sweeps``, which the
-rows record as ``panels``, ``panel_nodes``, ``panel_chunks``,
-``panel_sweeps`` and ``direct_panels``, ``direct_nodes``,
-``direct_chunks``, ``direct_sweeps`` (a batch that holds both kinds counts
-for both; a tree that prints ``panel chunks`` for ``panel batches`` is
-read the same way, and one without direct panels records 0 for them). A
-tree that keeps a uniform plan of Picard chunks also prints ``marched N
-nodes`` and ``N Picard chunks of S sweeps``, recorded as ``nodes``,
-``picard_chunks`` and ``sweeps`` (0 for a tree that solves every span on
-panels), and ``N panels refused by the Levin check``; a tree whose Levin
-check splits a panel prints ``N panels split by the Levin check``, and
-``down to level L of D``, the deepest level of its panels and the one its
-budget allows. The rows record ``levin_refused`` from either line, and
-``level`` and ``allowed_level`` (None for a tree without them). A row the
-tree refuses (its node budget or its split's budget) is kept with its
-message under ``refused`` and no timing. Writes ``--out``, which has no
-default so that no run overwrites a committed BENCH_*.json by accident,
-with the rows, the log-log slope of seconds against 1/h over h = 1e-3 ..
-1e-6 (``slope``) and over h = 1e-8 .. 1e-16 (``slope_small_h``), the
-ratios of the row's seconds at h = 1e-2 and 1e-3 to those at 1e-5
-(``ms_ratio_to_1e-5``) per problem, and the environment.
-
-Without ``--against`` the rows are timed in this process; compare
-``nodes`` across two such files, not ``seconds``: the two trees then run
-one after the other, so machine drift between them reaches the seconds,
-which cannot resolve a change under about 20%.
+Without ``--against`` the rows are timed in this process; compare the
+panel counts across two such files, not ``seconds``: the two trees then
+run one after the other, so machine drift between them reaches the
+seconds, which cannot resolve a change under about 20%.
 
 With ``--against DIR`` the rows are timed in ROUNDS pairs of child
 processes, one with PYTHONPATH as given and one with PYTHONPATH=DIR/src,
@@ -47,18 +31,18 @@ alternating which goes first. Each row keeps the median over rounds of
 its per-process medians, and ``rounds_faster`` counts the rounds in which
 the row ran faster than in the other tree's process of the same pair.
 Writes both trees' files: ``--out`` and ``--against-out``. The other
-tree must have this interface, h-free problems whose ``extract`` takes h:
-a tree whose problems carry their own h cannot be timed against it.
+tree must have this interface: h-free problems whose ``extract`` takes h,
+and a march whose DEBUG record carries its ``SolveStats``.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import logging
 import os
 import platform
-import re
 import statistics
 import subprocess
 import sys
@@ -73,45 +57,18 @@ H_VALUES = (1e-2, 1e-3, 1e-4, 1e-5, 1e-6, 1e-8, 1e-10, 1e-12, 1e-14, 1e-16)
 # the h ranges of each problem's slopes
 SLOPE_H = (1e-6, 1e-3)
 SLOPE_SMALL_H = (1e-16, 1e-8)
-# the rows' record of the Levin and the direct panels
-LEVIN = ("panels", "panel_nodes", "panel_chunks", "panel_sweeps")
-DIRECT = ("direct_panels", "direct_nodes", "direct_chunks", "direct_sweeps")
 
 
 class _March(logging.Handler):
-    """Keeps the counts of the last march's DEBUG line: its uniform nodes,
-    Picard chunks and sweeps (0 where it prints none), Neumann rows per
-    sweep, Levin panels, their nodes, batches and sweeps, direct panels,
-    their nodes, batches and sweeps, the panels the Levin check refused or
-    split, and the deepest and allowed levels (None where it prints
-    none)."""
+    """Keeps the fields of the last march's SolveStats."""
 
     def __init__(self):
         super().__init__(logging.DEBUG)
-        self.march = None
+        self.stats = None
 
     def emit(self, record):
-        msg = record.getMessage()
-        if "Neumann rows per sweep" not in msg:
-            return
-
-        def ints(pattern, names):
-            found = re.search(pattern, msg)
-            values = [int(g) for g in found.groups()] if found else [0] * len(names)
-            return dict(zip(names, values))
-
-        batches = r"as (\d+) panel (?:chunks|batches) of (\d+) sweeps"
-        level = re.search(r"down to level (\d+) of (\d+)", msg)
-        self.march = {
-            **ints(r"marched (\d+) nodes", ["nodes"]),
-            **ints(r"(\d+) Picard chunks of (\d+) sweeps", ["picard_chunks", "sweeps"]),
-            **ints(r"(\d+) Neumann rows per sweep", ["rows_per_sweep"]),
-            **ints(r"(\d+) Levin panels of (\d+) nodes " + batches, LEVIN),
-            **ints(r"(\d+) direct panels of (\d+) nodes " + batches, DIRECT),
-            **ints(r"(\d+) panels (?:refused|split) by the Levin", ["levin_refused"]),
-            "level": int(level.group(1)) if level else None,
-            "allowed_level": int(level.group(2)) if level else None,
-        }
+        if hasattr(record, "stats"):
+            self.stats = dataclasses.asdict(record.stats)
 
 
 def _cpu() -> str:
@@ -145,19 +102,11 @@ def _ratios(rows: list[dict]) -> dict:
     return {f"{h:g}": seconds[h] / seconds[1e-5] for h in (1e-2, 1e-3) if h in seconds}
 
 
-def _row(h: float, march: dict, seconds: float | None) -> dict:
-    """One row: h, the march's counts (or the refusal) and the timing."""
-    row = {"h": h, **march, "seconds": seconds}
-    if seconds is not None:
-        panels = march.get("panel_nodes", 0) + march.get("direct_nodes", 0)
-        row["us_per_node"] = 1e6 * seconds / (march["nodes"] + panels)
-    return row
-
-
 def measure(echo) -> dict:
     """Rows per problem, timed in this process, and the environment."""
     import crossing_kit
     from crossing_kit.errors import StepFailure, ValidationError
+    from crossing_kit.march import PANEL_POINTS
     from crossing_kit.normalform import model_corpus
     from crossing_kit.schrodinger import schrodinger_corpus
 
@@ -182,16 +131,16 @@ def measure(echo) -> dict:
                     prob.extract(h)
                     seconds.append(time.perf_counter() - t0)
             except (ValidationError, StepFailure) as exc:
-                rows.append(_row(h, {"refused": str(exc)}, None))
+                rows.append({"h": h, "refused": str(exc), "seconds": None})
                 echo(f"{name} h={h:g}: refused ({exc})")
                 continue
-            march = handler.march
-            rows.append(_row(h, march, statistics.median(seconds)))
-            echo(f"{name} h={h:g}: {march['nodes']} nodes, "
-                 f"{march['picard_chunks']} chunks, {march['sweeps']} sweeps, "
-                 f"{march['panels']} Levin and {march['direct_panels']} direct "
-                 f"panels, {rows[-1]['seconds']:.4f} s, "
-                 f"{rows[-1]['us_per_node']:.3f} us/node")
+            stats, median = handler.stats, statistics.median(seconds)
+            panels = stats["levin_panels"] + stats["direct_panels"]
+            us = 1e6 * median / (panels * PANEL_POINTS)
+            rows.append({**stats, "seconds": median, "us_per_node": us})
+            echo(f"{name} h={h:g}: {stats['levin_panels']} Levin and "
+                 f"{stats['direct_panels']} direct panels, {median:.4f} s, "
+                 f"{us:.3f} us/node")
         problems[name] = rows
     env = {
         "python": sys.version.split()[0],
@@ -232,19 +181,19 @@ def alternate(other: Path, rounds: int) -> tuple[dict, dict]:
         for name, first in runs[t][0]["problems"].items():
             rows = []
             for i, row in enumerate(first):
-                march = {
-                    k: v for k, v in row.items()
-                    if k not in ("h", "seconds", "us_per_node")
-                }
                 if row["seconds"] is None:
-                    rows.append(_row(row["h"], march, None))
+                    rows.append(row)
                     continue
-                mine = [run["problems"][name][i]["seconds"] for run in runs[t]]
+                mine = [run["problems"][name][i] for run in runs[t]]
+                seconds = [r["seconds"] for r in mine]
+                # us_per_node is the seconds over the row's fixed node count
+                us = statistics.median(r["us_per_node"] for r in mine)
                 theirs = [run["problems"][name][i]["seconds"] for run in runs[1 - t]]
-                rows.append(_row(row["h"], march, statistics.median(mine)))
+                median = statistics.median(seconds)
+                rows.append(dict(row, seconds=median, us_per_node=us))
                 # a row the other tree refuses counts as faster
                 rows[-1]["rounds_faster"] = sum(
-                    b is None or a < b for a, b in zip(mine, theirs)
+                    b is None or a < b for a, b in zip(seconds, theirs)
                 )
             problems[name] = rows
         records.append({"problems": problems, "env": runs[t][0]["env"]})
@@ -291,7 +240,7 @@ def main() -> int:
     if args.against is None:
         what = (
             "one extraction (both input columns, one march) per row; median "
-            f"of {REPEATS} in-process runs. Compare nodes across trees: each "
+            f"of {REPEATS} in-process runs. Compare panels across trees: each "
             "tree is timed in its own process without alternation, so the "
             "seconds cannot resolve a change under about 20%"
         )

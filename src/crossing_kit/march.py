@@ -87,14 +87,15 @@ from .errors import StepFailure, ValidationError
 
 # The march's working memory: no panel batch holds more than CHUNK_BYTES,
 # and no _judge call more than CHUNK_BYTES of candidate data, whatever h
-# is, and ``integral`` takes _PER_CALL panels at a time, whatever its
-# span. _BYTES_PER_PANEL bounds the traced peak of a panel batch per panel
-# from above (tracemalloc reads at most 41 kB), _BYTES_PER_CANDIDATE that
-# of a _judge call per candidate (at most 6.7 kB).
+# is; ``integral`` takes _PER_CALL panels at a time, of _INTEGRAL_PANELS at
+# most (their edges take 64 MB). _BYTES_PER_PANEL bounds the traced peak
+# of a panel batch per panel from above (tracemalloc reads at most 41 kB),
+# _BYTES_PER_CANDIDATE that of a _judge call per candidate (at most 6.7 kB).
 CHUNK_BYTES = 2**21
 _BYTES_PER_PANEL = 2**16
 _BYTES_PER_CANDIDATE = 2**13
 _PER_CALL = CHUNK_BYTES // _BYTES_PER_CANDIDATE
+_INTEGRAL_PANELS = 2**23
 PICARD_TOL = 1e-14
 PICARD_MAX_ITER = 40
 # Picard on a panel contracts at worst like (int |M|)^k / k!. A panel
@@ -140,6 +141,45 @@ MAX_LEVELS = 64
 MAX_PANELS = 2**12
 
 logger = logging.getLogger("crossing_kit")
+
+
+@dataclass
+class SolveStats:
+    """The work of one march, which its DEBUG line (str) reports: the span
+    [lo, hi] marched of x_from -> x_to, the deepest level of its panels and
+    the one the budget allows, and per kind the panels, the batches that
+    hold them (one of both kinds counts for both) and their sweeps."""
+
+    h: float
+    lo: float
+    hi: float
+    x_from: float
+    x_to: float
+    level: int
+    allowed_level: int
+    rows_per_sweep: int = 0  # Neumann rows each sweep integrates (_one_chain)
+    levin_panels: int = 0
+    levin_batches: int = 0
+    levin_sweeps: int = 0
+    direct_panels: int = 0
+    direct_batches: int = 0
+    direct_sweeps: int = 0
+    levin_split: int = 0  # Levin panels the check split in halves
+
+    def __str__(self) -> str:
+        return (
+            "h=%(h).6e: marched [%(lo)g, %(hi)g] (from x=%(x_from)g to %(x_to)g) on "
+            "panels down to level %(level)d of %(allowed_level)d, %(rows_per_sweep)d "
+            "Neumann rows per sweep; %(levin_panels)d Levin panels of %(levin_nodes)d "
+            "nodes as %(levin_batches)d panel batches of %(levin_sweeps)d sweeps, "
+            "%(direct_panels)d direct panels of %(direct_nodes)d nodes as "
+            "%(direct_batches)d panel batches of %(direct_sweeps)d sweeps, "
+            "%(levin_split)d panels split by the Levin check"
+        ) % dict(
+            vars(self),
+            levin_nodes=self.levin_panels * PANEL_POINTS,
+            direct_nodes=self.direct_panels * PANEL_POINTS,
+        )
 
 
 @dataclass(frozen=True)
@@ -261,12 +301,17 @@ def _tail(values: np.ndarray) -> np.ndarray:
 
 def integral(func, a: float, b: float):
     """int_a^b of ``func`` by the panels' Clenshaw-Curtis rule on max(4,
-    ceil(8 |b - a|)) equal panels: enough for an integrand analytic near
-    [a, b], as F' is. ``func`` maps a 1-d array of points to values whose
-    last axis runs over them. It is called on at most _PER_CALL panels'
-    points at a time, so beyond the panels' edges (8 bytes a panel) the
-    memory does not grow with |b - a|."""
+    ceil(8 |b - a|)) equal panels, at most _INTEGRAL_PANELS (more raise
+    ValidationError): enough for an integrand analytic near [a, b], as F'
+    is. ``func`` maps a 1-d array of points to values whose last axis runs
+    over them. It is called on at most _PER_CALL panels' points at a time,
+    so beyond the panels' edges (8 bytes a panel) the memory does not grow
+    with |b - a|."""
     points, cum = _cheb()[:2]
+    if not 8.0 * abs(b - a) <= _INTEGRAL_PANELS:
+        raise ValidationError(
+            f"[{a:g}, {b:g}] is too wide to integrate: over {_INTEGRAL_PANELS} panels"
+        )
     edges = np.linspace(a, b, max(4, math.ceil(8.0 * abs(b - a))) + 1)
     left, right, total = edges[:-1], edges[1:], 0.0
     for k in range(0, left.size, _PER_CALL):
@@ -530,19 +575,17 @@ def _product(u: np.ndarray) -> np.ndarray:
     return u[0]
 
 
-def _solve(system: System, edges, phase, level, data, deepest: int, tally):
+def _solve(system: System, edges, phase, level, data, deepest: int, stats):
     """The propagators of the panels between ``edges``, with the phase at
     their left edges, their levels and their data as _split gives them, in
     batches of at most CHUNK_BYTES // _BYTES_PER_PANEL panels: of one
     Neumann chain where _one_chain finds M skew-Hermitian on them, else of
     two. A Levin panel the check refuses takes that of its halves (_span,
-    down to level ``deepest``), from the phase at its left edge. ``tally``
-    counts, per kind, Levin then direct, the panels, the panel batches that
-    hold them and their sweeps, then the refused panels, the deepest level
-    solved and the most Neumann rows per sweep."""
+    down to level ``deepest``), from the phase at its left edge. Adds its
+    work to ``stats``, a SolveStats."""
     direct, half, values = data
     one = _one_chain(values)
-    tally["rows"] = max(tally["rows"], 1 if one else 2)
+    stats.rows_per_sweep = max(stats.rows_per_sweep, 1 if one else 2)
     per_batch = max(1, CHUNK_BYTES // _BYTES_PER_PANEL)
     props = []
     for first in range(0, len(half), per_batch):
@@ -551,16 +594,21 @@ def _solve(system: System, edges, phase, level, data, deepest: int, tally):
         u, sweeps, bad = _levin(
             system, phase[cut], batch, (direct[cut], half[cut], values[cut]), one
         )
-        kinds = (np.sum(~direct[cut] & ~bad), np.sum(direct[cut]))
-        for row, kind in zip(tally["panels"], kinds):
-            row += (kind, 1, sweeps) if kind else 0
-        tally["refused"] += np.count_nonzero(bad)
-        tally["deepest"] = max(tally["deepest"], int(level[cut].max()))
+        levin = int(np.count_nonzero(~direct[cut] & ~bad))
+        plain = int(np.count_nonzero(direct[cut]))
+        stats.levin_panels += levin
+        stats.levin_batches += levin > 0
+        stats.levin_sweeps += sweeps if levin else 0
+        stats.direct_panels += plain
+        stats.direct_batches += plain > 0
+        stats.direct_sweeps += sweeps if plain else 0
+        stats.levin_split += int(np.count_nonzero(bad))
+        stats.level = max(stats.level, int(level[cut].max()))
         for k in np.flatnonzero(bad):
             lo, hi = batch[k : k + 2]
             cuts = np.array([lo, 0.5 * (lo + hi), hi])
             depth = level[first + k] + 1
-            u[k] = _span(system, cuts, depth, deepest, tally, phase[first + k])
+            u[k] = _span(system, cuts, depth, deepest, stats, phase[first + k])
         props.append(u)
     return np.concatenate(props)
 
@@ -575,7 +623,7 @@ def _halves(cuts: np.ndarray, levels: int) -> np.ndarray:
     return cuts
 
 
-def _span(system: System, cuts, depth: int, deepest: int, tally, start=None):
+def _span(system: System, cuts, depth: int, deepest: int, stats, start=None):
     """The propagator of [cuts[0], cuts[-1]] on panels: _split cuts them
     from the pieces between ``cuts``, ``depth`` levels below the first
     pieces, and _solve solves them. The phase at their edges is ``start``
@@ -590,7 +638,7 @@ def _span(system: System, cuts, depth: int, deepest: int, tally, start=None):
         if edges[anchor] != 0.0:
             phi = float(integral(lambda x: system.local(x)[0], 0.0, edges[anchor]))
     phase = _edge_phases(edges, data, anchor, phi)
-    return _product(_solve(system, edges, phase[:-1], level, data, deepest, tally))
+    return _product(_solve(system, edges, phase[:-1], level, data, deepest, stats))
 
 
 def march(system: System, a: np.ndarray, x_from: float, x_to: float) -> np.ndarray:
@@ -601,13 +649,9 @@ def march(system: System, a: np.ndarray, x_from: float, x_to: float) -> np.ndarr
     constant on the rest. The split's budget (_levels) is checked before
     any work, then the span's propagator U is that of its panels (_span),
     cut from the pieces of the split's first level, and a = U a; a span
-    where M vanishes returns a as it is. One DEBUG line
-    on the ``crossing_kit`` logger reports the marched span, the deepest
-    level of its panels and the one the budget allows, the Neumann rows
-    each sweep integrates (_one_chain), then the Levin panels and the direct
-    panels, each with their nodes and the panel batches that hold them (a
-    batch with both kinds counts for both) and their sweeps, and the
-    panels the Levin check split. An overflow in a sweep raises
+    where M vanishes returns a as it is. One DEBUG line on the
+    ``crossing_kit`` logger reports the march's SolveStats, which the log
+    record carries as ``stats``. An overflow in a sweep raises
     StepFailure, without a numpy warning. Returns the coefficients at
     x_to.
     """
@@ -626,19 +670,9 @@ def march(system: System, a: np.ndarray, x_from: float, x_to: float) -> np.ndarr
         return a
     first, deepest = _levels(system, lo, hi)
     cuts = lo + (hi - lo) * np.linspace(0.0, 1.0, _FIRST_PIECES + 1)
-    # per kind, Levin then direct: panels, panel batches and their sweeps;
-    # the refused panels, the deepest level solved and the Neumann rows
-    tally = dict(panels=np.zeros((2, 3), dtype=int), refused=0, deepest=0, rows=0)
+    stats = SolveStats(system.h, lo, hi, x_from, x_to, level=0, allowed_level=deepest)
     # an overflow shows as a non-finite Picard change, which _stops raises
     with np.errstate(over="ignore", invalid="ignore"):
-        u = _span(system, _halves(cuts, first), first, deepest, tally)
-    logger.debug(
-        "h=%.6e: marched [%g, %g] (from x=%g to %g) on panels down to level %d "
-        "of %d, %d Neumann rows per sweep; %d Levin panels of %d nodes as %d "
-        "panel batches of %d sweeps, %d direct panels of %d nodes as %d panel "
-        "batches of %d sweeps, %d panels split by the Levin check",
-        *(system.h, lo, hi, x_from, x_to, tally["deepest"], deepest, tally["rows"]),
-        *(n for p, c, s in tally["panels"] for n in (p, p * PANEL_POINTS, c, s)),
-        tally["refused"],
-    )
+        u = _span(system, _halves(cuts, first), first, deepest, stats)
+    logger.debug("%s", stats, extra={"stats": stats})
     return a @ u.T

@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 import tracemalloc
 import warnings
 
@@ -793,6 +794,30 @@ def test_a_wide_interval_solves_in_bounded_memory(tmp_path, capsys):
         tracemalloc.stop()
     assert peak <= 2 * CHUNK_BYTES, peak
     assert "extracted:" in capsys.readouterr().out
+
+
+_TOO_WIDE = {
+    # the pair's WKB phases at the ends: integrals over 8e20 panels each
+    "schrodinger": dict(
+        kind="schrodinger", n=1, v1_coeffs=[0.0, -1e-30], v2_coeffs=[0.0, 1e-30],
+        e0=1.0, coupling={"width": 0.8}, interval=[-1e20, 1e20],
+    ),
+    # the phase at the support's edge nearest 0: an integral over 8e12 panels
+    "model": model_block(coupling={"width": 0.5, "center": 1e12}, interval=[-1, 2e12]),
+}
+
+
+@pytest.mark.parametrize("family", _TOO_WIDE)
+def test_an_integral_too_wide_is_refused_before_allocation(tmp_path, capsys, family):
+    # march.integral refuses more than 2^23 panels (64 MB of edges) before
+    # it places any: exit 3 with a one-line message, where placing them
+    # raised numpy's size error or _ArrayMemoryError (58.2 TiB)
+    path = write_config(tmp_path, {"problem": _TOO_WIDE[family], "h": 1e-2})
+    start = time.perf_counter()
+    assert main([f"solve-{family}", "--config", path]) == 3
+    assert time.perf_counter() - start < 2.0
+    err = _one_line_error(capsys)
+    assert err.startswith("numerical failure: ValidationError: "), err
 
 
 def test_huge_grid_count_rejected_before_allocation(tmp_path, capsys):

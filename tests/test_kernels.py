@@ -91,13 +91,13 @@ def test_cum_quad10_order_ten():
     assert 9.5 < order < 10.5, order
 
 
-def test_cum_quad6_short_input_rejected():
+def test_cum_quad10_short_input_rejected():
     for shape in ((9,), (3, 9), (1,)):
         with pytest.raises(ValueError, match="at least 10"):
             cum_quad10(np.ones(shape, dtype=complex), 0.1)
 
 
-def test_backends_agree():
+def test_flat_stencil_matches_the_scalar_loop():
     rng = np.random.default_rng(7)
     x = np.linspace(-1.0, 1.0, 1001)
     vals = rng.normal(size=x.size) + 1j * rng.normal(size=x.size)
@@ -119,7 +119,7 @@ def test_backends_agree():
                 assert np.max(np.abs(out - want)) <= 1e-13 * scale
 
 
-def test_cum_quad6_rows_stay_isolated():
+def test_cum_quad10_rows_stay_isolated():
     # a row of zeros between rows of scale 1e150: nothing of its neighbours
     # may leak into it through the flat stencil
     rng = np.random.default_rng(2)
@@ -131,7 +131,7 @@ def test_cum_quad6_rows_stay_isolated():
         assert np.isfinite(got).all()
 
 
-def test_cum_quad6_real_input_stays_real():
+def test_cum_quad10_real_input_stays_real():
     rng = np.random.default_rng(4)
     vals = rng.normal(size=(2, 301))
     got = cum_quad10(vals, 3e-3)

@@ -9,7 +9,6 @@ import dataclasses
 import gc
 import logging
 import math
-import re
 import weakref
 
 import numpy as np
@@ -319,12 +318,11 @@ def test_a_zero_column_is_carried_without_sweeps():
     assert (march.march(_system(prob, 1e-2), zero, prob.x0, prob.x1) == 0.0).all()
 
 
-def _sweeps_and_transfer(system, prob, caplog):
+def _stats_and_transfer(system, prob, caplog):
     caplog.clear()
     with caplog.at_level(logging.DEBUG, logger="crossing_kit"):
         a = march.march(system, np.eye(2, dtype=complex), prob.x0, prob.x1)
-    msg = caplog.records[-1].getMessage()
-    return int(re.search(r"of (\d+) sweeps", msg).group(1)), a.T
+    return caplog.records[-1].stats, a.T
 
 
 @pytest.mark.parametrize(
@@ -347,12 +345,12 @@ def test_one_chain_equals_two_chains(monkeypatch, caplog, build, h):
     # rounding, in as many sweeps
     prob = build()
     system = _system(prob, h)
-    one = _sweeps_and_transfer(system, prob, caplog)
-    assert "1 Neumann rows per sweep" in caplog.records[-1].getMessage()
+    one = _stats_and_transfer(system, prob, caplog)
     monkeypatch.setattr(march, "_one_chain", lambda values: False)
-    two = _sweeps_and_transfer(system, prob, caplog)
-    assert "2 Neumann rows per sweep" in caplog.records[-1].getMessage()
-    assert one[0] == two[0]
+    two = _stats_and_transfer(system, prob, caplog)
+    assert (one[0].rows_per_sweep, two[0].rows_per_sweep) == (1, 2)
+    sweeps = [(s.levin_sweeps, s.direct_sweeps) for s, _ in (one, two)]
+    assert sweeps[0] == sweeps[1], sweeps
     assert np.abs(one[1] - two[1]).max() <= 1e-15
 
 
@@ -397,12 +395,10 @@ def test_strong_coupling_needs_no_fallback(caplog):
         T = prob.extract(STRONG_H)
     assert np.abs(T.entries - ode_reference(prob, STRONG_H)).max() <= 1e-9
     assert [r.levelno for r in caplog.records] == [logging.DEBUG]
-    msg = caplog.records[0].getMessage()
-    for word in (
-        "marched [-1.5, 1.5]",
-        "12 direct panels of 384 nodes as 1 panel batches of 18 sweeps",
-    ):
-        assert word in msg, msg
+    stats = caplog.records[0].stats
+    assert (stats.lo, stats.hi) == (-1.5, 1.5), stats
+    direct = (stats.direct_panels, stats.direct_batches, stats.direct_sweeps)
+    assert direct == (12, 1, 18), stats
 
 
 def test_panels_resolve_a_strong_coupling_at_a_large_h():
@@ -460,15 +456,12 @@ def test_one_debug_line_per_march(caplog):
     assert len(caplog.records) == 1
     record = caplog.records[0]
     assert record.name == "crossing_kit" and record.levelno == logging.DEBUG
-    msg = record.getMessage()
-    for word in (
-        "h=1.000000e-02",
-        "marched [-0.8, 0.8] (from x=-1 to 1) on panels down to level 2 of 10",
-        "1 Neumann rows per sweep; 0 Levin panels of 0 nodes",
-        "12 direct panels of 384 nodes as 1 panel batches of 11 sweeps",
-        "0 panels split by the Levin check",
-    ):
-        assert word in msg, msg
+    assert record.getMessage() == str(record.stats) == (
+        "h=1.000000e-02: marched [-0.8, 0.8] (from x=-1 to 1) on panels down to "
+        "level 2 of 10, 1 Neumann rows per sweep; 0 Levin panels of 0 nodes as 0 "
+        "panel batches of 0 sweeps, 12 direct panels of 384 nodes as 1 panel "
+        "batches of 11 sweeps, 0 panels split by the Levin check"
+    )
 
 
 # ----------------------------------------------------------------- extraction

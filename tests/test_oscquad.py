@@ -9,7 +9,6 @@ margin.
 
 import logging
 import math
-import re
 import tracemalloc
 
 import numpy as np
@@ -197,18 +196,18 @@ def test_numeric_memory_is_bounded():
     assert peak <= 2 * march.CHUNK_BYTES
 
 
-def test_numeric_marches_a_tenth_of_the_uniform_grid(caplog):
-    # (4, +1) at h = 1e-6: the uniform grid at 24 points per period of
-    # max |F'| on the whole interval had 2190381 nodes; the panels cover
-    # only the bump's support, and coarsely near the stationary point
+def test_numeric_marches_a_tenth_of_24_points_per_period(caplog):
+    # (4, +1) at h = 1e-6: 24 points per period of max |F'| on the whole
+    # interval are 2190381 nodes; the panels cover only the bump's support,
+    # and coarsely near the stationary point
     poly, bump, interval, _ = ENVELOPE_CORPUS[(4, +1)]
     ph = PhaseSpec.from_poly(poly)
     with caplog.at_level(logging.DEBUG, logger="crossing_kit"):
         osc_integral_numeric(ph, bump, 1e-6, interval)
-    msg = caplog.records[0].getMessage()
-    assert "marched [-0.4, 0.6]" in msg, msg
-    nodes = sum(int(n) for n in re.findall(r"panels of (\d+) nodes", msg))
-    assert 0 < nodes <= 2190381 // 10, msg
+    stats = caplog.records[0].stats
+    assert (stats.lo, stats.hi) == (-0.4, 0.6), stats
+    nodes = (stats.levin_panels + stats.direct_panels) * march.PANEL_POINTS
+    assert 0 < nodes <= 2190381 // 10, stats
 
 
 @pytest.mark.parametrize("key", sorted(ENVELOPE_CORPUS, key=str))

@@ -207,6 +207,30 @@ def test_problems_are_h_free():
     assert list(inspect.signature(sweep._solve_pair).parameters) == ["problem", "h"]
 
 
+
+def test_only_one_test_reads_the_march_line():
+    # the march's counts are read off the SolveStats its DEBUG line carries:
+    # the line's text appears in the test that pins it and nowhere else in
+    # tests/ or scripts/
+    phrases = (
+        "Neumann rows per sweep",
+        "panel batches of",
+        "split by the Levin check",
+        "down to level",
+    )
+    pins = {"test_one_debug_line_per_march", "test_only_one_test_reads_the_march_line"}
+    root = Path(__file__).parents[1]
+    for path in [*root.glob("tests/*.py"), *root.glob("scripts/*.py")]:
+        lines = path.read_text(encoding="utf-8").splitlines()
+        for node in ast.walk(ast.parse("\n".join(lines))):
+            if isinstance(node, ast.FunctionDef) and node.name in pins:
+                for k in range(node.lineno - 1, node.end_lineno):
+                    lines[k] = ""
+        text = "\n".join(lines)
+        found = [phrase for phrase in phrases if phrase in text]
+        assert found == [], (path.name, found)
+
+
 # In a fresh interpreter with scipy blocked: import every module of the
 # package, and run `verify` on a short grid of each family. Then unblock
 # scipy, call the model's DOP853 test oracle once and report its values.

@@ -16,7 +16,6 @@ import dataclasses
 import functools
 import logging
 import math
-import re
 import sys
 import threading
 import time
@@ -454,8 +453,8 @@ def test_minus_crossing_is_read_off_the_plus_march(caplog):
     with caplog.at_level(logging.DEBUG, logger="crossing_kit"):
         for sign in (1, -1):
             numeric_transfer_case_i(prob, 1e-3, sign)
-    plus, minus = [r.getMessage() for r in caplog.records]
-    assert minus == plus and " marched " in plus
+    plus, minus = [r.stats for r in caplog.records]
+    assert minus == plus, (plus, minus)
 
 
 def test_pair_oracle_refuses_h_below_its_converged_range():
@@ -539,20 +538,19 @@ def test_march_is_within_2e_11_of_a_dense_march(monkeypatch, corpus, indices, h)
         assert err <= 2e-11, (k, err)
 
 
-def _march_line(caplog, run):
-    """run() and the panels, Levin and direct, of the last march's DEBUG
-    line, and the line."""
+def _march_stats(caplog, run):
+    """run(), the panels, Levin and direct, of the last march and its
+    SolveStats."""
     caplog.clear()
     with caplog.at_level(logging.DEBUG, logger="crossing_kit"):
         out = run()
-    msg = caplog.records[-1].getMessage()
-    panels = sum(int(n) for n in re.findall(r"(\d+) (?:Levin|direct) panels", msg))
-    return out, panels, msg
+    stats = caplog.records[-1].stats
+    return out, stats.levin_panels + stats.direct_panels, stats
 
 
 def _panels_against_uniform(monkeypatch, caplog, prob, h, pieces=16, points=40):
     """|U - U_uniform| for the propagator U at h of prob's coupling support, and
-    the DEBUG line of the march that gave U. U_uniform, the oracle of the
+    the SolveStats of the march that gave U. U_uniform, the oracle of the
     panel path, is the uniform Picard march (tests/uniform_plan.py) at
     ``points`` points per period, cut into ``pieces`` equal parts that
     each start from the exact phase and take the one dx of their own rate
@@ -560,13 +558,13 @@ def _panels_against_uniform(monkeypatch, caplog, prob, h, pieces=16, points=40):
     system = uniform_plan.system(prob, h)
     lo, hi = system.support
     eye = np.eye(2, dtype=complex)
-    got, panels, msg = _march_line(caplog, lambda: march.march(system, eye, lo, hi))
+    got, panels, stats = _march_stats(caplog, lambda: march.march(system, eye, lo, hi))
     with monkeypatch.context() as patch:
         patch.setattr(uniform_plan, "POINTS_PER_PERIOD", points)
         want, cuts = eye, np.linspace(lo, hi, pieces + 1)
         for start, end in zip(cuts[:-1], cuts[1:]):
             want = uniform_plan.march(system, want, start, end)
-    return float(np.abs(got - want).max()), panels, msg
+    return float(np.abs(got - want).max()), panels, stats
 
 
 _CORPORA = {
@@ -586,8 +584,9 @@ def test_levin_panels_match_the_uniform_march(monkeypatch, caplog, corpus, index
     # points per period, on every case-i corpus problem: within 2e-11 at
     # h = 1e-4 and 1e-5 and 1e-10 at 1e-6 (measured at most 2.2e-13 and
     # 1.9e-14)
-    err, panels, msg = _panels_against_uniform(monkeypatch, caplog, corpus()[index], h)
-    assert panels > 0, msg
+    prob = corpus()[index]
+    err, panels, stats = _panels_against_uniform(monkeypatch, caplog, prob, h)
+    assert panels > 0, stats
     assert err <= (1e-10 if h == 1e-6 else 2e-11), err
 
 
@@ -599,8 +598,8 @@ def test_levin_panels_match_the_uniform_march_on_random_models(monkeypatch, capl
     # 1.3e-12 from itself at 96 points per period and the panels 1.3e-15)
     for seed in (0, 1, 2):
         prob = _random_model_problem(m, seed)
-        err, panels, msg = _panels_against_uniform(monkeypatch, caplog, prob, 1e-5)
-        assert panels > 0, msg
+        err, panels, stats = _panels_against_uniform(monkeypatch, caplog, prob, 1e-5)
+        assert panels > 0, stats
         assert err <= 2e-11, (seed, err)
 
 
@@ -614,14 +613,14 @@ def test_panels_match_the_uniform_plan_on_random_draws(monkeypatch, caplog, m, h
     # give a propagator unitary to 1e-12 (measured at most 4.4e-16)
     for seed in (0, 1, 2):
         prob = _random_model_problem(m, seed)
-        err, panels, msg = _panels_against_uniform(monkeypatch, caplog, prob, h)
-        assert panels > 0, msg
+        err, panels, stats = _panels_against_uniform(monkeypatch, caplog, prob, h)
+        assert panels > 0, stats
         assert err <= 1e-9, (seed, err)
         system = normalform._system(dataclasses.replace(prob, r2=prob.r1), h)
         eye = np.eye(2, dtype=complex)
         run = lambda: march.march(system, eye, *system.support)  # noqa: E731
-        u, _, msg = _march_line(caplog, run)
-        assert "1 Neumann rows per sweep" in msg, msg
+        u, _, stats = _march_stats(caplog, run)
+        assert stats.rows_per_sweep == 1, stats
         assert np.abs(u.conj().T @ u - np.eye(2)).max() <= 1e-12, seed
 
 
@@ -633,10 +632,10 @@ def test_panels_keep_the_exact_phase_of_model_corpus_2(monkeypatch, caplog):
     # the uniform march of the whole span at 14 points per period read
     # 9.5e-13
     prob = model_corpus()[2]
-    err, panels, msg = _panels_against_uniform(
+    err, panels, stats = _panels_against_uniform(
         monkeypatch, caplog, prob, 1e-4, points=96
     )
-    assert panels > 0, msg
+    assert panels > 0, stats
     assert err <= 1e-13, err
 
 
@@ -668,7 +667,7 @@ _CASE_I = {
 def test_small_h_extracts_in_milliseconds(caplog, corpus, index):
     # h = 1e-12 and 1e-16: the split follows h into the stationary zone,
     # its deepest panels within 2 levels of the zone's own level (measured
-    # within 1), no panel is split by the Levin check and an extraction
+    # within 1), the Levin check splits no panel and an extraction
     # takes under 20 ms (best of 3; measured 4-12 ms, where the uniform
     # plan took 0.26 s at 1e-12 on model-corpus 0 and refused 1e-14). At
     # 1e-16, t12 and t21 are within 1e-6 of the prediction (measured at
@@ -678,12 +677,12 @@ def test_small_h_extracts_in_milliseconds(caplog, corpus, index):
         seconds = []
         for _ in range(3):
             start = time.perf_counter()
-            got, _, msg = _march_line(caplog, lambda: prob.extract(h))
+            got, _, stats = _march_stats(caplog, lambda: prob.extract(h))
             seconds.append(time.perf_counter() - start)
-        assert "0 panels split by the Levin check" in msg, msg
+        assert stats.levin_split == 0, stats
         assert min(seconds) < 0.02, seconds
-        reached, allowed = re.search(r"down to level (\d+) of (\d+)", msg).groups()
-        assert abs(int(reached) - (int(allowed) - march._SPARE_LEVELS)) <= 2, msg
+        zone_level = stats.allowed_level - march._SPARE_LEVELS
+        assert abs(stats.level - zone_level) <= 2, stats
     want = prob.predict(h)
     for entry in ("t12", "t21"):
         assert abs(getattr(got, entry) / getattr(want, entry) - 1.0) <= 1e-6, entry
@@ -731,7 +730,7 @@ def test_levin_work_barely_grows_below_1e_6(caplog, corpus, index):
     # march's nodes grew 100x
     counts = []
     for h in (1e-6, 1e-8):
-        _, panels, msg = _march_line(caplog, lambda: corpus()[index].extract(h))
+        _, panels, _ = _march_stats(caplog, lambda: corpus()[index].extract(h))
         counts.append(panels)
     assert 0.5 <= counts[1] / counts[0] <= 2.0, counts
 
@@ -791,12 +790,12 @@ def test_refused_panel_is_split_in_halves(monkeypatch, caplog):
     # their edge nearest 0; the other panels keep theirs. The march reports
     # it and still matches the uniform march at 40 points per period
     prob = model_corpus()[1]
-    _, clean, msg = _march_line(caplog, lambda: prob.extract(1e-5))
-    assert "0 panels split by the Levin check" in msg, msg
+    _, clean, stats = _march_stats(caplog, lambda: prob.extract(1e-5))
+    assert stats.levin_split == 0, stats
     perturbed = _perturb_first_levin_panel(monkeypatch)
-    err, panels, msg = _panels_against_uniform(monkeypatch, caplog, prob, 1e-5)
-    assert perturbed and "1 panels split by the Levin check" in msg, msg
-    assert panels >= clean + 1, msg
+    err, panels, stats = _panels_against_uniform(monkeypatch, caplog, prob, 1e-5)
+    assert perturbed and stats.levin_split == 1, stats
+    assert panels >= clean + 1, stats
     assert err <= 2e-11, err
 
 
@@ -811,11 +810,11 @@ def test_pair_1_at_1e_9_splits_a_refused_panel(monkeypatch, caplog):
     system = schrodinger._system(prob, 1e-9)
     eye = np.eye(2, dtype=complex)
     run = lambda: march.march(system, eye, *system.support)  # noqa: E731
-    clean, _, msg = _march_line(caplog, run)
-    assert "0 panels split by the Levin check" in msg, msg
+    clean, _, stats = _march_stats(caplog, run)
+    assert stats.levin_split == 0, stats
     perturbed = _perturb_first_levin_panel(monkeypatch)
-    u, panels, msg = _march_line(caplog, run)
-    assert perturbed and "1 panels split by the Levin check" in msg, msg
+    u, _, stats = _march_stats(caplog, run)
+    assert perturbed and stats.levin_split == 1, stats
     assert np.abs(u.conj().T @ u - eye).max() <= 1e-12
     assert np.abs(u - clean).max() <= 1e-10
     assert np.isfinite(prob.extract(1e-9).entries).all()
@@ -935,9 +934,9 @@ def test_a_strong_coupling_starts_the_split_at_its_reach(monkeypatch, family):
     lo, hi = system.support
     first, deepest = march._levels(system, lo, hi)
     cuts = lo + (hi - lo) * np.linspace(0.0, 1.0, march._FIRST_PIECES + 1)
-    tally = dict(panels=np.zeros((2, 3), dtype=int), refused=0, deepest=0, rows=0)
+    stats = march.SolveStats(system.h, lo, hi, lo, hi, level=0, allowed_level=deepest)
     reach.clear()
-    assert (march._span(system, cuts, 0, deepest, tally) == u).all()
+    assert (march._span(system, cuts, 0, deepest, stats) == u).all()
     assert first > 0 and max(reach) > march.PICARD_REACH
 
 
@@ -1005,8 +1004,8 @@ def test_the_march_finds_the_chain_count(caplog, run, rows):
     # (r1 == r2, and the pair), two where the couplings differ, as in the
     # oscillatory integral, the model with r2 = 0
     for h in (1e-2, 1e-4):
-        _, _, msg = _march_line(caplog, lambda: run(h))
-        assert f"{rows} Neumann rows per sweep" in msg, msg
+        _, _, stats = _march_stats(caplog, lambda: run(h))
+        assert stats.rows_per_sweep == rows, stats
 
 
 _OFF_CENTRE = {
@@ -1037,8 +1036,8 @@ def test_off_centre_couplings_match_the_uniform_plan(monkeypatch, caplog, family
         patch.setattr(march, "integral", counting)
         march.march(system, np.eye(2, dtype=complex), *system.support)
     assert len(calls) == 1 and calls[0] != 0.0, calls
-    err, panels, msg = _panels_against_uniform(monkeypatch, caplog, prob, h)
-    assert panels > 0, msg
+    err, panels, stats = _panels_against_uniform(monkeypatch, caplog, prob, h)
+    assert panels > 0, stats
     assert err <= 2e-11, err
 
 
@@ -1154,7 +1153,7 @@ def test_a_judge_call_holds_at_most_chunk_bytes(monkeypatch):
     assert max(b for _, b in peaks) <= march.CHUNK_BYTES, peaks
 
 
-def test_node_budget_counts_the_marched_grid(monkeypatch, caplog):
+def test_max_levels_is_checked_before_any_judge(monkeypatch, caplog):
     # the split's budget is decided before any candidate is judged: with
     # MAX_LEVELS at the level a row may reach (_levels), the march runs; one
     # below, it is refused before the first _judge call. Near the underflow
@@ -1164,8 +1163,7 @@ def test_node_budget_counts_the_marched_grid(monkeypatch, caplog):
         caplog.clear()
         with caplog.at_level(logging.DEBUG, logger="crossing_kit"):
             prob.extract(1e-12)
-        msg = caplog.records[-1].getMessage()
-        deepest = int(re.search(r"down to level \d+ of (\d+)", msg).group(1))
+        deepest = caplog.records[-1].stats.allowed_level
         monkeypatch.setattr(march, "MAX_LEVELS", deepest)
         prob.extract(1e-12)
         monkeypatch.setattr(march, "MAX_LEVELS", deepest - 1)
