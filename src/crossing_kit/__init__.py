@@ -25,6 +25,7 @@ from .normalform import (
     NormalFormProblem,
     model_corpus,
     predict_transfer,
+    random_model,
     transfer_numeric,
 )
 from .oscquad import (
@@ -127,6 +128,7 @@ __all__ = [
     "predict_transfer",
     "predict_transfer_case_i",
     "predict_transfer_case_ii",
+    "random_model",
     "read_csv",
     "run_sweep",
     "schrodinger_corpus",

@@ -2,9 +2,6 @@
 
 Options
     --config PATH      the JSON run config (required)
-    --out PATH         primary output path: the CSV for grid modes, the
-                       JSON summary for single-h modes
-    --seed N           seed for randomized problem draws
     --jobs N           accepted and ignored: rows run serially
     -h, --help         print this help
 
@@ -13,8 +10,7 @@ prefix (--conf PATH). A malformed command line exits 2.
 
 Subcommands
     predict            closed-form transfer matrix at a single h
-    solve-model        numeric vs predicted transfer for the reduced model
-    solve-schrodinger  numeric vs predicted transfer for the coupled pair
+    solve              numeric vs predicted transfer matrix at a single h
     sweep              transfer matrices over an h grid, CSV + power-law fits
     verify             sweep plus pass/fail checks on exponents and prefactors
 
@@ -22,8 +18,10 @@ Exit codes: 0 success (all checks passed), 1 a verify check failed,
 2 a malformed command line or configuration error, 3 numerical failure.
 
 The config file is JSON with a strict schema: unknown keys are rejected
-with the full key path. CSV output is byte deterministic for a fixed
-config. Set CROSSING_KIT_LOG=INFO (or DEBUG) for progress logging.
+with the full key path; it alone names the outputs and the seed, and its
+problem.kind the family that solve runs. CSV output is byte deterministic
+for a fixed config. Set CROSSING_KIT_LOG=INFO (or DEBUG) for progress
+logging; a predicted off-diagonal modulus of 1 or more warns.
 """
 
 from __future__ import annotations
@@ -40,10 +38,10 @@ import numpy as np
 
 from . import sweep as sweep_mod
 from .errors import CrossingKitError, SchemaError, ValidationError
-from .normalform import MODEL_CORPUS, NormalFormProblem
+from .normalform import MODEL_CORPUS, NormalFormProblem, random_model
 from .profiles import Bump, Poly1
 from .schrodinger import SCHRODINGER_CORPUS, SchrodingerProblem
-from .transfer import Problem, TransferMatrix
+from .transfer import MAX_ORDER, Problem, TransferMatrix
 
 # Not called here: perfbench/tracer.py wraps these two attributes of this
 # module by name, so they must stay importable from it.
@@ -52,39 +50,22 @@ from .schrodinger import predict_transfer_case_i  # noqa: F401
 
 log = logging.getLogger("crossing_kit.cli")
 
-MODES = ("predict", "solve-model", "solve-schrodinger", "sweep", "verify")
+MODES = ("predict", "solve", "sweep", "verify")
 KINDS = ("model", "schrodinger", "model-corpus", "schrodinger-corpus", "random-model")
 # the corpus kinds: the problem class and its table of h-free fields
 _CORPORA = {
     "model-corpus": (NormalFormProblem, MODEL_CORPUS),
     "schrodinger-corpus": (SchrodingerProblem, SCHRODINGER_CORPUS),
 }
-# the single-solve modes that only one problem family can run
-_SOLVE_FAMILY = {"solve-model": "model", "solve-schrodinger": "schrodinger"}
 
 # keys accepted at the top level, per mode
 _COMMON_KEYS = {"mode", "problem", "seed", "output"}
 _MODE_KEYS = {
     "predict": _COMMON_KEYS | {"h", "branch"},
-    "solve-model": _COMMON_KEYS | {"h"},
-    "solve-schrodinger": _COMMON_KEYS | {"h", "branch"},
+    "solve": _COMMON_KEYS | {"h", "branch"},
     "sweep": _COMMON_KEYS | {"h_grid"},
-    "verify": _COMMON_KEYS | {"h_grid", "tolerances"},
+    "verify": _COMMON_KEYS | {"h_grid"},
 }
-
-# default verify grids, one per family (both extracted by the march); the
-# model's starts at h = 1e-3, below which the corpus fits are asymptotic.
-# Changing them changes every default verify CSV
-_DEFAULT_GRIDS = {
-    "model": (1e-3, 1e-5, 12),
-    "schrodinger": (1e-2, 1e-4, 8),
-}
-_DEFAULT_TOLERANCES = {"exponent": 0.05, "prefactor": 0.10}
-# largest m (model kinds) or n (schrodinger): the contact order, at most 2n,
-# stays far below 170, where m! in the stationary prefactor overflows a float.
-# A coefficient list has at most MAX_ORDER + 1 entries: root finding and
-# bracket algebra grow with the degree
-MAX_ORDER = 64
 
 
 @dataclass(frozen=True)
@@ -98,7 +79,6 @@ class RunConfig:
     h_values: tuple[float, ...]
     # None for the zero-energy pair, whose one crossing has no branch
     branch: int | None
-    tolerances: dict
     csv_path: str | None
     summary_path: str | None
 
@@ -193,24 +173,6 @@ def _build_bump(node, path: str) -> Bump:
     return Bump(width=width, amplitude=amplitude, center=center)
 
 
-def _random_model_problem(m: int, seed: int) -> NormalFormProblem:
-    """Draw an admissible model problem; identical seed, identical problem."""
-    rng = np.random.default_rng(seed)
-    width = float(rng.uniform(0.5, 1.0))
-    amp1 = float(rng.uniform(0.3, 1.2))
-    amp2 = float(rng.uniform(0.3, 1.2))
-    lead = float(rng.uniform(0.5, 2.0))
-    coeffs = (0.0,) * m + (lead,)
-    return NormalFormProblem(
-        f=Poly1(coeffs),
-        r1=Bump(width=width, amplitude=amp1),
-        r2=Bump(width=width, amplitude=amp2),
-        x0=-1.5,
-        x1=1.5,
-        m=m,
-    )
-
-
 def _build_problem(obj: dict, kind: str, seed: int):
     """The one problem the config's ``problem`` object names."""
     path = "problem"
@@ -219,6 +181,7 @@ def _build_problem(obj: dict, kind: str, seed: int):
         # obj[key], required, checked by ``expect`` at its key path
         return expect(_require(obj, key, path), f"{path}.{key}", **limits)
 
+    # the library's bounds, checked here first to name the key path
     def order(key):
         return field(key, _expect_int, minimum=1, maximum=MAX_ORDER)
 
@@ -256,7 +219,7 @@ def _build_problem(obj: dict, kind: str, seed: int):
             return cls(**table[index])
         # random-model: seeded draw, used for randomized property runs
         _reject_unknown(obj, path, {"kind", "m"})
-        return _random_model_problem(order("m"), seed)
+        return random_model(order("m"), seed)
     except ValidationError as exc:
         raise SchemaError(path, str(exc)) from exc
 
@@ -284,28 +247,14 @@ def _build_grid(node, path: str) -> tuple[float, ...]:
         raise SchemaError(path, str(exc)) from exc
 
 
-def _build_tolerances(node, path: str) -> dict:
-    obj = _expect_object(node, path)
-    _reject_unknown(obj, path, set(_DEFAULT_TOLERANCES))
-    out = dict(_DEFAULT_TOLERANCES)
-    for key in obj:
-        out[key] = _expect_number(obj[key], f"{path}.{key}", positive=True)
-    return out
-
-
-def parse_config(
-    path,
-    mode: str | None = None,
-    seed: int | None = None,
-    out: str | None = None,
-) -> RunConfig:
+def parse_config(path, mode: str | None = None) -> RunConfig:
     """Load and validate a JSON run config.
 
-    The optional arguments carry command-line overrides: the subcommand
-    fixes the mode, and --seed/--out take precedence over the file.
-    Raises SchemaError naming the offending key path, also for a file that
-    is not UTF-8 or nests too deeply to parse; lets OSError from the file
-    read propagate to the caller.
+    ``mode`` is the subcommand's, which a ``mode`` key in the file must
+    match; without it the file names the mode. Raises SchemaError naming
+    the offending key path, also for a file that is not UTF-8 or nests too
+    deeply to parse; lets OSError from the file read propagate to the
+    caller.
     """
     with open(path, encoding="utf-8") as fh:
         try:
@@ -329,11 +278,9 @@ def parse_config(
 
     _reject_unknown(obj, "", _MODE_KEYS[mode])
 
-    if seed is None:
-        seed = obj.get("seed", 0)
-    seed = _expect_int(seed, "seed", minimum=0)
+    seed = _expect_int(obj.get("seed", 0), "seed", minimum=0)
 
-    single_h = mode in ("predict", "solve-model", "solve-schrodinger")
+    single_h = mode in ("predict", "solve")
     h_values = None
     if single_h:
         h_values = (_expect_number(_require(obj, "h", ""), "h", positive=True),)
@@ -345,15 +292,11 @@ def parse_config(
         _require(problem_node, "kind", "problem"), "problem.kind", choices=KINDS
     )
     family = "schrodinger" if kind.startswith("schrodinger") else "model"
-    needed = _SOLVE_FAMILY.get(mode)
-    if needed is not None and needed != family:
-        raise SchemaError("problem.kind", f"{mode} needs a {needed} problem, got {kind!r}")
-    # defaults for verify depend on the problem family
+    # verify's default grid depends on the problem family
     if h_values is None:
         if mode == "sweep":
             raise SchemaError("h_grid", "required key is missing")
-        start, stop, count = _DEFAULT_GRIDS[family]
-        h_values = tuple(float(v) for v in np.geomspace(start, stop, count))
+        h_values = sweep_mod.DEFAULT_GRIDS[family]
 
     problem = _build_problem(problem_node, kind, seed)
 
@@ -374,10 +317,6 @@ def parse_config(
         if branch not in (1, -1):
             raise SchemaError("branch", "must be 1 or -1")
 
-    tolerances = dict(_DEFAULT_TOLERANCES)
-    if "tolerances" in obj:
-        tolerances = _build_tolerances(obj["tolerances"], "tolerances")
-
     csv_path = None
     summary_path = None
     if "output" in obj:
@@ -390,13 +329,6 @@ def parse_config(
             summary_path = _expect_string(out_obj["summary"], "output.summary")
     if not single_h and csv_path is None:
         csv_path = "sweep.csv"
-    # --out names the primary artifact: the CSV for grid modes, the JSON
-    # summary for single-h modes
-    if out is not None:
-        if single_h:
-            summary_path = out
-        else:
-            csv_path = out
     # the summary, written last, would replace the CSV
     if summary_path is not None and csv_path is not None:
         if os.path.abspath(summary_path) == os.path.abspath(csv_path):
@@ -407,7 +339,6 @@ def parse_config(
         problem=problem,
         h_values=h_values,
         branch=branch,
-        tolerances=tolerances,
         csv_path=csv_path,
         summary_path=summary_path,
     )
@@ -432,9 +363,22 @@ def _write_summary(config: RunConfig, payload: dict) -> None:
     log.info("wrote summary to %s", config.summary_path)
 
 
+def _warn_outside_regime(t: TransferMatrix, h: float) -> None:
+    """One WARNING where a predicted off-diagonal modulus is 1 or more,
+    which no unitary T has: h lies outside the prediction's regime."""
+    moduli = {q: abs(getattr(t, q)) for q in ("t12", "t21")}
+    big = " and ".join(f"|{q}| = {v:.4g}" for q, v in moduli.items() if v >= 1.0)
+    if big:
+        log.warning(
+            "predicted %s at h=%.6e: at least 1, which no unitary T has; "
+            "h is outside the prediction's regime", big, h
+        )
+
+
 def _run_predict(config: RunConfig) -> int:
     (h,), branch = config.h_values, config.branch
     t = config.problem.predict(h, branch or 1)
+    _warn_outside_regime(t, h)
     print(f"predict  h={h:.6e}" + ("" if branch is None else f"  branch={branch}"))
     _print_matrix("predicted", t)
     summary = {"mode": "predict", "h": h, "branch": branch}
@@ -447,6 +391,7 @@ def _run_single_solve(config: RunConfig) -> int:
     (h,), prob = config.h_values, config.problem
     predicted = prob.predict(h, config.branch)
     extracted = prob.extract(h, config.branch)
+    _warn_outside_regime(predicted, h)
     errors = extracted.entrywise_abs_diff(predicted)
     print(f"{config.mode}  h={h:.6e}  branch={config.branch}")
     _print_matrix("extracted", extracted)
@@ -516,7 +461,7 @@ def _run_grid(config: RunConfig) -> int:
         _write_summary(config, summary)
         return 0
 
-    passed = sweep_mod.verify(report, config.problem.order, config.tolerances)
+    passed = sweep_mod.verify(report, config.problem.order)
     for key in sorted(report.verdicts):
         v = report.verdicts[key]
         print(
@@ -542,7 +487,7 @@ def run(config: RunConfig) -> int:
     try:
         if config.mode == "predict":
             return _run_predict(config)
-        if config.mode in ("solve-model", "solve-schrodinger"):
+        if config.mode == "solve":
             return _run_single_solve(config)
         return _run_grid(config)
     except CrossingKitError as exc:
@@ -564,11 +509,11 @@ def _setup_logging() -> None:
 
 USAGE = "usage: crossing-kit {%s} %s" % (
     ",".join(MODES),
-    "--config PATH [--out PATH] [--seed N] [--jobs N]",
+    "--config PATH [--jobs N]",
 )
 # the options, each with a value, and whether it is an integer; no option
 # name is a prefix of another, so a prefix names at most one exactly
-_OPTIONS = {"--config": False, "--out": False, "--seed": True, "--jobs": True}
+_OPTIONS = {"--config": False, "--jobs": True}
 
 
 class _UsageError(Exception):
@@ -627,12 +572,7 @@ def main(argv=None) -> int:
 
     _setup_logging()
     try:
-        config = parse_config(
-            args["--config"],
-            mode=args["mode"],
-            seed=args.get("--seed"),
-            out=args.get("--out"),
-        )
+        config = parse_config(args["--config"], mode=args["mode"])
     except (SchemaError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -52,7 +52,7 @@ from .symbolcalc import (
     crossing_data_from_symbols,
     transfer_predicted_general,
 )
-from .transfer import TransferMatrix, check_h
+from .transfer import TransferMatrix, check_h, check_order
 
 # Names of removed functions, which perfbench/tracer.py wraps on this module
 # by name and accepts None for; nothing calls them. ode_oracle lives in
@@ -85,6 +85,7 @@ class NormalFormProblem:
             raise ValidationError("interval must satisfy x0 < 0 < x1")
         if self.m < 1:
             raise ValidationError("m must be a positive integer")
+        check_order("m", self.m, f=self.f)
         if self.f.zero_order != self.m:
             raise ValidationError(
                 f"f must vanish at 0 to order exactly m={self.m}"
@@ -229,3 +230,21 @@ MODEL_CORPUS = tuple(
 def model_corpus() -> list[NormalFormProblem]:
     """The problems of ``MODEL_CORPUS``."""
     return [NormalFormProblem(**fields) for fields in MODEL_CORPUS]
+
+
+def random_model(m: int, seed: int) -> NormalFormProblem:
+    """A seeded draw of an admissible model problem of order m, f = c x^m
+    with r1 != r2 in general; identical seed, identical problem."""
+    rng = np.random.default_rng(seed)
+    width = float(rng.uniform(0.5, 1.0))
+    amp1 = float(rng.uniform(0.3, 1.2))
+    amp2 = float(rng.uniform(0.3, 1.2))
+    lead = float(rng.uniform(0.5, 2.0))
+    return NormalFormProblem(
+        f=Poly1((0.0,) * m + (lead,)),
+        r1=Bump(width=width, amplitude=amp1),
+        r2=Bump(width=width, amplitude=amp2),
+        x0=-1.5,
+        x1=1.5,
+        m=m,
+    )

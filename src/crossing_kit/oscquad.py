@@ -37,7 +37,7 @@ from .errors import GridTooCoarse, ValidationError
 from .normalform import NormalFormProblem, transfer_numeric
 from .profiles import ZERO_BUMP, Bump, Poly1
 from .symbolcalc import stationary_prefactor
-from .transfer import check_h
+from .transfer import check_h, check_order
 
 # The name of a removed kernel, which perfbench/tracer.py wraps on this
 # module and accepts None for; nothing calls it.
@@ -64,6 +64,9 @@ class PhaseSpec:
 
     func: Poly1
     m: int
+
+    def __post_init__(self):
+        check_order("m", self.m)
 
     def deriv(self, k: int, y: float) -> float:
         return self.func.deriv_at(k, y)

@@ -76,7 +76,7 @@ from .symbolcalc import (
     crossing_data_from_symbols,
     transfer_predicted_general,
 )
-from .transfer import TransferMatrix, check_h
+from .transfer import TransferMatrix, check_h, check_order
 
 # Names perfbench/tracer.py wraps on this module and accepts None for:
 # grid_for is removed, and the DOP853 reference solve with its right-hand
@@ -110,6 +110,7 @@ class SchrodingerProblem:
             raise ValidationError("interval must satisfy x_in < 0 < x_out")
         if self.n < 1:
             raise ValidationError("n must be a positive integer")
+        check_order("n", self.n, v1=self.v1, v2=self.v2)
         diff = self.v2 - self.v1
         if diff.zero_order != self.n:
             raise ValidationError(

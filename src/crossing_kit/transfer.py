@@ -64,6 +64,21 @@ def check_h(h: float) -> None:
         raise ValidationError("h must be finite and positive")
 
 
+# largest order m or n of a problem or a phase: even 2n stays far below 170,
+# where (m + 1)! in the stationary prefactor overflows a float
+MAX_ORDER = 64
+
+
+def check_order(name: str, order: int, **polys) -> None:
+    """Refuse an order above ``MAX_ORDER``, and a polynomial of more
+    coefficients than that order needs: root finding grows with the degree."""
+    if order > MAX_ORDER:
+        raise ValidationError(f"{name} must be at most {MAX_ORDER}")
+    for key, poly in polys.items():
+        if len(poly.coeffs) > MAX_ORDER + 1:
+            raise ValidationError(f"{key} has more than {MAX_ORDER + 1} coefficients")
+
+
 @runtime_checkable
 class Problem(Protocol):
     """A crossing problem, h-free, as the sweep and the CLI use it.

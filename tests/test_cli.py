@@ -3,6 +3,7 @@ and byte-deterministic CSV output."""
 
 import dataclasses
 import json
+import logging
 import os
 import subprocess
 import sys
@@ -14,13 +15,13 @@ import numpy as np
 import pytest
 
 import crossing_kit
-from crossing_kit.cli import MAX_ORDER, main, parse_config
+from crossing_kit.cli import main, parse_config
 from crossing_kit.errors import SchemaError, StepFailure
 from crossing_kit.march import CHUNK_BYTES
 from crossing_kit.normalform import NormalFormProblem, predict_transfer
 from crossing_kit.schrodinger import SchrodingerProblem
 from crossing_kit.sweep import MAX_GRID_POINTS, PowerLawFit, Verdict
-from crossing_kit.transfer import TransferMatrix
+from crossing_kit.transfer import MAX_ORDER, TransferMatrix
 
 
 def write_config(tmp_path, payload, name="config.json"):
@@ -43,13 +44,12 @@ def model_block(**overrides):
 
 def test_minimal_model_config_fills_defaults(tmp_path):
     path = write_config(
-        tmp_path, {"mode": "solve-model", "problem": model_block(), "h": 1e-2}
+        tmp_path, {"mode": "solve", "problem": model_block(), "h": 1e-2}
     )
     config = parse_config(path)
-    assert config.mode == "solve-model"
+    assert config.mode == "solve"
     assert config.h_values == (1e-2,)
     assert config.branch == 1
-    assert config.tolerances == {"exponent": 0.05, "prefactor": 0.10}
     assert config.csv_path is None and config.summary_path is None
     assert config.problem.m == 1
 
@@ -57,8 +57,8 @@ def test_minimal_model_config_fills_defaults(tmp_path):
 def test_negative_h_rejected(tmp_path, capsys):
     path = write_config(tmp_path, {"problem": model_block(), "h": -0.5})
     with pytest.raises(SchemaError, match="must be positive"):
-        parse_config(path, mode="solve-model")
-    assert main(["solve-model", "--config", path]) == 2
+        parse_config(path, mode="solve")
+    assert main(["solve", "--config", path]) == 2
     assert "h: must be positive" in capsys.readouterr().err
 
 
@@ -76,9 +76,9 @@ def test_unknown_key_named_with_path(tmp_path, capsys):
     for key, value in unknown:
         path = write_config(tmp_path, {"problem": model_block(), key: value})
         with pytest.raises(SchemaError) as exc:
-            parse_config(path, mode="solve-model")
+            parse_config(path, mode="solve")
         assert exc.value.key_path == key
-        assert main(["solve-model", "--config", path]) == 2
+        assert main(["solve", "--config", path]) == 2
         assert key in capsys.readouterr().err
 
 
@@ -86,7 +86,7 @@ def test_unknown_nested_key_reports_full_path(tmp_path):
     bad = model_block(coupling={"widht": 0.8})
     path = write_config(tmp_path, {"problem": bad, "h": 1e-2})
     with pytest.raises(SchemaError) as exc:
-        parse_config(path, mode="solve-model")
+        parse_config(path, mode="solve")
     assert exc.value.key_path == "problem.coupling.widht"
 
 
@@ -96,7 +96,7 @@ def test_problem_level_validation_becomes_schema_error(tmp_path):
         tmp_path, {"problem": model_block(m=2), "h": 1e-2}
     )
     with pytest.raises(SchemaError, match="problem"):
-        parse_config(path, mode="solve-model")
+        parse_config(path, mode="solve")
 
 
 @pytest.mark.parametrize(
@@ -104,7 +104,7 @@ def test_problem_level_validation_becomes_schema_error(tmp_path):
     [
         # f = x (x - 0.45)^2: a double zero under the coupling
         (
-            "solve-model",
+            "solve",
             {"problem": model_block(f_coeffs=[0.0, 0.2025, -0.9, 1.0]), "h": 1e-3},
         ),
         # V2 - V1 = 0.2 x - x^2 vanishes again at 0.2, inside supp W; on its
@@ -164,7 +164,7 @@ def test_mode_mismatch_rejected(tmp_path, capsys):
     path = write_config(
         tmp_path, {"mode": "sweep", "problem": model_block(), "h": 1e-2}
     )
-    assert main(["solve-model", "--config", path]) == 2
+    assert main(["solve", "--config", path]) == 2
     assert "mode" in capsys.readouterr().err
 
 
@@ -220,7 +220,7 @@ def test_branch_key_requires_schrodinger(tmp_path):
         tmp_path, {"problem": model_block(), "h": 1e-2, "branch": -1}
     )
     with pytest.raises(SchemaError) as exc:
-        parse_config(path, mode="solve-model")
+        parse_config(path, mode="solve")
     assert exc.value.key_path == "branch"
 
 
@@ -285,20 +285,19 @@ def test_csv_output_rejected_for_single_solve(tmp_path):
         {"problem": model_block(), "h": 1e-2, "output": {"csv": "x.csv"}},
     )
     with pytest.raises(SchemaError) as exc:
-        parse_config(path, mode="solve-model")
+        parse_config(path, mode="solve")
     assert exc.value.key_path == "output.csv"
 
 
 @pytest.mark.parametrize("mode", ["sweep", "verify"])
 def test_summary_may_not_overwrite_the_csv(tmp_path, capsys, mode):
     # the summary is written after the CSV, so one path for both would
-    # leave only the summary: refused at output.summary, also where --out
-    # names the CSV or the two paths differ only in spelling
+    # leave only the summary: refused at output.summary, also where the
+    # two paths differ only in spelling
     target = tmp_path / "out.x"
-    for output, out in (
-        ({"csv": str(target), "summary": str(target)}, None),
-        ({"summary": str(target)}, str(target)),
-        ({"csv": str(target), "summary": str(tmp_path / "." / "out.x")}, None),
+    for output in (
+        {"csv": str(target), "summary": str(target)},
+        {"csv": str(target), "summary": str(tmp_path / "." / "out.x")},
     ):
         cfg = {
             "problem": {"kind": "model-corpus", "index": 0},
@@ -307,10 +306,9 @@ def test_summary_may_not_overwrite_the_csv(tmp_path, capsys, mode):
         }
         path = write_config(tmp_path, cfg)
         with pytest.raises(SchemaError) as exc:
-            parse_config(path, mode=mode, out=out)
+            parse_config(path, mode=mode)
         assert exc.value.key_path == "output.summary"
-        argv = [mode, "--config", path] + (["--out", out] if out else [])
-        assert main(argv) == 2
+        assert main([mode, "--config", path]) == 2
         assert "output.summary" in _one_line_error(capsys)
         assert not target.exists()
 
@@ -318,21 +316,24 @@ def test_summary_may_not_overwrite_the_csv(tmp_path, capsys, mode):
 def test_zero_energy_problem_only_predicts(tmp_path, capsys):
     cfg = {"problem": {"kind": "schrodinger-corpus", "index": 2}, "h": 1e-3}
     path = write_config(tmp_path, cfg)
-    assert main(["solve-schrodinger", "--config", path]) == 2
+    assert main(["solve", "--config", path]) == 2
     assert "problem.e0" in capsys.readouterr().err
     assert main(["predict", "--config", path]) == 0
 
 
-def test_seeded_random_problem_is_reproducible(tmp_path):
-    path = write_config(
-        tmp_path, {"problem": {"kind": "random-model", "m": 2}, "h": 1e-2}
-    )
-    a = parse_config(path, mode="predict", seed=7).problem
-    b = parse_config(path, mode="predict", seed=7).problem
-    c = parse_config(path, mode="predict", seed=8).problem
+def test_seeded_random_problem_is_reproducible(tmp_path, capsys):
+    def drawn(seed):
+        config = {"problem": {"kind": "random-model", "m": 2}, "h": 1e-2, "seed": seed}
+        return parse_config(write_config(tmp_path, config), mode="predict").problem
+
+    a, b, c = drawn(7), drawn(7), drawn(8)
     assert a == b
     assert a != c
     assert a.m == 2 and a.f.coeffs[2] > 0
+    # a negative seed is a configuration error
+    config = {"problem": {"kind": "random-model", "m": 1}, "h": 1e-2, "seed": -1}
+    assert main(["predict", "--config", write_config(tmp_path, config)]) == 2
+    assert "config error: seed: must be at least 0" in capsys.readouterr().err
 
 
 def test_predict_summary_matches_library(tmp_path, capsys):
@@ -353,6 +354,65 @@ def test_predict_summary_matches_library(tmp_path, capsys):
     assert complex(re, im) == pytest.approx(complex(expected.t21), abs=1e-15)
 
 
+_OUTSIDE_REGIME = {
+    # slopes of +-1e-7 set a crossing scale that h = 1e-2 is not small
+    # against: |t12| = 396
+    "pair-slopes-1e-7": (
+        {
+            "kind": "schrodinger",
+            "n": 1,
+            "v1_coeffs": [0.0, -1e-7],
+            "v2_coeffs": [0.0, 1e-7],
+            "e0": 1.0,
+            "coupling": {"width": 0.8},
+            "interval": [-1e4, 1e4],
+        },
+        1e-2,
+        ("predict",),
+        "predicted |t12| = 396.3 and |t21| = 396.3 at h=1.000000e-02",
+    ),
+    # model-corpus 0 at h = 0.5: |t12| = 1.77
+    "model-corpus-0-h0.5": (
+        {"kind": "model-corpus", "index": 0},
+        0.5,
+        ("predict", "solve"),
+        "predicted |t12| = 1.772 and |t21| = 1.772 at h=5.000000e-01",
+    ),
+    "model-corpus-0-h0.01": (
+        {"kind": "model-corpus", "index": 0},
+        1e-2,
+        ("predict", "solve"),
+        None,
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "problem, h, modes, warning", _OUTSIDE_REGIME.values(), ids=list(_OUTSIDE_REGIME)
+)
+def test_a_prediction_outside_its_regime_is_warned(
+    tmp_path, capsys, caplog, problem, h, modes, warning
+):
+    # a predicted off-diagonal modulus of 1 or more, which no unitary T
+    # has, logs one WARNING naming the entries, their moduli and h; stdout,
+    # the summary and the exit code are those of any other run
+    summary = tmp_path / "summary.json"
+    config = {"problem": problem, "h": h, "output": {"summary": str(summary)}}
+    path = write_config(tmp_path, config)
+    for mode in modes:
+        caplog.clear()
+        with caplog.at_level(logging.WARNING, logger="crossing_kit.cli"):
+            assert main([mode, "--config", path]) == 0
+        assert capsys.readouterr().out.startswith(f"{mode}  h=")
+        assert json.loads(summary.read_text(encoding="utf-8"))["mode"] == mode
+        messages = [r.getMessage() for r in caplog.records]
+        if warning is None:
+            assert messages == [], mode
+        else:
+            assert len(messages) == 1 and messages[0].startswith(warning), messages
+            assert caplog.records[0].levelno == logging.WARNING
+
+
 def test_solve_model_writes_summary_and_small_error(tmp_path, capsys):
     out = tmp_path / "summary.json"
     path = write_config(
@@ -363,7 +423,7 @@ def test_solve_model_writes_summary_and_small_error(tmp_path, capsys):
             "output": {"summary": str(out)},
         },
     )
-    assert main(["solve-model", "--config", path]) == 0
+    assert main(["solve", "--config", path]) == 0
     assert "max abs error" in capsys.readouterr().out
     payload = json.loads(out.read_text(encoding="utf-8"))
     assert set(payload) >= {"extracted", "predicted", "abs_errors", "max_abs_error"}
@@ -381,9 +441,9 @@ def test_solve_schrodinger_minus_branch(tmp_path, capsys):
         "output": {"summary": str(out)},
     }
     path = write_config(tmp_path, cfg)
-    assert main(["solve-schrodinger", "--config", path]) == 0
+    assert main(["solve", "--config", path]) == 0
     stdout = capsys.readouterr().out
-    assert stdout.splitlines()[0] == "solve-schrodinger  h=2.500000e-03  branch=-1"
+    assert stdout.splitlines()[0] == "solve  h=2.500000e-03  branch=-1"
     assert "extracted" in stdout
     assert json.loads(out.read_text(encoding="utf-8"))["branch"] == -1
 
@@ -484,17 +544,6 @@ def test_grid_outside_unit_interval_or_too_long_rejected(tmp_path, capsys):
             assert "h_grid" in _one_line_error(capsys)
 
 
-def test_verify_absurd_tolerance_fails(tmp_path, capsys):
-    cfg = {
-        "problem": {"kind": "model-corpus", "index": 0},
-        "tolerances": {"exponent": 1e-15},
-        "output": {"csv": str(tmp_path / "rows.csv")},
-    }
-    path = write_config(tmp_path, cfg)
-    assert main(["verify", "--config", path]) == 1
-    assert "result: FAIL" in capsys.readouterr().out
-
-
 def test_verify_with_no_check_fails(tmp_path, capsys):
     # a coupling that misses the crossing predicts no off-diagonal signal,
     # so no verdict is made, and a verify that checked nothing fails
@@ -515,14 +564,21 @@ def test_verify_with_no_check_fails(tmp_path, capsys):
 
 
 def test_sweep_csv_byte_deterministic(tmp_path, capsys):
-    cfg = {
-        "problem": {"kind": "model-corpus", "index": 0},
-        "h_grid": {"start": 1e-1, "stop": 1e-3, "count": 5},
-    }
-    path = write_config(tmp_path, cfg)
     out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
-    assert main(["sweep", "--config", path, "--out", str(out1)]) == 0
-    assert main(["sweep", "--config", path, "--out", str(out2), "--jobs", "2"]) == 0
+    paths = [
+        write_config(
+            tmp_path,
+            {
+                "problem": {"kind": "model-corpus", "index": 0},
+                "h_grid": {"start": 1e-1, "stop": 1e-3, "count": 5},
+                "output": {"csv": str(out)},
+            },
+            name=f"{out.stem}.json",
+        )
+        for out in (out1, out2)
+    ]
+    assert main(["sweep", "--config", paths[0]]) == 0
+    assert main(["sweep", "--config", paths[1], "--jobs", "2"]) == 0
     capsys.readouterr()
     assert out1.read_bytes() == out2.read_bytes()
 
@@ -530,12 +586,18 @@ def test_sweep_csv_byte_deterministic(tmp_path, capsys):
 _MALFORMED = {
     "no-mode": [],
     "unknown-mode": ["check", "--config", "{path}"],
-    "missing-config": ["verify", "--out", "out.csv"],
+    "missing-config": ["verify", "--jobs", "2"],
     "unknown-option": ["verify", "--config", "{path}", "--threads", "2"],
     "jobs-not-an-integer": ["verify", "--config", "{path}", "--jobs", "x"],
-    "option-without-value": ["verify", "--config", "{path}", "--out"],
+    "option-without-value": ["verify", "--config", "{path}", "--jobs"],
     "config-without-value": ["verify", "--config"],
     "stray-word": ["verify", "extra", "--config", "{path}"],
+    # the config alone names the outputs and the seed, and the problem
+    # kind the family a solve runs
+    "out-option": ["verify", "--config", "{path}", "--out", "out.csv"],
+    "seed-option": ["predict", "--config", "{path}", "--seed", "1"],
+    "solve-model-mode": ["solve-model", "--config", "{path}"],
+    "solve-schrodinger-mode": ["solve-schrodinger", "--config", "{path}"],
 }
 
 
@@ -563,39 +625,29 @@ def test_help_lists_the_subcommands(capsys, flag):
         assert main(argv) == 0
         out, err = capsys.readouterr()
         assert out.startswith("usage: crossing-kit ") and err == ""
-        for mode in ("predict", "solve-model", "solve-schrodinger", "sweep", "verify"):
+        for mode in ("predict", "solve", "sweep", "verify"):
             assert f"\n    {mode} " in out, mode
+        for gone in ("solve-model", "solve-schrodinger", "--out", "--seed"):
+            assert gone not in out, gone
 
 
 def test_option_spellings_still_run(tmp_path, capsys):
     # --opt=value, a unique prefix and --jobs (accepted, ignored) all run
-    # the same command
-    path = write_config(tmp_path, {"problem": model_block(), "h": 1e-2})
-    outs = [tmp_path / f"{k}.json" for k in range(4)]
-    for argv in (
-        ["predict", f"--config={path}", "--out", str(outs[0])],
-        ["predict", "--conf", path, f"--out={outs[1]}"],
-        ["predict", "--config", path, "--jobs", "2", "--out", str(outs[2])],
-        ["predict", "--jo=1", "--se", "3", "--config", path, "--o", str(outs[3])],
-    ):
-        assert main(argv) == 0, argv
-    capsys.readouterr()
-    assert len({p.read_bytes() for p in outs}) == 1
-
-
-def test_seed_option_reaches_the_config(tmp_path, capsys):
-    # --seed overrides the file's seed, and a negative one (a value, not an
-    # option) is a configuration error
-    config = {"problem": {"kind": "random-model", "m": 1}, "h": 1e-2}
+    # the same command, with the same stdout and summary
+    summary = tmp_path / "summary.json"
+    config = {"problem": model_block(), "h": 1e-2, "output": {"summary": str(summary)}}
     path = write_config(tmp_path, config)
-    outs = [tmp_path / f"{k}.json" for k in range(3)]
-    for out, seed in zip(outs, ("0", "0", "1")):
-        argv = ["predict", "--config", path, "--seed", seed, "--out", str(out)]
-        assert main(argv) == 0
-    assert outs[0].read_bytes() == outs[1].read_bytes() != outs[2].read_bytes()
-    capsys.readouterr()
-    assert main(["predict", "--config", path, "--seed", "-1"]) == 2
-    assert "config error: seed: must be at least 0" in capsys.readouterr().err
+    outputs = set()
+    for argv in (
+        ["predict", f"--config={path}"],
+        ["predict", "--conf", path],
+        ["predict", "--config", path, "--jobs", "2"],
+        ["predict", "--jo=1", "--co", path],
+    ):
+        summary.unlink(missing_ok=True)
+        assert main(argv) == 0, argv
+        outputs.add((capsys.readouterr().out, summary.read_bytes()))
+    assert len(outputs) == 1
 
 
 def _loaded_by_cli_import(names) -> list[str]:
@@ -675,7 +727,7 @@ def test_numerical_failure_exits_3(tmp_path, capsys):
     path = write_config(tmp_path, cfg)
     with warnings.catch_warnings(record=True) as seen:
         warnings.simplefilter("always")
-        assert main(["solve-model", "--config", path]) == 3
+        assert main(["solve", "--config", path]) == 3
     assert seen == []
     err = _one_line_error(capsys)
     assert "numerical failure" in err and "max_panels" in err
@@ -692,7 +744,7 @@ def test_overflow_is_a_numerical_failure_without_warnings(tmp_path, capsys):
     path = write_config(tmp_path, cfg)
     with warnings.catch_warnings(record=True) as seen:
         warnings.simplefilter("always")
-        assert main(["solve-model", "--config", path]) == 3
+        assert main(["solve", "--config", path]) == 3
     assert seen == []
     assert "max_panels" in _one_line_error(capsys)
 
@@ -708,14 +760,14 @@ def test_h_near_underflow_is_a_numerical_failure(tmp_path, capsys):
     # the stationary zone needs hundreds of levels of halves (at 1e-320 its
     # ratio to the span is infinite): refused before any integer conversion
     path = write_config(tmp_path, {"problem": model_block(), "h": 1e-320})
-    assert main(["solve-model", "--config", path]) == 3
+    assert main(["solve", "--config", path]) == 3
     assert "max_levels" in _one_line_error(capsys)
     # the Schrodinger march is refused by the same split budget before
     # marching, instead of stepping on NaNs
     for h in (1e-320, 1e-200):
         problem = {"kind": "schrodinger-corpus", "index": 0}
         path = write_config(tmp_path, {"problem": problem, "h": h})
-        assert main(["solve-schrodinger", "--config", path]) == 3
+        assert main(["solve", "--config", path]) == 3
         assert "max_levels" in _one_line_error(capsys)
     # in a sweep each refused row says why, on stdout and in the summary
     summary = tmp_path / "summary.json"
@@ -788,7 +840,7 @@ def test_a_wide_interval_solves_in_bounded_memory(tmp_path, capsys):
     path = write_config(tmp_path, cfg)
     tracemalloc.start()
     try:
-        assert main(["solve-schrodinger", "--config", path]) == 0
+        assert main(["solve", "--config", path]) == 0
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -814,7 +866,7 @@ def test_an_integral_too_wide_is_refused_before_allocation(tmp_path, capsys, fam
     # raised numpy's size error or _ArrayMemoryError (58.2 TiB)
     path = write_config(tmp_path, {"problem": _TOO_WIDE[family], "h": 1e-2})
     start = time.perf_counter()
-    assert main([f"solve-{family}", "--config", path]) == 3
+    assert main(["solve", "--config", path]) == 3
     assert time.perf_counter() - start < 2.0
     err = _one_line_error(capsys)
     assert err.startswith("numerical failure: ValidationError: "), err
@@ -831,22 +883,6 @@ def test_huge_grid_count_rejected_before_allocation(tmp_path, capsys):
     assert exc.value.key_path == "h_grid.count"
     assert main(["verify", "--config", path]) == 2
     _one_line_error(capsys)
-
-
-@pytest.mark.parametrize(
-    "mode, problem",
-    [
-        ("solve-model", {"kind": "schrodinger-corpus", "index": 0}),
-        ("solve-schrodinger", {"kind": "model-corpus", "index": 0}),
-    ],
-)
-def test_solve_mode_rejects_the_other_problem_family(tmp_path, capsys, mode, problem):
-    path = write_config(tmp_path, {"problem": problem, "h": 1e-2})
-    with pytest.raises(SchemaError) as exc:
-        parse_config(path, mode=mode)
-    assert exc.value.key_path == "problem.kind"
-    assert main([mode, "--config", path]) == 2
-    assert "problem.kind" in _one_line_error(capsys)
 
 
 def _order_block(kind: str, order: int) -> dict:

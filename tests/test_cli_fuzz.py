@@ -5,8 +5,8 @@ Each example takes a valid config skeleton and replaces the values at one
 to three of its key paths with arbitrary JSON: nested objects and arrays,
 strings, booleans, null, NaN and infinities, integers far beyond the float
 range and floats down to the subnormals. `predict` solves nothing and may
-end in 0, 2 or 3. `solve-model`, `solve-schrodinger` and `sweep` run the
-march on what survives validation and may also end in 1; their skeletons
+end in 0, 2 or 3. `solve`, on model and on pair skeletons, and `sweep` run
+the march on what survives validation and may also end in 1; their skeletons
 start at h >= 1e-3, and while they run the split's budget
 (`march.MAX_LEVELS`, `march.MAX_PANELS`) is lowered to _SOLVE_MAX_LEVELS
 and _SOLVE_MAX_PANELS and the grid size (`sweep.MAX_GRID_POINTS`) to
@@ -94,13 +94,13 @@ _PAIR = {
     "interval": [-1.2, 1.2],
 }
 _SOLVE_MODEL_SKELETONS = [
-    {"mode": "solve-model", "problem": _MODEL, "h": 1e-1, "seed": 0,
+    {"mode": "solve", "problem": _MODEL, "h": 1e-1, "seed": 0,
      "output": {"summary": "summary.json"}},
     {"problem": {"kind": "model-corpus", "index": 4}, "h": 1e-2},
     {"problem": {"kind": "random-model", "m": 2}, "h": 1e-2, "seed": 7},
 ]
 _SOLVE_SCHRODINGER_SKELETONS = [
-    {"mode": "solve-schrodinger", "problem": _PAIR, "h": 5e-2, "branch": -1,
+    {"mode": "solve", "problem": _PAIR, "h": 5e-2, "branch": -1,
      "output": {"summary": "summary.json"}},
     {"problem": {"kind": "schrodinger-corpus", "index": 1}, "h": 1e-2, "branch": 1},
 ]
@@ -224,13 +224,13 @@ _SOLVING = settings(
 @_SOLVING
 @given(configs(_SOLVE_MODEL_SKELETONS))
 def test_solve_model_never_raises_on_any_json_value(config):
-    assert _run_solving("solve-model", config) in (0, 1, 2, 3)
+    assert _run_solving("solve", config) in (0, 1, 2, 3)
 
 
 @_SOLVING
 @given(configs(_SOLVE_SCHRODINGER_SKELETONS))
 def test_solve_schrodinger_never_raises_on_any_json_value(config):
-    assert _run_solving("solve-schrodinger", config) in (0, 1, 2, 3)
+    assert _run_solving("solve", config) in (0, 1, 2, 3)
 
 
 @_SOLVING

@@ -7,6 +7,7 @@ import dataclasses
 import inspect
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -150,17 +151,19 @@ def test_march_holds_the_only_quadrature_rule():
                 assert not bad, (path.stem, name)
 
 
-def _march_privates(tree: ast.AST) -> list[str]:
-    """The _-prefixed names of crossing_kit.march that a module's ``tree``
-    imports or reads, through any name the module binds to march."""
-    found, bound = [], {"crossing_kit.march"}
+def _privates(tree: ast.AST, module: str) -> list[str]:
+    """The _-prefixed names of ``module``, a module of crossing_kit, that a
+    module's ``tree`` imports or reads, through any name the module binds
+    to it."""
+    found, bound = [], {module}
+    short = module.removeprefix("crossing_kit.")
     for node in ast.walk(tree):
-        if isinstance(node, ast.ImportFrom) and node.module == "crossing_kit.march":
+        if isinstance(node, ast.ImportFrom) and node.module == module:
             found += [a.name for a in node.names if a.name.startswith("_")]
         elif isinstance(node, ast.ImportFrom) and node.module == "crossing_kit":
-            bound |= {a.asname or a.name for a in node.names if a.name == "march"}
+            bound |= {a.asname or a.name for a in node.names if a.name == short}
         elif isinstance(node, ast.Import):
-            bound |= {a.asname for a in node.names if a.name == "crossing_kit.march"}
+            bound |= {a.asname for a in node.names if a.name == module}
     for node in ast.walk(tree):
         if isinstance(node, ast.Attribute) and node.attr.startswith("_"):
             if ast.unparse(node.value) in bound:
@@ -175,10 +178,49 @@ def test_the_oracles_are_independent_of_the_march():
     tests = Path(__file__).parent
     for name in ("uniform_plan", "pair_oracle", "quad10"):
         tree = ast.parse((tests / f"{name}.py").read_text(encoding="utf-8"))
-        assert _march_privates(tree) == [], name
+        assert _privates(tree, "crossing_kit.march") == [], name
     probe = "from crossing_kit.march import _stops\nimport crossing_kit.march as m\nm._x"
-    assert _march_privates(ast.parse(probe)) == ["_stops", "_x"]
+    assert _privates(ast.parse(probe), "crossing_kit.march") == ["_stops", "_x"]
     assert list(inspect.signature(cum_quad10).parameters) == ["values", "dx"]
+
+
+# the names verify's policy has been held under: its default h grids and
+# its exponent and prefactor tolerances
+_VERIFY_POLICY = re.compile(r"_?(DEFAULT_GRIDS?|DEFAULT_TOLERANCES?|(EXPONENT|PREFACTOR)_TOL)")
+
+
+def _assigned(tree: ast.AST) -> set[str]:
+    """The names a module's ``tree`` assigns, as variables or attributes,
+    or sets by a ``setattr`` call (monkeypatch's too)."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
+            for target in getattr(node, "targets", None) or [node.target]:
+                for sub in ast.walk(target):
+                    names |= {getattr(sub, "id", None), getattr(sub, "attr", None)}
+        elif isinstance(node, ast.Call) and "setattr" in _names(node.func):
+            names |= {a.value for a in node.args if isinstance(a, ast.Constant)}
+    return {n for n in names if isinstance(n, str)}
+
+
+def test_sweep_holds_verify_policy_and_no_one_reads_cli_privates():
+    # verify's default grids and tolerances are assigned in sweep, which
+    # applies them, and nowhere else; tests and scripts reach them there,
+    # and no module of theirs imports or reads a private name of the cli
+    root = Path(__file__).parents[1]
+    package = Path(crossing_kit.__file__).parent
+    outside = [*root.glob("tests/*.py"), *root.glob("scripts/*.py")]
+    holders = set()
+    for path in [*package.glob("*.py"), *outside]:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        if any(_VERIFY_POLICY.fullmatch(name) for name in _assigned(tree)):
+            holders.add(path.stem)
+        if path in outside:
+            assert _privates(tree, "crossing_kit.cli") == [], path.name
+    assert holders == {"sweep"}
+    probe = "from crossing_kit import cli\nx = cli._DEFAULT_GRIDS\nsweep.EXPONENT_TOL = 1"
+    assert _privates(ast.parse(probe), "crossing_kit.cli") == ["_DEFAULT_GRIDS"]
+    assert "EXPONENT_TOL" in _assigned(ast.parse(probe))
 
 
 def test_problems_are_h_free():

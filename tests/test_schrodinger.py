@@ -25,10 +25,9 @@ import numpy as np
 import pytest
 
 from crossing_kit import march, normalform, schrodinger
-from crossing_kit.cli import _random_model_problem
 from crossing_kit.errors import CaseMismatch, ValidationError
 from crossing_kit.march import CHUNK_BYTES
-from crossing_kit.normalform import model_corpus
+from crossing_kit.normalform import model_corpus, random_model
 from crossing_kit.oscquad import PhaseSpec, osc_integral_numeric
 from crossing_kit.profiles import Bump, Poly1, ZERO_BUMP
 from crossing_kit.schrodinger import (
@@ -499,7 +498,7 @@ def test_flux_scaled_transfer_is_unitary(prob, h, ratio):
         (model_corpus()[0], 1e-3),
         (model_corpus()[2], 1e-4),
         (model_corpus()[1], 1e-5),
-        *((_random_model_problem(m, s), 1e-4) for m in (1, 2, 3) for s in (0, 1, 2)),
+        *((random_model(m, s), 1e-4) for m in (1, 2, 3) for s in (0, 1, 2)),
     ],
     ids=[
         "0.01",
@@ -597,7 +596,7 @@ def test_levin_panels_match_the_uniform_march_on_random_models(monkeypatch, capl
     # period (measured at most 1.3e-12, m = 3, seed 1, where that oracle is
     # 1.3e-12 from itself at 96 points per period and the panels 1.3e-15)
     for seed in (0, 1, 2):
-        prob = _random_model_problem(m, seed)
+        prob = random_model(m, seed)
         err, panels, stats = _panels_against_uniform(monkeypatch, caplog, prob, 1e-5)
         assert panels > 0, stats
         assert err <= 2e-11, (seed, err)
@@ -612,7 +611,7 @@ def test_panels_match_the_uniform_plan_on_random_draws(monkeypatch, caplog, m, h
     # h = 1e-4); the same draws with r2 = r1, where M is skew-Hermitian,
     # give a propagator unitary to 1e-12 (measured at most 4.4e-16)
     for seed in (0, 1, 2):
-        prob = _random_model_problem(m, seed)
+        prob = random_model(m, seed)
         err, panels, stats = _panels_against_uniform(monkeypatch, caplog, prob, h)
         assert panels > 0, stats
         assert err <= 1e-9, (seed, err)

@@ -9,13 +9,17 @@ import numpy as np
 import pytest
 
 from crossing_kit import normalform, schrodinger, sweep
-from crossing_kit.cli import _DEFAULT_GRIDS, _DEFAULT_TOLERANCES, _random_model_problem
 from crossing_kit.errors import DegenerateFit, ValidationError
-from crossing_kit.normalform import NormalFormProblem, model_corpus
-from crossing_kit.profiles import Bump
+from crossing_kit.normalform import NormalFormProblem, model_corpus, random_model
+from crossing_kit.oscquad import PhaseSpec
+from crossing_kit.profiles import Bump, Poly1
 from crossing_kit.schrodinger import SchrodingerProblem, WkbBasis, schrodinger_corpus
 from crossing_kit.sweep import (
     CSV_COLUMNS,
+    DEFAULT_GRIDS,
+    EXPONENT_TOL,
+    PREFACTOR_TOL,
+    PowerLawFit,
     SweepReport,
     SweepRow,
     attach_fits,
@@ -193,13 +197,13 @@ def test_random_models_pass_on_the_default_grid(m):
     # amplitude extrapolates a small exponent misfit to h = 1, and seeds 2,
     # 3, 4 and 7 miss by 0.12-0.14, the defect that fails model-corpus 2
     # (ROADMAP, the prefactor check that uses the paper's remainder)
-    start, stop, count = _DEFAULT_GRIDS["model"]
+    grid = DEFAULT_GRIDS["model"]
     for seed in range(10):
-        prob = _random_model_problem(m, seed)
-        report = run_sweep(prob, np.geomspace(start, stop, count))
-        assert [r.status for r in report.rows] == ["ok"] * count, seed
+        prob = random_model(m, seed)
+        report = run_sweep(prob, grid)
+        assert [r.status for r in report.rows] == ["ok"] * len(grid), seed
         attach_fits(report)
-        passed = verify(report, prob.order, _DEFAULT_TOLERANCES)
+        passed = verify(report, prob.order)
         verdicts = report.verdicts
         assert sorted(verdicts) == [
             f"{q}:{kind}" for q in ("t12", "t21") for kind in ("exponent", "prefactor")
@@ -243,8 +247,7 @@ def test_deficit_fits_read_the_remainder_order(corpus, family):
     # on the default verify grid of corpus 0 (m = 1), the plain fit of
     # |T_jj - 1| reads the remainder's order 2/(m+1) = 1; no sweep fit
     # carries the log(1/h) envelope, which would read 1.11 and 1.15
-    start, stop, count = _DEFAULT_GRIDS[family]
-    report = run_sweep(corpus()[0], np.geomspace(start, stop, count))
+    report = run_sweep(corpus()[0], DEFAULT_GRIDS[family])
     attach_fits(report)
     assert set(report.fits) == {"t12", "t21", "t11_deficit", "t22_deficit"}
     for q in ("t11_deficit", "t22_deficit"):
@@ -293,30 +296,33 @@ def _fitted_report(rows):
 
 
 def test_verdicts_and_monotonicity():
-    # one row, whose prediction is the reference
-    report = _fitted_report([_reference_row(float(HS[0]), 2.0)])
+    # one row, whose prediction is the reference: exponent 0.5 (order 1)
+    # and prefactor 2. Fits on both sides of each fixed tolerance, by
+    # misses of growing size: a verdict passes while its fit is within the
+    # tolerance, and a larger miss can only lose the pass
+    report = SweepReport(rows=[_reference_row(float(HS[0]), 2.0)])
+    misses = (0.0, 0.5, 0.98, 1.02, 2.0)
 
-    def exponent_passes(tol):
-        verify(report, 1, {"exponent": tol, "prefactor": 0.10})
+    def passes(exponent, amplitude):
+        report.fits["t21"] = PowerLawFit(exponent, amplitude, 0.0, len(HS))
+        passed = verify(report, 1)
         assert set(report.verdicts) == {"t21:exponent", "t21:prefactor"}
-        return report.verdicts["t21:exponent"].passed
+        both = [report.verdicts[f"t21:{k}"].passed for k in ("exponent", "prefactor")]
+        assert passed == all(both)
+        return both
 
-    tight, loose = exponent_passes(0.01), exponent_passes(0.05)
-    assert not tight and loose
-    # loosening a tolerance can only keep or gain passes
-    for tol in (0.02, 0.03, 0.1, 0.5):
-        assert exponent_passes(tol) >= tight
-    tols = {"exponent": 0.05, "prefactor": 0.10}
-    assert verify(report, 1, tols)
-    assert report.verdicts["t21:prefactor"].expected == pytest.approx(2.0)
-    report = _fitted_report([_reference_row(float(HS[0]), 2.5)])
-    assert not verify(report, 1, tols)
-    assert not report.verdicts["t21:prefactor"].passed
-    assert report.verdicts["t21:exponent"].passed
+    for sign in (1, -1):
+        seen = [passes(0.5 + sign * k * EXPONENT_TOL, 2.0) for k in misses]
+        assert seen == [[True, True]] * 3 + [[False, True]] * 2, sign
+        seen = [passes(0.5, 2.0 * (1 + sign * k * PREFACTOR_TOL)) for k in misses]
+        assert seen == [[True, True]] * 3 + [[True, False]] * 2, sign
+    exponent, prefactor = (report.verdicts[f"t21:{k}"] for k in ("exponent", "prefactor"))
+    assert prefactor.expected == pytest.approx(2.0)
+    # the frozen gate, which every summary and reference prints as tol=
+    assert (exponent.tolerance, prefactor.tolerance) == (0.05, 0.10)
 
 
 def test_verify_reads_the_largest_h_ok_row():
-    tols = {"exponent": 0.05, "prefactor": 0.10}
     # the largest-h row failed: the next ok row's prediction is the
     # reference, whatever the smaller-h rows predict
     rows = [
@@ -325,12 +331,48 @@ def test_verify_reads_the_largest_h_ok_row():
         _reference_row(0.01, 9.0),
     ]
     report = _fitted_report(rows)
-    assert verify(report, 1, tols)
+    assert verify(report, 1)
     assert report.verdicts["t21:prefactor"].expected == pytest.approx(2.0)
     # with no ok row there is no reference, so no verdict and no pass
     report = _fitted_report([_reference_row(h, 2.0, "failed:StepFailure") for h in HS])
-    assert not verify(report, 1, tols)
+    assert not verify(report, 1)
     assert report.verdicts == {}
+
+
+@pytest.mark.parametrize("order", [65, 170])
+def test_an_order_above_the_bound_is_refused_at_construction(order):
+    # (m + 1)! in the stationary prefactor overflows a float from m = 170
+    # on, where predict and run_sweep raised OverflowError: both families
+    # and a phase refuse an order above MAX_ORDER = 64 when built, and a
+    # problem refuses a polynomial of more than 65 coefficients
+    rate = Poly1((0.0,) * order + (1.0,))
+    pad = (0.0,) * (order - 1)  # a rate of order 1 with order + 1 coefficients
+    bumps = (Bump(0.8), Bump(0.8), -1.0, 1.0)
+
+    def pair(v1, v2, n):
+        return SchrodingerProblem(Poly1(v1), Poly1(v2), Bump(0.3), 1.0, n, -0.5, 0.5)
+
+    refused = {
+        "m must be at most 64": [
+            lambda: NormalFormProblem(rate, *bumps, order),
+            lambda: PhaseSpec(rate.antideriv(), order),
+            lambda: PhaseSpec.from_poly(rate.antideriv()),
+        ],
+        "n must be at most 64": [lambda: pair((0.0, -0.25), rate.coeffs, order)],
+        "f has more than 65 coefficients": [
+            lambda: NormalFormProblem(Poly1((0.0, 1.0) + pad), *bumps, 1)
+        ],
+        "v1 has more than 65 coefficients": [
+            lambda: pair((0.0, -0.25) + pad, (0.0, 0.25), 1)
+        ],
+        "v2 has more than 65 coefficients": [
+            lambda: pair((0.0, -0.25), (0.0, 0.25) + pad, 1)
+        ],
+    }
+    for message, builds in refused.items():
+        for build in builds:
+            with pytest.raises(ValidationError, match=f"^{message}$"):
+                build()
 
 
 def test_csv_round_trip_bit_exact(tmp_path):
