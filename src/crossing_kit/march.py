@@ -67,10 +67,10 @@ F'/h) B = m S (Levin, Math. Comp. 38 (1982); Olver, IMA J. Numer. Anal.
 first Levin solution is not resolved is split in halves, which are
 judged and solved in its place, from the phase at its left edge.
 e^{iF/h} is needed at the panel edges: the phase there is F at the edge
-nearest x = 0, the integral of F' from 0 (``integral``, on the panels'
-rule; 0 without a call where that edge is 0, as F(0) = 0), plus the
-panels' integrals of F' summed outward from it (_edge_phases), so that
-its rounding at an edge is relative to |F| there.
+nearest x = 0, the integral of F' from 0 (``integral``, on the same split;
+0 without a call where that edge is 0, as F(0) = 0, and refused beyond
+|F/h| = 2**52), plus the panels' integrals of F' summed outward from it
+(_edge_phases), so that its rounding at an edge is relative to |F| there.
 """
 
 from __future__ import annotations
@@ -86,16 +86,14 @@ import numpy as np
 from .errors import StepFailure, ValidationError
 
 # The march's working memory: no panel batch holds more than CHUNK_BYTES,
-# and no _judge call more than CHUNK_BYTES of candidate data, whatever h
-# is; ``integral`` takes _PER_CALL panels at a time, of _INTEGRAL_PANELS at
-# most (their edges take 64 MB). _BYTES_PER_PANEL bounds the traced peak
+# and no judge call, _judge's or ``integral``'s, more than _PER_CALL
+# candidates, whatever h is. _BYTES_PER_PANEL bounds the traced peak
 # of a panel batch per panel from above (tracemalloc reads at most 41 kB),
 # _BYTES_PER_CANDIDATE that of a _judge call per candidate (at most 6.7 kB).
 CHUNK_BYTES = 2**21
 _BYTES_PER_PANEL = 2**16
 _BYTES_PER_CANDIDATE = 2**13
 _PER_CALL = CHUNK_BYTES // _BYTES_PER_CANDIDATE
-_INTEGRAL_PANELS = 2**23
 PICARD_TOL = 1e-14
 PICARD_MAX_ITER = 40
 # Picard on a panel contracts at worst like (int |M|)^k / k!. A panel
@@ -299,29 +297,29 @@ def _tail(values: np.ndarray) -> np.ndarray:
     return functools.reduce(np.maximum, moduli).reshape(values.shape[:-1])
 
 
-def integral(func, a: float, b: float):
-    """int_a^b of ``func`` by the panels' Clenshaw-Curtis rule on max(4,
-    ceil(8 |b - a|)) equal panels, at most _INTEGRAL_PANELS (more raise
-    ValidationError): enough for an integrand analytic near [a, b], as F'
-    is. ``func`` maps a 1-d array of points to values whose last axis runs
-    over them. It is called on at most _PER_CALL panels' points at a time,
-    so beyond the panels' edges (8 bytes a panel) the memory does not grow
-    with |b - a|."""
-    points, cum = _cheb()[:2]
-    if not 8.0 * abs(b - a) <= _INTEGRAL_PANELS:
-        raise ValidationError(
-            f"[{a:g}, {b:g}] is too wide to integrate: over {_INTEGRAL_PANELS} panels"
-        )
-    edges = np.linspace(a, b, max(4, math.ceil(8.0 * abs(b - a))) + 1)
-    left, right, total = edges[:-1], edges[1:], 0.0
-    for k in range(0, left.size, _PER_CALL):
-        lo, hi = left[k : k + _PER_CALL], right[k : k + _PER_CALL]
+def integral(func, a: float, b: float, *cuts):
+    """int_a^b of ``func``, whose values' last axis runs over its 1-d array of
+    points, by adaptive Clenshaw-Curtis (Gentleman, Comm. ACM 15 (1972) 337):
+    _split of the pieces between a, b and the ``cuts`` between them, where
+    ``func`` is not analytic, keeps a panel where the last _TAIL Chebyshev
+    coefficients of ``func`` are within _TAIL_TOL of one scale, its largest
+    modulus in the first judge call; past its budget it raises StepFailure."""
+    ends = np.sort([a, b, *(c for c in cuts if min(a, b) < c < max(a, b))])
+    scale = []
+
+    def judge(lo, hi):
         half = 0.5 * (hi - lo)
-        x = (lo + half)[:, None] + half[:, None] * points
-        values = np.asarray(func(x.ravel()))
-        values = values.reshape(values.shape[:-1] + x.shape)
-        total = total + (values @ cum[-1]) @ half
-    return total
+        x = (lo + half)[:, None] + half[:, None] * _cheb()[0]
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            values = np.asarray(func(x.ravel()))
+            values = values.reshape(values.shape[:-1] + x.shape)
+            scale[:] = scale or [np.abs(values).max()]
+            tails = _tail(values.astype(complex)).reshape(-1, lo.size)
+            verdict = np.where((tails <= _TAIL_TOL * scale[0]).all(axis=0), 1, -1)
+        return verdict, (half, np.moveaxis(half * (values @ _cheb()[1][-1]), -1, 0))
+
+    sums = _split(judge, ends[:-1], ends[1:], 0, MAX_LEVELS)[2][2]
+    return np.sign(b - a) * sums.sum(axis=0)
 
 
 def _one_chain(values: np.ndarray) -> bool:
@@ -397,31 +395,19 @@ def _judge(system: System, lo: np.ndarray, hi: np.ndarray):
     return verdict, (half, values[:, 2:6])
 
 
-def _judged(system: System, lo: np.ndarray, hi: np.ndarray):
-    """_judge's verdicts on all the candidates, at most _PER_CALL =
-    CHUNK_BYTES // _BYTES_PER_CANDIDATE per call, and its data on those
-    with a verdict other than a split."""
-    calls = []
-    for first in range(0, lo.size, _PER_CALL):
-        cut = slice(first, first + _PER_CALL)
-        verdict, (half, data) = _judge(system, lo[cut], hi[cut])
-        calls.append((verdict, half[verdict > 0], data[verdict > 0]))
-    return calls[0] if len(calls) == 1 else tuple(map(np.concatenate, zip(*calls)))
-
-
-def _split(system: System, left, right, depth: int, deepest: int):
+def _split(judge, left, right, depth: int, deepest: int):
     """The candidates [left[k], right[k]], all ``depth`` levels below the
-    first pieces, cut into panels: returns the panel edges, left to right,
-    each panel's level and, per panel, whether it is direct, then _judge's
-    data.
+    first pieces, cut into panels by judge(lo, hi), which answers as _judge
+    does: returns the panel edges, left to right, each panel's level and,
+    per panel, whether it is direct (verdict 2), then the judge's data.
 
     Each candidate splits in halves until it has a verdict, down to level
-    ``deepest``. One _judge call takes the candidates and the levels of
-    halves below them that _LEVELS allows, as far as they fit in one call
-    (_judged); a piece is kept where it has a verdict and no piece above it
-    has one, and the halves of the last level's other pieces are the next
-    candidates. A piece of level ``deepest`` without a verdict, or more
-    than 2 * MAX_PANELS panels and candidates, raise StepFailure.
+    ``deepest``. A judge call takes at most _PER_CALL candidates: the
+    candidates and the levels of halves below them that _LEVELS allows, as
+    far as they fit; a piece is kept where it has a verdict and no piece
+    above it has one, and the halves of the last level's other pieces are
+    the next candidates. A piece of level ``deepest`` without a verdict, or
+    more than 2 * MAX_PANELS panels and candidates, raise StepFailure.
     """
     found, kept = [], 0
     while left.size:
@@ -447,7 +433,13 @@ def _split(system: System, left, right, depth: int, deepest: int):
         left, right = (np.concatenate(ends) for ends in zip(*levels))
         level = np.repeat(depth + np.arange(len(levels)), [p.size for p, _ in levels])
         depth += len(levels)
-        verdict, half, values = _judged(system, left, right)
+        calls = []  # the data of the candidates that split are dropped at once
+        for first in range(0, left.size, _PER_CALL):
+            cut = slice(first, first + _PER_CALL)
+            verdict, (half, data) = judge(left[cut], right[cut])
+            calls.append((verdict, half[verdict > 0], data[verdict > 0]))
+        one = len(calls) == 1
+        verdict, half, values = calls[0] if one else map(np.concatenate, zip(*calls))
         keep, start = np.zeros(left.size, bool), 0
         free, last_size = np.ones(len(levels[0][0]), bool), levels[-1][0].size
         for piece, _ in levels:
@@ -631,12 +623,18 @@ def _span(system: System, cuts, depth: int, deepest: int, stats, start=None):
     from 0 at the edge nearest x = 0 (0 without a call where that edge is
     0); the panels' integrals of F' are summed outward from there
     (_edge_phases)."""
-    edges, level, data = _split(system, cuts[:-1], cuts[1:], depth, deepest)
+    judge = functools.partial(_judge, system)
+    edges, level, data = _split(judge, cuts[:-1], cuts[1:], depth, deepest)
     anchor, phi = 0, start
     if start is None:
         anchor, phi = int(np.argmin(np.abs(edges))), 0.0
         if edges[anchor] != 0.0:
             phi = float(integral(lambda x: system.local(x)[0], 0.0, edges[anchor]))
+            if not abs(phi / system.h) <= 2.0**52:  # e^{iF/h} keeps no digit
+                raise ValidationError(
+                    f"the phase F/h at x={edges[anchor]:g} is {phi / system.h:.3g} rad,"
+                    " beyond 2**52; raise h or move the coupling nearer 0"
+                )
     phase = _edge_phases(edges, data, anchor, phi)
     return _product(_solve(system, edges, phase[:-1], level, data, deepest, stats))
 

@@ -242,9 +242,8 @@ class WkbBasis:
         return np.reshape(self.c, (2,) + (1,) * np.ndim(x)) * (1.0 - ratio) ** -0.25
 
     def phase(self, x: float) -> np.ndarray:
-        """(phi_1, phi_2) at the point x, by ``march.integral``. The
-        integrand is analytic on the interval (no turning point), so a
-        handful of panels per unit length reaches machine accuracy."""
+        """(phi_1, phi_2) at the point x, by ``march.integral``, without cuts:
+        the integrand is analytic on the interval (no turning point)."""
         return march.integral(lambda y: self.rates(y)[1], 0.0, x)
 
 
@@ -269,7 +268,8 @@ class _NormalForm:
             w2 = prob.w(y) ** 2
             return 0.5 * kappa / p - w2 / (4.0 * p[0] * p[1] * (p[0] + p[1]))
 
-        self.theta = [march.integral(integrand, 0.0, x) for x in prob.interval]
+        cuts = prob.w.support  # W^2 is not analytic at its edges
+        self.theta = [march.integral(integrand, 0.0, x, *cuts) for x in prob.interval]
         self.gap = prob.v1 - prob.v2
         q_low = [prob.e0 - v.range_on(*prob.interval)[1] for v in (prob.v1, prob.v2)]
         self.coupling = abs(prob.w.amplitude) / (2.0 * (q_low[0] * q_low[1]) ** 0.25)

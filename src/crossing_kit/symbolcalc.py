@@ -330,6 +330,8 @@ def stationary_prefactor(m: int, curvature: float) -> complex:
     """
     if curvature == 0.0:
         raise ValidationError("F^(m+1)(0) must not vanish")
+    if m >= 170:
+        raise ValidationError(f"m = {m}: (m + 1)! overflows a float from m = 170")
     theta = math.copysign(math.pi / (2 * (m + 1)), curvature)
     amp = (math.factorial(m + 1) / abs(curvature)) ** (1.0 / (m + 1))
     return 2.0 * mu_m(m, theta) * math.gamma((m + 2) / (m + 1)) * amp

@@ -821,55 +821,48 @@ def test_too_few_rows_to_fit_keep_their_outputs(monkeypatch, tmp_path, capsys, m
 
 
 def test_a_wide_interval_solves_in_bounded_memory(tmp_path, capsys):
-    # the pair's WKB phases at the ends of [-1e4, 1e4] are integrals over
-    # 80000 panels: the solve exits 0, and its traced peak stays within two
-    # CHUNK_BYTES (measured 2.0 MB, where placing the panels at once held
-    # 390 MB, and on [-1e6, 1e6] raised numpy's _ArrayMemoryError)
-    cfg = {
-        "problem": {
-            "kind": "schrodinger",
-            "n": 1,
-            "v1_coeffs": [0.0, -1e-7],
-            "v2_coeffs": [0.0, 1e-7],
-            "e0": 1.0,
-            "coupling": {"width": 0.8},
-            "interval": [-1e4, 1e4],
-        },
-        "h": 1e-2,
-    }
-    path = write_config(tmp_path, cfg)
-    tracemalloc.start()
-    try:
-        assert main(["solve", "--config", path]) == 0
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 2 * CHUNK_BYTES, peak
-    assert "extracted:" in capsys.readouterr().out
+    # the pair's WKB phases and Theta_j at the ends of [-1e4, 1e4] and of
+    # [-1e20, 1e20] are integrals that march.integral resolves on a few
+    # panels: the solve exits 0, and its traced peak stays within two
+    # CHUNK_BYTES (measured 0.43 MB on both, where the old rule of 8 equal
+    # panels per unit held 2.0 MB on [-1e4, 1e4], 65 MB on [-1e6, 1e6], and
+    # refused [-1e20, 1e20])
+    for slope, end in ((1e-7, 1e4), (1e-30, 1e20)):
+        cfg = {
+            "problem": {
+                "kind": "schrodinger",
+                "n": 1,
+                "v1_coeffs": [0.0, -slope],
+                "v2_coeffs": [0.0, slope],
+                "e0": 1.0,
+                "coupling": {"width": 0.8},
+                "interval": [-end, end],
+            },
+            "h": 1e-2,
+        }
+        path = write_config(tmp_path, cfg)
+        tracemalloc.start()
+        try:
+            assert main(["solve", "--config", path]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * CHUNK_BYTES, (end, peak)
+        assert "extracted:" in capsys.readouterr().out
 
 
-_TOO_WIDE = {
-    # the pair's WKB phases at the ends: integrals over 8e20 panels each
-    "schrodinger": dict(
-        kind="schrodinger", n=1, v1_coeffs=[0.0, -1e-30], v2_coeffs=[0.0, 1e-30],
-        e0=1.0, coupling={"width": 0.8}, interval=[-1e20, 1e20],
-    ),
-    # the phase at the support's edge nearest 0: an integral over 8e12 panels
-    "model": model_block(coupling={"width": 0.5, "center": 1e12}, interval=[-1, 2e12]),
-}
-
-
-@pytest.mark.parametrize("family", _TOO_WIDE)
-def test_an_integral_too_wide_is_refused_before_allocation(tmp_path, capsys, family):
-    # march.integral refuses more than 2^23 panels (64 MB of edges) before
-    # it places any: exit 3 with a one-line message, where placing them
-    # raised numpy's size error or _ArrayMemoryError (58.2 TiB)
-    path = write_config(tmp_path, {"problem": _TOO_WIDE[family], "h": 1e-2})
+def test_an_anchor_phase_beyond_2_52_is_refused(tmp_path, capsys):
+    # a coupling centred at 1e12 puts the march's anchor, the support edge
+    # nearest 0, where F/h is about 5e25 rad: e^{iF/h} keeps no digit there,
+    # so the solve exits 3 with a one-line message
+    block = model_block(coupling={"width": 0.5, "center": 1e12}, interval=[-1, 2e12])
+    path = write_config(tmp_path, {"problem": block, "h": 1e-2})
     start = time.perf_counter()
     assert main(["solve", "--config", path]) == 3
     assert time.perf_counter() - start < 2.0
     err = _one_line_error(capsys)
-    assert err.startswith("numerical failure: ValidationError: "), err
+    assert err.startswith("numerical failure: ValidationError: the phase F/h"), err
+    assert "2**52" in err, err
 
 
 def test_huge_grid_count_rejected_before_allocation(tmp_path, capsys):

@@ -25,7 +25,7 @@ import numpy as np
 import pytest
 
 from crossing_kit import march, normalform, schrodinger
-from crossing_kit.errors import CaseMismatch, ValidationError
+from crossing_kit.errors import CaseMismatch, StepFailure, ValidationError
 from crossing_kit.march import CHUNK_BYTES
 from crossing_kit.normalform import model_corpus, random_model
 from crossing_kit.oscquad import PhaseSpec, osc_integral_numeric
@@ -856,7 +856,8 @@ def _cut(system):
     lo, hi = system.support
     cuts = lo + (hi - lo) * np.linspace(0.0, 1.0, march._FIRST_PIECES + 1)
     _, deepest = march._levels(system, lo, hi)
-    edges, _, data = march._split(system, cuts[:-1], cuts[1:], 0, deepest)
+    judge = functools.partial(march._judge, system)
+    edges, _, data = march._split(judge, cuts[:-1], cuts[1:], 0, deepest)
     anchor = int(np.argmin(np.abs(edges)))
     assert edges[anchor] == 0.0
     return edges, march._edge_phases(edges, data, anchor, 0.0), data
@@ -963,8 +964,8 @@ def test_the_march_takes_the_phase_at_0_without_a_call(monkeypatch, family):
 
 def test_integral_is_exact_on_polynomials():
     # march.integral, the panels' Clenshaw-Curtis rule, against the exact
-    # antiderivative of polynomials of degree up to 12, over spans that
-    # take 4 to 17 panels and either sign: within rounding of the
+    # antiderivative of polynomials of degree up to 12, over spans of
+    # either sign, each resolved on one panel: within rounding of the
     # integrand's scale
     rng = np.random.default_rng(7)
     for degree in range(13):
@@ -976,6 +977,99 @@ def test_integral_is_exact_on_polynomials():
     # values whose last axis runs over the points: both WKB branches at once
     two = march.integral(lambda x: np.array([x, x * x]), 0.0, -0.6)
     assert two.shape == (2,) and np.abs(two - (0.18, -0.072)).max() <= 1e-16
+
+
+def test_split_fails_below_its_deepest_level():
+    # a judge that accepts every piece but those holding 1/3, never a
+    # midpoint: one piece a level is left, down to the deepest level, and
+    # the split raises StepFailure there
+    def judge(lo, hi):
+        verdict = np.where((lo <= 1.0 / 3.0) & (1.0 / 3.0 <= hi), -1, 1)
+        return verdict, (0.5 * (hi - lo), np.zeros((lo.size, 1)))
+
+    with pytest.raises(StepFailure, match="unresolved 20 levels deep"):
+        march._split(judge, np.array([0.0]), np.array([1.0]), 0, 20)
+
+
+def test_split_fails_past_its_panel_budget():
+    # a judge that accepts nothing doubles the candidates each level, and
+    # the split raises StepFailure once they pass 2 * MAX_PANELS, long
+    # before MAX_LEVELS
+    def judge(lo, hi):
+        return np.full(lo.size, -1), (0.5 * (hi - lo), np.zeros((lo.size, 1)))
+
+    with pytest.raises(StepFailure, match=f"more than {2 * march.MAX_PANELS} panels"):
+        march._split(judge, np.array([0.0]), np.array([1.0]), 0, march.MAX_LEVELS)
+
+
+def test_integral_of_an_unresolvable_integrand_fails_fast():
+    # cos(1e6 x) over [0, 1e4] needs billions of panels: the split's budget
+    # ends it in StepFailure within a second, with no numpy warning
+    start = time.perf_counter()
+    with pytest.raises(StepFailure, match="panels and candidates"):
+        march.integral(lambda x: np.cos(1e6 * x), 0.0, 1e4)
+    assert time.perf_counter() - start < 1.0
+
+
+def test_integral_panels_do_not_grow_with_the_span(monkeypatch):
+    # the split sizes the panels by the integrand, not by the span: the
+    # pair's WKB phase rate sqrt(1 + 1e-7 y) takes as many panels over
+    # [0, L] for every L from 1 to 1e6, and each integral is accurate
+    split, panels = march._split, []
+
+    def counting(*args):
+        out = split(*args)
+        panels.append(len(out[0]) - 1)
+        return out
+
+    monkeypatch.setattr(march, "_split", counting)
+    for length in 10.0 ** np.arange(7):
+        got = march.integral(lambda y: np.sqrt(1.0 + 1e-7 * y), 0.0, length)
+        u = 1e-7 * length  # 2 ((1 + u)^1.5 - 1) / (3e-7), without cancellation
+        want = 2.0 * length * (3.0 + 3.0 * u + u * u) / (3.0 * ((1.0 + u) ** 1.5 + 1.0))
+        assert abs(got - want) <= 1e-15 * length, length
+    assert len(set(panels)) == 1, panels
+
+
+def _fixed_rule(func, a, b, per_unit=8, chunk=4096):
+    """int_a^b of ``func`` on equal panels, ``per_unit`` of them per unit
+    length, of 32 Gauss-Legendre points each, ``chunk`` panels at a time."""
+    nodes, weights = np.polynomial.legendre.leggauss(32)
+    edges = np.linspace(a, b, max(1, math.ceil(per_unit * abs(b - a))) + 1)
+    total = 0.0
+    for k in range(0, edges.size - 1, chunk):
+        ends = edges[k : k + chunk + 1]
+        lo, hi = ends[:-1], ends[1:]
+        half = 0.5 * (hi - lo)
+        x = (lo + half)[:, None] + half[:, None] * nodes
+        total += np.sum(func(x.ravel()).reshape(-1, *x.shape) @ weights * half, -1)
+    return total
+
+
+@pytest.mark.parametrize("centre, end", [(5.0, 1e4), (37.0, 1e3)])
+def test_theta_is_cut_at_the_support_of_w(monkeypatch, centre, end):
+    # W^2 is not analytic at the edges of supp W, so _NormalForm passes them
+    # to march.integral as cuts: without them the first call's points can
+    # all miss a narrow bump far from 0, and Theta_j came out near 0. With
+    # them Theta_j equals a fine fixed rule within 1e-12 (measured at most
+    # 6.2e-17)
+    prob = SchrodingerProblem(
+        v1=Poly1((0.0, -1e-7)), v2=Poly1((0.0, 1e-7)), w=Bump(0.5, 1.0, centre),
+        e0=1.0, n=1, x_in=-end, x_out=end,
+    )
+    integral, calls = march.integral, []
+
+    def recording(func, a, b, *cuts):
+        calls.append(func)
+        return integral(func, a, b, *cuts)
+
+    monkeypatch.setattr(march, "integral", recording)
+    form = schrodinger._NormalForm(prob)
+    func, _ = calls
+    for theta, x in zip(form.theta, prob.interval):
+        want = _fixed_rule(func, 0.0, x)
+        assert np.abs(theta - want).max() <= 1e-12, (x, theta, want)
+    assert np.abs(form.theta[1]).min() > 1e-2
 
 
 def _extract(corpus, index, *h):
@@ -1041,10 +1135,10 @@ def test_off_centre_couplings_match_the_uniform_plan(monkeypatch, caplog, family
 
 
 def test_integral_holds_at_most_chunk_bytes():
-    # march.integral places ceil(8 |b - a|) panels, 80000 over a length of
-    # 1e4: it takes them _PER_CALL at a time, so its traced peak stays
-    # within CHUNK_BYTES (measured 1.1 MB, where placing them at once held
-    # 104 MB), and the sum keeps its accuracy
+    # march.integral of cos and sin over a length of 1e4 splits it into
+    # 1024 panels, judged _PER_CALL candidates at a time, so its traced
+    # peak stays within CHUNK_BYTES (measured 0.62 MB), and the sum keeps
+    # its accuracy
     def func(y):
         return np.array([np.cos(y), np.sin(y)])
 

@@ -6,6 +6,7 @@ equality is exact; nothing here is tolerance-tuned except explicitly
 derived float identities.
 """
 
+import cmath
 import math
 
 import numpy as np
@@ -27,6 +28,7 @@ from crossing_kit.symbolcalc import (
     omega_general,
     poisson_bracket,
     sign_s,
+    stationary_prefactor,
     theta_of,
     transfer_predicted_general,
 )
@@ -289,6 +291,24 @@ def test_transfer_predicted_general_entries():
     assert abs(t.t12 - want12) <= 1e-12
     # t21 carries the conjugate amplitude: arg = -3 pi/4
     assert np.angle(t.t21) == pytest.approx(-3 * np.pi / 4, abs=1e-12)
+
+
+def test_stationary_prefactor_refuses_an_order_whose_factorial_overflows():
+    # (m + 1)! overflows a float from m = 170: m = 169 and the zero-energy
+    # pair's largest order, 2n = 128, still evaluate, and m = 170 is refused
+    # with ValidationError, also through a hand-built CrossingData
+    for m in (128, 169):
+        for curvature in (-2.0, 1.0):
+            value = stationary_prefactor(m, curvature)
+            assert cmath.isfinite(value) and value != 0.0, (m, curvature)
+    with pytest.raises(ValidationError, match="overflows"):
+        stationary_prefactor(170, 1.0)
+    data = CrossingData(
+        m=170, bracket_m=-1.0, bracket_m_rev=1.0, grad1=(0.0, 1.0),
+        grad2=(0.0, 1.0), q1_0=1.0, q2_0=1.0,
+    )
+    with pytest.raises(ValidationError, match="overflows"):
+        transfer_predicted_general(data, 1e-4)
 
 
 def test_crossing_data_validation():
