@@ -820,35 +820,43 @@ def test_too_few_rows_to_fit_keep_their_outputs(monkeypatch, tmp_path, capsys, m
     assert all("Picard iteration" in r["detail"] for r in rows)
 
 
+def _solve_pair_in_bounded_memory(tmp_path, capsys, slope, end):
+    # the pair's WKB phases and Theta_j at the ends of [-end, end] are
+    # integrals that march.integral resolves on a few panels: the solve
+    # exits 0, and its traced peak stays within two CHUNK_BYTES
+    cfg = {
+        "problem": {
+            "kind": "schrodinger",
+            "n": 1,
+            "v1_coeffs": [0.0, -slope],
+            "v2_coeffs": [0.0, slope],
+            "e0": 1.0,
+            "coupling": {"width": 0.8},
+            "interval": [-end, end],
+        },
+        "h": 1e-2,
+    }
+    path = write_config(tmp_path, cfg)
+    tracemalloc.start()
+    try:
+        assert main(["solve", "--config", path]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * CHUNK_BYTES, (end, peak)
+    assert "extracted:" in capsys.readouterr().out
+
+
 def test_a_wide_interval_solves_in_bounded_memory(tmp_path, capsys):
-    # the pair's WKB phases and Theta_j at the ends of [-1e4, 1e4] and of
-    # [-1e20, 1e20] are integrals that march.integral resolves on a few
-    # panels: the solve exits 0, and its traced peak stays within two
-    # CHUNK_BYTES (measured 0.43 MB on both, where the old rule of 8 equal
-    # panels per unit held 2.0 MB on [-1e4, 1e4], 65 MB on [-1e6, 1e6], and
-    # refused [-1e20, 1e20])
-    for slope, end in ((1e-7, 1e4), (1e-30, 1e20)):
-        cfg = {
-            "problem": {
-                "kind": "schrodinger",
-                "n": 1,
-                "v1_coeffs": [0.0, -slope],
-                "v2_coeffs": [0.0, slope],
-                "e0": 1.0,
-                "coupling": {"width": 0.8},
-                "interval": [-end, end],
-            },
-            "h": 1e-2,
-        }
-        path = write_config(tmp_path, cfg)
-        tracemalloc.start()
-        try:
-            assert main(["solve", "--config", path]) == 0
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 2 * CHUNK_BYTES, (end, peak)
-        assert "extracted:" in capsys.readouterr().out
+    # measured 0.43 MB, where the old rule of 8 equal panels per unit held
+    # 2.0 MB on [-1e4, 1e4] and 65 MB on [-1e6, 1e6]
+    _solve_pair_in_bounded_memory(tmp_path, capsys, 1e-7, 1e4)
+
+
+def test_a_1e20_interval_solves_in_bounded_memory(tmp_path, capsys):
+    # measured 0.43 MB, where the old rule of 8 equal panels per unit asked
+    # for 8e20 panels and refused the interval with exit 3
+    _solve_pair_in_bounded_memory(tmp_path, capsys, 1e-30, 1e20)
 
 
 def test_an_anchor_phase_beyond_2_52_is_refused(tmp_path, capsys):
